@@ -9,7 +9,7 @@ simulator's bottleneck long before the codec engine is.
 The gate: at one million stored blocks, one node-failure cycle —
 ``kill_node`` + ``detect_failures`` + bulk repair-queue construction —
 through the columnar :class:`~repro.cluster.blockindex.BlockIndex` must
-beat the dict reference (:class:`~repro.cluster.namenode.DictNameNode`,
+beat the dict reference (:class:`~repro.spec.namenode.DictNameNode`,
 the seed implementation kept as the executable specification) by
 >= 10x, while returning *identical* answers: same lost-block lists,
 same repair-queue entries, same fsck.
@@ -20,9 +20,10 @@ import time
 
 import numpy as np
 
-from repro.cluster import DictNameNode, NameNode
+from repro.cluster import NameNode
 from repro.cluster.blocks import Stripe
 from repro.codes import rs_10_4
+from repro.spec import DictNameNode
 
 from conftest import record_metric, write_report
 

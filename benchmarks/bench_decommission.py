@@ -18,12 +18,10 @@ than through the spec — with element-identical
 import gc
 
 from repro.cluster import HadoopCluster, ec2_config
-from repro.cluster.decommission import (
-    plan_recreates_seed,
-    plan_recreates_vectorized,
-)
+from repro.cluster.decommission import plan_recreates_vectorized
 from repro.codes import xorbas_lrc
 from repro.difftest import gate_speedup
+from repro.spec import plan_recreates_seed
 
 from conftest import record_metric, write_report
 

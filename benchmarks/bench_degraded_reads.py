@@ -5,7 +5,9 @@ higher availability due to these faster degraded reads" and defers the
 study; this bench runs it.  All three schemes see the identical outage
 process and read arrivals (paired-seed discipline, like the paper's
 twin EC2 clusters); the LRC serves degraded reads ~2x faster than RS
-and recovers most of the availability gap to replication.
+and recovers most of the availability gap to replication.  The rows
+come from the production ``ReadServiceEngine``, the same implementation
+``repro degraded`` and ``run_degraded_scenarios`` run.
 """
 
 import pytest

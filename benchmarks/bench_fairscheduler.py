@@ -18,12 +18,9 @@ import gc
 
 import numpy as np
 
-from repro.cluster.fairscheduler import (
-    SchedulerState,
-    plan_pass_seed,
-    plan_pass_vectorized,
-)
+from repro.cluster.fairscheduler import SchedulerState, plan_pass_vectorized
 from repro.difftest import assert_bit_identical, gate_speedup
+from repro.spec import plan_pass_seed
 
 from conftest import record_metric, write_report
 

@@ -16,6 +16,7 @@ import time
 import numpy as np
 
 from repro.reliability import BirthDeathChain, estimate_mttdl
+from repro.spec import estimate_mttdl_loop
 
 from conftest import record_metric, write_report
 
@@ -42,9 +43,7 @@ def test_batched_engine_10x_faster_and_consistent(benchmark):
     batched_seconds = benchmark.stats.stats.mean
 
     start = time.perf_counter()
-    looped = estimate_mttdl(
-        CHAIN, np.random.default_rng(0), trials=TRIALS, method="loop"
-    )
+    looped = estimate_mttdl_loop(CHAIN, np.random.default_rng(0), trials=TRIALS)
     loop_seconds = time.perf_counter() - start
 
     speedup = loop_seconds / batched_seconds

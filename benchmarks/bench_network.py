@@ -11,7 +11,7 @@ slowest layer of the simulator.
 The gate: a repair-storm schedule on a racked 60-node fabric must run
 >= 10x faster through the struct-of-arrays
 :class:`~repro.cluster.flownet.FlowTable` than through the reference
-:class:`~repro.cluster.network.Network` — while producing
+:class:`~repro.spec.network.Network` — while producing
 *element-identical* completion records (same flows, same order, same
 exact float timestamps) and byte totals equal to float re-association
 tolerance.  The seed engine's event cascades are O(F^2)-O(F^2 log F)
@@ -27,7 +27,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.cluster import FlowTable, MetricsCollector, Network, Simulation
+from repro.cluster import FlowTable, MetricsCollector, Simulation
+from repro.spec import Network
 
 from conftest import record_metric, write_report
 

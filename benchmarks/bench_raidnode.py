@@ -18,12 +18,9 @@ import gc
 
 import numpy as np
 
-from repro.cluster.raidscan import (
-    RaidScanIndex,
-    RaidScanSchedule,
-    scan_candidates_seed,
-)
+from repro.cluster.raidscan import RaidScanIndex, RaidScanSchedule
 from repro.difftest import gate_speedup
+from repro.spec import scan_candidates_seed
 
 from conftest import record_metric, write_report
 

@@ -12,7 +12,7 @@ bitmask, batched latency accounting.
 The gate: one million client reads over a six-hour horizon (the paper's
 (10,6,5) LRC under the default transient-outage process) must run ≥10×
 faster through the engine than through the event-driven spec
-(:class:`~repro.cluster.degraded.DegradedReadSimulation`) on a *shared*
+(:class:`~repro.spec.degraded.DegradedReadSimulation`) on a *shared*
 pre-drawn schedule, with element-identical ``ReadServiceStats`` —
 counts exact, per-read latency lists bit-identical, aggregate latencies
 asserted to 1e-9.
@@ -22,9 +22,10 @@ import time
 
 import numpy as np
 
-from repro.cluster.degraded import DegradedReadConfig, DegradedReadSimulation
+from repro.cluster.degraded import DegradedReadConfig
 from repro.cluster.readservice import ReadSchedule, ReadServiceEngine
 from repro.codes import xorbas_lrc
+from repro.spec import DegradedReadSimulation
 
 from conftest import record_metric, write_report
 

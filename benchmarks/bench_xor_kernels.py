@@ -36,6 +36,7 @@ from repro.codes import (
     xorbas_lrc,
 )
 from repro.difftest import gate_speedup
+from repro.spec import GatherCodecEngine
 
 from conftest import record_metric, write_report
 
@@ -61,7 +62,7 @@ def test_xor_plane_light_repair_10x_over_gather_and_identical():
         for p in range(code.n)
         if p != lost
     }
-    gf_engine = CodecEngine(code, use_xor_plane=False)
+    gf_engine = GatherCodecEngine(code)
 
     def heavy_path():
         # The gather kernel over the cached rebuild matrix: one table
@@ -119,7 +120,7 @@ def test_xor_encode_throughput_and_identical():
     rng = np.random.default_rng(11)
     data3d = code.field.random_elements(rng, (1_000, code.k, 4_096))
     plane_engine = CodecEngine(code)
-    gf_engine = CodecEngine(code, use_xor_plane=False)
+    gf_engine = GatherCodecEngine(code)
 
     gc.collect()
     gc.freeze()
@@ -157,8 +158,8 @@ def test_xor_encode_throughput_and_identical():
 
 def _sweep_linear_code(code, max_erasures):
     """Plane vs GF path over every decodable pattern up to ``max_erasures``."""
-    fast = CodecEngine(code, use_xor_plane=True)
-    slow = CodecEngine(code, use_xor_plane=False)
+    fast = CodecEngine(code)
+    slow = GatherCodecEngine(code)
     rng = np.random.default_rng(code.n)
     data3d = code.field.random_elements(rng, (2, code.k, 16))
     coded = fast.encode_stripes(data3d)
@@ -188,7 +189,7 @@ def _sweep_src(max_losses):
     src_slow = SimpleRegeneratingCode(14, 10)
     # The halves decode through the precode's engine; pin the reference
     # instance's engine to the gather path.
-    src_slow.precode._engine = CodecEngine(src_slow.precode, use_xor_plane=False)
+    src_slow.precode._engine = GatherCodecEngine(src_slow.precode)
     rng = np.random.default_rng(14)
     data = src_fast.field.random_elements(rng, (2 * src_fast.k, 16))
     triples = src_fast.encode(data)

@@ -32,7 +32,7 @@ __all__ = ["ANALYZER_VERSION", "AnalysisCache"]
 
 #: Bump on any rule or fact-schema change: the env hash folds this in,
 #: so stale caches self-invalidate on upgrade.
-ANALYZER_VERSION = "2.0"
+ANALYZER_VERSION = "2.1"
 
 CACHE_FILENAME = ".reprolint-cache.json"
 

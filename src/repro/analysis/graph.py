@@ -63,6 +63,7 @@ __all__ = [
     "SnapshotClassFacts",
     "analyze_paths",
     "extract_facts",
+    "mentioned_identifiers",
 ]
 
 #: Call names whose argument provenance RL009 audits.
@@ -215,7 +216,6 @@ class FileFacts:
     config_classes: list[ConfigClassFacts] = field(default_factory=list)
     key_builders: list[KeyBuilderFacts] = field(default_factory=list)
     test_identifiers: frozenset[str] = frozenset()
-    test_strings: frozenset[str] = frozenset()
     gate_calls: dict[str, int] = field(default_factory=dict)
     pragmas: dict[int, frozenset[str]] = field(default_factory=dict)
 
@@ -242,7 +242,6 @@ class FileFacts:
             "config_classes": [c.to_json() for c in self.config_classes],
             "key_builders": [b.to_json() for b in self.key_builders],
             "test_identifiers": sorted(self.test_identifiers),
-            "test_strings": sorted(self.test_strings),
             "gate_calls": dict(self.gate_calls),
             "pragmas": {str(k): sorted(v) for k, v in self.pragmas.items()},
         }
@@ -274,7 +273,6 @@ class FileFacts:
                 KeyBuilderFacts.from_json(b) for b in payload.get("key_builders", [])
             ],
             test_identifiers=frozenset(payload.get("test_identifiers", [])),
-            test_strings=frozenset(payload.get("test_strings", [])),
             gate_calls={k: int(v) for k, v in payload.get("gate_calls", {}).items()},
             pragmas={
                 int(k): frozenset(v) for k, v in payload.get("pragmas", {}).items()
@@ -524,9 +522,9 @@ def _key_builder_facts(node: ast.FunctionDef) -> KeyBuilderFacts | None:
     )
 
 
-def _test_evidence_sets(tree: ast.Module) -> tuple[frozenset[str], frozenset[str]]:
+def mentioned_identifiers(tree: ast.Module) -> frozenset[str]:
+    """Every name, attribute, definition and import a test file mentions."""
     identifiers: set[str] = set()
-    strings: set[str] = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             identifiers.add(node.id)
@@ -536,9 +534,7 @@ def _test_evidence_sets(tree: ast.Module) -> tuple[frozenset[str], frozenset[str
             identifiers.add(node.name)
         elif isinstance(node, ast.alias):
             identifiers.add(node.name.rsplit(".", 1)[-1])
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            strings.add(node.value)
-    return frozenset(identifiers), frozenset(strings)
+    return frozenset(identifiers)
 
 
 def _gate_speedup_sites(tree: ast.Module) -> dict[str, int]:
@@ -608,7 +604,7 @@ def extract_facts(
         pragmas=parse_pragmas(source),
     )
     if scope == "tests":
-        facts.test_identifiers, facts.test_strings = _test_evidence_sets(tree)
+        facts.test_identifiers = mentioned_identifiers(tree)
         return facts
     if scope == "benchmarks":
         facts.gate_calls = _gate_speedup_sites(tree)

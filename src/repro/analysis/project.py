@@ -35,7 +35,7 @@ from typing import Iterable, Mapping
 
 from .core import Rule, RuleViolation, iter_python_files
 from .dataflow import CONST, SEEDED, resolve_taint
-from .graph import ProjectGraph
+from .graph import ProjectGraph, mentioned_identifiers
 from .rules import engine_symbols_by_module
 
 __all__ = [
@@ -65,26 +65,21 @@ class PairRecord:
     subsystem: str
     spec_symbol: str
     engine_symbol: str
-    choices: tuple[str, ...]  # canonical choice strings
     gate: str | None
     line: int  # registration call's line in PAIRS_PATH
 
 
 @dataclass(frozen=True)
 class TestEvidence:
-    """Identifiers and string literals one test file touches."""
+    """Identifiers one test file touches."""
 
     __test__ = False  # not a pytest class, despite the name
 
     path: str
     identifiers: frozenset[str]
-    strings: frozenset[str]
 
     def names_both(self, spec_symbol: str, engine_symbol: str) -> bool:
         return {spec_symbol, engine_symbol} <= self.identifiers
-
-    def exercises_choices(self, engine_symbol: str, choices: Iterable[str]) -> bool:
-        return engine_symbol in self.identifiers and set(choices) <= self.strings
 
 
 @dataclass
@@ -123,7 +118,6 @@ class ProjectContext:
             TestEvidence(
                 path=facts.path,
                 identifiers=facts.test_identifiers,
-                strings=facts.test_strings,
             )
             for path, facts in sorted(graph.files.items())
             if facts.scope == "tests"
@@ -143,7 +137,7 @@ class ProjectContext:
 
 
 def _registration_lines(root: Path) -> dict[str, int]:
-    """subsystem -> line of its ``register_engine_pair`` call."""
+    """subsystem -> line of its ``EnginePair(...)`` declaration."""
     path = root / PAIRS_PATH
     lines: dict[str, int] = {}
     if not path.exists():
@@ -153,7 +147,7 @@ def _registration_lines(root: Path) -> dict[str, int]:
         if (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name)
-            and node.func.id == "register_engine_pair"
+            and node.func.id == "EnginePair"
             and node.args
             and isinstance(node.args[0], ast.Constant)
         ):
@@ -179,7 +173,6 @@ def _load_pairs(root: Path, errors: list[RuleViolation]) -> tuple[PairRecord, ..
             subsystem=pair.subsystem,
             spec_symbol=pair.spec_symbol or pair.spec.rsplit(".", 1)[-1],
             engine_symbol=pair.engine_symbol or pair.engine.rsplit(".", 1)[-1],
-            choices=tuple(pair.canonical(c) for c in pair.implementations),
             gate=pair.gate,
             line=lines.get(pair.subsystem, 1),
         )
@@ -189,24 +182,11 @@ def _load_pairs(root: Path, errors: list[RuleViolation]) -> tuple[PairRecord, ..
 
 def _test_evidence(path: Path, root: Path) -> TestEvidence:
     display = str(path.relative_to(root)) if path.is_relative_to(root) else str(path)
-    identifiers: set[str] = set()
-    strings: set[str] = set()
     try:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=display)
     except SyntaxError:
-        return TestEvidence(display, frozenset(), frozenset())
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            identifiers.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            identifiers.add(node.attr)
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            identifiers.add(node.name)
-        elif isinstance(node, ast.alias):
-            identifiers.add(node.name.rsplit(".", 1)[-1])
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            strings.add(node.value)
-    return TestEvidence(display, frozenset(identifiers), frozenset(strings))
+        return TestEvidence(display, frozenset())
+    return TestEvidence(display, mentioned_identifiers(tree))
 
 
 def _baseline_gated_keys(
@@ -313,22 +293,22 @@ class ConformanceRule(ProjectRule):
 
     code = "RL003"
     description = (
-        "spec/engine conformance: every register_engine_pair has a "
+        "spec/engine conformance: every declared EnginePair has a "
         "differential test in tests/ and a gated bench_baseline.json metric; "
         "no dead baseline keys"
     )
     contract = (
-        "Every register_engine_pair() must have a tests/ file exercising "
-        "both its spec and engine symbols (or every engine choice), must "
+        "Every EnginePair in difftest/pairs.py must have a tests/ file exercising "
+        "both its spec and engine symbols, must "
         "declare a CI gate metric, and that metric must exist in "
         "bench_baseline.json; baseline keys no pair or gate_speedup call "
         "records are dead and flagged."
     )
     example_bad = (
-        "register_engine_pair('widget', spec=..., engine=..., gate=None)"
+        "EnginePair('widget', spec=..., engine=..., gate=None)"
     )
     example_good = (
-        "register_engine_pair('widget', ..., gate='widget_speedup')\n"
+        "EnginePair('widget', ..., gate='widget_speedup')\n"
         "# plus tests/test_widget.py referencing spec and engine"
     )
     escape = "# reprolint: disable=RL003 on the registration line"
@@ -340,7 +320,6 @@ class ConformanceRule(ProjectRule):
         for pair in context.pairs:
             covered = any(
                 evidence.names_both(pair.spec_symbol, pair.engine_symbol)
-                or evidence.exercises_choices(pair.engine_symbol, pair.choices)
                 for evidence in context.tests
             )
             if not covered:
@@ -351,8 +330,7 @@ class ConformanceRule(ProjectRule):
                         self.code,
                         f"engine pair {pair.subsystem!r} has no differential "
                         f"test: no tests/ file references both "
-                        f"{pair.spec_symbol!r} and {pair.engine_symbol!r} (or "
-                        f"exercises every choice of {pair.engine_symbol!r})",
+                        f"{pair.spec_symbol!r} and {pair.engine_symbol!r}",
                     )
                 )
             if pair.gate is None:

@@ -42,9 +42,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help=(
-            "target total data blocks (overrides --files; the columnar "
-            "BlockIndex makes million-block runs practical, e.g. "
-            "--blocks 1e6)"
+            "target total data blocks (overrides --files).  Scale --nodes "
+            "with it or repairs cannot quiesce in the simulated budget: "
+            "--blocks 1e5 needs about --nodes 400, not the default 50"
         ),
     )
     ec2.add_argument("--nodes", type=int, default=50)
@@ -67,17 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "verification payload bytes per block (the batched codec "
             "engine makes KB-scale full-byte verification feasible)"
-        ),
-    )
-    ec2.add_argument(
-        "--engines",
-        choices=["vectorized", "seed"],
-        default="vectorized",
-        help=(
-            "daemon engine selection for the scrubber/decommission/"
-            "fair-scheduler/raidnode seams (seed runs the scalar "
-            "executable specs; both are element-identical by the "
-            "difftest contract)"
         ),
     )
     ec2.add_argument(
@@ -196,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "target total client reads over the horizon (sets the read "
-            "rate; the vectorized engine makes 1e6+ practical)"
+            "rate; 1e6+ is practical)"
         ),
     )
     degraded.add_argument(
@@ -216,15 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         help="number of racks with a correlated rack-outage process (0 = off)",
-    )
-    degraded.add_argument(
-        "--engine",
-        choices=("event", "vectorized"),
-        default="vectorized",
-        help=(
-            "event-driven executable spec or the batched read-service "
-            "engine (default)"
-        ),
     )
 
     tradeoff = sub.add_parser(
@@ -294,7 +274,6 @@ def _cmd_ec2(
     payload_bytes: int | None,
     blocks: float | None = None,
     profile: bool = False,
-    engines: str = "vectorized",
     checkpoint_dir: str | None = None,
     resume: bool = False,
 ) -> int:
@@ -330,7 +309,6 @@ def _cmd_ec2(
             jobs=jobs,
             cache=cache,
             payload_bytes=payload_bytes,
-            engines=engines,
             checkpoint_dir=checkpoint_dir,
             resume=resume,
         )
@@ -613,7 +591,6 @@ def _cmd_degraded(
     zipf: float = 0.0,
     diurnal: float = 0.0,
     racks: int = 0,
-    engine: str = "vectorized",
 ) -> int:
     from .cluster.degraded import DegradedReadConfig, compare_degraded_reads
     from .codes import rs_10_4, three_replication, xorbas_lrc
@@ -641,11 +618,8 @@ def _cmd_degraded(
     if racks:
         scenario.append(f"racks={racks}")
     suffix = f" ({', '.join(scenario)})" if scenario else ""
-    print(
-        f"Simulating {hours:.0f}h of reads under transient outages "
-        f"with the {engine} engine{suffix} ..."
-    )
-    rows = compare_degraded_reads(codes, config=config, seed=seed, engine=engine)
+    print(f"Simulating {hours:.0f}h of reads under transient outages{suffix} ...")
+    rows = compare_degraded_reads(codes, config=config, seed=seed)
     print(
         format_table(
             ["scheme", "reads", "degraded", "mean degraded s", "availability"],
@@ -709,7 +683,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             args.payload_bytes,
             args.blocks,
             args.profile,
-            args.engines,
             args.checkpoint_dir,
             args.resume,
         )
@@ -744,7 +717,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             args.zipf,
             args.diurnal,
             args.racks,
-            args.engine,
         )
     if args.command == "tradeoff":
         return _cmd_tradeoff(args.certify)

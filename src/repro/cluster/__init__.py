@@ -15,7 +15,6 @@ from .config import ClusterConfig, ec2_config, facebook_config
 from .decommission import DecommissionManager, RecreateBlockTask
 from .degraded import (
     DegradedReadConfig,
-    DegradedReadSimulation,
     ReadServiceStats,
     compare_degraded_reads,
     draw_placement,
@@ -40,16 +39,8 @@ from .integrity import (
 )
 from .mapreduce import JobTracker, MapReduceJob, Task
 from .metrics import FailureEventRecord, MetricsCollector, TimeSeries
-from .namenode import (
-    DataNode,
-    DictDataNode,
-    DictNameNode,
-    NameNode,
-    PlacementError,
-)
+from .namenode import DataNode, NameNode, PlacementError
 from .flownet import FlowHandle, FlowTable
-from .hdfs import NETWORK_ENGINES
-from .network import Network, Transfer
 from .raidnode import EncodeStripeTask, RaidNode
 from .scrubber_daemon import ScrubberDaemon
 from .sim import Event, Simulation
@@ -71,7 +62,6 @@ __all__ = [
     "DecommissionManager",
     "RecreateBlockTask",
     "DegradedReadConfig",
-    "DegradedReadSimulation",
     "ReadServiceStats",
     "compare_degraded_reads",
     "draw_placement",
@@ -95,15 +85,10 @@ __all__ = [
     "MetricsCollector",
     "TimeSeries",
     "DataNode",
-    "DictDataNode",
-    "DictNameNode",
     "NameNode",
     "PlacementError",
-    "Network",
-    "Transfer",
     "FlowHandle",
     "FlowTable",
-    "NETWORK_ENGINES",
     "EncodeStripeTask",
     "RaidNode",
     "ScrubberDaemon",

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.difftest import validate_engine_choice
-
 __all__ = ["ClusterConfig", "ec2_config", "facebook_config"]
 
 MB = 1e6
@@ -78,22 +76,6 @@ class ClusterConfig:
     timeseries_bucket: float = 300.0  # Fig 5 uses 5-minute resolution
     cpu_transfer_share: float = 0.25  # CPU load while streaming (vs computing)
 
-    # --- spec/engine seams ---------------------------------------------------
-    # Which implementation backs each vectorized subsystem.  Every seam
-    # follows the same contract (registered in ``repro.difftest.pairs``):
-    # the scalar seed implementation is kept as the executable
-    # specification, the vectorized engine is the default, and the two
-    # are held element-identical by a differential test on shared
-    # schedules.  "flownet" is the vectorized struct-of-arrays FlowTable
-    # (repair storms spawn thousands of concurrent flows and the
-    # per-flow engine is O(F^2) in churn); "seed" is the reference
-    # per-flow Network.
-    network_engine: str = "flownet"
-    scrubber_engine: str = "vectorized"
-    decommission_engine: str = "vectorized"
-    mapreduce_engine: str = "vectorized"
-    raidnode_engine: str = "vectorized"
-
     # --- determinism ---------------------------------------------------------
     # Seed for the cluster's failure processes (FailureInjector and
     # friends) when no explicit rng is handed down.  ``None`` derives it
@@ -136,11 +118,6 @@ class ClusterConfig:
             raise ValueError("checkpoint interval must be at least one epoch")
         if self.checkpoint_keep < 1:
             raise ValueError("must keep at least one checkpoint")
-        validate_engine_choice("network", self.network_engine)
-        validate_engine_choice("scrubber", self.scrubber_engine)
-        validate_engine_choice("decommission", self.decommission_engine)
-        validate_engine_choice("mapreduce", self.mapreduce_engine)
-        validate_engine_choice("raidnode", self.raidnode_engine)
         return self
 
     def scaled(self, **overrides) -> "ClusterConfig":

@@ -19,8 +19,6 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
-from repro.difftest import validate_engine_choice
-
 from .blocks import BlockId, Stripe
 from .mapreduce import MapReduceJob, Task
 
@@ -31,9 +29,7 @@ __all__ = [
     "DecommissionManager",
     "RecreateBlockTask",
     "RecreateDecision",
-    "plan_recreates_seed",
     "plan_recreates_vectorized",
-    "DECOMMISSION_PLANNERS",
 ]
 
 
@@ -78,17 +74,6 @@ def _plan_one(
     )
 
 
-def plan_recreates_seed(
-    cluster: "HadoopCluster", node_id: str
-) -> list[RecreateDecision]:
-    """The executable spec: plan every resident block one at a time."""
-    namenode = cluster.namenode
-    return [
-        _plan_one(cluster, namenode.stripe_of(block), block.position, node_id)
-        for block in namenode.blocks_on_node(node_id)
-    ]
-
-
 def plan_recreates_vectorized(
     cluster: "HadoopCluster", node_id: str
 ) -> list[RecreateDecision]:
@@ -98,13 +83,10 @@ def plan_recreates_vectorized(
     the BlockIndex, and the planner runs once per *distinct*
     (code, position, pattern) key instead of once per block — a
     decommissioning node at production scale holds tens of thousands of
-    blocks drawn from a handful of patterns.  Falls back to the spec
-    for namenodes without a columnar index or stripes too wide for
-    62-bit masks.
+    blocks drawn from a handful of patterns.  Stripes too wide for
+    62-bit masks are planned one block at a time.
     """
-    index = getattr(cluster.namenode, "index", None)
-    if index is None:
-        return plan_recreates_seed(cluster, node_id)
+    index = cluster.namenode.index
     node_idx = index.node_index[node_id]
     rows = index.sort_rows(index.rows_on_node(node_idx))
     decisions: list[RecreateDecision | None] = [None] * rows.size
@@ -163,13 +145,6 @@ def plan_recreates_vectorized(
                 readable_bits=rb,
             )
     return decisions  # type: ignore[return-value]
-
-
-#: The ``decommission_engine`` seam: canonical choice -> planner.
-DECOMMISSION_PLANNERS = {
-    "seed": plan_recreates_seed,
-    "vectorized": plan_recreates_vectorized,
-}
 
 
 class RecreateBlockTask(Task):
@@ -259,6 +234,9 @@ class RecreateBlockTask(Task):
 class DecommissionManager:
     """Orchestrates one node's retirement."""
 
+    #: Bulk planner for the retiring node's resident blocks.
+    plan_recreates = staticmethod(plan_recreates_vectorized)
+
     def __init__(self, cluster: "HadoopCluster", node_id: str):
         self.cluster = cluster
         self.node_id = node_id
@@ -278,12 +256,7 @@ class DecommissionManager:
         self.bytes_read_from_node_before = self.cluster.metrics.disk_read_by_node.get(
             self.node_id, 0.0
         )
-        planner = DECOMMISSION_PLANNERS[
-            validate_engine_choice(
-                "decommission", self.cluster.config.decommission_engine
-            )
-        ]
-        decisions = planner(self.cluster, self.node_id)
+        decisions = self.plan_recreates(self.cluster, self.node_id)
         self.blocks_total = len(decisions)
         tasks: list[Task] = []
         for decision in decisions:

@@ -1,17 +1,18 @@
-"""FairScheduler assignment planning: scalar spec + vectorized engine.
+"""FairScheduler assignment planning as one vectorized pass.
 
 The JobTracker's assignment pass is the hottest control-plane loop in
 the workload simulations (Fig 7 runs thousands of heartbeats over
 hundreds of slots), and the seed implementation re-scans every job for
-every free slot — O(slots x jobs) Python-level work per heartbeat.
+every free slot — O(slots x jobs) Python-level work per heartbeat (that
+greedy loop is kept as the oracle ``repro.spec.daemons.plan_pass_seed``).
 
 The key structural fact: which job wins a slot never depends on *which
 node* the slot is on (locality only affects which of the job's tasks is
 popped, via ``take_task``).  A whole pass is therefore a pure function
 of the per-job counters at heartbeat time, captured here as a
-:class:`SchedulerState`.  Both planners return the same thing — the
-sequence of job indices assigned to the pass's free slots, in slot
-order — and the differential test holds them element-identical.
+:class:`SchedulerState`.  A planner returns the sequence of job indices
+assigned to the pass's free slots, in slot order, and the differential
+test holds engine and oracle element-identical.
 
 Equivalence argument for the engine: each job's successive keys
 ``((running + m) / weight, submit_time, job_id)`` for m = 0, 1, ... are
@@ -37,9 +38,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "SchedulerState",
-    "plan_pass_seed",
     "plan_pass_vectorized",
-    "SCHEDULER_PLANNERS",
 ]
 
 
@@ -101,35 +100,6 @@ class SchedulerState(ArraySchedule):
             raise ValueError("job ids must be unique")
 
 
-def plan_pass_seed(state: SchedulerState) -> np.ndarray:
-    """The executable spec: the JobTracker's original greedy loop.
-
-    Mirrors ``min(candidates, key=(running/weight, submit, id))`` per
-    free slot, with running/pending advancing as tasks are assigned.
-    """
-    running = state.running.tolist()
-    pending = state.pending.tolist()
-    weight = state.weight.tolist()
-    submit = state.submit_time.tolist()
-    job_id = state.job_id.tolist()
-    picks: list[int] = []
-    for _ in range(state.total_slots):
-        best_key = None
-        best_j = -1
-        for j in range(len(job_id)):
-            if pending[j] <= 0:
-                continue
-            key = (running[j] / weight[j], submit[j], job_id[j])
-            if best_key is None or key < best_key:
-                best_key, best_j = key, j
-        if best_j < 0:
-            break
-        picks.append(best_j)
-        running[best_j] += 1
-        pending[best_j] -= 1
-    return np.array(picks, dtype=np.int64)
-
-
 def plan_pass_vectorized(state: SchedulerState) -> np.ndarray:
     """The engine: one lexsort over every candidate (job, m) key."""
     slots = state.total_slots
@@ -145,9 +115,3 @@ def plan_pass_vectorized(state: SchedulerState) -> np.ndarray:
     order = np.lexsort((state.job_id[job_idx], state.submit_time[job_idx], ratio))
     return job_idx[order[: min(slots, total)]]
 
-
-#: The ``mapreduce_engine`` seam: canonical choice -> planner.
-SCHEDULER_PLANNERS = {
-    "seed": plan_pass_seed,
-    "vectorized": plan_pass_vectorized,
-}

@@ -1,7 +1,7 @@
 """Vectorized flow-table network engine.
 
 :class:`FlowTable` is a drop-in replacement for the reference
-:class:`~repro.cluster.network.Network` that stores every in-flight flow
+:class:`~repro.spec.network.Network` that stores every in-flight flow
 as a row of numpy struct-of-arrays instead of a ``Transfer`` object, and
 replaces the three O(flows) inner loops of the reference engine with
 array operations:

@@ -22,17 +22,10 @@ from ..codes.base import ErasureCode
 from .blocks import BlockId, Stripe, StoredFile, encode_stripe_payloads
 from .config import ClusterConfig
 from .flownet import FlowTable
-from repro.difftest import validate_engine_choice
-
 from .mapreduce import JobTracker
 from .metrics import MetricsCollector
-from .namenode import NameNode, NameNodeAPI, PlacementError
-from .network import Network
+from .namenode import NameNode, PlacementError
 from .sim import Simulation
-
-#: The fabric implementations ``ClusterConfig.network_engine`` selects
-#: between.  Both expose the same API and bit-identical flow dynamics.
-NETWORK_ENGINES = {"flownet": FlowTable, "seed": Network}
 
 __all__ = ["HadoopCluster", "DataLossError"]
 
@@ -50,14 +43,11 @@ class HadoopCluster:
     ErasureCode implementation under unchanged RaidNode/BlockFixer logic.
     """
 
-    def __init__(
-        self,
-        code: ErasureCode,
-        config: ClusterConfig,
-        seed: int = 0,
-        namenode_cls: type[NameNodeAPI] = NameNode,
-        network_cls: type | None = None,
-    ):
+    #: The metadata plane and the fabric every cluster is built on.
+    namenode_cls = NameNode
+    network_cls = FlowTable
+
+    def __init__(self, code: ErasureCode, config: ClusterConfig, seed: int = 0):
         config.validate()
         self.code = code
         self.config = config
@@ -79,11 +69,8 @@ class HadoopCluster:
             if config.num_racks > 1
             else None
         )
-        self.namenode = namenode_cls(node_ids, self.rng, rack_of=rack_of)
-        if network_cls is None:
-            choice = validate_engine_choice("network", config.network_engine)
-            network_cls = NETWORK_ENGINES[choice]
-        self.network = network_cls(
+        self.namenode = self.namenode_cls(node_ids, self.rng, rack_of=rack_of)
+        self.network = self.network_cls(
             self.sim,
             self.metrics,
             config.node_bandwidth,

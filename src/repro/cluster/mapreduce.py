@@ -16,9 +16,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Callable
 
-from repro.difftest import validate_engine_choice
-
-from .fairscheduler import SCHEDULER_PLANNERS, SchedulerState
+from .fairscheduler import SchedulerState, plan_pass_vectorized
 
 if TYPE_CHECKING:
     from .hdfs import HadoopCluster
@@ -113,6 +111,9 @@ class MapReduceJob:
 class JobTracker:
     """Slot accounting + FairScheduler assignment at heartbeat cadence."""
 
+    #: Which job wins each free slot of one assignment pass.
+    plan_pass = staticmethod(plan_pass_vectorized)
+
     def __init__(self, cluster: "HadoopCluster"):
         self.cluster = cluster
         config = cluster.config
@@ -121,9 +122,6 @@ class JobTracker:
         }
         self.jobs: list[MapReduceJob] = []
         self.heartbeat = config.heartbeat_interval
-        self._planner = SCHEDULER_PLANNERS[
-            validate_engine_choice("mapreduce", config.mapreduce_engine)
-        ]
         self._pass_scheduled = False
 
     # -- submission ---------------------------------------------------------
@@ -159,13 +157,6 @@ class JobTracker:
             job for job in self.jobs if job.ready_time is not None and job.has_pending
         ]
 
-    def _pick_job(self, candidates: list[MapReduceJob]) -> MapReduceJob:
-        """FairScheduler: lowest running/weight ratio wins; FIFO ties."""
-        return min(
-            candidates,
-            key=lambda job: (len(job.running) / job.weight, job.submit_time, job.job_id),
-        )
-
     def _assignment_pass(self) -> None:
         self._pass_scheduled = False
         namenode = self.cluster.namenode
@@ -181,7 +172,7 @@ class JobTracker:
         if slots and candidates:
             total_slots = sum(free for _, free in slots)
             state = SchedulerState.from_jobs(candidates, total_slots)
-            picks = self._planner(state)
+            picks = self.plan_pass(state)
             # Which job wins a slot is node-independent, so the planned
             # sequence maps one-to-one onto the flattened slot order;
             # locality still decides which task the job hands the node.

@@ -7,25 +7,20 @@ default placement policy mirrors Hadoop's: random spread that avoids
 collocating blocks of the same stripe (Section 3.1.1) so that one node
 death loses at most one block per stripe.
 
-Two interchangeable implementations share the API:
-
-* :class:`NameNode` — the default, backed by the columnar
-  :class:`~repro.cluster.blockindex.BlockIndex`; failure detection,
-  fsck, per-stripe views and the bulk repair-queue builder are numpy
-  scans, which is what lets simulations carry millions of blocks.
-* :class:`DictNameNode` — the original per-block dict/set bookkeeping,
-  kept as the executable specification: the differential property
-  tests drive both through identical sequences and demand identical
-  answers, and the BlockIndex benchmark uses it as its baseline.
+The NameNode is backed by the columnar
+:class:`~repro.cluster.blockindex.BlockIndex`: failure detection, fsck,
+per-stripe views and the bulk repair-queue builder are numpy scans,
+which is what lets simulations carry millions of blocks.  The original
+per-block dict/set bookkeeping lives on as the test-only oracle
+``repro.spec.namenode.DictNameNode``; both honour :class:`NameNodeAPI`.
 
 ``missing_blocks`` and ``block_locations`` remain set-like and
-dict-like on the columnar implementation (views over the index), so
-callers are agnostic to the backing store.
+dict-like (views over the index), so callers are agnostic to the
+backing store.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -35,8 +30,6 @@ from .blocks import BlockId, Stripe
 
 __all__ = [
     "DataNode",
-    "DictDataNode",
-    "DictNameNode",
     "NameNode",
     "NameNodeAPI",
     "PlacementError",
@@ -394,168 +387,3 @@ class NameNode(NameNodeAPI):
         self.undetected_dead = set(state["undetected_dead"])
         self._kill_cache = {}
 
-
-# ---------------------------------------------------------------------------
-# Dict implementation (the executable specification)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class DictDataNode:
-    """A storage node: holds block replicas, may die, may be decommissioned."""
-
-    node_id: str
-    alive: bool = True
-    decommissioning: bool = False  # readable, but no longer a placement target
-    blocks: set[BlockId] = field(default_factory=set)
-
-    @property
-    def block_count(self) -> int:
-        return len(self.blocks)
-
-    def __hash__(self) -> int:
-        return hash(self.node_id)
-
-
-class DictNameNode(NameNodeAPI):
-    """The original per-block dict/set NameNode (reference behaviour)."""
-
-    def __init__(
-        self,
-        node_ids: list[str],
-        rng: np.random.Generator,
-        rack_of: dict[str, int] | None = None,
-    ):
-        if not node_ids:
-            raise ValueError("cluster needs at least one DataNode")
-        self.nodes: dict[str, DictDataNode] = {
-            node_id: DictDataNode(node_id) for node_id in node_ids
-        }
-        self.rack_of = rack_of or {}
-        self.rng = rng
-        self.block_locations: dict[BlockId, str] = {}
-        self.stripes: dict[tuple[str, int], Stripe] = {}
-        self.missing_blocks: set[BlockId] = set()
-        self.undetected_dead: set[str] = set()
-
-    # -- placement ----------------------------------------------------------------
-
-    def add_block(self, block: BlockId, node_id: str) -> None:
-        node = self.nodes[node_id]
-        if not node.alive:
-            raise PlacementError(f"cannot place {block} on dead node {node_id}")
-        previous = self.block_locations.get(block)
-        if previous is not None and previous != node_id:
-            # A block lives on exactly one node: a racing duplicate
-            # repair write relocates it rather than leaking a stale
-            # entry in the old node's set.
-            self.nodes[previous].blocks.discard(block)
-        node.blocks.add(block)
-        self.block_locations[block] = node_id
-        self.missing_blocks.discard(block)
-
-    def remove_block(self, block: BlockId) -> None:
-        node_id = self.block_locations.pop(block, None)
-        if node_id is not None:
-            self.nodes[node_id].blocks.discard(block)
-
-    # -- liveness ----------------------------------------------------------------
-
-    def locate(self, block: BlockId) -> str | None:
-        node_id = self.block_locations.get(block)
-        if node_id is None:
-            return None
-        if not self.nodes[node_id].alive:
-            return None
-        return node_id
-
-    def kill_node(self, node_id: str) -> list[BlockId]:
-        node = self.nodes[node_id]
-        if not node.alive:
-            return []
-        node.alive = False
-        self.undetected_dead.add(node_id)
-        return sorted(node.blocks)
-
-    def detect_failures(self, node_id: str) -> list[BlockId]:
-        if node_id not in self.undetected_dead:
-            return []
-        self.undetected_dead.discard(node_id)
-        node = self.nodes[node_id]
-        lost = sorted(node.blocks)
-        for block in lost:
-            self.block_locations.pop(block, None)
-            self.missing_blocks.add(block)
-        node.blocks.clear()
-        return lost
-
-    def detection_pending(self) -> bool:
-        return any(
-            self.nodes[node_id].blocks for node_id in self.undetected_dead
-        )
-
-    def blocks_on_node(self, node_id: str) -> list[BlockId]:
-        return sorted(self.nodes[node_id].blocks)
-
-    def node_block_counts(self) -> dict[str, int]:
-        return {node_id: len(n.blocks) for node_id, n in self.nodes.items()}
-
-    # -- stripe-level views (used by the BlockFixer) --------------------------------
-
-    def available_positions(self, stripe: Stripe) -> dict[int, str]:
-        out = {}
-        for position in stripe.stored_positions():
-            node_id = self.locate(stripe.block_id(position))
-            if node_id is not None:
-                out[position] = node_id
-        return out
-
-    def missing_positions(self, stripe: Stripe) -> list[int]:
-        return [
-            position
-            for position in stripe.stored_positions()
-            if stripe.block_id(position) in self.missing_blocks
-        ]
-
-    def stripe_node_set(self, stripe: Stripe) -> set[str]:
-        used = set()
-        for position in range(stripe.n):
-            if stripe.is_virtual(position):
-                continue
-            node_id = self.block_locations.get(stripe.block_id(position))
-            if node_id is not None:
-                used.add(node_id)
-        return used
-
-    def repair_queue(self, in_repair: set[BlockId]) -> list[RepairQueueEntry]:
-        """The seed scan algorithm: sort-then-group over Python sets."""
-        pending = sorted(self.missing_blocks - in_repair)
-        by_stripe: dict[tuple[str, int], list[BlockId]] = {}
-        for block in pending:
-            by_stripe.setdefault(
-                (block.file_name, block.stripe_index), []
-            ).append(block)
-        entries = []
-        for key in sorted(by_stripe):
-            stripe = self.stripes[key]
-            usable = set(self.available_positions(stripe))
-            usable.update(
-                p for p in range(stripe.n) if stripe.is_virtual(p)
-            )
-            entries.append(
-                RepairQueueEntry(
-                    stripe=stripe,
-                    blocks=tuple(by_stripe[key]),
-                    missing=tuple(sorted(self.missing_positions(stripe))),
-                    usable=frozenset(usable),
-                )
-            )
-        return entries
-
-    def fsck(self) -> dict[str, int]:
-        return {
-            "stored_blocks": len(self.block_locations),
-            "missing_blocks": len(self.missing_blocks),
-            "dead_nodes": sum(1 for n in self.nodes.values() if not n.alive),
-            "alive_nodes": sum(1 for n in self.nodes.values() if n.alive),
-        }

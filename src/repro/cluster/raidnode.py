@@ -12,11 +12,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
 
-from repro.difftest import validate_engine_choice
-
 from .blocks import Stripe, StoredFile, encode_stripe_payloads
 from .mapreduce import MapReduceJob, Task
-from .raidscan import RaidScanIndex, scan_candidates_seed
+from .raidscan import RaidScanIndex
 
 if TYPE_CHECKING:
     from .hdfs import HadoopCluster
@@ -83,23 +81,21 @@ class EncodeStripeTask(Task):
 class RaidNode:
     """Periodic scanner that RAIDs files matching the policy."""
 
+    #: Finds the un-RAIDed candidate files of each scan.
+    scan_index_cls = RaidScanIndex
+
     def __init__(
         self,
         cluster: "HadoopCluster",
         interval: float | None = None,
         should_raid: Callable[[StoredFile], bool] | None = None,
-        engine: str | None = None,
     ):
         self.cluster = cluster
         self.interval = (
             interval if interval is not None else cluster.config.raidnode_interval
         )
         self.should_raid = should_raid or (lambda stored: True)
-        self.engine = validate_engine_choice(
-            "raidnode",
-            engine if engine is not None else cluster.config.raidnode_engine,
-        )
-        self.scan_index = RaidScanIndex() if self.engine == "vectorized" else None
+        self.scan_index = self.scan_index_cls()
         self.in_flight: set[str] = set()
         self._running = False
 
@@ -144,14 +140,9 @@ class RaidNode:
 
     def scan(self) -> MapReduceJob | None:
         """Find un-RAIDed files and dispatch one encode job for them."""
-        if self.scan_index is not None:
-            candidates = self.scan_index.candidates(
-                self.cluster.files, self.in_flight, self.should_raid
-            )
-        else:
-            candidates = scan_candidates_seed(
-                self.cluster.files, self.in_flight, self.should_raid
-            )
+        candidates = self.scan_index.candidates(
+            self.cluster.files, self.in_flight, self.should_raid
+        )
         if not candidates:
             return None
         # Batch-encode the candidates' verification payloads up front:
@@ -173,8 +164,7 @@ class RaidNode:
             for stored in candidates:
                 if all(stripe.parities_stored for stripe in stored.stripes):
                     stored.raided = True
-                    if self.scan_index is not None:
-                        self.scan_index.mark_raided(stored.name)
+                    self.scan_index.mark_raided(stored.name)
                 self.in_flight.discard(stored.name)
 
         job = MapReduceJob(name="raid-encode", tasks=tasks, on_complete=done)

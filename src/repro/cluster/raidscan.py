@@ -28,20 +28,7 @@ from repro.difftest import ArraySchedule
 
 from .blocks import StoredFile
 
-__all__ = ["RaidScanSchedule", "RaidScanIndex", "scan_candidates_seed"]
-
-
-def scan_candidates_seed(
-    files: Mapping[str, StoredFile],
-    in_flight: set[str],
-    should_raid: Callable[[StoredFile], bool],
-) -> list[StoredFile]:
-    """The executable spec: the RaidNode's original full-scan filter."""
-    return [
-        stored
-        for name, stored in sorted(files.items())
-        if not stored.raided and name not in in_flight and should_raid(stored)
-    ]
+__all__ = ["RaidScanSchedule", "RaidScanIndex"]
 
 
 @dataclass(frozen=True)

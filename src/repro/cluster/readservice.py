@@ -1,9 +1,10 @@
 """Vectorized million-read degraded-read service engine.
 
 Section 4 of the paper leaves the availability benefit of faster LRC
-degraded reads as future work; ``repro.cluster.degraded`` is that study
-and stays as the executable specification.  This module is its batched
-twin — the last scalar hot path of the simulator after the reliability,
+degraded reads as future work; ``repro.cluster.degraded`` frames that
+study and ``repro.spec.degraded`` keeps its event-driven executable
+specification.  This module is the batched implementation — the last
+scalar hot path of the simulator after the reliability,
 codec, metadata and network layers were vectorized — built for the
 ROADMAP's "heavy traffic from millions of users": replaying millions of
 client reads against pre-drawn outage interval arrays in a handful of
@@ -66,8 +67,7 @@ __all__ = [
 
 #: Pattern keys pack ``(position << n) | readable_bitmask`` into an
 #: int64, so the widest stripe the vectorized planner interning supports
-#: is 56 blocks (position needs the bits above ``n``).  Wider stripes —
-#: the archival sweeps' 100+ block codes — stay on the event engine.
+#: is 56 blocks (position needs the bits above ``n``).
 MAX_PATTERN_BITS = 56
 
 SECONDS_PER_DAY = 86400.0
@@ -382,9 +382,9 @@ class OutageWindows:
 class ReadServiceEngine:
     """Batched replay of a read schedule against one erasure code.
 
-    Drop-in for :class:`~repro.cluster.degraded.DegradedReadSimulation`
-    (same constructor shape, same ``run() -> ReadServiceStats``), with
-    the per-read Python callback replaced by whole-schedule array
+    Same constructor shape and ``run() -> ReadServiceStats`` as the
+    event-driven oracle ``repro.spec.degraded.DegradedReadSimulation``,
+    with the per-read Python callback replaced by whole-schedule array
     passes.  Scales to millions of reads; the spec remains the
     executable semantics and the differential tests hold the two to
     element-identical stats on shared schedules.
@@ -406,7 +406,7 @@ class ReadServiceEngine:
         if code.n > MAX_PATTERN_BITS:
             raise ValueError(
                 f"stripe width {code.n} exceeds the {MAX_PATTERN_BITS}-bit "
-                "pattern interning limit; use the event engine"
+                "pattern interning limit"
             )
         self.code = code
         # Mirror the spec's stream layout so placements match it for

@@ -5,7 +5,7 @@ that re-reads stored blocks and verifies their checksums on a rolling
 schedule; hits are reported and repaired like lost blocks.  This daemon
 brings that loop into the simulated cluster: on a fixed period it scans
 every payload-carrying stripe through the
-:class:`~repro.cluster.integrity.Scrubber`, heals in place, and charges
+:class:`~repro.cluster.scrubengine.ScrubEngine`, heals in place, and charges
 the heal's block reads to the cluster metrics at the stripe's block
 size — so scrub traffic shows up in the same Figure 5-style accounting
 as repair traffic, with the same RS-vs-LRC economics.
@@ -15,9 +15,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.difftest import validate_engine_choice
-
-from .integrity import ChecksumRegistry, Scrubber, ScrubReport
+from .integrity import ChecksumRegistry, ScrubReport
 from .scrubengine import ScrubEngine
 
 if TYPE_CHECKING:
@@ -37,35 +35,24 @@ class ScrubberDaemon:
     scan_interval:
         Seconds of simulated time between full scans (production
         scanners take weeks per full pass; experiments shrink this).
-    engine:
-        "seed" (per-block CRC verification, the spec) or "vectorized"
-        (snapshot comparison); defaults to the cluster config's
-        ``scrubber_engine`` seam.  The CRC registry is maintained in
-        both modes — it is the write path's integrity record — but the
-        vectorized scan never touches it.
+
+    The CRC registry is the write path's integrity record and is kept
+    current through every heal, but the snapshot-comparison scan never
+    reads it.
     """
 
-    def __init__(
-        self,
-        cluster: "HadoopCluster",
-        scan_interval: float = 3600.0,
-        engine: str | None = None,
-    ):
+    @staticmethod
+    def make_scanner(registry: ChecksumRegistry) -> ScrubEngine:
+        """The scan-and-heal implementation; heals refresh ``registry``."""
+        return ScrubEngine(on_heal=registry.refresh)
+
+    def __init__(self, cluster: "HadoopCluster", scan_interval: float = 3600.0):
         if scan_interval <= 0:
             raise ValueError("scan_interval must be positive")
         self.cluster = cluster
         self.scan_interval = scan_interval
-        self.engine = validate_engine_choice(
-            "scrubber",
-            engine if engine is not None else cluster.config.scrubber_engine,
-        )
         self.registry = ChecksumRegistry()
-        self._scrubber = Scrubber(self.registry)
-        self._snapshots = (
-            ScrubEngine(on_heal=self.registry.refresh)
-            if self.engine == "vectorized"
-            else None
-        )
+        self._scanner = self.make_scanner(self.registry)
         self.reports: list[ScrubReport] = []
         self._started = False
 
@@ -80,8 +67,7 @@ class ScrubberDaemon:
         recorded = 0
         for stripe in self._stripes():
             recorded += self.registry.record_stripe(stripe)
-            if self._snapshots is not None:
-                self._snapshots.record_stripe(stripe)
+            self._scanner.record_stripe(stripe)
         return recorded
 
     def _stripes(self):
@@ -125,8 +111,7 @@ class ScrubberDaemon:
 
     def scan_once(self) -> ScrubReport:
         """One full pass over all stripes, healing as it goes."""
-        scanner = self._snapshots if self._snapshots is not None else self._scrubber
-        report = scanner.scrub(list(self._stripes()))
+        report = self._scanner.scrub(list(self._stripes()))
         if report.blocks_read_for_heal:
             self._charge_reads(report)
         return report

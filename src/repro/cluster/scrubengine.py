@@ -245,13 +245,6 @@ class ScrubEngine:
                 corrupt[i] = snaps[i].positions[changed[j]].tolist()
         return corrupt
 
-    def scrub_stripe(self, stripe: Stripe, report: ScrubReport) -> None:
-        report.stripes_scanned += 1
-        corrupt = self.scan_stripe(stripe)
-        if not corrupt:
-            return
-        heal_stripe(stripe, corrupt, report, self._refresh)
-
     def scrub(self, stripes: list[Stripe]) -> ScrubReport:
         """Batched scan, then the shared heal loop on the corrupt few.
 

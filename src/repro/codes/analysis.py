@@ -60,16 +60,16 @@ def certify_locality(code: LinearCode, expected: int, exact: bool = True) -> boo
     repaired from fewer than ``expected`` blocks, i.e. the locality is not
     better than advertised (so the storage-overhead claim is honest).
     """
-    for block in range(code.n):
-        r = code.block_locality(block, max_r=expected)
+    localities = [
+        code.block_locality(block, max_r=expected) for block in range(code.n)
+    ]
+    for block, r in enumerate(localities):
         if r > expected:
             raise AssertionError(
                 f"{code.name}: block {block} has locality > {expected}"
             )
     if exact and expected > 1:
-        worst = max(
-            code.block_locality(block, max_r=expected) for block in range(code.n)
-        )
+        worst = max(localities)
         if worst < expected:
             raise AssertionError(
                 f"{code.name}: every block repairable from {worst} < {expected} "

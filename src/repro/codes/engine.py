@@ -194,17 +194,11 @@ class CodecEngine:
     outputs are byte-identical to per-stripe ``encode``/``decode``.
     """
 
-    def __init__(
-        self,
-        code: "LinearCode",
-        cache_size: int = DEFAULT_CACHE_SIZE,
-        use_xor_plane: bool = True,
-    ):
+    def __init__(self, code: "LinearCode", cache_size: int = DEFAULT_CACHE_SIZE):
         self.code = code
         self.field = code.field
         self.cache = DecoderCache(cache_size)
         self.schedules = ScheduleCache(cache_size)
-        self.use_xor_plane = use_xor_plane
         self.encode_calls = 0
         self.stripes_encoded = 0
         self.reconstruct_calls = 0
@@ -218,12 +212,9 @@ class CodecEngine:
         """The compiled schedule for ``key`` if the plane should run it.
 
         Compiles (and caches) on first sight of the pattern; returns
-        ``None`` when the plane is disabled or the schedule's cost model
-        says the gather kernel wins, in which case callers keep the GF
-        path.
+        ``None`` when the schedule's cost model says the gather kernel
+        wins, in which case callers keep the GF path.
         """
-        if not self.use_xor_plane:
-            return None
         schedule = self.schedules.lookup(
             key, lambda: compile_xor_schedule(self.field, build_matrix())
         )

@@ -1,22 +1,21 @@
 """Differential-testing and bench-gating framework for spec/engine pairs.
 
 Five PRs hand-rolled the same architecture — keep the scalar seed
-implementation as the executable *spec*, add a vectorized numpy
-*engine* behind a config seam, prove element-identical outputs on
-shared schedules, and gate a >=10x speedup in CI (Monte Carlo, codec,
-BlockIndex, FlowTable, ReadService).  This package is that architecture
-extracted, so the remaining scalar daemons cost a few dozen lines each
-instead of a PR apiece:
+implementation as the executable *spec*, make a vectorized numpy
+*engine* the one production implementation, prove element-identical
+outputs on shared schedules, and gate a >=10x speedup in CI (Monte
+Carlo, codec, BlockIndex, FlowTable, ReadService).  This package is
+that architecture extracted, so the remaining scalar daemons cost a few
+dozen lines each instead of a PR apiece:
 
 * :mod:`~repro.difftest.schedule` — the :class:`Schedule` protocol and
   :class:`ArraySchedule` base generalizing PR 5's ``ReadSchedule``:
   pull all of a subsystem's randomness into plain arrays once, feed the
   identical arrays to both implementations.
-* :mod:`~repro.difftest.registry` — the spec/engine registry behind the
-  ``ClusterConfig`` seams (``network_engine``, ``scrubber_engine``,
-  ``decommission_engine``, ``mapreduce_engine``, ``raidnode_engine``,
-  ...): every subsystem declares its pair once and selection is
-  uniform and validated.
+* :mod:`~repro.difftest.registry` — the spec/engine registry: every
+  subsystem's oracle, engine and CI gate declared once, read by
+  reprolint and the README table.  The oracles themselves live in
+  ``repro.spec``.
 * :mod:`~repro.difftest.compare` — the element-identical assertion
   helpers (exact counts, bit-identical float lists, NaN-aware stats)
   previously copy-pasted across the per-subsystem test files.
@@ -35,14 +34,8 @@ from .compare import (
     assert_exact_counts,
     assert_stats_close,
 )
-from .registry import (
-    EnginePair,
-    engine_matrix,
-    engine_pair,
-    register_engine_pair,
-    resolve_engine,
-    validate_engine_choice,
-)
+from .pairs import engine_matrix
+from .registry import EnginePair
 from .schedule import (
     ArraySchedule,
     Schedule,
@@ -51,10 +44,6 @@ from .schedule import (
     require_within,
     spawn_streams,
 )
-
-from . import pairs as _pairs  # registers the ten spec/engine pairs
-
-del _pairs
 
 __all__ = [
     "ArraySchedule",
@@ -67,14 +56,10 @@ __all__ = [
     "assert_exact_counts",
     "assert_stats_close",
     "engine_matrix",
-    "engine_pair",
     "gate_speedup",
-    "register_engine_pair",
     "require_nonnegative",
     "require_sorted",
     "require_within",
-    "resolve_engine",
     "spawn_streams",
     "timed",
-    "validate_engine_choice",
 ]

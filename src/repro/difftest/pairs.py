@@ -1,116 +1,91 @@
-"""The ten spec/engine pairs, declared in one place.
+"""The eleven spec/engine pairs, declared in one place.
 
-Importing :mod:`repro.difftest` registers every pair, so
-:func:`~repro.difftest.registry.engine_matrix` is the single source of
-truth for the README engine-matrix table, the ``ClusterConfig`` seam
-validation, and the CI bench-regression baseline's gated-metric list.
+:func:`engine_matrix` is the single source of truth for the README
+"Spec/engine pairs" table, reprolint's RL002/RL003 and the CI
+bench-regression baseline's gated-metric list.
 
-Registrations here are metadata only (dotted names, choice vocabulary,
-config seam, CI gate); the subsystem modules keep their own dispatch
-(``NETWORK_ENGINES`` in hdfs, ``method=`` in montecarlo, ...), which
-avoids import cycles between the harness and the code under test.
+Declarations are metadata only (dotted names and the CI gate).  The
+specs under ``repro.spec`` are reachable from tests, ``benchmarks/`` and
+this package — no production module imports them; tests run one inside
+a live cluster with ``repro.spec.with_specs``.
 """
 
 from __future__ import annotations
 
-from .registry import register_engine_pair
+from .registry import EnginePair
 
-register_engine_pair(
-    "montecarlo",
-    spec="repro.reliability.montecarlo.simulate_time_to_absorption",
-    engine="repro.reliability.montecarlo.simulate_times_to_absorption",
-    implementations={"loop": None, "batched": None},
-    aliases={"seed": "loop", "vectorized": "batched"},
-    default="batched",
-    config_field=None,  # per-call: estimate_mttdl(method=...)
-    gate="montecarlo_batched_speedup",
+__all__ = ["PAIRS", "engine_matrix"]
+
+PAIRS = (
+    EnginePair(
+        "montecarlo",
+        spec="repro.spec.montecarlo.simulate_time_to_absorption",
+        engine="repro.reliability.montecarlo.simulate_times_to_absorption",
+        gate="montecarlo_batched_speedup",
+    ),
+    EnginePair(
+        "codec",
+        spec="repro.codes.base.ErasureCode.decode",
+        engine="repro.codes.engine.CodecEngine",
+        gate="codec_engine_speedup",
+    ),
+    EnginePair(
+        "xorplane",
+        spec="repro.codes.cauchy.xor_encode",
+        engine="repro.codes.xorplane.XorSchedule",
+        gate="xor_plane_speedup",
+    ),
+    EnginePair(
+        "blockindex",
+        spec="repro.spec.namenode.DictNameNode",
+        engine="repro.cluster.namenode.NameNode",
+        gate="blockindex_speedup",
+    ),
+    EnginePair(
+        "network",
+        spec="repro.spec.network.Network",
+        engine="repro.cluster.flownet.FlowTable",
+        gate="network_speedup",
+    ),
+    EnginePair(
+        "readservice",
+        spec="repro.spec.degraded.DegradedReadSimulation",
+        engine="repro.cluster.readservice.ReadServiceEngine",
+        gate="readservice_speedup",
+    ),
+    EnginePair(
+        "scrubber",
+        spec="repro.cluster.integrity.Scrubber",
+        engine="repro.cluster.scrubengine.ScrubEngine",
+        gate="scrubber_speedup",
+    ),
+    EnginePair(
+        "decommission",
+        spec="repro.spec.daemons.plan_recreates_seed",
+        engine="repro.cluster.decommission.plan_recreates_vectorized",
+        gate="decommission_speedup",
+    ),
+    EnginePair(
+        "mapreduce",
+        spec="repro.spec.daemons.plan_pass_seed",
+        engine="repro.cluster.fairscheduler.plan_pass_vectorized",
+        gate="fairscheduler_speedup",
+    ),
+    EnginePair(
+        "recovery",
+        spec="repro.recovery.equivalence.run_uninterrupted",
+        engine="repro.recovery.equivalence.run_with_kill_resume",
+        gate="recovery_resume_speedup",
+    ),
+    EnginePair(
+        "raidnode",
+        spec="repro.spec.daemons.scan_candidates_seed",
+        engine="repro.cluster.raidscan.RaidScanIndex",
+        gate="raidnode_speedup",
+    ),
 )
 
-register_engine_pair(
-    "codec",
-    spec="repro.codes.base.ErasureCode.decode",
-    engine="repro.codes.engine.CodecEngine",
-    config_field=None,  # per-call: scalar decode vs code.engine
-    gate="codec_engine_speedup",
-)
 
-register_engine_pair(
-    "xorplane",
-    spec="repro.codes.cauchy.xor_encode",
-    engine="repro.codes.xorplane.XorSchedule",
-    implementations={"gf": None, "xor": None},
-    aliases={"seed": "gf", "plane": "xor"},
-    default="xor",
-    config_field=None,  # constructor: CodecEngine(code, use_xor_plane=...)
-    gate="xor_plane_speedup",
-)
-
-register_engine_pair(
-    "blockindex",
-    spec="repro.cluster.namenode.DictNameNode",
-    engine="repro.cluster.namenode.NameNode",
-    config_field=None,  # constructor: HadoopCluster(namenode_cls=...)
-    gate="blockindex_speedup",
-)
-
-register_engine_pair(
-    "network",
-    spec="repro.cluster.network.Network",
-    engine="repro.cluster.flownet.FlowTable",
-    implementations={"flownet": None, "seed": None},
-    aliases={"vectorized": "flownet"},
-    default="flownet",
-    config_field="network_engine",
-    gate="network_speedup",
-)
-
-register_engine_pair(
-    "readservice",
-    spec="repro.cluster.degraded.DegradedReadSimulation",
-    engine="repro.cluster.readservice.ReadServiceEngine",
-    implementations={"event": None, "vectorized": None},
-    aliases={"seed": "event"},
-    default="vectorized",
-    config_field=None,  # per-call: compare_degraded_reads(engine=...)
-    gate="readservice_speedup",
-)
-
-register_engine_pair(
-    "scrubber",
-    spec="repro.cluster.integrity.Scrubber",
-    engine="repro.cluster.scrubengine.ScrubEngine",
-    config_field="scrubber_engine",
-    gate="scrubber_speedup",
-)
-
-register_engine_pair(
-    "decommission",
-    spec="repro.cluster.decommission.plan_recreates_seed",
-    engine="repro.cluster.decommission.plan_recreates_vectorized",
-    config_field="decommission_engine",
-    gate="decommission_speedup",
-)
-
-register_engine_pair(
-    "mapreduce",
-    spec="repro.cluster.fairscheduler.plan_pass_seed",
-    engine="repro.cluster.fairscheduler.plan_pass_vectorized",
-    config_field="mapreduce_engine",
-    gate="fairscheduler_speedup",
-)
-
-register_engine_pair(
-    "recovery",
-    spec="repro.recovery.equivalence.run_uninterrupted",
-    engine="repro.recovery.equivalence.run_with_kill_resume",
-    config_field=None,  # per-call: run_failure_schedule(checkpoint=, resume=)
-    gate="recovery_resume_speedup",
-)
-
-register_engine_pair(
-    "raidnode",
-    spec="repro.cluster.raidscan.scan_candidates_seed",
-    engine="repro.cluster.raidscan.RaidScanIndex",
-    config_field="raidnode_engine",
-    gate="raidnode_speedup",
-)
+def engine_matrix() -> tuple[EnginePair, ...]:
+    """Every declared pair, in subsystem order (the docs table)."""
+    return tuple(sorted(PAIRS, key=lambda pair: pair.subsystem))

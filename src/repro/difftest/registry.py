@@ -1,40 +1,21 @@
-"""The spec/engine registry behind the ``ClusterConfig`` seams.
+"""The spec/engine registry: which oracle checks which implementation.
 
 Every vectorized subsystem keeps its scalar seed implementation alive
-as the executable specification and selects between the two through a
-string knob.  Before this registry each subsystem invented its own
-seam (``NETWORK_ENGINES`` in hdfs, an ``engine=`` kwarg in the
-degraded-read layer, a ``namenode_cls`` argument, ...).  Subsystems now
-declare their pair once at import time; configs and CLIs validate and
-resolve selections uniformly; and the docs' engine matrix is generated
-from the same source of truth the code dispatches on.
-
-A registration maps *choice strings* to implementations.  The uniform
-choices are ``"seed"`` (the scalar spec) and ``"vectorized"`` (the
-numpy engine); subsystems that shipped with historical names
-(``network_engine="flownet"``, ``engine="event"``) keep them as
-aliases so existing configs stay valid.
+as the executable specification — a test-only oracle, never a
+production option.  Each pair is declared once (in
+:mod:`~repro.difftest.pairs`) as an :class:`EnginePair`: dotted names
+plus the CI bench gate holding the engine's speedup.  Reprolint's
+RL002/RL003 and the README "Spec/engine pairs" table read the same
+declarations.
 """
 
 from __future__ import annotations
 
 import importlib.util
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Mapping
 
-__all__ = [
-    "EnginePair",
-    "engine_matrix",
-    "engine_pair",
-    "register_engine_pair",
-    "resolve_engine",
-    "validate_engine_choice",
-]
-
-#: The uniform selector vocabulary new subsystems use.
-SPEC = "seed"
-ENGINE = "vectorized"
+__all__ = ["EnginePair"]
 
 
 @dataclass(frozen=True)
@@ -44,22 +25,7 @@ class EnginePair:
     subsystem: str
     spec: str  # dotted name of the scalar specification
     engine: str  # dotted name of the vectorized engine
-    default: str
-    config_field: str | None  # ClusterConfig knob, or None if per-call
     gate: str | None  # the CI bench gating the pair, or None
-    implementations: Mapping[str, Any] = field(default_factory=dict)
-    aliases: Mapping[str, str] = field(default_factory=dict)
-
-    @property
-    def choices(self) -> tuple[str, ...]:
-        return tuple(self.implementations) + tuple(self.aliases)
-
-    def canonical(self, choice: str) -> str:
-        return self.aliases.get(choice, choice)
-
-    @property
-    def spec_module(self) -> str:
-        return _split_dotted(self.spec)[0]
 
     @property
     def spec_symbol(self) -> str:
@@ -95,92 +61,3 @@ def _split_dotted(dotted: str) -> tuple[str, str]:
         if spec is not None:
             return candidate, parts[-1] if end < len(parts) else ""
     return "", parts[-1]
-
-
-_REGISTRY: dict[str, EnginePair] = {}
-
-
-def register_engine_pair(
-    subsystem: str,
-    *,
-    spec: str,
-    engine: str,
-    implementations: Mapping[str, Any] | None = None,
-    aliases: Mapping[str, str] | None = None,
-    default: str = ENGINE,
-    config_field: str | None = None,
-    gate: str | None = None,
-) -> EnginePair:
-    """Declare a subsystem's spec/engine pair (idempotent per subsystem).
-
-    ``implementations`` maps canonical choice strings to whatever the
-    subsystem dispatches on (classes, planner functions, ...); it
-    defaults to ``{"seed": None, "vectorized": None}`` for pairs that
-    resolve per-call rather than through the registry.  ``aliases``
-    maps legacy choice strings to canonical ones.
-    """
-    if implementations is None:
-        implementations = {SPEC: None, ENGINE: None}
-    pair = EnginePair(
-        subsystem=subsystem,
-        spec=spec,
-        engine=engine,
-        default=default,
-        config_field=config_field,
-        gate=gate,
-        implementations=dict(implementations),
-        aliases=dict(aliases or {}),
-    )
-    if pair.canonical(default) not in pair.implementations:
-        raise ValueError(
-            f"{subsystem}: default {default!r} is not one of {pair.choices}"
-        )
-    _REGISTRY[subsystem] = pair
-    return pair
-
-
-def engine_pair(subsystem: str) -> EnginePair:
-    try:
-        return _REGISTRY[subsystem]
-    except KeyError:
-        raise KeyError(
-            f"no spec/engine pair registered for {subsystem!r} "
-            f"(known: {sorted(_REGISTRY)})"
-        ) from None
-
-
-def engine_matrix() -> tuple[EnginePair, ...]:
-    """Every registered pair, in subsystem order (the docs table)."""
-    return tuple(_REGISTRY[name] for name in sorted(_REGISTRY))
-
-
-def validate_engine_choice(subsystem: str, choice: str) -> str:
-    """Validate a seam value, returning its canonical form.
-
-    Pairs register when their module imports; a config validated before
-    that (e.g. a bare ``ClusterConfig`` in a worker process) still gets
-    the uniform vocabulary checked.
-    """
-    pair = _REGISTRY.get(subsystem)
-    if pair is None:
-        if choice in (SPEC, ENGINE):
-            return choice
-        raise ValueError(
-            f"unknown {subsystem} engine {choice!r} "
-            f"(expected {SPEC!r} or {ENGINE!r})"
-        )
-    if choice not in pair.choices:
-        raise ValueError(
-            f"unknown {subsystem} engine {choice!r} "
-            f"(expected one of {sorted(pair.choices)})"
-        )
-    return pair.canonical(choice)
-
-
-def resolve_engine(subsystem: str, choice: str | None = None) -> Any:
-    """The implementation a seam value selects (default when ``None``)."""
-    pair = engine_pair(subsystem)
-    canonical = pair.canonical(
-        pair.default if choice is None else validate_engine_choice(subsystem, choice)
-    )
-    return pair.implementations[canonical]

@@ -74,7 +74,6 @@ def scenario_config(
     scheme: str,
     config: DegradedReadConfig,
     seed: int = 0,
-    engine: str = "vectorized",
 ) -> dict[str, Any]:
     """The JSON-serializable identity of one scenario/scheme cell.
 
@@ -93,7 +92,6 @@ def scenario_config(
         "scheme": scheme,
         "config": dict(asdict(config)),
         "seed": int(seed),
-        "engine": engine,
     }
 
 
@@ -106,10 +104,7 @@ def run_scenario_config(config: Mapping[str, Any]) -> ReadServiceStats:
     code = DEGRADED_SCHEME_CODES[config["scheme"]]()
     read_config = DegradedReadConfig(**config["config"])
     (stats,) = compare_degraded_reads(
-        [code],
-        config=read_config,
-        seed=config["seed"],
-        engine=config["engine"],
+        [code], config=read_config, seed=config["seed"]
     )
     return stats
 
@@ -118,7 +113,6 @@ def run_degraded_scenarios(
     codes=None,
     scenarios: tuple[DegradedScenario, ...] | None = None,
     seed: int = 0,
-    engine: str = "vectorized",
     jobs: int = 1,
     cache: ResultCache | None = None,
 ) -> dict[str, list[ReadServiceStats]]:
@@ -142,12 +136,12 @@ def run_degraded_scenarios(
             # from inside a worker; run them directly instead.
             return {
                 scenario.name: compare_degraded_reads(
-                    codes, config=scenario.config, seed=seed, engine=engine
+                    codes, config=scenario.config, seed=seed
                 )
                 for scenario in scenarios
             }
     configs = [
-        scenario_config(scenario.name, scheme, scenario.config, seed, engine)
+        scenario_config(scenario.name, scheme, scenario.config, seed)
         for scenario in scenarios
         for scheme in schemes
     ]

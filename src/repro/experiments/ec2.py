@@ -110,16 +110,12 @@ def scheme_config(
     pattern: tuple[int, ...] = EC2_FAILURE_PATTERN,
     event_gap: float = 900.0,
     payload_bytes: int = DEFAULT_PAYLOAD_BYTES,
-    engines: str = "vectorized",
 ) -> dict[str, Any]:
     """One scheme/seed configuration as plain JSON-serialisable values.
 
     This is the unit the parallel runner fans out and the cache keys on:
     every field that influences the simulation's outcome is present, so
-    equal hashes imply equal results.  The daemon-engine choice is
-    omitted at its default so cached vectorized results keep their
-    pre-existing keys (the engines are element-identical by the
-    difftest contract, but the key stays honest about what ran).
+    equal hashes imply equal results.
     """
     if scheme not in EC2_SCHEME_CODES:
         raise ValueError(f"unknown scheme {scheme!r} (use {sorted(EC2_SCHEME_CODES)})")
@@ -133,7 +129,6 @@ def scheme_config(
         "event_gap": event_gap,
         "file_size": EC2_FILE_SIZE,
         "payload_bytes": payload_bytes,
-        **({"engines": engines} if engines != "vectorized" else {}),
     }
 
 
@@ -148,13 +143,8 @@ def run_scheme_config(config: Mapping[str, Any]) -> SchemeRunSummary:
     """
     runtime = dict(config.get("_runtime") or {})
     code = EC2_SCHEME_CODES[config["scheme"]]()
-    engines = config.get("engines", "vectorized")
     cluster_config = ec2_config(num_nodes=config["num_nodes"]).scaled(
-        payload_bytes=int(config.get("payload_bytes", DEFAULT_PAYLOAD_BYTES)),
-        scrubber_engine=engines,
-        decommission_engine=engines,
-        mapreduce_engine=engines,
-        raidnode_engine=engines,
+        payload_bytes=int(config.get("payload_bytes", DEFAULT_PAYLOAD_BYTES))
     )
     checkpoint = None
     if runtime.get("checkpoint_dir"):
@@ -184,7 +174,6 @@ def run_ec2_experiment_parallel(
     jobs: int | None = None,
     cache: ResultCache | None = None,
     payload_bytes: int = DEFAULT_PAYLOAD_BYTES,
-    engines: str = "vectorized",
     checkpoint_dir: str | None = None,
     resume: bool = False,
 ) -> EC2ExperimentSummary:
@@ -215,7 +204,6 @@ def run_ec2_experiment_parallel(
                 pattern=pattern,
                 event_gap=event_gap,
                 payload_bytes=payload_bytes,
-                engines=engines,
             ),
             **runtime,
         }

@@ -20,7 +20,6 @@ from pathlib import Path
 from typing import Any
 
 from ..cluster import EC2_FAILURE_PATTERN, ec2_config
-from ..cluster.config import ClusterConfig
 from ..cluster.metrics import MetricsCollector, TimeSeries
 from ..codes.lrc import xorbas_lrc
 from ..codes.reed_solomon import rs_10_4
@@ -39,16 +38,6 @@ __all__ = [
 _SCHEME_CODES = {"HDFS-RS": rs_10_4, "HDFS-Xorbas": xorbas_lrc}
 
 
-def _schedule_config(num_nodes: int, engines: str) -> ClusterConfig:
-    return ec2_config(num_nodes=num_nodes).scaled(
-        scrubber_engine=engines,
-        decommission_engine=engines,
-        mapreduce_engine=engines,
-        raidnode_engine=engines,
-        network_engine="flownet" if engines == "vectorized" else engines,
-    )
-
-
 def run_uninterrupted(
     scheme: str = "HDFS-Xorbas",
     num_files: int = 3,
@@ -56,13 +45,12 @@ def run_uninterrupted(
     num_nodes: int = 20,
     pattern: tuple[int, ...] = (1, 2),
     event_gap: float = 120.0,
-    engines: str = "vectorized",
 ) -> SchemeRunSummary:
     """The specification: one failure schedule, never interrupted."""
     run = run_failure_schedule(
         scheme,
         _SCHEME_CODES[scheme](),
-        _schedule_config(num_nodes, engines),
+        ec2_config(num_nodes=num_nodes),
         [640e6] * num_files,
         tuple(pattern),
         seed=seed,
@@ -79,7 +67,6 @@ def run_with_kill_resume(
     num_nodes: int = 20,
     pattern: tuple[int, ...] = (1, 2),
     event_gap: float = 120.0,
-    engines: str = "vectorized",
     kill_epoch: int = 1,
     corrupt_epochs: frozenset[int] = frozenset(),
 ) -> SchemeRunSummary:
@@ -105,7 +92,7 @@ def run_with_kill_resume(
     common = dict(
         scheme=scheme,
         code=_SCHEME_CODES[scheme](),
-        config=_schedule_config(num_nodes, engines),
+        config=ec2_config(num_nodes=num_nodes),
         file_sizes=[640e6] * num_files,
         pattern=tuple(pattern),
         seed=seed,
@@ -169,7 +156,6 @@ def run_chaos_sweep(
     num_nodes: int = 20,
     pattern: tuple[int, ...] = EC2_FAILURE_PATTERN,
     event_gap: float = 120.0,
-    engines: str = "vectorized",
     corruptions: int = 1,
 ) -> dict[str, Any]:
     """Seeded chaos campaign: random kill epochs + snapshot corruption.
@@ -210,7 +196,6 @@ def run_chaos_sweep(
                 num_nodes=num_nodes,
                 pattern=pattern,
                 event_gap=event_gap,
-                engines=engines,
             )
             resumed = run_with_kill_resume(
                 root / f"trial{trial:03d}",
@@ -220,7 +205,6 @@ def run_chaos_sweep(
                 num_nodes=num_nodes,
                 pattern=pattern,
                 event_gap=event_gap,
-                engines=engines,
                 kill_epoch=kill_epoch,
                 corrupt_epochs=corrupt,
             )

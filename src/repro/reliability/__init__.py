@@ -21,7 +21,6 @@ from .montecarlo import (
     AbsorptionEstimate,
     compress_chain,
     estimate_mttdl,
-    simulate_time_to_absorption,
     simulate_times_to_absorption,
 )
 from .models import (
@@ -66,7 +65,6 @@ __all__ = [
     "AbsorptionEstimate",
     "compress_chain",
     "estimate_mttdl",
-    "simulate_time_to_absorption",
     "simulate_times_to_absorption",
     "SchemeSimulation",
     "simulate_scheme_mttdl",

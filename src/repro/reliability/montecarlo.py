@@ -7,18 +7,15 @@ machinery by *simulating* the same chain with the Gillespie algorithm
 branching) and comparing the empirical mean absorption time with the
 closed form.
 
-Two simulation engines share the estimator:
-
-* :func:`simulate_times_to_absorption` — the batched engine.  All
-  trajectories advance *simultaneously*: each synchronous step samples
-  one sojourn and one jump direction per live trajectory as a single
-  vectorized draw, and trajectories that hit the absorbing state retire
-  from the live axis.  The Python-level loop runs once per transition
-  *depth* instead of once per transition, so ten thousand trials cost
-  barely more interpreter time than one.
-* :func:`simulate_time_to_absorption` — the original one-trajectory
-  scalar loop, kept as the reference implementation the batched engine
-  is validated against.
+:func:`simulate_times_to_absorption` is the batched engine.  All
+trajectories advance *simultaneously*: each synchronous step samples
+one sojourn and one jump direction per live trajectory as a single
+vectorized draw, and trajectories that hit the absorbing state retire
+from the live axis.  The Python-level loop runs once per transition
+*depth* instead of once per transition, so ten thousand trials cost
+barely more interpreter time than one.  The original one-trajectory
+scalar loop is kept as the oracle
+``repro.spec.montecarlo.simulate_time_to_absorption``.
 
 At the paper's actual operating point the stripe MTTDL is ~10^13 days
 while individual transitions occur on hour timescales, so simulating a
@@ -42,48 +39,11 @@ from .markov import BirthDeathChain
 
 __all__ = [
     "AbsorptionEstimate",
-    "simulate_time_to_absorption",
     "simulate_times_to_absorption",
     "estimate_mttdl",
     "compress_chain",
     "simulate_occupancy",
 ]
-
-
-def simulate_time_to_absorption(
-    chain: BirthDeathChain,
-    rng: np.random.Generator,
-    start: int = 0,
-    max_steps: int = 10_000_000,
-) -> float:
-    """One Gillespie trajectory: seconds from ``start`` to absorption.
-
-    At state i the sojourn is Exp(total rate) and the jump goes up with
-    probability ``failure / (failure + repair)``.  Raises RuntimeError
-    if absorption has not occurred within ``max_steps`` transitions
-    (a sign the chain is too repair-dominant to simulate directly —
-    compress it first).
-    """
-    if not 0 <= start < chain.num_transient:
-        raise ValueError(f"start state {start} out of range")
-    absorbing = chain.num_transient
-    state = start
-    clock = 0.0
-    for _ in range(max_steps):
-        fail = chain.failure_rates[state]
-        repair = chain.repair_rates[state - 1] if state > 0 else 0.0
-        total = fail + repair
-        clock += rng.exponential(1.0 / total)
-        if rng.random() < fail / total:
-            state += 1
-            if state == absorbing:
-                return clock
-        else:
-            state -= 1
-    raise RuntimeError(
-        f"no absorption within {max_steps} steps; "
-        "compress the chain before simulating"
-    )
 
 
 def simulate_times_to_absorption(
@@ -99,8 +59,8 @@ def simulate_times_to_absorption(
     of each live trajectory's current state, draws all sojourns and all
     jump directions at once, and retires the trajectories that reached
     the absorbing state; the loop ends when the live axis is empty.
-    Statistically identical to calling
-    :func:`simulate_time_to_absorption` ``trials`` times (both sample
+    Statistically identical to running the scalar oracle
+    ``simulate_time_to_absorption`` ``trials`` times (both sample
     the exact jump-chain law), but the per-transition work is a handful
     of numpy kernels over the live axis instead of Python bytecode.
 
@@ -154,41 +114,34 @@ class AbsorptionEstimate:
         """Whether the analytic value lies within z standard errors."""
         return abs(analytic_seconds - self.mean_seconds) <= z * self.std_error
 
+    @classmethod
+    def from_times(cls, times: np.ndarray) -> "AbsorptionEstimate":
+        """The estimate over one absorption time per trajectory."""
+        trials = int(times.size)
+        if trials < 2:
+            raise ValueError("need at least two trials for a standard error")
+        return cls(
+            mean_seconds=float(times.mean()),
+            std_error=float(times.std(ddof=1) / math.sqrt(trials)),
+            trials=trials,
+        )
+
 
 def estimate_mttdl(
     chain: BirthDeathChain,
     rng: np.random.Generator | None = None,
     trials: int = 400,
     start: int = 0,
-    method: str = "batched",
     seed: int = 0,
 ) -> AbsorptionEstimate:
     """Empirical MTTDL of a stripe chain over independent trajectories.
 
-    ``method="batched"`` (the default) advances all trajectories
-    simultaneously; ``method="loop"`` runs the reference one-at-a-time
-    engine.  The two draw different variates from the same ``rng`` but
-    sample the identical distribution.  Pass ``rng`` to share a stream,
-    or ``seed`` to derive a fresh one reproducibly.
+    Pass ``rng`` to share a stream, or ``seed`` to derive a fresh one
+    reproducibly.
     """
-    if trials < 2:
-        raise ValueError("need at least two trials for a standard error")
     rng = rng if rng is not None else np.random.default_rng(seed)
-    if method == "batched":
-        times = simulate_times_to_absorption(chain, rng, trials, start=start)
-    elif method == "loop":
-        times = np.array(
-            [
-                simulate_time_to_absorption(chain, rng, start=start)
-                for _ in range(trials)
-            ]
-        )
-    else:
-        raise ValueError(f"unknown method {method!r} (use 'batched' or 'loop')")
-    return AbsorptionEstimate(
-        mean_seconds=float(times.mean()),
-        std_error=float(times.std(ddof=1) / math.sqrt(trials)),
-        trials=trials,
+    return AbsorptionEstimate.from_times(
+        simulate_times_to_absorption(chain, rng, trials, start=start)
     )
 
 
@@ -200,7 +153,7 @@ def simulate_occupancy(
 ) -> np.ndarray:
     """Empirical time-in-state fractions of the *reflecting* chain.
 
-    The availability counterpart of :func:`simulate_time_to_absorption`:
+    The availability counterpart of :func:`simulate_times_to_absorption`:
     the top state reflects (repairs) instead of absorbing, and the
     Gillespie trajectory's sojourn times are accumulated per state.
     Cross-checks :func:`repro.reliability.stationary.stationary_distribution`.

@@ -1,0 +1,109 @@
+"""Scalar executable specifications: test-only oracles.
+
+Every vectorized subsystem's seed implementation lives on here, verbatim,
+as the reference its engine is held element-identical to.  Nothing in
+production imports this package — only tests, ``benchmarks/`` and
+:mod:`repro.difftest` (whose registry names each oracle) do; specs that
+production still calls (``integrity.Scrubber``, ``ErasureCode.decode``,
+``cauchy.xor_encode``) stay where they are.  :func:`with_specs` is the
+one way to run an oracle inside a live cluster.
+"""
+
+from __future__ import annotations
+
+from contextlib import contextmanager
+from typing import Iterator
+
+from repro.cluster.decommission import DecommissionManager
+from repro.cluster.hdfs import HadoopCluster
+from repro.cluster.integrity import Scrubber
+from repro.cluster.mapreduce import JobTracker
+from repro.cluster.raidnode import RaidNode
+from repro.cluster.scrubber_daemon import ScrubberDaemon
+from repro.codes.engine import CodecEngine
+
+from .daemons import plan_pass_seed, plan_recreates_seed, scan_candidates_seed
+from .degraded import DegradedReadSimulation
+from .montecarlo import estimate_mttdl_loop, simulate_time_to_absorption
+from .namenode import DictDataNode, DictNameNode
+from .network import Network, Transfer
+
+__all__ = [
+    "DegradedReadSimulation",
+    "DictDataNode",
+    "DictNameNode",
+    "GatherCodecEngine",
+    "Network",
+    "Transfer",
+    "estimate_mttdl_loop",
+    "plan_pass_seed",
+    "plan_recreates_seed",
+    "scan_candidates_seed",
+    "simulate_time_to_absorption",
+    "with_specs",
+]
+
+
+class GatherCodecEngine(CodecEngine):
+    """A ``CodecEngine`` that never dispatches to the compiled XOR plane:
+    the GF gather kernels the plane must match byte for byte."""
+
+    def _schedule(self, key, build_matrix):
+        return None
+
+
+class _FullRescan:
+    """``scan_candidates_seed`` behind the ``RaidScanIndex`` surface."""
+
+    candidates = staticmethod(scan_candidates_seed)
+
+    def mark_raided(self, name: str) -> None:
+        pass  # the full rescan reads ``stored.raided`` itself
+
+
+class _CrcScrubber(Scrubber):
+    """``integrity.Scrubber`` behind the ``ScrubEngine`` surface."""
+
+    def record_stripe(self, stripe) -> int:
+        return 0  # detection reads the daemon's CRC registry directly
+
+
+#: subsystem -> (owner class, its one production binding, the spec).
+_SPEC_BINDINGS = {
+    "network": (HadoopCluster, "network_cls", Network),
+    "namenode": (HadoopCluster, "namenode_cls", DictNameNode),
+    "mapreduce": (JobTracker, "plan_pass", staticmethod(plan_pass_seed)),
+    "raidnode": (RaidNode, "scan_index_cls", _FullRescan),
+    "scrubber": (ScrubberDaemon, "make_scanner", staticmethod(_CrcScrubber)),
+    "decommission": (
+        DecommissionManager, "plan_recreates", staticmethod(plan_recreates_seed)
+    ),
+}
+
+
+@contextmanager
+def with_specs(*subsystems: str) -> Iterator[None]:
+    """Run the named subsystems on their scalar specs inside the block.
+
+    Each subsystem's production binding is a plain class attribute; the
+    block rebinds it to the spec and restores it on exit.  Build *and
+    run* the cluster inside the block — directly or through a harness
+    such as ``run_failure_schedule`` (the planner bindings are looked up
+    per call).  The vectorized decommission planner reads the columnar
+    index, so pair ``"namenode"`` with ``"decommission"``.
+    """
+    unknown = sorted(set(subsystems) - set(_SPEC_BINDINGS))
+    if unknown:
+        raise ValueError(
+            f"no swappable spec for {unknown} (known: {sorted(_SPEC_BINDINGS)})"
+        )
+    saved = []
+    try:
+        for name in subsystems:
+            owner, attr, spec = _SPEC_BINDINGS[name]
+            saved.append((owner, attr, vars(owner)[attr]))
+            setattr(owner, attr, spec)
+        yield
+    finally:
+        for owner, attr, production in reversed(saved):
+            setattr(owner, attr, production)

@@ -25,8 +25,8 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .metrics import MetricsCollector
-from .sim import Event, Simulation
+from repro.cluster.metrics import MetricsCollector
+from repro.cluster.sim import Event, Simulation
 
 __all__ = ["Transfer", "Network"]
 
@@ -113,24 +113,6 @@ class Network:
         # flow, so killing a whole rack of nodes costs O(flows on the
         # rack), not O(nodes x all flows).
         self._flows_by_node: dict[str, dict[Transfer, None]] = {}
-
-    # -- checkpoint/restore ----------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """Persistent fabric state as plain data (see repro.recovery).
-
-        The reference engine keeps no interning tables; everything that
-        outlives a quiescent boundary is the cross-rack byte counter.
-        """
-        if self.flows:
-            raise RuntimeError(
-                f"cannot snapshot Network with {len(self.flows)} active "
-                "flows; checkpoints are taken at quiescent boundaries"
-            )
-        return {"cross_rack_bytes": self.cross_rack_bytes}
-
-    def restore_state(self, state: dict) -> None:
-        self.cross_rack_bytes = state["cross_rack_bytes"]
 
     def _is_cross_rack(self, flow: Transfer) -> bool:
         if not self.rack_of:

@@ -2,7 +2,7 @@
 
 The columnar :class:`~repro.cluster.namenode.NameNode` must be
 *indistinguishable* from the seed's per-block dict implementation
-(:class:`~repro.cluster.namenode.DictNameNode`): randomized
+(:class:`~repro.spec.namenode.DictNameNode`): randomized
 kill/heal/decommission/remove sequences drive both side by side and
 every query — locate, availability, missing positions, repair queue,
 fsck, block counts — must agree at every step.  A full-simulation
@@ -17,7 +17,6 @@ import pytest
 from repro.cluster import (
     BlockFixer,
     BlockId,
-    DictNameNode,
     FailureEventRecord,
     FailureInjector,
     HadoopCluster,
@@ -29,6 +28,7 @@ from repro.cluster.metrics import percentile, summary_stats
 from repro.cluster.failures import trace_summary
 from repro.codes import rs_10_4, xorbas_lrc
 from repro.experiments.runner import run_until_quiescent
+from repro.spec import DictNameNode, with_specs
 
 NUM_NODES = 15
 
@@ -212,13 +212,8 @@ class TestDifferentialProperty:
 class TestFullSimulationEquivalence:
     """fsck and the paper's metrics match before/after the migration."""
 
-    def run_events(self, namenode_cls):
-        cluster = HadoopCluster(
-            xorbas_lrc(),
-            ec2_config(num_nodes=20),
-            seed=5,
-            namenode_cls=namenode_cls,
-        )
+    def run_events(self):
+        cluster = HadoopCluster(xorbas_lrc(), ec2_config(num_nodes=20), seed=5)
         for i in range(4):
             cluster.create_file(f"file{i:05d}", 640e6)
         cluster.raid_all_instant()
@@ -245,8 +240,11 @@ class TestFullSimulationEquivalence:
         return cluster, fsck_loaded, events
 
     def test_fsck_and_metrics_identical(self):
-        columnar, fsck_a, events_a = self.run_events(NameNode)
-        reference, fsck_b, events_b = self.run_events(DictNameNode)
+        columnar, fsck_a, events_a = self.run_events()
+        with with_specs("namenode"):
+            reference, fsck_b, events_b = self.run_events()
+        assert type(columnar.namenode) is NameNode
+        assert type(reference.namenode) is DictNameNode
         assert fsck_a == fsck_b
         assert columnar.fsck() == reference.fsck()
         assert columnar.metrics.hdfs_bytes_read == reference.metrics.hdfs_bytes_read

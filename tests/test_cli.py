@@ -61,20 +61,21 @@ class TestParser:
         assert args.zipf == 0.0
         assert args.diurnal == 0.0
         assert args.racks == 0
-        assert args.engine == "vectorized"
         args = build_parser().parse_args(
             [
                 "degraded", "--reads", "1e6", "--zipf", "1.2",
-                "--diurnal", "0.5", "--racks", "5", "--engine", "event",
+                "--diurnal", "0.5", "--racks", "5",
             ]
         )
         assert args.reads == pytest.approx(1e6)
         assert args.zipf == pytest.approx(1.2)
         assert args.diurnal == pytest.approx(0.5)
         assert args.racks == 5
-        assert args.engine == "event"
+        # The oracle is not a CLI option: no engine flag on either command.
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["degraded", "--engine", "warp"])
+            build_parser().parse_args(["degraded", "--engine", "event"])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["ec2", "--engines", "seed"])
 
     def test_files_for_blocks_helpers(self):
         from repro.experiments.ec2 import ec2_files_for_blocks
@@ -152,7 +153,6 @@ class TestCommands:
     def test_degraded_vectorized_default(self, capsys):
         assert main(["degraded", "--hours", "0.5", "--reads", "2000"]) == 0
         out = capsys.readouterr().out
-        assert "vectorized engine" in out
         assert "LRC(10,6,5)" in out
         assert "availability" in out
 
@@ -161,13 +161,12 @@ class TestCommands:
             main(
                 [
                     "degraded", "--hours", "0.5", "--reads", "1500",
-                    "--zipf", "1.2", "--racks", "5", "--engine", "event",
+                    "--zipf", "1.2", "--racks", "5",
                 ]
             )
             == 0
         )
         out = capsys.readouterr().out
-        assert "event engine" in out
         assert "zipf=1.2" in out and "racks=5" in out
         assert "RS(10,4)" in out
 

@@ -11,31 +11,28 @@ import numpy as np
 import pytest
 
 from repro.cluster import HadoopCluster, ScrubberDaemon, ec2_config
-from repro.cluster.decommission import (
-    plan_recreates_seed,
-    plan_recreates_vectorized,
-)
-from repro.cluster.fairscheduler import (
-    SchedulerState,
-    plan_pass_seed,
-    plan_pass_vectorized,
-)
-from repro.cluster.raidscan import (
-    RaidScanIndex,
-    RaidScanSchedule,
-    scan_candidates_seed,
-)
+from repro.cluster.decommission import plan_recreates_vectorized
+from repro.cluster.fairscheduler import SchedulerState, plan_pass_vectorized
+from repro.cluster.raidscan import RaidScanIndex, RaidScanSchedule
 from repro.cluster.scrubengine import CorruptionSchedule, ScrubEngine
 from repro.cluster.integrity import ChecksumRegistry, Scrubber
 from repro.codes import rs_10_4, xorbas_lrc
 from repro.difftest import assert_bit_identical
+from repro.spec import (
+    plan_pass_seed,
+    plan_recreates_seed,
+    scan_candidates_seed,
+    with_specs,
+)
 
 
-def build_cluster(code, files=6, seed=0, **overrides):
-    config = ec2_config(num_nodes=50)
-    if overrides:
-        config = config.scaled(**overrides)
-    cluster = HadoopCluster(code, config, seed=seed)
+def spec_of(subsystem, engine):
+    """``with_specs`` arguments putting ``subsystem`` on the named engine."""
+    return (subsystem,) if engine == "seed" else ()
+
+
+def build_cluster(code, files=6, seed=0):
+    cluster = HadoopCluster(code, ec2_config(num_nodes=50), seed=seed)
     for i in range(files):
         cluster.create_file(f"file{i}", 640e6)
     cluster.raid_all_instant()
@@ -87,9 +84,11 @@ class TestScrubberDifferential:
     def test_daemon_engine_seed_end_to_end(self):
         healed = {}
         for engine in ("seed", "vectorized"):
-            cluster = build_cluster(xorbas_lrc(), scrubber_engine=engine)
-            daemon = ScrubberDaemon(cluster, scan_interval=600.0)
-            assert daemon.engine == engine
+            cluster = build_cluster(xorbas_lrc())
+            with with_specs(*spec_of("scrubber", engine)):
+                daemon = ScrubberDaemon(cluster, scan_interval=600.0)
+            scanner = Scrubber if engine == "seed" else ScrubEngine
+            assert isinstance(daemon._scanner, scanner)
             daemon.record_checksums()
             daemon.start()
             stripes = cluster.files["file1"].stripes
@@ -185,19 +184,20 @@ class TestFairSchedulerDifferential:
 
         results = {}
         for engine in ("seed", "vectorized"):
-            cluster = build_cluster(
-                xorbas_lrc(), files=3, mapreduce_engine=engine
-            )
-            stats = DegradedReadStats()
-            jobs = []
-            for i in range(3):
-                job = make_wordcount_job(
-                    cluster, cluster.files[f"file{i}"], stats
-                )
-                job.weight = float(1 + i)
-                cluster.jobtracker.submit(job)
-                jobs.append(job)
-            cluster.run(until=20000.0)
+            with with_specs(*spec_of("mapreduce", engine)):
+                cluster = build_cluster(xorbas_lrc(), files=3)
+                expected = plan_pass_seed if engine == "seed" else plan_pass_vectorized
+                assert cluster.jobtracker.plan_pass is expected
+                stats = DegradedReadStats()
+                jobs = []
+                for i in range(3):
+                    job = make_wordcount_job(
+                        cluster, cluster.files[f"file{i}"], stats
+                    )
+                    job.weight = float(1 + i)
+                    cluster.jobtracker.submit(job)
+                    jobs.append(job)
+                cluster.run(until=20000.0)
             results[engine] = [
                 (job.completed, job.start_time, job.finish_time)
                 for job in jobs
@@ -255,12 +255,14 @@ class TestRaidScanDifferential:
 
         outcomes = {}
         for engine in ("seed", "vectorized"):
-            config = ec2_config(num_nodes=50).scaled(raidnode_engine=engine)
-            cluster = HadoopCluster(xorbas_lrc(), config, seed=2)
+            cluster = HadoopCluster(xorbas_lrc(), ec2_config(num_nodes=50), seed=2)
             for i in range(4):
                 cluster.create_file(f"file{i}", 640e6)
-            node = RaidNode(cluster, interval=60.0)
-            assert node.engine == engine
+            with with_specs(*spec_of("raidnode", engine)):
+                node = RaidNode(cluster, interval=60.0)
+            assert isinstance(node.scan_index, RaidScanIndex) == (
+                engine == "vectorized"
+            )
             node.start()
             cluster.run(until=4000.0)
             outcomes[engine] = sorted(

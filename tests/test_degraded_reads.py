@@ -6,11 +6,11 @@ import pytest
 
 from repro.cluster.degraded import (
     DegradedReadConfig,
-    DegradedReadSimulation,
     ReadServiceStats,
     compare_degraded_reads,
 )
 from repro.codes import rs_10_4, three_replication, xorbas_lrc
+from repro.spec import DegradedReadSimulation
 
 FAST_CONFIG = DegradedReadConfig(duration=2 * 3600.0)
 

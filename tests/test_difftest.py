@@ -6,11 +6,16 @@ diverge, so most of these tests feed it deliberately perturbed
 spec has 0 — and assert the mismatch is caught.
 """
 
+import ast
+import dataclasses
+import pkgutil
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.cluster import ClusterConfig
 from repro.difftest import (
     ArraySchedule,
     BenchRecord,
@@ -21,16 +26,13 @@ from repro.difftest import (
     assert_exact_counts,
     assert_stats_close,
     engine_matrix,
-    engine_pair,
     gate_speedup,
     require_nonnegative,
     require_sorted,
     require_within,
     spawn_streams,
     timed,
-    validate_engine_choice,
 )
-from repro.difftest.registry import register_engine_pair
 
 
 class TestCompareHelpers:
@@ -150,33 +152,39 @@ class TestRegistry:
         for pair in engine_matrix():
             assert pair.spec != pair.engine
             assert pair.gate is not None
-            assert pair.canonical(pair.default) in pair.implementations
+            assert callable(pkgutil.resolve_name(pair.spec)), pair.spec
+            assert callable(pkgutil.resolve_name(pair.engine)), pair.engine
 
-    def test_validate_canonicalizes_aliases(self):
-        assert validate_engine_choice("network", "vectorized") == "flownet"
-        assert validate_engine_choice("network", "seed") == "seed"
-        assert validate_engine_choice("readservice", "seed") == "event"
-        assert validate_engine_choice("montecarlo", "vectorized") == "batched"
-        assert validate_engine_choice("xorplane", "plane") == "xor"
-        assert validate_engine_choice("xorplane", "seed") == "gf"
-        with pytest.raises(ValueError, match="unknown scrubber engine"):
-            validate_engine_choice("scrubber", "bogus")
 
-    def test_unregistered_subsystem_uniform_vocabulary(self):
-        assert validate_engine_choice("not-registered", "seed") == "seed"
-        with pytest.raises(ValueError, match="unknown not-registered engine"):
-            validate_engine_choice("not-registered", "flownet")
-
-    def test_engine_pair_lookup_errors(self):
-        assert engine_pair("scrubber").config_field == "scrubber_engine"
-        with pytest.raises(KeyError, match="no spec/engine pair"):
-            engine_pair("nonexistent")
-
-    def test_register_rejects_bad_default(self):
-        with pytest.raises(ValueError, match="default"):
-            register_engine_pair(
-                "temp-bad", spec="a", engine="b", default="nonsense"
-            )
+class TestSpecBoundary:
+    def test_specs_are_test_only_oracles(self):
+        """No production module imports ``repro.spec`` and no config field
+        selects an implementation: the oracles are reachable only from
+        tests, ``benchmarks/`` and ``repro.difftest``."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        offenders = []
+        for path in sorted((src / "repro").rglob("*.py")):
+            # The containing package anchors relative imports (for both
+            # ``pkg/mod.py`` and ``pkg/__init__.py``).
+            package = list(path.relative_to(src).parts[:-1])
+            if package[:2] in (["repro", "spec"], ["repro", "difftest"]):
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    targets = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    base = package[: len(package) - node.level + 1] if node.level else []
+                    module = ".".join(base + ([node.module] if node.module else []))
+                    targets = [module] + [f"{module}.{a.name}" for a in node.names]
+                else:
+                    continue
+                if any(t == "repro.spec" or t.startswith("repro.spec.") for t in targets):
+                    offenders.append(f"{path.relative_to(src)}:{node.lineno}")
+        assert offenders == []
+        selectors = [
+            f.name for f in dataclasses.fields(ClusterConfig) if f.name.endswith("_engine")
+        ]
+        assert selectors == []
 
 
 class TestBenchGate:

@@ -1,6 +1,6 @@
 """Differential and property tests for the vectorized FlowTable engine.
 
-The reference :class:`~repro.cluster.network.Network` is the executable
+The reference :class:`~repro.spec.network.Network` is the executable
 specification; :class:`~repro.cluster.flownet.FlowTable` must reproduce
 its flow *dynamics* — completion/failure callback order and timestamps,
 bit for bit — under arbitrary start/abort/complete schedules, and its
@@ -15,15 +15,10 @@ complete EC2 failure schedules through both engines.
 import numpy as np
 import pytest
 
-from repro.cluster import (
-    FlowTable,
-    MetricsCollector,
-    Network,
-    Simulation,
-    ec2_config,
-)
+from repro.cluster import FlowTable, MetricsCollector, Simulation, ec2_config
 from repro.codes import xorbas_lrc
 from repro.experiments.runner import run_failure_schedule
+from repro.spec import Network, with_specs
 
 ENGINES = [Network, FlowTable]
 
@@ -344,13 +339,12 @@ def test_zero_byte_handle_reports_done():
 # ---------------------------------------------------------------------------
 
 
-def run_schedule(network_engine: str, racks: bool):
-    overrides = {"network_engine": network_engine}
+def run_schedule(label: str, racks: bool):
+    config = ec2_config(num_nodes=20)
     if racks:
-        overrides.update(num_racks=4, rack_bandwidth=40e6)
-    config = ec2_config(num_nodes=20).scaled(**overrides)
+        config = config.scaled(num_racks=4, rack_bandwidth=40e6)
     return run_failure_schedule(
-        network_engine,
+        label,
         xorbas_lrc(),
         config,
         [640e6] * 3,
@@ -364,8 +358,11 @@ def test_full_simulation_identical_across_engines(racks):
     """A complete EC2 failure schedule — load, RAID, kill nodes, repair
     to quiescence — produces identical fsck, bit-exact repair timings
     and event orderings, and re-association-level-equal metrics."""
-    run_seed = run_schedule("seed", racks)
+    with with_specs("network"):
+        run_seed = run_schedule("seed", racks)
     run_flow = run_schedule("flownet", racks)
+    assert isinstance(run_seed.cluster.network, Network)
+    assert isinstance(run_flow.cluster.network, FlowTable)
     assert run_seed.cluster.fsck() == run_flow.cluster.fsck()
     # The clocks agree exactly: every repair completed at the same instant.
     assert run_seed.cluster.sim.now == run_flow.cluster.sim.now

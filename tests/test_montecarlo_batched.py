@@ -16,6 +16,7 @@ from repro.reliability.montecarlo import (
     estimate_mttdl,
     simulate_times_to_absorption,
 )
+from repro.spec import estimate_mttdl_loop, simulate_time_to_absorption
 
 COMPRESSED = BirthDeathChain(
     failure_rates=(3.0, 2.0, 1.0),
@@ -76,8 +77,6 @@ class TestBatchedEngine:
             simulate_times_to_absorption(COMPRESSED, rng, trials=0)
         with pytest.raises(ValueError):
             simulate_times_to_absorption(COMPRESSED, rng, trials=10, start=5)
-        with pytest.raises(ValueError):
-            estimate_mttdl(COMPRESSED, rng, trials=100, method="quantum")
 
 
 class TestAgainstLegacyLoop:
@@ -85,28 +84,32 @@ class TestAgainstLegacyLoop:
         """Batched and loop engines draw different variates from the
         same law; their estimates must agree within combined error."""
         batched = estimate_mttdl(
-            COMPRESSED, np.random.default_rng(11), trials=4000, method="batched"
+            COMPRESSED, np.random.default_rng(11), trials=4000
         )
-        looped = estimate_mttdl(
-            COMPRESSED, np.random.default_rng(11), trials=4000, method="loop"
+        looped = estimate_mttdl_loop(
+            COMPRESSED, np.random.default_rng(11), trials=4000
         )
         combined = np.hypot(batched.std_error, looped.std_error)
         assert abs(batched.mean_seconds - looped.mean_seconds) <= 4.0 * combined
 
     def test_both_engines_bracket_the_analytic_value(self):
         analytic = COMPRESSED.mean_time_to_absorption()
-        for method in ("batched", "loop"):
-            estimate = estimate_mttdl(
-                COMPRESSED, np.random.default_rng(5), trials=1500, method=method
+        for estimator in (estimate_mttdl, estimate_mttdl_loop):
+            estimate = estimator(
+                COMPRESSED, np.random.default_rng(5), trials=1500
             )
-            assert estimate.consistent_with(analytic, z=4.0), method
+            assert estimate.consistent_with(analytic, z=4.0), estimator.__name__
 
     def test_loop_method_still_default_free(self):
-        """estimate_mttdl() without a method uses the batched engine
-        and keeps the historical signature working."""
+        """estimate_mttdl() keeps the historical signature working, and
+        the loop estimator is the scalar trajectory run ``trials`` times."""
         estimate = estimate_mttdl(COMPRESSED, trials=200)
         assert estimate.trials == 200
         assert estimate.std_error > 0
+        looped = estimate_mttdl_loop(COMPRESSED, np.random.default_rng(9), trials=50)
+        rng = np.random.default_rng(9)
+        times = [simulate_time_to_absorption(COMPRESSED, rng) for _ in range(50)]
+        assert looped.mean_seconds == float(np.mean(times))
 
 
 class TestSchemeSimulation:

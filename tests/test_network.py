@@ -7,7 +7,8 @@ Parametrized over both fabric engines — the reference per-flow
 
 import pytest
 
-from repro.cluster import FlowTable, MetricsCollector, Network, Simulation
+from repro.cluster import FlowTable, MetricsCollector, Simulation
+from repro.spec import Network
 
 
 @pytest.fixture(params=[Network, FlowTable], ids=["seed", "flownet"])

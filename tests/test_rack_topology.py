@@ -14,12 +14,12 @@ from repro.cluster import (
     FlowTable,
     HadoopCluster,
     MetricsCollector,
-    Network,
     Simulation,
     ec2_config,
 )
 from repro.codes import xorbas_lrc
 from repro.experiments.runner import run_until_quiescent
+from repro.spec import Network
 
 
 def rack_cluster(num_nodes=20, num_racks=4, files=4, **overrides):

@@ -14,7 +14,6 @@ import pytest
 
 from repro.cluster.degraded import (
     DegradedReadConfig,
-    DegradedReadSimulation,
     ReadServiceStats,
     compare_degraded_reads,
 )
@@ -25,6 +24,7 @@ from repro.cluster.readservice import (
     ReadServiceEngine,
 )
 from repro.codes import pyramid_10_4, rs_10_4, three_replication, xorbas_lrc
+from repro.spec import DegradedReadSimulation
 
 FAST = DegradedReadConfig(duration=2 * 3600.0)
 STORMY = DegradedReadConfig(
@@ -316,17 +316,12 @@ class TestReadServiceEngine:
             [three_replication(), rs_10_4(), xorbas_lrc()],
             config=FAST,
             seed=3,
-            engine="vectorized",
         )
         assert len({stats.total_reads for stats in rows}) == 1
         by_name = {stats.scheme: stats for stats in rows}
         assert by_name["RS(10,4)"].degraded_fraction == pytest.approx(
             by_name["LRC(10,6,5)"].degraded_fraction, abs=0.01
         )
-
-    def test_compare_rejects_unknown_engine(self):
-        with pytest.raises(ValueError):
-            compare_degraded_reads([xorbas_lrc()], config=FAST, engine="warp")
 
     def test_engine_rejects_oversized_stripes(self):
         class WideFake:

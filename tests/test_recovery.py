@@ -4,8 +4,9 @@ Three layers under test: the checksummed atomic snapshot store, the
 named-callback simulation codec, and the headline kill-resume
 equivalence guarantee — a run killed at an epoch boundary and resumed
 from its snapshot finishes element-identical to one that was never
-interrupted, under both engine families, with corrupted snapshots
-detected by checksum and skipped back to the previous good epoch.
+interrupted, with the FairScheduler on its engine or its scalar spec,
+with corrupted snapshots detected by checksum and skipped back to the
+previous good epoch.
 """
 
 import pytest
@@ -34,6 +35,7 @@ from repro.recovery.equivalence import (
     run_uninterrupted,
     run_with_kill_resume,
 )
+from repro.spec import with_specs
 
 SMALL = dict(num_files=3, seed=5, num_nodes=20, pattern=(1, 2), event_gap=120.0)
 
@@ -316,9 +318,7 @@ class TestKillResumeEquivalence:
         run = run_failure_schedule(
             "HDFS-Xorbas",
             xorbas_lrc(),
-            ec2_config(num_nodes=SMALL["num_nodes"]).scaled(
-                network_engine="flownet"
-            ),
+            ec2_config(num_nodes=SMALL["num_nodes"]),
             [640e6] * SMALL["num_files"],
             SMALL["pattern"],
             seed=SMALL["seed"],
@@ -383,10 +383,15 @@ class TestKillResumeEquivalence:
         assert_runs_equivalent(spec_summary, resumed)
 
     @pytest.mark.slow
-    def test_seed_engines_equivalent_too(self, tmp_path):
-        spec = run_uninterrupted(**SMALL, engines="seed")
-        resumed = run_with_kill_resume(tmp_path, **SMALL, engines="seed", kill_epoch=1)
+    def test_seed_engines_equivalent_too(self, tmp_path, spec_summary):
+        """The scalar FairScheduler spec (the one oracle a failure
+        schedule exercises that still checkpoints) resumes identically —
+        and identically to the engine run."""
+        with with_specs("mapreduce"):
+            spec = run_uninterrupted(**SMALL)
+            resumed = run_with_kill_resume(tmp_path, **SMALL, kill_epoch=1)
         assert_runs_equivalent(spec, resumed)
+        assert_runs_equivalent(spec_summary, resumed)
 
     @pytest.mark.slow
     def test_rs_scheme_equivalent_too(self, tmp_path):
@@ -398,36 +403,37 @@ class TestKillResumeEquivalence:
 
 
 _SWEEP_PATTERN = (1, 2, 1)
-_SWEEP_SPECS: dict[str, object] = {}
+_SWEEP_SPECS: dict[tuple, object] = {}
 
 
-def _sweep_spec(engines: str):
-    if engines not in _SWEEP_SPECS:
-        _SWEEP_SPECS[engines] = run_uninterrupted(
-            **{**SMALL, "pattern": _SWEEP_PATTERN}, engines=engines
-        )
-    return _SWEEP_SPECS[engines]
+def _sweep_spec(specs: tuple):
+    if specs not in _SWEEP_SPECS:
+        with with_specs(*specs):
+            _SWEEP_SPECS[specs] = run_uninterrupted(
+                **{**SMALL, "pattern": _SWEEP_PATTERN}
+            )
+    return _SWEEP_SPECS[specs]
 
 
 @pytest.mark.slow
 @settings(max_examples=6, deadline=None)
 @given(
     kill_epoch=st.integers(min_value=0, max_value=len(_SWEEP_PATTERN) - 1),
-    engines=st.sampled_from(["vectorized", "seed"]),
+    specs=st.sampled_from([(), ("mapreduce",)]),
 )
 def test_kill_resume_equivalent_at_every_kill_point(
-    tmp_path_factory, kill_epoch, engines
+    tmp_path_factory, kill_epoch, specs
 ):
-    """Hypothesis-swept kill points x engine choices: equivalence holds
-    wherever the crash lands."""
-    scratch = tmp_path_factory.mktemp(f"kill{kill_epoch}-{engines}")
-    resumed = run_with_kill_resume(
-        scratch,
-        **{**SMALL, "pattern": _SWEEP_PATTERN},
-        engines=engines,
-        kill_epoch=kill_epoch,
-    )
-    assert_runs_equivalent(_sweep_spec(engines), resumed)
+    """Hypothesis-swept kill points x (engine, scalar-spec scheduler):
+    equivalence holds wherever the crash lands."""
+    scratch = tmp_path_factory.mktemp(f"kill{kill_epoch}-{len(specs)}")
+    with with_specs(*specs):
+        resumed = run_with_kill_resume(
+            scratch,
+            **{**SMALL, "pattern": _SWEEP_PATTERN},
+            kill_epoch=kill_epoch,
+        )
+    assert_runs_equivalent(_sweep_spec(specs), resumed)
 
 
 @pytest.mark.slow

@@ -329,7 +329,6 @@ def make_project(**overrides):
                 subsystem="fake",
                 spec_symbol="fake_seed",
                 engine_symbol="FakeEngine",
-                choices=("seed", "vectorized"),
                 gate="fake_speedup",
                 line=10,
             ),
@@ -338,7 +337,6 @@ def make_project(**overrides):
             TestEvidence(
                 path="tests/test_fake.py",
                 identifiers=frozenset({"fake_seed", "FakeEngine"}),
-                strings=frozenset(),
             ),
         ),
         gated_keys={"fake_speedup": 5},
@@ -408,7 +406,6 @@ class TestProjectRules:
                 TestEvidence(
                     path="tests/test_other.py",
                     identifiers=frozenset({"FakeEngine"}),
-                    strings=frozenset(),
                 ),
             )
         )
@@ -416,18 +413,6 @@ class TestProjectRules:
         assert codes(found) == ["RL003"]
         assert "no differential test" in found[0].message
         assert found[0].line == 10
-
-    def test_choice_string_evidence_counts(self):
-        project = make_project(
-            tests=(
-                TestEvidence(
-                    path="tests/test_fake.py",
-                    identifiers=frozenset({"FakeEngine"}),
-                    strings=frozenset({"seed", "vectorized"}),
-                ),
-            )
-        )
-        assert run_project_rules(project) == []
 
     def test_missing_gate_key(self):
         project = make_project(gated_keys={}, gate_calls={})
@@ -443,7 +428,6 @@ class TestProjectRules:
                     subsystem=pair.subsystem,
                     spec_symbol=pair.spec_symbol,
                     engine_symbol=pair.engine_symbol,
-                    choices=pair.choices,
                     gate=None,
                     line=pair.line,
                 ),

@@ -9,11 +9,7 @@ from hypothesis import strategies as st
 from repro.codes import make_lrc, repair_cost_summary, rs_10_4, xorbas_lrc
 from repro.reliability.markov import BirthDeathChain
 from repro.reliability.models import ClusterReliabilityParameters
-from repro.reliability.montecarlo import (
-    compress_chain,
-    estimate_mttdl,
-    simulate_time_to_absorption,
-)
+from repro.reliability.montecarlo import compress_chain, estimate_mttdl
 from repro.reliability.sensitivity import (
     archival_comparison,
     sampled_repair_cost,
@@ -21,6 +17,7 @@ from repro.reliability.sensitivity import (
     sweep_node_mttf,
     sweep_repair_epoch,
 )
+from repro.spec import simulate_time_to_absorption
 
 pytestmark = pytest.mark.slow  # Monte-Carlo statistics over many trajectories
 

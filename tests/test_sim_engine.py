@@ -225,7 +225,8 @@ class TestHeapHygiene:
     def test_network_churn_keeps_queue_bounded(self):
         """The reference engine cancels one completion event per flow on
         every churn step; the queue must stay O(live flows)."""
-        from repro.cluster import MetricsCollector, Network
+        from repro.cluster import MetricsCollector
+        from repro.spec import Network
 
         sim = Simulation()
         net = Network(sim, MetricsCollector(), 100.0, 1e6)

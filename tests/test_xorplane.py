@@ -28,6 +28,7 @@ from repro.codes import (
     xorbas_lrc,
 )
 from repro.codes.xorplane import GATHER_PASS_COST, WORD_OP_COST, XorSchedule
+from repro.spec import GatherCodecEngine
 from repro.galois import (
     GF16,
     GF256,
@@ -296,7 +297,7 @@ class TestScheduleCache:
         rng = np.random.default_rng(41)
         data3d = code.field.random_elements(rng, (3, code.k, 32))
         fast = CodecEngine(code).encode_stripes(data3d)
-        slow_engine = CodecEngine(code, use_xor_plane=False)
+        slow_engine = GatherCodecEngine(code)
         slow = slow_engine.encode_stripes(data3d)
         assert np.array_equal(fast, slow)
         assert slow_engine.xor_plane_calls == 0
@@ -309,8 +310,8 @@ class TestEngineDispatchByteIdentical:
         """Acceptance sweep at GF16 scale: plane == GF path everywhere."""
         rng = np.random.default_rng(43)
         data3d = code.field.random_elements(rng, (3, code.k, WIDTH))
-        fast = CodecEngine(code, use_xor_plane=True)
-        slow = CodecEngine(code, use_xor_plane=False)
+        fast = CodecEngine(code)
+        slow = GatherCodecEngine(code)
         coded = fast.encode_stripes(data3d)
         assert np.array_equal(coded, slow.encode_stripes(data3d))
         patterns = 0
