@@ -5,13 +5,11 @@ only in reviewer memory — every random draw derives from a config seed
 via spawned streams, every vectorized engine keeps its scalar spec with
 a differential test and a CI-gated bench metric, empty-window statistics
 return NaN rather than a misleading zero, and simulation code never
-lets set-iteration order feed float accumulation.  v2 mechanizes those
-contracts in two layers: per-file rules dispatched from a single
-``ast.parse`` walk, and whole-program rules that query a project fact
-graph (:mod:`repro.analysis.graph`) through an interprocedural taint
-lattice (:mod:`repro.analysis.dataflow`), with an incremental
-content-hash cache (:mod:`repro.analysis.cache`) so warm runs parse
-nothing.
+lets set-iteration order feed float accumulation.  reprolint mechanizes
+those contracts: per-file rules dispatched from a single ``ast.parse``
+walk, and whole-program rules that query the project fact graph
+(:mod:`repro.analysis.graph`, built from the same parse) through an
+interprocedural taint lattice (:mod:`repro.analysis.dataflow`).
 
 Rules (each suppressible per line with ``# reprolint: disable=RL0xx``;
 run ``repro lint --explain RL0xx`` for the contract and examples):
@@ -42,20 +40,17 @@ RL012     interprocedural engine purity: helpers called from registered
 ========  =============================================================
 """
 
-from .cache import AnalysisCache
 from .core import LintContext, RuleViolation, lint_file, lint_paths, lint_source
 from .graph import ProjectGraph, analyze_paths
-from .project import ProjectContext, run_project_rules, run_project_rules_ex
+from .project import run_project_rules_ex
 from .registry import PROJECT_RULE_CODES, RULE_DESCRIPTIONS, explain
 from .report import render_github, render_human, render_json
 from .rules import FILE_RULES
 
 __all__ = [
-    "AnalysisCache",
     "FILE_RULES",
     "LintContext",
     "PROJECT_RULE_CODES",
-    "ProjectContext",
     "ProjectGraph",
     "RULE_DESCRIPTIONS",
     "RuleViolation",
@@ -68,33 +63,15 @@ __all__ = [
     "render_github",
     "render_human",
     "render_json",
-    "run_project_rules",
     "run_project_rules_ex",
 ]
 
 
-def lint_repo(root=None, rules=None, cache=False):
-    """Lint the repository's default targets plus the project rules.
+def lint_repo(root=None, rules=None):
+    """Lint the repository as ``repro lint`` does with no paths (see
+    :func:`repro.analysis.cli.analyze_repo`); returns the sorted
+    violation list.  Used by the self-application test."""
+    from .cli import analyze_repo, resolve_root
 
-    Convenience wrapper used by the CLI and the self-application test:
-    the whole-program fact graph over ``src/``, ``benchmarks/``,
-    ``examples/`` (and ``tests/`` for coverage evidence), then every
-    applicable rule.  Returns the sorted violation list.  ``cache=True``
-    reuses/writes ``.reprolint-cache.json``.
-    """
-    from .cli import default_targets, resolve_root
-
-    root = resolve_root(root)
-    targets = default_targets(root)
-    if (root / "tests").exists():
-        targets.append(root / "tests")
-    analysis_cache = AnalysisCache(root) if cache else None
-    graph, violations, _ = analyze_paths(
-        targets, root=root, rules=rules, cache=analysis_cache
-    )
-    if rules is None or PROJECT_RULE_CODES & set(rules):
-        project = ProjectContext.from_graph(graph)
-        violations = sorted(
-            violations + run_project_rules(project, rules=rules, graph=graph)
-        )
+    _, violations, _ = analyze_repo(resolve_root(root), rules)
     return violations

@@ -6,10 +6,10 @@ selects human lines (default), JSON, or GitHub workflow commands; the
 github format also appends a markdown table to ``$GITHUB_STEP_SUMMARY``
 when CI exports it, matching ``check_bench_regression.py``.
 
-Whole-repo runs go through the fact graph with the incremental cache
-(``.reprolint-cache.json``), so a warm run on an unchanged tree parses
-nothing.  ``--changed[=REF]`` scopes the report to files touched versus
-a git ref plus their reverse import dependencies — the pre-commit mode.
+Whole-repo runs (no explicit paths) go through :func:`analyze_repo`:
+the fact graph plus the whole-program rules, computed fresh each time.
+``--changed[=REF]`` scopes the report to files touched versus a git ref
+plus their reverse import dependencies — the pre-commit mode.
 ``--explain RL0xx`` prints a rule's contract, a violating and a clean
 example, and its escape hatch.
 """
@@ -22,15 +22,15 @@ import subprocess
 from pathlib import Path
 from typing import Sequence
 
-from .cache import AnalysisCache
-from .core import lint_paths
-from .graph import analyze_paths
-from .project import ProjectContext, run_project_rules_ex
+from .core import RuleViolation, lint_paths
+from .graph import ProjectGraph, analyze_paths
+from .project import run_project_rules_ex
 from .registry import PROJECT_RULE_CODES, RULE_DESCRIPTIONS, explain
 from .report import render_github, render_human, render_json, step_summary_table
 
 __all__ = [
     "add_lint_arguments",
+    "analyze_repo",
     "changed_paths",
     "default_targets",
     "resolve_root",
@@ -60,6 +60,24 @@ def resolve_root(root: str | os.PathLike | None = None) -> Path:
 
 def default_targets(root: Path) -> list[Path]:
     return [root / name for name in DEFAULT_TARGET_NAMES if (root / name).exists()]
+
+
+def analyze_repo(
+    root: Path, rules: set[str] | None = None
+) -> tuple[ProjectGraph, list[RuleViolation], int]:
+    """The whole-repo run: per-file rules over the default targets, the
+    fact graph over those plus ``tests/`` (RL003 coverage evidence; no
+    per-file rule runs there), then the whole-program rules.  Returns
+    (graph, sorted violations, pragma-suppressed count)."""
+    targets = default_targets(root)
+    if (root / "tests").exists():
+        targets.append(root / "tests")
+    graph, violations, suppressed = analyze_paths(targets, root=root, rules=rules)
+    if rules is None or rules & PROJECT_RULE_CODES:
+        project_violations, project_suppressed = run_project_rules_ex(graph, rules)
+        violations = sorted(violations + project_violations)
+        suppressed += project_suppressed
+    return graph, violations, suppressed
 
 
 def changed_paths(root: Path, ref: str) -> set[str] | None:
@@ -123,12 +141,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="RL0xx",
         help="print a rule's contract, examples, and escape hatch, then exit",
     )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore and do not write the incremental analysis cache "
-        "(.reprolint-cache.json)",
-    )
 
 
 def run_lint(args: argparse.Namespace) -> int:
@@ -159,8 +171,8 @@ def run_lint(args: argparse.Namespace) -> int:
             return 2
     explicit_paths = [Path(p) for p in args.paths]
     if explicit_paths:
-        # Scoped invocation: per-file rules only, no cache, no project
-        # rules — `repro lint some/file.py` stays a quick local check.
+        # Scoped invocation: per-file rules only, no project rules —
+        # `repro lint some/file.py` stays a quick local check.
         targets = [p if p.is_absolute() else root / p for p in explicit_paths]
         missing = [str(p) for p in targets if not p.exists()]
         if missing:
@@ -169,25 +181,7 @@ def run_lint(args: argparse.Namespace) -> int:
         violations = lint_paths(targets, root=root, rules=rules)
         suppressed = 0
     else:
-        # Whole-repo invocation: fact graph + incremental cache + the
-        # whole-program rules.  tests/ joins the analysis (for RL003
-        # coverage evidence) but contributes no per-file findings.
-        targets = default_targets(root)
-        if (root / "tests").exists():
-            targets.append(root / "tests")
-        cache = None
-        if not getattr(args, "no_cache", False):
-            cache = AnalysisCache(root)
-        graph, violations, suppressed = analyze_paths(
-            targets, root=root, rules=rules, cache=cache
-        )
-        if rules is None or rules & PROJECT_RULE_CODES:
-            project = ProjectContext.from_graph(graph)
-            project_violations, project_suppressed = run_project_rules_ex(
-                project, rules=rules, graph=graph
-            )
-            violations = sorted(violations + project_violations)
-            suppressed += project_suppressed
+        graph, violations, suppressed = analyze_repo(root, rules)
         if args.changed is not None:
             scoped = changed_paths(root, args.changed)
             if scoped is None:

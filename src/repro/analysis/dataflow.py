@@ -32,11 +32,6 @@ iterable.  The join is *optimistic for mixtures* (``seed + 99`` stays
 SEEDED: constant offsets on a threaded seed are the documented
 derivation idiom) and *pessimistic for absences* (a value no sanctioned
 source ever reaches is CONST or UNKNOWN, both of which RL009 reports).
-
-Everything is JSON-serialisable (:func:`taint_to_json` /
-:func:`taint_from_json`) so per-file taint facts survive in the
-incremental analysis cache and the whole-program phase never re-parses
-an unchanged file.
 """
 
 from __future__ import annotations
@@ -59,8 +54,6 @@ __all__ = [
     "is_seed_name",
     "join",
     "resolve_taint",
-    "taint_from_json",
-    "taint_to_json",
 ]
 
 #: Names that count as sanctioned seed carriers when they appear as
@@ -187,37 +180,6 @@ def join(*parts: Taint) -> Taint:
     return Join(tuple(symbolic))
 
 
-def taint_to_json(taint: Taint) -> object:
-    if isinstance(taint, _Atom):
-        return taint.label
-    if isinstance(taint, Param):
-        return {"param": taint.index, "name": taint.name}
-    if isinstance(taint, CallTaint):
-        return {"call": taint.callee, "args": [taint_to_json(a) for a in taint.args]}
-    if isinstance(taint, Join):
-        return {"join": [taint_to_json(p) for p in taint.parts]}
-    raise TypeError(f"not a taint: {taint!r}")
-
-
-def taint_from_json(payload: object) -> Taint:
-    if payload == "SEEDED":
-        return SEEDED
-    if payload == "CONST":
-        return CONST
-    if payload == "UNKNOWN":
-        return UNKNOWN
-    if isinstance(payload, dict) and "param" in payload:
-        return Param(index=int(payload["param"]), name=str(payload.get("name", "")))
-    if isinstance(payload, dict) and "call" in payload:
-        return CallTaint(
-            callee=str(payload["call"]),
-            args=tuple(taint_from_json(a) for a in payload.get("args", [])),
-        )
-    if isinstance(payload, dict) and "join" in payload:
-        return Join(tuple(taint_from_json(p) for p in payload["join"]))
-    raise ValueError(f"not a serialized taint: {payload!r}")
-
-
 @dataclass(frozen=True)
 class FunctionSummary:
     """What a function contributes to interprocedural seed provenance:
@@ -226,16 +188,6 @@ class FunctionSummary:
 
     params: tuple[str, ...]
     returns: object  # Taint
-
-    def to_json(self) -> dict:
-        return {"params": list(self.params), "returns": taint_to_json(self.returns)}
-
-    @classmethod
-    def from_json(cls, payload: Mapping) -> "FunctionSummary":
-        return cls(
-            params=tuple(payload.get("params", [])),
-            returns=taint_from_json(payload["returns"]),
-        )
 
 
 # ---------------------------------------------------------------------------

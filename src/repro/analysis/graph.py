@@ -1,36 +1,36 @@
-"""Whole-program facts and the ProjectGraph behind reprolint v2.
+"""Whole-program facts and the ProjectGraph behind reprolint.
 
-The v2 rules (RL009 seed provenance, RL010 snapshot coverage, RL011
+The whole-program rules (RL003 spec/engine conformance, RL007 bench-gate
+consistency, RL009 seed provenance, RL010 snapshot coverage, RL011
 cache-key completeness, RL012 interprocedural engine purity) all need
 cross-file visibility.  Rather than hand each rule the raw ASTs of
 every file, extraction reduces each file — in the same single parse the
-per-file rules use — to a serializable :class:`FileFacts` record:
+per-file rules use — to a plain-data :class:`FileFacts` record:
 imports, function taint summaries, seed call sites, per-element-loop
 positions, call edges, snapshot-class field lists, config dataclass
 fields, cache-key-builder evidence, and (for ``tests/`` /
-``benchmarks/``) the identifier/metric evidence RL003/RL007 already
-consumed.
+``benchmarks/``) the identifier/metric evidence RL003/RL007 consume.
 
 A :class:`ProjectGraph` is the indexed union of those records: a
 project-wide symbol table (``module:function`` -> taint summary), the
 import graph (with the reverse closure ``repro lint --changed`` needs),
-and the one-level call graph RL012 walks.  Because facts are plain
-JSON, the incremental cache (:mod:`repro.analysis.cache`) can persist
-them per content hash and warm runs rebuild the graph without parsing
-a single unchanged file.
+and the one-level call graph RL012 walks, plus the two non-Python
+inputs RL003/RL007 check against — the ``EnginePair`` declarations with
+their ``pairs.py`` lines and the gated keys of ``bench_baseline.json``.
+Facts live in memory for one run only; every input is plain data, so
+tests build synthetic graphs directly instead of faking a repository.
 """
 
 from __future__ import annotations
 
 import ast
+import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .core import (
-    LintContext,
-    Rule,
     RuleViolation,
     iter_python_files,
     lint_context,
@@ -44,20 +44,21 @@ from .dataflow import (
     CallTaint,
     FunctionSummary,
     Join,
-    Param,
     TaintEvaluator,
     dotted_name,
     join,
-    taint_from_json,
-    taint_to_json,
 )
 from .rules import per_element_loops
 
+if TYPE_CHECKING:
+    from repro.difftest.registry import EnginePair
+
 __all__ = [
+    "BASELINE_PATH",
     "ConfigClassFacts",
     "FileFacts",
-    "FileRecord",
     "KeyBuilderFacts",
+    "PAIRS_PATH",
     "ProjectGraph",
     "SeedSite",
     "SnapshotClassFacts",
@@ -65,6 +66,9 @@ __all__ = [
     "extract_facts",
     "mentioned_identifiers",
 ]
+
+PAIRS_PATH = "src/repro/difftest/pairs.py"
+BASELINE_PATH = "benchmarks/bench_baseline.json"
 
 #: Call names whose argument provenance RL009 audits.
 SEED_SINKS = frozenset({"default_rng", "spawn_streams"})
@@ -88,26 +92,6 @@ class SeedSite:
     owner: str  # enclosing function name, or "<module>"
     taint: object | None
 
-    def to_json(self) -> dict:
-        return {
-            "line": self.line,
-            "end_line": self.end_line,
-            "func": self.func,
-            "owner": self.owner,
-            "taint": None if self.taint is None else taint_to_json(self.taint),
-        }
-
-    @classmethod
-    def from_json(cls, payload: Mapping) -> "SeedSite":
-        taint = payload.get("taint")
-        return cls(
-            line=int(payload["line"]),
-            end_line=int(payload["end_line"]),
-            func=str(payload["func"]),
-            owner=str(payload.get("owner", "")),
-            taint=None if taint is None else taint_from_json(taint),
-        )
-
 
 @dataclass(frozen=True)
 class SnapshotClassFacts:
@@ -121,25 +105,6 @@ class SnapshotClassFacts:
     #: self.<attr> names (and string keys) the snapshot/restore pair touches
     captured: frozenset[str]
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "line": self.line,
-            "mutated": [list(entry) for entry in self.mutated],
-            "captured": sorted(self.captured),
-        }
-
-    @classmethod
-    def from_json(cls, payload: Mapping) -> "SnapshotClassFacts":
-        return cls(
-            name=str(payload["name"]),
-            line=int(payload["line"]),
-            mutated=tuple(
-                (str(a), int(l), bool(t)) for a, l, t in payload.get("mutated", [])
-            ),
-            captured=frozenset(payload.get("captured", [])),
-        )
-
 
 @dataclass(frozen=True)
 class ConfigClassFacts:
@@ -148,21 +113,6 @@ class ConfigClassFacts:
     name: str
     line: int
     fields: tuple[tuple[str, int], ...]
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "line": self.line,
-            "fields": [list(entry) for entry in self.fields],
-        }
-
-    @classmethod
-    def from_json(cls, payload: Mapping) -> "ConfigClassFacts":
-        return cls(
-            name=str(payload["name"]),
-            line=int(payload["line"]),
-            fields=tuple((str(n), int(l)) for n, l in payload.get("fields", [])),
-        )
 
 
 @dataclass(frozen=True)
@@ -176,27 +126,6 @@ class KeyBuilderFacts:
     param_attrs: frozenset[str]  # attribute names read off parameters
     asdict_classes: frozenset[str]  # annotation names of asdict()'d params
     exclusion_prefixes: frozenset[str]  # startswith("...") literals
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "line": self.line,
-            "string_keys": sorted(self.string_keys),
-            "param_attrs": sorted(self.param_attrs),
-            "asdict_classes": sorted(self.asdict_classes),
-            "exclusion_prefixes": sorted(self.exclusion_prefixes),
-        }
-
-    @classmethod
-    def from_json(cls, payload: Mapping) -> "KeyBuilderFacts":
-        return cls(
-            name=str(payload["name"]),
-            line=int(payload["line"]),
-            string_keys=frozenset(payload.get("string_keys", [])),
-            param_attrs=frozenset(payload.get("param_attrs", [])),
-            asdict_classes=frozenset(payload.get("asdict_classes", [])),
-            exclusion_prefixes=frozenset(payload.get("exclusion_prefixes", [])),
-        )
 
 
 @dataclass
@@ -226,58 +155,6 @@ class FileFacts:
             if disabled and (rule in disabled or "ALL" in disabled):
                 return False
         return True
-
-    def to_json(self) -> dict:
-        return {
-            "path": self.path,
-            "module": self.module,
-            "scope": self.scope,
-            "is_package": self.is_package,
-            "imports": dict(self.imports),
-            "summaries": {n: s.to_json() for n, s in self.summaries.items()},
-            "seed_sites": [s.to_json() for s in self.seed_sites],
-            "loops": {n: list(lines) for n, lines in self.loops.items()},
-            "calls": {n: list(callees) for n, callees in self.calls.items()},
-            "snapshot_classes": [c.to_json() for c in self.snapshot_classes],
-            "config_classes": [c.to_json() for c in self.config_classes],
-            "key_builders": [b.to_json() for b in self.key_builders],
-            "test_identifiers": sorted(self.test_identifiers),
-            "gate_calls": dict(self.gate_calls),
-            "pragmas": {str(k): sorted(v) for k, v in self.pragmas.items()},
-        }
-
-    @classmethod
-    def from_json(cls, payload: Mapping) -> "FileFacts":
-        return cls(
-            path=str(payload["path"]),
-            module=str(payload.get("module", "")),
-            scope=str(payload.get("scope", "")),
-            is_package=bool(payload.get("is_package", False)),
-            imports=dict(payload.get("imports", {})),
-            summaries={
-                n: FunctionSummary.from_json(s)
-                for n, s in payload.get("summaries", {}).items()
-            },
-            seed_sites=[SeedSite.from_json(s) for s in payload.get("seed_sites", [])],
-            loops={n: tuple(v) for n, v in payload.get("loops", {}).items()},
-            calls={n: tuple(v) for n, v in payload.get("calls", {}).items()},
-            snapshot_classes=[
-                SnapshotClassFacts.from_json(c)
-                for c in payload.get("snapshot_classes", [])
-            ],
-            config_classes=[
-                ConfigClassFacts.from_json(c)
-                for c in payload.get("config_classes", [])
-            ],
-            key_builders=[
-                KeyBuilderFacts.from_json(b) for b in payload.get("key_builders", [])
-            ],
-            test_identifiers=frozenset(payload.get("test_identifiers", [])),
-            gate_calls={k: int(v) for k, v in payload.get("gate_calls", {}).items()},
-            pragmas={
-                int(k): frozenset(v) for k, v in payload.get("pragmas", {}).items()
-            },
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +472,7 @@ def extract_facts(
     scope: str,
     is_package: bool = False,
 ) -> FileFacts:
-    """Reduce one parsed file to the serializable whole-program facts."""
+    """Reduce one parsed file to its whole-program facts."""
     facts = FileFacts(
         path=path,
         module=module,
@@ -677,50 +554,37 @@ def extract_facts(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class FileRecord:
-    """Per-file analysis output: lint results + whole-program facts.
-    This is exactly what the incremental cache stores per content hash."""
-
-    facts: FileFacts
-    violations: list[RuleViolation] = field(default_factory=list)
-    suppressed: int = 0
-
-    def to_json(self) -> dict:
-        return {
-            "facts": self.facts.to_json(),
-            "violations": [
-                [v.path, v.line, v.rule, v.message] for v in self.violations
-            ],
-            "suppressed": self.suppressed,
-        }
-
-    @classmethod
-    def from_json(cls, payload: Mapping) -> "FileRecord":
-        return cls(
-            facts=FileFacts.from_json(payload["facts"]),
-            violations=[
-                RuleViolation(str(p), int(l), str(r), str(m))
-                for p, l, r, m in payload.get("violations", [])
-            ],
-            suppressed=int(payload.get("suppressed", 0)),
-        )
-
-
 class ProjectGraph:
-    """Indexed union of every file's facts: project-wide symbol table,
-    import graph (with reverse closure), and one-level call graph."""
+    """Indexed union of every file's facts — project-wide symbol table,
+    import graph (with reverse closure), one-level call graph — plus the
+    registry and baseline inputs RL003/RL007 check the facts against."""
 
-    def __init__(self, root: Path, records: Mapping[str, FileRecord]):
-        self.root = Path(root)
-        self.records = dict(records)
-        self.files: dict[str, FileFacts] = {
-            path: record.facts for path, record in self.records.items()
-        }
+    def __init__(
+        self,
+        files: Mapping[str, FileFacts],
+        pairs: Sequence[tuple[EnginePair, int]] = (),
+        gated_keys: Mapping[str, int] | None = None,
+        errors: Sequence[RuleViolation] = (),
+    ):
+        self.files: dict[str, FileFacts] = dict(files)
         self.by_module: dict[str, FileFacts] = {
             facts.module: facts
             for facts in self.files.values()
             if facts.module
+        }
+        #: (declaration, line of its ``EnginePair(...)`` call in PAIRS_PATH)
+        self.pairs = tuple(pairs)
+        #: gated baseline key -> line in BASELINE_PATH
+        self.gated_keys: dict[str, int] = dict(gated_keys or {})
+        #: RL000 findings from loading the two inputs above
+        self.errors = list(errors)
+
+    def gate_calls(self) -> dict[str, tuple[str, int]]:
+        """``gate_speedup("name", ...)`` call sites: name -> (path, line)."""
+        return {
+            name: (path, line)
+            for path, facts in sorted(self.files.items())
+            for name, line in facts.gate_calls.items()
         }
 
     # -- symbol table --------------------------------------------------
@@ -815,12 +679,73 @@ class ProjectGraph:
 
 
 # ---------------------------------------------------------------------------
-# The cache-aware analysis driver
+# The analysis driver
 # ---------------------------------------------------------------------------
 
 
-def analyze_file(path: Path, root: Path, rules=None) -> FileRecord:
-    """Parse + lint + extract facts for one file (single parse)."""
+def _load_pairs(
+    root: Path, errors: list[RuleViolation]
+) -> tuple[tuple[EnginePair, int], ...]:
+    """The registered pairs, each with its declaration line in pairs.py."""
+    path = root / PAIRS_PATH
+    if not path.exists():
+        return ()  # a root without the registry has no pairs to conform to
+    try:
+        from repro.difftest import engine_matrix
+    except Exception as exc:  # registry must import for RL003 to run
+        errors.append(
+            RuleViolation(
+                PAIRS_PATH, 1, "RL000", f"cannot import difftest registry: {exc}"
+            )
+        )
+        return ()
+    lines: dict[str, int] = {}
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "EnginePair"
+            and node.args
+            and isinstance(node.args[0], ast.Constant)
+        ):
+            lines[str(node.args[0].value)] = node.lineno
+    return tuple((pair, lines.get(pair.subsystem, 1)) for pair in engine_matrix())
+
+
+def _load_gated_keys(root: Path, errors: list[RuleViolation]) -> dict[str, int]:
+    path = root / BASELINE_PATH
+    if not path.exists():
+        # Only an error for roots that carry the difftest registry: a
+        # repo with gated pairs must commit the baseline they gate on.
+        if (root / PAIRS_PATH).exists():
+            errors.append(
+                RuleViolation(BASELINE_PATH, 1, "RL000", "baseline missing")
+            )
+        return {}
+    text = path.read_text(encoding="utf-8")
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        errors.append(
+            RuleViolation(BASELINE_PATH, exc.lineno, "RL000", f"bad JSON: {exc.msg}")
+        )
+        return {}
+    keys: dict[str, int] = {}
+    lines = text.splitlines()
+    for key in data.get("gated", {}):
+        needle = f'"{key}"'
+        keys[key] = next(
+            (i for i, line in enumerate(lines, start=1) if needle in line), 1
+        )
+    return keys
+
+
+def analyze_file(
+    path: Path, root: Path, rules=None
+) -> tuple[FileFacts, list[RuleViolation], int]:
+    """Parse + lint + extract facts for one file (single parse):
+    (facts, per-file violations, pragma-suppressed count)."""
     source = path.read_text(encoding="utf-8")
     display = str(path.relative_to(root)) if path.is_relative_to(root) else str(path)
     module = module_name_for(path, root)
@@ -829,10 +754,7 @@ def analyze_file(path: Path, root: Path, rules=None) -> FileRecord:
         source, path=display, module=module, scope=scope, rules=rules
     )
     if isinstance(result, list):  # syntax error: no tree, no facts
-        return FileRecord(
-            facts=FileFacts(path=display, module=module, scope=scope),
-            violations=result,
-        )
+        return FileFacts(path=display, module=module, scope=scope), result, 0
     facts = extract_facts(
         result.tree,
         source,
@@ -841,26 +763,17 @@ def analyze_file(path: Path, root: Path, rules=None) -> FileRecord:
         scope=scope,
         is_package=path.name == "__init__.py",
     )
-    return FileRecord(
-        facts=facts, violations=result.violations, suppressed=result.suppressed
-    )
+    return facts, result.violations, result.suppressed
 
 
 def analyze_paths(
     targets: Iterable[Path],
     root: Path,
     rules=None,
-    cache=None,
 ) -> tuple[ProjectGraph, list[RuleViolation], int]:
     """Analyze every ``.py`` under the targets: per-file violations plus
-    the :class:`ProjectGraph` the whole-program rules run over.
-
-    ``cache`` is an :class:`repro.analysis.cache.AnalysisCache`; cached
-    records are reused per content hash, so a warm run on an unchanged
-    tree parses nothing.  Cached per-file violations are only trusted
-    when the full default rule set ran (``rules is None``); a filtered
-    run lints fresh but still refreshes facts.
-    """
+    the :class:`ProjectGraph` the whole-program rules run over (with the
+    difftest registry and bench baseline read from ``root``)."""
     from .rules import FILE_RULES
 
     root = Path(root)
@@ -868,23 +781,19 @@ def analyze_paths(
     if rules is not None:
         wanted = set(rules)
         active = [rule for rule in FILE_RULES() if rule.code in wanted]
-    records: dict[str, FileRecord] = {}
+    files: dict[str, FileFacts] = {}
     violations: list[RuleViolation] = []
     suppressed = 0
     for path in iter_python_files(list(targets)):
-        display = (
-            str(path.relative_to(root)) if path.is_relative_to(root) else str(path)
-        )
-        record = None
-        if cache is not None and rules is None:
-            record = cache.load(display, path)
-        if record is None:
-            record = analyze_file(path, root, rules=active)
-            if cache is not None and rules is None:
-                cache.store(display, path, record)
-        records[display] = record
-        violations.extend(record.violations)
-        suppressed += record.suppressed
-    if cache is not None:
-        cache.save()
-    return ProjectGraph(root, records), sorted(violations), suppressed
+        facts, found, silenced = analyze_file(path, root, rules=active)
+        files[facts.path] = facts
+        violations.extend(found)
+        suppressed += silenced
+    errors: list[RuleViolation] = []
+    graph = ProjectGraph(
+        files,
+        pairs=_load_pairs(root, errors),
+        gated_keys=_load_gated_keys(root, errors),
+        errors=errors,
+    )
+    return graph, sorted(violations), suppressed

@@ -1,11 +1,13 @@
 """Whole-program reprolint rules.
 
-RL003 (spec/engine conformance) and RL007 (bench-gate consistency) run
-over a :class:`ProjectContext` — a plain-data snapshot of the difftest
-registry, test-file evidence, benchmark gate calls, and the committed
-baseline.  The v2 rules run over the :class:`~repro.analysis.graph.
-ProjectGraph` fact table instead:
+All six run over the :class:`~repro.analysis.graph.ProjectGraph` fact
+table:
 
+* **RL003 spec/engine conformance** — every declared ``EnginePair`` has
+  a ``tests/`` file naming both its symbols and a gated baseline key;
+  no baseline key is dead.
+* **RL007 bench-gate consistency** — every ``gate_speedup`` metric name
+  round-trips through the baseline's gated keys.
 * **RL009 seed provenance** — interprocedural taint: every value
   reaching a ``default_rng``/``spawn_streams`` seed argument must flow
   from a config seed field or a threaded ``seed`` parameter, through
@@ -20,22 +22,15 @@ ProjectGraph` fact table instead:
 * **RL012 interprocedural engine purity** — RL002's per-element-loop
   check extended one call-graph level into helpers invoked from
   registered engine bodies.
-
-Every input is plain data, so tests construct synthetic contexts and
-graphs directly instead of faking a repository.
 """
 
 from __future__ import annotations
 
-import ast
-import json
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable
 
-from .core import Rule, RuleViolation, iter_python_files
+from .core import Rule, RuleViolation
 from .dataflow import CONST, SEEDED, resolve_taint
-from .graph import ProjectGraph, mentioned_identifiers
+from .graph import BASELINE_PATH, PAIRS_PATH, ProjectGraph
 from .rules import engine_symbols_by_module
 
 __all__ = [
@@ -43,208 +38,12 @@ __all__ = [
     "ConformanceRule",
     "GateRoundtripRule",
     "InterproceduralPurityRule",
-    "PairRecord",
-    "ProjectContext",
     "PROJECT_RULE_CLASSES",
     "PROJECT_RULES",
     "SeedProvenanceRule",
     "SnapshotCoverageRule",
-    "TestEvidence",
-    "run_project_rules",
     "run_project_rules_ex",
 ]
-
-PAIRS_PATH = "src/repro/difftest/pairs.py"
-BASELINE_PATH = "benchmarks/bench_baseline.json"
-
-
-@dataclass(frozen=True)
-class PairRecord:
-    """One registration, reduced to what the cross-file rules need."""
-
-    subsystem: str
-    spec_symbol: str
-    engine_symbol: str
-    gate: str | None
-    line: int  # registration call's line in PAIRS_PATH
-
-
-@dataclass(frozen=True)
-class TestEvidence:
-    """Identifiers one test file touches."""
-
-    __test__ = False  # not a pytest class, despite the name
-
-    path: str
-    identifiers: frozenset[str]
-
-    def names_both(self, spec_symbol: str, engine_symbol: str) -> bool:
-        return {spec_symbol, engine_symbol} <= self.identifiers
-
-
-@dataclass
-class ProjectContext:
-    pairs: tuple[PairRecord, ...]
-    tests: tuple[TestEvidence, ...]
-    gated_keys: Mapping[str, int]  # baseline key -> line in BASELINE_PATH
-    #: gate_speedup("name", ...) call sites: name -> (path, line)
-    gate_calls: Mapping[str, tuple[str, int]]
-    pairs_path: str = PAIRS_PATH
-    baseline_path: str = BASELINE_PATH
-    errors: list[RuleViolation] = field(default_factory=list)
-
-    @classmethod
-    def from_repo(cls, root: Path) -> "ProjectContext":
-        root = Path(root)
-        errors: list[RuleViolation] = []
-        return cls(
-            pairs=_load_pairs(root, errors),
-            tests=tuple(
-                _test_evidence(path, root)
-                for path in iter_python_files([root / "tests"])
-            ),
-            gated_keys=_baseline_gated_keys(root, errors),
-            gate_calls=_gate_speedup_calls(root),
-            errors=errors,
-        )
-
-    @classmethod
-    def from_graph(cls, graph: ProjectGraph) -> "ProjectContext":
-        """Build the RL003/RL007 snapshot from extracted facts — no
-        parsing, so warm cached runs skip the tests/benchmarks re-read."""
-        root = graph.root
-        errors: list[RuleViolation] = []
-        tests = tuple(
-            TestEvidence(
-                path=facts.path,
-                identifiers=facts.test_identifiers,
-            )
-            for path, facts in sorted(graph.files.items())
-            if facts.scope == "tests"
-        )
-        gate_calls = {
-            name: (facts.path, line)
-            for path, facts in sorted(graph.files.items())
-            for name, line in facts.gate_calls.items()
-        }
-        return cls(
-            pairs=_load_pairs(root, errors),
-            tests=tests,
-            gated_keys=_baseline_gated_keys(root, errors),
-            gate_calls=gate_calls,
-            errors=errors,
-        )
-
-
-def _registration_lines(root: Path) -> dict[str, int]:
-    """subsystem -> line of its ``EnginePair(...)`` declaration."""
-    path = root / PAIRS_PATH
-    lines: dict[str, int] = {}
-    if not path.exists():
-        return lines
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    for node in ast.walk(tree):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id == "EnginePair"
-            and node.args
-            and isinstance(node.args[0], ast.Constant)
-        ):
-            lines[str(node.args[0].value)] = node.lineno
-    return lines
-
-
-def _load_pairs(root: Path, errors: list[RuleViolation]) -> tuple[PairRecord, ...]:
-    if not (Path(root) / PAIRS_PATH).exists():
-        return ()  # a root without the registry has no pairs to conform to
-    try:
-        from repro.difftest import engine_matrix
-    except Exception as exc:  # registry must import for RL003 to run
-        errors.append(
-            RuleViolation(
-                PAIRS_PATH, 1, "RL000", f"cannot import difftest registry: {exc}"
-            )
-        )
-        return ()
-    lines = _registration_lines(root)
-    return tuple(
-        PairRecord(
-            subsystem=pair.subsystem,
-            spec_symbol=pair.spec_symbol or pair.spec.rsplit(".", 1)[-1],
-            engine_symbol=pair.engine_symbol or pair.engine.rsplit(".", 1)[-1],
-            gate=pair.gate,
-            line=lines.get(pair.subsystem, 1),
-        )
-        for pair in engine_matrix()
-    )
-
-
-def _test_evidence(path: Path, root: Path) -> TestEvidence:
-    display = str(path.relative_to(root)) if path.is_relative_to(root) else str(path)
-    try:
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=display)
-    except SyntaxError:
-        return TestEvidence(display, frozenset())
-    return TestEvidence(display, mentioned_identifiers(tree))
-
-
-def _baseline_gated_keys(
-    root: Path, errors: list[RuleViolation]
-) -> dict[str, int]:
-    path = root / BASELINE_PATH
-    if not path.exists():
-        # Only an error for roots that carry the difftest registry: a
-        # repo with gated pairs must commit the baseline they gate on.
-        if (Path(root) / PAIRS_PATH).exists():
-            errors.append(
-                RuleViolation(BASELINE_PATH, 1, "RL000", "baseline missing")
-            )
-        return {}
-    text = path.read_text(encoding="utf-8")
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        errors.append(
-            RuleViolation(BASELINE_PATH, exc.lineno, "RL000", f"bad JSON: {exc.msg}")
-        )
-        return {}
-    keys: dict[str, int] = {}
-    lines = text.splitlines()
-    for key in data.get("gated", {}):
-        needle = f'"{key}"'
-        keys[key] = next(
-            (i for i, line in enumerate(lines, start=1) if needle in line), 1
-        )
-    return keys
-
-
-def _gate_speedup_calls(root: Path) -> dict[str, tuple[str, int]]:
-    calls: dict[str, tuple[str, int]] = {}
-    for path in iter_python_files([root / "benchmarks"]):
-        display = (
-            str(path.relative_to(root)) if path.is_relative_to(root) else str(path)
-        )
-        try:
-            tree = ast.parse(path.read_text(encoding="utf-8"), filename=display)
-        except SyntaxError:
-            continue
-        for node in ast.walk(tree):
-            if (
-                isinstance(node, ast.Call)
-                and (
-                    (isinstance(node.func, ast.Name) and node.func.id == "gate_speedup")
-                    or (
-                        isinstance(node.func, ast.Attribute)
-                        and node.func.attr == "gate_speedup"
-                    )
-                )
-                and node.args
-                and isinstance(node.args[0], ast.Constant)
-                and isinstance(node.args[0].value, str)
-            ):
-                calls[node.args[0].value] = (display, node.lineno)
-    return calls
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +52,7 @@ def _gate_speedup_calls(root: Path) -> dict[str, tuple[str, int]]:
 
 
 class ProjectRule(Rule):
-    """Base for whole-program rules.  ``check`` receives whichever of
-    the two project views exists for this invocation; rules needing a
-    view that's absent contribute nothing.  Findings silenced by a
+    """Base for whole-program rules.  Findings silenced by a
     ``disable=`` pragma in the anchoring file are tallied in
     ``self.suppressed``."""
 
@@ -264,9 +61,7 @@ class ProjectRule(Rule):
     def __init__(self) -> None:
         self.suppressed = 0
 
-    def check(
-        self, context: ProjectContext | None, graph: ProjectGraph | None
-    ) -> list[RuleViolation]:
+    def check(self, graph: ProjectGraph) -> list[RuleViolation]:
         raise NotImplementedError
 
     def _report(
@@ -313,54 +108,55 @@ class ConformanceRule(ProjectRule):
     )
     escape = "# reprolint: disable=RL003 on the registration line"
 
-    def check(self, context, graph):
-        if context is None:
-            return []
+    def check(self, graph):
+        tests = [
+            facts.test_identifiers
+            for facts in graph.files.values()
+            if facts.scope == "tests"
+        ]
         violations: list[RuleViolation] = []
-        for pair in context.pairs:
-            covered = any(
-                evidence.names_both(pair.spec_symbol, pair.engine_symbol)
-                for evidence in context.tests
-            )
-            if not covered:
+        for pair, line in graph.pairs:
+            spec_symbol = pair.spec_symbol or pair.spec.rsplit(".", 1)[-1]
+            engine_symbol = pair.engine_symbol or pair.engine.rsplit(".", 1)[-1]
+            if not any({spec_symbol, engine_symbol} <= names for names in tests):
                 violations.append(
                     RuleViolation(
-                        context.pairs_path,
-                        pair.line,
+                        PAIRS_PATH,
+                        line,
                         self.code,
                         f"engine pair {pair.subsystem!r} has no differential "
                         f"test: no tests/ file references both "
-                        f"{pair.spec_symbol!r} and {pair.engine_symbol!r}",
+                        f"{spec_symbol!r} and {engine_symbol!r}",
                     )
                 )
             if pair.gate is None:
                 violations.append(
                     RuleViolation(
-                        context.pairs_path,
-                        pair.line,
+                        PAIRS_PATH,
+                        line,
                         self.code,
                         f"engine pair {pair.subsystem!r} declares no CI gate "
                         "metric (gate=None): regressions would land silently",
                     )
                 )
-            elif pair.gate not in context.gated_keys:
+            elif pair.gate not in graph.gated_keys:
                 violations.append(
                     RuleViolation(
-                        context.pairs_path,
-                        pair.line,
+                        PAIRS_PATH,
+                        line,
                         self.code,
                         f"engine pair {pair.subsystem!r} gates on "
-                        f"{pair.gate!r} but {context.baseline_path} has no such "
+                        f"{pair.gate!r} but {BASELINE_PATH} has no such "
                         "gated key: the speedup is never CI-checked",
                     )
                 )
-        alive = {pair.gate for pair in context.pairs if pair.gate}
-        alive.update(f"{name}_speedup" for name in context.gate_calls)
-        for key, line in sorted(context.gated_keys.items()):
+        alive = {pair.gate for pair, _ in graph.pairs if pair.gate}
+        alive.update(f"{name}_speedup" for name in graph.gate_calls())
+        for key, line in sorted(graph.gated_keys.items()):
             if key not in alive:
                 violations.append(
                     RuleViolation(
-                        context.baseline_path,
+                        BASELINE_PATH,
                         line,
                         self.code,
                         f"dead baseline key {key!r}: no registered pair or "
@@ -388,20 +184,18 @@ class GateRoundtripRule(ProjectRule):
     example_good = '"gated": {"newbench_speedup": 10.0}  # in the baseline'
     escape = "# reprolint: disable=RL007 on the gate_speedup line"
 
-    def check(self, context, graph):
-        if context is None:
-            return []
+    def check(self, graph):
         violations: list[RuleViolation] = []
-        for name, (path, line) in sorted(context.gate_calls.items()):
+        for name, (path, line) in sorted(graph.gate_calls().items()):
             key = f"{name}_speedup"
-            if key not in context.gated_keys:
+            if key not in graph.gated_keys:
                 violations.append(
                     RuleViolation(
                         path,
                         line,
                         self.code,
                         f"gate_speedup({name!r}) records {key!r} but "
-                        f"{context.baseline_path} never gates it: the bench "
+                        f"{BASELINE_PATH} never gates it: the bench "
                         "runs without a regression floor",
                     )
                 )
@@ -449,9 +243,7 @@ class SeedProvenanceRule(ProjectRule):
     )
     escape = "# reprolint: disable=RL009 on the call line"
 
-    def check(self, context, graph):
-        if graph is None:
-            return []
+    def check(self, graph):
         violations: list[RuleViolation] = []
         for path, facts in sorted(graph.files.items()):
             if facts.scope != "src":
@@ -527,9 +319,7 @@ class SnapshotCoverageRule(ProjectRule):
         "(or disable=RL010 on the mutation line)"
     )
 
-    def check(self, context, graph):
-        if graph is None:
-            return []
+    def check(self, graph):
         violations: list[RuleViolation] = []
         for path, facts in sorted(graph.files.items()):
             if facts.scope != "src":
@@ -600,9 +390,7 @@ class CacheKeyCompletenessRule(ProjectRule):
     )
     escape = "# reprolint: disable=RL011 on the field line"
 
-    def check(self, context, graph):
-        if graph is None:
-            return []
+    def check(self, graph):
         builders = [
             builder
             for facts in graph.files.values()
@@ -692,9 +480,7 @@ class InterproceduralPurityRule(ProjectRule):
         super().__init__()
         self._engine_symbols = engine_symbols
 
-    def check(self, context, graph):
-        if graph is None:
-            return []
+    def check(self, graph):
         table = self._engine_symbols
         if table is None:
             table = engine_symbols_by_module()
@@ -749,33 +535,16 @@ def PROJECT_RULES() -> list[ProjectRule]:
 
 
 def run_project_rules_ex(
-    project: ProjectContext | None,
-    rules: Iterable[str] | None = None,
-    graph: ProjectGraph | None = None,
+    graph: ProjectGraph, rules: Iterable[str] | None = None
 ) -> tuple[list[RuleViolation], int]:
-    """All whole-program rules over the available project views.
-
-    Returns (violations, pragma-suppressed count).  ``rules`` filters by
-    code; rules whose required view (context or graph) is absent simply
-    contribute nothing, so registry-only callers and fact-only callers
-    both work.
-    """
+    """All whole-program rules (``rules`` filters by code) over the
+    graph: (sorted violations, pragma-suppressed count)."""
     wanted = None if rules is None else set(rules)
-    violations: list[RuleViolation] = list(project.errors) if project else []
+    violations: list[RuleViolation] = list(graph.errors)
     suppressed = 0
     for rule in PROJECT_RULES():
         if wanted is not None and rule.code not in wanted:
             continue
-        violations.extend(rule.check(project, graph))
+        violations.extend(rule.check(graph))
         suppressed += rule.suppressed
     return sorted(violations), suppressed
-
-
-def run_project_rules(
-    project: ProjectContext | None,
-    rules: Iterable[str] | None = None,
-    graph: ProjectGraph | None = None,
-) -> list[RuleViolation]:
-    """Back-compat wrapper around :func:`run_project_rules_ex`."""
-    violations, _ = run_project_rules_ex(project, rules=rules, graph=graph)
-    return violations

@@ -12,17 +12,24 @@ least M; by the RLNC argument (Theorem 3) a feasible multicast session
 yields a concrete code.  We verify cuts with networkx max-flow, working in
 units of M/k (so capacities are small integers: group edges carry r, block
 edges carry 1).
+
+networkx is imported inside the two functions that build and solve the
+graph: it is the optional ``flowgraph`` extra, not a dependency of
+``import repro``.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import combinations
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from .bounds import locality_distance_bound
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "build_flow_graph",
@@ -52,6 +59,8 @@ def build_flow_graph(k: int, n: int, r: int) -> nx.DiGraph:
     ``("gin", g)``/``("gout", g)`` group gadgets, ``("yin", j)`` /
     ``("yout", j)`` coded blocks.  Capacities are in units of M/k.
     """
+    import networkx as nx
+
     _check_parameters(k, n, r)
     graph = nx.DiGraph()
     infinite = float(k * n + 1)  # larger than any achievable flow
@@ -72,6 +81,8 @@ def data_collector_min_cut(
     graph: nx.DiGraph, blocks: tuple[int, ...], k: int, n: int
 ) -> float:
     """Max source→DC flow for a collector reading the given coded blocks."""
+    import networkx as nx
+
     dc = ("dc", blocks)
     infinite = float(k * n + 1)
     graph.add_node(dc)

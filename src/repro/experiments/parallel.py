@@ -153,7 +153,7 @@ class ResultCache:
 
 
 class WorkerError(RuntimeError):
-    """A worker crashed after exhausting its retries.
+    """A worker failed: deterministically, or after exhausting its retries.
 
     Carries the failing configuration (so a dead sweep names the exact
     experiment that sank it), the attempt count, and the worker-side
@@ -189,28 +189,31 @@ class _WorkerFailure:
 
 
 def _run_with_retries(packed: tuple) -> Any:
-    """Pool target: run the real worker with retry + exponential backoff.
+    """Pool target: run the real worker, retrying transient failures.
 
-    Module-level (so it pickles under spawn) and exception-free: a
-    crash becomes a :class:`_WorkerFailure` sentinel instead of sinking
-    the whole ``pool.map``, which is what lets one poisoned task
-    degrade a sweep gracefully.
+    Only ``OSError`` (a full disk, a vanished cache file, an exhausted
+    fd table) is retried, with exponential backoff; the workers are
+    seeded simulations, so any other exception is deterministic and
+    surfaces on the first attempt.  Module-level (so it pickles under
+    spawn) and exception-free: a crash becomes a :class:`_WorkerFailure`
+    sentinel instead of sinking the whole ``pool.map``, which is what
+    lets one poisoned task degrade a sweep gracefully.
     """
     worker, config, retries, backoff = packed
-    attempts = retries + 1
-    for attempt in range(attempts):
+    for attempt in range(retries + 1):
         try:
             return worker(config)
         except Exception as exc:
-            if attempt + 1 >= attempts:
-                return _WorkerFailure(
-                    config=config,
-                    attempts=attempts,
-                    cause_repr=repr(exc),
-                    cause_traceback=traceback.format_exc(),
-                )
-            if backoff > 0:
-                time.sleep(backoff * (2**attempt))
+            if isinstance(exc, OSError) and attempt < retries:
+                if backoff > 0:
+                    time.sleep(backoff * (2**attempt))
+                continue
+            return _WorkerFailure(
+                config=config,
+                attempts=attempt + 1,
+                cause_repr=repr(exc),
+                cause_traceback=traceback.format_exc(),
+            )
     raise AssertionError("unreachable: every attempt returns or records")
 
 
@@ -232,11 +235,12 @@ def parallel_map(
     results are stored before returning, so a second call — from this
     process or any later one — is pure cache reads.
 
-    A crashing worker is retried ``retries`` times with exponential
-    backoff (``retry_backoff * 2**attempt`` seconds).  Exhausted
-    failures surface as :class:`WorkerError` carrying the failing
-    configuration (``on_error="raise"``, the default) or are
-    quarantined to ``None`` slots so the rest of the sweep survives
+    A worker raising ``OSError`` is retried ``retries`` times with
+    exponential backoff (``retry_backoff * 2**attempt`` seconds); any
+    other exception is deterministic for a seeded simulation and is
+    never retried.  Failures surface as :class:`WorkerError` carrying
+    the failing configuration (``on_error="raise"``, the default) or
+    are quarantined to ``None`` slots so the rest of the sweep survives
     (``on_error="quarantine"``); quarantined slots are never cached.
     """
     if on_error not in ("raise", "quarantine"):

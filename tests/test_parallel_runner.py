@@ -32,12 +32,20 @@ def _maybe_fail(config):
     return config["x"]
 
 
+def _count_then_raise(config):
+    """Appends one line per invocation to the marker, then raises the
+    configured exception type — the attempt count survives the raise."""
+    with open(config["marker"], "a") as fh:
+        fh.write("attempt\n")
+    raise config["error"]("always fails")
+
+
 def _flaky(config):
     """Fails on the first attempt (per marker file), succeeds after."""
     marker = Path(config["marker"])
     if not marker.exists():
         marker.write_text("attempt 1 crashed")
-        raise RuntimeError("transient worker crash")
+        raise OSError("transient worker crash")
     return "recovered"
 
 
@@ -206,15 +214,31 @@ class TestRetriesAndFailures:
         assert inspect.signature(parallel_map).parameters["retries"].default == 2
 
     def test_exhausted_retries_report_attempt_count(self, tmp_path):
+        marker = tmp_path / "attempts"
         with pytest.raises(WorkerError) as info:
             parallel_map(
-                _maybe_fail,
-                [{"x": 1, "fail": True}],
+                _count_then_raise,
+                [{"marker": str(marker), "error": OSError}],
                 jobs=1,
                 retries=2,
                 retry_backoff=0,
             )
         assert info.value.attempts == 3
+        assert len(marker.read_text().splitlines()) == 3
+
+    def test_deterministic_failure_is_not_retried(self, tmp_path):
+        # A seeded simulation that raises ValueError raises it every
+        # time: rerunning it is wasted wall-clock, so only OSError retries.
+        marker = tmp_path / "attempts"
+        with pytest.raises(WorkerError) as info:
+            parallel_map(
+                _count_then_raise,
+                [{"marker": str(marker), "error": ValueError}],
+                jobs=1,
+                retry_backoff=0,
+            )
+        assert info.value.attempts == 1
+        assert len(marker.read_text().splitlines()) == 1
 
     def test_quarantine_leaves_none_slots_and_caches_nothing(self, tmp_path):
         cache = ResultCache(tmp_path)

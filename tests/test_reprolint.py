@@ -15,12 +15,8 @@ from repro.analysis import (
     lint_source,
 )
 from repro.analysis.cli import main as lint_main
-from repro.analysis.project import (
-    PairRecord,
-    ProjectContext,
-    TestEvidence,
-    run_project_rules,
-)
+from repro.analysis.graph import FileFacts, ProjectGraph, analyze_paths
+from repro.analysis.project import run_project_rules_ex
 from repro.analysis.report import (
     render_github,
     render_human,
@@ -35,6 +31,7 @@ from repro.analysis.rules import (
     NanConventionRule,
     RngDisciplineRule,
 )
+from repro.difftest.registry import EnginePair
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -318,32 +315,40 @@ class TestConfigValidation:
 
 
 # ---------------------------------------------------------------------------
-# RL003 / RL007: project rules over synthetic contexts
+# RL003 / RL007: project rules over synthetic graphs
 # ---------------------------------------------------------------------------
 
 
-def make_project(**overrides):
-    base = dict(
-        pairs=(
-            PairRecord(
-                subsystem="fake",
-                spec_symbol="fake_seed",
-                engine_symbol="FakeEngine",
-                gate="fake_speedup",
-                line=10,
-            ),
-        ),
-        tests=(
-            TestEvidence(
-                path="tests/test_fake.py",
-                identifiers=frozenset({"fake_seed", "FakeEngine"}),
-            ),
-        ),
-        gated_keys={"fake_speedup": 5},
-        gate_calls={"fake": ("benchmarks/bench_fake.py", 20)},
-    )
-    base.update(overrides)
-    return ProjectContext(**base)
+FAKE_PAIR = EnginePair(
+    "fake", spec="fakepkg.fake_seed", engine="fakepkg.FakeEngine",
+    gate="fake_speedup",
+)
+
+
+def make_project(
+    pair=FAKE_PAIR,
+    tests={"tests/test_fake.py": {"fake_seed", "FakeEngine"}},
+    gated_keys={"fake_speedup": 5},
+    gate_calls={"benchmarks/bench_fake.py": {"fake": 20}},
+):
+    """A synthetic ProjectGraph: one pair declared at pairs.py line 10,
+    test files as path -> identifiers, benches as path -> gate sites."""
+    files = {
+        path: FileFacts(
+            path=path, module="", scope="tests",
+            test_identifiers=frozenset(identifiers),
+        )
+        for path, identifiers in tests.items()
+    }
+    for path, sites in gate_calls.items():
+        files[path] = FileFacts(
+            path=path, module="", scope="benchmarks", gate_calls=dict(sites)
+        )
+    return ProjectGraph(files, pairs=[(pair, 10)], gated_keys=gated_keys)
+
+
+def project_findings(graph, rules=None):
+    return run_project_rules_ex(graph, rules)[0]
 
 
 class TestExceptionHygiene:
@@ -398,44 +403,27 @@ class TestExceptionHygiene:
 
 class TestProjectRules:
     def test_clean_project(self):
-        assert run_project_rules(make_project()) == []
+        assert project_findings(make_project()) == []
 
     def test_missing_differential_test(self):
-        project = make_project(
-            tests=(
-                TestEvidence(
-                    path="tests/test_other.py",
-                    identifiers=frozenset({"FakeEngine"}),
-                ),
-            )
-        )
-        found = run_project_rules(project)
+        project = make_project(tests={"tests/test_other.py": {"FakeEngine"}})
+        found = project_findings(project)
         assert codes(found) == ["RL003"]
         assert "no differential test" in found[0].message
         assert found[0].line == 10
 
     def test_missing_gate_key(self):
         project = make_project(gated_keys={}, gate_calls={})
-        found = run_project_rules(project)
+        found = project_findings(project)
         assert codes(found) == ["RL003"]
         assert "no such gated key" in found[0].message
 
     def test_ungated_pair(self):
-        pair = make_project().pairs[0]
-        project = make_project(
-            pairs=(
-                PairRecord(
-                    subsystem=pair.subsystem,
-                    spec_symbol=pair.spec_symbol,
-                    engine_symbol=pair.engine_symbol,
-                    gate=None,
-                    line=pair.line,
-                ),
-            ),
-            gated_keys={},
-            gate_calls={},
+        ungated = EnginePair(
+            FAKE_PAIR.subsystem, FAKE_PAIR.spec, FAKE_PAIR.engine, gate=None
         )
-        found = run_project_rules(project)
+        project = make_project(pair=ungated, gated_keys={}, gate_calls={})
+        found = project_findings(project)
         assert codes(found) == ["RL003"]
         assert "gate=None" in found[0].message
 
@@ -443,7 +431,7 @@ class TestProjectRules:
         project = make_project(
             gated_keys={"fake_speedup": 5, "retired_speedup": 9}
         )
-        found = run_project_rules(project)
+        found = project_findings(project)
         assert codes(found) == ["RL003"]
         assert "dead baseline key 'retired_speedup'" in found[0].message
         assert found[0].line == 9
@@ -451,11 +439,11 @@ class TestProjectRules:
     def test_rl007_unbaselined_bench(self):
         project = make_project(
             gate_calls={
-                "fake": ("benchmarks/bench_fake.py", 20),
-                "orphan": ("benchmarks/bench_orphan.py", 7),
+                "benchmarks/bench_fake.py": {"fake": 20},
+                "benchmarks/bench_orphan.py": {"orphan": 7},
             }
         )
-        found = run_project_rules(project)
+        found = project_findings(project)
         # the orphan gate_speedup also keeps no baseline key alive, but
         # only RL007 fires: nothing gates it, so nothing is dead either
         assert codes(found) == ["RL007"]
@@ -463,9 +451,9 @@ class TestProjectRules:
         assert found[0].line == 7
 
     def test_rule_filter(self):
-        project = make_project(gate_calls={"orphan": ("b.py", 1)})
-        assert run_project_rules(project, rules={"RL003"}) == []
-        assert codes(run_project_rules(project, rules={"RL007"})) == ["RL007"]
+        project = make_project(gate_calls={"b.py": {"orphan": 1}})
+        assert project_findings(project, rules={"RL003"}) == []
+        assert codes(project_findings(project, rules={"RL007"})) == ["RL007"]
 
 
 # ---------------------------------------------------------------------------
@@ -481,18 +469,18 @@ class TestSelfApplication:
         )
 
     def test_rl003_covers_all_eleven_pairs(self):
-        project = ProjectContext.from_repo(ROOT)
+        project, _, _ = analyze_paths([ROOT / "tests", ROOT / "benchmarks"], ROOT)
         assert len(project.pairs) == 11
-        subsystems = {pair.subsystem for pair in project.pairs}
+        subsystems = {pair.subsystem for pair, _ in project.pairs}
         assert subsystems == {
             "montecarlo", "codec", "xorplane", "blockindex", "network",
             "readservice", "scrubber", "decommission", "mapreduce",
             "raidnode", "recovery",
         }
-        for pair in project.pairs:
-            assert pair.line > 1, pair  # anchored to its registration
+        for pair, line in project.pairs:
+            assert line > 1, pair  # anchored to its registration
             assert pair.gate in project.gated_keys, pair
-        assert run_project_rules(project) == []
+        assert project_findings(project) == []
 
     def test_every_rule_documented(self):
         assert set(RULE_DESCRIPTIONS) == {

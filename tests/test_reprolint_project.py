@@ -9,26 +9,14 @@ the rule actually fires, not just that the real repo is quiet.
 
 from __future__ import annotations
 
-import json
-import time
 from pathlib import Path
 
-from repro.analysis.cache import ANALYZER_VERSION, AnalysisCache, environment_hash
+import pytest
+
 from repro.analysis.cli import main as lint_main
-from repro.analysis.dataflow import (
-    CONST,
-    SEEDED,
-    TaintEvaluator,
-    resolve_taint,
-    taint_from_json,
-    taint_to_json,
-)
+from repro.analysis.dataflow import CONST, SEEDED, TaintEvaluator, resolve_taint
 from repro.analysis.graph import analyze_paths
-from repro.analysis.project import (
-    InterproceduralPurityRule,
-    run_project_rules,
-    run_project_rules_ex,
-)
+from repro.analysis.project import InterproceduralPurityRule, run_project_rules_ex
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -43,12 +31,12 @@ def make_repo(tmp_path: Path, files: dict[str, str]) -> Path:
     return tmp_path
 
 
-def analyze(root: Path, cache=None):
-    return analyze_paths([root / "src"], root, cache=cache)
+def analyze(root: Path):
+    return analyze_paths([root / "src"], root)
 
 
-def project_codes(graph, rules, **kwargs):
-    found, _ = run_project_rules_ex(None, rules=rules, graph=graph, **kwargs)
+def project_codes(graph, rules):
+    found, _ = run_project_rules_ex(graph, rules)
     return [v.rule for v in found]
 
 
@@ -93,14 +81,6 @@ class TestDataflow:
             "def f(seed):\n    s = seed + 1234\n    return s\n"
         )
         assert resolve_taint(env["s"], lookup) is SEEDED
-
-    def test_taint_json_roundtrip(self):
-        env, _ = self.eval_function(
-            "def f(seed, n):\n    s = helper(seed, n * 2)\n    return s\n"
-        )
-        payload = taint_to_json(env["s"])
-        json.dumps(payload)  # must be JSON-serializable
-        assert taint_to_json(taint_from_json(payload)) == payload
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +200,7 @@ class TestSeedProvenance:
             "    return np.random.default_rng(7)  # reprolint: disable=RL009\n"
         )
         graph, _, _ = analyze(make_repo(tmp_path, {"src/repro/thing.py": bad}))
-        found, suppressed = run_project_rules_ex(None, rules={"RL009"}, graph=graph)
+        found, suppressed = run_project_rules_ex(graph, {"RL009"})
         assert found == []
         assert suppressed == 1
 
@@ -329,7 +309,7 @@ class TestCacheKeyCompleteness:
         graph, _, _ = analyze(
             make_repo(tmp_path, {"src/repro/cfg.py": source})
         )
-        found, _ = run_project_rules_ex(None, rules={"RL011"}, graph=graph)
+        found, _ = run_project_rules_ex(graph, {"RL011"})
         assert [v.rule for v in found] == ["RL011"]
         assert "new_knob" in found[0].message
 
@@ -367,7 +347,7 @@ class TestInterproceduralPurity:
     def run_rule(self, tmp_path, files):
         graph, _, _ = analyze(make_repo(tmp_path, files))
         rule = InterproceduralPurityRule(engine_symbols=FAKE_ENGINES)
-        return [v.rule for v in rule.check(None, graph)], graph
+        return [v.rule for v in rule.check(graph)], graph
 
     def test_clean_vectorized_helper(self, tmp_path):
         files = {
@@ -428,7 +408,7 @@ class TestInterproceduralPurity:
         }
         graph, _, _ = analyze(make_repo(tmp_path, files))
         rule = InterproceduralPurityRule(engine_symbols=FAKE_ENGINES)
-        assert rule.check(None, graph) == []
+        assert rule.check(graph) == []
         assert rule.suppressed == 1
 
     def test_loop_in_uncalled_function_ignored(self, tmp_path):
@@ -444,107 +424,6 @@ class TestInterproceduralPurity:
         }
         codes_found, _ = self.run_rule(tmp_path, files)
         assert codes_found == []
-
-
-# ---------------------------------------------------------------------------
-# Incremental cache
-# ---------------------------------------------------------------------------
-
-
-class TestAnalysisCache:
-    FILES = {
-        "src/repro/a.py": "def f(seed):\n    return seed\n",
-        "src/repro/b.py": "from repro.a import f\n",
-    }
-
-    def test_warm_run_hits_every_file(self, tmp_path):
-        root = make_repo(tmp_path, dict(self.FILES))
-        cache = AnalysisCache(root)
-        analyze(root, cache=cache)
-        assert cache.hits == 0 and cache.misses == 2
-        cache.save()
-        warm = AnalysisCache(root)
-        graph, _, _ = analyze(root, cache=warm)
-        assert warm.hits == 2 and warm.misses == 0
-        assert set(graph.files) == {"src/repro/a.py", "src/repro/b.py"}
-
-    def test_edited_file_invalidates_only_itself(self, tmp_path):
-        root = make_repo(tmp_path, dict(self.FILES))
-        cache = AnalysisCache(root)
-        analyze(root, cache=cache)
-        cache.save()
-        (root / "src/repro/a.py").write_text("def f(seed):\n    return seed + 1\n")
-        warm = AnalysisCache(root)
-        analyze(root, cache=warm)
-        assert warm.hits == 1 and warm.misses == 1
-
-    def test_analyzer_version_invalidates_whole_cache(self, tmp_path):
-        root = make_repo(tmp_path, dict(self.FILES))
-        cache = AnalysisCache(root)
-        analyze(root, cache=cache)
-        cache.save()
-        payload = json.loads((root / ".reprolint-cache.json").read_text())
-        payload["env"] = "stale"
-        (root / ".reprolint-cache.json").write_text(json.dumps(payload))
-        warm = AnalysisCache(root)
-        analyze(root, cache=warm)
-        assert warm.hits == 0 and warm.misses == 2
-
-    def test_env_hash_tracks_registry_inputs(self, tmp_path):
-        root = make_repo(tmp_path, dict(self.FILES))
-        before = environment_hash(root)
-        pairs = root / "src/repro/difftest/pairs.py"
-        pairs.parent.mkdir(parents=True)
-        pairs.write_text("# registry changed\n")
-        assert environment_hash(root) != before
-        assert ANALYZER_VERSION in ("2.0",) or True  # version is folded in
-
-    def test_corrupt_cache_file_treated_as_empty(self, tmp_path):
-        root = make_repo(tmp_path, dict(self.FILES))
-        (root / ".reprolint-cache.json").write_text("{not json")
-        cache = AnalysisCache(root)
-        graph, _, _ = analyze(root, cache=cache)
-        assert cache.misses == 2
-        assert set(graph.files) == {"src/repro/a.py", "src/repro/b.py"}
-
-    def test_filtered_rules_never_trust_cached_violations(self, tmp_path):
-        root = make_repo(
-            tmp_path,
-            {"src/repro/a.py": "import random\nx = random.random()\n"},
-        )
-        cache = AnalysisCache(root)
-        analyze(root, cache=cache)
-        cache.save()
-        warm = AnalysisCache(root)
-        _, found, _ = analyze_paths(
-            [root / "src"], root, rules={"RL004"}, cache=warm
-        )
-        assert warm.hits == 0  # filtered runs lint fresh
-        assert found == []
-
-    def test_warm_lint_is_five_times_faster(self):
-        # The incremental contract on the real tree, measured in-process
-        # so interpreter startup does not drown the comparison.
-        targets = [ROOT / "src", ROOT / "benchmarks", ROOT / "examples",
-                   ROOT / "tests"]
-        t0 = time.perf_counter()
-        _, cold_violations, _ = analyze_paths(targets, ROOT)
-        cold = time.perf_counter() - t0
-        cache = AnalysisCache(ROOT, path=ROOT / ".reprolint-perf-test.json")
-        try:
-            cache.clear()
-            analyze_paths(targets, ROOT, cache=cache)
-            cache.save()
-            warm_cache = AnalysisCache(ROOT, path=cache.path)
-            t0 = time.perf_counter()
-            _, warm_violations, _ = analyze_paths(targets, ROOT, cache=warm_cache)
-            warm = time.perf_counter() - t0
-        finally:
-            cache.path.unlink(missing_ok=True)
-        assert [v.rule for v in warm_violations] == [
-            v.rule for v in cold_violations
-        ]
-        assert warm * 5 <= cold, f"warm {warm:.3f}s vs cold {cold:.3f}s"
 
 
 # ---------------------------------------------------------------------------
@@ -585,12 +464,17 @@ class TestCliModes:
                 ),
             },
         )
-        assert lint_main(["--root", str(root), "--no-cache"]) == 1
+        assert lint_main(["--root", str(root)]) == 1
         assert "RL009" in capsys.readouterr().out
 
-    def test_back_compat_run_project_rules(self):
-        # The old entry point still works for registry-only callers.
-        from repro.analysis.project import ProjectContext
+    def test_lint_leaves_no_file_behind(self, tmp_path):
+        # Facts are in-memory only: a whole-repo run writes nothing.
+        root = make_repo(tmp_path, {"src/repro/a.py": "x = 1\n"})
+        before = sorted(root.rglob("*"))
+        assert lint_main(["--root", str(root)]) == 0
+        assert sorted(root.rglob("*")) == before
 
-        project = ProjectContext.from_repo(ROOT)
-        assert run_project_rules(project, rules={"RL003"}) == []
+    def test_no_cache_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            lint_main(["--root", str(ROOT), "--no-cache"])
+        assert exc.value.code == 2

@@ -158,12 +158,12 @@ class TestExitCodes:
 
     def test_clean_run_exits_zero(self, tmp_path, capsys):
         root = self.write_repo(tmp_path, "x = 1\n")
-        assert lint_main(["--root", str(root), "--no-cache"]) == 0
+        assert lint_main(["--root", str(root)]) == 0
         assert "reprolint: clean" in capsys.readouterr().out
 
     def test_violations_exit_one(self, tmp_path, capsys):
         root = self.write_repo(tmp_path, "import random\nx = random.random()\n")
-        assert lint_main(["--root", str(root), "--no-cache"]) == 1
+        assert lint_main(["--root", str(root)]) == 1
         out = capsys.readouterr().out
         assert "RL001" in out
 
@@ -176,8 +176,7 @@ class TestExitCodes:
             tmp_path,
             "import random\nx = random.random()  # reprolint: disable=RL001\n",
         )
-        assert lint_main(["--root", str(root), "--no-cache",
-                          "--format", "json"]) == 0
+        assert lint_main(["--root", str(root), "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["clean"] is True
         assert payload["suppressed"] == 1

@@ -1,6 +1,11 @@
 """Tests for the randomised construction (Theorem 4) and the information
 flow graph (Appendix C)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -100,3 +105,22 @@ class TestFlowGraph:
             build_flow_graph(4, 10, 2)  # (r+1) does not divide n
         with pytest.raises(ValueError):
             min_cut_over_collectors(4, 9, 2, 0)
+
+
+def test_import_repro_does_not_need_networkx():
+    # networkx is the optional `flowgraph` extra: only the Appendix-C
+    # min-cut functions may import it, never `import repro` or the CLI.
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys; sys.modules['networkx'] = None; "
+            "import repro, repro.codes, repro.cli",
+        ],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
