@@ -14,9 +14,18 @@ array operations:
   timestamps were always equal anyway).
 * **reallocate** — progressive water-filling over per-resource capacity
   and member-count arrays.  Resources (per-node NIC in/out, per-rack
-  uplinks, the core switch) are interned to integer ids; each round
-  freezes the members of the bottleneck resource with one gather +
-  ``bincount`` instead of per-flow dict surgery.
+  uplinks, the core switch) are interned to integer ids.  What a fill
+  needs is *table state*, kept rather than rebuilt: the active-member
+  count per resource moves by one flow's slots on every admission and
+  removal, and the resource -> member-rows CSR (the module's one sort)
+  is built when the row layout changes — an admission or a compaction —
+  and reused by every completion in between, filtered by the active
+  mask.  *Per-fill state* is only what a round changes (the frozen
+  mask, the shrunken counts and capacities, the tie-break order), each
+  created by the first round that needs it; a fill whose bottleneck
+  holds every unfrozen flow — the core switch under a repair storm — is
+  one round of O(F) array writes and touches none of it.  See
+  :meth:`FlowTable._water_fill` for why each shortcut is exact.
 * **completion** — a single *sentinel* event replaces the per-flow
   completion events.  Each reallocation computes every flow's completion
   time vectorized (``now + remaining / rate``) and schedules exactly one
@@ -130,7 +139,19 @@ class FlowTable:
         self._gid_rackout: dict[object, int] = {}
         self._gid_rackin: dict[object, int] = {}
         self._res_capacity = np.zeros(_INITIAL_CAPACITY, dtype=np.float64)
+        # Active member flows per resource, kept by _append_row/_remove_row.
+        # All-zero with no flow in flight (snapshot_state asserts it), so
+        # restore_state only has to size it.
+        self._res_count = np.zeros(  # reprolint: transient
+            _INITIAL_CAPACITY, dtype=np.int64
+        )
         self._num_resources = 0
+
+        # -- derived from row storage, dropped when it changes ---------------
+        # Both are None with no flow in flight (quiescence contract):
+        # _reallocate drops them when the table drains.
+        self._rows: np.ndarray | None = None  # reprolint: transient (active rows)
+        self._csr: tuple[np.ndarray, np.ndarray] | None = None  # reprolint: transient
 
         # -- per-node flow index (row ids; stale ids filtered lazily) ------
         self._rows_by_node: dict[int, list[int]] = {}  # reprolint: transient
@@ -147,6 +168,8 @@ class FlowTable:
         self.settles = 0
         self.admissions = 0
         self.admissions_coalesced = 0
+        self.fill_rounds = 0  # water-filling rounds over all reallocations
+        self.csr_builds = 0  # member-CSR builds (see _member_csr)
 
     # -- checkpoint/restore --------------------------------------------------
 
@@ -157,13 +180,19 @@ class FlowTable:
         closures and live handles, so snapshots are pinned to quiescent
         boundaries and capture just the interning tables (whose id
         assignment depends on admission history), counters, and the
-        settle clock.
+        settle clock.  What the table derives from its rows is gone by
+        then too (asserted): the per-resource member counts are back to
+        zero and ``_reallocate`` dropped the active-row memo and the
+        member CSR when the last flow left, so a restored table — which
+        starts with none of them — continues identically.
         """
         if self._active_count:
             raise RuntimeError(
                 f"cannot snapshot FlowTable with {self._active_count} active "
                 "flows; checkpoints are taken at quiescent boundaries"
             )
+        assert not self._res_count.any()
+        assert self._rows is None and self._csr is None
         return {
             "node_names": list(self._node_names),
             "gid_out": list(self._gid_out),
@@ -179,6 +208,8 @@ class FlowTable:
             "settles": self.settles,
             "admissions": self.admissions,
             "admissions_coalesced": self.admissions_coalesced,
+            "fill_rounds": self.fill_rounds,
+            "csr_builds": self.csr_builds,
         }
 
     def restore_state(self, state: dict) -> None:
@@ -190,10 +221,8 @@ class FlowTable:
         self._gid_rackout = dict(state["gid_rackout"])
         self._gid_rackin = dict(state["gid_rackin"])
         num = state["num_resources"]
-        if num > len(self._res_capacity):
-            self._res_capacity = np.zeros(
-                max(num, len(self._res_capacity)), dtype=np.float64
-            )
+        if num > self._res_capacity.size:
+            self._resize_resources(num)
         self._res_capacity[:num] = state["res_capacity"]
         self._num_resources = num
         self._last_time = state["last_time"]
@@ -202,6 +231,8 @@ class FlowTable:
         self.settles = state["settles"]
         self.admissions = state["admissions"]
         self.admissions_coalesced = state["admissions_coalesced"]
+        self.fill_rounds = state["fill_rounds"]
+        self.csr_builds = state["csr_builds"]
 
     # -- public API ---------------------------------------------------------
 
@@ -295,12 +326,19 @@ class FlowTable:
 
     # -- interning ------------------------------------------------------------
 
+    def _resize_resources(self, size: int) -> None:
+        """Every per-resource array is sized here, together."""
+        num = self._num_resources
+        for name in ("_res_capacity", "_res_count"):
+            old = getattr(self, name)
+            grown = np.zeros(size, dtype=old.dtype)
+            grown[:num] = old[:num]
+            setattr(self, name, grown)
+
     def _intern_resource(self, capacity: float) -> int:
         gid = self._num_resources
         if gid == self._res_capacity.size:
-            grown = np.zeros(self._res_capacity.size * 2, dtype=np.float64)
-            grown[:gid] = self._res_capacity
-            self._res_capacity = grown
+            self._resize_resources(gid * 2)
         self._res_capacity[gid] = capacity
         self._num_resources = gid + 1
         return gid
@@ -372,6 +410,7 @@ class FlowTable:
         self._active[:m] = True
         self._active[m : self._n] = False
         self._n = m
+        self._rows = self._csr = None
         index: dict[int, list[int]] = {}
         # Rebuilding the node->rows index after compaction is O(F) on a
         # ragged dict-of-lists; it runs once per compaction (not per
@@ -403,6 +442,7 @@ class FlowTable:
             self._grow()
         row = self._n
         self._n += 1
+        self._rows = self._csr = None
         src_i = self._intern_node(src)
         dst_i = self._intern_node(dst)
         local = src == dst
@@ -420,19 +460,21 @@ class FlowTable:
             # Slot order mirrors the reference engine's _resources_for;
             # per-reallocation first-seen order (the water filling's
             # tie-break) scans these slots row-major.
-            res[0] = self._gid_out[src_i]
-            res[1] = self._gid_in[dst_i]
+            gids = [self._gid_out[src_i], self._gid_in[dst_i]]
             if cross:
                 if self._gid_core is None:
                     self._gid_core = self._intern_resource(self.core_bandwidth)
-                res[2] = self._gid_core
+                gids.append(self._gid_core)
                 if self.rack_of and self.rack_bandwidth is not None:
-                    res[3] = self._rack_gid(
-                        self._gid_rackout, self.rack_of.get(src)
+                    gids.append(
+                        self._rack_gid(self._gid_rackout, self.rack_of.get(src))
                     )
-                    res[4] = self._rack_gid(
-                        self._gid_rackin, self.rack_of.get(dst)
+                    gids.append(
+                        self._rack_gid(self._gid_rackin, self.rack_of.get(dst))
                     )
+            for slot, gid in enumerate(gids):  # <= 5 scalar updates
+                res[slot] = gid
+                self._res_count[gid] += 1
         self._on_complete[row] = on_complete
         self._on_fail[row] = on_fail
         self._handles[row] = handle
@@ -446,6 +488,10 @@ class FlowTable:
     def _remove_row(self, row: int) -> None:
         self._active[row] = False
         self._active_count -= 1
+        self._rows = None
+        for gid in self._res[row].tolist():
+            if gid >= 0:
+                self._res_count[gid] -= 1
         handle = self._handles[row]
         if handle is not None:
             handle.done = True  # reference Transfer.done semantics
@@ -475,7 +521,7 @@ class FlowTable:
             return
         self.settles += 1
         elapsed = now - start
-        rows = np.flatnonzero(self._active[: self._n])
+        rows = self._active_rows()
         moved = np.minimum(self._remaining[rows], self._rate[rows] * elapsed)
         self._remaining[rows] -= moved
         pos = moved > 0
@@ -532,13 +578,22 @@ class FlowTable:
         self._dirty = False
         self._reallocate()
 
+    def _active_rows(self) -> np.ndarray:
+        """Active table rows in start order, memoised until the active
+        set changes (a completion reads it three times: settle, due
+        selection, and — recomputed once after the removal — the fill)."""
+        if self._rows is None:
+            self._rows = np.flatnonzero(self._active[: self._n])
+        return self._rows
+
     def _reallocate(self) -> None:
         """Vectorized progressive water-filling + sentinel re-arm."""
         if self._sentinel is not None:
             self._sentinel.cancel()
             self._sentinel = None
-        rows = np.flatnonzero(self._active[: self._n])
+        rows = self._active_rows()
         if rows.size == 0:
+            self._rows = self._csr = None  # drained: see snapshot_state
             return
         self.reallocations += 1
         local = self._local[rows]
@@ -559,58 +614,118 @@ class FlowTable:
             float(tdone.min()), self._on_sentinel
         )
 
+    def _slots(self, rows: np.ndarray | slice) -> np.ndarray:
+        """(len(rows), 5) resource ids of ``rows``; padding maps to an
+        overflow bin G that sorts after, and bins beside, every real id."""
+        res = self._res[rows]
+        return np.where(res >= 0, res, self._num_resources)
+
+    def _member_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """(member rows grouped by resource, group bounds) over the
+        current row layout — the one sort in this module.
+
+        Built on the first multi-round fill after an admission or a
+        compaction and reused by every fill until the next one:
+        completions only clear ``_active`` bits, and because table rows
+        are in admission order (the stable sort keeps flat scan order =
+        row-major = start order) a cached group filtered by the active
+        mask *is* the start-ordered member list the reference engine's
+        insertion-ordered dict yields.
+        """
+        if self._csr is None:
+            self.csr_builds += 1
+            G = self._num_resources
+            # uint32 keys are radix-sortable.
+            flat = self._slots(slice(self._n)).astype(np.uint32).ravel()
+            bounds = np.zeros(G + 2, dtype=np.int64)
+            np.cumsum(np.bincount(flat, minlength=G + 1), out=bounds[1:])
+            self._csr = (np.argsort(flat, kind="stable") // _RES_SLOTS, bounds)
+        return self._csr
+
     def _water_fill(self, net_rows: np.ndarray, order_base: int) -> None:
         """Progressive filling over interned resources, reproducing the
         reference engine's arithmetic — including tie-breaking by
         per-reallocation first-seen resource order and the grouped
         ``share * count`` capacity subtraction — bit for bit.
 
-        Resource ids live in a small dense universe (two per node plus
-        core and rack uplinks), so every per-reallocation structure is a
-        length-G array: no sorting-based interning, and the one stable
-        argsort (the member CSR) runs on a radix-sortable uint32 key.
+        The inputs are table state, not rebuilt per fill: ``count``
+        starts as the incrementally kept ``_res_count`` and
+        ``remaining`` as ``_res_capacity`` (both only ever replaced,
+        never written through), and members come from the cached
+        :meth:`_member_csr`.  Per-fill state is what a round changes:
+        the ``frozen`` row mask, the first-seen tie-break array, and the
+        shrunken ``count``/``remaining`` — each created only by a round
+        that needs it.  Exactness:
+
+        * ``count[b] == left`` means every unfrozen flow is a member of
+          the bottleneck (a flow holds a resource at most once, so
+          ``count[b] <= left`` always): the members are ``net_rows``
+          minus the frozen ones and no CSR is consulted.  With the core
+          switch under every remote flow this is the only round of most
+          fills.
+        * Otherwise members are the bottleneck's cached CSR group minus
+          ``frozen``, which starts as ``~active`` (see
+          :meth:`_member_csr`).
+        * ``first`` (flat position of each resource's first slot in the
+          start-ordered ``net_rows`` matrix — order-isomorphic to table
+          ``row * 5 + slot`` because ``net_rows`` ascends — i.e. the
+          reference dict's insertion order, fixed for the whole fill) is
+          only read to break an exact ratio tie, so it is only built
+          then.
+        * The round that freezes the last flow returns before ``freed``,
+          ``remaining`` and ``count`` are updated: nothing reads them.
         """
         G = self._num_resources
-        R = self._res[net_rows]  # (V, 5) global ids, -1 padding
-        # Padding maps to an overflow bin G that sorts after every real id.
-        Rm = np.where(R >= 0, R, G).astype(np.uint32)
-        flat = Rm.ravel()
-        count = np.bincount(flat, minlength=G + 1)[:G]
-        # First-seen flat position per resource (the reference dict
-        # insertion order, used for min()'s tie-break): reversed fancy
-        # assignment, where the *first* occurrence lands last and wins.
-        first = np.empty(G + 1, dtype=np.int64)
-        positions = np.arange(flat.size, dtype=np.int64)
-        first[flat[::-1]] = positions[::-1]
-        remaining = self._res_capacity[:G].copy()
-        # CSR of members by resource, start-ordered within each group
-        # (stable sort keeps flat scan order = row-major = start order).
-        by_res = np.argsort(flat, kind="stable")
-        member_row = by_res // _RES_SLOTS
-        bounds = np.zeros(G + 1, dtype=np.int64)
-        np.cumsum(count, out=bounds[1:])
-        frozen = np.zeros(net_rows.size, dtype=bool)
+        count = self._res_count[:G]
+        remaining = self._res_capacity[:G]
+        frozen = first = None
         left = net_rows.size
         counter = order_base
-        while left:
+        while True:
+            self.fill_rounds += 1
             ratio = np.where(
                 count > 0, remaining / np.maximum(count, 1), np.inf
             )
             lowest = ratio.min()
             ties = np.flatnonzero(ratio == lowest)
-            b = ties[np.argmin(first[ties])] if ties.size > 1 else ties[0]
-            members = member_row[bounds[b] : bounds[b + 1]]
-            members = members[~frozen[members]]
+            if ties.size > 1:
+                if first is None:
+                    first = self._first_seen(net_rows)
+                b = ties[np.argmin(first[ties])]
+            else:
+                b = ties[0]
             share = remaining[b] / count[b]
-            table_rows = net_rows[members]
-            self._rate[table_rows] = share
-            self._order[table_rows] = counter + np.arange(members.size)
+            if count[b] == left:
+                members = net_rows if frozen is None else net_rows[~frozen[net_rows]]
+            else:
+                if frozen is None:
+                    frozen = ~self._active[: self._n]
+                member_row, bounds = self._member_csr()
+                members = member_row[bounds[b] : bounds[b + 1]]
+                members = members[~frozen[members]]
+            if not 0 < members.size <= left:
+                # Kept counts or a stale CSR disagree with the rows.
+                raise RuntimeError("water-filling made no progress")
+            self._rate[members] = share
+            self._order[members] = counter + np.arange(members.size)
             counter += members.size
-            freed = np.bincount(Rm[members].ravel(), minlength=G + 1)[:G]
-            remaining -= share * freed
-            count -= freed
-            frozen[members] = True
             left -= members.size
+            if not left:
+                return
+            freed = np.bincount(self._slots(members).ravel(), minlength=G + 1)[:G]
+            remaining = remaining - share * freed
+            count = count - freed
+            frozen[members] = True
+
+    def _first_seen(self, net_rows: np.ndarray) -> np.ndarray:
+        """First flat position per resource over the start-ordered
+        ``net_rows`` (the reference dict insertion order, min()'s
+        tie-break): reversed fancy assignment, where the *first*
+        occurrence lands last and wins."""
+        flat = self._slots(net_rows).ravel()
+        first = np.empty(self._num_resources + 1, dtype=np.int64)
+        first[flat[::-1]] = np.arange(flat.size - 1, -1, -1)
+        return first
 
     # -- sentinel ----------------------------------------------------------------
 
@@ -631,7 +746,7 @@ class FlowTable:
             self._reallocate()
             return
         self._settle()
-        rows = np.flatnonzero(self._active[: self._n])
+        rows = self._active_rows()
         due = rows[self._tdone[rows] == self.sim.now]
         if due.size == 0:
             return
@@ -642,7 +757,6 @@ class FlowTable:
             self._remaining[row] = 0.0
         on_complete = self._on_complete[row]
         self._remove_row(row)
-        if self._active_count:
-            self._reallocate()
+        self._reallocate()
         if on_complete is not None:
             on_complete()

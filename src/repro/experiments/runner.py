@@ -136,9 +136,14 @@ def _quiescent(cluster: HadoopCluster, fixer: BlockFixer) -> bool:
     # declare missing — the failure event is not over until they are
     # detected, repaired (or written off as data loss) and all jobs done.
     # ``detection_pending`` reads the columnar per-node counters, so this
-    # per-event-loop check stays O(#dead nodes) at any block count.
-    jobs_done = all(job.is_finished for job in cluster.jobtracker.jobs)
-    return not cluster.namenode.detection_pending() and fixer.idle and jobs_done
+    # per-event-loop check stays O(#dead nodes) at any block count; the
+    # scan over every job ever submitted comes last, so it only runs
+    # once both cheap conjuncts hold.  All three are pure reads.
+    return (
+        fixer.idle
+        and not cluster.namenode.detection_pending()
+        and all(job.is_finished for job in cluster.jobtracker.jobs)
+    )
 
 
 def run_until_quiescent(

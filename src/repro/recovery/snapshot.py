@@ -32,7 +32,7 @@ if TYPE_CHECKING:
 __all__ = ["SNAPSHOT_SCHEMA", "ClusterSnapshot", "restore_run", "snapshot_run"]
 
 #: Bump whenever any subsystem codec changes what it captures.
-SNAPSHOT_SCHEMA = 1
+SNAPSHOT_SCHEMA = 2  # 2: FlowTable fill_rounds / csr_builds counters
 
 
 @dataclass

@@ -14,6 +14,8 @@ complete EC2 failure schedules through both engines.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import FlowTable, MetricsCollector, Simulation, ec2_config
 from repro.codes import xorbas_lrc
@@ -167,6 +169,136 @@ def test_abort_callback_starting_new_transfers():
 
 
 # ---------------------------------------------------------------------------
+# Storm-shaped differential: hundreds of flows admitted at one instant
+# ---------------------------------------------------------------------------
+#
+# drive_random_schedule never holds more than a few dozen flows, so it
+# never compacts the table (> 64 rows), never reuses a member CSR across
+# hundreds of completions and rarely ties.  These do.
+
+
+def storm_flows(shape: str) -> tuple[dict, list[tuple[str, str, float]]]:
+    """Engine kwargs and the (src, dst, size) burst admitted at t = 0."""
+    if shape == "core_bound":
+        # 400 equal flows on 20 nodes under a core slower than one NIC:
+        # the core is every fill's only bottleneck down to the last
+        # flow, and the whole burst is due at the same instant.
+        kwargs = dict(node_bandwidth=100.0, core_bandwidth=90.0)
+        flows = [
+            (f"n{i % 20}", f"n{(i + 1 + i // 20) % 20}", 100.0) for i in range(400)
+        ]
+    elif shape == "nic_fan_in":
+        # 8 sinks x 30 sources under an idle core: the sink NICs start
+        # at exactly equal capacity/count (first-seen tie-break), and
+        # fills take several rounds.
+        kwargs = dict(node_bandwidth=100.0, core_bandwidth=1e6)
+        flows = [
+            (f"s{s}", f"k{k}", (100.0, 100.0, 200.0, 400.0)[(s + k) % 4])
+            for s in range(30)
+            for k in range(8)
+        ]
+    else:
+        assert shape == "racked"
+        nodes = [f"n{i}" for i in range(18)]
+        kwargs = dict(
+            node_bandwidth=100.0,
+            core_bandwidth=400.0,
+            rack_of={n: i % 3 for i, n in enumerate(nodes)},
+            rack_bandwidth=150.0,
+        )
+        rng = np.random.default_rng(11)
+        flows = [
+            (nodes[s], nodes[d], float(rng.choice([50.0, 100.0, 100.0, 300.0])))
+            for s, d in rng.integers(0, 18, (300, 2))
+        ]
+    return kwargs, flows
+
+
+def drive_storm(engine, kwargs: dict, flows, abort_at: float, victim: str):
+    """Admit ``flows`` at one instant; every third first-generation
+    completion admits a reversed flow from inside its callback (i.e.
+    while the rest of its tie group is still due), and ``victim`` dies
+    mid-drain."""
+    sim = Simulation()
+    metrics = MetricsCollector(bucket_width=7.0)
+    net = engine(sim, metrics, **kwargs)
+    log: list[tuple] = []
+
+    def start(i, src, dst, size):
+        def done():
+            log.append(("done", i, sim.now))
+            if i < len(flows) and i % 3 == 0:
+                start(len(flows) + i, dst, src, size / 2)
+
+        net.start_transfer(
+            src,
+            dst,
+            size,
+            on_complete=done,
+            on_fail=lambda: log.append(("fail", i, sim.now)),
+            disk_read=i % 2 == 0,
+        )
+
+    for i, flow in enumerate(flows):
+        start(i, *flow)
+    sim.schedule(abort_at, lambda: net.abort_node(victim))
+    sim.run()
+    return log, metrics, net
+
+
+@pytest.mark.parametrize(
+    "shape, abort_at, victim",
+    [("core_bound", 80.0, "n3"), ("nic_fan_in", 9.0, "k2"), ("racked", 30.0, "n4")],
+)
+def test_storm_bit_identical_dynamics(shape, abort_at, victim):
+    kwargs, flows = storm_flows(shape)
+    log_a, metrics_a, net_a = drive_storm(Network, kwargs, flows, abort_at, victim)
+    log_b, metrics_b, net_b = drive_storm(FlowTable, kwargs, flows, abort_at, victim)
+    assert log_a == log_b
+    assert np.isclose(net_a.cross_rack_bytes, net_b.cross_rack_bytes, rtol=1e-9)
+    approx_equal_metrics(metrics_a, metrics_b)
+    # The schedule really exercised what it is here for.
+    times = [entry[2] for entry in log_b]
+    assert any(kind == "fail" for kind, _, _ in log_b)
+    assert len(times) - len(set(times)) > 50  # same-instant completions
+    if shape == "core_bound":
+        assert net_b.fill_rounds == net_b.reallocations
+    else:
+        assert net_b.fill_rounds > net_b.reallocations
+        assert 1 <= net_b.csr_builds < net_b.reallocations / 4
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    num_nodes=st.integers(3, 12),
+    num_flows=st.integers(1, 90),
+    sizes=st.lists(st.sampled_from([25.0, 50.0, 100.0, 400.0]), min_size=1, max_size=3),
+    num_racks=st.sampled_from([0, 2, 3]),
+    seed=st.integers(0, 2**16),
+)
+def test_random_storms_bit_identical_dynamics(num_nodes, num_flows, sizes, num_racks, seed):
+    nodes = [f"n{i}" for i in range(num_nodes)]
+    kwargs = dict(node_bandwidth=100.0, core_bandwidth=250.0)
+    if num_racks:
+        kwargs.update(
+            rack_of={n: i % num_racks for i, n in enumerate(nodes)}, rack_bandwidth=150.0
+        )
+    rng = np.random.default_rng(seed)
+    flows = [
+        (nodes[s], nodes[d], float(rng.choice(sizes)))
+        for s, d in rng.integers(0, num_nodes, (num_flows, 2))
+    ]
+    # The abort must not share an instant with a completion: an outside
+    # event scheduled between an admission and its (deferred) flush sorts
+    # ahead of the FlowTable's sentinel but behind the reference's
+    # per-flow completion events.  No completion time is exactly 0.73.
+    log_a, metrics_a, _ = drive_storm(Network, kwargs, flows, 0.73, "n0")
+    log_b, metrics_b, _ = drive_storm(FlowTable, kwargs, flows, 0.73, "n0")
+    assert log_a == log_b
+    approx_equal_metrics(metrics_a, metrics_b)
+
+
+# ---------------------------------------------------------------------------
 # Max-min fairness property (both engines)
 # ---------------------------------------------------------------------------
 
@@ -293,6 +425,67 @@ def test_same_instant_admissions_coalesce_to_one_reallocation():
     # One flush for the whole burst, then one reallocation per completion
     # (the last completion empties the table and skips it).
     assert net.reallocations == 200
+
+
+@pytest.mark.parametrize("core_bound", [True, False], ids=["core", "nic"])
+def test_fill_counters_pin_the_incremental_reallocation(core_bound):
+    """A drain of F flows is F fills that rebuild nothing: no member CSR
+    at all while one resource bottlenecks every flow (one round per
+    fill), and one CSR for the whole drain otherwise — completions
+    reuse it, only an admission or a compaction drops it."""
+    F = 300
+    sim = Simulation()
+    net = FlowTable(sim, MetricsCollector(), 100.0, 90.0 if core_bound else 1e6)
+    done = []
+    for i in range(F):
+        net.start_transfer(
+            f"s{i % 30}", f"d{i % 7}", 100.0 + i, lambda i=i: done.append(i)
+        )
+    sim.run()
+    assert len(done) == F
+    assert net.reallocations == F
+    if core_bound:
+        assert net.fill_rounds == net.reallocations
+        assert net.csr_builds == 0
+    else:
+        assert net.fill_rounds > net.reallocations
+        assert net.csr_builds == 1
+
+
+def test_restore_into_fresh_table_resumes_bit_identically():
+    """40 nodes intern 81 resources, more than a fresh table's initial
+    per-resource capacity: restore_state must size every per-resource
+    array, not just the capacities, or the first admission after resume
+    indexes out of bounds."""
+    nodes = [f"n{i}" for i in range(40)]
+
+    def storm(sim, net, log, tag):
+        rng = np.random.default_rng(3)
+        for i, (s, d) in enumerate(rng.integers(0, 40, (200, 2))):
+            size = float(rng.choice([50.0, 100.0, 300.0]))
+            net.start_transfer(
+                nodes[s], nodes[d], size, lambda i=i: log.append((tag, i, sim.now))
+            )
+        sim.run()
+
+    def run(resume: bool):
+        sim = Simulation()
+        metrics = MetricsCollector()
+        net = FlowTable(sim, metrics, 100.0, 250.0)
+        log: list[tuple] = []
+        storm(sim, net, log, "first")
+        if resume:
+            state = net.snapshot_state()
+            net = FlowTable(sim, metrics, 100.0, 250.0)
+            net.restore_state(state)
+        storm(sim, net, log, "second")
+        state = net.snapshot_state()
+        state["res_capacity"] = state["res_capacity"].tolist()
+        return log, state
+
+    log, state = run(resume=False)
+    assert len(log) == 400 and state["num_resources"] == 81
+    assert run(resume=True) == (log, state)
 
 
 def test_single_sentinel_event_not_per_flow_events():
