@@ -5,8 +5,9 @@ recreate path); at warehouse scale that is tens of thousands of
 per-block repair decisions, each a pure function of (code, position,
 readable pattern).  The spec plans block by block, rebuilding the
 available-position set from the namenode for each; the engine computes
-readable bitmasks in one columnar BlockIndex pass and runs the
-RepairPlanner once per *distinct* (code, position, pattern) key.
+readable bitmasks in one columnar BlockIndex pass and hands them to the
+RepairPlanner as they are, whose memo decides once per *distinct*
+(code, position, pattern) key.
 
 The gate (``decommission_speedup``): planning the drain of one node in
 a 15,000-file LRC cluster (with a second node already dead, so plans

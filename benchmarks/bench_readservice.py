@@ -6,7 +6,7 @@ the simulator: one Python callback per client read caps it around tens
 of thousands of reads.  The vectorized
 :class:`~repro.cluster.readservice.ReadServiceEngine` replays the whole
 schedule as array passes — searchsorted availability checks over merged
-per-node outage windows, planner decisions interned per erasure-pattern
+per-node outage windows, one planner call per distinct erasure-pattern
 bitmask, batched latency accounting.
 
 The gate: one million client reads over a six-hour horizon (the paper's

@@ -36,6 +36,7 @@ from repro.codes import (
     rs_10_4,
     xorbas_lrc,
 )
+from repro.codes.base import mask_of
 from repro.difftest import gate_speedup, timed
 from repro.spec import GatherCodecEngine
 
@@ -53,7 +54,7 @@ def test_xor_plane_light_repair_10x_over_gather_and_identical():
     data3d = code.field.random_elements(rng, (STRIPES, code.k, PAYLOAD_BYTES))
     coded = code.encode_stripes(data3d)
 
-    decision = code.planner.plan_block(lost, set(range(code.n)) - {lost})
+    decision = code.planner.plan_block(lost, mask_of(range(code.n)))
     assert decision.light and decision.xor_stream
     light_available = {
         p: np.ascontiguousarray(coded[:, p, :]) for p in decision.sources

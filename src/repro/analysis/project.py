@@ -106,7 +106,10 @@ class ConformanceRule(ProjectRule):
         "EnginePair('widget', ..., gate='widget_speedup')\n"
         "# plus tests/test_widget.py referencing spec and engine"
     )
-    escape = "# reprolint: disable=RL003 on the registration line"
+    escape = (
+        "none — no pragma silences RL003: fix the registration (add the "
+        "differential test or the gate metric) or delete the dead baseline key"
+    )
 
     def check(self, graph):
         tests = [
@@ -182,7 +185,10 @@ class GateRoundtripRule(ProjectRule):
     )
     example_bad = "gate_speedup('newbench', spec_s, engine_s)  # key missing"
     example_good = '"gated": {"newbench_speedup": 10.0}  # in the baseline'
-    escape = "# reprolint: disable=RL007 on the gate_speedup line"
+    escape = (
+        "none — no pragma silences RL007: add the '<name>_speedup' key to "
+        "the gated block of bench_baseline.json"
+    )
 
     def check(self, graph):
         violations: list[RuleViolation] = []

@@ -29,6 +29,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
+from ..codes.base import mask_of, positions_of
 from .blocks import BlockId, Stripe, encode_stripe_payloads
 from .mapreduce import MapReduceJob, Task
 
@@ -47,30 +48,25 @@ class RepairVerificationError(Exception):
     """A rebuilt block did not match the stripe's ground-truth payload."""
 
 
-def _available_with_virtual(cluster: "HadoopCluster", stripe: Stripe) -> set[int]:
-    """Positions usable by a decoder: readable blocks + known-zero padding."""
-    return cluster.usable_positions(stripe)
-
-
-def _payload_map(stripe: Stripe, positions: set[int]):
+def _payload_map(stripe: Stripe, usable: int):
     if stripe.payload is None:
         return None
-    return {p: stripe.payload[p] for p in positions}
+    return {p: stripe.payload[p] for p in positions_of(usable)}
 
 
 class PayloadRepairBatch:
     """Precomputed payload rebuilds for one BlockFixer scan pass.
 
-    At scan time every dirty stripe is registered with its missing
-    positions and usable pattern; stripes sharing a pattern are stacked
-    and rebuilt through the codec engine in one call (cached
-    reconstruction matrix + one batched product, or one batched XOR per
-    light plan).  Repair tasks then fetch their block's precomputed
-    rebuild at verify time — falling back to the scalar path if the
-    erasure pattern *or the survivor bytes themselves* changed while the
-    task was in flight (each entry carries a CRC of the survivor
-    payloads it was computed from, so an in-place corruption between
-    scan and verify cannot be masked by a stale rebuild).
+    At scan time every dirty stripe is registered with its missing and
+    usable pattern bitmasks; stripes sharing a pattern are stacked and
+    rebuilt through the codec engine in one call (cached reconstruction
+    matrix + one batched product, or one batched XOR per light plan).
+    Repair tasks then fetch their block's precomputed rebuild at verify
+    time — rebuilding through the same batched API, as a batch of one,
+    if the erasure pattern *or the survivor bytes themselves* changed
+    while the task was in flight (each entry carries a CRC of the
+    survivor payloads it was computed from, so an in-place corruption
+    between scan and verify cannot be masked by a stale rebuild).
     """
 
     def __init__(self) -> None:
@@ -79,7 +75,7 @@ class PayloadRepairBatch:
         self.stripes = 0
 
     @staticmethod
-    def _key(stripe: Stripe, position: int, usable: frozenset) -> tuple:
+    def _key(stripe: Stripe, position: int, usable: int) -> tuple:
         return (stripe.file_name, stripe.index, position, usable)
 
     @staticmethod
@@ -92,9 +88,7 @@ class PayloadRepairBatch:
             )
         return crc
 
-    def schedule(
-        self, entries: list[tuple[Stripe, tuple[int, ...], frozenset]]
-    ) -> None:
+    def schedule(self, entries: list[tuple[Stripe, int, int]]) -> None:
         """Register and batch-rebuild ``(stripe, missing, usable)`` entries."""
         # Stripes whose payload encode was deferred get it here in one
         # batched call, not one lazy scalar encode each below.
@@ -109,20 +103,20 @@ class PayloadRepairBatch:
             self._rebuild_group(members, missing, usable)
 
     def _rebuild_group(
-        self, members: list[Stripe], missing: tuple[int, ...], usable: frozenset
+        self, members: list[Stripe], missing: int, usable: int
     ) -> None:
         code = members[0].code
         planner = code.planner
         available = {
             p: np.stack([stripe.payload[p] for stripe in members])
-            for p in sorted(usable)
+            for p in positions_of(usable)
         }
         fingerprints = [
             self._fingerprint({p: plane[s] for p, plane in available.items()})
             for s in range(len(members))
         ]
         heavy: list[int] = []
-        for position in missing:
+        for position in positions_of(missing):
             decision = planner.plan_block(position, usable)
             if decision.light:
                 rebuilt = code.repair_stripes(position, available)
@@ -142,7 +136,7 @@ class PayloadRepairBatch:
         members: list[Stripe],
         fingerprints: list[int],
         position: int,
-        usable: frozenset,
+        usable: int,
         rebuilt: np.ndarray,
     ) -> None:
         for index, stripe in enumerate(members):
@@ -155,7 +149,7 @@ class PayloadRepairBatch:
         self,
         stripe: Stripe,
         position: int,
-        usable: set[int],
+        usable: int,
         payloads: dict[int, np.ndarray],
     ) -> np.ndarray | None:
         """The precomputed rebuild, or None if anything changed.
@@ -163,7 +157,7 @@ class PayloadRepairBatch:
         ``payloads`` are the survivor bytes as seen at verify time; a
         CRC mismatch against the scan-time bytes invalidates the entry.
         """
-        entry = self._rebuilt.get(self._key(stripe, position, frozenset(usable)))
+        entry = self._rebuilt.get(self._key(stripe, position, usable))
         if entry is None:
             return None
         fingerprint, rebuilt = entry
@@ -199,10 +193,9 @@ class LightRepairTask(Task):
             self.fixer.release(block)
             finish(True)
             return
-        usable = _available_with_virtual(cluster, stripe)
-        decision = stripe.code.planner.plan_block(
-            position, usable, readable=cluster.namenode.available_positions(stripe)
-        )
+        readable = cluster.namenode.readable_bits(stripe)
+        usable = readable | stripe.virtual_bits
+        decision = stripe.code.planner.plan_block(position, usable, readable)
         if not decision.feasible:
             self.fixer.record_data_loss(cluster, block)
             finish(True)
@@ -246,7 +239,7 @@ class LightRepairTask(Task):
             node_id, stripe, sources, on_done=after_read, on_fail=lambda: finish(False)
         )
 
-    def _verify(self, cluster: "HadoopCluster", usable: set[int]) -> None:
+    def _verify(self, cluster: "HadoopCluster", usable: int) -> None:
         payloads = _payload_map(self.stripe, usable)
         if payloads is None:
             return
@@ -255,8 +248,8 @@ class LightRepairTask(Task):
             rebuilt = self.batch.rebuilt_block(
                 self.stripe, self.position, usable, payloads
             )
-        if rebuilt is None:  # pattern/bytes changed mid-flight: scalar fallback
-            rebuilt = self.stripe.code.repair(self.position, payloads)
+        if rebuilt is None:  # pattern/bytes changed mid-flight: a batch of one
+            rebuilt = self.stripe.code.repair_stripes(self.position, payloads)[0]
         if not self.stripe.verify_rebuilt(self.position, rebuilt):
             raise RepairVerificationError(
                 f"rebuilt {self.stripe.block_id(self.position)} does not match"
@@ -301,9 +294,10 @@ class StripeRepairTask(Task):
                 self.fixer.release(block)
             finish(True)
             return
-        usable = _available_with_virtual(cluster, stripe)
+        readable = cluster.namenode.readable_bits(stripe)
+        usable = readable | stripe.virtual_bits
         decision = stripe.code.planner.plan_stripe(
-            missing, usable, readable=cluster.namenode.available_positions(stripe)
+            mask_of(missing), usable, readable
         )
         if not decision.feasible:
             for position in missing:
@@ -352,7 +346,7 @@ class StripeRepairTask(Task):
             node_id, stripe, sources, on_done=after_read, on_fail=lambda: finish(False)
         )
 
-    def _verify(self, cluster: "HadoopCluster", usable: set[int], missing: list[int]) -> None:
+    def _verify(self, cluster: "HadoopCluster", usable: int, missing: list[int]) -> None:
         payloads = _payload_map(self.stripe, usable)
         if payloads is None:
             return
@@ -447,8 +441,8 @@ class BlockFixer:
     def scan(self) -> MapReduceJob | None:
         """One scan pass: build and submit a repair job if needed.
 
-        The repair queue — dirty stripes with their missing positions
-        and decoder-usable patterns — is built in one columnar pass over
+        The repair queue — dirty stripes with their missing and
+        decoder-usable pattern bitmasks — is built in one columnar pass over
         the NameNode's BlockIndex, and all payload rebuilds for the pass
         are precomputed in batched codec-engine calls: one
         reconstruction per erasure pattern, not per stripe.
@@ -458,7 +452,7 @@ class BlockFixer:
         if not queue:
             return None
         batch = PayloadRepairBatch()
-        entries: list[tuple[Stripe, tuple[int, ...], frozenset]] = []
+        entries: list[tuple[Stripe, int, int]] = []
         tasks: list[Task] = []
         for entry in queue:
             stripe = entry.stripe

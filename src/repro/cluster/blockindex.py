@@ -25,6 +25,13 @@ instead of Python loops over dicts and sets.
 
 Virtual (zero-padding) positions own rows but are never placed, so the
 stored/available masks exclude them for free.
+
+Erasure patterns leave this module as int bitmasks (bit ``p`` set iff
+position ``p``; :func:`repro.codes.base.mask_of`), the form the
+:class:`~repro.codes.engine.RepairPlanner` keys on: repair-queue entries
+carry their missing/usable masks as packed.  The packing is vectorised
+int64, which is why ``register_stripe`` rejects stripes wider than 62
+blocks (the paper's codes have n ≤ 16).
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ..codes.base import positions_of
 from .blocks import BlockId, Stripe, block_kind
 
 __all__ = ["BlockIndex", "RepairQueueEntry"]
@@ -41,20 +49,24 @@ __all__ = ["BlockIndex", "RepairQueueEntry"]
 KIND_NAMES = ("data", "parity", "local_parity")
 _KIND_CODE = {name: code for code, name in enumerate(KIND_NAMES)}
 
+#: Widest stripe the index accepts: pattern bitmasks are packed into
+#: int64 columns, and bit 62 is the last one below the sign bit.
+_MAX_STRIPE_WIDTH = 62
+
 
 class RepairQueueEntry(NamedTuple):
     """One dirty stripe of a BlockFixer scan, fully resolved.
 
     ``blocks`` are the missing blocks *not* already under repair (what
-    the scan dispatches, sorted by position); ``missing`` is every
-    missing position of the stripe; ``usable`` is the decoder's view:
-    readable positions plus known-zero padding.
+    the scan dispatches, sorted by position); ``missing`` is the bitmask
+    of every missing position of the stripe; ``usable`` is the decoder's
+    view as a bitmask: readable positions plus known-zero padding.
     """
 
     stripe: Stripe
     blocks: tuple[BlockId, ...]
-    missing: tuple[int, ...]
-    usable: frozenset[int]
+    missing: int
+    usable: int
 
 
 class BlockIndex:
@@ -102,12 +114,6 @@ class BlockIndex:
         self._stripe_rank: np.ndarray | None = None  # reprolint: transient
         # Per-code kind row template, computed once per code object.
         self._kind_template: dict[int, np.ndarray] = {}  # reprolint: transient
-        # Interning caches for the bulk repair-queue builder: erasure
-        # patterns repeat massively across stripes (a node failure gives
-        # at most n distinct patterns), so sets/tuples are built once
-        # per distinct bitmask, not once per stripe.
-        self._usable_cache: dict[int, frozenset[int]] = {}  # reprolint: transient
-        self._missing_cache: dict[int, tuple[int, ...]] = {}  # reprolint: transient
 
         self.stored_count = 0
         self.missing_count = 0
@@ -189,8 +195,15 @@ class BlockIndex:
         sid = self._sid_by_key.get(key)
         if sid is not None:
             return sid
-        sid = len(self.stripes)
         n = stripe.n
+        if n > _MAX_STRIPE_WIDTH:
+            raise ValueError(
+                f"stripe {stripe.file_name}/s{stripe.index} is {n} blocks "
+                "wide: the columnar index packs erasure patterns into int64 "
+                f"bitmasks and supports at most {_MAX_STRIPE_WIDTH} blocks "
+                "per stripe"
+            )
+        sid = len(self.stripes)
         base = self.rows_used
         self._ensure_capacity(base + n)
         rows = slice(base, base + n)
@@ -206,12 +219,9 @@ class BlockIndex:
         self._base_array = self._n_array = None
         self._stripe_files.append(stripe.file_name)
         self._stripe_indices.append(stripe.index)
-        # Zero-padding positions [data_blocks, k) as a pattern bitmask,
-        # precomputed so the repair-queue builder never touches the
-        # Stripe object (0 for stripes too wide for 62-bit masks).
-        self._virtual_bits.append(
-            (1 << stripe.code.k) - (1 << stripe.data_blocks) if n <= 62 else 0
-        )
+        # Precomputed so the repair-queue builder never touches the
+        # Stripe object.
+        self._virtual_bits.append(stripe.virtual_bits)
         self._sid_by_key[key] = sid
         self._stripe_rank = None  # ranks are stale until rebuilt
         return sid
@@ -379,52 +389,45 @@ class BlockIndex:
             return []
         return [int(p) for p in np.flatnonzero(self.missing[rows])]
 
-    # -- pattern bitmasks (for the spec/engine planners) ----------------------
+    # -- pattern bitmasks ----------------------------------------------------
 
-    def virtual_bits_of(self, sids: np.ndarray) -> np.ndarray:
-        """Zero-padding bitmask per stripe id (0 for stripes wider than 62)."""
-        return np.asarray(self._virtual_bits, dtype=np.int64)[sids]
+    def _slab(self, sids: np.ndarray, n: int) -> np.ndarray:
+        """Row indices of a batch of width-``n`` stripes: ``(stripes, n)``."""
+        return self.stripe_base[sids][:, None] + np.arange(n, dtype=np.int64)
+
+    @staticmethod
+    def _pack_bits(plane: np.ndarray) -> np.ndarray:
+        """One int64 bitmask per row of a ``(stripes, n)`` boolean plane."""
+        return plane @ (1 << np.arange(plane.shape[1], dtype=np.int64))
+
+    def _readable_bits(self, slab: np.ndarray, exclude_node: int) -> np.ndarray:
+        """One readable-position bitmask per row of ``slab``: a position
+        is readable when its block is placed on an alive node other than
+        ``exclude_node``."""
+        nodes = self.node[slab]
+        # One gather resolves stored + alive: appending False lets the
+        # unplaced marker (-1) index the sentinel slot.
+        alive_lookup = np.concatenate((self.node_alive, [False]))
+        readable = alive_lookup[nodes]
+        if exclude_node >= 0:
+            readable &= nodes != exclude_node
+        return self._pack_bits(readable)
 
     def readable_bits(
         self, sids: np.ndarray, n: int, exclude_node: int = -1
     ) -> np.ndarray:
-        """Readable-position bitmasks for a batch of width-``n`` stripes.
-
-        A position is readable when its block is placed on an alive node
+        """Readable-position bitmasks for a batch of width-``n`` stripes
         (optionally excluding ``exclude_node`` — the decommission
-        planner's "never read the retiring node" constraint).
-        """
-        if n > 62:
-            raise ValueError("pattern bitmasks need stripe width <= 62")
-        bases = self.stripe_base[sids]
-        slab = bases[:, None] + np.arange(n, dtype=np.int64)[None, :]
-        nodes = self.node[slab]
-        alive_lookup = np.concatenate((self.node_alive, [False]))
-        readable = alive_lookup[nodes]
-        if exclude_node >= 0:
-            readable &= nodes != exclude_node
-        weights = 1 << np.arange(n, dtype=np.int64)
-        return readable @ weights
+        planner's "never read the retiring node" constraint)."""
+        return self._readable_bits(self._slab(sids, n), exclude_node)
 
     def stripe_readable_bits(self, stripe: Stripe, exclude_node: int = -1) -> int:
-        """One stripe's current readable bitmask (scalar fast path)."""
+        """One stripe's current readable bitmask (0 when unregistered)."""
         rows = self.stripe_rows(stripe)
         if rows is None:
             return 0
-        nodes = self.node[rows]
-        alive_lookup = np.concatenate((self.node_alive, [False]))
-        readable = alive_lookup[nodes]
-        if exclude_node >= 0:
-            readable &= nodes != exclude_node
-        n = rows.stop - rows.start
-        if n > 62:
-            raise ValueError("pattern bitmasks need stripe width <= 62")
-        weights = 1 << np.arange(n, dtype=np.int64)
-        return int(readable @ weights)
-
-    def interned_positions(self, bits: int, n: int) -> frozenset[int]:
-        """The position set a bitmask denotes, interned per distinct mask."""
-        return self._interned_usable(bits, n)
+        slab = np.arange(rows.start, rows.stop)[None, :]
+        return int(self._readable_bits(slab, exclude_node)[0])
 
     # -- cluster health -------------------------------------------------------
 
@@ -439,20 +442,6 @@ class BlockIndex:
 
     # -- the bulk repair-queue builder ---------------------------------------
 
-    def _interned_usable(self, bits: int, n: int) -> frozenset[int]:
-        cached = self._usable_cache.get(bits)
-        if cached is None:
-            cached = frozenset(p for p in range(n) if bits >> p & 1)
-            self._usable_cache[bits] = cached
-        return cached
-
-    def _interned_missing(self, bits: int, n: int) -> tuple[int, ...]:
-        cached = self._missing_cache.get(bits)
-        if cached is None:
-            cached = tuple(p for p in range(n) if bits >> p & 1)
-            self._missing_cache[bits] = cached
-        return cached
-
     def build_repair_queue(
         self, exclude_rows: np.ndarray | None = None
     ) -> list[RepairQueueEntry]:
@@ -461,10 +450,9 @@ class BlockIndex:
         One pass over the columns builds, for every dirty stripe (in
         BlockId order): the pending blocks (missing minus ``exclude_rows``,
         the fixer's in-repair set), every missing position, and the
-        decoder-usable set (readable + virtual zero padding).  Erasure
-        patterns are computed as bitmasks on the stacked slabs and
-        interned, so the Python-object cost is per *distinct pattern*,
-        not per stripe.
+        decoder-usable pattern (readable + virtual zero padding).  The
+        patterns are computed as bitmasks on the stacked slabs and the
+        entries carry them as they are.
         """
         pending = self.missing_rows()
         excluding = exclude_rows is not None and exclude_rows.size > 0
@@ -498,43 +486,20 @@ class BlockIndex:
     ) -> list[RepairQueueEntry]:
         """``pending is None`` means nothing is excluded: every missing
         block is dispatchable, so the dispatch plane is the missing one."""
-        bases = self.stripe_base[sids]
-        slab = bases[:, None] + np.arange(n, dtype=np.int64)[None, :]
-        nodes = self.node[slab]
-        # One gather resolves stored + alive: appending False lets the
-        # unplaced marker (-1) index the sentinel slot.
-        alive_lookup = np.concatenate((self.node_alive, [False]))
-        readable = alive_lookup[nodes]
-        missing = self.missing[slab]
-        if pending is None:
-            dispatch = missing
-        else:
-            pending_mask = np.zeros(self.rows_used, dtype=bool)
-            pending_mask[pending] = True
-            dispatch = pending_mask[slab]
-
-        if n > 62:
-            # Pattern bitmasks would overflow int64 (archival sweeps use
-            # stripes of 100+ blocks); build the sets row by row instead.
-            return self._queue_wide(sids, readable, missing, dispatch)
-
-        weights = 1 << np.arange(n, dtype=np.int64)
-        readable_bits = (readable @ weights).tolist()
-        missing_bits = (missing @ weights).tolist()
+        slab = self._slab(sids, n)
+        readable_bits = self._readable_bits(slab, -1).tolist()
+        missing_bits = self._pack_bits(self.missing[slab]).tolist()
         if pending is None:
             dispatch_bits = missing_bits
         else:
-            dispatch_bits = (dispatch @ weights).tolist()
+            pending_mask = np.zeros(self.rows_used, dtype=bool)
+            pending_mask[pending] = True
+            dispatch_bits = self._pack_bits(pending_mask[slab]).tolist()
 
         entries: list[RepairQueueEntry] = []
         append = entries.append
         stripes, files, indices = self.stripes, self._stripe_files, self._stripe_indices
         virtuals = self._virtual_bits
-        missing_cache, usable_cache = self._missing_cache, self._usable_cache
-        interned_missing, interned_usable = (
-            self._interned_missing,
-            self._interned_usable,
-        )
         # tuple.__new__ is the C-level constructor both NamedTuples wrap;
         # calling it directly skips the generated __new__ in this
         # per-dirty-stripe loop (the only O(dirty stripes) Python left).
@@ -544,62 +509,24 @@ class BlockIndex:
         for sid, dbits, mbits, rbits in zip(
             sids.tolist(), dispatch_bits, missing_bits, readable_bits
         ):
-            to_dispatch = missing_cache.get(dbits)
-            if to_dispatch is None:
-                to_dispatch = interned_missing(dbits, n)
-            if not to_dispatch:
+            if not dbits:
                 continue
-            if mbits == dbits:
-                missing_tuple = to_dispatch
-            else:
-                missing_tuple = missing_cache.get(mbits)
-                if missing_tuple is None:
-                    missing_tuple = interned_missing(mbits, n)
-            bits = rbits | virtuals[sid]
-            usable = usable_cache.get(bits)
-            if usable is None:
-                usable = interned_usable(bits, n)
             file_name, index = files[sid], indices[sid]
-            if len(to_dispatch) == 1:  # the common one-lost-block stripe
-                blocks = (
-                    tuple_new(block_cls, (file_name, index, to_dispatch[0])),
-                )
-            else:
+            if dbits & (dbits - 1):
                 blocks = tuple(
                     tuple_new(block_cls, (file_name, index, p))
-                    for p in to_dispatch
+                    for p in positions_of(dbits)
+                )
+            else:  # the common one-lost-block stripe: a single set bit
+                blocks = (
+                    tuple_new(
+                        block_cls, (file_name, index, dbits.bit_length() - 1)
+                    ),
                 )
             append(
                 tuple_new(
-                    entry_cls, (stripes[sid], blocks, missing_tuple, usable)
-                )
-            )
-        return entries
-
-    def _queue_wide(
-        self,
-        sids: np.ndarray,
-        readable: np.ndarray,
-        missing: np.ndarray,
-        dispatch: np.ndarray,
-    ) -> list[RepairQueueEntry]:
-        entries: list[RepairQueueEntry] = []
-        for i, sid in enumerate(sids.tolist()):
-            stripe = self.stripes[sid]
-            to_dispatch = tuple(int(p) for p in np.flatnonzero(dispatch[i]))
-            if not to_dispatch:
-                continue
-            usable = {int(p) for p in np.flatnonzero(readable[i])}
-            usable.update(range(stripe.data_blocks, stripe.code.k))
-            entries.append(
-                RepairQueueEntry(
-                    stripe=stripe,
-                    blocks=tuple(
-                        BlockId(stripe.file_name, stripe.index, p)
-                        for p in to_dispatch
-                    ),
-                    missing=tuple(int(p) for p in np.flatnonzero(missing[i])),
-                    usable=frozenset(usable),
+                    entry_cls,
+                    (stripes[sid], blocks, mbits, rbits | virtuals[sid]),
                 )
             )
         return entries

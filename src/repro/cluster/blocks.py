@@ -147,6 +147,12 @@ class Stripe:
         """Zero-padding positions: known-zero, never stored or read."""
         return self.data_blocks <= position < self.code.k
 
+    @property
+    def virtual_bits(self) -> int:
+        """The zero-padding positions ``[data_blocks, k)`` as a pattern
+        bitmask: what a decoder may use on top of the readable blocks."""
+        return (1 << self.code.k) - (1 << self.data_blocks)
+
     def stored_positions(self) -> list[int]:
         """Positions that exist on disk: real data, plus parities once the
         stripe has been RAIDed."""

@@ -11,6 +11,11 @@ touching the retiring node.
 receiving placements immediately, one task per resident block rebuilds
 it elsewhere (light decoder first, always excluding the retiring node as
 a source), and the node is retired once empty.
+
+Planning is one function of ``(stripe, position, readable bitmask)``:
+the bulk planner packs the bitmasks of all the node's blocks in one
+columnar pass, a task whose stripe has changed since asks the NameNode
+for the current one, and both hand it straight to the ``RepairPlanner``.
 """
 
 from __future__ import annotations
@@ -49,28 +54,22 @@ class RecreateDecision(NamedTuple):
     readable_bits: int
 
 
-def _plan_one(
-    cluster: "HadoopCluster", stripe: Stripe, position: int, retiring: str
+def _recreate_decision(
+    stripe: Stripe, position: int, readable_bits: int
 ) -> RecreateDecision:
-    """The scalar per-block plan: the original RecreateBlockTask logic."""
-    available = {
-        p: node
-        for p, node in cluster.namenode.available_positions(stripe).items()
-        if node != retiring
-    }
-    usable = cluster.usable_positions(stripe, available)
-    decision = stripe.code.planner.plan_block(position, usable, readable=available)
-    if decision.light:
-        kind, sources = "light", tuple(decision.sources)
-    elif decision.feasible:
-        kind, sources = "heavy", tuple(decision.sources)
-    else:
-        kind, sources = "copy", ()
+    """Plan one departing block under ``readable_bits``, the stripe's
+    readable pattern with the retiring node already excluded."""
+    decision = stripe.code.planner.plan_block(
+        position, readable_bits | stripe.virtual_bits, readable_bits
+    )
+    # Direct BlockId construction: block_id()'s is-virtual guard cannot
+    # fire here (virtual positions are never placed, and every caller's
+    # position comes from the placement index).
     return RecreateDecision(
-        block=stripe.block_id(position),
-        kind=kind,
-        sources=sources,
-        readable_bits=sum(1 << p for p in available),
+        block=BlockId(stripe.file_name, stripe.index, position),
+        kind=decision.kind if decision.feasible else "copy",
+        sources=decision.sources,
+        readable_bits=readable_bits,
     )
 
 
@@ -80,11 +79,10 @@ def plan_recreates_vectorized(
     """The engine: one columnar pass over the retiring node's rows.
 
     Readable patterns are computed as bitmasks on width-grouped slabs of
-    the BlockIndex, and the planner runs once per *distinct*
-    (code, position, pattern) key instead of once per block — a
+    the BlockIndex and handed to the planner as they are, once per
+    *distinct* (code, position, pattern) key, not per block — a
     decommissioning node at production scale holds tens of thousands of
-    blocks drawn from a handful of patterns.  Stripes too wide for
-    62-bit masks are planned one block at a time.
+    blocks drawn from a handful of patterns.
     """
     index = cluster.namenode.index
     node_idx = index.node_index[node_id]
@@ -94,55 +92,30 @@ def plan_recreates_vectorized(
         return []
     sids_all = index.sid[rows]
     widths = index.stripe_n[sids_all]
-    memo: dict[tuple, tuple[str, tuple[int, ...]]] = {}
+    stripes = index.stripes
+    # Loop-local hoist: blocks sharing (code, padding, position, pattern)
+    # share a plan and differ only in their block id.
+    memo: dict[tuple, RecreateDecision] = {}
     for n in np.unique(widths):
         group = np.flatnonzero(widths == n)
-        grp_rows = rows[group]
         grp_sids = sids_all[group]
-        stripes = index.stripes
-        if n > 62:
-            for i, row in zip(group.tolist(), grp_rows.tolist()):
-                stripe = stripes[index.sid[row]]
-                decisions[i] = _plan_one(
-                    cluster, stripe, int(index.pos[row]), node_id
-                )
-            continue
-        n = int(n)
-        rbits = index.readable_bits(grp_sids, n, exclude_node=node_idx)
-        vbits = index.virtual_bits_of(grp_sids)
-        positions = index.pos[grp_rows]
-        memo_get = memo.get
-        for i, sid, pos, rb, vb in zip(
+        rbits = index.readable_bits(grp_sids, int(n), exclude_node=node_idx)
+        for i, sid, pos, rb in zip(
             group.tolist(),
             grp_sids.tolist(),
-            positions.tolist(),
+            index.pos[rows[group]].tolist(),
             rbits.tolist(),
-            vbits.tolist(),
         ):
             stripe = stripes[sid]
-            key = (id(stripe.code), pos, rb, vb)
-            planned = memo_get(key)
+            key = (id(stripe.code), stripe.data_blocks, pos, rb)
+            planned = memo.get(key)
             if planned is None:
-                decision = stripe.code.planner.plan_block(
-                    pos,
-                    index.interned_positions(rb | vb, n),
-                    readable=index.interned_positions(rb, n),
-                )
-                if decision.light:
-                    planned = ("light", tuple(decision.sources))
-                elif decision.feasible:
-                    planned = ("heavy", tuple(decision.sources))
-                else:
-                    planned = ("copy", ())
-                memo[key] = planned
-            # Direct BlockId construction: block_id()'s is-virtual guard
-            # cannot fire here (virtual positions are never placed, and
-            # these rows come from the placement index).
+                planned = memo[key] = _recreate_decision(stripe, pos, rb)
             decisions[i] = RecreateDecision(
-                block=BlockId(stripe.file_name, stripe.index, pos),
-                kind=planned[0],
-                sources=planned[1],
-                readable_bits=rb,
+                BlockId(stripe.file_name, stripe.index, pos),
+                planned.kind,
+                planned.sources,
+                rb,
             )
     return decisions  # type: ignore[return-value]
 
@@ -168,18 +141,14 @@ class RecreateBlockTask(Task):
 
     def _decide(self, cluster: "HadoopCluster") -> RecreateDecision:
         """The bulk-planned decision if the erasure pattern is unchanged
-        since planning time, else a fresh scalar plan."""
+        since planning time, else a fresh plan under the current one."""
+        current = cluster.namenode.readable_bits(
+            self.stripe, exclude_node=self.manager.node_id
+        )
         planned = self.planned
-        if planned is not None:
-            index = getattr(cluster.namenode, "index", None)
-            if index is not None and self.stripe.n <= 62:
-                current = index.stripe_readable_bits(
-                    self.stripe,
-                    exclude_node=index.node_index[self.manager.node_id],
-                )
-                if current == planned.readable_bits:
-                    return planned
-        return _plan_one(cluster, self.stripe, self.position, self.manager.node_id)
+        if planned is not None and planned.readable_bits == current:
+            return planned
+        return _recreate_decision(self.stripe, self.position, current)
 
     def execute(self, cluster: "HadoopCluster", node_id: str, finish: Callable[[bool], None]) -> None:
         stripe, position = self.stripe, self.position

@@ -208,19 +208,6 @@ class HadoopCluster:
 
     # ------------------------------------------------------------ task helpers
 
-    def usable_positions(
-        self, stripe: Stripe, readable: dict[int, str] | None = None
-    ) -> set[int]:
-        """Positions a decoder may use: readable blocks plus known-zero
-        (virtual) padding.  ``readable`` defaults to every available
-        position; callers with extra constraints (e.g. decommission
-        excluding the retiring node as a source) pass their own map."""
-        if readable is None:
-            readable = self.namenode.available_positions(stripe)
-        usable = set(readable)
-        usable.update(p for p in range(stripe.n) if stripe.is_virtual(p))
-        return usable
-
     def read_blocks(
         self,
         executor: str,

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..codes.base import DecodingError
+from ..codes.base import DecodingError, mask_of
 from ..codes.errors import locate_corrupt_blocks
 from ..codes.reed_solomon import ReedSolomonCode
 from .blocks import BlockId, Stripe
@@ -156,7 +156,7 @@ def heal_stripe(
         # The code's RepairPlanner makes the light-vs-heavy call; the
         # heavy path goes through the engine's cached reconstruction
         # matrix (byte-identical to decode + re-encode).
-        decision = stripe.code.planner.plan_block(position, healthy.keys())
+        decision = stripe.code.planner.plan_block(position, mask_of(healthy))
         if decision.light:
             rebuilt = stripe.code.execute_plan(decision.plan, healthy)
             report.blocks_read_for_heal += len(

@@ -25,6 +25,7 @@ from typing import Iterator
 
 import numpy as np
 
+from ..codes.base import mask_of
 from .blockindex import BlockIndex, RepairQueueEntry
 from .blocks import BlockId, Stripe
 
@@ -94,6 +95,17 @@ class NameNodeAPI:
 
     def is_available(self, block: BlockId) -> bool:
         return self.locate(block) is not None
+
+    def readable_bits(self, stripe: Stripe, exclude_node: str | None = None) -> int:
+        """The stripe's readable positions as a pattern bitmask: stored
+        on an alive node other than ``exclude_node`` (the decommission
+        planner never reads the retiring node).  A decoder's *usable*
+        pattern is this ``| stripe.virtual_bits``."""
+        return mask_of(
+            position
+            for position, node_id in self.available_positions(stripe).items()
+            if node_id != exclude_node
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +272,8 @@ class NameNode(NameNodeAPI):
     # -- placement ----------------------------------------------------------------
 
     def register_stripe(self, stripe: Stripe) -> None:
+        self.index.register_stripe(stripe)  # rejects stripes it cannot index
         super().register_stripe(stripe)
-        self.index.register_stripe(stripe)
 
     def add_block(self, block: BlockId, node_id: str) -> None:
         node_idx = self.index.node_index[node_id]
@@ -345,6 +357,12 @@ class NameNode(NameNodeAPI):
     def available_positions(self, stripe: Stripe) -> dict[int, str]:
         """position -> node for every currently readable stored block."""
         return self.index.available_positions(stripe)
+
+    def readable_bits(self, stripe: Stripe, exclude_node: str | None = None) -> int:
+        return self.index.stripe_readable_bits(
+            stripe,
+            -1 if exclude_node is None else self.index.node_index[exclude_node],
+        )
 
     def missing_positions(self, stripe: Stripe) -> list[int]:
         return self.index.missing_positions(stripe)

@@ -27,10 +27,11 @@ The decomposition:
   batches.
 * :class:`ReadServiceEngine` — the service loop as array passes: one
   availability gather for every read's target block, a stripe-pattern
-  matrix for the (rare) degraded subset, planner decisions interned per
-  ``(position, pattern-bitmask)`` key — ``plan_block`` runs once per
-  *distinct* erasure pattern, the ``blockindex`` interning idea — and
-  batched latency/timeout accounting into ``ReadServiceStats``.
+  matrix for the (rare) degraded subset packed into one
+  ``(position << n) | pattern-bitmask`` key per read — ``np.unique``
+  over the keys means ``plan_block`` is called once per *distinct*
+  erasure pattern, with the key's two halves handed over as they are —
+  and batched latency/timeout accounting into ``ReadServiceStats``.
 
 Determinism contract: given the same schedule and placement, the engine
 reproduces the event-driven spec's stats element for element (counts
@@ -66,8 +67,8 @@ __all__ = [
 ]
 
 #: Pattern keys pack ``(position << n) | readable_bitmask`` into an
-#: int64, so the widest stripe the vectorized planner interning supports
-#: is 56 blocks (position needs the bits above ``n``).
+#: int64, so the widest stripe the vectorized key packing supports is
+#: 56 blocks (position needs the bits above ``n``).
 MAX_PATTERN_BITS = 56
 
 SECONDS_PER_DAY = 86400.0
@@ -457,10 +458,11 @@ class ReadServiceEngine:
             ) | pattern_bits
             unique_keys, inverse = np.unique(keys, return_inverse=True)
             reads_per_key = np.empty(unique_keys.size, dtype=np.int64)
+            pattern_mask = (1 << code.n) - 1
             for i, key in enumerate(unique_keys.tolist()):
-                position = key >> code.n
-                available = [p for p in range(code.n) if (key >> p) & 1]
-                decision = code.planner.plan_block(position, available)
+                decision = code.planner.plan_block(
+                    key >> code.n, key & pattern_mask
+                )
                 if decision.light:
                     reads_per_key[i] = decision.num_reads
                 elif decision.feasible:

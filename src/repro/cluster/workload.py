@@ -76,9 +76,9 @@ class WordCountTask(Task):
 
         # Degraded read: reconstruct in memory, then process (Section 1.1).
         self.stats.degraded_reads += 1
-        usable = cluster.usable_positions(stripe)
+        readable = cluster.namenode.readable_bits(stripe)
         decision = stripe.code.planner.plan_block(
-            position, usable, readable=cluster.namenode.available_positions(stripe)
+            position, readable | stripe.virtual_bits, readable
         )
         if decision.light:
             sources = list(decision.sources)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -25,7 +25,38 @@ from ..galois import GF
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .engine import RepairPlanner
 
-__all__ = ["RepairPlan", "CodeParameters", "ErasureCode", "DecodingError"]
+__all__ = [
+    "RepairPlan",
+    "CodeParameters",
+    "ErasureCode",
+    "DecodingError",
+    "mask_of",
+    "positions_of",
+]
+
+
+def mask_of(positions: Iterable[int]) -> int:
+    """The pattern bitmask of a collection of stripe positions.
+
+    An erasure pattern (which positions survive, or are missing) travels
+    between the metadata plane and the planner as one Python int, bit
+    ``p`` set iff position ``p``; this and :func:`positions_of` are the
+    only two conversions.
+    """
+    mask = 0
+    for position in positions:
+        mask |= 1 << int(position)
+    return mask
+
+
+def positions_of(mask: int) -> tuple[int, ...]:
+    """The positions a pattern bitmask denotes, ascending."""
+    positions = []
+    while mask:
+        low = mask & -mask  # the lowest set bit
+        positions.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(positions)
 
 
 class DecodingError(Exception):

@@ -19,7 +19,8 @@ whole batches of stripes through the gather-based
 :func:`~repro.galois.linalg.gf_matmul_batch` kernel; and
 :class:`RepairPlanner` is the single light-vs-heavy planning contract
 every scheme exposes to the cluster layer (the selection logic that used
-to live inside the BlockFixer tasks).
+to live inside the BlockFixer tasks), keyed on the int pattern bitmasks
+the metadata plane, the daemons and the read service hand it.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Mapping, Sequenc
 import numpy as np
 
 from ..galois import gf_inv, gf_matmul, gf_matmul_batch
-from .base import DecodingError, RepairPlan
+from .base import DecodingError, RepairPlan, positions_of
 from .xorplane import XorSchedule, compile_xor_schedule
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -78,9 +79,9 @@ class DecoderCache:
 
     Keys are frozen erasure patterns (plus a tag for what is being
     cached); values are whatever the builder produced — chosen survivor
-    columns with their reconstruction matrix for the engine, repair
-    decisions for the planner.  Bounded LRU so adversarial pattern
-    streams cannot grow memory without limit.
+    columns with their reconstruction matrix, or a compiled XOR
+    schedule.  Bounded LRU so adversarial pattern streams cannot grow
+    memory without limit (the values are matrices and programs).
     """
 
     __slots__ = ("maxsize", "hits", "misses", "evictions", "_entries")
@@ -458,82 +459,72 @@ class RepairPlanner:
 
     The selection logic that used to be replicated inside the BlockFixer
     tasks, the degraded-read service, the scrubber and the decommission
-    manager now lives here: given the *usable* positions (readable blocks
-    plus known-zero padding) and the *readable* subset (what physically
-    exists on live nodes), decide light plan / heavy decode / data loss.
-    Decisions are memoised per frozen pattern in a :class:`DecoderCache`,
-    so a node failure hitting thousands of same-shaped stripes plans
-    once.
+    manager now lives here.  Erasure patterns arrive as int bitmasks
+    (:func:`~repro.codes.base.mask_of`): given the *usable* mask
+    (readable blocks plus known-zero padding) and the *readable* mask
+    (what physically exists on live nodes), decide light plan / heavy
+    decode / data loss.  Decisions are memoised in a plain dict keyed
+    ``(lost, usable, readable)``, so a node failure hitting thousands of
+    same-shaped stripes plans once; ``hits``/``misses`` count lookups.
     """
 
-    def __init__(self, code: "ErasureCode", cache_size: int = DEFAULT_CACHE_SIZE):
+    def __init__(self, code: "ErasureCode"):
         self.code = code
-        self.cache = DecoderCache(cache_size)
+        self.hits = 0
+        self.misses = 0
+        self._memo: dict[tuple, RepairDecision] = {}
+
+    def _lookup(self, key: tuple, decide: Callable[[], RepairDecision]) -> RepairDecision:
+        decision = self._memo.get(key)
+        if decision is None:
+            self.misses += 1
+            decision = self._memo[key] = decide()  # a raising decide caches nothing
+        else:
+            self.hits += 1
+        return decision
 
     def plan_block(
-        self,
-        lost: int,
-        usable: Iterable[int],
-        readable: Iterable[int] | None = None,
+        self, lost: int, usable: int, readable: int | None = None
     ) -> RepairDecision:
         """Plan the repair of one block given the surviving pattern."""
         lost = int(lost)
-        # Interned-pattern fast path: callers that hold pre-built
-        # frozensets of ints (the columnar planners intern one set per
-        # distinct bitmask) skip the per-call rebuild.
-        if isinstance(usable, frozenset):
-            usable_set = usable - {lost} if lost in usable else usable
-        else:
-            usable_set = frozenset(int(p) for p in usable) - {lost}
+        usable &= ~(1 << lost)
         if readable is None:
-            readable_set = usable_set
-        elif isinstance(readable, frozenset):
-            readable_set = readable
-        else:
-            readable_set = frozenset(int(p) for p in readable)
-        key = ("block", lost, usable_set, readable_set)
-        return self.cache.lookup(
-            key, lambda: self._decide_block(lost, usable_set, readable_set)
+            readable = usable
+        return self._lookup(
+            (lost, usable, readable),
+            lambda: self._decide_block(lost, usable, readable),
         )
 
-    def _decide_block(
-        self, lost: int, usable: frozenset, readable: frozenset
+    def _decide_block(self, lost: int, usable: int, readable: int) -> RepairDecision:
+        plan = self.code.best_repair_plan(lost, positions_of(usable))
+        if plan is None:
+            return self._decide_heavy((lost,), usable, readable)
+        return RepairDecision(
+            kind="light",
+            lost=(lost,),
+            sources=tuple(p for p in plan.sources if readable >> p & 1),
+            plan=plan,
+            xor_stream=plan.is_xor_only(),
+        )
+
+    def _decide_heavy(
+        self, lost: tuple[int, ...], usable: int, readable: int
     ) -> RepairDecision:
-        plan = self.code.best_repair_plan(lost, usable)
-        if plan is not None:
-            sources = tuple(p for p in plan.sources if p in readable)
+        if self.code.is_decodable(positions_of(usable)):
             return RepairDecision(
-                kind="light",
-                lost=(lost,),
-                sources=sources,
-                plan=plan,
-                xor_stream=plan.is_xor_only(),
+                kind="heavy", lost=lost, sources=positions_of(readable)
             )
-        if self.code.is_decodable(usable):
-            return RepairDecision(
-                kind="heavy", lost=(lost,), sources=tuple(sorted(readable))
-            )
-        return RepairDecision(kind="loss", lost=(lost,), sources=())
+        return RepairDecision(kind="loss", lost=lost, sources=())
 
     def plan_stripe(
-        self,
-        missing: Iterable[int],
-        usable: Iterable[int],
-        readable: Iterable[int] | None = None,
+        self, missing: int, usable: int, readable: int | None = None
     ) -> RepairDecision:
         """Plan a whole-stripe repair (the HDFS-RS BlockFixer unit)."""
-        missing_key = tuple(sorted(int(p) for p in missing))
-        usable_set = frozenset(int(p) for p in usable) - set(missing_key)
-        readable_set = (
-            frozenset(int(p) for p in readable) if readable is not None else usable_set
+        usable &= ~missing
+        if readable is None:
+            readable = usable
+        return self._lookup(
+            ("stripe", missing, usable, readable),
+            lambda: self._decide_heavy(positions_of(missing), usable, readable),
         )
-        key = ("stripe", missing_key, usable_set, readable_set)
-
-        def build() -> RepairDecision:
-            if self.code.is_decodable(usable_set):
-                return RepairDecision(
-                    kind="heavy", lost=missing_key, sources=tuple(sorted(readable_set))
-                )
-            return RepairDecision(kind="loss", lost=missing_key, sources=())
-
-        return self.cache.lookup(key, build)

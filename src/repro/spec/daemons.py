@@ -9,12 +9,41 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from repro.cluster.blocks import StoredFile
-from repro.cluster.decommission import RecreateDecision, _plan_one
+from repro.cluster.blocks import StoredFile, Stripe
+from repro.cluster.decommission import RecreateDecision
 from repro.cluster.fairscheduler import SchedulerState
 from repro.cluster.hdfs import HadoopCluster
+from repro.codes.base import mask_of
 
 __all__ = ["plan_pass_seed", "plan_recreates_seed", "scan_candidates_seed"]
+
+
+def _plan_one(
+    cluster: HadoopCluster, stripe: Stripe, position: int, retiring: str
+) -> RecreateDecision:
+    """The scalar per-block plan: the original RecreateBlockTask logic."""
+    available = {
+        p: node
+        for p, node in cluster.namenode.available_positions(stripe).items()
+        if node != retiring
+    }
+    usable = set(available)
+    usable.update(p for p in range(stripe.n) if stripe.is_virtual(p))
+    decision = stripe.code.planner.plan_block(
+        position, mask_of(usable), readable=mask_of(available)
+    )
+    if decision.light:
+        kind, sources = "light", tuple(decision.sources)
+    elif decision.feasible:
+        kind, sources = "heavy", tuple(decision.sources)
+    else:
+        kind, sources = "copy", ()
+    return RecreateDecision(
+        block=stripe.block_id(position),
+        kind=kind,
+        sources=sources,
+        readable_bits=sum(1 << p for p in available),
+    )
 
 
 def plan_recreates_seed(

@@ -11,7 +11,7 @@ import numpy as np
 from repro.cluster.degraded import DegradedReadConfig, ReadServiceStats, draw_placement
 from repro.cluster.readservice import ReadSchedule
 from repro.cluster.sim import Simulation
-from repro.codes.base import ErasureCode
+from repro.codes.base import ErasureCode, mask_of
 
 __all__ = ["DegradedReadSimulation"]
 
@@ -164,7 +164,7 @@ class DegradedReadSimulation:
             for pos in range(self.code.n)
             if pos != position and self._is_up(int(self.placement[stripe, pos]))
         ]
-        decision = self.code.planner.plan_block(position, available)
+        decision = self.code.planner.plan_block(position, mask_of(available))
         if decision.light:
             reads = decision.num_reads
         elif decision.feasible:

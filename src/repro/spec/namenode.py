@@ -12,6 +12,7 @@ import numpy as np
 from repro.cluster.blockindex import RepairQueueEntry
 from repro.cluster.blocks import BlockId, Stripe
 from repro.cluster.namenode import NameNodeAPI, PlacementError
+from repro.codes.base import mask_of
 
 __all__ = ["DictDataNode", "DictNameNode"]
 
@@ -162,8 +163,8 @@ class DictNameNode(NameNodeAPI):
                 RepairQueueEntry(
                     stripe=stripe,
                     blocks=tuple(by_stripe[key]),
-                    missing=tuple(sorted(self.missing_positions(stripe))),
-                    usable=frozenset(usable),
+                    missing=mask_of(self.missing_positions(stripe)),
+                    usable=mask_of(usable),
                 )
             )
         return entries

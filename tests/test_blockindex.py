@@ -26,7 +26,8 @@ from repro.cluster import (
 )
 from repro.cluster.metrics import percentile, summary_stats
 from repro.cluster.failures import trace_summary
-from repro.codes import rs_10_4, xorbas_lrc
+from repro.codes import ReedSolomonCode, rs_10_4, xorbas_lrc
+from repro.codes.base import mask_of
 from repro.experiments.runner import run_until_quiescent
 from repro.spec import DictNameNode, with_specs
 
@@ -205,7 +206,44 @@ class TestDifferentialProperty:
         queue_b = reference.repair_queue(set())
         assert queue_a[0].usable == queue_b[0].usable
         # Zero padding [data_blocks, k) is usable by every decoder.
-        assert set(range(3, code.k)) <= queue_a[0].usable
+        padding = mask_of(range(3, code.k))
+        assert queue_a[0].usable & padding == padding
+
+
+class TestStripeWidthLimit:
+    """Pattern bitmasks are packed into int64 columns: the index takes
+    stripes of up to 62 blocks and says so at registration otherwise."""
+
+    @staticmethod
+    def loaded(code):
+        cluster = HadoopCluster(code, ec2_config(num_nodes=70), seed=0)
+        cluster.create_file("wide", code.k * cluster.config.block_size)
+        return cluster
+
+    def test_63_block_stripe_rejected_at_registration(self):
+        with pytest.raises(ValueError, match=r"63 blocks.*at most 62"):
+            self.loaded(ReedSolomonCode(59, 4))
+
+    def test_62_block_stripe_queue_masks_match_oracle(self):
+        queues = []
+        for specs in ((), ("namenode",)):
+            with with_specs(*specs):
+                cluster = self.loaded(ReedSolomonCode(58, 4))
+                cluster.raid_all_instant()
+                namenode = cluster.namenode
+                (stripe,) = cluster.all_stripes()
+                # Losing the last position exercises the top mask bit.
+                victim = namenode.locate(stripe.block_id(61))
+                namenode.kill_node(victim)
+                namenode.detect_failures(victim)
+                queues.append(
+                    [(e.blocks, e.missing, e.usable) for e in namenode.repair_queue(set())]
+                )
+        assert queues[0] == queues[1]
+        ((blocks, missing, usable),) = queues[0]
+        assert blocks == (BlockId("wide", 0, 61),)
+        assert missing == 1 << 61
+        assert usable == (1 << 61) - 1
 
 
 @pytest.mark.slow

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
@@ -95,8 +96,29 @@ class TestParser:
 
 class TestCommands:
     @pytest.mark.slow  # exhaustive distance certification over all patterns
-    def test_certify(self, capsys):
+    def test_certify(self, capsys, monkeypatch, xorbas_certification):
+        """The CLI wiring end to end, with the exhaustive enumeration
+        itself executed once per session by the shared fixture: each
+        certifier must be handed the Xorbas code and the claimed value."""
+        import repro.codes
+
+        calls = []
+
+        def recorder(name):
+            def certify(code, expected):
+                assert np.array_equal(
+                    code.generator, xorbas_certification.code.generator
+                )
+                assert expected == 5
+                calls.append(name)
+                return getattr(xorbas_certification, name)
+
+            return certify
+
+        monkeypatch.setattr(repro.codes, "certify_distance", recorder("distance"))
+        monkeypatch.setattr(repro.codes, "certify_locality", recorder("locality"))
         assert main(["certify"]) == 0
+        assert calls == ["distance", "locality"]
         out = capsys.readouterr().out
         assert "distance d = 5" in out
         assert "locality r = 5" in out

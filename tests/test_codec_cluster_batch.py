@@ -13,6 +13,7 @@ import pytest
 from repro.cluster import BlockFixer, HadoopCluster, ec2_config
 from repro.cluster.blocks import encode_stripe_payloads
 from repro.codes import PyramidCode, pyramid_10_4, rs_10_4, xorbas_lrc
+from repro.codes.base import mask_of, positions_of
 from repro.experiments.runner import run_until_quiescent
 
 pytestmark = pytest.mark.slow  # drives full cluster simulations
@@ -122,17 +123,17 @@ def test_stale_batch_entry_invalidated_by_corruption():
 
     code = rs_10_4()
     stripe = Stripe("a", 0, code, data_blocks=10, block_size=1e6, payload_bytes=16)
-    missing = (0,)
-    usable = frozenset(range(1, code.n))
+    missing = mask_of((0,))
+    usable = mask_of(range(1, code.n))
     batch = PayloadRepairBatch()
     batch.schedule([(stripe, missing, usable)])
-    payloads = {p: stripe.payload[p] for p in usable}
-    hit = batch.rebuilt_block(stripe, 0, set(usable), payloads)
+    payloads = {p: stripe.payload[p] for p in positions_of(usable)}
+    hit = batch.rebuilt_block(stripe, 0, usable, payloads)
     assert hit is not None
     assert np.array_equal(hit, stripe.payload[0])
     stripe.payload[1] ^= 7  # in-place corruption of a survivor
-    payloads = {p: stripe.payload[p] for p in usable}
-    assert batch.rebuilt_block(stripe, 0, set(usable), payloads) is None
+    payloads = {p: stripe.payload[p] for p in positions_of(usable)}
+    assert batch.rebuilt_block(stripe, 0, usable, payloads) is None
 
 
 def test_encode_stripe_payloads_groups_by_width():

@@ -23,6 +23,11 @@ from repro.codes import (
     make_lrc,
     three_replication,
 )
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.codes import RepairPlanner, xorbas_lrc
+from repro.codes.base import mask_of, positions_of
 from repro.galois import GF16, gf_independent_columns, gf_inv, gf_matmul, gf_rank
 
 WIDTH = 9
@@ -196,43 +201,65 @@ class TestRepairPlanner:
     def test_lrc_prefers_light_plans(self):
         code = make_lrc(4, 2, 2, field=GF16)
         usable = set(range(1, code.n))
-        decision = code.planner.plan_block(0, usable)
+        decision = code.planner.plan_block(0, mask_of(usable))
         assert decision.light and decision.plan is not None
         assert set(decision.sources) <= usable
 
     def test_rs_always_heavy(self):
         code = ReedSolomonCode(4, 2, field=GF16)
-        decision = code.planner.plan_block(0, set(range(1, code.n)))
+        decision = code.planner.plan_block(0, mask_of(range(1, code.n)))
         assert decision.kind == "heavy"
         assert decision.sources == tuple(range(1, code.n))
 
     def test_loss_when_below_k(self):
         code = ReedSolomonCode(4, 2, field=GF16)
-        decision = code.planner.plan_block(0, {1, 2, 3})
+        decision = code.planner.plan_block(0, mask_of({1, 2, 3}))
         assert not decision.feasible
 
     def test_readable_filters_sources(self):
         """Virtual zero-padding is usable but never read."""
         code = make_lrc(4, 2, 2, field=GF16)
         usable = set(range(1, code.n))
-        decision = code.planner.plan_block(0, usable, readable=usable - {1})
+        decision = code.planner.plan_block(
+            0, mask_of(usable), readable=mask_of(usable - {1})
+        )
         assert 1 not in decision.sources
 
     def test_decisions_are_memoised(self):
         code = ReedSolomonCode(4, 2, field=GF16)
         planner = code.planner
-        misses_before = planner.cache.misses
-        planner.plan_block(0, set(range(1, code.n)))
-        planner.plan_block(0, set(range(1, code.n)))
-        assert planner.cache.misses == misses_before + 1
-        assert planner.cache.hits >= 1
+        misses_before = planner.misses
+        planner.plan_block(0, mask_of(range(1, code.n)))
+        planner.plan_block(0, mask_of(range(1, code.n)))
+        assert planner.misses == misses_before + 1
+        assert planner.hits >= 1
+
+    def test_memo_holds_every_pattern_it_has_seen(self):
+        """More distinct keys than any LRU bound the memo used to have:
+        the second round is all hits."""
+        code = xorbas_lrc()
+        planner = RepairPlanner(code)
+        everything = (1 << code.n) - 1
+        keys = [
+            (lost, everything & ~mask_of(erased))
+            for erased in combinations(range(code.n), 3)
+            for lost in erased
+        ]
+        assert len(set(keys)) == len(keys) >= 300
+        first = [planner.plan_block(lost, usable) for lost, usable in keys]
+        assert planner.misses == len(keys) and planner.hits == 0
+        second = [planner.plan_block(lost, usable) for lost, usable in keys]
+        assert planner.misses == len(keys) and planner.hits == len(keys)
+        assert all(a is b for a, b in zip(first, second))
 
     def test_stripe_planning(self):
         code = ReedSolomonCode(4, 2, field=GF16)
         usable = set(range(2, code.n))
-        decision = code.planner.plan_stripe((0, 1), usable)
+        decision = code.planner.plan_stripe(mask_of((0, 1)), mask_of(usable))
         assert decision.kind == "heavy" and decision.lost == (0, 1)
-        assert not code.planner.plan_stripe((0, 1, 2), set(range(3, code.n))).feasible
+        assert not code.planner.plan_stripe(
+            mask_of((0, 1, 2)), mask_of(range(3, code.n))
+        ).feasible
 
 
 class TestIncrementalColumnSelection:
@@ -266,3 +293,16 @@ class TestIncrementalColumnSelection:
         code = ReedSolomonCode(4, 2, field=GF16)
         assert code._independent_columns([0, 1]) is None
         assert code._independent_columns([0, 1, 2, 3]) == [0, 1, 2, 3]
+
+
+class TestPatternMasks:
+    """``mask_of`` / ``positions_of``: the only two conversions between
+    position collections and the int bitmask every layer passes."""
+
+    @given(st.integers(min_value=0, max_value=2**62 - 1))
+    def test_mask_roundtrip(self, mask):
+        assert mask_of(positions_of(mask)) == mask
+
+    @given(st.sets(st.integers(min_value=0, max_value=61)))
+    def test_positions_roundtrip_sorted(self, positions):
+        assert positions_of(mask_of(positions)) == tuple(sorted(positions))

@@ -126,12 +126,12 @@ class TestDecommissionDifferential:
     def test_vectorized_interns_per_pattern(self):
         cluster = build_cluster(xorbas_lrc(), files=12, seed=1)
         planner = cluster.code.planner
-        before = planner.cache.misses
+        before = planner.misses
         plan_recreates_vectorized(cluster, "node001")
-        first = planner.cache.misses - before
+        first = planner.misses - before
         plan_recreates_seed(cluster, "node001")
         # The seed replans the same patterns: all cache hits, no misses.
-        assert planner.cache.misses - before == first
+        assert planner.misses - before == first
 
 
 class TestFairSchedulerDifferential:

@@ -8,6 +8,7 @@ spec has 0 — and assert the mismatch is caught.
 
 import ast
 import dataclasses
+import inspect
 import pkgutil
 import time
 from pathlib import Path
@@ -185,6 +186,26 @@ class TestSpecBoundary:
             f.name for f in dataclasses.fields(ClusterConfig) if f.name.endswith("_engine")
         ]
         assert selectors == []
+
+    def test_one_pattern_representation_no_bridges(self):
+        """An erasure pattern is an int bitmask end to end: the scalar
+        per-block decommission plan is an oracle, not a production
+        fallback, and the set-interning bridges and the planner's
+        cache-size knob are gone."""
+        import repro.cluster.decommission as decommission
+        import repro.spec.daemons as spec_daemons
+        from repro.cluster import BlockIndex, HadoopCluster
+        from repro.codes import RepairPlanner
+
+        assert not hasattr(decommission, "_plan_one")
+        assert hasattr(spec_daemons, "_plan_one")
+        for name in ("interned_positions", "_queue_wide"):
+            assert not hasattr(BlockIndex, name)
+        assert not hasattr(HadoopCluster, "usable_positions")
+        assert list(inspect.signature(RepairPlanner.__init__).parameters) == [
+            "self",
+            "code",
+        ]
 
 
 class TestBenchGate:

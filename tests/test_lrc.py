@@ -13,8 +13,6 @@ from repro.codes import (
     DecodingError,
     LocalGroup,
     LocallyRepairableCode,
-    certify_distance,
-    certify_locality,
     locality_distance_bound,
     make_lrc,
     overlapping_groups_distance_bound,
@@ -100,11 +98,12 @@ class TestTheorem5:
             assert plans, f"block {block} has no light plan"
             assert min(p.num_reads for p in plans) == 5
 
-    def test_locality_certified_exhaustively(self, lrc):
-        assert certify_locality(lrc, 5)
+    def test_locality_certified_exhaustively(self, lrc, xorbas_certification):
+        assert np.array_equal(xorbas_certification.code.generator, lrc.generator)
+        assert xorbas_certification.locality
 
-    def test_distance_is_exactly_5(self, lrc):
-        assert certify_distance(lrc, 5)
+    def test_distance_is_exactly_5(self, lrc, xorbas_certification):
+        assert xorbas_certification.distance
         assert lrc.minimum_distance() == 5
 
     def test_distance_meets_refined_bound(self, lrc):

@@ -309,7 +309,7 @@ class TestReadServiceEngine:
         assert stats.degraded_reads > 0
         assert 0 < engine.distinct_patterns <= stats.degraded_reads
         # plan_block ran once per distinct (position, pattern) key.
-        assert code.planner.cache.misses == engine.distinct_patterns
+        assert code.planner.misses == engine.distinct_patterns
 
     def test_compare_vectorized_upholds_pairing(self):
         rows = compare_degraded_reads(

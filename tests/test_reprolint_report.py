@@ -180,3 +180,14 @@ class TestExitCodes:
         payload = json.loads(capsys.readouterr().out)
         assert payload["clean"] is True
         assert payload["suppressed"] == 1
+
+
+class TestExplainEscapes:
+    def test_rules_that_honour_no_pragma_advertise_none(self):
+        """RL003/RL007 findings are not filtered through ``disable=``
+        pragmas, so ``--explain`` must not offer one."""
+        from repro.analysis.registry import explain
+
+        for code in ("RL003", "RL007"):
+            hatch = explain(code).split("Escape hatch:")[1]
+            assert "disable=" not in hatch and "no pragma" in hatch

@@ -27,6 +27,7 @@ from repro.codes import (
     xor_encode,
     xorbas_lrc,
 )
+from repro.codes.base import mask_of
 from repro.codes.xorplane import GATHER_PASS_COST, WORD_OP_COST, XorSchedule
 from repro.spec import GatherCodecEngine
 from repro.galois import (
@@ -354,16 +355,16 @@ class TestEngineDispatchByteIdentical:
 class TestXorStreamMarking:
     def test_lrc_light_repair_is_an_xor_stream(self):
         code = xorbas_lrc()
-        decision = code.planner.plan_block(0, set(range(1, code.n)))
+        decision = code.planner.plan_block(0, mask_of(range(1, code.n)))
         assert decision.light and decision.xor_stream
         assert all(c == 1 for c in decision.plan.coefficients)
 
     def test_pyramid_light_repair_is_not(self):
         code = PyramidCode(4, 2, 2, field=GF16)
-        decision = code.planner.plan_block(0, set(range(1, code.n)))
+        decision = code.planner.plan_block(0, mask_of(range(1, code.n)))
         assert decision.light and not decision.xor_stream
 
     def test_heavy_repair_never_marked(self):
         code = ReedSolomonCode(4, 2, field=GF16)
-        decision = code.planner.plan_block(0, set(range(1, code.n)))
+        decision = code.planner.plan_block(0, mask_of(range(1, code.n)))
         assert decision.kind == "heavy" and not decision.xor_stream
