@@ -88,7 +88,8 @@ def test_cauchy_xor_encode_matches_field_encode(benchmark):
     XOR-friendly, the whole encode path can drop field multiplication.
     """
     from repro.codes import CauchyRSCode
-    from repro.codes.cauchy import build_parity_bitmatrix, xor_count, xor_encode
+    from repro.codes.cauchy import build_parity_bitmatrix, xor_count
+    from repro.spec import xor_encode
 
     code = CauchyRSCode(10, 4)
     rng = np.random.default_rng(2)

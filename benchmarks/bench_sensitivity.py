@@ -27,6 +27,7 @@ def _pivot(points):
     return table
 
 
+@pytest.mark.slow  # ~60 s of sweeps: nightly, not the PR smoke
 def test_bandwidth_and_mttf_sweeps(benchmark):
     def run():
         return (

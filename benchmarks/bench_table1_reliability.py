@@ -38,6 +38,7 @@ def test_table1_reliability(benchmark):
     assert math.log10(lrc.mttdl_days / rs.mttdl_days) > 0.3
 
 
+@pytest.mark.slow  # ~30 s ablation: nightly, not the PR smoke
 def test_table1_repair_epoch_sensitivity(benchmark):
     """Ablation: a fixed per-repair latency compresses coded-scheme MTTDL
     toward (and past) the published values — evidence the paper's

@@ -20,9 +20,9 @@ from repro.cluster.blocks import Stripe
 from repro.cluster.integrity import (
     ChecksumRegistry,
     CorruptionInjector,
-    Scrubber,
     pgz_cross_check,
 )
+from repro.cluster.scrubengine import ScrubEngine
 from repro.codes import rs_10_4, xorbas_lrc
 from repro.codes.errors import correct_corruption, locate_corrupt_blocks
 
@@ -46,6 +46,8 @@ def main() -> None:
     stripe = make_stripe(xorbas_lrc())
     registry = ChecksumRegistry()
     registry.record_stripe(stripe)
+    scrubber = ScrubEngine(on_heal=registry.refresh)
+    scrubber.record_stripe(stripe)
     print(f"Recorded {len(registry)} block checksums for one LRC stripe.")
 
     injector = CorruptionInjector(seed=1)
@@ -58,15 +60,15 @@ def main() -> None:
     print(f"PGZ syndrome locator (no checksums) finds: positions {located}\n")
 
     # --- 3. the scrubber heals through the repair machinery -------------
-    report = Scrubber(registry).scrub([stripe])
+    report = scrubber.scrub([stripe])
     print(f"Scrubber healed {len(report.healed_blocks)} block(s) reading "
           f"{report.blocks_read_for_heal} blocks (the LRC light plan).")
 
     rs_stripe = make_stripe(rs_10_4(), index=1)
-    rs_registry = ChecksumRegistry()
-    rs_registry.record_stripe(rs_stripe)
+    rs_scrubber = ScrubEngine()
+    rs_scrubber.record_stripe(rs_stripe)
     CorruptionInjector(seed=2).corrupt_block(rs_stripe, 6)
-    rs_report = Scrubber(rs_registry).scrub([rs_stripe])
+    rs_report = rs_scrubber.scrub([rs_stripe])
     print(f"Same corruption on plain RS(10,4): heal read "
           f"{rs_report.blocks_read_for_heal} blocks — the 2x+ gap again.\n")
 

@@ -3,9 +3,9 @@
 The reproduction's credibility rests on conventions that used to live
 only in reviewer memory — every random draw derives from a config seed
 via spawned streams, every vectorized engine keeps its scalar spec with
-a differential test and a CI-gated bench metric, empty-window statistics
-return NaN rather than a misleading zero, and simulation code never
-lets set-iteration order feed float accumulation.  reprolint mechanizes
+a differential test, empty-window statistics return NaN rather than a
+misleading zero, and simulation code never lets set-iteration order feed
+float accumulation.  reprolint mechanizes
 those contracts: per-file rules dispatched from a single ``ast.parse``
 walk, and whole-program rules that query the project fact graph
 (:mod:`repro.analysis.graph`, built from the same parse) through an
@@ -20,14 +20,12 @@ RL001     RNG discipline: no stdlib ``random`` / legacy ``np.random.*``
 RL002     engine purity: no per-element Python index loops over
           struct-of-arrays fields inside registered engine bodies
 RL003     spec/engine conformance: every registered pair has a
-          differential test and a gated baseline metric; no dead keys
+          differential test naming both its spec and engine symbol
 RL004     NaN convention: empty-window stats return NaN, never 0
 RL005     float determinism: no set-ordered iteration feeding float
           accumulation or event scheduling in cluster/reliability
 RL006     config validation: rate/duration/timeout-style numeric config
           fields must be covered by the config's ``validate()``
-RL007     bench-gate consistency: every ``gate_speedup`` metric name
-          round-trips through ``bench_baseline.json`` (schema 2)
 RL009     seed provenance (dataflow): every value reaching a
           ``default_rng``/``spawn_streams`` seed argument must flow
           from a config seed field or threaded seed parameter

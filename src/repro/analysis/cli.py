@@ -4,7 +4,7 @@ Exit codes follow linter convention: 0 clean, 1 violations found,
 2 usage/environment error (e.g. no repository root).  ``--format``
 selects human lines (default), JSON, or GitHub workflow commands; the
 github format also appends a markdown table to ``$GITHUB_STEP_SUMMARY``
-when CI exports it, matching ``check_bench_regression.py``.
+when CI exports it.
 
 Whole-repo runs (no explicit paths) go through :func:`analyze_repo`:
 the fact graph plus the whole-program rules, computed fresh each time.

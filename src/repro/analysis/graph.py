@@ -1,22 +1,21 @@
 """Whole-program facts and the ProjectGraph behind reprolint.
 
-The whole-program rules (RL003 spec/engine conformance, RL007 bench-gate
-consistency, RL009 seed provenance, RL010 snapshot coverage, RL011
-cache-key completeness, RL012 interprocedural engine purity) all need
-cross-file visibility.  Rather than hand each rule the raw ASTs of
-every file, extraction reduces each file — in the same single parse the
-per-file rules use — to a plain-data :class:`FileFacts` record:
+The whole-program rules (RL003 spec/engine conformance, RL009 seed
+provenance, RL010 snapshot coverage, RL011 cache-key completeness, RL012
+interprocedural engine purity) all need cross-file visibility.  Rather
+than hand each rule the raw ASTs of every file, extraction reduces each
+file — in the same single parse the per-file rules use — to a
+plain-data :class:`FileFacts` record:
 imports, function taint summaries, seed call sites, per-element-loop
 positions, call edges, snapshot-class field lists, config dataclass
-fields, cache-key-builder evidence, and (for ``tests/`` /
-``benchmarks/``) the identifier/metric evidence RL003/RL007 consume.
+fields, cache-key-builder evidence, and (for ``tests/``) the identifier
+evidence RL003 consumes.
 
 A :class:`ProjectGraph` is the indexed union of those records: a
 project-wide symbol table (``module:function`` -> taint summary), the
 import graph (with the reverse closure ``repro lint --changed`` needs),
-and the one-level call graph RL012 walks, plus the two non-Python
-inputs RL003/RL007 check against — the ``EnginePair`` declarations with
-their ``pairs.py`` lines and the gated keys of ``bench_baseline.json``.
+and the one-level call graph RL012 walks, plus the input RL003 checks
+against — the ``EnginePair`` declarations with their ``pairs.py`` lines.
 Facts live in memory for one run only; every input is plain data, so
 tests build synthetic graphs directly instead of faking a repository.
 """
@@ -24,7 +23,6 @@ tests build synthetic graphs directly instead of faking a repository.
 from __future__ import annotations
 
 import ast
-import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -54,7 +52,6 @@ if TYPE_CHECKING:
     from repro.difftest.registry import EnginePair
 
 __all__ = [
-    "BASELINE_PATH",
     "ConfigClassFacts",
     "FileFacts",
     "KeyBuilderFacts",
@@ -68,7 +65,6 @@ __all__ = [
 ]
 
 PAIRS_PATH = "src/repro/difftest/pairs.py"
-BASELINE_PATH = "benchmarks/bench_baseline.json"
 
 #: Call names whose argument provenance RL009 audits.
 SEED_SINKS = frozenset({"default_rng", "spawn_streams"})
@@ -145,7 +141,6 @@ class FileFacts:
     config_classes: list[ConfigClassFacts] = field(default_factory=list)
     key_builders: list[KeyBuilderFacts] = field(default_factory=list)
     test_identifiers: frozenset[str] = frozenset()
-    gate_calls: dict[str, int] = field(default_factory=dict)
     pragmas: dict[int, frozenset[str]] = field(default_factory=dict)
 
     def pragma_allows(self, rule: str, *lines: int) -> bool:
@@ -414,26 +409,6 @@ def mentioned_identifiers(tree: ast.Module) -> frozenset[str]:
     return frozenset(identifiers)
 
 
-def _gate_speedup_sites(tree: ast.Module) -> dict[str, int]:
-    calls: dict[str, int] = {}
-    for node in ast.walk(tree):
-        if (
-            isinstance(node, ast.Call)
-            and (
-                (isinstance(node.func, ast.Name) and node.func.id == "gate_speedup")
-                or (
-                    isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "gate_speedup"
-                )
-            )
-            and node.args
-            and isinstance(node.args[0], ast.Constant)
-            and isinstance(node.args[0].value, str)
-        ):
-            calls[node.args[0].value] = node.lineno
-    return calls
-
-
 def _collect_seed_sites(
     scope: ast.AST, owner: str, outer_env: Mapping[str, object]
 ) -> tuple[list[SeedSite], "FunctionSummary"]:
@@ -483,8 +458,6 @@ def extract_facts(
     if scope == "tests":
         facts.test_identifiers = mentioned_identifiers(tree)
         return facts
-    if scope == "benchmarks":
-        facts.gate_calls = _gate_speedup_sites(tree)
     if scope != "src" or not module.startswith("repro"):
         return facts
 
@@ -557,13 +530,12 @@ def extract_facts(
 class ProjectGraph:
     """Indexed union of every file's facts — project-wide symbol table,
     import graph (with reverse closure), one-level call graph — plus the
-    registry and baseline inputs RL003/RL007 check the facts against."""
+    registry declarations RL003 checks the facts against."""
 
     def __init__(
         self,
         files: Mapping[str, FileFacts],
         pairs: Sequence[tuple[EnginePair, int]] = (),
-        gated_keys: Mapping[str, int] | None = None,
         errors: Sequence[RuleViolation] = (),
     ):
         self.files: dict[str, FileFacts] = dict(files)
@@ -574,18 +546,8 @@ class ProjectGraph:
         }
         #: (declaration, line of its ``EnginePair(...)`` call in PAIRS_PATH)
         self.pairs = tuple(pairs)
-        #: gated baseline key -> line in BASELINE_PATH
-        self.gated_keys: dict[str, int] = dict(gated_keys or {})
-        #: RL000 findings from loading the two inputs above
+        #: RL000 findings from loading the declarations above
         self.errors = list(errors)
-
-    def gate_calls(self) -> dict[str, tuple[str, int]]:
-        """``gate_speedup("name", ...)`` call sites: name -> (path, line)."""
-        return {
-            name: (path, line)
-            for path, facts in sorted(self.files.items())
-            for name, line in facts.gate_calls.items()
-        }
 
     # -- symbol table --------------------------------------------------
 
@@ -713,34 +675,6 @@ def _load_pairs(
     return tuple((pair, lines.get(pair.subsystem, 1)) for pair in engine_matrix())
 
 
-def _load_gated_keys(root: Path, errors: list[RuleViolation]) -> dict[str, int]:
-    path = root / BASELINE_PATH
-    if not path.exists():
-        # Only an error for roots that carry the difftest registry: a
-        # repo with gated pairs must commit the baseline they gate on.
-        if (root / PAIRS_PATH).exists():
-            errors.append(
-                RuleViolation(BASELINE_PATH, 1, "RL000", "baseline missing")
-            )
-        return {}
-    text = path.read_text(encoding="utf-8")
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        errors.append(
-            RuleViolation(BASELINE_PATH, exc.lineno, "RL000", f"bad JSON: {exc.msg}")
-        )
-        return {}
-    keys: dict[str, int] = {}
-    lines = text.splitlines()
-    for key in data.get("gated", {}):
-        needle = f'"{key}"'
-        keys[key] = next(
-            (i for i, line in enumerate(lines, start=1) if needle in line), 1
-        )
-    return keys
-
-
 def analyze_file(
     path: Path, root: Path, rules=None
 ) -> tuple[FileFacts, list[RuleViolation], int]:
@@ -773,7 +707,7 @@ def analyze_paths(
 ) -> tuple[ProjectGraph, list[RuleViolation], int]:
     """Analyze every ``.py`` under the targets: per-file violations plus
     the :class:`ProjectGraph` the whole-program rules run over (with the
-    difftest registry and bench baseline read from ``root``)."""
+    difftest registry read from ``root``)."""
     from .rules import FILE_RULES
 
     root = Path(root)
@@ -790,10 +724,5 @@ def analyze_paths(
         violations.extend(found)
         suppressed += silenced
     errors: list[RuleViolation] = []
-    graph = ProjectGraph(
-        files,
-        pairs=_load_pairs(root, errors),
-        gated_keys=_load_gated_keys(root, errors),
-        errors=errors,
-    )
+    graph = ProjectGraph(files, pairs=_load_pairs(root, errors), errors=errors)
     return graph, sorted(violations), suppressed

@@ -1,13 +1,10 @@
 """Whole-program reprolint rules.
 
-All six run over the :class:`~repro.analysis.graph.ProjectGraph` fact
+All five run over the :class:`~repro.analysis.graph.ProjectGraph` fact
 table:
 
 * **RL003 spec/engine conformance** — every declared ``EnginePair`` has
-  a ``tests/`` file naming both its symbols and a gated baseline key;
-  no baseline key is dead.
-* **RL007 bench-gate consistency** — every ``gate_speedup`` metric name
-  round-trips through the baseline's gated keys.
+  a ``tests/`` file naming both its spec and engine symbols.
 * **RL009 seed provenance** — interprocedural taint: every value
   reaching a ``default_rng``/``spawn_streams`` seed argument must flow
   from a config seed field or a threaded ``seed`` parameter, through
@@ -30,13 +27,12 @@ from typing import Iterable
 
 from .core import Rule, RuleViolation
 from .dataflow import CONST, SEEDED, resolve_taint
-from .graph import BASELINE_PATH, PAIRS_PATH, ProjectGraph
+from .graph import PAIRS_PATH, ProjectGraph
 from .rules import engine_symbols_by_module
 
 __all__ = [
     "CacheKeyCompletenessRule",
     "ConformanceRule",
-    "GateRoundtripRule",
     "InterproceduralPurityRule",
     "PROJECT_RULE_CLASSES",
     "PROJECT_RULES",
@@ -83,32 +79,26 @@ class ProjectRule(Rule):
 
 
 class ConformanceRule(ProjectRule):
-    """RL003: every registered pair has a differential test and a live
-    gated baseline metric."""
+    """RL003: every registered pair has a differential test."""
 
     code = "RL003"
     description = (
         "spec/engine conformance: every declared EnginePair has a "
-        "differential test in tests/ and a gated bench_baseline.json metric; "
-        "no dead baseline keys"
+        "differential test in tests/"
     )
     contract = (
         "Every EnginePair in difftest/pairs.py must have a tests/ file exercising "
-        "both its spec and engine symbols, must "
-        "declare a CI gate metric, and that metric must exist in "
-        "bench_baseline.json; baseline keys no pair or gate_speedup call "
-        "records are dead and flagged."
+        "both its spec and engine symbols."
     )
     example_bad = (
-        "EnginePair('widget', spec=..., engine=..., gate=None)"
+        "EnginePair('widget', spec=..., engine=...)  # no test names both"
     )
     example_good = (
-        "EnginePair('widget', ..., gate='widget_speedup')\n"
+        "EnginePair('widget', spec=..., engine=...)\n"
         "# plus tests/test_widget.py referencing spec and engine"
     )
     escape = (
-        "none — no pragma silences RL003: fix the registration (add the "
-        "differential test or the gate metric) or delete the dead baseline key"
+        "none — no pragma silences RL003: add the differential test"
     )
 
     def check(self, graph):
@@ -130,79 +120,6 @@ class ConformanceRule(ProjectRule):
                         f"engine pair {pair.subsystem!r} has no differential "
                         f"test: no tests/ file references both "
                         f"{spec_symbol!r} and {engine_symbol!r}",
-                    )
-                )
-            if pair.gate is None:
-                violations.append(
-                    RuleViolation(
-                        PAIRS_PATH,
-                        line,
-                        self.code,
-                        f"engine pair {pair.subsystem!r} declares no CI gate "
-                        "metric (gate=None): regressions would land silently",
-                    )
-                )
-            elif pair.gate not in graph.gated_keys:
-                violations.append(
-                    RuleViolation(
-                        PAIRS_PATH,
-                        line,
-                        self.code,
-                        f"engine pair {pair.subsystem!r} gates on "
-                        f"{pair.gate!r} but {BASELINE_PATH} has no such "
-                        "gated key: the speedup is never CI-checked",
-                    )
-                )
-        alive = {pair.gate for pair, _ in graph.pairs if pair.gate}
-        alive.update(f"{name}_speedup" for name in graph.gate_calls())
-        for key, line in sorted(graph.gated_keys.items()):
-            if key not in alive:
-                violations.append(
-                    RuleViolation(
-                        BASELINE_PATH,
-                        line,
-                        self.code,
-                        f"dead baseline key {key!r}: no registered pair or "
-                        "gate_speedup call records it, so the gate can never "
-                        "trip",
-                    )
-                )
-        return violations
-
-
-class GateRoundtripRule(ProjectRule):
-    """RL007: each ``gate_speedup`` metric name appears in the baseline."""
-
-    code = "RL007"
-    description = (
-        "bench-gate consistency: every gate_speedup metric name round-trips "
-        "through bench_baseline.json (schema 2)"
-    )
-    contract = (
-        "Every gate_speedup('name', ...) call in benchmarks/ must have a "
-        "matching 'name_speedup' gated key in bench_baseline.json, or the "
-        "bench runs without a regression floor."
-    )
-    example_bad = "gate_speedup('newbench', spec_s, engine_s)  # key missing"
-    example_good = '"gated": {"newbench_speedup": 10.0}  # in the baseline'
-    escape = (
-        "none — no pragma silences RL007: add the '<name>_speedup' key to "
-        "the gated block of bench_baseline.json"
-    )
-
-    def check(self, graph):
-        violations: list[RuleViolation] = []
-        for name, (path, line) in sorted(graph.gate_calls().items()):
-            key = f"{name}_speedup"
-            if key not in graph.gated_keys:
-                violations.append(
-                    RuleViolation(
-                        path,
-                        line,
-                        self.code,
-                        f"gate_speedup({name!r}) records {key!r} but "
-                        f"{BASELINE_PATH} never gates it: the bench "
-                        "runs without a regression floor",
                     )
                 )
         return violations
@@ -527,7 +444,6 @@ class InterproceduralPurityRule(ProjectRule):
 #: by the registry; keep this the only hand-maintained list here).
 PROJECT_RULE_CLASSES: tuple[type[ProjectRule], ...] = (
     ConformanceRule,
-    GateRoundtripRule,
     SeedProvenanceRule,
     SnapshotCoverageRule,
     CacheKeyCompletenessRule,

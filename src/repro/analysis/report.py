@@ -1,6 +1,6 @@
 """Violation renderers: human terminal lines, machine JSON, and GitHub
 workflow-command output with a step-summary markdown table (the same
-``$GITHUB_STEP_SUMMARY`` convention ``check_bench_regression.py`` uses).
+``$GITHUB_STEP_SUMMARY`` convention ``benchmarks/conftest.py`` uses).
 
 Each renderer takes the sorted violation list plus the count of findings
 silenced by ``# reprolint: disable=`` pragmas, so suppressions stay
@@ -79,7 +79,7 @@ def render_github(violations: Sequence[RuleViolation], suppressed: int = 0) -> s
 
 
 def step_summary_table(violations: Sequence[RuleViolation]) -> str:
-    """Markdown for ``$GITHUB_STEP_SUMMARY`` (mirrors the bench gate's)."""
+    """Markdown for ``$GITHUB_STEP_SUMMARY``."""
     lines = ["## reprolint", ""]
     if not violations:
         lines.append("No violations — all enforced invariants hold.")

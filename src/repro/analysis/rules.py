@@ -2,7 +2,7 @@
 
 Each rule encodes one determinism or conformance contract the repo
 learned the hard way (DESIGN.md "Enforced invariants" names the PR or
-bug class behind each).  Whole-program rules — RL003/RL007 plus the v2
+bug class behind each).  Whole-program rules — RL003 plus the v2
 dataflow rules RL009–RL012 — live in :mod:`repro.analysis.project`; the
 single source of truth for the full rule set is
 :mod:`repro.analysis.registry`.
@@ -166,8 +166,8 @@ class EnginePurityRule(Rule):
     Inside the *registered engine symbol's body* (the class or function
     the difftest registry names as a subsystem's engine), flag ``for i
     in range(...)`` loops whose body indexes arrays with the loop
-    variable — the classic per-element scalar loop that silently erases
-    the >=10x the bench gate demands.  Loops over compiled-program ops,
+    variable — the classic per-element scalar loop that silently turns
+    an engine back into its spec.  Loops over compiled-program ops,
     per-group axes (``enumerate``/``zip``) or transition depth don't
     index per element and pass.
     """
@@ -181,8 +181,8 @@ class EnginePurityRule(Rule):
     contract = (
         "The body of every engine symbol registered in the difftest "
         "matrix must stay vectorized: no `for i in range(...)` loop that "
-        "subscripts arrays with the loop variable.  Per-element Python "
-        "loops erase the >=10x speedups the bench gates enforce.  RL012 "
+        "subscripts arrays with the loop variable.  A per-element Python "
+        "loop is the scalar spec again, under the engine's name.  RL012 "
         "extends the same check one call level into helper functions."
     )
     example_bad = (

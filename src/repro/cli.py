@@ -14,6 +14,20 @@ from typing import Sequence
 __all__ = ["main", "build_parser"]
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"must be a positive number, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -27,19 +41,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser(
         "certify",
         help="exhaustively certify the (10,6,5) LRC's distance and locality",
-    )
+    ).set_defaults(handler=_cmd_certify)
 
-    sub.add_parser("table1", help="regenerate Table 1 (reliability comparison)")
+    sub.add_parser(
+        "table1", help="regenerate Table 1 (reliability comparison)"
+    ).set_defaults(handler=_cmd_table1)
 
     fig1 = sub.add_parser("fig1", help="generate the Figure 1 failure trace")
-    fig1.add_argument("--days", type=int, default=31)
+    fig1.add_argument("--days", type=_positive_int, default=31)
     fig1.add_argument("--seed", type=int, default=21)
+    fig1.set_defaults(handler=_cmd_fig1)
 
     ec2 = sub.add_parser("ec2", help="run a (scaled) EC2 failure experiment")
-    ec2.add_argument("--files", type=int, default=20)
+    ec2.add_argument("--files", type=_positive_int, default=20)
     ec2.add_argument(
         "--blocks",
-        type=float,
+        type=_positive_float,
         default=None,
         help=(
             "target total data blocks (overrides --files).  Scale --nodes "
@@ -47,11 +64,11 @@ def build_parser() -> argparse.ArgumentParser:
             "--blocks 1e5 needs about --nodes 400, not the default 50"
         ),
     )
-    ec2.add_argument("--nodes", type=int, default=50)
+    ec2.add_argument("--nodes", type=_positive_int, default=50)
     ec2.add_argument("--seed", type=int, default=0)
     ec2.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=None,
         help="worker processes for the scheme runs (default: CPU count)",
     )
@@ -62,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ec2.add_argument(
         "--payload-bytes",
-        type=int,
+        type=_positive_int,
         default=None,  # resolved to DEFAULT_PAYLOAD_BYTES at dispatch
         help=(
             "verification payload bytes per block (the batched codec "
@@ -96,6 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
             "simulation itself is what gets measured)"
         ),
     )
+    ec2.set_defaults(handler=_cmd_ec2, usage_error=ec2.error)
 
     chaos = sub.add_parser(
         "chaos",
@@ -104,10 +122,10 @@ def build_parser() -> argparse.ArgumentParser:
             "plane, asserting bit-identical recovery per trial"
         ),
     )
-    chaos.add_argument("--trials", type=int, default=3)
+    chaos.add_argument("--trials", type=_positive_int, default=3)
     chaos.add_argument("--seed", type=int, default=0)
-    chaos.add_argument("--files", type=int, default=3)
-    chaos.add_argument("--nodes", type=int, default=20)
+    chaos.add_argument("--files", type=_positive_int, default=3)
+    chaos.add_argument("--nodes", type=_positive_int, default=20)
     chaos.add_argument(
         "--full-pattern",
         action="store_true",
@@ -118,70 +136,77 @@ def build_parser() -> argparse.ArgumentParser:
         default="results/chaos_report.json",
         help="where to write the JSON chaos report",
     )
+    chaos.set_defaults(handler=_cmd_chaos, usage_error=chaos.error)
 
     codec = sub.add_parser(
         "codec",
         help="exercise the batched codec engine and print cache statistics",
     )
-    codec.add_argument("--stripes", type=int, default=512)
-    codec.add_argument("--payload-bytes", type=int, default=1024)
+    codec.add_argument("--stripes", type=_positive_int, default=512)
+    codec.add_argument("--payload-bytes", type=_positive_int, default=1024)
     codec.add_argument("--seed", type=int, default=0)
+    codec.set_defaults(handler=_cmd_codec)
 
     montecarlo = sub.add_parser(
         "montecarlo",
         help="batched Gillespie validation of the analytic MTTDL solver",
     )
-    montecarlo.add_argument("--trials", type=int, default=10_000)
+    montecarlo.add_argument("--trials", type=_positive_int, default=10_000)
     montecarlo.add_argument(
         "--repair-scale",
-        type=float,
+        type=_positive_float,
         default=1e-6,
         help="repair-rate compression making absorption simulable",
     )
     montecarlo.add_argument("--seed", type=int, default=0)
+    montecarlo.set_defaults(handler=_cmd_montecarlo)
 
     facebook = sub.add_parser("facebook", help="run the Table 3 experiment")
-    facebook.add_argument("--files", type=int, default=200)
+    facebook.add_argument("--files", type=_positive_int, default=200)
     facebook.add_argument(
         "--blocks",
-        type=float,
+        type=_positive_float,
         default=None,
         help="target total data blocks (overrides --files)",
     )
     facebook.add_argument("--seed", type=int, default=0)
+    facebook.set_defaults(handler=_cmd_facebook)
 
     workload = sub.add_parser(
         "workload", help="run the Figure 7 / Table 2 workload experiment"
     )
     workload.add_argument("--seed", type=int, default=0)
+    workload.set_defaults(handler=_cmd_workload)
 
     sub.add_parser(
         "baselines",
         help="compare code families (replication/RS/Pyramid/LRC/SRC)",
-    )
+    ).set_defaults(handler=_cmd_baselines)
 
     geo = sub.add_parser(
         "geo", help="geo-distributed WAN repair comparison (Section 1.1)"
     )
-    geo.add_argument("--stripes", type=float, default=1e6)
+    geo.add_argument("--stripes", type=_positive_float, default=1e6)
+    geo.set_defaults(handler=_cmd_geo)
 
     archival = sub.add_parser(
         "archival", help="archival stripe-size sweep (Section 7)"
     )
     archival.add_argument(
-        "--stripes", type=int, nargs="+", default=[10, 20, 50, 100]
+        "--stripes", type=_positive_int, nargs="+", default=[10, 20, 50, 100]
     )
-    archival.add_argument("--samples", type=int, default=150)
+    archival.add_argument("--samples", type=_positive_int, default=150)
     archival.add_argument("--seed", type=int, default=0)
+    archival.set_defaults(handler=_cmd_archival)
 
     degraded = sub.add_parser(
         "degraded", help="degraded-read availability experiment (Section 4)"
     )
-    degraded.add_argument("--hours", type=float, default=6.0)
+    degraded.add_argument("--hours", type=_positive_float, default=6.0)
     degraded.add_argument("--seed", type=int, default=3)
     degraded.add_argument(
         "--reads",
-        type=float,
+        type=_positive_float,
         default=None,
         help=(
             "target total client reads over the horizon (sets the read "
@@ -206,6 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="number of racks with a correlated rack-outage process (0 = off)",
     )
+    degraded.set_defaults(handler=_cmd_degraded)
 
     tradeoff = sub.add_parser(
         "tradeoff", help="locality/storage/repair frontier (Sections 1.1-2)"
@@ -215,27 +241,30 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="exhaustively certify each point's distance (slow)",
     )
+    tradeoff.set_defaults(handler=_cmd_tradeoff)
 
     export = sub.add_parser(
         "export", help="export the analytical artefacts as CSV"
     )
     export.add_argument("--out", default="results/csv")
     export.add_argument("--seed", type=int, default=0)
+    export.set_defaults(handler=_cmd_export)
 
     sub.add_parser(
         "claims", help="check the paper's quantitative claims against the code"
-    )
+    ).set_defaults(handler=_cmd_claims)
 
     lint = sub.add_parser(
         "lint", help="run reprolint, the repo's AST invariant analyzer"
     )
-    from .analysis.cli import add_lint_arguments
+    from .analysis.cli import add_lint_arguments, run_lint
 
     add_lint_arguments(lint)
+    lint.set_defaults(handler=run_lint)
     return parser
 
 
-def _cmd_certify() -> int:
+def _cmd_certify(args: argparse.Namespace) -> int:
     from .codes import certify_distance, certify_locality, xorbas_lrc
 
     code = xorbas_lrc()
@@ -250,70 +279,72 @@ def _cmd_certify() -> int:
     return 0
 
 
-def _cmd_table1() -> int:
+def _cmd_table1(args: argparse.Namespace) -> int:
     from .experiments import render_table1
 
     print(render_table1())
     return 0
 
 
-def _cmd_fig1(days: int, seed: int) -> int:
+def _cmd_fig1(args: argparse.Namespace) -> int:
     from .experiments import render_fig1
     from .experiments.traces import generate_fig1_trace
 
-    print(render_fig1(generate_fig1_trace(days=days, seed=seed)))
+    print(render_fig1(generate_fig1_trace(days=args.days, seed=args.seed)))
     return 0
 
 
-def _cmd_ec2(
-    files: int,
-    nodes: int,
-    seed: int,
-    jobs: int | None,
-    cache_dir: str | None,
-    payload_bytes: int | None,
-    blocks: float | None = None,
-    profile: bool = False,
-    checkpoint_dir: str | None = None,
-    resume: bool = False,
-) -> int:
+def _require_survivors(args: argparse.Namespace, name: str, pattern) -> None:
+    """Reject ``--nodes`` the failure schedule would kill off entirely."""
+    kills = sum(pattern)
+    if args.nodes <= kills:
+        args.usage_error(
+            f"argument --nodes: {name} {tuple(pattern)} kills {kills} nodes "
+            f"in total, so --nodes must exceed {kills} (got {args.nodes})"
+        )
+
+
+def _cmd_ec2(args: argparse.Namespace) -> int:
+    from .cluster import EC2_FAILURE_PATTERN
     from .experiments import ResultCache, format_table, run_ec2_experiment_parallel
     from .experiments.ec2 import DEFAULT_PAYLOAD_BYTES, ec2_files_for_blocks
 
+    _require_survivors(args, "EC2_FAILURE_PATTERN", EC2_FAILURE_PATTERN)
+    if args.resume and not args.checkpoint_dir:
+        args.usage_error("--resume requires --checkpoint-dir")
+    files, jobs, cache_dir = args.files, args.jobs, args.cache_dir
+    payload_bytes = args.payload_bytes
     if payload_bytes is None:
         payload_bytes = DEFAULT_PAYLOAD_BYTES
-    if blocks is not None:
-        files = ec2_files_for_blocks(blocks)
-        print(f"--blocks {blocks:g}: running {files} one-stripe files")
-    if resume and not checkpoint_dir:
-        print("error: --resume requires --checkpoint-dir", file=sys.stderr)
-        return 2
-    if checkpoint_dir:
-        verb = "resuming from" if resume else "checkpointing to"
-        print(f"{verb} {checkpoint_dir} at each failure-epoch boundary")
-    if profile:
+    if args.blocks is not None:
+        files = ec2_files_for_blocks(args.blocks)
+        print(f"--blocks {args.blocks:g}: running {files} one-stripe files")
+    if args.checkpoint_dir:
+        verb = "resuming from" if args.resume else "checkpointing to"
+        print(f"{verb} {args.checkpoint_dir} at each failure-epoch boundary")
+    if args.profile:
         # Workers would take the interesting frames with them, and a
         # cache hit measures pickle loading: profile one process, fresh.
         jobs, cache_dir = 1, None
     cache = ResultCache(cache_dir) if cache_dir else None
     print(
-        f"Running EC2 experiment: {files} files, {nodes} slaves, "
+        f"Running EC2 experiment: {files} files, {args.nodes} slaves, "
         f"{payload_bytes}-byte verification payloads ..."
     )
 
     def execute():
         return run_ec2_experiment_parallel(
             num_files=files,
-            num_nodes=nodes,
-            seed=seed,
+            num_nodes=args.nodes,
+            seed=args.seed,
             jobs=jobs,
             cache=cache,
             payload_bytes=payload_bytes,
-            checkpoint_dir=checkpoint_dir,
-            resume=resume,
+            checkpoint_dir=args.checkpoint_dir,
+            resume=args.resume,
         )
 
-    if profile:
+    if args.profile:
         import cProfile
         import io
         import pstats
@@ -350,14 +381,7 @@ def _cmd_ec2(
     return 0
 
 
-def _cmd_chaos(
-    trials: int,
-    seed: int,
-    files: int,
-    nodes: int,
-    full_pattern: bool,
-    out: str,
-) -> int:
+def _cmd_chaos(args: argparse.Namespace) -> int:
     import json
     import tempfile
     from pathlib import Path
@@ -365,18 +389,19 @@ def _cmd_chaos(
     from .cluster import EC2_FAILURE_PATTERN
     from .recovery.equivalence import run_chaos_sweep
 
-    pattern = EC2_FAILURE_PATTERN if full_pattern else (1, 2)
+    pattern = EC2_FAILURE_PATTERN if args.full_pattern else (1, 2)
+    _require_survivors(args, "the failure pattern", pattern)
     print(
-        f"Chaos sweep: {trials} trial(s), {files} files, {nodes} slaves, "
-        f"pattern {pattern}, base seed {seed} ..."
+        f"Chaos sweep: {args.trials} trial(s), {args.files} files, "
+        f"{args.nodes} slaves, pattern {pattern}, base seed {args.seed} ..."
     )
     with tempfile.TemporaryDirectory(prefix="repro-chaos-") as scratch:
         report = run_chaos_sweep(
             scratch,
-            trials=trials,
-            base_seed=seed,
-            num_files=files,
-            num_nodes=nodes,
+            trials=args.trials,
+            base_seed=args.seed,
+            num_files=args.files,
+            num_nodes=args.nodes,
             pattern=pattern,
         )
     for trial in report["trials"]:
@@ -385,7 +410,7 @@ def _cmd_chaos(
             f"  seed {trial['seed']}: kill at epoch {trial['kill_epoch']}, "
             f"corrupt {trial['corrupt_epochs']} -> {status}"
         )
-    path = Path(out)
+    path = Path(args.out)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     print(
@@ -395,7 +420,7 @@ def _cmd_chaos(
     return 0 if report["all_equivalent"] else 1
 
 
-def _cmd_codec(stripes: int, payload_bytes: int, seed: int) -> int:
+def _cmd_codec(args: argparse.Namespace) -> int:
     from time import perf_counter
 
     import numpy as np
@@ -403,6 +428,7 @@ def _cmd_codec(stripes: int, payload_bytes: int, seed: int) -> int:
     from .codes import pyramid_10_4, rs_10_4, xorbas_lrc
     from .experiments import format_table
 
+    stripes, payload_bytes = args.stripes, args.payload_bytes
     print(
         f"Batched codec engine: {stripes} stripes x {payload_bytes} bytes "
         "per block, encode + node-loss reconstruct per scheme ..."
@@ -410,7 +436,7 @@ def _cmd_codec(stripes: int, payload_bytes: int, seed: int) -> int:
     rows = []
     all_verified = True
     for code in (rs_10_4(), xorbas_lrc(), pyramid_10_4()):
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(args.seed)
         data = code.field.random_elements(rng, (stripes, code.k, payload_bytes))
         start = perf_counter()
         coded = code.encode_stripes(data)
@@ -466,7 +492,7 @@ def _cmd_codec(stripes: int, payload_bytes: int, seed: int) -> int:
     return 0 if all_verified else 1
 
 
-def _cmd_montecarlo(trials: int, repair_scale: float, seed: int) -> int:
+def _cmd_montecarlo(args: argparse.Namespace) -> int:
     import numpy as np
 
     from .codes import rs_10_4, three_replication, xorbas_lrc
@@ -475,8 +501,8 @@ def _cmd_montecarlo(trials: int, repair_scale: float, seed: int) -> int:
 
     params = ClusterReliabilityParameters()
     print(
-        f"Batched Gillespie validation: {trials} trajectories per scheme, "
-        f"repair rates compressed by {repair_scale:g} ..."
+        f"Batched Gillespie validation: {args.trials} trajectories per scheme, "
+        f"repair rates compressed by {args.repair_scale:g} ..."
     )
     rows = []
     all_consistent = True
@@ -484,9 +510,9 @@ def _cmd_montecarlo(trials: int, repair_scale: float, seed: int) -> int:
         sim = simulate_scheme_mttdl(
             code,
             params,
-            repair_scale=repair_scale,
-            trials=trials,
-            rng=np.random.default_rng(seed),
+            repair_scale=args.repair_scale,
+            trials=args.trials,
+            rng=np.random.default_rng(args.seed),
         )
         rows.append(
             (
@@ -508,15 +534,16 @@ def _cmd_montecarlo(trials: int, repair_scale: float, seed: int) -> int:
     return 0 if all_consistent else 1
 
 
-def _cmd_facebook(files: int, seed: int, blocks: float | None = None) -> int:
+def _cmd_facebook(args: argparse.Namespace) -> int:
     from .experiments import format_table, run_facebook_experiment
     from .experiments.facebook import facebook_files_for_blocks
 
-    if blocks is not None:
-        files = facebook_files_for_blocks(blocks)
-        print(f"--blocks {blocks:g}: running {files} files (paper size mix)")
+    files = args.files
+    if args.blocks is not None:
+        files = facebook_files_for_blocks(args.blocks)
+        print(f"--blocks {args.blocks:g}: running {files} files (paper size mix)")
     print(f"Running Facebook test-cluster experiment with {files} files ...")
-    rows = run_facebook_experiment(num_files=files, seed=seed)
+    rows = run_facebook_experiment(num_files=files, seed=args.seed)
     print(
         format_table(
             ["scheme", "blocks lost", "GB read", "GB/block", "duration min"],
@@ -536,12 +563,12 @@ def _cmd_facebook(files: int, seed: int, blocks: float | None = None) -> int:
     return 0
 
 
-def _cmd_workload(seed: int) -> int:
+def _cmd_workload(args: argparse.Namespace) -> int:
     from .experiments import format_table, run_workload_experiment
     from .experiments.report import fmt_or_na as _fmt
 
     print("Running the Figure 7 workload experiment (three scenarios) ...")
-    results = run_workload_experiment(seed=seed)
+    results = run_workload_experiment(seed=args.seed)
     print(
         format_table(
             ["scenario", "avg minutes", "bytes read GB", "degraded reads"],
@@ -560,48 +587,41 @@ def _cmd_workload(seed: int) -> int:
     return 0
 
 
-def _cmd_baselines() -> int:
+def _cmd_baselines(args: argparse.Namespace) -> int:
     from .experiments.baselines import render_baselines
 
     print(render_baselines())
     return 0
 
 
-def _cmd_geo(stripes: float) -> int:
+def _cmd_geo(args: argparse.Namespace) -> int:
     from .experiments.geo import render_geo, run_geo_experiment
 
-    print(render_geo(run_geo_experiment(), stripes=stripes))
+    print(render_geo(run_geo_experiment(), stripes=args.stripes))
     return 0
 
 
-def _cmd_archival(stripe_sizes: list[int], samples: int, seed: int) -> int:
+def _cmd_archival(args: argparse.Namespace) -> int:
     from .experiments.archival import render_archival, run_archival_experiment
 
     rows = run_archival_experiment(
-        stripe_sizes=tuple(stripe_sizes), samples=samples, seed=seed
+        stripe_sizes=tuple(args.stripes), samples=args.samples, seed=args.seed
     )
     print(render_archival(rows))
     return 0
 
 
-def _cmd_degraded(
-    hours: float,
-    seed: int,
-    reads: float | None = None,
-    zipf: float = 0.0,
-    diurnal: float = 0.0,
-    racks: int = 0,
-) -> int:
+def _cmd_degraded(args: argparse.Namespace) -> int:
     from .cluster.degraded import DegradedReadConfig, compare_degraded_reads
     from .codes import rs_10_4, three_replication, xorbas_lrc
     from .experiments import format_table
     from .experiments.report import fmt_or_na as _fmt
 
-    duration = hours * 3600.0
-    # reads <= 0 flows into read_rate and is rejected by validate().
-    read_rate = (
-        reads / duration if reads is not None else DegradedReadConfig().read_rate
-    )
+    zipf, diurnal, racks = args.zipf, args.diurnal, args.racks
+    duration = args.hours * 3600.0
+    read_rate = DegradedReadConfig().read_rate
+    if args.reads is not None:
+        read_rate = args.reads / duration
     config = DegradedReadConfig(
         duration=duration,
         read_rate=read_rate,
@@ -618,8 +638,8 @@ def _cmd_degraded(
     if racks:
         scenario.append(f"racks={racks}")
     suffix = f" ({', '.join(scenario)})" if scenario else ""
-    print(f"Simulating {hours:.0f}h of reads under transient outages{suffix} ...")
-    rows = compare_degraded_reads(codes, config=config, seed=seed)
+    print(f"Simulating {args.hours:.0f}h of reads under transient outages{suffix} ...")
+    rows = compare_degraded_reads(codes, config=config, seed=args.seed)
     print(
         format_table(
             ["scheme", "reads", "degraded", "mean degraded s", "availability"],
@@ -639,16 +659,16 @@ def _cmd_degraded(
     return 0
 
 
-def _cmd_tradeoff(certify: bool) -> int:
+def _cmd_tradeoff(args: argparse.Namespace) -> int:
     from .experiments.tradeoff import locality_sweep, render_tradeoff
 
-    print(render_tradeoff(locality_sweep(certify=certify)))
-    if not certify:
+    print(render_tradeoff(locality_sweep(certify=args.certify)))
+    if not args.certify:
         print("(pass --certify to verify each point's exact distance)")
     return 0
 
 
-def _cmd_claims() -> int:
+def _cmd_claims(args: argparse.Namespace) -> int:
     from .experiments.claims import check_all_claims, render_claims
 
     results = check_all_claims()
@@ -656,10 +676,10 @@ def _cmd_claims() -> int:
     return 0 if all(r.holds for r in results) else 1
 
 
-def _cmd_export(out: str, seed: int) -> int:
+def _cmd_export(args: argparse.Namespace) -> int:
     from .experiments.export import export_all
 
-    written = export_all(out, seed=seed)
+    written = export_all(args.out, seed=args.seed)
     for path in written:
         print(f"wrote {path}")
     return 0
@@ -667,68 +687,7 @@ def _cmd_export(out: str, seed: int) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "certify":
-        return _cmd_certify()
-    if args.command == "table1":
-        return _cmd_table1()
-    if args.command == "fig1":
-        return _cmd_fig1(args.days, args.seed)
-    if args.command == "ec2":
-        return _cmd_ec2(
-            args.files,
-            args.nodes,
-            args.seed,
-            args.jobs,
-            args.cache_dir,
-            args.payload_bytes,
-            args.blocks,
-            args.profile,
-            args.checkpoint_dir,
-            args.resume,
-        )
-    if args.command == "chaos":
-        return _cmd_chaos(
-            args.trials,
-            args.seed,
-            args.files,
-            args.nodes,
-            args.full_pattern,
-            args.out,
-        )
-    if args.command == "codec":
-        return _cmd_codec(args.stripes, args.payload_bytes, args.seed)
-    if args.command == "montecarlo":
-        return _cmd_montecarlo(args.trials, args.repair_scale, args.seed)
-    if args.command == "facebook":
-        return _cmd_facebook(args.files, args.seed, args.blocks)
-    if args.command == "workload":
-        return _cmd_workload(args.seed)
-    if args.command == "baselines":
-        return _cmd_baselines()
-    if args.command == "geo":
-        return _cmd_geo(args.stripes)
-    if args.command == "archival":
-        return _cmd_archival(args.stripes, args.samples, args.seed)
-    if args.command == "degraded":
-        return _cmd_degraded(
-            args.hours,
-            args.seed,
-            args.reads,
-            args.zipf,
-            args.diurnal,
-            args.racks,
-        )
-    if args.command == "tradeoff":
-        return _cmd_tradeoff(args.certify)
-    if args.command == "export":
-        return _cmd_export(args.out, args.seed)
-    if args.command == "claims":
-        return _cmd_claims()
-    if args.command == "lint":
-        from .analysis.cli import run_lint
-
-        return run_lint(args)
-    raise AssertionError(f"unhandled command {args.command}")
+    return args.handler(args)
 
 
 if __name__ == "__main__":

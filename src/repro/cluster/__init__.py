@@ -35,7 +35,6 @@ from .integrity import (
     ChecksumRegistry,
     CorruptionInjector,
     ScrubReport,
-    Scrubber,
 )
 from .mapreduce import JobTracker, MapReduceJob, Task
 from .metrics import FailureEventRecord, MetricsCollector, TimeSeries
@@ -77,7 +76,6 @@ __all__ = [
     "ChecksumRegistry",
     "CorruptionInjector",
     "ScrubReport",
-    "Scrubber",
     "JobTracker",
     "MapReduceJob",
     "Task",

@@ -11,9 +11,11 @@ layer to the simulated cluster:
   recorded when the stripe is created/encoded (the write path);
 * :class:`CorruptionInjector` — flips payload bytes at block
   granularity, modelling bit rot / torn writes;
-* :class:`Scrubber` — scans stripes, reports checksum mismatches, and
-  heals them in place through the code's repair machinery, counting
-  the block reads each heal consumed.
+* :func:`heal_stripe` — heals reported mismatches in place through the
+  code's repair machinery, counting the block reads each heal consumed
+  (the scan-and-heal loop over it is
+  :class:`~repro.cluster.scrubengine.ScrubEngine`; its per-block CRC
+  oracle is :class:`repro.spec.scrubber.Scrubber`).
 
 For Reed-Solomon stripes the scrubber can also run *checksum-free*
 detection via the PGZ syndrome locator (:mod:`repro.codes.errors`),
@@ -38,7 +40,6 @@ __all__ = [
     "ChecksumRegistry",
     "CorruptionInjector",
     "ScrubReport",
-    "Scrubber",
     "heal_stripe",
 ]
 
@@ -182,33 +183,6 @@ def heal_stripe(
         healthy[position] = rebuilt
         refresh(stripe, position)
         report.healed_blocks.append(stripe.block_id(position))
-
-
-class Scrubber:
-    """Scan payload-carrying stripes and heal corrupted blocks in place.
-
-    The executable spec of the scrubber pair: detection is per-block
-    CRC32 verification against the :class:`ChecksumRegistry` (healing is
-    the shared :func:`heal_stripe` loop).  The vectorized counterpart is
-    :class:`~repro.cluster.scrubengine.ScrubEngine`.
-    """
-
-    def __init__(self, registry: ChecksumRegistry):
-        self.registry = registry
-
-    def scrub_stripe(self, stripe: Stripe, report: ScrubReport) -> None:
-        report.stripes_scanned += 1
-        corrupt = self.registry.scan_stripe(stripe)
-        if not corrupt:
-            return
-        heal_stripe(stripe, corrupt, report, self.registry.refresh)
-
-    def scrub(self, stripes: list[Stripe]) -> ScrubReport:
-        report = ScrubReport()
-        for stripe in stripes:
-            if stripe.payload is not None:
-                self.scrub_stripe(stripe, report)
-        return report
 
 
 def pgz_cross_check(stripe: Stripe) -> list[int]:

@@ -1,6 +1,6 @@
 """Vectorized scrubber: snapshot comparison instead of per-block CRCs.
 
-The spec scrubber (:class:`~repro.cluster.integrity.Scrubber`) pays one
+The spec scrubber (:class:`~repro.spec.scrubber.Scrubber`) pays one
 ``zlib.crc32`` + ``tobytes`` round trip per stored block per scan — a
 Python-level loop that dominates scan time long before any corruption
 is found.  This engine records a contiguous snapshot of each stripe's
@@ -124,7 +124,7 @@ class _StripeSnapshot:
 class ScrubEngine:
     """Snapshot-based scan-and-heal over payload-carrying stripes.
 
-    Mirrors the :class:`~repro.cluster.integrity.Scrubber` API
+    Mirrors the :class:`~repro.spec.scrubber.Scrubber` API
     (``record_stripe`` / ``scrub``) and produces identical
     :class:`~repro.cluster.integrity.ScrubReport` objects on the same
     corruption state.  ``on_heal`` is invoked after each healed rewrite

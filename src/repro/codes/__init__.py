@@ -41,7 +41,6 @@ from .cauchy import (
     build_parity_bitmatrix,
     element_to_bitmatrix,
     xor_count,
-    xor_encode,
 )
 from .errors import (
     correct_corruption,
@@ -105,7 +104,6 @@ __all__ = [
     "build_parity_bitmatrix",
     "element_to_bitmatrix",
     "xor_count",
-    "xor_encode",
     "correct_corruption",
     "locate_corrupt_blocks",
     "max_correctable_corruptions",

@@ -3,10 +3,9 @@
 Every vectorized subsystem keeps its scalar seed implementation alive
 as the executable specification — a test-only oracle, never a
 production option.  Each pair is declared once (in
-:mod:`~repro.difftest.pairs`) as an :class:`EnginePair`: dotted names
-plus the CI bench gate holding the engine's speedup.  Reprolint's
-RL002/RL003 and the README "Spec/engine pairs" table read the same
-declarations.
+:mod:`~repro.difftest.pairs`) as an :class:`EnginePair` of dotted
+names.  Reprolint's RL002/RL003 and the README "Spec/engine pairs" table
+read the same declarations.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ class EnginePair:
     subsystem: str
     spec: str  # dotted name of the scalar specification
     engine: str  # dotted name of the vectorized engine
-    gate: str | None  # the CI bench gating the pair, or None
 
     @property
     def spec_symbol(self) -> str:

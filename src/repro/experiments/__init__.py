@@ -27,13 +27,10 @@ from .baselines import BaselineRow, compare_baselines, render_baselines
 from .ec2 import (
     EC2_FILE_SIZE,
     PAPER_BLOCKS_READ_PER_LOST,
-    EC2ExperimentResult,
     EC2ExperimentSummary,
     fig6_slopes,
     least_squares_slope,
-    run_all_ec2_experiments,
     run_all_ec2_experiments_parallel,
-    run_ec2_experiment,
     run_ec2_experiment_parallel,
 )
 from .parallel import ResultCache, config_hash, default_jobs, parallel_map
@@ -100,13 +97,10 @@ __all__ = [
     "verify_frontier",
     "EC2_FILE_SIZE",
     "PAPER_BLOCKS_READ_PER_LOST",
-    "EC2ExperimentResult",
     "EC2ExperimentSummary",
     "fig6_slopes",
     "least_squares_slope",
-    "run_all_ec2_experiments",
     "run_all_ec2_experiments_parallel",
-    "run_ec2_experiment",
     "run_ec2_experiment_parallel",
     "ResultCache",
     "config_hash",

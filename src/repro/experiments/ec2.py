@@ -19,7 +19,7 @@ from ..codes.reed_solomon import rs_10_4
 from ..cluster import EC2_FAILURE_PATTERN, ClusterConfig, ec2_config
 from ..recovery import CheckpointPolicy
 from .parallel import ResultCache, parallel_map
-from .runner import SchemeRun, SchemeRunSummary, run_failure_schedule
+from .runner import SchemeRunSummary, run_failure_schedule
 
 __all__ = [
     "DEFAULT_PAYLOAD_BYTES",
@@ -27,11 +27,8 @@ __all__ = [
     "EC2_FILE_SIZE",
     "EC2_SCHEME_CODES",
     "ec2_files_for_blocks",
-    "EC2ExperimentResult",
     "EC2ExperimentSummary",
-    "run_ec2_experiment",
     "run_ec2_experiment_parallel",
-    "run_all_ec2_experiments",
     "run_all_ec2_experiments_parallel",
     "run_scheme_config",
     "scheme_config",
@@ -60,25 +57,6 @@ EC2_SCHEME_CODES = {"HDFS-RS": rs_10_4, "HDFS-Xorbas": xorbas_lrc}
 #: Paper reference values for Figure 6's least-squares slopes: average
 #: blocks read per lost block (Section 5.2.1).
 PAPER_BLOCKS_READ_PER_LOST = {"HDFS-RS": 11.5, "HDFS-Xorbas": 5.8}
-
-
-@dataclass
-class EC2ExperimentResult:
-    """Both clusters driven through the same failure schedule."""
-
-    num_files: int
-    rs: SchemeRun
-    xorbas: SchemeRun
-
-    def runs(self) -> list[SchemeRun]:
-        return [self.rs, self.xorbas]
-
-    def summary(self) -> "EC2ExperimentSummary":
-        return EC2ExperimentSummary(
-            num_files=self.num_files,
-            rs=self.rs.summary(),
-            xorbas=self.xorbas.summary(),
-        )
 
 
 @dataclass
@@ -239,44 +217,6 @@ def run_all_ec2_experiments_parallel(
     ]
 
 
-def run_ec2_experiment(
-    num_files: int = 200,
-    seed: int = 0,
-    num_nodes: int = 50,
-    pattern: tuple[int, ...] = EC2_FAILURE_PATTERN,
-    event_gap: float = 900.0,
-    payload_bytes: int = DEFAULT_PAYLOAD_BYTES,
-) -> EC2ExperimentResult:
-    """One full EC2 experiment: identical schedules on HDFS-RS and Xorbas."""
-    if num_files < 1:
-        raise ValueError("need at least one file")
-    sizes = [EC2_FILE_SIZE] * num_files
-    config = ec2_config(num_nodes=num_nodes).scaled(payload_bytes=payload_bytes)
-    rs_run = run_failure_schedule(
-        "HDFS-RS", rs_10_4(), config, sizes, pattern, seed=seed, event_gap=event_gap
-    )
-    xorbas_run = run_failure_schedule(
-        "HDFS-Xorbas",
-        xorbas_lrc(),
-        config,
-        sizes,
-        pattern,
-        seed=seed,
-        event_gap=event_gap,
-    )
-    return EC2ExperimentResult(num_files=num_files, rs=rs_run, xorbas=xorbas_run)
-
-
-def run_all_ec2_experiments(
-    file_counts: tuple[int, ...] = (50, 100, 200), seed: int = 0
-) -> list[EC2ExperimentResult]:
-    """The paper's three experiment sizes, pooled for Figure 6."""
-    return [
-        run_ec2_experiment(num_files=count, seed=seed + i)
-        for i, count in enumerate(file_counts)
-    ]
-
-
 def least_squares_slope(xs: list[float], ys: list[float]) -> float:
     """Zero-intercept least-squares slope (the fit lines of Figure 6)."""
     x = np.asarray(xs, dtype=float)
@@ -288,7 +228,7 @@ def least_squares_slope(xs: list[float], ys: list[float]) -> float:
 
 
 def fig6_slopes(
-    results: Sequence[EC2ExperimentResult | EC2ExperimentSummary],
+    results: Sequence[EC2ExperimentSummary],
 ) -> dict[str, dict[str, float]]:
     """Least-squares slopes of the Figure 6 scatter, per scheme.
 

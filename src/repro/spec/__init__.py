@@ -3,10 +3,10 @@
 Every vectorized subsystem's seed implementation lives on here, verbatim,
 as the reference its engine is held element-identical to.  Nothing in
 production imports this package — only tests, ``benchmarks/`` and
-:mod:`repro.difftest` (whose registry names each oracle) do; specs that
-production still calls (``integrity.Scrubber``, ``ErasureCode.decode``,
-``cauchy.xor_encode``) stay where they are.  :func:`with_specs` is the
-one way to run an oracle inside a live cluster.
+:mod:`repro.difftest` (whose registry names each oracle) do.  The one
+registered spec that lives elsewhere is ``ErasureCode.decode``, the
+public scalar API.  :func:`with_specs` is the one way to run an oracle
+inside a live cluster.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from typing import Iterator
 
 from repro.cluster.decommission import DecommissionManager
 from repro.cluster.hdfs import HadoopCluster
-from repro.cluster.integrity import Scrubber
 from repro.cluster.mapreduce import JobTracker
 from repro.cluster.raidnode import RaidNode
 from repro.cluster.scrubber_daemon import ScrubberDaemon
@@ -27,6 +26,8 @@ from .degraded import DegradedReadSimulation
 from .montecarlo import estimate_mttdl_loop, simulate_time_to_absorption
 from .namenode import DictDataNode, DictNameNode
 from .network import Network, Transfer
+from .scrubber import Scrubber
+from .xorplane import xor_encode
 
 __all__ = [
     "DegradedReadSimulation",
@@ -34,6 +35,7 @@ __all__ = [
     "DictNameNode",
     "GatherCodecEngine",
     "Network",
+    "Scrubber",
     "Transfer",
     "estimate_mttdl_loop",
     "plan_pass_seed",
@@ -41,6 +43,7 @@ __all__ = [
     "scan_candidates_seed",
     "simulate_time_to_absorption",
     "with_specs",
+    "xor_encode",
 ]
 
 
@@ -61,20 +64,13 @@ class _FullRescan:
         pass  # the full rescan reads ``stored.raided`` itself
 
 
-class _CrcScrubber(Scrubber):
-    """``integrity.Scrubber`` behind the ``ScrubEngine`` surface."""
-
-    def record_stripe(self, stripe) -> int:
-        return 0  # detection reads the daemon's CRC registry directly
-
-
 #: subsystem -> (owner class, its one production binding, the spec).
 _SPEC_BINDINGS = {
     "network": (HadoopCluster, "network_cls", Network),
     "namenode": (HadoopCluster, "namenode_cls", DictNameNode),
     "mapreduce": (JobTracker, "plan_pass", staticmethod(plan_pass_seed)),
     "raidnode": (RaidNode, "scan_index_cls", _FullRescan),
-    "scrubber": (ScrubberDaemon, "make_scanner", staticmethod(_CrcScrubber)),
+    "scrubber": (ScrubberDaemon, "make_scanner", staticmethod(Scrubber)),
     "decommission": (
         DecommissionManager, "plan_recreates", staticmethod(plan_recreates_seed)
     ),

@@ -11,9 +11,9 @@ from repro.codes.cauchy import (
     build_parity_bitmatrix,
     element_to_bitmatrix,
     xor_count,
-    xor_encode,
 )
 from repro.galois import GF16, GF256
+from repro.spec import xor_encode
 
 
 class TestCauchyStructure:

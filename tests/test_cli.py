@@ -94,6 +94,34 @@ class TestParser:
             facebook_files_for_blocks(0.5)
 
 
+class TestFailFast:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["ec2", "--files", "0"], "--files"),
+            (["ec2", "--blocks", "0"], "--blocks"),
+            (["fig1", "--days", "0"], "--days"),
+            (["montecarlo", "--trials", "0"], "--trials"),
+            (["degraded", "--reads", "0"], "--reads"),
+            # EC2_FAILURE_PATTERN kills 14 nodes: 5 cannot survive it.
+            (["ec2", "--nodes", "5", "--files", "2"], "--nodes"),
+            (["facebook", "--files", "0"], "--files"),
+            (["codec", "--stripes", "0"], "--stripes"),
+        ],
+    )
+    def test_bad_counts_exit_2_at_the_parser(self, argv, flag, capsys):
+        """Arguments ``--help`` advertises fail as usage errors, before
+        anything is simulated, instead of tracebacks or all-zero tables."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert f"repro {argv[0]}: error:" in captured.err
+        assert flag in captured.err
+        assert captured.out == ""
+
+
 class TestCommands:
     @pytest.mark.slow  # exhaustive distance certification over all patterns
     def test_certify(self, capsys, monkeypatch, xorbas_certification):

@@ -15,10 +15,11 @@ from repro.cluster.decommission import plan_recreates_vectorized
 from repro.cluster.fairscheduler import SchedulerState, plan_pass_vectorized
 from repro.cluster.raidscan import RaidScanIndex, RaidScanSchedule
 from repro.cluster.scrubengine import CorruptionSchedule, ScrubEngine
-from repro.cluster.integrity import ChecksumRegistry, Scrubber
+from repro.cluster.integrity import ChecksumRegistry
 from repro.codes import rs_10_4, xorbas_lrc
 from repro.difftest import assert_bit_identical
 from repro.spec import (
+    Scrubber,
     plan_pass_seed,
     plan_recreates_seed,
     scan_candidates_seed,

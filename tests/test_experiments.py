@@ -17,7 +17,7 @@ from repro.experiments import (
     least_squares_slope,
     render_fig1,
     render_table1,
-    run_ec2_experiment,
+    run_ec2_experiment_parallel,
     run_facebook_experiment,
     run_workload_scenario,
     table1_comparison,
@@ -28,7 +28,9 @@ from repro.experiments.report import format_bar_chart, format_series, format_tab
 
 @pytest.fixture(scope="module")
 def small_ec2():
-    return run_ec2_experiment(num_files=6, seed=1, num_nodes=20, pattern=(1, 2))
+    return run_ec2_experiment_parallel(
+        num_files=6, seed=1, num_nodes=20, pattern=(1, 2), jobs=1
+    )
 
 
 class TestEC2Harness:
@@ -38,8 +40,8 @@ class TestEC2Harness:
 
     def test_all_blocks_repaired(self, small_ec2):
         for run in small_ec2.runs():
-            assert run.cluster.fsck()["missing_blocks"] == 0
-            assert not run.cluster.data_loss_events
+            assert run.fsck["missing_blocks"] == 0
+            assert not run.data_loss_events
 
     def test_xorbas_reads_less(self, small_ec2):
         assert (

@@ -14,7 +14,6 @@ from repro.experiments.parallel import (
 )
 from repro.experiments.ec2 import (
     run_ec2_experiment_parallel,
-    run_scheme_config,
     scheme_config,
 )
 
@@ -304,13 +303,3 @@ class TestEC2Pipeline:
         misses_before = cache.misses
         run_ec2_experiment_parallel(**{**SMALL, "seed": 6}, jobs=1, cache=cache)
         assert cache.misses == misses_before + 2
-
-    def test_worker_matches_legacy_run(self):
-        """The parallel worker reproduces the legacy serial harness
-        exactly (same config, same seed, same measurements)."""
-        from repro.experiments.ec2 import run_ec2_experiment
-
-        legacy = run_ec2_experiment(**SMALL).summary()
-        worker = run_scheme_config(scheme_config("HDFS-RS", **SMALL))
-        assert worker.totals() == legacy.rs.totals()
-        assert [e.label for e in worker.events] == [e.label for e in legacy.rs.events]

@@ -315,24 +315,21 @@ class TestConfigValidation:
 
 
 # ---------------------------------------------------------------------------
-# RL003 / RL007: project rules over synthetic graphs
+# RL003: project rules over synthetic graphs
 # ---------------------------------------------------------------------------
 
 
 FAKE_PAIR = EnginePair(
-    "fake", spec="fakepkg.fake_seed", engine="fakepkg.FakeEngine",
-    gate="fake_speedup",
+    "fake", spec="fakepkg.fake_seed", engine="fakepkg.FakeEngine"
 )
 
 
 def make_project(
     pair=FAKE_PAIR,
     tests={"tests/test_fake.py": {"fake_seed", "FakeEngine"}},
-    gated_keys={"fake_speedup": 5},
-    gate_calls={"benchmarks/bench_fake.py": {"fake": 20}},
 ):
     """A synthetic ProjectGraph: one pair declared at pairs.py line 10,
-    test files as path -> identifiers, benches as path -> gate sites."""
+    test files as path -> identifiers."""
     files = {
         path: FileFacts(
             path=path, module="", scope="tests",
@@ -340,11 +337,7 @@ def make_project(
         )
         for path, identifiers in tests.items()
     }
-    for path, sites in gate_calls.items():
-        files[path] = FileFacts(
-            path=path, module="", scope="benchmarks", gate_calls=dict(sites)
-        )
-    return ProjectGraph(files, pairs=[(pair, 10)], gated_keys=gated_keys)
+    return ProjectGraph(files, pairs=[(pair, 10)])
 
 
 def project_findings(graph, rules=None):
@@ -412,48 +405,10 @@ class TestProjectRules:
         assert "no differential test" in found[0].message
         assert found[0].line == 10
 
-    def test_missing_gate_key(self):
-        project = make_project(gated_keys={}, gate_calls={})
-        found = project_findings(project)
-        assert codes(found) == ["RL003"]
-        assert "no such gated key" in found[0].message
-
-    def test_ungated_pair(self):
-        ungated = EnginePair(
-            FAKE_PAIR.subsystem, FAKE_PAIR.spec, FAKE_PAIR.engine, gate=None
-        )
-        project = make_project(pair=ungated, gated_keys={}, gate_calls={})
-        found = project_findings(project)
-        assert codes(found) == ["RL003"]
-        assert "gate=None" in found[0].message
-
-    def test_dead_baseline_key(self):
-        project = make_project(
-            gated_keys={"fake_speedup": 5, "retired_speedup": 9}
-        )
-        found = project_findings(project)
-        assert codes(found) == ["RL003"]
-        assert "dead baseline key 'retired_speedup'" in found[0].message
-        assert found[0].line == 9
-
-    def test_rl007_unbaselined_bench(self):
-        project = make_project(
-            gate_calls={
-                "benchmarks/bench_fake.py": {"fake": 20},
-                "benchmarks/bench_orphan.py": {"orphan": 7},
-            }
-        )
-        found = project_findings(project)
-        # the orphan gate_speedup also keeps no baseline key alive, but
-        # only RL007 fires: nothing gates it, so nothing is dead either
-        assert codes(found) == ["RL007"]
-        assert found[0].path == "benchmarks/bench_orphan.py"
-        assert found[0].line == 7
-
     def test_rule_filter(self):
-        project = make_project(gate_calls={"b.py": {"orphan": 1}})
-        assert project_findings(project, rules={"RL003"}) == []
-        assert codes(project_findings(project, rules={"RL007"})) == ["RL007"]
+        project = make_project(tests={})
+        assert codes(project_findings(project, rules={"RL003"})) == ["RL003"]
+        assert project_findings(project, rules={"RL009"}) == []
 
 
 # ---------------------------------------------------------------------------
@@ -479,13 +434,12 @@ class TestSelfApplication:
         }
         for pair, line in project.pairs:
             assert line > 1, pair  # anchored to its registration
-            assert pair.gate in project.gated_keys, pair
         assert project_findings(project) == []
 
     def test_every_rule_documented(self):
         assert set(RULE_DESCRIPTIONS) == {
-            "RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL007",
-            "RL008", "RL009", "RL010", "RL011", "RL012",
+            "RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL008",
+            "RL009", "RL010", "RL011", "RL012",
         }
         file_rule_codes = {rule.code for rule in FILE_RULES()}
         assert file_rule_codes == {

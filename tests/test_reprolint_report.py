@@ -184,10 +184,9 @@ class TestExitCodes:
 
 class TestExplainEscapes:
     def test_rules_that_honour_no_pragma_advertise_none(self):
-        """RL003/RL007 findings are not filtered through ``disable=``
-        pragmas, so ``--explain`` must not offer one."""
+        """RL003 findings are not filtered through ``disable=`` pragmas,
+        so ``--explain`` must not offer one."""
         from repro.analysis.registry import explain
 
-        for code in ("RL003", "RL007"):
-            hatch = explain(code).split("Escape hatch:")[1]
-            assert "disable=" not in hatch and "no pragma" in hatch
+        hatch = explain("RL003").split("Escape hatch:")[1]
+        assert "disable=" not in hatch and "no pragma" in hatch

@@ -24,12 +24,11 @@ from repro.codes import (
     compile_xor_schedule,
     cse_rows,
     make_lrc,
-    xor_encode,
     xorbas_lrc,
 )
 from repro.codes.base import mask_of
 from repro.codes.xorplane import GATHER_PASS_COST, WORD_OP_COST, XorSchedule
-from repro.spec import GatherCodecEngine
+from repro.spec import GatherCodecEngine, xor_encode
 from repro.galois import (
     GF16,
     GF256,
