@@ -9,10 +9,9 @@ stripes with 4 KB block payloads must be byte-identical to the
 per-stripe seed path; both times and their ratio are recorded, not
 gated (``e2ebench`` decides whether the codec got slower).
 
-The baseline below *is* the seed algorithm (greedy rank-per-candidate
-survivor selection, per-stripe inversion, decode + re-encode), kept here
-verbatim as the reference implementation the property tests also
-compare against.  Timing goes through the shared difftest harness, one
+The baseline is the seed codec of :mod:`repro.spec.codec` (greedy
+rank-per-candidate survivor selection, per-stripe inversion, decode +
+re-encode), the same oracle the property tests compare against.  Timing goes through the shared difftest harness, one
 run per side with the long-lived arrays frozen out of garbage
 collection.
 """
@@ -23,30 +22,12 @@ import numpy as np
 
 from repro.codes import rs_10_4, xorbas_lrc
 from repro.difftest import compare_speed, timed
-from repro.galois import gf_inv, gf_matmul, gf_rank
+from repro.spec.codec import seed_decode, seed_encode
 
 from conftest import record_metric, write_report
 
 STRIPES = 1_000
 PAYLOAD_BYTES = 4_096
-
-
-def seed_decode(code, available):
-    """The seed scalar decoder: greedy rank-recomputing selection + inv."""
-    indices = sorted(available)
-    chosen, rank = [], 0
-    for idx in indices:
-        candidate = chosen + [idx]
-        new_rank = gf_rank(code.field, code.generator[:, candidate])
-        if new_rank > rank:
-            chosen, rank = candidate, new_rank
-            if rank == code.k:
-                break
-    submatrix = code.generator[:, chosen]
-    stacked = np.stack(
-        [np.asarray(available[i], dtype=code.field.dtype) for i in chosen]
-    )
-    return gf_matmul(code.field, gf_inv(code.field, submatrix.T), stacked)
 
 
 def _node_loss_pattern(code):
@@ -64,12 +45,12 @@ def test_batched_codec_engine_10x_faster_and_identical():
 
     def seed_path():
         # Per-stripe: encode, then repair every stripe one at a time.
-        coded_seed = [code.encode(stripe) for stripe in data3d]
+        coded_seed = [seed_encode(code, stripe) for stripe in data3d]
         rebuilt_seed = []
         for coded in coded_seed:
             payloads = {p: coded[p] for p in survivors}
             decoded = seed_decode(code, payloads)
-            recoded = code.encode(decoded)
+            recoded = seed_encode(code, decoded)
             rebuilt_seed.append([recoded[p] for p in lost])
         return coded_seed, rebuilt_seed
 

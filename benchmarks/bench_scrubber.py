@@ -21,7 +21,6 @@ import gc
 import numpy as np
 
 from repro.cluster import HadoopCluster, ec2_config
-from repro.cluster.integrity import ChecksumRegistry
 from repro.cluster.scrubengine import CorruptionSchedule, ScrubEngine
 from repro.codes import xorbas_lrc
 from repro.difftest import assert_element_identical, compare_speed
@@ -63,10 +62,10 @@ def test_scrub_scan_10x_faster_and_reports_identical():
     # scan, so spec and engine need identically corrupted twin state.
     spec_stripes = build_stripes()
     engine_stripes = build_stripes()
-    spec = Scrubber(ChecksumRegistry())
+    spec = Scrubber()
     engine = ScrubEngine()
     for a, b in zip(spec_stripes, engine_stripes):
-        spec.registry.record_stripe(a)
+        spec.record_stripe(a)
         engine.record_stripe(b)
     # Corrupt after recording, as in the daemon's life cycle (the write
     # path records pristine checksums; corruption arrives later).

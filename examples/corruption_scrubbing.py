@@ -46,7 +46,7 @@ def main() -> None:
     stripe = make_stripe(xorbas_lrc())
     registry = ChecksumRegistry()
     registry.record_stripe(stripe)
-    scrubber = ScrubEngine(on_heal=registry.refresh)
+    scrubber = ScrubEngine()
     scrubber.record_stripe(stripe)
     print(f"Recorded {len(registry)} block checksums for one LRC stripe.")
 

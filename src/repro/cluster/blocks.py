@@ -183,7 +183,7 @@ class Stripe:
         (corruption injection, scrubber heals) is intentional and sticks.
         """
         if self._payload is None and self._payload_data is not None:
-            self.attach_payload(self.code.encode(self._payload_data))
+            self.attach_payload(self.code.encode_stripes(self._payload_data[None])[0])
         return self._payload
 
     @property

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..codes.base import DecodingError, mask_of
+from ..codes.base import mask_of
 from ..codes.errors import locate_corrupt_blocks
 from ..codes.reed_solomon import ReedSolomonCode
 from .blocks import BlockId, Stripe
@@ -154,31 +154,23 @@ def heal_stripe(
             stripe.payload.shape[1], dtype=stripe.code.field.dtype
         )
     for position in corrupt:
-        # The code's RepairPlanner makes the light-vs-heavy call; the
-        # heavy path goes through the engine's cached reconstruction
-        # matrix (byte-identical to decode + re-encode).
+        # The code's RepairPlanner makes the light-vs-heavy call that
+        # drives read accounting; the rebuild is the batched light-first
+        # repair of a one-stripe batch, which picks the same plan (both
+        # run ``best_repair_plan`` on the same usable set).
         decision = stripe.code.planner.plan_block(position, mask_of(healthy))
+        if not decision.feasible:
+            report.unhealable_stripes.append((stripe.file_name, stripe.index))
+            return
+        rebuilt = stripe.code.repair_stripes(position, healthy)[0]
         if decision.light:
-            rebuilt = stripe.code.execute_plan(decision.plan, healthy)
             report.blocks_read_for_heal += len(
                 stripe.read_set(decision.plan.sources)
             )
-        elif decision.feasible:
-            try:
-                rebuilt = stripe.code.reconstruct((position,), healthy)[0, 0]
-            except DecodingError:
-                report.unhealable_stripes.append(
-                    (stripe.file_name, stripe.index)
-                )
-                return
+        else:
             report.blocks_read_for_heal += len(
                 [p for p in healthy if not stripe.is_virtual(p)]
             )
-        else:
-            report.unhealable_stripes.append(
-                (stripe.file_name, stripe.index)
-            )
-            return
         stripe.payload[position] = rebuilt
         healthy[position] = rebuilt
         refresh(stripe, position)

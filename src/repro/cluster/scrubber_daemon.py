@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .integrity import ChecksumRegistry, ScrubReport
+from .integrity import ScrubReport
 from .scrubengine import ScrubEngine
 
 if TYPE_CHECKING:
@@ -35,40 +35,29 @@ class ScrubberDaemon:
     scan_interval:
         Seconds of simulated time between full scans (production
         scanners take weeks per full pass; experiments shrink this).
-
-    The CRC registry is the write path's integrity record and is kept
-    current through every heal, but the snapshot-comparison scan never
-    reads it.
     """
 
-    @staticmethod
-    def make_scanner(registry: ChecksumRegistry) -> ScrubEngine:
-        """The scan-and-heal implementation; heals refresh ``registry``."""
-        return ScrubEngine(on_heal=registry.refresh)
+    #: The scan-and-heal implementation (``with_specs("scrubber")`` rebinds it).
+    make_scanner = ScrubEngine
 
     def __init__(self, cluster: "HadoopCluster", scan_interval: float = 3600.0):
         if scan_interval <= 0:
             raise ValueError("scan_interval must be positive")
         self.cluster = cluster
         self.scan_interval = scan_interval
-        self.registry = ChecksumRegistry()
-        self._scanner = self.make_scanner(self.registry)
+        self._scanner = self.make_scanner()
         self.reports: list[ScrubReport] = []
         self._started = False
 
     # -- bookkeeping ---------------------------------------------------------
 
     def record_checksums(self) -> int:
-        """Checksum every stored block of every payload-carrying stripe.
+        """Snapshot every stored block of every payload-carrying stripe.
 
         Call after files are created and RAIDed (the write path).
         Returns the number of blocks recorded.
         """
-        recorded = 0
-        for stripe in self._stripes():
-            recorded += self.registry.record_stripe(stripe)
-            self._scanner.record_stripe(stripe)
-        return recorded
+        return sum(self._scanner.record_stripe(s) for s in self._stripes())
 
     def _stripes(self):
         for stored in self.cluster.files.values():
@@ -98,9 +87,9 @@ class ScrubberDaemon:
     def snapshot_state(self) -> dict:
         """Durable daemon state as plain data (see repro.recovery).
 
-        The CRC registry and scrub snapshots rebuild deterministically
-        from the cluster's stripes via :meth:`record_checksums`, so only
-        the scan history and lifecycle flag need to survive.
+        The scrub snapshots rebuild deterministically from the cluster's
+        stripes via :meth:`record_checksums`, so only the scan history
+        and lifecycle flag need to survive.
         """
         return {"started": self._started, "reports": list(self.reports)}
 

@@ -23,7 +23,7 @@ which noise seed) frozen as arrays so the spec and engine scan the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -127,15 +127,12 @@ class ScrubEngine:
     Mirrors the :class:`~repro.spec.scrubber.Scrubber` API
     (``record_stripe`` / ``scrub``) and produces identical
     :class:`~repro.cluster.integrity.ScrubReport` objects on the same
-    corruption state.  ``on_heal`` is invoked after each healed rewrite
-    (the daemon chains the CRC registry's refresh through it so both
-    integrity views stay current).
+    corruption state.
     """
 
-    def __init__(self, on_heal: Callable[[Stripe, int], None] | None = None):
+    def __init__(self) -> None:
         self._snapshots: dict[tuple[str, int], _StripeSnapshot] = {}
         self._slabs: dict[tuple[int, str], _Slab] = {}
-        self.on_heal = on_heal
 
     def __len__(self) -> int:
         return len(self._snapshots)
@@ -174,8 +171,6 @@ class ScrubEngine:
         idx = np.flatnonzero(snap.positions == position)
         if idx.size:
             snap.slab.data[snap.start + int(idx[0])] = stripe.payload[position]
-        if self.on_heal is not None:
-            self.on_heal(stripe, position)
 
     def scan_stripe(self, stripe: Stripe) -> list[int]:
         """Positions whose payload differs from the recorded snapshot."""

@@ -10,8 +10,6 @@ from .analysis import (
     achieves_locality_bound,
     certify_distance,
     certify_locality,
-    expected_repair_reads,
-    fraction_light_repairable,
     is_mds,
     repair_cost_summary,
 )
@@ -62,7 +60,6 @@ from .flowgraph import (
 )
 from .linear import LinearCode, systematize
 from .lrc import LocalGroup, LocallyRepairableCode, make_lrc, xorbas_lrc
-from .polynomial_rs import PolynomialRSCode
 from .pyramid import PyramidCode, pyramid_10_4
 from .reed_solomon import ReedSolomonCode, rs_10_4
 from .replication import ReplicationCode, three_replication
@@ -95,7 +92,6 @@ __all__ = [
     "three_replication",
     "random_lrc",
     "sample_lrc_generator",
-    "PolynomialRSCode",
     "PyramidCode",
     "pyramid_10_4",
     "SimpleRegeneratingCode",
@@ -116,8 +112,6 @@ __all__ = [
     "achieves_locality_bound",
     "certify_distance",
     "certify_locality",
-    "expected_repair_reads",
-    "fraction_light_repairable",
     "is_mds",
     "repair_cost_summary",
     "Theorem1Parameters",

@@ -23,9 +23,7 @@ __all__ = [
     "is_mds",
     "achieves_locality_bound",
     "RepairCostSummary",
-    "expected_repair_reads",
     "repair_cost_summary",
-    "fraction_light_repairable",
 ]
 
 
@@ -107,21 +105,6 @@ class RepairCostSummary:
     light_fraction: float
 
 
-def _loss_patterns(n: int, lost: int) -> Iterable[tuple[int, ...]]:
-    return combinations(range(n), lost)
-
-
-def expected_repair_reads(
-    code: ErasureCode,
-    lost: int = 1,
-    heavy_reads: int | None = None,
-    target: str = "first",
-) -> float:
-    """Mean blocks read to repair one block when ``lost`` blocks are missing."""
-    summary = repair_cost_summary(code, lost, heavy_reads=heavy_reads, target=target)
-    return summary.expected_reads
-
-
 def repair_cost_summary(
     code: ErasureCode,
     lost: int = 1,
@@ -144,20 +127,33 @@ def repair_cost_summary(
     BlockFixer reads *all* survivors (the default), while an efficient
     decoder — and the paper's Section 4 analysis — reads only ``k``.
     """
-    if not 1 <= lost <= code.n:
-        raise ValueError(f"lost must be in [1, {code.n}]")
     if target not in ("first", "cheapest"):
         raise ValueError("target must be 'first' or 'cheapest'")
+    patterns = combinations(range(code.n), lost)
+    return _repair_cost(code, lost, patterns, heavy_reads, target == "cheapest")
+
+
+def _repair_cost(
+    code: ErasureCode,
+    lost: int,
+    patterns: Iterable[tuple[int, ...]],
+    heavy_reads: int | None,
+    cheapest: bool,
+) -> RepairCostSummary:
+    """Mean cost of repairing each pattern's first (or cheapest) block,
+    shared by the exact enumerator and ``sampled_repair_cost``.  A pattern
+    with fewer than k survivors has no repair to cost."""
+    if not 1 <= lost <= code.n - code.k:
+        raise ValueError(f"lost must be in [1, n - k = {code.n - code.k}]")
     total_reads = 0.0
     light_hits = 0
     count = 0
-    survivors_cache = set(range(code.n))
-    for pattern in _loss_patterns(code.n, lost):
-        survivors = survivors_cache - set(pattern)
-        candidates = pattern if target == "cheapest" else pattern[:1]
+    everything = frozenset(range(code.n))
+    for pattern in patterns:
+        survivors = everything - frozenset(pattern)
         best_cost = None
         best_is_light = False
-        for block in candidates:
+        for block in pattern if cheapest else pattern[:1]:
             plan = code.best_repair_plan(block, survivors)
             if plan is not None:
                 cost, is_light = plan.num_reads, True
@@ -168,16 +164,10 @@ def repair_cost_summary(
             if best_cost is None or cost < best_cost:
                 best_cost, best_is_light = cost, is_light
         total_reads += best_cost
-        light_hits += 1 if best_is_light else 0
+        light_hits += best_is_light
         count += 1
     return RepairCostSummary(
         lost=lost,
         expected_reads=total_reads / count,
         light_fraction=light_hits / count,
     )
-
-
-def fraction_light_repairable(code: ErasureCode, lost: int) -> float:
-    """Probability a random loss pattern of the given size is light-repairable
-    for its first missing block."""
-    return repair_cost_summary(code, lost).light_fraction

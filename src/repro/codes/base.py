@@ -140,96 +140,62 @@ class CodeParameters:
 class ErasureCode(ABC):
     """Common behaviour of replication, Reed-Solomon and LRC codes.
 
-    Subclasses must define :attr:`k`, :attr:`n` and the encode / decode /
-    repair-planning primitives.  The storage simulator talks to codes only
-    through this interface, which is how HDFS-Xorbas swaps LRC in for RS
-    without touching RaidNode/BlockFixer logic (Section 3.1).
+    A code *is* its batched stripe API: subclasses define :attr:`k`,
+    :attr:`n`, ``encode_stripes`` / ``decode_stripes`` / ``reconstruct``
+    / ``repair_stripes`` and the repair-planning primitives.  The
+    scalar ``encode`` / ``decode`` / ``repair`` are one-stripe calls into
+    that API, defined once here.  The storage simulator talks to codes
+    only through this interface, which is how HDFS-Xorbas swaps LRC in
+    for RS without touching RaidNode/BlockFixer logic (Section 3.1).
     """
 
     field: GF
     k: int
     n: int
 
-    # -- encoding -----------------------------------------------------------
-
-    @abstractmethod
-    def encode(self, data: np.ndarray) -> np.ndarray:
-        """Encode ``k`` data blocks into ``n`` coded blocks.
-
-        ``data`` has shape ``(k, block_len)``; the result has shape
-        ``(n, block_len)``.  For systematic codes the first ``k`` output
-        rows are the data blocks unchanged.
-        """
-
-    @abstractmethod
-    def decode(self, available: Mapping[int, np.ndarray]) -> np.ndarray:
-        """Recover the ``k`` data blocks from any decodable subset.
-
-        Raises :class:`DecodingError` when the available blocks do not
-        determine the data (fewer than ``n - d + 1`` survivors in the
-        worst case).
-        """
-
-    # -- batched stripe APIs -------------------------------------------------
+    # -- batched stripe APIs (the contract) ----------------------------------
     #
     # The cluster layer works in batches of stripes: a node failure takes
     # out one block position in thousands of stripes at once, and loading
-    # a cluster encodes every stripe of a file.  These defaults are
-    # correct for any code (they loop the scalar primitives);
-    # :class:`~repro.codes.linear.LinearCode` overrides them with the
-    # cached, vectorised codec engine.
+    # a cluster encodes every stripe of a file.  ``available`` maps a
+    # survivor position to one payload ``(width,)`` or a batch
+    # ``(stripes, width)``.
 
+    @abstractmethod
     def encode_stripes(self, data3d: np.ndarray) -> np.ndarray:
         """Encode a ``(stripes, k, width)`` batch into ``(stripes, n, width)``."""
-        data3d = np.asarray(data3d, dtype=self.field.dtype)
-        if data3d.ndim != 3 or data3d.shape[1] != self.k:
-            raise ValueError(
-                f"expected a (stripes, {self.k}, width) batch, got {data3d.shape}"
-            )
-        if data3d.shape[0] == 0:
-            return np.zeros((0, self.n, data3d.shape[2]), dtype=self.field.dtype)
-        return np.stack([self.encode(stripe) for stripe in data3d])
 
+    @abstractmethod
+    def decode_stripes(self, available: Mapping[int, np.ndarray]) -> np.ndarray:
+        """Recover a batch's data blocks, ``(stripes, k, width)``; raises
+        :class:`DecodingError` when the survivors do not determine them."""
+
+    @abstractmethod
     def reconstruct(
         self, lost: Sequence[int], available: Mapping[int, np.ndarray]
     ) -> np.ndarray:
-        """Rebuild ``lost`` blocks for a batch: ``(stripes, len(lost), width)``.
+        """Rebuild ``lost`` blocks for a batch: ``(stripes, len(lost), width)``."""
 
-        ``available`` maps survivor position to one payload ``(width,)``
-        or a batch ``(stripes, width)``.  The fallback decodes and
-        re-encodes stripe by stripe.
-        """
-        from .engine import stack_stripes
-
-        lost = tuple(int(p) for p in lost)
-        positions = sorted(available)
-        stacked = stack_stripes(self.field, available, positions)
-        out = np.zeros(
-            (stacked.shape[0], len(lost), stacked.shape[2]), dtype=self.field.dtype
-        )
-        for s in range(stacked.shape[0]):
-            payloads = {p: stacked[s, i] for i, p in enumerate(positions)}
-            coded = self.encode(self.decode(payloads))
-            for j, position in enumerate(lost):
-                out[s, j] = coded[position]
-        return out
-
+    @abstractmethod
     def repair_stripes(
         self, lost: int, available: Mapping[int, np.ndarray]
     ) -> np.ndarray:
-        """Light-first repair of one block across a batch: ``(stripes, width)``."""
-        from .engine import stack_stripes
+        """Repair one block across a batch, ``(stripes, width)``: the light
+        decoder first, then the heavy one, as HDFS-Xorbas does (3.1.2)."""
 
-        positions = sorted(available)
-        stacked = stack_stripes(self.field, available, positions)
-        if stacked.shape[0] == 0:
-            return np.zeros((0, stacked.shape[2]), dtype=self.field.dtype)
-        return np.stack(
-            [
-                self.repair(lost, {p: stacked[s, i] for i, p in enumerate(positions)})
-                for s in range(stacked.shape[0])
-            ]
-        )
+    # -- one-stripe conveniences ---------------------------------------------
+
+    def encode(self, data: np.ndarray) -> np.ndarray:
+        """Encode ``k`` data blocks ``(k, width)`` into ``(n, width)``."""
+        return self.encode_stripes(np.atleast_2d(data)[None])[0]
+
+    def decode(self, available: Mapping[int, np.ndarray]) -> np.ndarray:
+        """Recover the ``(k, width)`` data blocks from one stripe's survivors."""
+        return self.decode_stripes(available)[0]
+
+    def repair(self, lost: int, available: Mapping[int, np.ndarray]) -> np.ndarray:
+        """Rebuild block ``lost`` of one stripe, light decoder first."""
+        return self.repair_stripes(lost, available)[0]
 
     # -- repair -------------------------------------------------------------
 
@@ -262,41 +228,7 @@ class ErasureCode(ABC):
             return None
         return min(feasible, key=lambda plan: plan.num_reads)
 
-    def repair(self, lost: int, available: Mapping[int, np.ndarray]) -> np.ndarray:
-        """Rebuild block ``lost`` from available blocks.
-
-        Tries the light decoder first (XOR of a small repair group) and
-        falls back to the heavy decoder (full linear solve followed by
-        re-encoding) exactly as HDFS-Xorbas does (Section 3.1.2).
-        """
-        plan = self.best_repair_plan(lost, available.keys())
-        if plan is not None:
-            return self.execute_plan(plan, available)
-        data = self.decode(available)
-        return self.encode(data)[lost]
-
-    def execute_plan(
-        self, plan: RepairPlan, available: Mapping[int, np.ndarray]
-    ) -> np.ndarray:
-        """Apply a repair plan to concrete block payloads."""
-        first = available[plan.sources[0]]
-        out = np.zeros_like(np.asarray(first, dtype=self.field.dtype))
-        for coeff, src in zip(plan.coefficients, plan.sources):
-            self.field.addmul(out, coeff, available[src])
-        return out
-
     # -- introspection -------------------------------------------------------
-
-    def repair_read_count(self, lost: int, available: Sequence[int]) -> int:
-        """Blocks the repair of ``lost`` would read, given survivors.
-
-        This is the quantity the paper's evaluation measures as *HDFS
-        Bytes Read* (Section 5.1), in units of blocks.
-        """
-        plan = self.best_repair_plan(lost, available)
-        if plan is not None:
-            return plan.num_reads
-        return self.heavy_read_count(available)
 
     def heavy_read_count(self, available: Sequence[int]) -> int:
         """Blocks a heavy (full-stripe) decode reads.

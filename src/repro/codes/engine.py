@@ -191,8 +191,8 @@ class CodecEngine:
     * ``repair_stripes`` — light-decoder-first single-block repair across
       a batch, falling back to ``reconstruct``.
 
-    All arithmetic is the exact field algebra of the scalar path, so the
-    outputs are byte-identical to per-stripe ``encode``/``decode``.
+    All arithmetic is the exact field algebra of the seed scalar codec,
+    so the outputs are byte-identical to :mod:`repro.spec.codec`.
     """
 
     def __init__(self, code: "LinearCode", cache_size: int = DEFAULT_CACHE_SIZE):
@@ -258,7 +258,7 @@ class CodecEngine:
         """Survivor columns + the matrix recovering the data from them.
 
         Returns ``(chosen, M)`` with ``chosen`` the greedily selected
-        independent survivor positions (same selection as the scalar
+        independent survivor positions (same selection as the seed
         decoder: sorted order, accept any rank-increasing column) and
         ``M = (G[:, chosen]^T)^-1`` so that ``data = M @ stacked``.
         Cached per frozen survivor set.
@@ -266,9 +266,16 @@ class CodecEngine:
         pattern = frozenset(int(p) for p in available)
         return self.cache.lookup(("decode", pattern), lambda: self._build_decode(pattern))
 
+    def _require_positions(self, positions: Iterable[int]) -> None:
+        """A negative position would alias a generator column from the end."""
+        for p in positions:
+            if not 0 <= p < self.code.n:
+                raise ValueError(f"block position {p} out of range [0, {self.code.n})")
+
     def _build_decode(self, pattern: frozenset) -> tuple[tuple[int, ...], np.ndarray]:
         code = self.code
         indices = sorted(pattern)
+        self._require_positions(indices)
         if len(indices) < code.k:
             raise DecodingError(
                 f"{len(indices)} blocks available, at least {code.k} required"
@@ -294,6 +301,7 @@ class CodecEngine:
         pattern = frozenset(int(p) for p in available)
 
         def build() -> tuple[tuple[int, ...], np.ndarray]:
+            self._require_positions(lost_key)
             chosen, decode = self.decode_matrix(pattern)
             rebuild = gf_matmul(
                 self.field, self.code.generator[:, list(lost_key)].T, decode
@@ -325,7 +333,7 @@ class CodecEngine:
         ``available`` maps survivor position to a ``(stripes, width)``
         batch (or a single ``(width,)`` payload).  Returns
         ``(stripes, len(lost), width)``, byte-identical to decoding and
-        re-encoding each stripe with the scalar path.
+        re-encoding each stripe with the seed codec.
         """
         lost = tuple(int(p) for p in lost)
         chosen, rebuild = self.reconstruction_matrix(lost, available.keys())

@@ -22,7 +22,7 @@ from ..galois import (
     gf_rank,
     gf_rref,
 )
-from .base import CodeParameters, DecodingError, ErasureCode, RepairPlan
+from .base import CodeParameters, ErasureCode, RepairPlan
 from .engine import CodecEngine
 
 __all__ = ["LinearCode", "systematize"]
@@ -89,6 +89,10 @@ class LinearCode(ErasureCode):
         """
         return self.engine.encode_schedule()
 
+    def decode_stripes(self, available: Mapping[int, np.ndarray]) -> np.ndarray:
+        """Batched heavy decode through the engine's cached decode matrix."""
+        return self.engine.decode_stripes(available)
+
     def reconstruct(
         self, lost: Sequence[int], available: Mapping[int, np.ndarray]
     ) -> np.ndarray:
@@ -100,34 +104,6 @@ class LinearCode(ErasureCode):
     ) -> np.ndarray:
         """Batched light-first repair through the engine."""
         return self.engine.repair_stripes(lost, available)
-
-    # -- encoding / decoding --------------------------------------------------
-
-    def encode(self, data: np.ndarray) -> np.ndarray:
-        """Encode data blocks: coded[j] = sum_i G[i, j] * data[i]."""
-        data = np.atleast_2d(np.asarray(data, dtype=self.field.dtype))
-        if data.shape[0] != self.k:
-            raise ValueError(f"expected {self.k} data blocks, got {data.shape[0]}")
-        return gf_matmul(self.field, self.generator.T, data)
-
-    def decode(self, available: Mapping[int, np.ndarray]) -> np.ndarray:
-        """Heavy decode: solve the linear system over a full-rank subset.
-
-        The survivor selection and matrix inversion go through the
-        engine's :class:`~repro.codes.engine.DecoderCache`, so repeated
-        decodes of the same erasure pattern pay the Gaussian elimination
-        once; the arithmetic is unchanged (Y_S = G_S^T X  =>
-        X = (G_S^T)^-1 Y_S), so results are byte-identical.
-        """
-        if len(available) < self.k:
-            raise DecodingError(
-                f"{len(available)} blocks available, at least {self.k} required"
-            )
-        chosen, matrix = self.engine.decode_matrix(available.keys())
-        stacked = np.stack(
-            [np.asarray(available[i], dtype=self.field.dtype) for i in chosen]
-        )
-        return gf_matmul(self.field, matrix, stacked)
 
     def _independent_columns(self, indices: Sequence[int]) -> list[int] | None:
         """Greedily pick k linearly independent generator columns.

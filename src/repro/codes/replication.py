@@ -28,17 +28,6 @@ class ReplicationCode(ErasureCode):
         self.n = replicas
         self.name = f"{replicas}-replication"
 
-    def encode(self, data: np.ndarray) -> np.ndarray:
-        data = np.atleast_2d(np.asarray(data, dtype=self.field.dtype))
-        if data.shape[0] != 1:
-            raise ValueError("replication stripes carry exactly one data block")
-        return np.repeat(data, self.n, axis=0)
-
-    def decode(self, available: Mapping[int, np.ndarray]) -> np.ndarray:
-        for index in sorted(available):
-            return np.atleast_2d(np.asarray(available[index], dtype=self.field.dtype))
-        raise DecodingError("no replicas available")
-
     # -- batched stripe APIs (copies, no field arithmetic needed) -----------
 
     def encode_stripes(self, data3d: np.ndarray) -> np.ndarray:
@@ -57,6 +46,9 @@ class ReplicationCode(ErasureCode):
         source = min(int(p) for p in available)
         stacked = stack_stripes(self.field, available, [source])  # (S, 1, w)
         return np.repeat(stacked, len(tuple(lost)), axis=1)
+
+    def decode_stripes(self, available: Mapping[int, np.ndarray]) -> np.ndarray:
+        return self.reconstruct((0,), available)
 
     def repair_stripes(self, lost: int, available: Mapping[int, np.ndarray]) -> np.ndarray:
         return self.reconstruct((lost,), available)[:, 0, :]

@@ -23,7 +23,7 @@ PAIRS = (
     ),
     EnginePair(
         "codec",
-        spec="repro.codes.base.ErasureCode.decode",
+        spec="repro.spec.codec.seed_decode",
         engine="repro.codes.engine.CodecEngine",
     ),
     EnginePair(

@@ -169,7 +169,7 @@ def _archival_scaling() -> tuple[str, bool]:
     k = 50
     rs = ReedSolomonCode(k, 4)
     lrc = make_lrc(k, 4, 5)
-    rs_reads = rs.repair_read_count(0, list(range(1, rs.n)))
+    rs_reads = rs.heavy_read_count(range(1, rs.n))  # RS has no light plan
     lrc_reads = min(p.num_reads for p in lrc.repair_plans(0))
     return (
         f"k={k}: RS reads {rs_reads}, LRC reads {lrc_reads}",

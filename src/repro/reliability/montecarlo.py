@@ -42,7 +42,6 @@ __all__ = [
     "simulate_times_to_absorption",
     "estimate_mttdl",
     "compress_chain",
-    "simulate_occupancy",
 ]
 
 
@@ -143,33 +142,6 @@ def estimate_mttdl(
     return AbsorptionEstimate.from_times(
         simulate_times_to_absorption(chain, rng, trials, start=start)
     )
-
-
-def simulate_occupancy(
-    failure_rates: tuple[float, ...],
-    repair_rates: tuple[float, ...],
-    rng: np.random.Generator,
-    transitions: int = 100_000,
-) -> np.ndarray:
-    """Empirical time-in-state fractions of the *reflecting* chain.
-
-    The availability counterpart of :func:`simulate_times_to_absorption`:
-    the top state reflects (repairs) instead of absorbing, and the
-    Gillespie trajectory's sojourn times are accumulated per state.
-    Cross-checks :func:`repro.reliability.stationary.stationary_distribution`.
-    """
-    if len(repair_rates) != len(failure_rates):
-        raise ValueError("need one repair rate per upward transition")
-    num_states = len(failure_rates) + 1
-    time_in_state = np.zeros(num_states)
-    state = 0
-    for _ in range(transitions):
-        up = failure_rates[state] if state < num_states - 1 else 0.0
-        down = repair_rates[state - 1] if state > 0 else 0.0
-        total = up + down
-        time_in_state[state] += rng.exponential(1.0 / total)
-        state = state + 1 if rng.random() < up / total else state - 1
-    return time_in_state / time_in_state.sum()
 
 
 def compress_chain(chain: BirthDeathChain, repair_scale: float) -> BirthDeathChain:

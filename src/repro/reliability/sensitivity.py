@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..codes.analysis import RepairCostSummary
+from ..codes.analysis import RepairCostSummary, _repair_cost
 from ..codes.base import ErasureCode
 from ..codes.lrc import make_lrc, xorbas_lrc
 from ..codes.reed_solomon import ReedSolomonCode, rs_10_4
@@ -149,35 +149,14 @@ def sampled_repair_cost(
     convention of the exact enumerator).  Unbiased; the benchmark and
     archival sweeps use it where C(n, lost) enumeration is infeasible.
     """
-    if not 1 <= lost <= code.n:
-        raise ValueError(f"lost must be in [1, {code.n}]")
     if samples < 1:
         raise ValueError("need at least one sample")
-    total = 0.0
-    light_hits = 0
     everything = np.arange(code.n)
-    for _ in range(samples):
-        pattern = rng.choice(everything, size=lost, replace=False)
-        survivors = frozenset(everything) - frozenset(int(b) for b in pattern)
-        best_cost = None
-        best_light = False
-        for block in pattern:
-            plan = code.best_repair_plan(int(block), survivors)
-            if plan is not None:
-                cost, is_light = plan.num_reads, True
-            elif heavy_reads is not None:
-                cost, is_light = heavy_reads, False
-            else:
-                cost, is_light = code.heavy_read_count(survivors), False
-            if best_cost is None or cost < best_cost:
-                best_cost, best_light = cost, is_light
-        total += best_cost
-        light_hits += 1 if best_light else 0
-    return RepairCostSummary(
-        lost=lost,
-        expected_reads=total / samples,
-        light_fraction=light_hits / samples,
+    patterns = (
+        tuple(int(b) for b in rng.choice(everything, size=lost, replace=False))
+        for _ in range(samples)
     )
+    return _repair_cost(code, lost, patterns, heavy_reads, cheapest=True)
 
 
 # -- archival stripes (Section 7) ------------------------------------------------

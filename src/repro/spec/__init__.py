@@ -3,10 +3,8 @@
 Every vectorized subsystem's seed implementation lives on here, verbatim,
 as the reference its engine is held element-identical to.  Nothing in
 production imports this package — only tests, ``benchmarks/`` and
-:mod:`repro.difftest` (whose registry names each oracle) do.  The one
-registered spec that lives elsewhere is ``ErasureCode.decode``, the
-public scalar API.  :func:`with_specs` is the one way to run an oracle
-inside a live cluster.
+:mod:`repro.difftest` (whose registry names each oracle) do.
+:func:`with_specs` is the one way to run an oracle inside a live cluster.
 """
 
 from __future__ import annotations
@@ -19,8 +17,8 @@ from repro.cluster.hdfs import HadoopCluster
 from repro.cluster.mapreduce import JobTracker
 from repro.cluster.raidnode import RaidNode
 from repro.cluster.scrubber_daemon import ScrubberDaemon
-from repro.codes.engine import CodecEngine
 
+from .codec import GatherCodecEngine
 from .daemons import plan_pass_seed, plan_recreates_seed, scan_candidates_seed
 from .degraded import DegradedReadSimulation
 from .montecarlo import estimate_mttdl_loop, simulate_time_to_absorption
@@ -47,14 +45,6 @@ __all__ = [
 ]
 
 
-class GatherCodecEngine(CodecEngine):
-    """A ``CodecEngine`` that never dispatches to the compiled XOR plane:
-    the GF gather kernels the plane must match byte for byte."""
-
-    def _schedule(self, key, build_matrix):
-        return None
-
-
 class _FullRescan:
     """``scan_candidates_seed`` behind the ``RaidScanIndex`` surface."""
 
@@ -70,7 +60,7 @@ _SPEC_BINDINGS = {
     "namenode": (HadoopCluster, "namenode_cls", DictNameNode),
     "mapreduce": (JobTracker, "plan_pass", staticmethod(plan_pass_seed)),
     "raidnode": (RaidNode, "scan_index_cls", _FullRescan),
-    "scrubber": (ScrubberDaemon, "make_scanner", staticmethod(Scrubber)),
+    "scrubber": (ScrubberDaemon, "make_scanner", Scrubber),
     "decommission": (
         DecommissionManager, "plan_recreates", staticmethod(plan_recreates_seed)
     ),

@@ -1,15 +1,13 @@
-"""Reed-Solomon as a polynomial evaluation code.
+"""The seed scalar codec: the batched ``CodecEngine``'s oracle.
 
-An independent implementation of RS(k, n-k) used to cross-check the
-Vandermonde matrix codec in :mod:`repro.codes.reed_solomon`: encode by
-evaluating a degree-<k message polynomial at n distinct field points,
-decode erasures by Lagrange interpolation through any k survivors.
-
-The systematic variant interpolates the message polynomial *through the
-data blocks* (data block i is the evaluation at point a_i), so the first
-k coded blocks are the data verbatim — the property HDFS-RAID requires
-so undamaged files are readable without decoding (Section 6's "exact
-repair keeps the code systematic").
+:func:`seed_encode` and :func:`seed_decode` are the pre-engine
+per-stripe codec of a :class:`~repro.codes.linear.LinearCode` — one
+``gf_matmul`` per stripe, greedy rank-per-candidate survivor selection
+and a fresh inversion per decode.  :class:`GatherCodecEngine` pins the GF
+gather kernels the compiled XOR plane must match byte for byte, and
+:class:`PolynomialRSCode` is an independent Reed-Solomon codec
+(polynomial evaluation / Lagrange interpolation) that the Vandermonde
+matrix codec is cross-checked against.
 """
 
 from __future__ import annotations
@@ -18,18 +16,73 @@ from typing import Mapping
 
 import numpy as np
 
-from ..galois import GF, GF256
-from ..galois.polynomial import lagrange_interpolate
-from .base import CodeParameters, DecodingError, ErasureCode, RepairPlan
+from repro.codes.base import CodeParameters, DecodingError, RepairPlan
+from repro.codes.engine import CodecEngine
+from repro.galois import GF, GF256, gf_inv, gf_matmul, gf_rank
+from repro.galois.polynomial import lagrange_interpolate
 
-__all__ = ["PolynomialRSCode"]
+__all__ = [
+    "GatherCodecEngine",
+    "PolynomialRSCode",
+    "seed_columns",
+    "seed_decode",
+    "seed_encode",
+]
 
 
-class PolynomialRSCode(ErasureCode):
+def seed_encode(code, data: np.ndarray) -> np.ndarray:
+    """Encode data blocks: coded[j] = sum_i G[i, j] * data[i]."""
+    data = np.atleast_2d(np.asarray(data, dtype=code.field.dtype))
+    if data.shape[0] != code.k:
+        raise ValueError(f"expected {code.k} data blocks, got {data.shape[0]}")
+    return gf_matmul(code.field, code.generator.T, data)
+
+
+def seed_columns(code, indices) -> list[int]:
+    """The seed greedy survivor selection: accept, in order, each column
+    that raises the rank (one full rank per candidate), up to rank k."""
+    chosen, rank = [], 0
+    for idx in indices:
+        candidate = chosen + [idx]
+        new_rank = gf_rank(code.field, code.generator[:, candidate])
+        if new_rank > rank:
+            chosen, rank = candidate, new_rank
+            if rank == code.k:
+                break
+    return chosen
+
+
+def seed_decode(code, available: Mapping[int, np.ndarray]) -> np.ndarray:
+    """The seed scalar decoder: greedy rank-recomputing survivor
+    selection, submatrix inversion, one matrix product."""
+    indices = sorted(available)
+    if len(indices) < code.k:
+        raise DecodingError("not enough blocks")
+    chosen = seed_columns(code, indices)
+    if len(chosen) != code.k:
+        raise DecodingError("available blocks do not span the data space")
+    submatrix = code.generator[:, chosen]
+    stacked = np.stack(
+        [np.asarray(available[i], dtype=code.field.dtype) for i in chosen]
+    )
+    return gf_matmul(code.field, gf_inv(code.field, submatrix.T), stacked)
+
+
+class GatherCodecEngine(CodecEngine):
+    """A ``CodecEngine`` that never dispatches to the compiled XOR plane:
+    the GF gather kernels the plane must match byte for byte."""
+
+    def _schedule(self, key, build_matrix):
+        return None
+
+
+class PolynomialRSCode:
     """Systematic evaluation-style Reed-Solomon code over GF(2^m).
 
     Block j is the evaluation of the (payload-wise) message polynomial at
-    the field point ``alpha^j``.  Semantically equivalent to
+    the field point ``alpha^j``; the systematic variant interpolates the
+    message polynomial *through the data blocks*, so the first k coded
+    blocks are the data verbatim.  Semantically equivalent to
     :class:`~repro.codes.reed_solomon.ReedSolomonCode` (same k, n, MDS
     distance); the codeword symbols differ because the encodings use
     different generator bases, which is exactly what makes it useful as a
@@ -50,8 +103,6 @@ class PolynomialRSCode(ErasureCode):
         self.points = [self.field.exp(j) for j in range(self.n)]
         self.name = f"PolyRS({k},{parity})"
 
-    # -- encoding -----------------------------------------------------------
-
     def encode(self, data: np.ndarray) -> np.ndarray:
         """Interpolate through the data points, then evaluate everywhere."""
         data = np.atleast_2d(np.asarray(data, dtype=self.field.dtype))
@@ -69,8 +120,6 @@ class PolynomialRSCode(ErasureCode):
                 np.asarray(parity_points, dtype=self.field.dtype)
             )
         return coded
-
-    # -- decoding -----------------------------------------------------------
 
     def decode(self, available: Mapping[int, np.ndarray]) -> np.ndarray:
         """Interpolate through any k survivors, evaluate at data points."""
@@ -97,7 +146,9 @@ class PolynomialRSCode(ErasureCode):
             data[:, col] = message(data_points)
         return data
 
-    # -- repair -------------------------------------------------------------
+    def repair(self, lost: int, available: Mapping[int, np.ndarray]) -> np.ndarray:
+        """Heavy repair: decode, re-encode, keep block ``lost``."""
+        return self.encode(self.decode(available))[lost]
 
     def repair_plans(self, lost: int) -> list[RepairPlan]:
         """MDS codes have no light plans (Lemma 1); repair is heavy."""

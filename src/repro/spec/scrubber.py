@@ -12,13 +12,13 @@ class Scrubber:
     """Scan payload-carrying stripes and heal corrupted blocks in place.
 
     The executable spec of the scrubber pair: detection is per-block
-    CRC32 verification against the :class:`ChecksumRegistry` (healing is
-    the shared :func:`heal_stripe` loop).  The vectorized counterpart is
-    :class:`~repro.cluster.scrubengine.ScrubEngine`.
+    CRC32 verification against its own :class:`ChecksumRegistry` (healing
+    is the shared :func:`heal_stripe` loop).  The vectorized counterpart
+    is :class:`~repro.cluster.scrubengine.ScrubEngine`.
     """
 
-    def __init__(self, registry: ChecksumRegistry):
-        self.registry = registry
+    def __init__(self) -> None:
+        self.registry = ChecksumRegistry()
 
     def scrub_stripe(self, stripe: Stripe, report: ScrubReport) -> None:
         report.stripes_scanned += 1
@@ -35,6 +35,5 @@ class Scrubber:
         return report
 
     def record_stripe(self, stripe: Stripe) -> int:
-        """The ``ScrubEngine`` surface ``with_specs("scrubber")`` binds to;
-        detection reads the daemon's CRC registry directly."""
-        return 0
+        """Checksum every stored position (the ``ScrubEngine`` surface)."""
+        return self.registry.record_stripe(stripe)

@@ -15,6 +15,7 @@ from repro.cluster.blocks import encode_stripe_payloads
 from repro.codes import PyramidCode, pyramid_10_4, rs_10_4, xorbas_lrc
 from repro.codes.base import mask_of, positions_of
 from repro.experiments.runner import run_until_quiescent
+from repro.spec.codec import seed_decode, seed_encode
 
 pytestmark = pytest.mark.slow  # drives full cluster simulations
 
@@ -74,8 +75,8 @@ def test_node_loss_repairs_stripes_in_batches(make_code):
         payloads = {
             p: stripe.payload[p] for p in stripe.stored_positions()
         }
-        decoded = stripe.code.decode(payloads)
-        assert np.array_equal(stripe.code.encode(decoded), stripe.payload)
+        decoded = seed_decode(stripe.code, payloads)
+        assert np.array_equal(seed_encode(stripe.code, decoded), stripe.payload)
 
 
 def test_deferred_payloads_encode_in_one_batch():
@@ -93,8 +94,8 @@ def test_deferred_payloads_encode_in_one_batch():
     assert all(not s.payload_pending for s in cluster.all_stripes())
     # The batch-encoded payload is a valid codeword of the code.
     stripe = cluster.all_stripes()[0]
-    decoded = stripe.code.decode({p: stripe.payload[p] for p in range(stripe.n)})
-    assert np.array_equal(stripe.code.encode(decoded), stripe.payload)
+    decoded = seed_decode(stripe.code, {p: stripe.payload[p] for p in range(stripe.n)})
+    assert np.array_equal(seed_encode(stripe.code, decoded), stripe.payload)
 
 
 def test_batched_encode_dispatches_to_xor_plane():
@@ -110,8 +111,8 @@ def test_batched_encode_dispatches_to_xor_plane():
     assert code.engine.xor_plane_calls > 0
     assert code.engine.stats().schedule_misses >= 1
     stripe = cluster.all_stripes()[0]
-    decoded = stripe.code.decode({p: stripe.payload[p] for p in range(stripe.n)})
-    assert np.array_equal(stripe.code.encode(decoded), stripe.payload)
+    decoded = seed_decode(stripe.code, {p: stripe.payload[p] for p in range(stripe.n)})
+    assert np.array_equal(seed_encode(stripe.code, decoded), stripe.payload)
 
 
 def test_stale_batch_entry_invalidated_by_corruption():

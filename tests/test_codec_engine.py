@@ -1,11 +1,10 @@
 """The codec engine's correctness contract.
 
 The batched/cached decode path must be *byte-identical* to the seed
-scalar path for every code family and every decodable erasure pattern —
+scalar codec for every code family and every decodable erasure pattern —
 the engine is an optimisation, never a semantic change.  The reference
-implementation below is the seed algorithm verbatim: greedy
-rank-recomputing survivor selection, submatrix inversion, decode then
-re-encode.
+is :mod:`repro.spec.codec`: greedy rank-recomputing survivor selection,
+submatrix inversion, decode then re-encode.
 """
 
 from itertools import combinations
@@ -26,9 +25,16 @@ from repro.codes import (
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.codes import RepairPlanner, xorbas_lrc
+from repro.codes import (
+    ErasureCode,
+    LinearCode,
+    RepairPlanner,
+    rs_10_4,
+    xorbas_lrc,
+)
 from repro.codes.base import mask_of, positions_of
-from repro.galois import GF16, gf_independent_columns, gf_inv, gf_matmul, gf_rank
+from repro.galois import GF16, GF256, gf_independent_columns
+from repro.spec.codec import seed_columns, seed_decode, seed_encode
 
 WIDTH = 9
 
@@ -40,28 +46,6 @@ def small_codes():
         PyramidCode(4, 2, 2, field=GF16),
         CauchyRSCode(4, 2, field=GF16),
     ]
-
-
-def seed_decode(code, available):
-    """The seed scalar decoder (pre-engine), kept as the reference."""
-    indices = sorted(available)
-    if len(indices) < code.k:
-        raise DecodingError("not enough blocks")
-    chosen, rank = [], 0
-    for idx in indices:
-        candidate = chosen + [idx]
-        new_rank = gf_rank(code.field, code.generator[:, candidate])
-        if new_rank > rank:
-            chosen, rank = candidate, new_rank
-            if rank == code.k:
-                break
-    if rank != code.k:
-        raise DecodingError("available blocks do not span the data space")
-    submatrix = code.generator[:, chosen]
-    stacked = np.stack(
-        [np.asarray(available[i], dtype=code.field.dtype) for i in chosen]
-    )
-    return gf_matmul(code.field, gf_inv(code.field, submatrix.T), stacked)
 
 
 def decodable_patterns(code):
@@ -78,12 +62,13 @@ class TestByteIdenticalToSeedPath:
     def test_every_decodable_pattern_matches_seed_decode(self, code):
         rng = np.random.default_rng(17)
         data = code.field.random_elements(rng, (code.k, WIDTH))
-        coded = code.encode(data)
+        coded = seed_encode(code, data)
+        assert np.array_equal(code.encode_stripes(data[None])[0], coded)
         patterns = 0
         for erased, available in decodable_patterns(code):
             payloads = {p: coded[p] for p in available}
             reference = seed_decode(code, payloads)
-            assert np.array_equal(code.decode(payloads), reference)
+            assert np.array_equal(code.decode_stripes(payloads)[0], reference)
             rebuilt = code.reconstruct(erased, payloads)
             assert rebuilt.shape == (1, len(erased), WIDTH)
             for j, position in enumerate(erased):
@@ -101,7 +86,7 @@ class TestByteIdenticalToSeedPath:
         data3d = code.field.random_elements(rng, (12, code.k, WIDTH))
         coded = code.encode_stripes(data3d)
         assert np.array_equal(
-            coded, np.stack([code.encode(stripe) for stripe in data3d])
+            coded, np.stack([seed_encode(code, stripe) for stripe in data3d])
         )
         erased = (0, code.k)
         available = {
@@ -129,17 +114,22 @@ class TestByteIdenticalToSeedPath:
             assert np.array_equal(decoded[s], reference)
 
     def test_replication_batched_matches_scalar(self):
+        """Three-way replication is the linear code with an all-ones
+        1 x 3 generator; the seed codec of that code is its oracle."""
         code = three_replication()
+        repetition = LinearCode(GF256, np.ones((1, 3), dtype=np.uint8))
         rng = np.random.default_rng(5)
         data3d = code.field.random_elements(rng, (6, 1, WIDTH))
         coded = code.encode_stripes(data3d)
         assert np.array_equal(
-            coded, np.stack([code.encode(stripe) for stripe in data3d])
+            coded, np.stack([seed_encode(repetition, stripe) for stripe in data3d])
         )
         available = {1: coded[:, 1, :]}
-        assert np.array_equal(
-            code.repair_stripes(0, available), coded[:, 0, :]
-        )
+        assert np.array_equal(code.decode_stripes(available), data3d)
+        repaired = code.repair_stripes(0, available)
+        for s in range(data3d.shape[0]):
+            reference = seed_decode(repetition, {1: coded[s, 1]})
+            assert np.array_equal(repaired[s], reference[0])
 
 
 class TestDecoderCache:
@@ -273,18 +263,11 @@ class TestIncrementalColumnSelection:
                 indices = sorted(
                     rng.choice(code.n, size=size, replace=False).tolist()
                 )
-                chosen, rank = [], 0
-                for idx in indices:
-                    candidate = chosen + [idx]
-                    new_rank = gf_rank(code.field, code.generator[:, candidate])
-                    if new_rank > rank:
-                        chosen, rank = candidate, new_rank
-                        if rank == code.k:
-                            break
+                chosen = seed_columns(code, indices)
                 incremental = gf_independent_columns(
                     code.field, code.generator, indices, target_rank=code.k
                 )
-                if rank == code.k:
+                if len(chosen) == code.k:
                     assert incremental == chosen
                 else:
                     assert len(incremental) < code.k
@@ -306,3 +289,57 @@ class TestPatternMasks:
     @given(st.sets(st.integers(min_value=0, max_value=61)))
     def test_positions_roundtrip_sorted(self, positions):
         assert positions_of(mask_of(positions)) == tuple(sorted(positions))
+
+
+class TestBatchedContract:
+    def test_no_code_redefines_the_scalar_calls(self):
+        """Every code is its batched API: ``encode`` / ``decode`` /
+        ``repair`` are defined once, on the base, as one-stripe calls, and
+        the scalar ``execute_plan`` kernel is gone."""
+        import repro.codes as codes
+
+        seen, stack = set(), [ErasureCode]
+        while stack:
+            cls = stack.pop()
+            for sub in cls.__subclasses__():
+                if sub.__module__.startswith("repro.") and sub not in seen:
+                    seen.add(sub)
+                    stack.append(sub)
+        exported = {
+            obj
+            for obj in vars(codes).values()
+            if isinstance(obj, type) and issubclass(obj, ErasureCode)
+        }
+        assert exported - {ErasureCode} <= seen and len(seen) >= 6
+        for cls in seen:
+            assert not {"encode", "decode", "repair", "execute_plan"} & set(
+                vars(cls)
+            ), cls
+        assert not hasattr(ErasureCode, "execute_plan")
+
+    @pytest.mark.parametrize("make_code", [rs_10_4, xorbas_lrc])
+    @pytest.mark.parametrize("bad", [-1, "n"])
+    @pytest.mark.parametrize("call", ["decode", "reconstruct", "repair_stripes"])
+    def test_out_of_range_position_rejected(self, make_code, bad, call):
+        """A survivor key outside [0, n) raises instead of aliasing a
+        generator column from the end (or leaking a numpy IndexError),
+        and the failed build leaves the cache untouched."""
+        code = make_code()
+        bad = code.n if bad == "n" else bad
+        rng = np.random.default_rng(31)
+        coded = code.encode(code.field.random_elements(rng, (code.k, WIDTH)))
+        available = {p: coded[p] for p in range(1, code.k)}
+        available[bad] = coded[0]
+        before = len(code.engine.cache)
+        with pytest.raises(ValueError, match=rf"position {bad} out of range"):
+            if call == "decode":
+                code.decode(available)
+            elif call == "reconstruct":
+                code.reconstruct((0,), available)
+            else:
+                code.repair_stripes(0, available)
+        if call == "reconstruct":  # a lost position is checked the same way
+            valid = {p: coded[p] for p in range(code.k)}
+            with pytest.raises(ValueError, match=rf"position {bad} out of range"):
+                code.reconstruct((bad,), valid)
+        assert len(code.engine.cache) == before

@@ -118,7 +118,11 @@ class TestAnalysisOptions:
             repair_cost_summary(xorbas_lrc(), 1, target="bogus")
 
     def test_invalid_lost_count(self):
-        from repro.codes import repair_cost_summary
+        from repro.codes import repair_cost_summary, rs_10_4, three_replication
 
         with pytest.raises(ValueError):
             repair_cost_summary(xorbas_lrc(), 0)
+        # Fewer than k survivors leave nothing to repair from: no price.
+        for code in (three_replication(), rs_10_4(), xorbas_lrc()):
+            with pytest.raises(ValueError, match=rf"n - k = {code.n - code.k}"):
+                repair_cost_summary(code, code.n - code.k + 1)

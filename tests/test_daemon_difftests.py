@@ -15,7 +15,6 @@ from repro.cluster.decommission import plan_recreates_vectorized
 from repro.cluster.fairscheduler import SchedulerState, plan_pass_vectorized
 from repro.cluster.raidscan import RaidScanIndex, RaidScanSchedule
 from repro.cluster.scrubengine import CorruptionSchedule, ScrubEngine
-from repro.cluster.integrity import ChecksumRegistry
 from repro.codes import rs_10_4, xorbas_lrc
 from repro.difftest import assert_bit_identical
 from repro.spec import (
@@ -44,7 +43,7 @@ class TestScrubberDifferential:
     @pytest.mark.parametrize("code_factory", [xorbas_lrc, rs_10_4])
     def test_reports_identical_on_shared_corruption(self, code_factory):
         clusters = [build_cluster(code_factory()), build_cluster(code_factory())]
-        spec = Scrubber(ChecksumRegistry())
+        spec = Scrubber()
         engine = ScrubEngine()
         stripes_by_impl = []
         for cluster in clusters:
@@ -56,7 +55,7 @@ class TestScrubberDifferential:
             ]
             stripes_by_impl.append(stripes)
         for stripe in stripes_by_impl[0]:
-            spec.registry.record_stripe(stripe)
+            spec.record_stripe(stripe)
         for stripe in stripes_by_impl[1]:
             engine.record_stripe(stripe)
 

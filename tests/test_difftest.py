@@ -195,14 +195,13 @@ class TestSpecBoundary:
     def test_every_registered_spec_lives_with_the_oracles(self):
         """Every pair's spec resolves under ``repro.spec`` (or the
         recovery plane's equivalence module, whose spec is the
-        uninterrupted production run itself) — except the codec's, which
-        is ``ErasureCode.decode``: the public scalar API."""
+        uninterrupted production run itself), with no exception."""
         elsewhere = [
             pair.spec
             for pair in engine_matrix()
             if not pair.spec.startswith(("repro.spec.", "repro.recovery.equivalence."))
         ]
-        assert elsewhere == ["repro.codes.base.ErasureCode.decode"]
+        assert elsewhere == []
 
     def test_one_pattern_representation_no_bridges(self):
         """An erasure pattern is an int bitmask end to end: the scalar

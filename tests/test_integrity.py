@@ -90,33 +90,37 @@ class TestCorruptionInjector:
 
 
 class TestScrubber:
-    def test_heals_single_corruption_with_light_plan(self, lrc_stripe, registry):
+    def test_heals_single_corruption_with_light_plan(self, lrc_stripe):
+        scrubber = Scrubber()
+        assert scrubber.record_stripe(lrc_stripe) == 16
         pristine = lrc_stripe.payload.copy()
         CorruptionInjector(seed=2).corrupt_block(lrc_stripe, 2)
-        report = Scrubber(registry).scrub([lrc_stripe])
+        report = scrubber.scrub([lrc_stripe])
         assert [b.position for b in report.corrupt_blocks] == [2]
         assert [b.position for b in report.healed_blocks] == [2]
         assert report.blocks_read_for_heal == 5  # the LRC light plan
         np.testing.assert_array_equal(lrc_stripe.payload, pristine)
-        assert registry.scan_stripe(lrc_stripe) == []
+        assert scrubber.registry.scan_stripe(lrc_stripe) == []
 
     def test_rs_heal_reads_more(self):
         stripe = make_stripe(rs_10_4())
-        registry = ChecksumRegistry()
-        registry.record_stripe(stripe)
+        scrubber = Scrubber()
+        scrubber.record_stripe(stripe)
         pristine = stripe.payload.copy()
         CorruptionInjector(seed=3).corrupt_block(stripe, 2)
-        report = Scrubber(registry).scrub([stripe])
+        report = scrubber.scrub([stripe])
         assert report.healed_blocks
         assert report.blocks_read_for_heal == 13  # all surviving blocks
         np.testing.assert_array_equal(stripe.payload, pristine)
 
-    def test_heals_double_corruption_across_groups(self, lrc_stripe, registry):
+    def test_heals_double_corruption_across_groups(self, lrc_stripe):
+        scrubber = Scrubber()
+        scrubber.record_stripe(lrc_stripe)
         pristine = lrc_stripe.payload.copy()
         injector = CorruptionInjector(seed=4)
         injector.corrupt_block(lrc_stripe, 0)
         injector.corrupt_block(lrc_stripe, 6)  # different repair group
-        report = Scrubber(registry).scrub([lrc_stripe])
+        report = scrubber.scrub([lrc_stripe])
         assert len(report.healed_blocks) == 2
         # Two light plans: 5 reads each.
         assert report.blocks_read_for_heal == 10
@@ -124,23 +128,23 @@ class TestScrubber:
 
     def test_unhealable_stripe_reported_not_crashed(self):
         stripe = make_stripe(rs_10_4(), index=5)
-        registry = ChecksumRegistry()
-        registry.record_stripe(stripe)
+        scrubber = Scrubber()
+        scrubber.record_stripe(stripe)
         injector = CorruptionInjector(seed=5)
         for position in (0, 1, 2, 3, 4):  # five corruptions > d - 1
             injector.corrupt_block(stripe, position)
-        report = Scrubber(registry).scrub([stripe])
+        report = scrubber.scrub([stripe])
         assert report.unhealable_stripes == [("f", 5)]
         assert not report.clean
 
     def test_partial_stripe_heal_uses_virtual_zeros(self):
         """Zero-padded stripes heal without reading the padding."""
         stripe = make_stripe(xorbas_lrc(), data_blocks=3, index=7)
-        registry = ChecksumRegistry()
-        registry.record_stripe(stripe)
+        scrubber = Scrubber()
+        scrubber.record_stripe(stripe)
         pristine = stripe.payload.copy()
         CorruptionInjector(seed=6).corrupt_block(stripe, 1)
-        report = Scrubber(registry).scrub([stripe])
+        report = scrubber.scrub([stripe])
         assert [b.position for b in report.healed_blocks] == [1]
         # Light plan sources are {0, 2, 3, 4, 14}; 3 and 4 are virtual.
         assert report.blocks_read_for_heal == 3
@@ -148,11 +152,11 @@ class TestScrubber:
 
     def test_scrub_many_stripes(self):
         stripes = [make_stripe(xorbas_lrc(), index=i) for i in range(5)]
-        registry = ChecksumRegistry()
+        scrubber = Scrubber()
         for stripe in stripes:
-            registry.record_stripe(stripe)
+            scrubber.record_stripe(stripe)
         CorruptionInjector(seed=7).corrupt_block(stripes[3], 11)
-        report = Scrubber(registry).scrub(stripes)
+        report = scrubber.scrub(stripes)
         assert report.stripes_scanned == 5
         assert len(report.healed_blocks) == 1
         assert report.healed_blocks[0].file_name == "f"

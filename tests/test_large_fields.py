@@ -103,5 +103,5 @@ class TestWideCodes:
             plan = code.best_repair_plan(lost, survivors.keys())
             assert plan is not None
             np.testing.assert_array_equal(
-                code.execute_plan(plan, survivors), coded[lost]
+                code.engine.execute_plan_stripes(plan, survivors)[0], coded[lost]
             )

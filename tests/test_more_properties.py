@@ -11,7 +11,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.codes import (
-    PolynomialRSCode,
     PyramidCode,
     ReedSolomonCode,
     make_lrc,
@@ -21,6 +20,7 @@ from repro.codes import (
 from repro.codes.construction import xor_alignment_holds
 from repro.galois import GF16, GF256, gf_matmul
 from repro.galois.polynomial import Poly, lagrange_interpolate
+from repro.spec.codec import PolynomialRSCode
 
 # Small parameter spaces keep exhaustive distance math fast.
 small_k = st.integers(min_value=2, max_value=6)
@@ -104,7 +104,7 @@ class TestLRCFamilyProperties:
         plan = code.best_repair_plan(lost, survivors.keys())
         assert plan is not None
         np.testing.assert_array_equal(
-            code.execute_plan(plan, survivors), coded[lost]
+            code.engine.execute_plan_stripes(plan, survivors)[0], coded[lost]
         )
 
     @given(

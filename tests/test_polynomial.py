@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.codes import DecodingError, ReedSolomonCode
-from repro.codes.polynomial_rs import PolynomialRSCode
 from repro.galois import GF16, GF256
 from repro.galois.polynomial import Poly, evaluate_many, lagrange_interpolate
+from repro.spec.codec import PolynomialRSCode
 
 
 def poly16(draw_coeffs):

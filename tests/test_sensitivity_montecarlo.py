@@ -111,6 +111,8 @@ class TestSampledRepairCost:
             sampled_repair_cost(code, 0, rng)
         with pytest.raises(ValueError):
             sampled_repair_cost(code, 99, rng)
+        with pytest.raises(ValueError, match="n - k = 4"):
+            sampled_repair_cost(code, code.n - code.k + 1, rng)
         with pytest.raises(ValueError):
             sampled_repair_cost(code, 1, rng, samples=0)
 
