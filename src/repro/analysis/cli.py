@@ -6,8 +6,10 @@ selects human lines (default), JSON, or GitHub workflow commands; the
 github format also appends a markdown table to ``$GITHUB_STEP_SUMMARY``
 when CI exports it.
 
-Whole-repo runs (no explicit paths) go through :func:`analyze_repo`:
-the fact graph plus the whole-program rules, computed fresh each time.
+Every run goes through :func:`analyze_repo`: the per-file rules, the
+fact graph and the whole-program rules over the repository, computed
+fresh each time.  Explicit paths only filter that run's report to
+findings under them, so a file gets the same verdict either way.
 ``--changed[=REF]`` scopes the report to files touched versus a git ref
 plus their reverse import dependencies — the pre-commit mode.
 ``--explain RL0xx`` prints a rule's contract, a violating and a clean
@@ -22,7 +24,7 @@ import subprocess
 from pathlib import Path
 from typing import Sequence
 
-from .core import RuleViolation, lint_paths
+from .core import RuleViolation
 from .graph import ProjectGraph, analyze_paths
 from .project import run_project_rules_ex
 from .registry import PROJECT_RULE_CODES, RULE_DESCRIPTIONS, explain
@@ -32,15 +34,14 @@ __all__ = [
     "add_lint_arguments",
     "analyze_repo",
     "changed_paths",
-    "default_targets",
     "resolve_root",
     "run_lint",
 ]
 
-#: Directories the self-application contract covers with per-file rules.
-#: tests/ is analyzed for whole-program evidence (RL003 coverage) but no
-#: per-file rule runs there — fixture files deliberately violate rules.
-DEFAULT_TARGET_NAMES = ("src", "benchmarks", "examples")
+#: Directories a run analyzes.  Every rule checks ``src/repro``;
+#: ``tests/`` only supplies RL003's differential-test evidence (no
+#: per-file rule runs there — fixture files deliberately violate rules).
+TARGET_NAMES = ("src", "tests")
 
 
 def resolve_root(root: str | os.PathLike | None = None) -> Path:
@@ -58,20 +59,13 @@ def resolve_root(root: str | os.PathLike | None = None) -> Path:
     )
 
 
-def default_targets(root: Path) -> list[Path]:
-    return [root / name for name in DEFAULT_TARGET_NAMES if (root / name).exists()]
-
-
 def analyze_repo(
     root: Path, rules: set[str] | None = None
 ) -> tuple[ProjectGraph, list[RuleViolation], int]:
-    """The whole-repo run: per-file rules over the default targets, the
-    fact graph over those plus ``tests/`` (RL003 coverage evidence; no
-    per-file rule runs there), then the whole-program rules.  Returns
-    (graph, sorted violations, pragma-suppressed count)."""
-    targets = default_targets(root)
-    if (root / "tests").exists():
-        targets.append(root / "tests")
+    """The one lint run: per-file rules and the fact graph over
+    :data:`TARGET_NAMES`, then the whole-program rules.  Returns (graph,
+    sorted violations, pragma-suppressed count)."""
+    targets = [root / name for name in TARGET_NAMES if (root / name).exists()]
     graph, violations, suppressed = analyze_paths(targets, root=root, rules=rules)
     if rules is None or rules & PROJECT_RULE_CODES:
         project_violations, project_suppressed = run_project_rules_ex(graph, rules)
@@ -100,12 +94,18 @@ def changed_paths(root: Path, ref: str) -> set[str] | None:
     return changed
 
 
+def _under(path: Path, targets: Sequence[Path]) -> bool:
+    """``path`` is one of ``targets`` or inside one of them."""
+    return any(path == target or target in path.parents for target in targets)
+
+
 def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "paths",
         nargs="*",
         type=Path,
-        help="files or directories to lint (default: src benchmarks examples)",
+        help="report only findings under these files or directories "
+        "(the analysis always covers src/, with tests/ as RL003 evidence)",
     )
     parser.add_argument(
         "--root",
@@ -169,29 +169,24 @@ def run_lint(args: argparse.Namespace) -> int:
                 f"known: {sorted(RULE_DESCRIPTIONS)}"
             )
             return 2
-    explicit_paths = [Path(p) for p in args.paths]
-    if explicit_paths:
-        # Scoped invocation: per-file rules only, no project rules —
-        # `repro lint some/file.py` stays a quick local check.
-        targets = [p if p.is_absolute() else root / p for p in explicit_paths]
-        missing = [str(p) for p in targets if not p.exists()]
-        if missing:
-            print(f"reprolint: error: no such path(s): {', '.join(missing)}")
+    targets = [(root / p).resolve() for p in args.paths]
+    missing = [str(p) for p in targets if not p.exists()]
+    if missing:
+        print(f"reprolint: error: no such path(s): {', '.join(missing)}")
+        return 2
+    graph, violations, suppressed = analyze_repo(root, rules)
+    if targets:
+        violations = [v for v in violations if _under(root / v.path, targets)]
+    if args.changed is not None:
+        scoped = changed_paths(root, args.changed)
+        if scoped is None:
+            print(
+                f"reprolint: error: cannot diff against {args.changed!r} "
+                "(not a git checkout, or unknown ref)"
+            )
             return 2
-        violations = lint_paths(targets, root=root, rules=rules)
-        suppressed = 0
-    else:
-        graph, violations, suppressed = analyze_repo(root, rules)
-        if args.changed is not None:
-            scoped = changed_paths(root, args.changed)
-            if scoped is None:
-                print(
-                    f"reprolint: error: cannot diff against {args.changed!r} "
-                    "(not a git checkout, or unknown ref)"
-                )
-                return 2
-            frontier = graph.reverse_closure(scoped)
-            violations = [v for v in violations if v.path in frontier]
+        frontier = graph.reverse_closure(scoped)
+        violations = [v for v in violations if v.path in frontier]
     renderer = {
         "human": render_human,
         "json": render_json,

@@ -25,8 +25,6 @@ __all__ = [
     "Rule",
     "RuleViolation",
     "lint_context",
-    "lint_file",
-    "lint_paths",
     "lint_source",
     "module_name_for",
     "parse_pragmas",
@@ -40,9 +38,9 @@ PRAGMA = re.compile(r"#\s*reprolint:\s*disable=([A-Za-z0-9_,\s]+)")
 #: outside the snapshot overlay (rebuild-derived caches and the like).
 TRANSIENT_PRAGMA = re.compile(r"#\s*reprolint:\s*transient\b")
 
-#: Top-level directories with distinct rule policies.  Rules declare
-#: which scopes they run in via ``Rule.scopes``.
-KNOWN_SCOPES = ("src", "benchmarks", "examples", "tests")
+#: Top-level directories the analyzer reads: every rule checks
+#: ``src/repro``; ``tests/`` only supplies RL003's evidence.
+KNOWN_SCOPES = ("src", "tests")
 
 
 @dataclass(frozen=True, order=True)
@@ -75,9 +73,6 @@ def parse_pragmas(source: str) -> dict[int, frozenset[str]]:
     return pragmas
 
 
-_parse_pragmas = parse_pragmas  # pre-v2 private name
-
-
 def parse_transient_lines(source: str) -> frozenset[int]:
     """Line numbers carrying a ``# reprolint: transient`` mark."""
     return frozenset(
@@ -107,7 +102,6 @@ class LintContext:
     module: str  # dotted module name ("" outside src/)
     pragmas: dict[int, frozenset[str]] = field(default_factory=dict)
     violations: list[RuleViolation] = field(default_factory=list)
-    scope: str = "src"  # policy scope: src/benchmarks/examples/tests/""
     suppressed: int = 0  # findings silenced by a disable= pragma
 
     def report(self, rule: str, node: ast.AST, message: str) -> None:
@@ -125,7 +119,7 @@ class Rule:
     whole-program checks alike.
 
     Subclasses carry the full rule record (``code``, ``description``,
-    ``kind``, ``scopes``, and the ``--explain`` fields ``contract`` /
+    ``kind``, and the ``--explain`` fields ``contract`` /
     ``example_bad`` / ``example_good`` / ``escape``) so the registry,
     the CLI, the renderers, and the docs-consistency test all derive
     from one source of truth.  Per-file rules ("file" kind) define
@@ -136,24 +130,10 @@ class Rule:
     code = "RL000"
     description = ""
     kind = "file"  # "file" (single-AST visitor) or "project" (whole-program)
-    scopes: tuple[str, ...] = ("src",)
     contract = ""
     example_bad = ""
     example_good = ""
     escape = "# reprolint: disable=<code> on the offending line"
-
-    def applies_to(self, context: LintContext) -> bool:
-        if context.scope not in self.scopes:
-            return False
-        if context.scope == "src":
-            return context.module == "repro" or context.module.startswith("repro.")
-        return True
-
-    def begin(self, context: LintContext) -> None:
-        """Per-file setup before the walk (optional)."""
-
-    def finish(self, context: LintContext) -> None:
-        """Per-file wrap-up after the walk (optional)."""
 
 
 class _Dispatcher(ast.NodeVisitor):
@@ -196,7 +176,8 @@ def lint_context(
 ) -> LintContext | list[RuleViolation]:
     """Parse + run per-file rules, returning the full LintContext (with
     the tree, violations, pragmas, and suppressed count) — or a one-item
-    violation list when the file does not parse."""
+    violation list when the file does not parse.  Every per-file rule
+    covers ``src/repro`` only; elsewhere the file is parsed, not checked."""
     from .rules import FILE_RULES
 
     active = list(FILE_RULES() if rules is None else rules)
@@ -212,15 +193,10 @@ def lint_context(
         tree=tree,
         module=module,
         pragmas=parse_pragmas(source),
-        scope=scope,
     )
-    applicable = [rule for rule in active if rule.applies_to(context)]
-    if applicable:
-        for rule in applicable:
-            rule.begin(context)
-        _Dispatcher(context, applicable).visit(tree)
-        for rule in applicable:
-            rule.finish(context)
+    in_package = module == "repro" or module.startswith("repro.")
+    if active and scope == "src" and in_package:
+        _Dispatcher(context, active).visit(tree)
     context.violations.sort()
     return context
 
@@ -239,20 +215,6 @@ def lint_source(
     return result.violations
 
 
-def lint_file(
-    path: Path, root: Path, rules: Iterable[Rule] | None = None
-) -> list[RuleViolation]:
-    source = path.read_text(encoding="utf-8")
-    display = str(path.relative_to(root)) if path.is_relative_to(root) else str(path)
-    return lint_source(
-        source,
-        path=display,
-        module=module_name_for(path, root),
-        rules=rules,
-        scope=scope_for(path, root),
-    )
-
-
 def iter_python_files(targets: Sequence[Path]) -> list[Path]:
     files: list[Path] = []
     for target in targets:
@@ -262,25 +224,3 @@ def iter_python_files(targets: Sequence[Path]) -> list[Path]:
             files.append(target)
     return [f for f in files if "__pycache__" not in f.parts]
 
-
-def lint_paths(
-    targets: Sequence[Path],
-    root: Path,
-    rules: Iterable[str] | None = None,
-) -> list[RuleViolation]:
-    """Per-file rules over every ``.py`` under the targets.
-
-    ``rules`` filters by code (e.g. ``{"RL001"}``); None runs all
-    per-file rules.  Each file is parsed exactly once.
-    """
-    from .rules import FILE_RULES
-
-    active = [
-        rule
-        for rule in FILE_RULES()
-        if rules is None or rule.code in set(rules)
-    ]
-    violations: list[RuleViolation] = []
-    for path in iter_python_files(targets):
-        violations.extend(lint_file(path, root, rules=active))
-    return sorted(violations)

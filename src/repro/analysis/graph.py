@@ -1,21 +1,19 @@
 """Whole-program facts and the ProjectGraph behind reprolint.
 
 The whole-program rules (RL003 spec/engine conformance, RL009 seed
-provenance, RL010 snapshot coverage, RL011 cache-key completeness, RL012
-interprocedural engine purity) all need cross-file visibility.  Rather
-than hand each rule the raw ASTs of every file, extraction reduces each
-file — in the same single parse the per-file rules use — to a
-plain-data :class:`FileFacts` record:
-imports, function taint summaries, seed call sites, per-element-loop
-positions, call edges, snapshot-class field lists, config dataclass
-fields, cache-key-builder evidence, and (for ``tests/``) the identifier
-evidence RL003 consumes.
+provenance, RL010 snapshot coverage, RL011 cache-key completeness) all
+need cross-file visibility.  Rather than hand each rule the raw ASTs of
+every file, extraction reduces each file — in the same single parse the
+per-file rules use — to a plain-data :class:`FileFacts` record:
+imports, function taint summaries, seed call sites, snapshot-class field
+lists, config dataclass fields, cache-key-builder evidence, and (for
+``tests/``) the identifier evidence RL003 consumes.
 
 A :class:`ProjectGraph` is the indexed union of those records: a
-project-wide symbol table (``module:function`` -> taint summary), the
+project-wide symbol table (``module:function`` -> taint summary) and the
 import graph (with the reverse closure ``repro lint --changed`` needs),
-and the one-level call graph RL012 walks, plus the input RL003 checks
-against — the ``EnginePair`` declarations with their ``pairs.py`` lines.
+plus the input RL003 checks against — the ``EnginePair`` declarations
+with their ``pairs.py`` lines.
 Facts live in memory for one run only; every input is plain data, so
 tests build synthetic graphs directly instead of faking a repository.
 """
@@ -46,7 +44,6 @@ from .dataflow import (
     dotted_name,
     join,
 )
-from .rules import per_element_loops
 
 if TYPE_CHECKING:
     from repro.difftest.registry import EnginePair
@@ -135,8 +132,6 @@ class FileFacts:
     imports: dict[str, str] = field(default_factory=dict)
     summaries: dict[str, FunctionSummary] = field(default_factory=dict)
     seed_sites: list[SeedSite] = field(default_factory=list)
-    loops: dict[str, tuple[int, ...]] = field(default_factory=dict)
-    calls: dict[str, tuple[str, ...]] = field(default_factory=dict)
     snapshot_classes: list[SnapshotClassFacts] = field(default_factory=list)
     config_classes: list[ConfigClassFacts] = field(default_factory=list)
     key_builders: list[KeyBuilderFacts] = field(default_factory=list)
@@ -229,20 +224,6 @@ def _module_constants(tree: ast.Module) -> dict[str, object]:
         ):
             env[stmt.target.id] = CONST
     return env
-
-
-def _plain_callees(scope: ast.AST) -> tuple[str, ...]:
-    """Plain-name calls anywhere in a top-level symbol's subtree — the
-    one-level call-graph edges RL012 follows into helpers."""
-    seen: list[str] = []
-    for node in ast.walk(scope):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id not in seen
-        ):
-            seen.append(node.func.id)
-    return tuple(seen)
 
 
 def _self_attr_target(target: ast.expr) -> str | None:
@@ -487,9 +468,6 @@ def extract_facts(
                 facts.summaries[node.name] = FunctionSummary(
                     params=summary.params, returns=qualify(summary.returns)
                 )
-                loops = per_element_loops(node)
-                if loops:
-                    facts.loops[node.name] = tuple(loops)
             builder = _key_builder_facts(node)
             if builder is not None:
                 facts.key_builders.append(builder)
@@ -505,13 +483,8 @@ def extract_facts(
         for s in sorted(facts.seed_sites, key=lambda s: (s.line, s.owner))
     ]
 
-    # Top-level symbols: call edges for RL012; classes also contribute
-    # snapshot/config facts.
+    # Top-level classes contribute snapshot/config facts.
     for stmt in tree.body:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            callees = _plain_callees(stmt)
-            if callees:
-                facts.calls[stmt.name] = callees
         if isinstance(stmt, ast.ClassDef):
             snapshot = _snapshot_class_facts(stmt, transient_lines)
             if snapshot is not None:
@@ -528,9 +501,9 @@ def extract_facts(
 
 
 class ProjectGraph:
-    """Indexed union of every file's facts — project-wide symbol table,
-    import graph (with reverse closure), one-level call graph — plus the
-    registry declarations RL003 checks the facts against."""
+    """Indexed union of every file's facts — project-wide symbol table
+    and import graph (with reverse closure) — plus the registry
+    declarations RL003 checks the facts against."""
 
     def __init__(
         self,
@@ -569,25 +542,6 @@ class ProjectGraph:
             if ":" not in target:
                 target = f"{target}:{symbol}"
             return self.lookup_summary(target, _depth - 1)
-        return None
-
-    def resolve_function(self, module: str, name: str) -> tuple[FileFacts, str] | None:
-        """Resolve a plain-name call in ``module`` to the defining
-        (facts, function name) pair, following from-imports."""
-        facts = self.by_module.get(module)
-        for _ in range(8):
-            if facts is None:
-                return None
-            if name in facts.summaries or name in facts.loops:
-                return facts, name
-            target = facts.imports.get(name)
-            if not target:
-                return None
-            if ":" in target:
-                target_module, name = target.split(":", 1)
-            else:
-                return None
-            facts = self.by_module.get(target_module)
         return None
 
     # -- import graph --------------------------------------------------

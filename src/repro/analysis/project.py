@@ -1,6 +1,6 @@
 """Whole-program reprolint rules.
 
-All five run over the :class:`~repro.analysis.graph.ProjectGraph` fact
+All four run over the :class:`~repro.analysis.graph.ProjectGraph` fact
 table:
 
 * **RL003 spec/engine conformance** — every declared ``EnginePair`` has
@@ -16,9 +16,6 @@ table:
   ``DegradedReadConfig`` field must reach a cache-key builder
   (``config_hash``/``schedule_run_key``-style) or sit on the documented
   exclusion list (``checkpoint_*`` policy knobs, ``_*`` runtime keys).
-* **RL012 interprocedural engine purity** — RL002's per-element-loop
-  check extended one call-graph level into helpers invoked from
-  registered engine bodies.
 """
 
 from __future__ import annotations
@@ -28,12 +25,10 @@ from typing import Iterable
 from .core import Rule, RuleViolation
 from .dataflow import CONST, SEEDED, resolve_taint
 from .graph import PAIRS_PATH, ProjectGraph
-from .rules import engine_symbols_by_module
 
 __all__ = [
     "CacheKeyCompletenessRule",
     "ConformanceRule",
-    "InterproceduralPurityRule",
     "PROJECT_RULE_CLASSES",
     "PROJECT_RULES",
     "SeedProvenanceRule",
@@ -109,8 +104,8 @@ class ConformanceRule(ProjectRule):
         ]
         violations: list[RuleViolation] = []
         for pair, line in graph.pairs:
-            spec_symbol = pair.spec_symbol or pair.spec.rsplit(".", 1)[-1]
-            engine_symbol = pair.engine_symbol or pair.engine.rsplit(".", 1)[-1]
+            spec_symbol = pair.spec.rsplit(".", 1)[-1]
+            engine_symbol = pair.engine.rsplit(".", 1)[-1]
             if not any({spec_symbol, engine_symbol} <= names for names in tests):
                 violations.append(
                     RuleViolation(
@@ -365,81 +360,6 @@ class CacheKeyCompletenessRule(ProjectRule):
         return violations
 
 
-class InterproceduralPurityRule(ProjectRule):
-    """RL012: engine purity follows calls into helpers.
-
-    RL002 checks registered engine bodies; this rule walks one
-    call-graph level further: plain-name helper functions invoked from
-    an engine body (in the same module or imported) must not contain
-    per-element ``for i in range(...)`` index loops either — pushing
-    the scalar loop into a helper must not launder it past the gate.
-    """
-
-    code = "RL012"
-    description = (
-        "interprocedural engine purity: helpers invoked from registered "
-        "engine bodies must not run per-element index loops (RL002 "
-        "extended one call-graph level)"
-    )
-    contract = (
-        "A module-level function called (by plain name, same module or "
-        "imported) from a registered engine body must not contain "
-        "per-element `for i in range(...)` index loops: moving the "
-        "scalar loop into a helper does not restore the vectorized "
-        "speedup the bench gate measures."
-    )
-    example_bad = (
-        "def _scalar_helper(xs, out):\n"
-        "    for i in range(len(xs)):\n"
-        "        out[i] = xs[i] * 2\n"
-        "class Engine:\n"
-        "    def run(self):\n"
-        "        _scalar_helper(self.xs, self.out)"
-    )
-    example_good = "def _helper(xs):\n    return xs * 2"
-    escape = "# reprolint: disable=RL012 on the loop line in the helper"
-
-    def __init__(self, engine_symbols: dict[str, frozenset[str]] | None = None):
-        super().__init__()
-        self._engine_symbols = engine_symbols
-
-    def check(self, graph):
-        table = self._engine_symbols
-        if table is None:
-            table = engine_symbols_by_module()
-        findings: dict[tuple[str, int, str], set[str]] = {}
-        for module, symbols in sorted(table.items()):
-            facts = graph.by_module.get(module)
-            if facts is None:
-                continue
-            for symbol in sorted(symbols):
-                for callee in facts.calls.get(symbol, ()):
-                    if callee == symbol:
-                        continue
-                    resolved = graph.resolve_function(module, callee)
-                    if resolved is None:
-                        continue
-                    helper_facts, helper_name = resolved
-                    if helper_name in table.get(helper_facts.module, ()):
-                        continue  # RL002 already covers engine bodies
-                    for line in helper_facts.loops.get(helper_name, ()):
-                        key = (helper_facts.path, line, helper_name)
-                        findings.setdefault(key, set()).add(symbol)
-        violations: list[RuleViolation] = []
-        for (path, line, helper_name), engines in sorted(findings.items()):
-            named = ", ".join(sorted(engines))
-            self._report(
-                violations,
-                graph,
-                path,
-                line,
-                f"per-element index loop in helper {helper_name!r} called "
-                f"from registered engine body ({named}): vectorize the "
-                "helper or justify with a pragma",
-            )
-        return violations
-
-
 #: Project rule classes in code order (composed with the per-file rules
 #: by the registry; keep this the only hand-maintained list here).
 PROJECT_RULE_CLASSES: tuple[type[ProjectRule], ...] = (
@@ -447,7 +367,6 @@ PROJECT_RULE_CLASSES: tuple[type[ProjectRule], ...] = (
     SeedProvenanceRule,
     SnapshotCoverageRule,
     CacheKeyCompletenessRule,
-    InterproceduralPurityRule,
 )
 
 

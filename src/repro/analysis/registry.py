@@ -4,7 +4,7 @@ Every consumer of "what rules exist" — the CLI's ``--rules`` validation
 and ``--explain`` output, the renderers, the package docstring table,
 and the DESIGN.md consistency test — derives from :data:`ALL_RULE_CLASSES`
 here.  The rule classes themselves carry the full record (code,
-description, kind, scopes, contract, examples, escape hatch), so adding
+description, kind, contract, examples, escape hatch), so adding
 a rule means writing one class; nothing else needs hand-syncing.
 """
 
@@ -63,7 +63,7 @@ def explain(code: str) -> str | None:
     kind = (
         "whole-program (runs over the project fact graph)"
         if cls.kind == "project"
-        else f"per-file (scopes: {', '.join(cls.scopes)})"
+        else "per-file (src/repro)"
     )
     sections = [
         f"{cls.code} — {cls.description}",

@@ -58,7 +58,7 @@ def draw_placement(
     # One choice() per stripe is the draw-sequence contract: vectorizing
     # would consume the stream differently and break layout equality
     # between spec and engine for an existing seed.
-    for stripe in range(config.num_stripes):  # reprolint: disable=RL012
+    for stripe in range(config.num_stripes):
         placement[stripe] = rng.choice(
             config.num_nodes, size=code.n, replace=False
         )

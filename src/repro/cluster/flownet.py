@@ -416,7 +416,7 @@ class FlowTable:
         # ragged dict-of-lists; it runs once per compaction (not per
         # tick) and numpy offers no grouped-append, so the scalar loop
         # stays.
-        for row in range(m):  # reprolint: disable=RL002
+        for row in range(m):
             index.setdefault(int(self._src[row]), []).append(row)
             if self._dst[row] != self._src[row]:
                 index.setdefault(int(self._dst[row]), []).append(row)

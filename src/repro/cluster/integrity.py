@@ -149,7 +149,7 @@ def heal_stripe(
     }
     # Virtual zero-padding positions are known-zero and free to use.
     # (Loop spans at most k dict entries, not per-element payload data.)
-    for p in range(stripe.data_blocks, stripe.code.k):  # reprolint: disable=RL012
+    for p in range(stripe.data_blocks, stripe.code.k):
         healthy[p] = np.zeros(
             stripe.payload.shape[1], dtype=stripe.code.field.dtype
         )

@@ -1,7 +1,7 @@
 """The eleven spec/engine pairs, declared in one place.
 
 :func:`engine_matrix` is the single source of truth for the README
-"Spec/engine pairs" table and reprolint's RL002/RL003.
+"Spec/engine pairs" table and reprolint's RL003.
 
 Declarations are metadata only (dotted names).  The
 specs under ``repro.spec`` are reachable from tests, ``benchmarks/`` and

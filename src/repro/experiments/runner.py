@@ -253,7 +253,7 @@ def run_failure_schedule(
         cluster.run(until=warmup)
     # Failure epochs are sequential simulation phases by definition —
     # each iteration runs the cluster to quiescence, not per-element math.
-    for index in range(start_epoch, len(pattern)):  # reprolint: disable=RL012
+    for index in range(start_epoch, len(pattern)):
         nodes_to_kill = pattern[index]
         if (
             checkpoint is not None

@@ -29,6 +29,7 @@ from repro.cluster.failures import trace_summary
 from repro.codes import ReedSolomonCode, rs_10_4, xorbas_lrc
 from repro.codes.base import mask_of
 from repro.experiments.runner import run_until_quiescent
+from repro.experiments.workload import WorkloadResult
 from repro.spec import DictNameNode, with_specs
 
 NUM_NODES = 15
@@ -430,3 +431,9 @@ class TestEmptyWindowStats:
         assert summary["days"] == 0.0
         assert math.isnan(summary["mean"])
         assert summary["days_over_20"] == 0.0
+
+    def test_workload_average_of_no_jobs_is_nan(self):
+        empty = WorkloadResult("baseline", [], 0.0, 0, 0)
+        assert math.isnan(empty.average_minutes)
+        ran = WorkloadResult("baseline", [80.0, 90.0], 0.0, 0, 0)
+        assert ran.average_minutes == pytest.approx(85.0)

@@ -9,6 +9,12 @@ with corrupted snapshots detected by checksum and skipped back to the
 previous good epoch.
 """
 
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -400,6 +406,40 @@ class TestKillResumeEquivalence:
             tmp_path, **SMALL, scheme="HDFS-RS", kill_epoch=1
         )
         assert_runs_equivalent(spec, resumed)
+
+
+_HASH_SEED_RUN = """
+import pickle, sys
+from repro.recovery.equivalence import run_uninterrupted
+runs = {
+    scheme: run_uninterrupted(scheme=scheme, num_files=10, pattern=(1, 1, 2))
+    for scheme in ("HDFS-RS", "HDFS-Xorbas")
+}
+with open(sys.argv[1], "wb") as fh:
+    pickle.dump((hash("hash seed probe"), runs), fh)
+"""
+
+
+def test_results_do_not_depend_on_hash_seed(tmp_path):
+    """Set and str-keyed hash order follow ``PYTHONHASHSEED``; simulated
+    results must not.  Two processes with different hash seeds run the
+    same schedules and must finish bit-identical."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    outputs = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / f"hash-seed-{hash_seed}.pkl"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=pythonpath)
+        subprocess.run(
+            [sys.executable, "-c", _HASH_SEED_RUN, str(out)], env=env, check=True
+        )
+        with open(out, "rb") as fh:
+            outputs.append(pickle.load(fh))
+    (probe_a, runs_a), (probe_b, runs_b) = outputs
+    assert probe_a != probe_b  # the two processes really hashed differently
+    for scheme in ("HDFS-RS", "HDFS-Xorbas"):
+        assert len(runs_a[scheme].events) >= 3
+        assert_runs_equivalent(runs_a[scheme], runs_b[scheme])
 
 
 _SWEEP_PATTERN = (1, 2, 1)

@@ -1,10 +1,10 @@
-"""Whole-program reprolint: dataflow, project graph, RL009-RL012.
+"""Whole-program reprolint: dataflow, project graph, RL009-RL011.
 
 Each rule gets a seeded-mutation test: a synthetic mini-repo that is
 clean, plus the one-line mutation the rule exists to catch (drop a
 snapshot field, add an unhashed config field, launder a constant seed
-through a helper, push a scalar loop into an engine helper) — proving
-the rule actually fires, not just that the real repo is quiet.
+through a helper) — proving the rule actually fires, not just that the
+real repo is quiet.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import pytest
 from repro.analysis.cli import main as lint_main
 from repro.analysis.dataflow import CONST, SEEDED, TaintEvaluator, resolve_taint
 from repro.analysis.graph import analyze_paths
-from repro.analysis.project import InterproceduralPurityRule, run_project_rules_ex
+from repro.analysis.project import run_project_rules_ex
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -336,97 +336,6 @@ class TestCacheKeyCompleteness:
 
 
 # ---------------------------------------------------------------------------
-# RL012: interprocedural engine purity (mutation: push loop into helper)
-# ---------------------------------------------------------------------------
-
-
-FAKE_ENGINES = {"repro.cluster.fake": frozenset({"FakeEngine"})}
-
-
-class TestInterproceduralPurity:
-    def run_rule(self, tmp_path, files):
-        graph, _, _ = analyze(make_repo(tmp_path, files))
-        rule = InterproceduralPurityRule(engine_symbols=FAKE_ENGINES)
-        return [v.rule for v in rule.check(graph)], graph
-
-    def test_clean_vectorized_helper(self, tmp_path):
-        files = {
-            "src/repro/cluster/fake.py": (
-                "def _helper(xs):\n"
-                "    return xs * 2\n"
-                "class FakeEngine:\n"
-                "    def run(self, xs):\n"
-                "        return _helper(xs)\n"
-            ),
-        }
-        codes_found, _ = self.run_rule(tmp_path, files)
-        assert codes_found == []
-
-    def test_mutation_scalar_loop_pushed_into_helper_fires(self, tmp_path):
-        # The acceptance mutation: RL002 sees a clean engine body, but
-        # the per-element loop just moved one call away.
-        files = {
-            "src/repro/cluster/fake.py": (
-                "def _helper(xs, out):\n"
-                "    for i in range(len(xs)):\n"
-                "        out[i] = xs[i] * 2\n"
-                "class FakeEngine:\n"
-                "    def run(self, xs, out):\n"
-                "        _helper(xs, out)\n"
-            ),
-        }
-        codes_found, _ = self.run_rule(tmp_path, files)
-        assert codes_found == ["RL012"]
-
-    def test_mutation_caught_across_module_boundary(self, tmp_path):
-        files = {
-            "src/repro/cluster/fake.py": (
-                "from repro.cluster.scalar import _helper\n"
-                "class FakeEngine:\n"
-                "    def run(self, xs, out):\n"
-                "        _helper(xs, out)\n"
-            ),
-            "src/repro/cluster/scalar.py": (
-                "def _helper(xs, out):\n"
-                "    for i in range(len(xs)):\n"
-                "        out[i] = xs[i] * 2\n"
-            ),
-        }
-        codes_found, _ = self.run_rule(tmp_path, files)
-        assert codes_found == ["RL012"]
-
-    def test_pragma_on_helper_loop_suppresses(self, tmp_path):
-        files = {
-            "src/repro/cluster/fake.py": (
-                "def _helper(xs, out):\n"
-                "    for i in range(len(xs)):  # reprolint: disable=RL012\n"
-                "        out[i] = xs[i] * 2\n"
-                "class FakeEngine:\n"
-                "    def run(self, xs, out):\n"
-                "        _helper(xs, out)\n"
-            ),
-        }
-        graph, _, _ = analyze(make_repo(tmp_path, files))
-        rule = InterproceduralPurityRule(engine_symbols=FAKE_ENGINES)
-        assert rule.check(graph) == []
-        assert rule.suppressed == 1
-
-    def test_loop_in_uncalled_function_ignored(self, tmp_path):
-        files = {
-            "src/repro/cluster/fake.py": (
-                "def _unrelated(xs, out):\n"
-                "    for i in range(len(xs)):\n"
-                "        out[i] = xs[i]\n"
-                "class FakeEngine:\n"
-                "    def run(self, xs):\n"
-                "        return xs * 2\n"
-            ),
-        }
-        codes_found, _ = self.run_rule(tmp_path, files)
-        assert codes_found == []
-
-
-# ---------------------------------------------------------------------------
 # CLI: --changed and --explain
 # ---------------------------------------------------------------------------
 
@@ -452,7 +361,7 @@ class TestCliModes:
         assert "git" in capsys.readouterr().out.lower()
 
     def test_whole_repo_lint_runs_project_rules(self, tmp_path, capsys):
-        # A repo-mode run (no explicit paths) must include RL009-RL012.
+        # A whole-repo run must include the whole-program rules.
         root = make_repo(
             tmp_path,
             {

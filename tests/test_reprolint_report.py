@@ -138,7 +138,7 @@ class TestGoldenGithub:
 
     def test_step_summary_escapes_pipes(self):
         table = step_summary_table(
-            [RuleViolation("a.py", 1, "RL004", "bad | pipe")]
+            [RuleViolation("a.py", 1, "RL006", "bad | pipe")]
         )
         assert "bad \\| pipe" in table
 
