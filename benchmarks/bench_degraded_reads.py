@@ -6,30 +6,28 @@ study; this bench runs it.  All three schemes see the identical outage
 process and read arrivals (paired-seed discipline, like the paper's
 twin EC2 clusters); the LRC serves degraded reads ~2x faster than RS
 and recovers most of the availability gap to replication.  The rows
-come from the production ``ReadServiceEngine``, the same implementation
-``repro degraded`` and ``run_degraded_scenarios`` run.
+come from ``run_degraded_scenarios``, the one harness ``repro degraded``
+runs too.
 """
 
 import pytest
 
-from repro.cluster.degraded import DegradedReadConfig, compare_degraded_reads
-from repro.codes import rs_10_4, three_replication, xorbas_lrc
+from repro.cluster.degraded import DegradedReadConfig
+from repro.experiments.degraded import DegradedScenario, run_degraded_scenarios
 
 from conftest import write_report
 
-CONFIG = DegradedReadConfig(duration=4 * 3600.0)
+SCENARIO = DegradedScenario("4h", DegradedReadConfig(duration=4 * 3600.0))
 
 
 def test_degraded_read_availability(benchmark):
-    codes = [three_replication(), rs_10_4(), xorbas_lrc()]
-
-    results = benchmark.pedantic(
-        compare_degraded_reads,
-        args=(codes,),
-        kwargs={"config": CONFIG, "seed": 3},
+    sweep = benchmark.pedantic(
+        run_degraded_scenarios,
+        kwargs={"scenarios": (SCENARIO,), "seed": 3},
         iterations=1,
         rounds=1,
     )
+    results = sweep[SCENARIO.name]
     by_name = {s.scheme: s for s in results}
     lines = ["Degraded reads under transient outages (4h, paired seeds):"]
     for stats in results:

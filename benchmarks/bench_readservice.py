@@ -12,11 +12,11 @@ bitmask, batched latency accounting.
 The comparison: one million client reads over a six-hour horizon (the
 paper's (10,6,5) LRC under the default transient-outage process) run
 through the engine and through the event-driven spec
-(:class:`~repro.spec.degraded.DegradedReadSimulation`) on a *shared*
-pre-drawn schedule must give element-identical ``ReadServiceStats`` —
-counts exact, per-read latency lists bit-identical, aggregate latencies
-asserted to 1e-9.  Both times and their ratio (``readservice_speedup``)
-are recorded, not gated.
+(:class:`~repro.spec.degraded.DegradedReadSimulation`) on one pre-drawn
+schedule (the one both would draw from the seed, drawn once) must give
+element-identical ``ReadServiceStats`` — counts exact, per-read latency
+arrays equal, aggregate latencies asserted to 1e-9.  Both times and
+their ratio (``readservice_speedup``) are recorded, not gated.
 """
 
 import time
@@ -66,13 +66,16 @@ def test_read_service_engine_10x_faster_and_element_identical():
     spec_seconds = time.perf_counter() - start
 
     # Element-identical stats on the shared schedule: exact counts,
-    # bit-identical per-read latency lists.
+    # equal per-read latency arrays.
+    identical = np.array_equal(engine_stats.latencies, spec_stats.latencies)
     assert engine_stats.total_reads == spec_stats.total_reads
     assert engine_stats.degraded_reads == spec_stats.degraded_reads
     assert engine_stats.failed_reads == spec_stats.failed_reads
     assert engine_stats.timed_out_reads == spec_stats.timed_out_reads
-    assert engine_stats.latencies == spec_stats.latencies
-    assert engine_stats.degraded_latencies == spec_stats.degraded_latencies
+    assert identical
+    assert np.array_equal(
+        engine_stats.degraded_latencies, spec_stats.degraded_latencies
+    )
     # Aggregates to 1e-9 (implied by the lists, asserted for the record).
     np.testing.assert_allclose(
         aggregates(engine_stats), aggregates(spec_stats), rtol=1e-9
@@ -87,8 +90,7 @@ def test_read_service_engine_10x_faster_and_element_identical():
         f"({engine.distinct_patterns} distinct planner patterns)\n"
         f"event-driven spec:      {spec_seconds:.2f} s\n"
         f"vectorized read engine: {engine_seconds:.2f} s\n"
-        f"speedup: {speedup:.1f}x (stats element-identical: "
-        f"{engine_stats.latencies == spec_stats.latencies})"
+        f"speedup: {speedup:.1f}x (stats element-identical: {identical})"
     )
     write_report("readservice.txt", report)
     print()
@@ -127,7 +129,7 @@ def test_scenario_knobs_stay_element_identical_at_scale():
     assert engine_stats.failed_reads > 0  # rack storms actually bite
     assert engine_stats.total_reads == spec_stats.total_reads
     assert engine_stats.failed_reads == spec_stats.failed_reads
-    assert engine_stats.latencies == spec_stats.latencies
+    assert np.array_equal(engine_stats.latencies, spec_stats.latencies)
     record_metric(
         "readservice_scenario_failed_reads", float(engine_stats.failed_reads)
     )

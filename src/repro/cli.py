@@ -14,18 +14,25 @@ from typing import Sequence
 __all__ = ["main", "build_parser"]
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
-    return value
+def _number(convert, rule: str, accept):
+    """An argparse type: ``convert`` the text, then require ``accept``
+    (every comparison with nan is False, so nan is rejected too)."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse's "invalid int value"
+    return parse
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not value > 0:  # also rejects nan
-        raise argparse.ArgumentTypeError(f"must be a positive number, got {text}")
-    return value
+_positive_int = _number(int, "a positive integer", lambda v: v > 0)
+_positive_float = _number(float, "a positive number", lambda v: v > 0)
+_nonnegative_int = _number(int, "a non-negative integer", lambda v: v >= 0)
+_nonnegative_float = _number(float, "a non-negative number", lambda v: v >= 0)
+_amplitude = _number(float, "in [0, 1)", lambda v: 0 <= v < 1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -49,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fig1 = sub.add_parser("fig1", help="generate the Figure 1 failure trace")
     fig1.add_argument("--days", type=_positive_int, default=31)
-    fig1.add_argument("--seed", type=int, default=21)
+    fig1.add_argument("--seed", type=_nonnegative_int, default=21)
     fig1.set_defaults(handler=_cmd_fig1)
 
     ec2 = sub.add_parser("ec2", help="run a (scaled) EC2 failure experiment")
@@ -65,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     ec2.add_argument("--nodes", type=_positive_int, default=50)
-    ec2.add_argument("--seed", type=int, default=0)
+    ec2.add_argument("--seed", type=_nonnegative_int, default=0)
     ec2.add_argument(
         "--jobs",
         type=_positive_int,
@@ -123,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     chaos.add_argument("--trials", type=_positive_int, default=3)
-    chaos.add_argument("--seed", type=int, default=0)
+    chaos.add_argument("--seed", type=_nonnegative_int, default=0)
     chaos.add_argument("--files", type=_positive_int, default=3)
     chaos.add_argument("--nodes", type=_positive_int, default=20)
     chaos.add_argument(
@@ -144,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     codec.add_argument("--stripes", type=_positive_int, default=512)
     codec.add_argument("--payload-bytes", type=_positive_int, default=1024)
-    codec.add_argument("--seed", type=int, default=0)
+    codec.add_argument("--seed", type=_nonnegative_int, default=0)
     codec.set_defaults(handler=_cmd_codec)
 
     montecarlo = sub.add_parser(
@@ -158,8 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=1e-6,
         help="repair-rate compression making absorption simulable",
     )
-    montecarlo.add_argument("--seed", type=int, default=0)
-    montecarlo.set_defaults(handler=_cmd_montecarlo)
+    montecarlo.add_argument("--seed", type=_nonnegative_int, default=0)
+    montecarlo.set_defaults(handler=_cmd_montecarlo, usage_error=montecarlo.error)
 
     facebook = sub.add_parser("facebook", help="run the Table 3 experiment")
     facebook.add_argument("--files", type=_positive_int, default=200)
@@ -169,13 +176,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="target total data blocks (overrides --files)",
     )
-    facebook.add_argument("--seed", type=int, default=0)
+    facebook.add_argument("--seed", type=_nonnegative_int, default=0)
     facebook.set_defaults(handler=_cmd_facebook)
 
     workload = sub.add_parser(
         "workload", help="run the Figure 7 / Table 2 workload experiment"
     )
-    workload.add_argument("--seed", type=int, default=0)
+    workload.add_argument("--seed", type=_nonnegative_int, default=0)
     workload.set_defaults(handler=_cmd_workload)
 
     sub.add_parser(
@@ -196,14 +203,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--stripes", type=_positive_int, nargs="+", default=[10, 20, 50, 100]
     )
     archival.add_argument("--samples", type=_positive_int, default=150)
-    archival.add_argument("--seed", type=int, default=0)
+    archival.add_argument("--seed", type=_nonnegative_int, default=0)
     archival.set_defaults(handler=_cmd_archival)
 
     degraded = sub.add_parser(
         "degraded", help="degraded-read availability experiment (Section 4)"
     )
     degraded.add_argument("--hours", type=_positive_float, default=6.0)
-    degraded.add_argument("--seed", type=int, default=3)
+    degraded.add_argument("--seed", type=_nonnegative_int, default=3)
     degraded.add_argument(
         "--reads",
         type=_positive_float,
@@ -215,23 +222,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     degraded.add_argument(
         "--zipf",
-        type=float,
+        type=_nonnegative_float,
         default=0.0,
         help="Zipf exponent for hot/cold stripe popularity (0 = uniform)",
     )
     degraded.add_argument(
         "--diurnal",
-        type=float,
+        type=_amplitude,
         default=0.0,
         help="diurnal read-rate modulation amplitude in [0, 1)",
     )
     degraded.add_argument(
         "--racks",
-        type=int,
+        type=_nonnegative_int,
         default=0,
         help="number of racks with a correlated rack-outage process (0 = off)",
     )
-    degraded.set_defaults(handler=_cmd_degraded)
+    degraded.set_defaults(handler=_cmd_degraded, usage_error=degraded.error)
 
     tradeoff = sub.add_parser(
         "tradeoff", help="locality/storage/repair frontier (Sections 1.1-2)"
@@ -247,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
         "export", help="export the analytical artefacts as CSV"
     )
     export.add_argument("--out", default="results/csv")
-    export.add_argument("--seed", type=int, default=0)
+    export.add_argument("--seed", type=_nonnegative_int, default=0)
     export.set_defaults(handler=_cmd_export)
 
     sub.add_parser(
@@ -497,16 +504,33 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
 
     from .codes import rs_10_4, three_replication, xorbas_lrc
     from .experiments import format_table
-    from .reliability import ClusterReliabilityParameters, simulate_scheme_mttdl
+    from .reliability import (
+        ClusterReliabilityParameters,
+        build_chain,
+        compress_chain,
+        simulate_scheme_mttdl,
+    )
+    from .reliability.montecarlo import MAX_STEPS, expected_transitions
 
     params = ClusterReliabilityParameters()
+    codes = (three_replication(), rs_10_4(), xorbas_lrc())
+    for code in codes:
+        steps = expected_transitions(
+            compress_chain(build_chain(code, params), args.repair_scale)
+        )
+        if steps > MAX_STEPS:
+            args.usage_error(
+                f"argument --repair-scale: {code.name}'s compressed chain "
+                f"needs ~{steps:.1e} transitions per trajectory, over the "
+                f"simulator's {MAX_STEPS:,}; use a smaller scale (default 1e-6)"
+            )
     print(
         f"Batched Gillespie validation: {args.trials} trajectories per scheme, "
         f"repair rates compressed by {args.repair_scale:g} ..."
     )
     rows = []
     all_consistent = True
-    for code in (three_replication(), rs_10_4(), xorbas_lrc()):
+    for code in codes:
         sim = simulate_scheme_mttdl(
             code,
             params,
@@ -612,14 +636,20 @@ def _cmd_archival(args: argparse.Namespace) -> int:
 
 
 def _cmd_degraded(args: argparse.Namespace) -> int:
-    from .cluster.degraded import DegradedReadConfig, compare_degraded_reads
-    from .codes import rs_10_4, three_replication, xorbas_lrc
+    from .cluster.degraded import DegradedReadConfig
     from .experiments import format_table
+    from .experiments.degraded import DegradedScenario, run_degraded_scenarios
     from .experiments.report import fmt_or_na as _fmt
 
     zipf, diurnal, racks = args.zipf, args.diurnal, args.racks
     duration = args.hours * 3600.0
-    read_rate = DegradedReadConfig().read_rate
+    defaults = DegradedReadConfig()
+    if racks > defaults.num_nodes:
+        args.usage_error(
+            f"argument --racks: must be at most the {defaults.num_nodes} "
+            f"nodes, got {racks}"
+        )
+    read_rate = defaults.read_rate
     if args.reads is not None:
         read_rate = args.reads / duration
     config = DegradedReadConfig(
@@ -629,7 +659,6 @@ def _cmd_degraded(args: argparse.Namespace) -> int:
         diurnal_amplitude=diurnal,
         num_racks=racks,
     )
-    codes = [three_replication(), rs_10_4(), xorbas_lrc()]
     scenario = []
     if zipf:
         scenario.append(f"zipf={zipf:g}")
@@ -639,7 +668,9 @@ def _cmd_degraded(args: argparse.Namespace) -> int:
         scenario.append(f"racks={racks}")
     suffix = f" ({', '.join(scenario)})" if scenario else ""
     print(f"Simulating {args.hours:.0f}h of reads under transient outages{suffix} ...")
-    rows = compare_degraded_reads(codes, config=config, seed=args.seed)
+    (rows,) = run_degraded_scenarios(
+        scenarios=(DegradedScenario("cli", config),), seed=args.seed
+    ).values()
     print(
         format_table(
             ["scheme", "reads", "degraded", "mean degraded s", "availability"],

@@ -13,12 +13,7 @@ from .blocks import BlockId, StoredFile, Stripe, encode_stripe_payloads
 from .blockfixer import BlockFixer, LightRepairTask, StripeRepairTask
 from .config import ClusterConfig, ec2_config, facebook_config
 from .decommission import DecommissionManager, RecreateBlockTask
-from .degraded import (
-    DegradedReadConfig,
-    ReadServiceStats,
-    compare_degraded_reads,
-    draw_placement,
-)
+from .degraded import DegradedReadConfig, ReadServiceStats, draw_placement
 from .readservice import (
     OutageWindows,
     ReadSchedule,
@@ -62,7 +57,6 @@ __all__ = [
     "RecreateBlockTask",
     "DegradedReadConfig",
     "ReadServiceStats",
-    "compare_degraded_reads",
     "draw_placement",
     "OutageWindows",
     "ReadSchedule",

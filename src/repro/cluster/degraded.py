@@ -19,11 +19,15 @@ is the transfer of ``reads`` blocks over the client NIC.  Reads that
 exceed the timeout count as unavailability, which is how the paper's
 availability discussion connects to the Ford et al. [9] metric.
 
-This module holds the model's vocabulary (config, stats, placement);
-:class:`~repro.cluster.readservice.ReadServiceEngine` runs it as batched
-array passes, held element-identical to the event-driven oracle
-``repro.spec.degraded.DegradedReadSimulation`` by differential tests on
-shared :class:`~repro.cluster.readservice.ReadSchedule` objects.
+This module holds the model's vocabulary (config, stats, placement).  A
+run is ``(code, config, seed)`` → :meth:`ReadSchedule.draw
+<repro.cluster.readservice.ReadSchedule.draw>` → :func:`draw_placement`
+→ replay → :meth:`ReadServiceStats.from_arrays`, with one way to do
+each step.  :class:`~repro.cluster.readservice.ReadServiceEngine`
+replays as batched array passes; the event-driven oracle
+``repro.spec.degraded.DegradedReadSimulation`` replays through an event
+heap, and differential tests hold the two element-identical from the
+seed alone.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ from .metrics import percentile
 __all__ = [
     "DegradedReadConfig",
     "ReadServiceStats",
-    "compare_degraded_reads",
     "draw_placement",
 ]
 
@@ -47,13 +50,15 @@ MB = 1e6
 
 
 def draw_placement(
-    config: DegradedReadConfig, code: ErasureCode, rng: np.random.Generator
+    config: DegradedReadConfig, code: ErasureCode, seed: int = 0
 ) -> np.ndarray:
     """``placement[stripe, position] = node``, all-distinct per stripe.
 
-    Shared by the event-driven spec and the vectorized engine so both
-    see identical layouts for the same placement stream.
+    Drawn from the first of ``SeedSequence(seed).spawn(3)``, the stream
+    ahead of :meth:`ReadSchedule.draw`'s outage and read streams, so the
+    spec and the engine see identical layouts for the same seed.
     """
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(3)[0])
     placement = np.zeros((config.num_stripes, code.n), dtype=np.int64)
     # One choice() per stripe is the draw-sequence contract: vectorizing
     # would consume the stream differently and break layout equality
@@ -73,10 +78,10 @@ class DegradedReadConfig:
     stationary/uniform seed model: a Zipf hot/cold stripe popularity
     skew, a diurnal (24 h sinusoid) modulation of the read rate, and
     correlated rack-level outages that take a whole rack's nodes down
-    together.  They are schedule-level features — non-default values are
-    drawn by the vectorized :class:`~repro.cluster.readservice.ReadSchedule`
-    generator, which both the event-driven spec and the vectorized
-    engine consume.
+    together.  They are schedule-level features, drawn by
+    :meth:`~repro.cluster.readservice.ReadSchedule.draw`, the one
+    generator both the event-driven spec and the vectorized engine
+    consume.
     """
 
     num_nodes: int = 50
@@ -122,27 +127,23 @@ class DegradedReadConfig:
         ):
             raise ValueError("rack outage rate and mean duration must be positive")
 
-    @property
-    def uses_scenarios(self) -> bool:
-        """True when any scenario knob departs from the seed model."""
-        return (
-            self.zipf_exponent > 0
-            or self.diurnal_amplitude > 0
-            or self.num_racks > 0
-        )
 
-
-@dataclass
+@dataclass(eq=False)
 class ReadServiceStats:
-    """Aggregated read-path metrics for one scheme."""
+    """Aggregated read-path metrics for one scheme.
+
+    ``latencies`` (every served read, in arrival order) and
+    ``degraded_latencies`` are float64 arrays.  Array fields make a
+    generated ``==`` ambiguous, so there is none: compare field by field.
+    """
 
     scheme: str = ""
     total_reads: int = 0
     degraded_reads: int = 0
     failed_reads: int = 0
     timed_out_reads: int = 0
-    latencies: list[float] = field(default_factory=list)
-    degraded_latencies: list[float] = field(default_factory=list)
+    latencies: np.ndarray = field(default_factory=lambda: np.empty(0))
+    degraded_latencies: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     @property
     def degraded_fraction(self) -> float:
@@ -165,13 +166,13 @@ class ReadServiceStats:
     def mean_latency(self) -> float:
         """Mean read latency; NaN for an empty window (no reads is not
         the same observation as instant reads)."""
-        return float(np.mean(self.latencies)) if self.latencies else math.nan
+        return float(self.latencies.mean()) if self.latencies.size else math.nan
 
     @property
     def mean_degraded_latency(self) -> float:
-        if not self.degraded_latencies:
+        if not self.degraded_latencies.size:
             return math.nan
-        return float(np.mean(self.degraded_latencies))
+        return float(self.degraded_latencies.mean())
 
     def percentile_latency(self, q: float) -> float:
         return percentile(self.latencies, q)
@@ -185,11 +186,12 @@ class ReadServiceStats:
         failed_reads: int,
         read_timeout: float,
     ) -> "ReadServiceStats":
-        """Batched accounting: build the stats from served-read arrays.
+        """The one accounting path: build the stats from served-read arrays.
 
         ``latencies`` holds every *served* read in arrival order and
         ``degraded`` marks which of those took the reconstruction path;
         counters and the timeout census are single vectorized passes.
+        Both replays (spec and engine) end here.
         """
         lat = np.asarray(latencies, dtype=np.float64)
         deg = np.asarray(degraded, dtype=bool)
@@ -201,25 +203,6 @@ class ReadServiceStats:
             degraded_reads=int(deg.sum()),
             failed_reads=int(failed_reads),
             timed_out_reads=int((lat > read_timeout).sum()),
-            latencies=lat.tolist(),
-            degraded_latencies=lat[deg].tolist(),
+            latencies=lat,
+            degraded_latencies=lat[deg],
         )
-
-
-def compare_degraded_reads(
-    codes: list[ErasureCode],
-    config: DegradedReadConfig | None = None,
-    seed: int = 0,
-) -> list[ReadServiceStats]:
-    """Run the same outage/read schedule against several schemes.
-
-    Identical seeds give identical outage windows and read arrivals, so
-    differences between rows are attributable to the codes alone — the
-    same controlled-comparison discipline as the paper's paired EC2
-    clusters.
-    """
-    from .readservice import ReadServiceEngine  # imports this module
-
-    return [
-        ReadServiceEngine(code, config=config, seed=seed).run() for code in codes
-    ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -24,22 +24,22 @@ __all__ = [
 ]
 
 
-def percentile(values: Iterable[float], q: float) -> float:
+def percentile(values: Sequence[float] | np.ndarray, q: float) -> float:
     """NaN-safe percentile: an empty window yields NaN, never a crash.
 
     A percentile of nothing is not zero — callers that used to get 0.0
     for an empty scan interval (e.g. no repairs ran) could not tell
-    "no repairs" from "instant repairs".
+    "no repairs" from "instant repairs".  An array is used as is.
     """
-    arr = np.asarray(list(values), dtype=float)
+    arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         return math.nan
     return float(np.percentile(arr, q))
 
 
-def summary_stats(values: Iterable[float]) -> dict[str, float]:
+def summary_stats(values: Sequence[float] | np.ndarray) -> dict[str, float]:
     """Count/mean/median/min/max of a window; NaN stats when empty."""
-    arr = np.asarray(list(values), dtype=float)
+    arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         return {
             "count": 0.0,

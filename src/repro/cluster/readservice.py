@@ -14,9 +14,11 @@ The decomposition:
 
 * :class:`ReadSchedule` — the randomness, pulled out of the engines.  A
   schedule is plain arrays (per-node outage windows; read arrival
-  times, stripes, positions) that *both* engines consume, which is what
-  makes differential testing exact: same schedule in, element-identical
-  :class:`~repro.cluster.degraded.ReadServiceStats` out.  The batched
+  times, stripes, positions) that *both* engines consume, and
+  :meth:`ReadSchedule.draw` is the one generator: the same seed gives
+  the same schedule on either side, so differential testing is exact —
+  same ``(code, config, seed)`` in, element-identical
+  :class:`~repro.cluster.degraded.ReadServiceStats` out.  The
   generator also owns the scenario knobs — Zipf hot/cold stripe
   popularity (inverse-CDF sampling), diurnal read-rate modulation
   (Poisson thinning) and correlated rack-level outages (one rack draw
@@ -31,17 +33,18 @@ The decomposition:
   ``(position << n) | pattern-bitmask`` key per read — ``np.unique``
   over the keys means ``plan_block`` is called once per *distinct*
   erasure pattern, with the key's two halves handed over as they are —
-  and batched latency/timeout accounting into ``ReadServiceStats``.
+  and batched latency/timeout accounting through
+  ``ReadServiceStats.from_arrays``, the accounting path the spec shares.
 
-Determinism contract: given the same schedule and placement, the engine
-reproduces the event-driven spec's stats element for element (counts
-exact, latencies bit-identical — the arithmetic is the same
-``reads * block_size / node_bandwidth`` IEEE expression).  Boundary
+Determinism contract: given the same seed (or the same schedule), the
+engine reproduces the event-driven spec's stats element for element
+(counts exact, latency arrays bit-identical — the arithmetic is the
+same ``reads * block_size / node_bandwidth`` IEEE expression).  Boundary
 semantics match the spec's event ordering: at an outage's exact start
 instant the node is already down (outage events sort before read
 events), and at ``start + duration`` it is up again
-(``down_until <= now``).  ``benchmarks/bench_readservice.py`` gates the
-point: ≥10× over the spec at one million reads.
+(``down_until <= now``).  ``benchmarks/bench_readservice.py`` repeats
+the comparison at one million reads and records the speed ratio.
 """
 
 from __future__ import annotations
@@ -131,8 +134,9 @@ class ReadSchedule(ArraySchedule):
     now an instance of it.  ``outage_*`` rows are per-node transient
     windows (rack-level events appear expanded, one row per member
     node); ``read_*`` rows are the client arrivals in time order.
-    Feeding the same schedule to the event-driven spec and the
-    vectorized engine is what makes their stats element-identical.
+    The event-driven spec and the vectorized engine both replay one,
+    drawn from the seed or handed in, which is what makes their stats
+    element-identical.
     """
 
     outage_node: np.ndarray
@@ -152,6 +156,13 @@ class ReadSchedule(ArraySchedule):
 
     def check(self, config: DegradedReadConfig, code: ErasureCode) -> None:
         """Cheap shape/bounds validation against a config and code."""
+        # Misaligned columns would be truncated by the spec's zip but
+        # crash the engine's fancy indexing: reject them for both.
+        reads = (self.read_time, self.read_stripe, self.read_position)
+        outages = (self.outage_node, self.outage_start, self.outage_duration)
+        for kind, columns in (("read", reads), ("outage", outages)):
+            if len({column.shape for column in columns}) > 1:
+                raise ValueError(f"the three {kind}_* columns must align")
         if self.read_time.size:
             # Non-decreasing arrival order is part of the differential
             # contract: the spec replays reads through a (time, seq)
@@ -188,8 +199,9 @@ class ReadSchedule(ArraySchedule):
     ) -> "ReadSchedule":
         """Draw the canonical batched schedule for (config, code, seed).
 
-        Stream layout mirrors the spec's spawn order — placement,
-        outages, reads — then splits each concern into sub-streams, so
+        ``SeedSequence(seed).spawn(3)`` gives placement (taken by
+        :func:`~repro.cluster.degraded.draw_placement`), outages and
+        reads; each concern then splits into sub-streams, so
         every quantity that does not depend on the code (outage windows,
         arrival times, stripe popularity) is *identical across codes*:
         the controlled-comparison contract.  Only the position draws
@@ -388,7 +400,7 @@ class ReadServiceEngine:
     with the per-read Python callback replaced by whole-schedule array
     passes.  Scales to millions of reads; the spec remains the
     executable semantics and the differential tests hold the two to
-    element-identical stats on shared schedules.
+    element-identical stats for the same seed.
     """
 
     def __init__(
@@ -410,12 +422,7 @@ class ReadServiceEngine:
                 "pattern interning limit"
             )
         self.code = code
-        # Mirror the spec's stream layout so placements match it for
-        # the same seed; the schedule has its own canonical streams.
-        placement_seed = np.random.SeedSequence(seed).spawn(3)[0]
-        self.placement = draw_placement(
-            self.config, code, np.random.default_rng(placement_seed)
-        )
+        self.placement = draw_placement(self.config, code, seed)
         if schedule is None:
             schedule = ReadSchedule.draw(self.config, code, seed)
         schedule.check(self.config, code)

@@ -314,7 +314,9 @@ def compile_xor_schedule(field: GF, matrix) -> XorSchedule:
     ``matrix`` is an ``(out_blocks, in_blocks)`` GF(2^m) coefficient
     matrix.  Rows are classified into copy / word / bit sub-programs,
     both XOR programs are CSE-factored, and the result is priced against
-    the gather kernel (see module docstring).
+    the gather kernel (see module docstring).  A multiplicative row over
+    a field wider than a byte returns an empty ``supported=False``
+    schedule straight after classification.
     """
     mat = np.asarray(matrix)
     if mat.ndim != 2:
@@ -342,6 +344,28 @@ def compile_xor_schedule(field: GF, matrix) -> XorSchedule:
         else:
             bit_rows.append(row)
 
+    if bit_rows and m > 8:
+        # Bit planes assume byte-sized symbols, so the engine keeps the
+        # GF path: compile no program it would never run (a wide RS
+        # generator's bit-matrix CSE alone takes seconds).
+        return XorSchedule(
+            field=field,
+            in_blocks=in_blocks,
+            out_blocks=out_blocks,
+            copies=copies,
+            zero_rows=zero_rows,
+            word_defs=[],
+            word_rows=[],
+            sliced_inputs=(),
+            sliced_outputs=tuple(bit_rows),
+            bit_ops=[],
+            bit_row_node=[],
+            bit_nodes=0,
+            supported=False,
+            xor_cost=float("inf"),
+            gf_cost=gf_cost,
+        )
+
     word_defs, word_row_nodes = cse_rows([srcs for _, srcs in word_sources], in_blocks)
     word_rows = [
         (row, nodes) for (row, _), nodes in zip(word_sources, word_row_nodes)
@@ -352,10 +376,7 @@ def compile_xor_schedule(field: GF, matrix) -> XorSchedule:
     bit_ops: list[tuple[int, int, int]] = []
     bit_row_node: list[int] = []
     bit_nodes = 0
-    supported = True
     if bit_rows:
-        if m > 8:
-            supported = False  # bit planes assume byte-sized symbols
         sliced_inputs = tuple(
             int(c) for c in np.nonzero(mat[bit_rows].any(axis=0))[0]
         )
@@ -379,7 +400,7 @@ def compile_xor_schedule(field: GF, matrix) -> XorSchedule:
         bit_ops=bit_ops,
         bit_row_node=bit_row_node,
         bit_nodes=bit_nodes,
-        supported=supported,
+        supported=True,
         xor_cost=0.0,
         gf_cost=gf_cost,
     )

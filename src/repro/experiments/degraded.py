@@ -8,7 +8,8 @@ hot/cold stripe popularity, diurnal read-rate modulation and correlated
 rack-level outages — and reports, per scheme, whether the LRC's
 availability edge over RS survives each of them.  Every scenario keeps
 the paired-seed discipline: all schemes see identical outage windows
-and read arrival times.
+and read arrival times.  It is the one degraded-read harness:
+``repro degraded`` runs its flag-built scenario through it too.
 """
 
 from __future__ import annotations
@@ -17,11 +18,8 @@ from collections.abc import Mapping
 from dataclasses import asdict, dataclass, replace
 from typing import Any
 
-from ..cluster.degraded import (
-    DegradedReadConfig,
-    ReadServiceStats,
-    compare_degraded_reads,
-)
+from ..cluster.degraded import DegradedReadConfig, ReadServiceStats
+from ..cluster.readservice import ReadServiceEngine
 from ..codes import rs_10_4, three_replication, xorbas_lrc
 from .parallel import ResultCache, parallel_map
 from .report import fmt_or_na, format_table
@@ -103,47 +101,30 @@ def run_scenario_config(config: Mapping[str, Any]) -> ReadServiceStats:
     """
     code = DEGRADED_SCHEME_CODES[config["scheme"]]()
     read_config = DegradedReadConfig(**config["config"])
-    (stats,) = compare_degraded_reads(
-        [code], config=read_config, seed=config["seed"]
-    )
-    return stats
+    return ReadServiceEngine(code, read_config, config["seed"]).run()
 
 
 def run_degraded_scenarios(
-    codes=None,
     scenarios: tuple[DegradedScenario, ...] | None = None,
     seed: int = 0,
     jobs: int = 1,
     cache: ResultCache | None = None,
 ) -> dict[str, list[ReadServiceStats]]:
-    """Run every scenario against every scheme; rows keyed by scenario.
+    """Run every scenario against every registry scheme, in registry
+    order; rows keyed by scenario.
 
     Per-scheme runs are independent (the paired-seed discipline derives
     each scheme's streams from the same seed), so each scenario/scheme
     cell becomes one cacheable configuration: pass ``cache`` to skip
     cells a previous sweep already computed, and ``jobs`` to fan the
-    misses out across processes.  Codes outside the scheme registry
-    fall back to the direct, uncached path.
+    misses out across processes.
     """
     if scenarios is None:
         scenarios = degraded_scenarios()
-    if codes is None:
-        schemes = list(DEGRADED_SCHEME_CODES)
-    else:
-        schemes = [getattr(code, "name", None) for code in codes]
-        if any(name not in DEGRADED_SCHEME_CODES for name in schemes):
-            # Ad-hoc code objects have no registry entry to rebuild
-            # from inside a worker; run them directly instead.
-            return {
-                scenario.name: compare_degraded_reads(
-                    codes, config=scenario.config, seed=seed
-                )
-                for scenario in scenarios
-            }
     configs = [
         scenario_config(scenario.name, scheme, scenario.config, seed)
         for scenario in scenarios
-        for scheme in schemes
+        for scheme in DEGRADED_SCHEME_CODES
     ]
     rows = parallel_map(
         run_scenario_config, configs, jobs=jobs, cache=cache, namespace="degraded"

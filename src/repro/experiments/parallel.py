@@ -51,7 +51,8 @@ __all__ = [
 #: v3: flow-table network engine — grouped water-filling subtraction and
 #: batched metric attribution perturb byte accumulators at float
 #: re-association level (flow dynamics are unchanged bit for bit).
-CACHE_FORMAT_VERSION = 3
+#: v4: degraded-read rows carry their latencies as float64 arrays.
+CACHE_FORMAT_VERSION = 4
 
 
 def config_hash(config: Mapping[str, Any]) -> str:

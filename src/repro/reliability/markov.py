@@ -6,9 +6,12 @@ rates, backward rates are repair rates.  The mean time to absorption from
 state 0 is the stripe MTTDL; dividing by the number of stripes gives the
 system MTTDL (equation 3).
 
-Two solvers are provided: an exact linear-system solve (used everywhere)
-and the classical product-form approximation (used by tests to validate
-the solver in the repair-dominant regime the paper operates in).
+Three solvers are provided: the exact birth-death recursion
+(:meth:`BirthDeathChain.mean_time_to_absorption`, used everywhere and
+stable in the repair-dominant regime the paper operates in), a direct
+linear-system solve (cross-validation on well-conditioned chains only),
+and the classical product-form approximation (used by tests to
+validate the recursion in that regime).
 """
 
 from __future__ import annotations

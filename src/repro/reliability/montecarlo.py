@@ -39,10 +39,15 @@ from .markov import BirthDeathChain
 
 __all__ = [
     "AbsorptionEstimate",
+    "MAX_STEPS",
     "simulate_times_to_absorption",
     "estimate_mttdl",
     "compress_chain",
+    "expected_transitions",
 ]
+
+#: Default bound on any one trajectory's transition count.
+MAX_STEPS = 10_000_000
 
 
 def simulate_times_to_absorption(
@@ -50,7 +55,7 @@ def simulate_times_to_absorption(
     rng: np.random.Generator,
     trials: int,
     start: int = 0,
-    max_steps: int = 10_000_000,
+    max_steps: int = MAX_STEPS,
 ) -> np.ndarray:
     """Batched Gillespie: absorption times of ``trials`` trajectories.
 
@@ -157,3 +162,20 @@ def compress_chain(chain: BirthDeathChain, repair_scale: float) -> BirthDeathCha
         failure_rates=chain.failure_rates,
         repair_rates=tuple(r * repair_scale for r in chain.repair_rates),
     )
+
+
+def expected_transitions(chain: BirthDeathChain, start: int = 0) -> float:
+    """Expected transition count of one trajectory until absorption.
+
+    The mean time to absorption of the rate-normalised chain (each state
+    left at total rate 1, moving up w.p. λᵢ/(λᵢ+μᵢ), down w.p.
+    μᵢ/(λᵢ+μᵢ)) — the embedded jump chain, whose steps ``max_steps``
+    bounds.  Lets a caller refuse a chain before simulating it.
+    """
+    fail = np.asarray(chain.failure_rates, dtype=np.float64)
+    repair = np.asarray(chain.repair_rates, dtype=np.float64)
+    total = fail + np.concatenate(([0.0], repair))
+    return BirthDeathChain(
+        failure_rates=tuple((fail / total).tolist()),
+        repair_rates=tuple((repair / total[1:]).tolist()),
+    ).mean_time_to_absorption(start)

@@ -107,6 +107,17 @@ class TestFailFast:
             (["ec2", "--nodes", "5", "--files", "2"], "--nodes"),
             (["facebook", "--files", "0"], "--files"),
             (["codec", "--stripes", "0"], "--stripes"),
+            # SeedSequence rejects negative seeds deep inside a run.
+            (["degraded", "--seed", "-1"], "--seed"),
+            (["fig1", "--seed", "-1"], "--seed"),
+            (["codec", "--seed", "-1"], "--seed"),
+            (["degraded", "--diurnal", "1.0"], "--diurnal"),
+            (["degraded", "--zipf", "-1"], "--zipf"),
+            (["degraded", "--racks", "-1"], "--racks"),
+            # More racks than the 50 nodes.
+            (["degraded", "--racks", "60"], "--racks"),
+            # ~1e26 expected transitions per trajectory, over MAX_STEPS.
+            (["montecarlo", "--repair-scale", "5"], "--repair-scale"),
         ],
     )
     def test_bad_counts_exit_2_at_the_parser(self, argv, flag, capsys):

@@ -1,10 +1,10 @@
 """Tests for the vectorized read-service engine.
 
 The differential suite is the heart: the event-driven
-``DegradedReadSimulation`` is the executable specification, and on any
-shared schedule the batched ``ReadServiceEngine`` must produce
-element-identical ``ReadServiceStats`` — exact counts and bit-identical
-latency lists, not just close aggregates.
+``DegradedReadSimulation`` is the executable specification, and for the
+same seed (or any shared schedule) the batched ``ReadServiceEngine``
+must produce element-identical ``ReadServiceStats`` — exact counts and
+bit-identical latency arrays, not just close aggregates.
 """
 
 import math
@@ -12,11 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.cluster.degraded import (
-    DegradedReadConfig,
-    ReadServiceStats,
-    compare_degraded_reads,
-)
+from repro.cluster.degraded import DegradedReadConfig, ReadServiceStats
 from repro.cluster.readservice import (
     MAX_PATTERN_BITS,
     OutageWindows,
@@ -24,6 +20,7 @@ from repro.cluster.readservice import (
     ReadServiceEngine,
 )
 from repro.codes import pyramid_10_4, rs_10_4, three_replication, xorbas_lrc
+from repro.experiments.degraded import DegradedScenario, run_degraded_scenarios
 from repro.spec import DegradedReadSimulation
 
 FAST = DegradedReadConfig(duration=2 * 3600.0)
@@ -42,8 +39,8 @@ def assert_element_identical(a: ReadServiceStats, b: ReadServiceStats):
     assert a.degraded_reads == b.degraded_reads
     assert a.failed_reads == b.failed_reads
     assert a.timed_out_reads == b.timed_out_reads
-    assert a.latencies == b.latencies
-    assert a.degraded_latencies == b.degraded_latencies
+    assert np.array_equal(a.latencies, b.latencies)
+    assert np.array_equal(a.degraded_latencies, b.degraded_latencies)
 
 
 class TestOutageWindows:
@@ -209,6 +206,9 @@ class TestScheduleDraw:
             build(outage_node=np.array([-3])),
             build(read_time=np.array([-1.0])),
             build(outage_start=np.array([-5.0])),
+            # Misaligned columns: the spec's zip would truncate them.
+            build(read_stripe=np.zeros(2, dtype=np.int64)),
+            build(outage_start=np.zeros(2)),
         ):
             with pytest.raises(ValueError):
                 bad.check(FAST, code)
@@ -279,16 +279,34 @@ class TestDifferentialEquivalence:
         ).run()
         assert_element_identical(spec, engine)
 
-    def test_spec_autodraws_canonical_schedule_for_scenarios(self):
-        """Scenario knobs route the spec through the same canonical
-        schedule the engine uses, so the two engines agree even when no
-        schedule is passed explicitly."""
-        config = DegradedReadConfig(duration=3600.0, zipf_exponent=1.2)
-        spec_sim = DegradedReadSimulation(xorbas_lrc(), config=config, seed=4)
-        assert spec_sim.schedule is not None  # drawn at construction
+    @pytest.mark.parametrize(
+        "config",
+        [
+            FAST,
+            DegradedReadConfig(
+                duration=3600.0,
+                num_stripes=40,
+                zipf_exponent=1.2,
+                diurnal_amplitude=0.5,
+                num_racks=5,
+                rack_outage_rate=1.0 / 1800.0,
+            ),
+        ],
+        ids=["plain", "scenarios"],
+    )
+    @pytest.mark.parametrize(
+        "make_code", [three_replication, rs_10_4, xorbas_lrc, pyramid_10_4]
+    )
+    def test_spec_and_engine_agree_on_the_seed_alone(self, make_code, config):
+        """One schedule generator: with no schedule passed, both sides
+        draw ``ReadSchedule.draw(config, code, seed)`` and the same
+        placement, so their stats agree element for element."""
+        spec_sim = DegradedReadSimulation(make_code(), config=config, seed=4)
+        engine_sim = ReadServiceEngine(make_code(), config=config, seed=4)
+        assert spec_sim.schedule.same_as(engine_sim.schedule)
         spec = spec_sim.run()
-        engine = ReadServiceEngine(xorbas_lrc(), config=config, seed=4).run()
-        assert_element_identical(spec, engine)
+        assert spec.total_reads > 0
+        assert_element_identical(spec, engine_sim.run())
 
 
 class TestReadServiceEngine:
@@ -312,11 +330,12 @@ class TestReadServiceEngine:
         assert code.planner.misses == engine.distinct_patterns
 
     def test_compare_vectorized_upholds_pairing(self):
-        rows = compare_degraded_reads(
-            [three_replication(), rs_10_4(), xorbas_lrc()],
-            config=FAST,
-            seed=3,
-        )
+        (rows,) = run_degraded_scenarios(
+            scenarios=(DegradedScenario("fast", FAST),), seed=3
+        ).values()
+        assert [stats.scheme for stats in rows] == [
+            "3-replication", "RS(10,4)", "LRC(10,6,5)"
+        ]
         assert len({stats.total_reads for stats in rows}) == 1
         by_name = {stats.scheme: stats for stats in rows}
         assert by_name["RS(10,4)"].degraded_fraction == pytest.approx(
@@ -343,11 +362,7 @@ class TestReadServiceEngine:
 
 class TestScenarioHarness:
     def test_scenario_sweep_runs_and_renders(self):
-        from repro.experiments import (
-            degraded_scenarios,
-            render_degraded_scenarios,
-            run_degraded_scenarios,
-        )
+        from repro.experiments import degraded_scenarios, render_degraded_scenarios
 
         scenarios = tuple(
             s for s in degraded_scenarios(duration=1800.0, read_rate=1.0)
@@ -363,7 +378,7 @@ class TestScenarioHarness:
         assert "LRC(10,6,5)" in table
 
     def test_scenario_sweep_is_cached_per_cell(self, tmp_path):
-        from repro.experiments import degraded_scenarios, run_degraded_scenarios
+        from repro.experiments import degraded_scenarios
         from repro.experiments.parallel import ResultCache
 
         scenarios = degraded_scenarios(duration=900.0, read_rate=1.0)[:2]
@@ -377,7 +392,7 @@ class TestScenarioHarness:
         for name in first:
             for a, b in zip(first[name], second[name]):
                 assert a.scheme == b.scheme
-                assert a.latencies == b.latencies
+                assert_element_identical(a, b)
 
     def test_scenario_config_keys_every_config_field(self):
         from dataclasses import asdict
@@ -402,13 +417,3 @@ class TestScenarioHarness:
 
         with pytest.raises(ValueError, match="unknown scheme"):
             scenario_config("uniform", "nope", DegradedReadConfig())
-
-    def test_ad_hoc_codes_fall_back_to_direct_path(self):
-        from repro.codes import rs_10_4
-        from repro.experiments import degraded_scenarios, run_degraded_scenarios
-
-        code = rs_10_4()
-        code.name = "custom-RS"  # not in the scheme registry
-        scenarios = degraded_scenarios(duration=600.0, read_rate=1.0)[:1]
-        results = run_degraded_scenarios(codes=[code], scenarios=scenarios)
-        assert [s.scheme for s in results["uniform"]] == ["custom-RS"]

@@ -9,7 +9,11 @@ from hypothesis import strategies as st
 from repro.codes import make_lrc, repair_cost_summary, rs_10_4, xorbas_lrc
 from repro.reliability.markov import BirthDeathChain
 from repro.reliability.models import ClusterReliabilityParameters
-from repro.reliability.montecarlo import compress_chain, estimate_mttdl
+from repro.reliability.montecarlo import (
+    compress_chain,
+    estimate_mttdl,
+    expected_transitions,
+)
 from repro.reliability.sensitivity import (
     archival_comparison,
     sampled_repair_cost,
@@ -225,6 +229,16 @@ class TestGillespie:
         rng = np.random.default_rng(4)
         with pytest.raises(RuntimeError):
             simulate_time_to_absorption(chain, rng, max_steps=1000)
+
+    def test_expected_transitions_of_the_jump_chain(self):
+        """State 0 always steps up; state 1 steps up w.p. 1/4, so
+        E0 = 1 + E1 and E1 = 1 + (3/4) E0 give E0 = 8 — at any time
+        scale, since only the jump probabilities matter."""
+        chain = BirthDeathChain(failure_rates=(1.0, 1.0), repair_rates=(3.0,))
+        fast = BirthDeathChain(failure_rates=(1e3, 1e3), repair_rates=(3e3,))
+        assert expected_transitions(chain) == pytest.approx(8.0)
+        assert expected_transitions(fast) == pytest.approx(8.0)
+        assert expected_transitions(chain, start=1) == pytest.approx(7.0)
 
     def test_estimate_validation(self):
         chain = BirthDeathChain(failure_rates=(1.0,), repair_rates=())

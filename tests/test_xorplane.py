@@ -219,7 +219,10 @@ class TestScheduleMatchesGatherKernel:
         from repro.galois import GF
         field = GF(16)  # 16-bit symbols: bit planes assume m <= 8
         multiplicative = np.array([[2, 3]], dtype=field.dtype)
-        assert not compile_xor_schedule(field, multiplicative).supported
+        unsupported = compile_xor_schedule(field, multiplicative)
+        assert not unsupported.supported and not unsupported.use_plane
+        # Nothing is compiled for a schedule the engine never runs.
+        assert unsupported.bit_ops == [] and unsupported.bit_nodes == 0
         xor_only = np.array([[1, 1]], dtype=field.dtype)
         schedule = compile_xor_schedule(field, xor_only)
         assert schedule.supported and schedule.pure_xor
