@@ -23,10 +23,11 @@ The decomposition:
   popularity (inverse-CDF sampling), diurnal read-rate modulation
   (Poisson thinning) and correlated rack-level outages (one rack draw
   expanded to every member node).
-* :class:`OutageWindows` — struct-of-arrays union of each node's outage
-  intervals (the spec's ``down_until = max(...)`` semantics, merged),
-  with ``searchsorted``-based availability checks over whole query
-  batches.
+* :class:`OutageWindows` — the outage windows as a down-state timeline
+  (the spec's ``down_until = max(...)`` semantics): the distinct window
+  boundaries of all nodes plus a ``down[row, node]`` table built by one
+  difference-array ``cumsum``, so a whole batch of availability checks
+  is one ``searchsorted`` into the boundaries and one flat gather.
 * :class:`ReadServiceEngine` — the service loop as array passes: one
   availability gather for every read's target block, a stripe-pattern
   matrix for the (rare) degraded subset packed into one
@@ -189,6 +190,8 @@ class ReadSchedule(ArraySchedule):
             if int(self.outage_node.max()) >= config.num_nodes:
                 raise ValueError("schedule addresses more nodes than config")
             require_nonnegative(self.outage_start, "outage window starts")
+            # inf stays legal: a permanent outage.
+            require_nonnegative(self.outage_duration, "outage durations")
 
     @classmethod
     def draw(
@@ -299,13 +302,22 @@ class ReadSchedule(ArraySchedule):
 
 
 class OutageWindows:
-    """Struct-of-arrays union of per-node outage intervals.
+    """Per-node outage windows as a down-state timeline.
 
     A node is down at ``t`` iff some window ``[start, start + duration)``
-    contains it — exactly the spec's ``down_until = max(...)`` semantics
-    once overlapping windows are merged.  Merged windows are stored
-    flat, per-node segments addressed by ``offsets``, so an availability
-    check is one ``searchsorted`` per queried node segment.
+    contains it — exactly the spec's ``down_until = max(...)`` semantics.
+    ``boundaries`` holds every distinct window start and end (all nodes
+    together) and ``down[row, node]`` the node's state between them: row
+    ``r`` covers ``boundaries[r - 1] <= t < boundaries[r]``, so a query's
+    row is its ``searchsorted(..., side="right")`` rank.  The table is one
+    difference array (+1 at a window's start row, -1 at its end row)
+    summed down each node column, so overlapping and touching windows
+    union by ``cumsum > 0`` and zero-length windows cancel out.
+
+    Memory: ``(len(boundaries) + 1) * num_nodes`` bools, with at most two
+    boundaries per window (a rack outage shares its instants across the
+    members).  The default 50-node config draws ~36 k node windows a
+    year: a one-year horizon is a 3.5 MB table (5.2 MB with 50 racks).
     """
 
     def __init__(
@@ -316,80 +328,48 @@ class OutageWindows:
         duration: np.ndarray,
     ):
         self.num_nodes = int(num_nodes)
-        node = np.asarray(node, dtype=np.int64)
+        node = self._require_nodes(node)
         start = np.asarray(start, dtype=np.float64)
-        end = start + np.asarray(duration, dtype=np.float64)
-        order = np.lexsort((start, node))
-        node, start, end = node[order], start[order], end[order]
+        duration = np.asarray(duration, dtype=np.float64)
+        require_nonnegative(duration, "outage durations")
+        end = start + duration
+        self.boundaries = np.unique(np.concatenate((start, end)))
+        delta = np.zeros((self.boundaries.size + 1, self.num_nodes), np.int32)
+        # A window spans rows rank(start) .. rank(end) - 1: t >= start iff
+        # rank(t) >= rank(start), and t < end iff rank(t) < rank(end).
+        np.add.at(delta, (self._rank(start), node), 1)
+        np.add.at(delta, (self._rank(end), node), -1)
+        self.down = np.cumsum(delta, axis=0, out=delta) > 0
 
-        starts: list[np.ndarray] = []
-        ends: list[np.ndarray] = []
-        counts = np.zeros(self.num_nodes, dtype=np.int64)
-        bounds = np.searchsorted(node, np.arange(self.num_nodes + 1))
-        for v in range(self.num_nodes):
-            lo, hi = bounds[v], bounds[v + 1]
-            if lo == hi:
-                continue
-            node_starts = start[lo:hi]
-            running_end = np.maximum.accumulate(end[lo:hi])
-            # A window opens a new merged interval iff it starts after
-            # everything before it has ended (start == previous end
-            # merges: the spec's outage event at that instant runs
-            # before any same-time read).
-            fresh = np.empty(hi - lo, dtype=bool)
-            fresh[0] = True
-            fresh[1:] = node_starts[1:] > running_end[:-1]
-            firsts = np.flatnonzero(fresh)
-            merged_ends = np.maximum.reduceat(end[lo:hi], firsts)
-            starts.append(node_starts[firsts])
-            ends.append(merged_ends)
-            counts[v] = firsts.size
-        self.offsets = np.concatenate(([0], np.cumsum(counts)))
-        if starts:
-            self.starts = np.concatenate(starts)
-            self.ends = np.concatenate(ends)
-        else:
-            self.starts = np.empty(0, dtype=np.float64)
-            self.ends = np.empty(0, dtype=np.float64)
+    def _rank(self, times: np.ndarray) -> np.ndarray:
+        return np.searchsorted(self.boundaries, times, side="right")
+
+    def _require_nodes(self, nodes) -> np.ndarray:
+        nodes = np.asarray(nodes, dtype=np.int64)
+        if nodes.size:
+            low, high = int(nodes.min()), int(nodes.max())
+            if low < 0 or high >= self.num_nodes:
+                bad = low if low < 0 else high
+                raise ValueError(f"node {bad} outside [0, {self.num_nodes})")
+        return nodes
 
     @property
     def num_windows(self) -> int:
-        return int(self.starts.size)
+        """Merged, non-empty windows: rising edges down the node columns."""
+        return int((self.down[1:] & ~self.down[:-1]).sum())
 
     def is_up(self, nodes: np.ndarray, times: np.ndarray) -> np.ndarray:
         """Vectorized availability: ``up[i]`` for ``(nodes[i], times[i])``.
 
-        Queries are counting-sorted by node, each node segment resolved
-        with one ``searchsorted`` against that node's merged windows —
-        exact float comparisons, no composite-key rounding.
+        One ``searchsorted`` of the times into the boundaries and one flat
+        gather into the table — integer indices and exact float compares,
+        no query sort and no composite float key.
         """
-        nodes = np.asarray(nodes, dtype=np.int64)
-        times = np.asarray(times, dtype=np.float64)
-        up = np.ones(nodes.shape, dtype=bool)
-        if not self.starts.size or not nodes.size:
-            return up
-        order = np.argsort(nodes, kind="stable")
-        sorted_nodes = nodes[order]
-        sorted_times = times[order]
-        query_bounds = np.searchsorted(
-            sorted_nodes, np.arange(self.num_nodes + 1)
-        )
-        result = np.ones(sorted_nodes.size, dtype=bool)
-        for v in np.unique(sorted_nodes).tolist():
-            lo, hi = self.offsets[v], self.offsets[v + 1]
-            if lo == hi:
-                continue
-            a, b = query_bounds[v], query_bounds[v + 1]
-            segment_times = sorted_times[a:b]
-            idx = np.searchsorted(
-                self.starts[lo:hi], segment_times, side="right"
-            ) - 1
-            inside = idx >= 0
-            idx = np.maximum(idx, 0)
-            inside &= segment_times < self.ends[lo + idx]
-            result[a:b] = ~inside
-        up[order] = result
-        return up
+        nodes = self._require_nodes(nodes)
+        flat = self._rank(np.asarray(times, dtype=np.float64))
+        flat *= self.num_nodes
+        flat += nodes
+        return ~self.down.ravel()[flat]
 
 
 class ReadServiceEngine:

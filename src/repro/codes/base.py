@@ -230,6 +230,21 @@ class ErasureCode(ABC):
 
     # -- introspection -------------------------------------------------------
 
+    def _positions(self, indices: Iterable[int]) -> set[int]:
+        """The distinct stripe positions in ``indices``, range-checked.
+
+        The shared guard of every ``is_decodable``: a position outside
+        ``[0, n)`` names no block, so it raises instead of aliasing a
+        column (``-1``) or silently counting toward ``k``.
+        """
+        positions = {int(i) for i in indices}
+        if positions:
+            low, high = min(positions), max(positions)
+            if low < 0 or high >= self.n:
+                bad = low if low < 0 else high
+                raise ValueError(f"position {bad} outside [0, {self.n})")
+        return positions
+
     def heavy_read_count(self, available: Sequence[int]) -> int:
         """Blocks a heavy (full-stripe) decode reads.
 

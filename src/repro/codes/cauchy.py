@@ -101,7 +101,7 @@ class CauchyRSCode(LinearCode):
         return self._distance_cache
 
     def is_decodable(self, indices) -> bool:
-        return len(set(indices)) >= self.k
+        return len(self._positions(indices)) >= self.k
 
     def parameters(self) -> CodeParameters:
         return CodeParameters(

@@ -9,6 +9,7 @@ the paper deploys, n <= ~20).
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
@@ -19,6 +20,7 @@ from ..galois import (
     gf_independent_columns,
     gf_inv,
     gf_matmul,
+    gf_null_space,
     gf_rank,
     gf_rref,
 )
@@ -118,13 +120,27 @@ class LinearCode(ErasureCode):
         )
         return chosen if len(chosen) == self.k else None
 
+    @cached_property
+    def parity_check(self) -> np.ndarray:
+        """An ``(n - k) x n`` parity-check matrix ``H``: ``G Hᵀ = 0``."""
+        return gf_null_space(self.field, self.generator)
+
     def is_decodable(self, indices: Iterable[int]) -> bool:
-        """Whether a set of surviving block indices determines the file."""
-        cols = sorted(set(indices))
-        if len(cols) < self.k:
+        """Whether a set of surviving block indices determines the file.
+
+        Parity-check criterion: survivors ``S`` decode iff no non-zero
+        codeword is supported on the erased positions ``E``, i.e. iff
+        the columns of :attr:`parity_check` at ``E`` are linearly
+        independent.  More than ``n - k`` erasures fail by counting, so
+        the elimination runs over at most ``n - k`` erased columns
+        instead of up to ``n`` survivor columns of the generator.
+        """
+        survivors = self._positions(indices)
+        erased = [p for p in range(self.n) if p not in survivors]
+        if len(erased) > self.n - self.k:
             return False
-        chosen = gf_independent_columns(self.field, self.generator, cols, self.k)
-        return len(chosen) == self.k
+        chosen = gf_independent_columns(self.field, self.parity_check, erased)
+        return len(chosen) == len(erased)
 
     # -- repair ---------------------------------------------------------------
 

@@ -66,7 +66,7 @@ class ReedSolomonCode(LinearCode):
 
     def is_decodable(self, indices) -> bool:
         """Any k distinct blocks decode an MDS code."""
-        return len(set(indices)) >= self.k
+        return len(self._positions(indices)) >= self.k
 
     def syndromes(self, coded: np.ndarray) -> np.ndarray:
         """Parity-check syndromes H @ y; all-zero for valid codewords."""

@@ -67,7 +67,7 @@ class ReplicationCode(ErasureCode):
 
     def is_decodable(self, indices) -> bool:
         """Any surviving replica recovers the block."""
-        return any(0 <= int(i) < self.n for i in set(indices))
+        return bool(self._positions(indices))
 
     def minimum_distance(self) -> int:
         return self.n

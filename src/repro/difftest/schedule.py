@@ -100,8 +100,9 @@ def require_sorted(values: np.ndarray, what: str = "events") -> None:
 
 
 def require_nonnegative(values: np.ndarray, what: str) -> None:
+    """Every value ``>= 0``; NaN fails too (``np.min`` propagates it)."""
     values = np.asarray(values)
-    if values.size and float(np.min(values)) < 0:
+    if values.size and not float(np.min(values)) >= 0:
         raise ValueError(f"{what} must be non-negative")
 
 

@@ -33,7 +33,7 @@ from repro.codes import (
     xorbas_lrc,
 )
 from repro.codes.base import mask_of, positions_of
-from repro.galois import GF16, GF256, gf_independent_columns
+from repro.galois import GF16, GF256, gf_independent_columns, gf_rank
 from repro.spec.codec import seed_columns, seed_decode, seed_encode
 
 WIDTH = 9
@@ -276,6 +276,43 @@ class TestIncrementalColumnSelection:
         code = ReedSolomonCode(4, 2, field=GF16)
         assert code._independent_columns([0, 1]) is None
         assert code._independent_columns([0, 1, 2, 3]) == [0, 1, 2, 3]
+
+
+class TestIsDecodable:
+    @pytest.mark.parametrize(
+        "code", small_codes() + [three_replication()], ids=lambda c: c.name
+    )
+    def test_rejects_positions_outside_the_stripe(self, code):
+        """A position outside ``[0, n)`` names no block: it must neither
+        count toward k, alias column n - 1 (``-1``) nor leak an
+        ``IndexError``."""
+        assert code.is_decodable(range(code.n))
+        for bad in (
+            range(-5, 5),
+            range(code.n + 1),
+            [code.n, *range(1, code.k)],
+            [-1],
+        ):
+            with pytest.raises(ValueError, match="outside"):
+                code.is_decodable(bad)
+
+    @pytest.mark.parametrize(
+        "code, erasures",
+        [(xorbas_lrc(), (5,)), (PyramidCode(4, 2, 2, field=GF16), range(8))],
+        ids=["lrc-five-erasures", "pyramid-every-pattern"],
+    )
+    def test_parity_check_criterion_matches_generator_rank(self, code, erasures):
+        """The definition as oracle: survivors decode iff their generator
+        columns have rank k.  Five erasures is where the fatal patterns
+        of a d = 5 code live."""
+        fatal = 0
+        for count in erasures:
+            for erased in combinations(range(code.n), count):
+                survivors = sorted(set(range(code.n)) - set(erased))
+                expected = gf_rank(code.field, code.generator[:, survivors]) == code.k
+                assert code.is_decodable(survivors) == expected, erased
+                fatal += not expected
+        assert fatal > 0
 
 
 class TestPatternMasks:

@@ -114,9 +114,10 @@ class TestScheduleProtocol:
         require_sorted(np.array([0.0, 1.0, 1.0, 2.0]))
         with pytest.raises(ValueError, match="time order"):
             require_sorted(np.array([1.0, 0.5]), "read arrivals")
-        require_nonnegative(np.array([0.0, 3.0]), "starts")
-        with pytest.raises(ValueError, match="non-negative"):
-            require_nonnegative(np.array([-1.0]), "starts")
+        require_nonnegative(np.array([0.0, 3.0, np.inf]), "starts")
+        for bad in (-1.0, np.nan):
+            with pytest.raises(ValueError, match="non-negative"):
+                require_nonnegative(np.array([1.0, bad]), "starts")
         require_within(np.array([0, 4]), 5, "indices")
         with pytest.raises(ValueError, match="below"):
             require_within(np.array([5]), 5, "indices")

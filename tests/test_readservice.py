@@ -43,6 +43,16 @@ def assert_element_identical(a: ReadServiceStats, b: ReadServiceStats):
     assert np.array_equal(a.degraded_latencies, b.degraded_latencies)
 
 
+def brute_force_up(node, start, duration, q_nodes, q_times) -> list[bool]:
+    """Raw-window semantics: down iff one of the node's windows has
+    ``start <= t < start + duration``."""
+    end = start + duration
+    return [
+        not np.any((node == v) & (start <= t) & (t < end))
+        for v, t in zip(q_nodes.tolist(), q_times.tolist())
+    ]
+
+
 class TestOutageWindows:
     def test_matches_brute_force_union(self):
         rng = np.random.default_rng(5)
@@ -53,14 +63,64 @@ class TestOutageWindows:
         windows = OutageWindows(num_nodes, node, start, duration)
         q_nodes = rng.integers(num_nodes, size=500)
         q_times = rng.uniform(0, 120, size=500)
-        got = windows.is_up(q_nodes, q_times)
-        end = start + duration
-        for i in range(q_nodes.size):
-            mine = node == q_nodes[i]
-            down = np.any(
-                mine & (start <= q_times[i]) & (q_times[i] < end)
+        assert windows.is_up(q_nodes, q_times).tolist() == brute_force_up(
+            node, start, duration, q_nodes, q_times
+        )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_brute_force_at_ties(self, seed):
+        """Exact boundaries: windows drawn from a small grid of instants
+        (so starts and ends coincide across nodes, windows touch and
+        some have zero length), a rack-shared window, a permanent one,
+        and the empty set — queried at every boundary and one ulp to
+        either side."""
+        rng = np.random.default_rng(seed)
+        num_nodes = 6
+        grid = np.arange(0.0, 60.0, 2.5)  # exact float64 sums and differences
+        a, b = rng.integers(grid.size, size=(2, 20))
+        node = rng.integers(num_nodes, size=20)
+        start = grid[np.minimum(a, b)]
+        duration = grid[np.maximum(a, b)] - start  # a == b: zero length
+        rack = np.arange(1, num_nodes, 2)
+        node = np.concatenate((node, [0, 0], rack, [num_nodes - 1]))
+        start = np.concatenate(
+            (start, [grid[1], grid[4]], np.full(rack.size, grid[2]), [grid[9]])
+        )
+        duration = np.concatenate(
+            (duration, [grid[3], grid[2]], np.full(rack.size, grid[5]), [np.inf])
+        )
+        assert grid[1] + grid[3] == grid[4]  # node 0's windows touch
+        for count in (0, node.size):
+            windows = OutageWindows(
+                num_nodes, node[:count], start[:count], duration[:count]
             )
-            assert got[i] == (not down)
+            instants = np.unique(
+                np.concatenate((start[:count], start[:count] + duration[:count]))
+            )
+            times = np.concatenate((
+                [-1.0, 0.0, 100.0],
+                instants,
+                np.nextafter(instants, -np.inf),
+                np.nextafter(instants, np.inf),
+            ))
+            q_nodes = np.repeat(np.arange(num_nodes), times.size)
+            q_times = np.tile(times, num_nodes)
+            assert windows.is_up(q_nodes, q_times).tolist() == brute_force_up(
+                node[:count], start[:count], duration[:count], q_nodes, q_times
+            )
+
+    def test_rejects_unknown_nodes_and_bad_durations(self):
+        """A flat gather would read another node's column, and a
+        difference-array timeline needs ``end >= start``."""
+        windows = OutageWindows(3, [0], [1.0], [2.0])
+        for bad in (-1, 3):
+            with pytest.raises(ValueError, match=f"node {bad}"):
+                windows.is_up(np.array([0, bad]), np.array([1.0, 1.0]))
+            with pytest.raises(ValueError, match=f"node {bad}"):
+                OutageWindows(3, [bad], [1.0], [2.0])
+        for bad in (-100.0, np.nan):
+            with pytest.raises(ValueError, match="durations"):
+                OutageWindows(3, [0], [1.0], [bad])
 
     def test_boundary_semantics_match_the_spec(self):
         """Down at the exact outage start (outage events run before
@@ -200,12 +260,16 @@ class TestScheduleDraw:
 
         code = xorbas_lrc()
         build().check(FAST, code)  # the baseline is valid
+        build(outage_duration=np.array([np.inf])).check(FAST, code)  # permanent
         for bad in (
             build(read_stripe=np.array([-2])),
             build(read_position=np.array([-1])),
             build(outage_node=np.array([-3])),
             build(read_time=np.array([-1.0])),
             build(outage_start=np.array([-5.0])),
+            # A window must end no earlier than it starts.
+            build(outage_duration=np.array([-100.0])),
+            build(outage_duration=np.array([np.nan])),
             # Misaligned columns: the spec's zip would truncate them.
             build(read_stripe=np.zeros(2, dtype=np.int64)),
             build(outage_start=np.zeros(2)),
