@@ -9,10 +9,10 @@ contract (``repro.recovery.equivalence``) applied to the performance
 path.
 
 The ratio (``recovery_resume_speedup``, recorded and not gated): a
-six-event schedule over a 40-file LRC cluster.  The resumed run still
-rebuilds the cluster deterministically (stripes, payloads, placement)
-before overlaying the snapshot, so the speedup measures only the
-skipped warmup and the five already-completed failure epochs.
+six-event schedule over a 40-file LRC cluster.  The resumed run
+unpickles the quiescent cluster from the snapshot and never rebuilds
+it, so the speedup measures the skipped load and warmup and the five
+already-completed failure epochs.
 """
 
 import tempfile

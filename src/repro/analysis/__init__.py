@@ -3,8 +3,8 @@
 The reproduction's credibility rests on conventions that used to live
 only in reviewer memory — every random draw derives from a config seed
 via spawned streams, every vectorized engine keeps its scalar spec with
-a differential test, every config knob is validated and reaches the
-cache key, and kill-resume snapshots capture all mutable state.
+a differential test, and every config knob is validated and reaches
+the cache key.
 reprolint mechanizes those contracts: per-file rules dispatched from a
 single ``ast.parse`` walk, and whole-program rules that query the
 project fact graph (:mod:`repro.analysis.graph`, built from the same
@@ -26,8 +26,6 @@ RL006     config validation: rate/duration/timeout-style numeric config
 RL009     seed provenance (dataflow): every value reaching a
           ``default_rng``/``spawn_streams`` seed argument must flow
           from a config seed field or threaded seed parameter
-RL010     snapshot coverage: mutable attributes on snapshot/restore
-          classes must be captured or marked ``# reprolint: transient``
 RL011     cache-key completeness: every ClusterConfig/DegradedReadConfig
           field reaches a cache-key builder or a documented exclusion
 ========  =============================================================

@@ -28,15 +28,10 @@ __all__ = [
     "lint_source",
     "module_name_for",
     "parse_pragmas",
-    "parse_transient_lines",
     "scope_for",
 ]
 
 PRAGMA = re.compile(r"#\s*reprolint:\s*disable=([A-Za-z0-9_,\s]+)")
-
-#: The RL010 escape hatch: marks a mutable attribute as deliberately
-#: outside the snapshot overlay (rebuild-derived caches and the like).
-TRANSIENT_PRAGMA = re.compile(r"#\s*reprolint:\s*transient\b")
 
 #: Top-level directories the analyzer reads: every rule checks
 #: ``src/repro``; ``tests/`` only supplies RL003's evidence.
@@ -71,15 +66,6 @@ def parse_pragmas(source: str) -> dict[int, frozenset[str]]:
             )
             pragmas[lineno] = codes
     return pragmas
-
-
-def parse_transient_lines(source: str) -> frozenset[int]:
-    """Line numbers carrying a ``# reprolint: transient`` mark."""
-    return frozenset(
-        lineno
-        for lineno, line in enumerate(source.splitlines(), start=1)
-        if "reprolint" in line and TRANSIENT_PRAGMA.search(line)
-    )
 
 
 def scope_for(path: Path, root: Path) -> str:

@@ -1,13 +1,13 @@
 """Whole-program facts and the ProjectGraph behind reprolint.
 
 The whole-program rules (RL003 spec/engine conformance, RL009 seed
-provenance, RL010 snapshot coverage, RL011 cache-key completeness) all
-need cross-file visibility.  Rather than hand each rule the raw ASTs of
-every file, extraction reduces each file — in the same single parse the
-per-file rules use — to a plain-data :class:`FileFacts` record:
-imports, function taint summaries, seed call sites, snapshot-class field
-lists, config dataclass fields, cache-key-builder evidence, and (for
-``tests/``) the identifier evidence RL003 consumes.
+provenance, RL011 cache-key completeness) all need cross-file
+visibility.  Rather than hand each rule the raw ASTs of every file,
+extraction reduces each file — in the same single parse the per-file
+rules use — to a plain-data :class:`FileFacts` record: imports,
+function taint summaries, seed call sites, config dataclass fields,
+cache-key-builder evidence, and (for ``tests/``) the identifier
+evidence RL003 consumes.
 
 A :class:`ProjectGraph` is the indexed union of those records: a
 project-wide symbol table (``module:function`` -> taint summary) and the
@@ -32,7 +32,6 @@ from .core import (
     lint_context,
     module_name_for,
     parse_pragmas,
-    parse_transient_lines,
     scope_for,
 )
 from .dataflow import (
@@ -55,7 +54,6 @@ __all__ = [
     "PAIRS_PATH",
     "ProjectGraph",
     "SeedSite",
-    "SnapshotClassFacts",
     "analyze_paths",
     "extract_facts",
     "mentioned_identifiers",
@@ -65,13 +63,6 @@ PAIRS_PATH = "src/repro/difftest/pairs.py"
 
 #: Call names whose argument provenance RL009 audits.
 SEED_SINKS = frozenset({"default_rng", "spawn_streams"})
-
-#: Methods of a snapshot-participating class that *define* the overlay
-#: (or deterministically rebuild into it) — mutations there are the
-#: mechanism, not drift.
-_SNAPSHOT_METHODS = frozenset(
-    {"__init__", "__post_init__", "snapshot_state", "restore_state"}
-)
 
 
 @dataclass(frozen=True)
@@ -84,19 +75,6 @@ class SeedSite:
     func: str  # the sink's name ("default_rng" | "spawn_streams")
     owner: str  # enclosing function name, or "<module>"
     taint: object | None
-
-
-@dataclass(frozen=True)
-class SnapshotClassFacts:
-    """A class participating in the recovery overlay (defines both
-    ``snapshot_state`` and ``restore_state``)."""
-
-    name: str
-    line: int
-    #: attr -> (first mutation line, carries a transient pragma)
-    mutated: tuple[tuple[str, int, bool], ...]
-    #: self.<attr> names (and string keys) the snapshot/restore pair touches
-    captured: frozenset[str]
 
 
 @dataclass(frozen=True)
@@ -132,7 +110,6 @@ class FileFacts:
     imports: dict[str, str] = field(default_factory=dict)
     summaries: dict[str, FunctionSummary] = field(default_factory=dict)
     seed_sites: list[SeedSite] = field(default_factory=list)
-    snapshot_classes: list[SnapshotClassFacts] = field(default_factory=list)
     config_classes: list[ConfigClassFacts] = field(default_factory=list)
     key_builders: list[KeyBuilderFacts] = field(default_factory=list)
     test_identifiers: frozenset[str] = frozenset()
@@ -224,76 +201,6 @@ def _module_constants(tree: ast.Module) -> dict[str, object]:
         ):
             env[stmt.target.id] = CONST
     return env
-
-
-def _self_attr_target(target: ast.expr) -> str | None:
-    """Attribute name for targets rooted at self: ``self.x``,
-    ``self.x[...]``, ``self.x.y`` all mutate attribute ``x``."""
-    node = target
-    while isinstance(node, ast.Subscript):
-        node = node.value
-    while isinstance(node, ast.Attribute):
-        if isinstance(node.value, ast.Name) and node.value.id == "self":
-            return node.attr
-        node = node.value
-    return None
-
-
-def _snapshot_class_facts(
-    node: ast.ClassDef, transient_lines: frozenset[int]
-) -> SnapshotClassFacts | None:
-    methods = {
-        stmt.name: stmt
-        for stmt in node.body
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-    }
-    if "snapshot_state" not in methods or "restore_state" not in methods:
-        return None
-    captured: set[str] = set()
-    for name in ("snapshot_state", "restore_state"):
-        for sub in ast.walk(methods[name]):
-            if (
-                isinstance(sub, ast.Attribute)
-                and isinstance(sub.value, ast.Name)
-                and sub.value.id == "self"
-            ):
-                captured.add(sub.attr)
-            elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
-                captured.add(sub.value)
-    # Transient marks may sit on any assignment to the attr in the class
-    # (usually its __init__ definition site).
-    transient_attrs: set[str] = set()
-    mutated: dict[str, tuple[int, bool]] = {}
-    for method_name, method in methods.items():
-        for stmt in ast.walk(method):
-            if not isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-                continue
-            targets = (
-                stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-            )
-            for target in targets:
-                attr = _self_attr_target(target)
-                if attr is None:
-                    continue
-                marked = any(
-                    line in transient_lines
-                    for line in range(
-                        stmt.lineno, (stmt.end_lineno or stmt.lineno) + 1
-                    )
-                )
-                if marked:
-                    transient_attrs.add(attr)
-                if method_name in _SNAPSHOT_METHODS:
-                    continue
-                if attr not in mutated:
-                    mutated[attr] = (stmt.lineno, False)
-    entries = tuple(
-        (attr, line, attr in transient_attrs)
-        for attr, (line, _) in sorted(mutated.items())
-    )
-    return SnapshotClassFacts(
-        name=node.name, line=node.lineno, mutated=entries, captured=frozenset(captured)
-    )
 
 
 def _is_dataclass_def(node: ast.ClassDef) -> bool:
@@ -443,7 +350,6 @@ def extract_facts(
         return facts
 
     facts.imports = _import_table(tree, module, is_package)
-    transient_lines = parse_transient_lines(source)
     consts = _module_constants(tree)
 
     local_functions = {
@@ -483,12 +389,9 @@ def extract_facts(
         for s in sorted(facts.seed_sites, key=lambda s: (s.line, s.owner))
     ]
 
-    # Top-level classes contribute snapshot/config facts.
+    # Top-level classes contribute config facts.
     for stmt in tree.body:
         if isinstance(stmt, ast.ClassDef):
-            snapshot = _snapshot_class_facts(stmt, transient_lines)
-            if snapshot is not None:
-                facts.snapshot_classes.append(snapshot)
             config = _config_class_facts(stmt)
             if config is not None:
                 facts.config_classes.append(config)

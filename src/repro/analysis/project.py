@@ -1,6 +1,6 @@
 """Whole-program reprolint rules.
 
-All four run over the :class:`~repro.analysis.graph.ProjectGraph` fact
+All three run over the :class:`~repro.analysis.graph.ProjectGraph` fact
 table:
 
 * **RL003 spec/engine conformance** — every declared ``EnginePair`` has
@@ -9,9 +9,6 @@ table:
   reaching a ``default_rng``/``spawn_streams`` seed argument must flow
   from a config seed field or a threaded ``seed`` parameter, through
   any number of locals, arithmetic steps, or helper calls.
-* **RL010 snapshot coverage** — every mutable attribute of a class
-  participating in the recovery overlay must appear in its snapshot/
-  restore field lists (or carry a ``# reprolint: transient`` mark).
 * **RL011 cache-key completeness** — every ``ClusterConfig``/
   ``DegradedReadConfig`` field must reach a cache-key builder
   (``config_hash``/``schedule_run_key``-style) or sit on the documented
@@ -32,7 +29,6 @@ __all__ = [
     "PROJECT_RULE_CLASSES",
     "PROJECT_RULES",
     "SeedProvenanceRule",
-    "SnapshotCoverageRule",
     "run_project_rules_ex",
 ]
 
@@ -197,71 +193,6 @@ class SeedProvenanceRule(ProjectRule):
         return violations
 
 
-class SnapshotCoverageRule(ProjectRule):
-    """RL010: mutable state on overlay classes is captured or declared
-    transient.
-
-    A class participating in the recovery overlay (defining both
-    ``snapshot_state`` and ``restore_state``) promises kill-resume
-    equivalence: every attribute mutated outside the constructor/
-    restore path must appear in the snapshot/restore field lists, or
-    carry an explicit ``# reprolint: transient`` mark stating it is
-    deterministically rebuilt rather than captured.
-    """
-
-    code = "RL010"
-    description = (
-        "snapshot coverage: every mutable attribute of a snapshot_state/"
-        "restore_state class must appear in the snapshot/restore field "
-        "lists or carry a '# reprolint: transient' mark"
-    )
-    contract = (
-        "Any self.<attr> assigned outside __init__/__post_init__/"
-        "restore_state on a class that defines snapshot_state and "
-        "restore_state must be referenced by one of those two methods.  "
-        "Unsnapshotted mutable state silently breaks kill-resume "
-        "equivalence: the resumed run diverges from the uninterrupted "
-        "one.  Attributes that are deterministic functions of captured "
-        "state take '# reprolint: transient' at an assignment site."
-    )
-    example_bad = (
-        "def advance(self):\n"
-        "    self.backlog += 1   # never in snapshot_state/restore_state"
-    )
-    example_good = (
-        "def snapshot_state(self):\n"
-        "    return {'backlog': self.backlog, ...}"
-    )
-    escape = (
-        "# reprolint: transient on an assignment to the attribute "
-        "(or disable=RL010 on the mutation line)"
-    )
-
-    def check(self, graph):
-        violations: list[RuleViolation] = []
-        for path, facts in sorted(graph.files.items()):
-            if facts.scope != "src":
-                continue
-            for cls in facts.snapshot_classes:
-                for attr, line, transient in cls.mutated:
-                    if transient:
-                        continue
-                    if attr in cls.captured or attr.lstrip("_") in cls.captured:
-                        continue
-                    self._report(
-                        violations,
-                        graph,
-                        path,
-                        line,
-                        f"{cls.name}.{attr} is mutated outside __init__/"
-                        "restore_state but appears in neither "
-                        "snapshot_state nor restore_state: kill-resume "
-                        "would silently drop it; capture it or mark the "
-                        "assignment '# reprolint: transient'",
-                    )
-        return violations
-
-
 class CacheKeyCompletenessRule(ProjectRule):
     """RL011: every config field reaches the cache key or is a
     documented exclusion.
@@ -365,7 +296,6 @@ class CacheKeyCompletenessRule(ProjectRule):
 PROJECT_RULE_CLASSES: tuple[type[ProjectRule], ...] = (
     ConformanceRule,
     SeedProvenanceRule,
-    SnapshotCoverageRule,
     CacheKeyCompletenessRule,
 )
 

@@ -375,9 +375,6 @@ class StripeRepairTask(Task):
 class BlockFixer:
     """Periodic missing-block scanner dispatching repair jobs."""
 
-    #: Stable event name for the scan timer (checkpoint/restore contract).
-    WAKEUP = "blockfixer.tick"
-
     def __init__(self, cluster: "HadoopCluster", interval: float | None = None):
         self.cluster = cluster
         self.interval = (
@@ -400,8 +397,7 @@ class BlockFixer:
         if self._running:
             return
         self._running = True
-        self.cluster.sim.register_callback(self.WAKEUP, self._tick)
-        self.cluster.sim.schedule_named(self.interval, self.WAKEUP)
+        self.cluster.sim.schedule(self.interval, self._tick)
 
     def stop(self) -> None:
         self._running = False
@@ -410,31 +406,7 @@ class BlockFixer:
         if not self._running:
             return
         self.scan()
-        self.cluster.sim.schedule_named(self.interval, self.WAKEUP)
-
-    # -- checkpoint/restore ---------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """Durable daemon state as plain data (see repro.recovery)."""
-        return {
-            "running": self._running,
-            "in_repair": sorted(self.in_repair),
-            "jobs_dispatched": self.jobs_dispatched,
-            "data_loss_blocks": list(self.data_loss_blocks),
-            "payload_batch_groups": self.payload_batch_groups,
-            "payload_batch_stripes": self.payload_batch_stripes,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Overlay snapshotted state and re-register the named wakeup so
-        the simulation restore can re-bind pending tick events."""
-        self._running = state["running"]
-        self.in_repair = set(state["in_repair"])
-        self.jobs_dispatched = state["jobs_dispatched"]
-        self.data_loss_blocks = list(state["data_loss_blocks"])
-        self.payload_batch_groups = state["payload_batch_groups"]
-        self.payload_batch_stripes = state["payload_batch_stripes"]
-        self.cluster.sim.register_callback(self.WAKEUP, self._tick)
+        self.cluster.sim.schedule(self.interval, self._tick)
 
     # -- scanning ----------------------------------------------------------------
 
@@ -467,16 +439,18 @@ class BlockFixer:
         self.payload_batch_groups += batch.groups
         self.payload_batch_stripes += batch.stripes
         self.jobs_dispatched += 1
-        metrics = self.cluster.metrics
         job = MapReduceJob(
             name=f"blockfixer-{self.jobs_dispatched}",
             tasks=tasks,
-            on_complete=lambda j: metrics.record_repair_job(
-                j.submit_time, j.finish_time
-            ),
+            on_complete=self._record_repair_job,
         )
         self.cluster.jobtracker.submit(job)
         return job
+
+    def _record_repair_job(self, job: MapReduceJob) -> None:
+        # A bound method, not a closure: finished jobs stay in
+        # ``jobtracker.jobs``, and a checkpoint pickles them.
+        self.cluster.metrics.record_repair_job(job.submit_time, job.finish_time)
 
     # -- bookkeeping ----------------------------------------------------------------
 

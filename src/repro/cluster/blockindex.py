@@ -84,16 +84,12 @@ class BlockIndex:
         self.node_decommissioning = np.zeros(num_nodes, dtype=bool)
         self.node_block_count = np.zeros(num_nodes, dtype=np.int64)
 
-        # The slab layout columns (sid/pos/kind) and every cache below
-        # are pure functions of the deterministic rebuild — transient by
-        # the snapshot_state contract, which captures only the placement
-        # and liveness columns (see its docstring).
         capacity = max(int(initial_rows), 16)
         self.node = np.full(capacity, -1, dtype=np.int32)
         self.missing = np.zeros(capacity, dtype=bool)
-        self.sid = np.zeros(capacity, dtype=np.int32)  # reprolint: transient
-        self.pos = np.zeros(capacity, dtype=np.int16)  # reprolint: transient
-        self.kind = np.zeros(capacity, dtype=np.int8)  # reprolint: transient
+        self.sid = np.zeros(capacity, dtype=np.int32)
+        self.pos = np.zeros(capacity, dtype=np.int16)
+        self.kind = np.zeros(capacity, dtype=np.int8)
         self.rows_used = 0
 
         # Stripe table (registration order).  Bases/widths live in plain
@@ -102,59 +98,21 @@ class BlockIndex:
         self.stripes: list[Stripe] = []
         self._base_list: list[int] = []
         self._n_list: list[int] = []
-        self._base_array: np.ndarray | None = None  # reprolint: transient
-        self._n_array: np.ndarray | None = None  # reprolint: transient
+        self._base_array: np.ndarray | None = None
+        self._n_array: np.ndarray | None = None
         self._stripe_files: list[str] = []
         self._stripe_indices: list[int] = []
         self._virtual_bits: list[int] = []
-        self._sid_by_key: dict[tuple[str, int], int] = {}  # reprolint: transient
+        self._sid_by_key: dict[tuple[str, int], int] = {}
         # Lexicographic rank of each stripe key, rebuilt lazily: block
         # ordering is (file_name, stripe_index, position) and scans must
         # return blocks in exactly that order.
-        self._stripe_rank: np.ndarray | None = None  # reprolint: transient
+        self._stripe_rank: np.ndarray | None = None
         # Per-code kind row template, computed once per code object.
-        self._kind_template: dict[int, np.ndarray] = {}  # reprolint: transient
+        self._kind_template: dict[int, np.ndarray] = {}
 
         self.stored_count = 0
         self.missing_count = 0
-
-    # -- checkpoint/restore ----------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """Mutable placement state as plain data (see repro.recovery).
-
-        Only the columns that mutate after registration are captured:
-        the slab layout (sid/pos/kind, stripe table) is a pure function
-        of the deterministic rebuild, so a restore overlays placement and
-        liveness onto a structurally identical index.
-        """
-        rows = self.rows_used
-        return {
-            "rows_used": rows,
-            "node": self.node[:rows].copy(),
-            "missing": self.missing[:rows].copy(),
-            "node_alive": self.node_alive.copy(),
-            "node_decommissioning": self.node_decommissioning.copy(),
-            "node_block_count": self.node_block_count.copy(),
-            "stored_count": self.stored_count,
-            "missing_count": self.missing_count,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        if state["rows_used"] != self.rows_used:
-            raise ValueError(
-                f"snapshot has {state['rows_used']} rows but the rebuilt "
-                f"index has {self.rows_used}: the cluster was not rebuilt "
-                "from the same (code, config, files, seed)"
-            )
-        rows = self.rows_used
-        self.node[:rows] = state["node"]
-        self.missing[:rows] = state["missing"]
-        self.node_alive[:] = state["node_alive"]
-        self.node_decommissioning[:] = state["node_decommissioning"]
-        self.node_block_count[:] = state["node_block_count"]
-        self.stored_count = state["stored_count"]
-        self.missing_count = state["missing_count"]
 
     # -- growth ---------------------------------------------------------------
 

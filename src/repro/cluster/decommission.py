@@ -250,40 +250,6 @@ class DecommissionManager:
     def block_moved(self) -> None:
         self.blocks_relocated += 1
 
-    # -- checkpoint/restore ----------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """Durable outcome state as plain data (see repro.recovery).
-
-        Decommission is a one-shot job, not a timer: at a quiescent
-        boundary it is either untouched or finished, so only the outcome
-        counters survive — never an in-flight recreate job.
-        """
-        if self.job is not None and not self.job.is_finished:
-            raise RuntimeError(
-                f"cannot snapshot DecommissionManager({self.node_id}) with "
-                "its recreate job in flight; checkpoints are taken at "
-                "quiescent boundaries"
-            )
-        return {
-            "node_id": self.node_id,
-            "blocks_total": self.blocks_total,
-            "blocks_relocated": self.blocks_relocated,
-            "retired": self.retired,
-            "bytes_read_from_node_before": self.bytes_read_from_node_before,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        if state["node_id"] != self.node_id:
-            raise ValueError(
-                f"snapshot is for node {state['node_id']!r}, "
-                f"not {self.node_id!r}"
-            )
-        self.blocks_total = state["blocks_total"]
-        self.blocks_relocated = state["blocks_relocated"]
-        self.retired = state["retired"]
-        self.bytes_read_from_node_before = state["bytes_read_from_node_before"]
-
     def _retire(self) -> None:
         node = self.cluster.namenode.node(self.node_id)
         if node.block_count == 0:  # O(1) counter, not a block-set scan

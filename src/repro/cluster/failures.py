@@ -84,25 +84,6 @@ class FailureInjector:
             self.killed.append(node_id)
         return node_ids, blocks_lost
 
-    # -- checkpoint/restore ----------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """RNG position + kill history as plain data (see repro.recovery).
-
-        The bit-generator state dict is what numpy documents for exact
-        stream resumption: restoring it replays the remaining draws
-        bit-identically to a run that was never interrupted.
-        """
-        return {
-            "rng_state": self.rng.bit_generator.state,
-            "killed": list(self.killed),
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self.rng.bit_generator.state = state["rng_state"]
-        self.killed = list(state["killed"])
-
-
 @dataclass(frozen=True)
 class FailureTraceGenerator:
     """Synthetic daily node-failure counts for a large production cluster.

@@ -109,25 +109,22 @@ class FlowTable:
         self.cross_rack_bytes = 0.0
 
         # -- flow columns (row order is admission order) -------------------
-        # All row storage is transient by the quiescence contract:
-        # snapshot_state refuses to run with flows in flight, so these
-        # columns are empty at every capture point (see its docstring).
         cap = _INITIAL_CAPACITY
-        self._src = np.zeros(cap, dtype=np.int64)  # reprolint: transient (node index)
-        self._dst = np.zeros(cap, dtype=np.int64)  # reprolint: transient
-        self._remaining = np.zeros(cap, dtype=np.float64)  # reprolint: transient
-        self._rate = np.zeros(cap, dtype=np.float64)  # reprolint: transient
-        self._tdone = np.zeros(cap, dtype=np.float64)  # reprolint: transient
-        self._order = np.zeros(cap, dtype=np.int64)  # reprolint: transient (tie order)
-        self._res = np.full((cap, _RES_SLOTS), -1, dtype=np.int64)  # reprolint: transient
-        self._local = np.zeros(cap, dtype=bool)  # reprolint: transient
-        self._disk = np.zeros(cap, dtype=bool)  # reprolint: transient
-        self._xr = np.zeros(cap, dtype=bool)  # reprolint: transient (cross-rack)
-        self._active = np.zeros(cap, dtype=bool)  # reprolint: transient
-        self._on_complete: list[Callable[[], None] | None] = [None] * cap  # reprolint: transient
-        self._on_fail: list[Callable[[], None] | None] = [None] * cap  # reprolint: transient
-        self._handles: list[FlowHandle | None] = [None] * cap  # reprolint: transient
-        self._n = 0  # reprolint: transient (rows in use until compaction)
+        self._src = np.zeros(cap, dtype=np.int64)  # node index
+        self._dst = np.zeros(cap, dtype=np.int64)
+        self._remaining = np.zeros(cap, dtype=np.float64)
+        self._rate = np.zeros(cap, dtype=np.float64)
+        self._tdone = np.zeros(cap, dtype=np.float64)
+        self._order = np.zeros(cap, dtype=np.int64)  # tie order
+        self._res = np.full((cap, _RES_SLOTS), -1, dtype=np.int64)
+        self._local = np.zeros(cap, dtype=bool)
+        self._disk = np.zeros(cap, dtype=bool)
+        self._xr = np.zeros(cap, dtype=bool)  # cross-rack
+        self._active = np.zeros(cap, dtype=bool)
+        self._on_complete: list[Callable[[], None] | None] = [None] * cap
+        self._on_fail: list[Callable[[], None] | None] = [None] * cap
+        self._handles: list[FlowHandle | None] = [None] * cap
+        self._n = 0  # rows in use until compaction
         self._active_count = 0
 
         # -- interning -----------------------------------------------------
@@ -140,28 +137,24 @@ class FlowTable:
         self._gid_rackin: dict[object, int] = {}
         self._res_capacity = np.zeros(_INITIAL_CAPACITY, dtype=np.float64)
         # Active member flows per resource, kept by _append_row/_remove_row.
-        # All-zero with no flow in flight (snapshot_state asserts it), so
-        # restore_state only has to size it.
-        self._res_count = np.zeros(  # reprolint: transient
-            _INITIAL_CAPACITY, dtype=np.int64
-        )
+        self._res_count = np.zeros(_INITIAL_CAPACITY, dtype=np.int64)
         self._num_resources = 0
 
         # -- derived from row storage, dropped when it changes ---------------
-        # Both are None with no flow in flight (quiescence contract):
-        # _reallocate drops them when the table drains.
-        self._rows: np.ndarray | None = None  # reprolint: transient (active rows)
-        self._csr: tuple[np.ndarray, np.ndarray] | None = None  # reprolint: transient
+        # Both are None with no flow in flight: _reallocate drops them
+        # when the table drains.
+        self._rows: np.ndarray | None = None  # active rows
+        self._csr: tuple[np.ndarray, np.ndarray] | None = None
 
         # -- per-node flow index (row ids; stale ids filtered lazily) ------
-        self._rows_by_node: dict[int, list[int]] = {}  # reprolint: transient
+        self._rows_by_node: dict[int, list[int]] = {}
 
-        # -- scheduling state (empty/idle at quiescent snapshots) ----------
+        # -- scheduling state ------------------------------------------------
         self._last_time = 0.0
-        self._dirty = False  # reprolint: transient
-        self._flush_event: Event | None = None  # reprolint: transient
-        self._sentinel: Event | None = None  # reprolint: transient
-        self._abort_depth = 0  # reprolint: transient
+        self._dirty = False
+        self._flush_event: Event | None = None
+        self._sentinel: Event | None = None
+        self._abort_depth = 0
 
         # -- observability -------------------------------------------------
         self.reallocations = 0
@@ -170,69 +163,6 @@ class FlowTable:
         self.admissions_coalesced = 0
         self.fill_rounds = 0  # water-filling rounds over all reallocations
         self.csr_builds = 0  # member-CSR builds (see _member_csr)
-
-    # -- checkpoint/restore --------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """Persistent fabric state as plain data (see repro.recovery).
-
-        Only callable while no flow is in flight: row storage is all
-        closures and live handles, so snapshots are pinned to quiescent
-        boundaries and capture just the interning tables (whose id
-        assignment depends on admission history), counters, and the
-        settle clock.  What the table derives from its rows is gone by
-        then too (asserted): the per-resource member counts are back to
-        zero and ``_reallocate`` dropped the active-row memo and the
-        member CSR when the last flow left, so a restored table — which
-        starts with none of them — continues identically.
-        """
-        if self._active_count:
-            raise RuntimeError(
-                f"cannot snapshot FlowTable with {self._active_count} active "
-                "flows; checkpoints are taken at quiescent boundaries"
-            )
-        assert not self._res_count.any()
-        assert self._rows is None and self._csr is None
-        return {
-            "node_names": list(self._node_names),
-            "gid_out": list(self._gid_out),
-            "gid_in": list(self._gid_in),
-            "gid_core": self._gid_core,
-            "gid_rackout": dict(self._gid_rackout),
-            "gid_rackin": dict(self._gid_rackin),
-            "res_capacity": self._res_capacity[: self._num_resources].copy(),
-            "num_resources": self._num_resources,
-            "last_time": self._last_time,
-            "cross_rack_bytes": self.cross_rack_bytes,
-            "reallocations": self.reallocations,
-            "settles": self.settles,
-            "admissions": self.admissions,
-            "admissions_coalesced": self.admissions_coalesced,
-            "fill_rounds": self.fill_rounds,
-            "csr_builds": self.csr_builds,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self._node_names = list(state["node_names"])
-        self._node_index = {name: i for i, name in enumerate(self._node_names)}
-        self._gid_out = list(state["gid_out"])
-        self._gid_in = list(state["gid_in"])
-        self._gid_core = state["gid_core"]
-        self._gid_rackout = dict(state["gid_rackout"])
-        self._gid_rackin = dict(state["gid_rackin"])
-        num = state["num_resources"]
-        if num > self._res_capacity.size:
-            self._resize_resources(num)
-        self._res_capacity[:num] = state["res_capacity"]
-        self._num_resources = num
-        self._last_time = state["last_time"]
-        self.cross_rack_bytes = state["cross_rack_bytes"]
-        self.reallocations = state["reallocations"]
-        self.settles = state["settles"]
-        self.admissions = state["admissions"]
-        self.admissions_coalesced = state["admissions_coalesced"]
-        self.fill_rounds = state["fill_rounds"]
-        self.csr_builds = state["csr_builds"]
 
     # -- public API ---------------------------------------------------------
 
@@ -593,7 +523,7 @@ class FlowTable:
             self._sentinel = None
         rows = self._active_rows()
         if rows.size == 0:
-            self._rows = self._csr = None  # drained: see snapshot_state
+            self._rows = self._csr = None  # drained: nothing derived survives
             return
         self.reallocations += 1
         local = self._local[rows]

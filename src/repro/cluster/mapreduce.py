@@ -50,8 +50,6 @@ class Task:
 class MapReduceJob:
     """A bag of tasks plus completion bookkeeping."""
 
-    _next_id = 0
-
     def __init__(
         self,
         name: str,
@@ -61,8 +59,9 @@ class MapReduceJob:
     ):
         if weight <= 0:
             raise ValueError("job weight must be positive")
-        MapReduceJob._next_id += 1
-        self.job_id = MapReduceJob._next_id
+        #: Submission number within its JobTracker (set by ``submit``):
+        #: the FairScheduler's final tie-break.
+        self.job_id: int | None = None
         self.name = name
         self.tasks = list(tasks)
         for task in self.tasks:
@@ -130,6 +129,7 @@ class JobTracker:
         sim = self.cluster.sim
         job.submit_time = sim.now
         self.jobs.append(job)
+        job.job_id = len(self.jobs)
         if not job.tasks:
             job.ready_time = job.finish_time = sim.now
             if job.on_complete is not None:

@@ -384,24 +384,3 @@ class NameNode(NameNodeAPI):
     def fsck(self) -> dict[str, int]:
         """Cluster health summary: stored, missing, dead-node counts."""
         return self.index.fsck()
-
-    # -- checkpoint/restore ----------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """Placement + liveness bookkeeping as plain data.
-
-        ``_kill_cache`` is deliberately absent: entries only exist while
-        a kill awaits detection, and snapshots are taken at quiescent
-        boundaries where every detection has fired.  Restoring an empty
-        cache is therefore exact, not an approximation.
-        """
-        return {
-            "index": self.index.snapshot_state(),
-            "undetected_dead": sorted(self.undetected_dead),
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self.index.restore_state(state["index"])
-        self.undetected_dead = set(state["undetected_dead"])
-        self._kill_cache = {}
-

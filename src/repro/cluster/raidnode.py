@@ -99,15 +99,11 @@ class RaidNode:
         self.in_flight: set[str] = set()
         self._running = False
 
-    #: Stable event name for the scan timer (checkpoint/restore contract).
-    WAKEUP = "raidnode.tick"
-
     def start(self) -> None:
         if self._running:
             return
         self._running = True
-        self.cluster.sim.register_callback(self.WAKEUP, self._tick)
-        self.cluster.sim.schedule_named(self.interval, self.WAKEUP)
+        self.cluster.sim.schedule(self.interval, self._tick)
 
     def stop(self) -> None:
         self._running = False
@@ -116,27 +112,7 @@ class RaidNode:
         if not self._running:
             return
         self.scan()
-        self.cluster.sim.schedule_named(self.interval, self.WAKEUP)
-
-    # -- checkpoint/restore ----------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """Durable daemon state as plain data (see repro.recovery).
-
-        ``in_flight`` must be empty at a quiescent boundary (every encode
-        job has completed); the scan index rebuilds from cluster files.
-        """
-        if self.in_flight:
-            raise RuntimeError(
-                "cannot snapshot RaidNode with encode jobs in flight; "
-                "checkpoints are taken at quiescent boundaries"
-            )
-        return {"running": self._running}
-
-    def restore_state(self, state: dict) -> None:
-        self._running = state["running"]
-        self.in_flight = set()
-        self.cluster.sim.register_callback(self.WAKEUP, self._tick)
+        self.cluster.sim.schedule(self.interval, self._tick)
 
     def scan(self) -> MapReduceJob | None:
         """Find un-RAIDed files and dispatch one encode job for them."""

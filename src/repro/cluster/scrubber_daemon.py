@@ -67,36 +67,16 @@ class ScrubberDaemon:
 
     # -- the scan loop ---------------------------------------------------------
 
-    #: Stable event name for the scan timer (checkpoint/restore contract).
-    WAKEUP = "scrubber.scan"
-
     def start(self) -> None:
         if self._started:
             raise RuntimeError("scrubber daemon already started")
         self._started = True
-        self.cluster.sim.register_callback(self.WAKEUP, self._scan)
-        self.cluster.sim.schedule_named(self.scan_interval, self.WAKEUP)
+        self.cluster.sim.schedule(self.scan_interval, self._scan)
 
     def _scan(self) -> None:
         report = self.scan_once()
         self.reports.append(report)
-        self.cluster.sim.schedule_named(self.scan_interval, self.WAKEUP)
-
-    # -- checkpoint/restore ----------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """Durable daemon state as plain data (see repro.recovery).
-
-        The scrub snapshots rebuild deterministically from the cluster's
-        stripes via :meth:`record_checksums`, so only the scan history
-        and lifecycle flag need to survive.
-        """
-        return {"started": self._started, "reports": list(self.reports)}
-
-    def restore_state(self, state: dict) -> None:
-        self._started = state["started"]
-        self.reports = list(state["reports"])
-        self.cluster.sim.register_callback(self.WAKEUP, self._scan)
+        self.cluster.sim.schedule(self.scan_interval, self._scan)
 
     def scan_once(self) -> ScrubReport:
         """One full pass over all stripes, healing as it goes."""

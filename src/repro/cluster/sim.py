@@ -14,26 +14,19 @@ the heap at O(live events) instead of O(all events ever scheduled).
 The rebuild cannot perturb replay: events are strictly totally ordered
 by (time, seq), so a re-heapified queue pops in exactly the same order.
 
-For checkpoint/restore (``repro.recovery``) the engine supports *named*
-callbacks: a daemon registers its wakeup under a stable string name, and
-events scheduled through that name survive serialization as
-``(name, time, seq)`` triples — the callback itself is re-bound by name
-after the cluster is rebuilt, never pickled.  Snapshotting refuses while
-anonymous (closure) events are live, which pins checkpoints to quiescent
-epoch boundaries where only daemon timers remain.
+Every callback a component leaves queued between activities is a bound
+method (daemon timers, the network sentinel), never a closure, so a
+quiescent simulation pickles whole: ``repro.recovery`` checkpoints a
+run by pickling the cluster that owns it.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Callable
 
-__all__ = ["Event", "Simulation", "SnapshotError"]
-
-
-class SnapshotError(RuntimeError):
-    """The simulation state cannot be captured or restored faithfully."""
+__all__ = ["Event", "Simulation"]
 
 #: Minimum number of dead events before a rebuild is considered, so tiny
 #: queues are not re-heapified over and over.
@@ -51,7 +44,7 @@ class Event:
     cancelled: bool = field(default=False, compare=False)
     executed: bool = field(default=False, compare=False)
     sim: "Simulation | None" = field(default=None, compare=False, repr=False)
-    #: Stable identity for checkpointing; None for anonymous closures.
+    #: Optional label, for traces and debugging; never affects order.
     name: str | None = field(default=None, compare=False)
 
     def cancel(self) -> None:
@@ -72,15 +65,12 @@ class Simulation:
         self._processed = 0
         self._cancelled_pending = 0
         self.heap_rebuilds = 0
-        self._callbacks: dict[str, Callable[[], None]] = {}
 
-    def schedule(
-        self, delay: float, callback: Callable[[], None], name: str | None = None
-    ) -> Event:
+    def schedule(self, delay: float, callback: Callable[[], None]) -> Event:
         """Schedule ``callback`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
-        return self.schedule_at(self.now + delay, callback, name=name)
+        return self.schedule_at(self.now + delay, callback)
 
     def schedule_at(
         self, time: float, callback: Callable[[], None], name: str | None = None
@@ -91,77 +81,6 @@ class Simulation:
         self._seq += 1
         heapq.heappush(self._queue, event)
         return event
-
-    # -- named callbacks (checkpoint/restore support) ----------------------
-
-    def register_callback(self, name: str, callback: Callable[[], None]) -> None:
-        """Bind a durable callback to a stable name.
-
-        Re-registering the same name must bind the same callable; a
-        conflicting rebind is a wiring bug, not a legal update.
-        """
-        existing = self._callbacks.get(name)
-        if existing is not None and existing is not callback:
-            raise ValueError(f"callback name {name!r} already registered")
-        self._callbacks[name] = callback
-
-    def schedule_named(self, delay: float, name: str) -> Event:
-        """Schedule the registered callback ``name``; the resulting event
-        survives snapshot/restore as a ``(name, time, seq)`` triple."""
-        if name not in self._callbacks:
-            raise KeyError(f"no callback registered under {name!r}")
-        return self.schedule(delay, self._callbacks[name], name=name)
-
-    def snapshot_state(self) -> dict[str, Any]:
-        """Capture clock + counters + live events as plain data.
-
-        Every live event must be named: anonymous closures cannot be
-        re-bound after a restore, so their presence means the caller is
-        snapshotting mid-activity rather than at a quiescent boundary.
-        """
-        events: list[tuple[str, float, int]] = []
-        for event in self._queue:
-            if event.cancelled:
-                continue
-            if event.name is None:
-                raise SnapshotError(
-                    f"anonymous event at t={event.time} (seq {event.seq}) is "
-                    "live; snapshots are only taken at quiescent boundaries "
-                    "where every pending event is a named daemon wakeup"
-                )
-            events.append((event.name, event.time, event.seq))
-        return {
-            "now": self.now,
-            "seq": self._seq,
-            "processed": self._processed,
-            "heap_rebuilds": self.heap_rebuilds,
-            "events": sorted(events, key=lambda item: (item[1], item[2])),
-        }
-
-    def restore_state(self, state: dict[str, Any]) -> None:
-        """Overlay a snapshot onto this (freshly built) simulation.
-
-        Callbacks for every snapshotted event name must already be
-        registered (daemons re-register on construction); the events are
-        recreated with their original (time, seq) so the replay order —
-        including seq tie-breaks against future events — is unchanged.
-        """
-        queue: list[Event] = []
-        for name, time, seq in state["events"]:
-            callback = self._callbacks.get(name)
-            if callback is None:
-                raise SnapshotError(
-                    f"snapshot references callback {name!r} but nothing "
-                    "re-registered it; restore daemons before the sim"
-                )
-            queue.append(Event(time=time, seq=seq, callback=callback, sim=self, name=name))
-        heapq.heapify(queue)
-        self.now = state["now"]
-        self._seq = state["seq"]
-        self._processed = state["processed"]
-        self.heap_rebuilds = state["heap_rebuilds"]
-        self._queue = queue
-        self._cancelled_pending = 0
 
     def peek_time(self) -> float | None:
         """Time of the next pending event, skipping cancelled ones."""

@@ -9,6 +9,7 @@ that procedure against a simulated cluster.
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -23,7 +24,13 @@ from ..cluster import (
 )
 from ..cluster.blocks import BlockId
 from ..cluster.metrics import MetricsCollector
-from ..recovery import CheckpointPolicy, FaultPlan, InjectedCrash, restore_run, snapshot_run
+from ..recovery import (
+    CheckpointPolicy,
+    FaultPlan,
+    InjectedCrash,
+    snapshot,
+    source_fingerprint,
+)
 from .parallel import config_hash
 
 __all__ = [
@@ -179,7 +186,9 @@ def schedule_run_key(
     """Stable identity of one schedule run, for checkpoint file naming.
 
     Checkpoint policy knobs are excluded: tuning how often to snapshot
-    must not orphan the snapshots already on disk.
+    must not orphan the snapshots already on disk.  The source
+    fingerprint is included: a checkpoint pickled by other code is
+    never found, so it is never restored.
     """
     fields = {
         key: value
@@ -195,6 +204,7 @@ def schedule_run_key(
             "seed": seed,
             "event_gap": event_gap,
             "warmup": warmup,
+            "source": source_fingerprint(),
         }
     )
 
@@ -218,39 +228,36 @@ def run_failure_schedule(
     finish, then idles ``event_gap`` seconds before the next event — the
     separation visible between traffic spikes in Figure 5(a).
 
-    With a ``checkpoint`` policy the run snapshots the full simulator
-    state at due epoch boundaries (just before each kill, when the
-    cluster is quiescent); ``resume=True`` restores the newest valid
-    snapshot — falling back past corrupted files — and replays only the
-    remaining epochs, bit-identically to an uninterrupted run.  A
-    ``fault_plan`` (chaos testing) may crash the run or corrupt the
-    snapshot right after a checkpoint is written.
+    With a ``checkpoint`` policy the run pickles itself — cluster,
+    fixer, injector and event log — at due epoch boundaries (just before
+    each kill, when the cluster is quiescent); ``resume=True`` unpickles
+    the newest valid snapshot — falling back past corrupted files — and
+    replays only the remaining epochs, bit-identically to an
+    uninterrupted run.  A ``fault_plan`` (chaos testing) may crash the
+    run or corrupt the snapshot right after a checkpoint is written.
     """
     if resume and checkpoint is None:
         raise ValueError("resume=True requires a checkpoint policy")
     if fault_plan is not None and checkpoint is None:
         raise ValueError("a fault plan requires a checkpoint policy")
-    run_key = schedule_run_key(
-        scheme, config, file_sizes, pattern, seed, event_gap, warmup
-    )
-    snapshot = None
-    start_epoch = 0
+    run_key = found = None
+    if checkpoint is not None:
+        run_key = schedule_run_key(
+            scheme, config, file_sizes, pattern, seed, event_gap, warmup
+        )
     if resume:
         found = checkpoint.store.latest(run_key, max_epoch=len(pattern) - 1)
-        if found is not None:
-            start_epoch, snapshot = found
-    cluster = build_loaded_cluster(code, config, file_sizes, seed=seed)
-    fixer = BlockFixer(cluster)
-    injector = make_schedule_injector(cluster, seed)
-    run = SchemeRun(scheme=scheme, cluster=cluster, fixer=fixer)
-    if snapshot is not None:
-        restore_run(snapshot, cluster, fixer, injector)
-        # begin_event appends the very records run.events collects, so
-        # the restored metrics carry the completed epochs' event log.
-        run.events = list(cluster.metrics.events)
+    if found is not None:
+        start_epoch, payload = found
+        cluster, fixer, injector, events = pickle.loads(payload)
     else:
+        start_epoch, events = 0, []
+        cluster = build_loaded_cluster(code, config, file_sizes, seed=seed)
+        fixer = BlockFixer(cluster)
+        injector = make_schedule_injector(cluster, seed)
         fixer.start()
         cluster.run(until=warmup)
+    run = SchemeRun(scheme=scheme, cluster=cluster, fixer=fixer, events=events)
     # Failure epochs are sequential simulation phases by definition —
     # each iteration runs the cluster to quiescence, not per-element math.
     for index in range(start_epoch, len(pattern)):
@@ -258,12 +265,10 @@ def run_failure_schedule(
         if (
             checkpoint is not None
             and checkpoint.due(index)
-            and not (snapshot is not None and index == start_epoch)
+            and not (found is not None and index == start_epoch)
         ):
             checkpoint.store.write(
-                run_key,
-                index,
-                snapshot_run(scheme, run_key, index, cluster, fixer, injector),
+                run_key, index, snapshot((cluster, fixer, injector, run.events))
             )
             checkpoint.store.prune(run_key, checkpoint.keep)
             if fault_plan is not None:

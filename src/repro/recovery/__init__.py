@@ -1,16 +1,16 @@
 """Crash-safe checkpoint/restore for long simulation runs.
 
 ROADMAP item: month-long traces at production scale must "survive
-interruption".  The recovery plane snapshots every stateful subsystem of
-a running failure-schedule simulation at quiescent epoch boundaries,
-writes the snapshot crash-safely (tmp file + fsync + atomic rename,
-schema version + content checksum), and restores by rebuilding the
-cluster deterministically and overlaying the captured state — so a
-killed-and-resumed run is **bit-identical** to one that was never
-interrupted.  ``repro.recovery.chaos`` adds deterministic fault
-injection (seeded kill/corruption plans) and
-``repro.recovery.equivalence`` holds the kill-resume harness proven by
-the differential tests.
+interruption".  At quiescent epoch boundaries the recovery plane
+pickles the running failure-schedule simulation whole (cluster,
+BlockFixer, failure injector and event log), writes the pickle
+crash-safely (tmp file + fsync + atomic rename, schema version +
+content checksum) under a run key that carries the source fingerprint,
+and resumes by unpickling it — so a killed-and-resumed run is
+**bit-identical** to one that was never interrupted.
+``repro.recovery.chaos`` adds deterministic fault injection (seeded
+kill/corruption plans) and ``repro.recovery.equivalence`` holds the
+kill-resume harness proven by the differential tests.
 
 ``equivalence`` is intentionally not imported here: it depends on
 ``repro.experiments.runner``, which itself uses this package, and the
@@ -19,17 +19,16 @@ lazy edge keeps the import graph acyclic.
 
 from .chaos import FaultPlan, InjectedCrash
 from .policy import CheckpointPolicy
-from .snapshot import SNAPSHOT_SCHEMA, ClusterSnapshot, restore_run, snapshot_run
+from .snapshot import SnapshotError, snapshot, source_fingerprint
 from .store import CheckpointStore, CorruptSnapshotError
 
 __all__ = [
     "CheckpointPolicy",
     "CheckpointStore",
-    "ClusterSnapshot",
     "CorruptSnapshotError",
     "FaultPlan",
     "InjectedCrash",
-    "SNAPSHOT_SCHEMA",
-    "restore_run",
-    "snapshot_run",
+    "SnapshotError",
+    "snapshot",
+    "source_fingerprint",
 ]

@@ -12,7 +12,10 @@ the previous good epoch instead of crashing the run.
 Checkpoints are keyed ``<run_key>-e<epoch>``, which is the per-epoch
 extension of the experiment cache's config-hash keying: a resumed run
 re-enters the store under the same run key and continues appending
-epochs.
+epochs.  The payload a failure-schedule run stores is its own pickle
+(:func:`repro.recovery.snapshot.snapshot`), and its run key carries the
+source fingerprint, so the store never hands a run a pickle written by
+other code.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import MapReduceJob, Task, ec2_config, facebook_config
+from repro.cluster import HadoopCluster, MapReduceJob, Task, ec2_config, facebook_config
 from repro.cluster.blocks import block_kind
 from repro.codes import rs_10_4, xorbas_lrc
 
@@ -75,6 +75,18 @@ class TestJobMechanics:
         job = MapReduceJob("j", [Task()])
         with pytest.raises(RuntimeError):
             _ = job.elapsed
+
+    def test_job_ids_are_per_cluster(self):
+        """Two identical clusters built back to back in one process hand
+        out identical job ids: the JobTracker numbers its submissions."""
+
+        def job_ids():
+            cluster = HadoopCluster(xorbas_lrc(), ec2_config(num_nodes=20), seed=0)
+            for index in range(3):
+                cluster.jobtracker.submit(MapReduceJob(f"j{index}", []))
+            return [job.job_id for job in cluster.jobtracker.jobs]
+
+        assert job_ids() == job_ids() == [1, 2, 3]
 
 
 class TestRepairPlanValidation:

@@ -12,6 +12,8 @@ saturated resource) and the full-simulation equivalence test driving
 complete EC2 failure schedules through both engines.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 from repro.cluster import FlowTable, MetricsCollector, Simulation, ec2_config
 from repro.codes import xorbas_lrc
 from repro.experiments.runner import run_failure_schedule
+from repro.recovery import snapshot
 from repro.spec import Network, with_specs
 
 ENGINES = [Network, FlowTable]
@@ -454,9 +457,9 @@ def test_fill_counters_pin_the_incremental_reallocation(core_bound):
 
 def test_restore_into_fresh_table_resumes_bit_identically():
     """40 nodes intern 81 resources, more than a fresh table's initial
-    per-resource capacity: restore_state must size every per-resource
-    array, not just the capacities, or the first admission after resume
-    indexes out of bounds."""
+    per-resource capacity: a table unpickled between two storms keeps
+    every per-resource array sized, so the first admission after resume
+    stays in bounds and the second storm replays bit-identically."""
     nodes = [f"n{i}" for i in range(40)]
 
     def storm(sim, net, log, tag):
@@ -470,22 +473,21 @@ def test_restore_into_fresh_table_resumes_bit_identically():
 
     def run(resume: bool):
         sim = Simulation()
-        metrics = MetricsCollector()
-        net = FlowTable(sim, metrics, 100.0, 250.0)
+        net = FlowTable(sim, MetricsCollector(), 100.0, 250.0)
         log: list[tuple] = []
         storm(sim, net, log, "first")
         if resume:
-            state = net.snapshot_state()
-            net = FlowTable(sim, metrics, 100.0, 250.0)
-            net.restore_state(state)
+            sim, net = pickle.loads(snapshot((sim, net)))
         storm(sim, net, log, "second")
-        state = net.snapshot_state()
-        state["res_capacity"] = state["res_capacity"].tolist()
-        return log, state
+        counters = (
+            net._num_resources, net.reallocations, net.settles, net.admissions,
+            net.fill_rounds, net.csr_builds, net.metrics.network_out_bytes,
+        )
+        return log, counters
 
-    log, state = run(resume=False)
-    assert len(log) == 400 and state["num_resources"] == 81
-    assert run(resume=True) == (log, state)
+    log, counters = run(resume=False)
+    assert len(log) == 400 and counters[0] == 81
+    assert run(resume=True) == (log, counters)
 
 
 def test_single_sentinel_event_not_per_flow_events():

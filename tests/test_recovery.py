@@ -1,12 +1,13 @@
 """The crash-safe checkpoint/restore plane (``repro.recovery``).
 
 Three layers under test: the checksummed atomic snapshot store, the
-named-callback simulation codec, and the headline kill-resume
-equivalence guarantee — a run killed at an epoch boundary and resumed
-from its snapshot finishes element-identical to one that was never
-interrupted, with the FairScheduler on its engine or its scalar spec,
-with corrupted snapshots detected by checksum and skipped back to the
-previous good epoch.
+snapshot itself (the pickled quiescent run, keyed by the source
+fingerprint), and the headline kill-resume equivalence guarantee — a
+run killed at an epoch boundary and resumed from its snapshot, in the
+same process or another, finishes element-identical to one that was
+never interrupted, with the scheduler, fabric and metadata plane on
+their engines or their scalar specs, with corrupted snapshots detected
+by checksum and skipped back to the previous good epoch.
 """
 
 import os
@@ -19,21 +20,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import Simulation, ec2_config
-from repro.cluster.sim import SnapshotError
+from repro.cluster import BlockFixer, Simulation, ec2_config
 from repro.codes import xorbas_lrc
+from repro.experiments import runner
 from repro.experiments.runner import (
     build_loaded_cluster,
+    make_schedule_injector,
     run_failure_schedule,
     schedule_run_key,
 )
 from repro.recovery import (
-    SNAPSHOT_SCHEMA,
     CheckpointPolicy,
     CheckpointStore,
     CorruptSnapshotError,
     FaultPlan,
     InjectedCrash,
+    SnapshotError,
+    snapshot,
 )
 from repro.recovery.equivalence import (
     assert_runs_equivalent,
@@ -134,70 +137,46 @@ class TestCheckpointStore:
 
 
 # ---------------------------------------------------------------------------
-# Simulation codec: named callbacks
+# Simulation codec: pickling
 # ---------------------------------------------------------------------------
+
+
+class _Recorder:
+    """A daemon stand-in whose timer is a bound method, so it pickles."""
+
+    def __init__(self) -> None:
+        self.order: list[str] = []
+
+    def first(self) -> None:
+        self.order.append("first")
 
 
 class TestSimulationCodec:
     def test_named_event_roundtrip(self):
-        sim = Simulation()
-        fired = []
-        sim.register_callback("tick", lambda: fired.append(sim.now))
-        sim.schedule_named(5.0, "tick")
-        state = sim.snapshot_state()
-
-        restored = Simulation()
-        restored.register_callback("tick", lambda: fired.append(restored.now))
-        restored.restore_state(state)
-        assert restored.now == sim.now
-        restored.run()
-        assert fired == [5.0]
+        """A daemon timer — a bound method, here with a label — survives
+        the pickle and fires at its original time."""
+        sim, recorder = Simulation(), _Recorder()
+        sim.schedule_at(5.0, recorder.first, name="tick")
+        sim, recorder = pickle.loads(snapshot((sim, recorder)))
+        assert [event.name for event in sim._queue] == ["tick"]
+        sim.run()
+        assert sim.now == 5.0 and recorder.order == ["first"]
 
     def test_restored_seq_preserves_tie_breaks(self):
-        """A restored event keeps its original seq, so a later-scheduled
+        """An unpickled event keeps its original seq, so a later-scheduled
         same-time event still fires after it."""
-        sim = Simulation()
-        sim.register_callback("first", lambda: None)
-        sim.schedule_named(1.0, "first")
-        state = sim.snapshot_state()
-
-        restored = Simulation()
-        order = []
-        restored.register_callback("first", lambda: order.append("first"))
-        restored.restore_state(state)
-        restored.schedule(1.0, lambda: order.append("second"))
-        restored.run()
-        assert order == ["first", "second"]
+        sim, recorder = Simulation(), _Recorder()
+        sim.schedule(1.0, recorder.first)
+        sim, recorder = pickle.loads(snapshot((sim, recorder)))
+        sim.schedule(1.0, lambda: recorder.order.append("second"))
+        sim.run()
+        assert recorder.order == ["first", "second"]
 
     def test_anonymous_live_event_refuses_snapshot(self):
         sim = Simulation()
         sim.schedule(1.0, lambda: None)
-        with pytest.raises(SnapshotError, match="anonymous"):
-            sim.snapshot_state()
-
-    def test_cancelled_anonymous_event_is_ignored(self):
-        sim = Simulation()
-        event = sim.schedule(1.0, lambda: None)
-        event.cancel()
-        assert sim.snapshot_state()["events"] == []
-
-    def test_restore_without_registration_refuses(self):
-        sim = Simulation()
-        sim.register_callback("tick", lambda: None)
-        sim.schedule_named(1.0, "tick")
-        state = sim.snapshot_state()
-        with pytest.raises(SnapshotError, match="tick"):
-            Simulation().restore_state(state)
-
-    def test_conflicting_rebind_rejected(self):
-        sim = Simulation()
-        sim.register_callback("tick", lambda: None)
-        with pytest.raises(ValueError, match="tick"):
-            sim.register_callback("tick", lambda: 1)
-
-    def test_schedule_named_requires_registration(self):
-        with pytest.raises(KeyError):
-            Simulation().schedule_named(1.0, "nobody")
+        with pytest.raises(SnapshotError, match="lambda.*quiescent"):
+            snapshot(sim)
 
 
 # ---------------------------------------------------------------------------
@@ -267,29 +246,14 @@ class TestPolicyAndPlans:
 
 
 # ---------------------------------------------------------------------------
-# Cluster snapshot overlay
+# Cluster snapshots
 # ---------------------------------------------------------------------------
 
 
-class TestClusterOverlay:
-    def test_blockindex_restore_rejects_mismatched_build(self):
-        small = build_loaded_cluster(
-            xorbas_lrc(), ec2_config(num_nodes=20), [640e6] * 2, seed=5
-        )
-        large = build_loaded_cluster(
-            xorbas_lrc(), ec2_config(num_nodes=20), [640e6] * 3, seed=5
-        )
-        state = small.namenode.index.snapshot_state()
-        with pytest.raises(ValueError, match="rebuilt"):
-            large.namenode.index.restore_state(state)
-
-    def test_snapshot_schema_is_checked(self, tmp_path):
-        import dataclasses
-
-        from repro.cluster import BlockFixer
-        from repro.experiments.runner import make_schedule_injector
-        from repro.recovery import restore_run, snapshot_run
-
+class TestClusterSnapshot:
+    def test_mid_repair_snapshot_raises(self):
+        """Repairs in flight leave closures queued: the snapshot refuses
+        and names the object, instead of writing an unrestorable file."""
         cluster = build_loaded_cluster(
             xorbas_lrc(), ec2_config(num_nodes=20), [640e6] * 2, seed=5
         )
@@ -297,11 +261,43 @@ class TestClusterOverlay:
         fixer.start()
         cluster.run(until=300.0)
         injector = make_schedule_injector(cluster, 5)
-        snapshot = snapshot_run("s", "key", 0, cluster, fixer, injector)
-        assert snapshot.schema == SNAPSHOT_SCHEMA
-        stale = dataclasses.replace(snapshot, schema=SNAPSHOT_SCHEMA + 1)
-        with pytest.raises(ValueError, match="schema"):
-            restore_run(stale, cluster, fixer, injector)
+        snapshot((cluster, fixer, injector, []))  # quiescent: pickles
+        injector.kill(2)
+        while not fixer.in_repair:
+            assert cluster.sim.step()
+        with pytest.raises(SnapshotError, match="local object.*quiescent"):
+            snapshot((cluster, fixer, injector, []))
+
+    def test_stale_source_fingerprint_is_not_resumed(
+        self, tmp_path, monkeypatch, spec_summary
+    ):
+        """A checkpoint keyed by another source fingerprint is never
+        read: the resume starts from scratch and still matches."""
+        store = CheckpointStore(tmp_path)
+        config = ec2_config(num_nodes=SMALL["num_nodes"])
+        sizes = [640e6] * SMALL["num_files"]
+        schedule = (SMALL["pattern"], SMALL["seed"], SMALL["event_gap"], 300.0)
+        fresh_key = schedule_run_key("HDFS-Xorbas", config, sizes, *schedule)
+        monkeypatch.setattr(runner, "source_fingerprint", lambda: "other code")
+        stale_key = schedule_run_key("HDFS-Xorbas", config, sizes, *schedule)
+        monkeypatch.undo()
+        assert stale_key != fresh_key
+        # Restoring this would crash the resume: it is not a pickled run.
+        store.write(stale_key, 1, b"written by other code")
+        run = run_failure_schedule(
+            "HDFS-Xorbas",
+            xorbas_lrc(),
+            config,
+            sizes,
+            SMALL["pattern"],
+            seed=SMALL["seed"],
+            event_gap=SMALL["event_gap"],
+            checkpoint=CheckpointPolicy(store),
+            resume=True,
+        )
+        assert_runs_equivalent(spec_summary, run.summary())
+        assert store.epochs(stale_key) == [1]
+        assert store.epochs(fresh_key) == [0, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -390,9 +386,8 @@ class TestKillResumeEquivalence:
 
     @pytest.mark.slow
     def test_seed_engines_equivalent_too(self, tmp_path, spec_summary):
-        """The scalar FairScheduler spec (the one oracle a failure
-        schedule exercises that still checkpoints) resumes identically —
-        and identically to the engine run."""
+        """The scalar FairScheduler spec resumes identically — and
+        identically to the engine run."""
         with with_specs("mapreduce"):
             spec = run_uninterrupted(**SMALL)
             resumed = run_with_kill_resume(tmp_path, **SMALL, kill_epoch=1)
@@ -420,19 +415,22 @@ with open(sys.argv[1], "wb") as fh:
 """
 
 
+def _run_python(script: str, hash_seed: str, *args: str) -> None:
+    """Run ``script`` in a fresh interpreter under ``PYTHONHASHSEED``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=pythonpath)
+    subprocess.run([sys.executable, "-c", script, *args], env=env, check=True)
+
+
 def test_results_do_not_depend_on_hash_seed(tmp_path):
     """Set and str-keyed hash order follow ``PYTHONHASHSEED``; simulated
     results must not.  Two processes with different hash seeds run the
     same schedules and must finish bit-identical."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     outputs = []
     for hash_seed in ("1", "2"):
         out = tmp_path / f"hash-seed-{hash_seed}.pkl"
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=pythonpath)
-        subprocess.run(
-            [sys.executable, "-c", _HASH_SEED_RUN, str(out)], env=env, check=True
-        )
+        _run_python(_HASH_SEED_RUN, hash_seed, str(out))
         with open(out, "rb") as fh:
             outputs.append(pickle.load(fh))
     (probe_a, runs_a), (probe_b, runs_b) = outputs
@@ -440,6 +438,45 @@ def test_results_do_not_depend_on_hash_seed(tmp_path):
     for scheme in ("HDFS-RS", "HDFS-Xorbas"):
         assert len(runs_a[scheme].events) >= 3
         assert_runs_equivalent(runs_a[scheme], runs_b[scheme])
+
+
+_CROSS_PROCESS_STEP = """
+import ast, pickle, sys
+from repro.cluster import ec2_config
+from repro.codes import xorbas_lrc
+from repro.experiments import runner
+from repro.recovery import CheckpointPolicy, CheckpointStore, FaultPlan, InjectedCrash
+step, root, out, small = sys.argv[1:]
+kw = ast.literal_eval(small)
+run = lambda **extra: runner.run_failure_schedule(
+    "HDFS-Xorbas", xorbas_lrc(), ec2_config(num_nodes=kw["num_nodes"]),
+    [640e6] * kw["num_files"], kw["pattern"], seed=kw["seed"],
+    event_gap=kw["event_gap"], checkpoint=CheckpointPolicy(CheckpointStore(root)),
+    **extra,
+)
+if step == "kill":
+    try:
+        run(fault_plan=FaultPlan(seed=5, kill_epochs=frozenset({1})))
+    except InjectedCrash:
+        sys.exit(0)
+    sys.exit("the fault plan did not fire")
+runner.build_loaded_cluster = None  # a resume unpickles; it never rebuilds
+with open(out, "wb") as fh:
+    pickle.dump(run(resume=True).summary(), fh)
+"""
+
+
+def test_kill_resume_across_processes(tmp_path, spec_summary):
+    """The ``repro ec2 --resume`` path: one process is killed after its
+    epoch-1 checkpoint, a second one with another hash seed resumes
+    from it, and the result matches the uninterrupted run."""
+    out = tmp_path / "resumed.pkl"
+    for hash_seed, step in (("1", "kill"), ("2", "resume")):
+        _run_python(
+            _CROSS_PROCESS_STEP, hash_seed, step, str(tmp_path), str(out), repr(SMALL)
+        )
+    with open(out, "rb") as fh:
+        assert_runs_equivalent(spec_summary, pickle.load(fh))
 
 
 _SWEEP_PATTERN = (1, 2, 1)
@@ -456,17 +493,18 @@ def _sweep_spec(specs: tuple):
 
 
 @pytest.mark.slow
-@settings(max_examples=6, deadline=None)
+@settings(max_examples=8, deadline=None)
 @given(
     kill_epoch=st.integers(min_value=0, max_value=len(_SWEEP_PATTERN) - 1),
-    specs=st.sampled_from([(), ("mapreduce",)]),
+    specs=st.sampled_from([(), ("mapreduce",), ("network",), ("namenode",)]),
 )
 def test_kill_resume_equivalent_at_every_kill_point(
     tmp_path_factory, kill_epoch, specs
 ):
-    """Hypothesis-swept kill points x (engine, scalar-spec scheduler):
-    equivalence holds wherever the crash lands."""
-    scratch = tmp_path_factory.mktemp(f"kill{kill_epoch}-{len(specs)}")
+    """Hypothesis-swept kill points x (engines, or the scalar spec of
+    the scheduler, the fabric or the metadata plane): equivalence holds
+    wherever the crash lands."""
+    scratch = tmp_path_factory.mktemp(f"kill{kill_epoch}-{'-'.join(specs)}")
     with with_specs(*specs):
         resumed = run_with_kill_resume(
             scratch,

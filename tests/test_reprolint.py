@@ -216,7 +216,7 @@ class TestSelfApplication:
 
     def test_every_rule_documented(self):
         assert set(RULE_DESCRIPTIONS) == {
-            "RL001", "RL003", "RL006", "RL009", "RL010", "RL011",
+            "RL001", "RL003", "RL006", "RL009", "RL011",
         }
         file_rule_codes = {rule.code for rule in FILE_RULES()}
         assert file_rule_codes == {"RL001", "RL006"}

@@ -1,9 +1,8 @@
-"""Whole-program reprolint: dataflow, project graph, RL009-RL011.
+"""Whole-program reprolint: dataflow, project graph, RL009 and RL011.
 
 Each rule gets a seeded-mutation test: a synthetic mini-repo that is
-clean, plus the one-line mutation the rule exists to catch (drop a
-snapshot field, add an unhashed config field, launder a constant seed
-through a helper) — proving the rule actually fires, not just that the
+clean, plus the one-line mutation the rule exists to catch (add an
+unhashed config field, launder a constant seed through a helper) — proving the rule actually fires, not just that the
 real repo is quiet.
 """
 
@@ -206,60 +205,6 @@ class TestSeedProvenance:
 
 
 # ---------------------------------------------------------------------------
-# RL010: snapshot coverage (mutation: drop a field from snapshot_state)
-# ---------------------------------------------------------------------------
-
-
-SNAPSHOT_TEMPLATE = (
-    "class Engine:\n"
-    "    def __init__(self):\n"
-    "        self.count = 0\n"
-    "        self.backlog = 0\n"
-    "    def advance(self):\n"
-    "        self.count += 1\n"
-    "        self.backlog += 1\n"
-    "    def snapshot_state(self):\n"
-    "        return {%s}\n"
-    "    def restore_state(self, state):\n"
-    "        self.count = state['count']\n"
-)
-
-
-class TestSnapshotCoverage:
-    def codes_for(self, tmp_path, source):
-        graph, _, _ = analyze(make_repo(tmp_path, {"src/repro/eng.py": source}))
-        return project_codes(graph, {"RL010"})
-
-    def test_clean_when_all_captured(self, tmp_path):
-        source = SNAPSHOT_TEMPLATE % "'count': self.count, 'backlog': self.backlog"
-        assert self.codes_for(tmp_path, source) == []
-
-    def test_mutation_dropped_field_fires(self, tmp_path):
-        # The acceptance mutation: remove one field from the snapshot
-        # dict and the kill-resume contract silently loses it.
-        source = SNAPSHOT_TEMPLATE % "'count': self.count"
-        found_codes = self.codes_for(tmp_path, source)
-        assert found_codes == ["RL010"]
-
-    def test_transient_mark_excuses(self, tmp_path):
-        source = (SNAPSHOT_TEMPLATE % "'count': self.count").replace(
-            "self.backlog = 0",
-            "self.backlog = 0  # reprolint: transient",
-        )
-        assert self.codes_for(tmp_path, source) == []
-
-    def test_non_snapshot_class_ignored(self, tmp_path):
-        source = (
-            "class Plain:\n"
-            "    def __init__(self):\n"
-            "        self.x = 0\n"
-            "    def advance(self):\n"
-            "        self.x += 1\n"
-        )
-        assert self.codes_for(tmp_path, source) == []
-
-
-# ---------------------------------------------------------------------------
 # RL011: cache-key completeness (mutation: add an unhashed config field)
 # ---------------------------------------------------------------------------
 
@@ -342,9 +287,9 @@ class TestCacheKeyCompleteness:
 
 class TestCliModes:
     def test_explain_known_rule(self, capsys):
-        assert lint_main(["--explain", "RL010"]) == 0
+        assert lint_main(["--explain", "RL011"]) == 0
         out = capsys.readouterr().out
-        assert "RL010" in out and "Contract:" in out and "Escape hatch:" in out
+        assert "RL011" in out and "Contract:" in out and "Escape hatch:" in out
 
     def test_explain_unknown_rule(self, capsys):
         assert lint_main(["--explain", "RL999"]) == 2
