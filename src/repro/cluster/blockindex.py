@@ -276,6 +276,24 @@ class BlockIndex:
             self.missing[row] = False
             self.missing_count -= 1
 
+    def place_rows(self, rows: np.ndarray | slice, nodes: np.ndarray) -> None:
+        """:meth:`place` for distinct ``rows`` (an index array or a
+        slice), pairwise with a non-empty ``nodes``."""
+        previous = self.node[rows]
+        self.stored_count += len(nodes)
+        if previous.max() >= 0:  # re-placements: the blocks move
+            moved = previous[previous >= 0]
+            self.node_block_count -= np.bincount(
+                moved, minlength=len(self.node_ids)
+            )
+            self.stored_count -= moved.size
+        self.node[rows] = nodes
+        self.node_block_count += np.bincount(nodes, minlength=len(self.node_ids))
+        cleared = int(np.count_nonzero(self.missing[rows]))
+        if cleared:
+            self.missing[rows] = False
+            self.missing_count -= cleared
+
     def unplace(self, row: int) -> None:
         node_idx = self.node[row]
         if node_idx >= 0:

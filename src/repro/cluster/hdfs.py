@@ -70,6 +70,13 @@ class HadoopCluster:
             else None
         )
         self.namenode = self.namenode_cls(node_ids, self.rng, rack_of=rack_of)
+        # Rack of each node index, for placement's rack spread.
+        self._num_racks = config.num_racks
+        self._node_rack = (
+            np.array([rack_of[node_id] for node_id in node_ids])
+            if rack_of
+            else None
+        )
         self.network = self.network_cls(
             self.sim,
             self.metrics,
@@ -134,62 +141,72 @@ class HadoopCluster:
         for name in self.files:
             self.raid_file_instant(name)
 
-    def _stripe_node_set(self, stripe: Stripe) -> set[str]:
-        """Nodes already holding any placed block of the stripe."""
-        return self.namenode.stripe_node_set(stripe)
+    def _used_nodes(self, stripe: Stripe) -> np.ndarray:
+        """Bool mask over node indices: nodes already holding a placed
+        block of the stripe.  One trailing slot absorbs the -1 of
+        unplaced positions."""
+        used = np.zeros(len(self.namenode.node_ids) + 1, dtype=bool)
+        used[self.namenode.stripe_nodes(stripe)] = True
+        return used
 
-    def _rack_spread_order(self, candidates, stripe: Stripe) -> list:
-        """Order candidates so racks the stripe uses least come first.
+    def _rack_spread_order(
+        self, candidates: np.ndarray, used: np.ndarray
+    ) -> np.ndarray:
+        """Order candidate node indices so racks the stripe uses least
+        come first.
 
         Section 4: "all coded blocks of a stripe are placed in different
         racks to provide higher fault tolerance" — and it is what makes
-        every repair download cross-rack traffic.
+        every repair download cross-rack traffic.  The candidates are
+        shuffled by one ``rng.permutation``.  With racks, a node's key is
+        its rack's usage by the stripe plus its rank within its rack in
+        shuffled order, and the lexsort by (key, shuffled position) is the
+        greedy "take a node from the least-used rack" order.
         """
-        rack_of = self.namenode.rack_of
-        if not rack_of:
-            order = self.rng.permutation(len(candidates))
-            return [candidates[i] for i in order]
-        usage: dict[int, int] = {}
-        for node_id in self._stripe_node_set(stripe):
-            rack = rack_of.get(node_id)
-            usage[rack] = usage.get(rack, 0) + 1
-        shuffled = [candidates[i] for i in self.rng.permutation(len(candidates))]
-        ordered: list = []
-        # Repeatedly take a node from the least-used rack available.
-        remaining = list(shuffled)
-        while remaining:
-            pick = min(remaining, key=lambda n: usage.get(rack_of.get(n.node_id), 0))
-            ordered.append(pick)
-            remaining.remove(pick)
-            rack = rack_of.get(pick.node_id)
-            usage[rack] = usage.get(rack, 0) + 1
-        return ordered
+        shuffled = candidates[self.rng.permutation(len(candidates))]
+        node_rack = self._node_rack
+        if node_rack is None:
+            return shuffled
+        racks = node_rack[shuffled]
+        usage = np.bincount(node_rack[used[:-1]], minlength=self._num_racks)
+        position = np.arange(len(racks))
+        by_rack = np.argsort(racks, kind="stable")
+        grouped = racks[by_rack]
+        rank = np.empty_like(by_rack)
+        rank[by_rack] = position - np.searchsorted(grouped, grouped)
+        return shuffled[np.lexsort((position, usage[racks] + rank))]
 
     def _place_positions(self, stripe: Stripe, positions: Sequence[int]) -> None:
         """Place blocks on distinct nodes, avoiding the stripe's nodes
-        and spreading across racks."""
-        used = self._stripe_node_set(stripe)
+        and spreading across racks.
+
+        Collocates only when the free nodes are too few; a stripe wider
+        than the whole pool cycles through the order, so every block is
+        placed."""
+        used = self._used_nodes(stripe)
         pool = self.namenode.placement_candidates()
-        candidates = [n for n in pool if n.node_id not in used]
+        candidates = pool[~used[pool]]
         to_place = [p for p in positions if not stripe.is_virtual(p)]
         if len(candidates) < len(to_place):
             candidates = pool  # fall back: allow collocation
-        if not candidates:
+        if not candidates.size:
             raise PlacementError("no alive DataNodes to place blocks on")
-        ordered = self._rack_spread_order(candidates, stripe)
-        for position, node in zip(to_place, ordered):
-            self.namenode.add_block(stripe.block_id(position), node.node_id)
+        ordered = self._rack_spread_order(candidates, used)
+        if len(ordered) < len(to_place):
+            ordered = np.resize(ordered, len(to_place))
+        self.namenode.place_blocks(stripe, to_place, ordered[: len(to_place)])
 
     def choose_repair_target(self, stripe: Stripe, position: int) -> str:
         """Placement policy for a rebuilt block (avoid stripe collocation)."""
-        used = self._stripe_node_set(stripe)
+        used = self._used_nodes(stripe)
         pool = self.namenode.placement_candidates()
-        candidates = [n for n in pool if n.node_id not in used]
-        if not candidates:
+        candidates = pool[~used[pool]]
+        if not candidates.size:
             candidates = pool
-        if not candidates:
+        if not candidates.size:
             raise PlacementError("no alive DataNodes for repair target")
-        return self._rack_spread_order(candidates, stripe)[0].node_id
+        first = self._rack_spread_order(candidates, used)[0]
+        return self.namenode.node_ids[first]
 
     # ---------------------------------------------------------------- failures
 

@@ -67,6 +67,11 @@ class MapReduceJob:
         for task in self.tasks:
             task.job = self
         self.pending: deque[Task] = deque(self.tasks)
+        #: Pending tasks per preferred node: a node no pending task
+        #: prefers skips the locality scan.
+        self._pending_local: dict[str | None, int] = {}
+        for task in self.tasks:
+            self._count_pending(task.preferred_node, 1)
         self.running: set[Task] = set()
         self.completed = 0
         self.failed_attempts = 0
@@ -89,16 +94,33 @@ class MapReduceJob:
     def has_pending(self) -> bool:
         return bool(self.pending)
 
+    def _count_pending(self, node_id: str | None, delta: int) -> None:
+        counts = self._pending_local
+        counts[node_id] = counts.get(node_id, 0) + delta
+
     def take_task(self, node_id: str) -> Task | None:
-        """Pop a pending task, preferring data-local ones for the node."""
-        if not self.pending:
+        """Pop a pending task, preferring data-local ones for the node.
+
+        The queue rotates to the first task local to the node; with none
+        pending the full rotation would be the identity, so the head is
+        taken directly.
+        """
+        pending = self.pending
+        if not pending:
             return None
-        for _ in range(len(self.pending)):
-            task = self.pending[0]
-            if task.preferred_node == node_id:
-                return self.pending.popleft()
-            self.pending.rotate(-1)
-        return self.pending.popleft()
+        if self._pending_local.get(node_id):
+            for _ in range(len(pending)):
+                if pending[0].preferred_node == node_id:
+                    break
+                pending.rotate(-1)
+        task = pending.popleft()
+        self._count_pending(task.preferred_node, -1)
+        return task
+
+    def requeue(self, task: Task) -> None:
+        """Put a failed attempt back at the tail of the pending queue."""
+        self.pending.append(task)
+        self._count_pending(task.preferred_node, 1)
 
     @property
     def elapsed(self) -> float:
@@ -225,7 +247,7 @@ class JobTracker:
         else:
             job.failed_attempts += 1
             task.executor = None
-            job.pending.append(task)
+            job.requeue(task)
         self._request_pass()
 
     # -- failure handling -------------------------------------------------------

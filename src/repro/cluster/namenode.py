@@ -21,7 +21,7 @@ backing store.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -47,15 +47,20 @@ class NameNodeAPI:
     rng: np.random.Generator
     rack_of: dict[str, int]
     stripes: dict[tuple[str, int], Stripe]
+    #: Node ids in node-index order: placement speaks node indices.
+    node_ids: list[str]
 
     # -- topology ---------------------------------------------------------------
 
     def alive_nodes(self):
         return [n for n in self.nodes.values() if n.alive]
 
-    def placement_candidates(self):
-        """Nodes eligible to receive new blocks (alive, not retiring)."""
-        return [n for n in self.nodes.values() if n.alive and not n.decommissioning]
+    def placement_candidates(self) -> np.ndarray:
+        """Indices of the nodes eligible to receive new blocks (alive,
+        not retiring), ascending."""
+        return np.flatnonzero(
+            [n.alive and not n.decommissioning for n in self.nodes.values()]
+        )
 
     def node(self, node_id: str):
         return self.nodes[node_id]
@@ -77,19 +82,32 @@ class NameNodeAPI:
         self.register_stripe(stripe)
         positions = stripe.stored_positions()
         candidates = self.placement_candidates()
-        if not candidates:
+        if not candidates.size:
             raise PlacementError("no alive DataNodes")
         distinct = len(candidates) >= len(positions)
-        if distinct:
-            chosen = self.rng.choice(
-                len(candidates), size=len(positions), replace=False
-            )
-        else:
-            chosen = self.rng.choice(
-                len(candidates), size=len(positions), replace=True
-            )
-        for position, node_index in zip(positions, chosen):
-            self.add_block(stripe.block_id(position), candidates[node_index].node_id)
+        chosen = self.rng.choice(
+            len(candidates), size=len(positions), replace=not distinct
+        )
+        self.place_blocks(stripe, positions, candidates[chosen])
+
+    def place_blocks(
+        self, stripe: Stripe, positions: Sequence[int], nodes: np.ndarray
+    ) -> None:
+        """Store the blocks at ``positions`` (ascending) on the node
+        indices ``nodes``, pairwise; raises :class:`PlacementError` if a
+        node is dead."""
+        node_ids = self.node_ids
+        for position, node in zip(positions, nodes.tolist()):
+            self.add_block(stripe.block_id(position), node_ids[node])
+
+    def stripe_nodes(self, stripe: Stripe) -> np.ndarray:
+        """Indices of the nodes holding a placed block of the stripe;
+        an entry may be -1 (an unplaced position)."""
+        node_index = {node_id: i for i, node_id in enumerate(self.node_ids)}
+        return np.array(
+            [node_index[node_id] for node_id in self.stripe_node_set(stripe)],
+            dtype=np.int64,
+        )
 
     # -- liveness ----------------------------------------------------------------
 
@@ -254,6 +272,7 @@ class NameNode(NameNodeAPI):
         if not node_ids:
             raise ValueError("cluster needs at least one DataNode")
         self.index = BlockIndex(node_ids)
+        self.node_ids = self.index.node_ids
         self.nodes: dict[str, DataNode] = {
             node_id: DataNode(node_id, self.index, i)
             for i, node_id in enumerate(node_ids)
@@ -285,6 +304,44 @@ class NameNode(NameNodeAPI):
                 f"{block} belongs to no registered stripe; register it first"
             )
         self.index.place(row, node_idx)
+
+    def placement_candidates(self) -> np.ndarray:
+        # The flatnonzero of a 1-D mask, minus its ravel wrapper: this
+        # runs once per placement, ~10^5 times in a large load.
+        index = self.index
+        return (index.node_alive & ~index.node_decommissioning).nonzero()[0]
+
+    def place_blocks(
+        self, stripe: Stripe, positions: Sequence[int], nodes: np.ndarray
+    ) -> None:
+        index = self.index
+        count = len(positions)
+        if np.count_nonzero(index.node_alive[nodes]) != count:
+            raise PlacementError(
+                f"cannot place blocks of {stripe.file_name}/s{stripe.index} "
+                "on a dead node"
+            )
+        rows = index.stripe_rows(stripe)
+        if rows is None:
+            raise KeyError(
+                f"stripe {stripe.file_name}/s{stripe.index} is not "
+                "registered; register it first"
+            )
+        if not count:
+            return
+        first = rows.start + positions[0]
+        if positions[-1] - positions[0] == count - 1:
+            # Ascending and this close together: one run of rows, which
+            # a slice addresses without a fancy-index round trip.
+            index.place_rows(slice(first, first + count), nodes)
+        else:
+            index.place_rows(rows.start + np.asarray(positions), nodes)
+
+    def stripe_nodes(self, stripe: Stripe) -> np.ndarray:
+        rows = self.index.stripe_rows(stripe)
+        if rows is None:
+            return np.empty(0, dtype=np.int32)
+        return self.index.node[rows]
 
     def remove_block(self, block: BlockId) -> None:
         row = self.index.row_of(block)

@@ -1,4 +1,4 @@
-"""The eleven spec/engine pairs, declared in one place.
+"""The twelve spec/engine pairs, declared in one place.
 
 :func:`engine_matrix` is the single source of truth for the README
 "Spec/engine pairs" table and reprolint's RL003.
@@ -65,6 +65,11 @@ PAIRS = (
         "recovery",
         spec="repro.recovery.equivalence.run_uninterrupted",
         engine="repro.recovery.equivalence.run_with_kill_resume",
+    ),
+    EnginePair(
+        "placement",
+        spec="repro.spec.placement.place_positions_seed",
+        engine="repro.cluster.hdfs.HadoopCluster._place_positions",
     ),
     EnginePair(
         "raidnode",

@@ -24,6 +24,7 @@ from .degraded import DegradedReadSimulation
 from .montecarlo import estimate_mttdl_loop, simulate_time_to_absorption
 from .namenode import DictDataNode, DictNameNode
 from .network import Network, Transfer
+from .placement import choose_repair_target_seed, place_positions_seed
 from .scrubber import Scrubber
 from .xorplane import xor_encode
 
@@ -35,7 +36,9 @@ __all__ = [
     "Network",
     "Scrubber",
     "Transfer",
+    "choose_repair_target_seed",
     "estimate_mttdl_loop",
+    "place_positions_seed",
     "plan_pass_seed",
     "plan_recreates_seed",
     "scan_candidates_seed",
@@ -54,15 +57,19 @@ class _FullRescan:
         pass  # the full rescan reads ``stored.raided`` itself
 
 
-#: subsystem -> (owner class, its one production binding, the spec).
+#: subsystem -> its production bindings, each (owner class, attribute, spec).
 _SPEC_BINDINGS = {
-    "network": (HadoopCluster, "network_cls", Network),
-    "namenode": (HadoopCluster, "namenode_cls", DictNameNode),
-    "mapreduce": (JobTracker, "plan_pass", staticmethod(plan_pass_seed)),
-    "raidnode": (RaidNode, "scan_index_cls", _FullRescan),
-    "scrubber": (ScrubberDaemon, "make_scanner", Scrubber),
+    "network": ((HadoopCluster, "network_cls", Network),),
+    "namenode": ((HadoopCluster, "namenode_cls", DictNameNode),),
+    "placement": (
+        (HadoopCluster, "_place_positions", place_positions_seed),
+        (HadoopCluster, "choose_repair_target", choose_repair_target_seed),
+    ),
+    "mapreduce": ((JobTracker, "plan_pass", staticmethod(plan_pass_seed)),),
+    "raidnode": ((RaidNode, "scan_index_cls", _FullRescan),),
+    "scrubber": ((ScrubberDaemon, "make_scanner", Scrubber),),
     "decommission": (
-        DecommissionManager, "plan_recreates", staticmethod(plan_recreates_seed)
+        (DecommissionManager, "plan_recreates", staticmethod(plan_recreates_seed)),
     ),
 }
 
@@ -71,8 +78,8 @@ _SPEC_BINDINGS = {
 def with_specs(*subsystems: str) -> Iterator[None]:
     """Run the named subsystems on their scalar specs inside the block.
 
-    Each subsystem's production binding is a plain class attribute; the
-    block rebinds it to the spec and restores it on exit.  Build *and
+    Each subsystem's production bindings are plain class attributes; the
+    block rebinds them to the spec and restores them on exit.  Build *and
     run* the cluster inside the block — directly or through a harness
     such as ``run_failure_schedule`` (the planner bindings are looked up
     per call).  The vectorized decommission planner reads the columnar
@@ -86,9 +93,9 @@ def with_specs(*subsystems: str) -> Iterator[None]:
     saved = []
     try:
         for name in subsystems:
-            owner, attr, spec = _SPEC_BINDINGS[name]
-            saved.append((owner, attr, vars(owner)[attr]))
-            setattr(owner, attr, spec)
+            for owner, attr, spec in _SPEC_BINDINGS[name]:
+                saved.append((owner, attr, vars(owner)[attr]))
+                setattr(owner, attr, spec)
         yield
     finally:
         for owner, attr, production in reversed(saved):

@@ -48,6 +48,7 @@ class DictNameNode(NameNodeAPI):
         self.nodes: dict[str, DictDataNode] = {
             node_id: DictDataNode(node_id) for node_id in node_ids
         }
+        self.node_ids = list(node_ids)
         self.rack_of = rack_of or {}
         self.rng = rng
         self.block_locations: dict[BlockId, str] = {}

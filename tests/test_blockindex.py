@@ -142,10 +142,15 @@ class TestDifferentialProperty:
             elif op == "readd":
                 missing = sorted(reference.missing_blocks)
                 candidates = reference.placement_candidates()
-                if not missing or not candidates:
+                np.testing.assert_array_equal(
+                    columnar.placement_candidates(), candidates
+                )
+                if not missing or not candidates.size:
                     continue
                 block = missing[ops_rng.integers(len(missing))]
-                target = candidates[ops_rng.integers(len(candidates))].node_id
+                target = reference.node_ids[
+                    candidates[ops_rng.integers(len(candidates))]
+                ]
                 columnar.add_block(block, target)
                 reference.add_block(block, target)
             elif op == "decom":

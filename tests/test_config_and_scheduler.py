@@ -1,6 +1,10 @@
 """Unit tests for cluster configuration and scheduler details."""
 
+from collections import deque
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import HadoopCluster, MapReduceJob, Task, ec2_config, facebook_config
 from repro.cluster.blocks import block_kind
@@ -66,6 +70,46 @@ class TestJobMechanics:
         job = MapReduceJob("j", tasks)
         seen = {job.take_task("n3").preferred_node for _ in range(5)}
         assert seen == {f"n{i}" for i in range(5)}
+
+    @staticmethod
+    def rotate_scan(pending: deque, node_id: str):
+        """The take_task the per-node pending counts shortcut: rotate to
+        the first task local to the node, else take the head."""
+        if not pending:
+            return None
+        for _ in range(len(pending)):
+            if pending[0].preferred_node == node_id:
+                return pending.popleft()
+            pending.rotate(-1)
+        return pending.popleft()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        preferences=st.lists(st.sampled_from([None, "n0", "n1", "n2"]), max_size=12),
+        ops=st.lists(
+            st.tuples(st.sampled_from(["take", "requeue"]), st.integers(0, 100)),
+            max_size=40,
+        ),
+    )
+    def test_take_task_matches_rotate_scan(self, preferences, ops):
+        """Same picks and same final queue order as the full rotate-scan,
+        with failed attempts re-queued in between and nodes (n3, n4) no
+        task prefers."""
+        job = MapReduceJob("j", [Task(preferred_node=p) for p in preferences])
+        reference = deque(job.pending)
+        taken = []
+        for op, value in ops:
+            if op == "take":
+                node_id = f"n{value % 5}"
+                task = job.take_task(node_id)
+                assert task is self.rotate_scan(reference, node_id)
+                if task is not None:
+                    taken.append(task)
+            elif taken:
+                task = taken.pop(value % len(taken))
+                job.requeue(task)
+                reference.append(task)
+            assert list(job.pending) == list(reference)
 
     def test_weight_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -137,7 +137,7 @@ class TestScheduleProtocol:
 
 
 class TestRegistry:
-    def test_all_eleven_pairs_registered(self):
+    def test_all_twelve_pairs_registered(self):
         subsystems = {pair.subsystem for pair in engine_matrix()}
         assert subsystems == {
             "montecarlo",
@@ -150,6 +150,7 @@ class TestRegistry:
             "decommission",
             "mapreduce",
             "raidnode",
+            "placement",
             "recovery",
         }
         assert [f.name for f in dataclasses.fields(EnginePair)] == [
@@ -300,14 +301,14 @@ class TestCompareSpeed:
         assert recorded == []
 
     def test_pair_benches_assert_no_wall_clock_floor(self):
-        """The eleven spec/engine benches record their ratio and assert
+        """The twelve spec/engine benches record their ratio and assert
         nothing about it.  (The paper-figure benches assert *simulated*
         ratios — claims about the paper — and are not in this list.)"""
         bench_dir = Path(__file__).resolve().parents[1] / "benchmarks"
         stems = (
             "blockindex", "codec_engine", "xor_kernels", "network",
             "readservice", "montecarlo_engine", "scrubber", "decommission",
-            "fairscheduler", "raidnode", "recovery",
+            "fairscheduler", "raidnode", "placement", "recovery",
         )
         floors = []
         for stem in stems:

@@ -201,14 +201,14 @@ class TestSelfApplication:
             f"{v.location()}: {v.rule} {v.message}" for v in violations
         )
 
-    def test_rl003_covers_all_eleven_pairs(self):
+    def test_rl003_covers_all_twelve_pairs(self):
         project, _, _ = analyze_paths([ROOT / "tests"], ROOT)
-        assert len(project.pairs) == 11
+        assert len(project.pairs) == 12
         subsystems = {pair.subsystem for pair, _ in project.pairs}
         assert subsystems == {
             "montecarlo", "codec", "xorplane", "blockindex", "network",
             "readservice", "scrubber", "decommission", "mapreduce",
-            "raidnode", "recovery",
+            "raidnode", "placement", "recovery",
         }
         for pair, line in project.pairs:
             assert line > 1, pair  # anchored to its registration
