@@ -1,8 +1,8 @@
 """The checkpoint-resume recovery plane: resume vs rerun.
 
 Checkpoints exist so a crashed experiment does not pay for its completed
-epochs twice.  This bench records that as a ratio: with every epoch's
-snapshot on disk, a failure-schedule run resumed at its final epoch
+epochs twice.  This bench records that as a ratio: with the last
+epochs' snapshots on disk, a failure-schedule run resumed at its final epoch
 boundary must produce results element-identical to re-running the
 whole schedule from scratch, which is the kill-resume equivalence
 contract (``repro.recovery.equivalence``) applied to the performance
@@ -21,7 +21,7 @@ from repro.cluster import ec2_config
 from repro.codes import xorbas_lrc
 from repro.difftest import compare_speed
 from repro.experiments.runner import run_failure_schedule
-from repro.recovery import CheckpointPolicy, CheckpointStore
+from repro.recovery import ResultCache
 from repro.recovery.equivalence import assert_runs_equivalent
 
 from conftest import record_metric, write_report
@@ -49,14 +49,12 @@ def _run(checkpoint=None, resume=False):
 
 def test_resume_beats_full_rerun_with_identical_results():
     with tempfile.TemporaryDirectory(prefix="bench-recovery-") as scratch:
-        policy = CheckpointPolicy(
-            CheckpointStore(scratch), interval_epochs=1, keep=len(PATTERN)
-        )
-        _run(checkpoint=policy)  # populate every epoch's snapshot
+        store = ResultCache(scratch)
+        _run(checkpoint=store)  # leaves the final epoch's snapshot
         record = compare_speed(
             "recovery_resume",
             spec_fn=_run,
-            engine_fn=lambda: _run(checkpoint=policy, resume=True),
+            engine_fn=lambda: _run(checkpoint=store, resume=True),
             compare=assert_runs_equivalent,
             metrics=record_metric,
             report=lambda line: write_report("recovery.txt", line),

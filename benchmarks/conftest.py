@@ -4,7 +4,7 @@ The EC2 simulations are the expensive part (tens of seconds each), and
 Figures 4, 5 and 6 all view the same runs, so results go through the
 parallel experiment runner: independent (scheme, size) configurations
 fan across ``multiprocessing`` workers and land in an on-disk cache
-keyed by configuration hash.  Repeated benchmark sessions — and any
+keyed by the configuration and source hash.  Repeated benchmark sessions — and any
 other process asking for the same configuration — reuse the cached
 results instead of re-simulating; an in-process memo on top avoids
 re-reading pickles within one session.

@@ -225,7 +225,7 @@ def _config_class_facts(node: ast.ClassDef) -> ConfigClassFacts | None:
     return ConfigClassFacts(name=node.name, line=node.lineno, fields=tuple(fields))
 
 
-_KEY_BUILDER_NAME = re.compile(r"(_config$|_run_key$|_cache_key$|^key_for$|^config_hash$)")
+_KEY_BUILDER_NAME = re.compile(r"(_config$|_run_key$|_cache_key$|^result_key$|^config_hash$)")
 
 
 def _key_builder_facts(node: ast.FunctionDef) -> KeyBuilderFacts | None:

@@ -12,7 +12,7 @@ table:
 * **RL011 cache-key completeness** — every ``ClusterConfig``/
   ``DegradedReadConfig`` field must reach a cache-key builder
   (``config_hash``/``schedule_run_key``-style) or sit on the documented
-  exclusion list (``checkpoint_*`` policy knobs, ``_*`` runtime keys).
+  exclusion list (``_*`` runtime keys).
 """
 
 from __future__ import annotations
@@ -201,42 +201,38 @@ class CacheKeyCompletenessRule(ProjectRule):
     result by a hash of config fields; a field that never reaches any
     key builder makes two *different* experiments share one cache entry
     — wrong results, not a crash.  Fields may be excluded only under
-    the documented prefixes: ``checkpoint_*`` (snapshot-policy knobs
-    must not orphan on-disk checkpoints) and ``_*`` (runtime plumbing).
+    the documented prefix ``_*`` (runtime plumbing); a key builder that
+    filters any other prefix out of ``asdict`` leaves those fields
+    unkeyed.
     """
 
     code = "RL011"
     description = (
         "cache-key completeness: every ClusterConfig/DegradedReadConfig "
         "field must reach config_hash/schedule_run_key (or another key "
-        "builder) or match the documented exclusions checkpoint_*/_*"
+        "builder) or match the documented exclusion _*"
     )
     #: Config dataclasses whose fields feed cached experiment identity.
     target_configs = ("ClusterConfig", "DegradedReadConfig")
-    #: The documented exclusion list: checkpoint policy knobs (excluded
-    #: so retuning snapshot cadence doesn't orphan checkpoints already
-    #: on disk) and underscore-prefixed runtime plumbing (_runtime).
-    documented_exclusions = ("checkpoint_", "_")
+    #: The documented exclusion: underscore-prefixed runtime plumbing
+    #: (_runtime).
+    documented_exclusions = ("_",)
     contract = (
         "Every field of ClusterConfig and DegradedReadConfig must be "
         "incorporated into a cache key: via asdict(config) in a key "
-        "builder (config_hash / schedule_run_key / *_config / key_for), "
+        "builder (config_hash / schedule_run_key / *_config / result_key), "
         "via direct attribute access, or as a literal dict key.  The only "
-        "sanctioned exclusions are the documented prefixes checkpoint_* "
-        "(snapshot policy must not orphan on-disk checkpoints) and _* "
-        "(runtime plumbing).  An unkeyed field lets two different "
+        "sanctioned exclusion is the documented prefix _* (runtime "
+        "plumbing); a builder that filters another prefix out of asdict "
+        "leaves those fields unkeyed.  An unkeyed field lets two different "
         "experiments share one cache entry — wrong results, not a crash."
     )
     example_bad = (
-        "@dataclass(frozen=True)\n"
-        "class ClusterConfig:\n"
-        "    new_knob: float = 1.0  # never reaches any key builder"
-    )
-    example_good = (
         "fields = {k: v for k, v in asdict(config).items()\n"
-        "          if not k.startswith('checkpoint_')}\n"
+        "          if not k.startswith('checkpoint_')}  # checkpoint_* unkeyed\n"
         "return config_hash({'config': fields, ...})"
     )
+    example_good = "return config_hash({'config': asdict(config), ...})"
     escape = "# reprolint: disable=RL011 on the field line"
 
     def check(self, graph):
@@ -285,7 +281,7 @@ class CacheKeyCompletenessRule(ProjectRule):
                         f"{cfg.name}.{field_name} never reaches a cache-key "
                         "builder (config_hash/schedule_run_key/...) and is "
                         "not on the documented exclusion list "
-                        "(checkpoint_*, _*): two different experiments "
+                        "(_*): two different experiments "
                         "would share one cached result",
                     )
         return violations

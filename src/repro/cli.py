@@ -77,7 +77,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=_positive_int,
         default=None,
-        help="worker processes for the scheme runs (default: CPU count)",
+        help=(
+            "worker processes for the scheme runs (default: $REPRO_JOBS, "
+            "else the CPU count)"
+        ),
     )
     ec2.add_argument(
         "--cache-dir",
@@ -315,11 +318,16 @@ def _cmd_ec2(args: argparse.Namespace) -> int:
     from .cluster import EC2_FAILURE_PATTERN
     from .experiments import ResultCache, format_table, run_ec2_experiment_parallel
     from .experiments.ec2 import DEFAULT_PAYLOAD_BYTES, ec2_files_for_blocks
+    from .experiments.parallel import default_jobs
 
     _require_survivors(args, "EC2_FAILURE_PATTERN", EC2_FAILURE_PATTERN)
     if args.resume and not args.checkpoint_dir:
         args.usage_error("--resume requires --checkpoint-dir")
-    files, jobs, cache_dir = args.files, args.jobs, args.cache_dir
+    try:
+        jobs = args.jobs or default_jobs()
+    except ValueError as exc:
+        args.usage_error(str(exc))
+    files, cache_dir = args.files, args.cache_dir
     payload_bytes = args.payload_bytes
     if payload_bytes is None:
         payload_bytes = DEFAULT_PAYLOAD_BYTES

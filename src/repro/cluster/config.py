@@ -84,15 +84,6 @@ class ClusterConfig:
     # default seed anywhere in the failure path.
     failure_seed: int | None = None
 
-    # --- checkpointing -------------------------------------------------------
-    # The recovery plane (repro.recovery) snapshots the full simulator
-    # state at quiescent epoch boundaries of a failure schedule.  These
-    # knobs shape the CheckpointPolicy when a checkpoint directory is in
-    # play; they never influence simulation results and are deliberately
-    # excluded from experiment cache keys.
-    checkpoint_interval_epochs: int = 1  # snapshot every Nth epoch boundary
-    checkpoint_keep: int = 2  # good snapshots retained per run
-
     def validate(self) -> "ClusterConfig":
         if self.num_nodes < 1:
             raise ValueError("cluster needs at least one node")
@@ -114,10 +105,6 @@ class ClusterConfig:
         )
         if min(rates) <= 0:
             raise ValueError("compute rates must be positive")
-        if self.checkpoint_interval_epochs < 1:
-            raise ValueError("checkpoint interval must be at least one epoch")
-        if self.checkpoint_keep < 1:
-            raise ValueError("must keep at least one checkpoint")
         return self
 
     def scaled(self, **overrides) -> "ClusterConfig":

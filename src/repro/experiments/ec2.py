@@ -17,7 +17,6 @@ import numpy as np
 from ..codes.lrc import xorbas_lrc
 from ..codes.reed_solomon import rs_10_4
 from ..cluster import EC2_FAILURE_PATTERN, ClusterConfig, ec2_config
-from ..recovery import CheckpointPolicy
 from .parallel import ResultCache, parallel_map
 from .runner import SchemeRunSummary, run_failure_schedule
 
@@ -126,9 +125,7 @@ def run_scheme_config(config: Mapping[str, Any]) -> SchemeRunSummary:
     )
     checkpoint = None
     if runtime.get("checkpoint_dir"):
-        checkpoint = CheckpointPolicy.from_config(
-            runtime["checkpoint_dir"], cluster_config
-        )
+        checkpoint = ResultCache(runtime["checkpoint_dir"])
     run = run_failure_schedule(
         config["scheme"],
         code,

@@ -9,7 +9,6 @@ that procedure against a simulated cluster.
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -25,10 +24,10 @@ from ..cluster import (
 from ..cluster.blocks import BlockId
 from ..cluster.metrics import MetricsCollector
 from ..recovery import (
-    CheckpointPolicy,
     FaultPlan,
     InjectedCrash,
-    snapshot,
+    ResultCache,
+    checkpoint_key,
     source_fingerprint,
 )
 from .parallel import config_hash
@@ -41,6 +40,10 @@ __all__ = [
     "run_failure_schedule",
     "schedule_run_key",
 ]
+
+#: Checkpoints kept per run: the newest, plus one to fall back to when
+#: the newest is corrupt.
+CHECKPOINTS_KEPT = 2
 
 
 def _run_totals(
@@ -185,20 +188,13 @@ def schedule_run_key(
 ) -> str:
     """Stable identity of one schedule run, for checkpoint file naming.
 
-    Checkpoint policy knobs are excluded: tuning how often to snapshot
-    must not orphan the snapshots already on disk.  The source
-    fingerprint is included: a checkpoint pickled by other code is
-    never found, so it is never restored.
+    The source fingerprint is included: a checkpoint pickled by other
+    code is never found, so it is never restored.
     """
-    fields = {
-        key: value
-        for key, value in asdict(config).items()
-        if not key.startswith("checkpoint_")
-    }
     return config_hash(
         {
             "scheme": scheme,
-            "config": fields,
+            "config": asdict(config),
             "file_sizes": list(file_sizes),
             "pattern": list(pattern),
             "seed": seed,
@@ -218,7 +214,7 @@ def run_failure_schedule(
     seed: int = 0,
     event_gap: float = 900.0,
     warmup: float = 300.0,
-    checkpoint: CheckpointPolicy | None = None,
+    checkpoint: ResultCache | None = None,
     resume: bool = False,
     fault_plan: FaultPlan | None = None,
 ) -> SchemeRun:
@@ -228,28 +224,28 @@ def run_failure_schedule(
     finish, then idles ``event_gap`` seconds before the next event — the
     separation visible between traffic spikes in Figure 5(a).
 
-    With a ``checkpoint`` policy the run pickles itself — cluster,
-    fixer, injector and event log — at due epoch boundaries (just before
-    each kill, when the cluster is quiescent); ``resume=True`` unpickles
-    the newest valid snapshot — falling back past corrupted files — and
-    replays only the remaining epochs, bit-identically to an
-    uninterrupted run.  A ``fault_plan`` (chaos testing) may crash the
-    run or corrupt the snapshot right after a checkpoint is written.
+    With a ``checkpoint`` store the run pickles itself — cluster, fixer,
+    injector and event log — at every epoch boundary (just before each
+    kill, when the cluster is quiescent) and keeps the newest
+    ``CHECKPOINTS_KEPT``; ``resume=True`` unpickles the newest valid
+    snapshot — falling back past corrupted files — and replays only the
+    remaining epochs, bit-identically to an uninterrupted run.  A
+    ``fault_plan`` (chaos testing) may crash the run or corrupt the
+    snapshot right after a checkpoint is written.
     """
     if resume and checkpoint is None:
-        raise ValueError("resume=True requires a checkpoint policy")
+        raise ValueError("resume=True requires a checkpoint store")
     if fault_plan is not None and checkpoint is None:
-        raise ValueError("a fault plan requires a checkpoint policy")
+        raise ValueError("a fault plan requires a checkpoint store")
     run_key = found = None
     if checkpoint is not None:
         run_key = schedule_run_key(
             scheme, config, file_sizes, pattern, seed, event_gap, warmup
         )
     if resume:
-        found = checkpoint.store.latest(run_key, max_epoch=len(pattern) - 1)
+        found = checkpoint.latest(run_key, max_epoch=len(pattern) - 1)
     if found is not None:
-        start_epoch, payload = found
-        cluster, fixer, injector, events = pickle.loads(payload)
+        start_epoch, (cluster, fixer, injector, events) = found
     else:
         start_epoch, events = 0, []
         cluster = build_loaded_cluster(code, config, file_sizes, seed=seed)
@@ -262,18 +258,14 @@ def run_failure_schedule(
     # each iteration runs the cluster to quiescence, not per-element math.
     for index in range(start_epoch, len(pattern)):
         nodes_to_kill = pattern[index]
-        if (
-            checkpoint is not None
-            and checkpoint.due(index)
-            and not (found is not None and index == start_epoch)
-        ):
-            checkpoint.store.write(
-                run_key, index, snapshot((cluster, fixer, injector, run.events))
+        if checkpoint is not None and not (found is not None and index == start_epoch):
+            checkpoint.put(
+                checkpoint_key(run_key, index), (cluster, fixer, injector, run.events)
             )
-            checkpoint.store.prune(run_key, checkpoint.keep)
+            checkpoint.discard(checkpoint_key(run_key, index - CHECKPOINTS_KEPT))
             if fault_plan is not None:
-                fault_plan.maybe_corrupt(checkpoint.store, run_key, index)
-                if fault_plan.should_kill(checkpoint.store, run_key, index):
+                fault_plan.maybe_corrupt(checkpoint, run_key, index)
+                if fault_plan.should_kill(checkpoint, run_key, index):
                     raise InjectedCrash(index)
         record = cluster.metrics.begin_event(
             FailureEventRecord(

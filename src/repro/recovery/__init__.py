@@ -7,7 +7,8 @@ BlockFixer, failure injector and event log), writes the pickle
 crash-safely (tmp file + fsync + atomic rename, schema version +
 content checksum) under a run key that carries the source fingerprint,
 and resumes by unpickling it — so a killed-and-resumed run is
-**bit-identical** to one that was never interrupted.
+**bit-identical** to one that was never interrupted.  The same store
+holds the experiment runner's cached results.
 ``repro.recovery.chaos`` adds deterministic fault injection (seeded
 kill/corruption plans) and ``repro.recovery.equivalence`` holds the
 kill-resume harness proven by the differential tests.
@@ -18,17 +19,15 @@ lazy edge keeps the import graph acyclic.
 """
 
 from .chaos import FaultPlan, InjectedCrash
-from .policy import CheckpointPolicy
 from .snapshot import SnapshotError, snapshot, source_fingerprint
-from .store import CheckpointStore, CorruptSnapshotError
+from .store import ResultCache, checkpoint_key
 
 __all__ = [
-    "CheckpointPolicy",
-    "CheckpointStore",
-    "CorruptSnapshotError",
     "FaultPlan",
     "InjectedCrash",
+    "ResultCache",
     "SnapshotError",
+    "checkpoint_key",
     "snapshot",
     "source_fingerprint",
 ]

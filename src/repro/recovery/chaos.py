@@ -6,21 +6,21 @@ after the checkpoint is written, simulating a process kill) and which
 freshly written snapshots get corrupted in place (simulating torn
 writes/bit rot the checksum layer must catch).  Kill decisions are
 armed exactly once per (run, epoch) via an on-disk marker next to the
-checkpoints, so a retried or resumed process sails past a fault it
-already absorbed — which is what lets ``parallel_map``'s retry/backoff
-turn an injected worker crash into a successful resumed attempt.
+checkpoints, so the resumed attempt sails past the fault the first one
+absorbed: :func:`repro.recovery.equivalence.run_with_kill_resume`
+catches the crash and resumes.  Nothing retries it for you —
+``InjectedCrash`` is a ``RuntimeError``, and ``parallel_map`` retries
+only ``OSError``.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-if TYPE_CHECKING:
-    from .store import CheckpointStore
+from .store import ResultCache, checkpoint_key
 
 __all__ = ["FaultPlan", "InjectedCrash"]
 
@@ -65,10 +65,10 @@ class FaultPlan:
 
     # -- firing --------------------------------------------------------------
 
-    def _marker(self, store: "CheckpointStore", run_key: str, epoch: int):
+    def _marker(self, store: ResultCache, run_key: str, epoch: int):
         return store.root / f"{run_key}-chaos-e{epoch:04d}.fired"
 
-    def should_kill(self, store: "CheckpointStore", run_key: str, epoch: int) -> bool:
+    def should_kill(self, store: ResultCache, run_key: str, epoch: int) -> bool:
         """True exactly once per (run, epoch) across process restarts."""
         if epoch not in self.kill_epochs:
             return False
@@ -78,9 +78,7 @@ class FaultPlan:
         marker.write_text(f"killed at epoch {epoch}\n", encoding="utf-8")
         return True
 
-    def maybe_corrupt(
-        self, store: "CheckpointStore", run_key: str, epoch: int
-    ) -> bool:
+    def maybe_corrupt(self, store: ResultCache, run_key: str, epoch: int) -> bool:
         """Flip bytes in the snapshot just written for ``epoch``.
 
         The damage lands mid-payload so only the content checksum — not
@@ -88,7 +86,7 @@ class FaultPlan:
         """
         if epoch not in self.corrupt_epochs:
             return False
-        path = store.path_for(run_key, epoch)
+        path = store.path_for(checkpoint_key(run_key, epoch))
         size = os.path.getsize(path)
         offset = max(0, size // 2)
         with open(path, "r+b") as handle:

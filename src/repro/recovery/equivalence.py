@@ -25,8 +25,7 @@ from ..codes.lrc import xorbas_lrc
 from ..codes.reed_solomon import rs_10_4
 from ..experiments.runner import SchemeRunSummary, run_failure_schedule
 from .chaos import FaultPlan, InjectedCrash
-from .policy import CheckpointPolicy
-from .store import CheckpointStore
+from .store import ResultCache
 
 __all__ = [
     "assert_runs_equivalent",
@@ -79,11 +78,6 @@ def run_with_kill_resume(
     second attempt resumes from the newest valid snapshot; the chaos
     marker files make the kill fire exactly once, so it completes.
     """
-    policy = CheckpointPolicy(
-        store=CheckpointStore(checkpoint_dir),
-        interval_epochs=1,
-        keep=max(2, len(pattern)),
-    )
     plan = FaultPlan(
         seed=seed,
         kill_epochs=frozenset({kill_epoch}),
@@ -97,7 +91,7 @@ def run_with_kill_resume(
         pattern=tuple(pattern),
         seed=seed,
         event_gap=event_gap,
-        checkpoint=policy,
+        checkpoint=ResultCache(checkpoint_dir),
         fault_plan=plan,
     )
     try:

@@ -132,6 +132,20 @@ class TestFailFast:
         assert flag in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    def test_bad_repro_jobs_exits_2(self, value, monkeypatch, capsys):
+        """``REPRO_JOBS`` sets the worker count when ``--jobs`` is not
+        given: a value that is not a positive integer is a usage error
+        naming it, not a traceback or one silent worker."""
+        monkeypatch.setenv("REPRO_JOBS", value)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["ec2", "--files", "2", "--nodes", "25"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert "repro ec2: error: REPRO_JOBS" in captured.err
+        assert captured.out == ""
+
 
 class TestCommands:
     @pytest.mark.slow  # exhaustive distance certification over all patterns

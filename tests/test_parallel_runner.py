@@ -1,16 +1,18 @@
 """The parallel experiment runner and its on-disk result cache."""
 
 import pickle
+import struct
 from pathlib import Path
 
 import pytest
 
+from repro.experiments import parallel
 from repro.experiments.parallel import (
-    CACHE_FORMAT_VERSION,
     ResultCache,
     WorkerError,
     config_hash,
     parallel_map,
+    result_key,
 )
 from repro.experiments.ec2 import (
     run_ec2_experiment_parallel,
@@ -37,6 +39,17 @@ def _count_then_raise(config):
     with open(config["marker"], "a") as fh:
         fh.write("attempt\n")
     raise config["error"]("always fails")
+
+
+def _crash_then_succeed(config):
+    """Raises ``OSError`` on its first ``crashes`` attempts (counted in
+    the marker file), then succeeds."""
+    marker = Path(config["marker"])
+    with marker.open("a") as fh:
+        fh.write("attempt\n")
+    if len(marker.read_text().splitlines()) <= config["crashes"]:
+        raise OSError("transient worker crash")
+    return "recovered"
 
 
 def _flaky(config):
@@ -72,18 +85,16 @@ class TestConfigHash:
 class TestResultCache:
     def test_roundtrip(self, tmp_path):
         cache = ResultCache(tmp_path)
-        key = cache.key_for({"a": 1}, namespace="unit")
-        assert key.startswith(f"unit-v{CACHE_FORMAT_VERSION}-")
+        key = result_key({"a": 1}, namespace="unit")
+        assert key.startswith("unit-")
         assert cache.get(key) is None
         cache.put(key, {"value": [1, 2, 3]})
-        assert key in cache
         assert cache.get(key) == {"value": [1, 2, 3]}
-        assert len(cache) == 1
         assert (cache.hits, cache.misses) == (1, 1)
 
     def test_corrupt_entry_reads_as_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
-        key = cache.key_for({"a": 1})
+        key = result_key({"a": 1})
         cache.put(key, "good")
         cache.path_for(key).write_bytes(b"not a pickle")
         assert cache.get(key) is None
@@ -91,11 +102,11 @@ class TestResultCache:
         assert cache.get(key) == "rewritten"
 
     def test_truncated_entry_quarantined_as_corrupt(self, tmp_path):
-        """A half-written pickle reads as a miss and is renamed aside
+        """A half-written entry reads as a miss and is renamed aside
         (``.corrupt``) so the rewrite cannot race it and the evidence
         survives for debugging."""
         cache = ResultCache(tmp_path)
-        key = cache.key_for({"a": 1})
+        key = result_key({"a": 1})
         cache.put(key, {"payload": list(range(100))})
         path = cache.path_for(key)
         path.write_bytes(path.read_bytes()[:10])
@@ -106,37 +117,48 @@ class TestResultCache:
         cache.put(key, "rewritten")
         assert cache.get(key) == "rewritten"
 
-    def test_runtime_keys_excluded_from_cache_key(self, tmp_path):
+    def test_bitflipped_result_misses(self, tmp_path):
+        """One flipped byte inside a stored float fails the checksum:
+        the entry misses and is moved aside, never returned altered."""
+        cache = ResultCache(tmp_path)
+        key = result_key({"a": 1})
+        cache.put(key, {"network_out_bytes": 3161600000.0})
+        path = cache.path_for(key)
+        raw = bytearray(path.read_bytes())
+        at = raw.rindex(struct.pack(">d", 3161600000.0))  # pickle's BINFLOAT
+        raw[at + 3] ^= 0x01  # 3161600000.0 would read back as 3161602048.0
+        path.write_bytes(bytes(raw))
+        assert cache.get(key) is None
+        assert (cache.hits, cache.misses) == (0, 1)
+        assert path.with_suffix(path.suffix + ".corrupt").exists()
+
+    def test_runtime_keys_excluded_from_cache_key(self):
         """Underscore-prefixed config keys are runtime plumbing: a
         checkpoint-resumed run re-enters the cache under the hash of its
         semantic fields."""
-        cache = ResultCache(tmp_path)
-        plain = cache.key_for({"a": 1}, namespace="ec2")
-        plumbed = cache.key_for(
+        plain = result_key({"a": 1}, namespace="ec2")
+        plumbed = result_key(
             {"a": 1, "_runtime": {"checkpoint_dir": "/x", "resume": True}},
             namespace="ec2",
         )
         assert plain == plumbed
-        assert plain != cache.key_for({"a": 2}, namespace="ec2")
+        assert plain != result_key({"a": 2}, namespace="ec2")
 
-    def test_clear(self, tmp_path):
+    def test_result_from_other_source_misses(self, tmp_path, monkeypatch):
+        """The key carries the source fingerprint: a result written by
+        other code is never returned, whatever its config."""
         cache = ResultCache(tmp_path)
-        for i in range(3):
-            cache.put(cache.key_for({"i": i}), i)
-        assert cache.clear() == 3
-        assert len(cache) == 0
+        calls = []
 
-    def test_version_bump_invalidates(self, tmp_path):
-        """The cache key embeds the format version, so bumping it
-        orphans (rather than wrongly reuses) old entries."""
-        cache = ResultCache(tmp_path)
-        key = cache.key_for({"a": 1}, namespace="ec2")
-        assert f"-v{CACHE_FORMAT_VERSION}-" in key
-        other_version = key.replace(
-            f"-v{CACHE_FORMAT_VERSION}-", f"-v{CACHE_FORMAT_VERSION + 1}-"
-        )
-        cache.put(key, "old")
-        assert cache.get(other_version) is None
+        def counting(config):
+            calls.append(config["x"])
+            return config["x"] * 2
+
+        assert parallel_map(counting, [{"x": 1}], jobs=1, cache=cache) == [2]
+        monkeypatch.setattr(parallel, "source_fingerprint", lambda: "other code")
+        assert parallel_map(counting, [{"x": 1}], jobs=1, cache=cache) == [2]
+        assert calls == [1, 1]
+        assert (cache.hits, cache.misses) == (0, 2)
 
 
 class TestParallelMap:
@@ -186,13 +208,7 @@ class TestParallelMap:
 class TestRetriesAndFailures:
     def test_worker_error_carries_failing_config(self):
         with pytest.raises(WorkerError) as info:
-            parallel_map(
-                _maybe_fail,
-                [{"x": 7, "fail": True}],
-                jobs=1,
-                retries=0,
-                retry_backoff=0,
-            )
+            parallel_map(_maybe_fail, [{"x": 7, "fail": True}], jobs=1)
         error = info.value
         assert error.config == {"x": 7, "fail": True}
         assert error.attempts == 1
@@ -202,15 +218,16 @@ class TestRetriesAndFailures:
 
     def test_retry_recovers_transient_failure(self, tmp_path):
         config = {"marker": str(tmp_path / "attempted")}
-        result = parallel_map(_flaky, [config], jobs=1, retry_backoff=0)
+        result = parallel_map(_flaky, [config], jobs=1)
         assert result == ["recovered"]
 
     def test_retries_default_to_two(self, tmp_path):
-        """Two retries (three attempts) by default: the flaky worker
-        needs no explicit retry knobs to survive one crash."""
-        import inspect
-
-        assert inspect.signature(parallel_map).parameters["retries"].default == 2
+        """Two retries (three attempts): a worker whose first two
+        attempts hit an ``OSError`` still succeeds."""
+        marker = tmp_path / "attempts"
+        config = {"marker": str(marker), "crashes": 2}
+        assert parallel_map(_crash_then_succeed, [config], jobs=1) == ["recovered"]
+        assert len(marker.read_text().splitlines()) == 3
 
     def test_exhausted_retries_report_attempt_count(self, tmp_path):
         marker = tmp_path / "attempts"
@@ -219,8 +236,6 @@ class TestRetriesAndFailures:
                 _count_then_raise,
                 [{"marker": str(marker), "error": OSError}],
                 jobs=1,
-                retries=2,
-                retry_backoff=0,
             )
         assert info.value.attempts == 3
         assert len(marker.read_text().splitlines()) == 3
@@ -234,43 +249,25 @@ class TestRetriesAndFailures:
                 _count_then_raise,
                 [{"marker": str(marker), "error": ValueError}],
                 jobs=1,
-                retry_backoff=0,
             )
         assert info.value.attempts == 1
         assert len(marker.read_text().splitlines()) == 1
 
-    def test_quarantine_leaves_none_slots_and_caches_nothing(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        configs = [{"x": 1}, {"x": 2, "fail": True}, {"x": 3}]
-        results = parallel_map(
-            _maybe_fail,
-            configs,
-            jobs=1,
-            cache=cache,
-            retries=0,
-            retry_backoff=0,
-            on_error="quarantine",
-        )
-        assert results == [1, None, 3]
-        assert len(cache) == 2  # the poisoned slot was never cached
-
     def test_pool_survives_poisoned_task(self):
+        """A task that raises inside a pool worker comes back as a
+        WorkerError naming its config, not a hung or crashed pool."""
         configs = [{"x": i, "fail": i == 1} for i in range(4)]
-        results = parallel_map(
-            configs=configs,
-            worker=_maybe_fail,
-            jobs=2,
-            retries=0,
-            retry_backoff=0,
-            on_error="quarantine",
-        )
-        assert results == [0, None, 2, 3]
+        with pytest.raises(WorkerError) as info:
+            parallel_map(_maybe_fail, configs, jobs=2)
+        assert info.value.config == {"x": 1, "fail": True}
 
-    def test_invalid_knobs_rejected(self):
-        with pytest.raises(ValueError):
-            parallel_map(_double, [{"x": 1}], on_error="ignore")
-        with pytest.raises(ValueError):
-            parallel_map(_double, [{"x": 1}], retries=-1)
+    def test_invalid_knobs_rejected(self, monkeypatch):
+        """``REPRO_JOBS`` is the worker-count knob: anything but a
+        positive integer is an error naming it, not one silent worker."""
+        for value in ("abc", "0", "-3", "1.5"):
+            monkeypatch.setenv("REPRO_JOBS", value)
+            with pytest.raises(ValueError, match="REPRO_JOBS"):
+                parallel_map(_double, [{"x": 1}])
 
 
 class TestEC2Pipeline:

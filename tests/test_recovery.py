@@ -1,6 +1,6 @@
 """The crash-safe checkpoint/restore plane (``repro.recovery``).
 
-Three layers under test: the checksummed atomic snapshot store, the
+Three layers under test: the checksummed atomic store (checkpoint side), the
 snapshot itself (the pickled quiescent run, keyed by the source
 fingerprint), and the headline kill-resume equivalence guarantee — a
 run killed at an epoch boundary and resumed from its snapshot, in the
@@ -30,12 +30,11 @@ from repro.experiments.runner import (
     schedule_run_key,
 )
 from repro.recovery import (
-    CheckpointPolicy,
-    CheckpointStore,
-    CorruptSnapshotError,
     FaultPlan,
     InjectedCrash,
+    ResultCache,
     SnapshotError,
+    checkpoint_key,
     snapshot,
 )
 from repro.recovery.equivalence import (
@@ -54,86 +53,104 @@ SMALL = dict(num_files=3, seed=5, num_nodes=20, pattern=(1, 2), event_gap=120.0)
 # ---------------------------------------------------------------------------
 
 
+def _write(store, key, epoch, value):
+    store.put(checkpoint_key(key, epoch), value)
+    return store.path_for(checkpoint_key(key, epoch))
+
+
+def _assert_quarantined(store, path):
+    """The entry read as a miss and was moved aside, not deleted."""
+    assert not path.exists()
+    assert path.with_suffix(path.suffix + ".corrupt").exists()
+    assert store.misses >= 1
+
+
 class TestCheckpointStore:
+    """The store's checkpoint side: ``checkpoint_key`` entries, ``latest``."""
+
     def test_write_read_roundtrip(self, tmp_path):
-        store = CheckpointStore(tmp_path)
+        store = ResultCache(tmp_path)
         payload = {"epoch": 3, "values": list(range(10))}
-        path = store.write("run", 3, payload)
-        assert path.name == "run-e0003.ckpt"
-        assert store.read("run", 3) == payload
-        assert store.epochs("run") == [3]
+        path = _write(store, "run", 3, payload)
+        assert path.name == "run-e3.pkl"
+        assert store.get("run-e3") == payload
+        assert store.latest("run", max_epoch=3) == (3, payload)
 
     def test_key_with_path_separator_rejected(self, tmp_path):
-        store = CheckpointStore(tmp_path)
+        store = ResultCache(tmp_path)
         with pytest.raises(ValueError):
-            store.path_for("../escape", 0)
+            store.path_for("../escape")
 
     def test_bitflip_detected_by_checksum(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        path = store.write("run", 0, {"values": list(range(100))})
+        store = ResultCache(tmp_path)
+        path = _write(store, "run", 0, {"values": list(range(100))})
         raw = bytearray(path.read_bytes())
         raw[len(raw) // 2] ^= 0xFF  # mid-payload: header still parses
         path.write_bytes(bytes(raw))
-        with pytest.raises(CorruptSnapshotError, match="checksum"):
-            store.read("run", 0)
+        assert store.get("run-e0") is None
+        _assert_quarantined(store, path)
 
     def test_truncation_detected(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        path = store.write("run", 0, {"values": list(range(100))})
-        raw = path.read_bytes()
-        path.write_bytes(raw[: len(raw) // 2])
-        with pytest.raises(CorruptSnapshotError):
-            store.read("run", 0)
-        path.write_bytes(raw[:4])  # not even a whole header
-        with pytest.raises(CorruptSnapshotError, match="truncated"):
-            store.read("run", 0)
+        store = ResultCache(tmp_path)
+        for cut in (lambda raw: raw[: len(raw) // 2], lambda raw: raw[:4]):
+            path = _write(store, "run", 0, {"values": list(range(100))})
+            path.write_bytes(cut(path.read_bytes()))
+            assert store.get("run-e0") is None
+            _assert_quarantined(store, path)
 
     def test_wrong_magic_detected(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        path = store.write("run", 0, "x")
+        store = ResultCache(tmp_path)
+        path = _write(store, "run", 0, "x")
         raw = bytearray(path.read_bytes())
         raw[:8] = b"NOTACKPT"
         path.write_bytes(bytes(raw))
-        with pytest.raises(CorruptSnapshotError, match="magic"):
-            store.read("run", 0)
+        assert store.get("run-e0") is None
+        _assert_quarantined(store, path)
 
     def test_latest_falls_back_past_corrupt_and_quarantines(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        store.write("run", 0, "epoch0")
-        store.write("run", 1, "epoch1")
-        path = store.write("run", 2, "epoch2")
+        store = ResultCache(tmp_path)
+        _write(store, "run", 0, "epoch0")
+        _write(store, "run", 1, "epoch1")
+        path = _write(store, "run", 2, "epoch2")
         raw = bytearray(path.read_bytes())
         raw[-1] ^= 0xFF
         path.write_bytes(bytes(raw))
-        assert store.latest("run") == (1, "epoch1")
-        assert not path.exists()  # moved aside, not deleted
-        assert path.with_suffix(path.suffix + ".corrupt").exists()
+        assert store.latest("run", max_epoch=2) == (1, "epoch1")
+        _assert_quarantined(store, path)
 
     def test_latest_respects_max_epoch(self, tmp_path):
-        store = CheckpointStore(tmp_path)
+        store = ResultCache(tmp_path)
         for epoch in range(4):
-            store.write("run", epoch, f"epoch{epoch}")
+            _write(store, "run", epoch, f"epoch{epoch}")
         assert store.latest("run", max_epoch=2) == (2, "epoch2")
 
     def test_latest_none_when_everything_corrupt(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        path = store.write("run", 0, "only")
+        store = ResultCache(tmp_path)
+        path = _write(store, "run", 0, "only")
         path.write_bytes(b"garbage")
-        assert store.latest("run") is None
+        assert store.latest("run", max_epoch=0) is None
 
     def test_prune_keeps_newest(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        for epoch in range(5):
-            store.write("run", epoch, epoch)
-        store.prune("run", keep=2)
-        assert store.epochs("run") == [3, 4]
+        """A checkpointing run keeps the newest two epochs' snapshots:
+        the one a resume reads first, and one to fall back to."""
+        store = ResultCache(tmp_path)
+        config, sizes = ec2_config(num_nodes=SMALL["num_nodes"]), [640e6] * 2
+        schedule = ((1, 1, 1, 1), SMALL["seed"], SMALL["event_gap"], 300.0)
+        run_failure_schedule(
+            "HDFS-Xorbas", xorbas_lrc(), config, sizes, schedule[0],
+            seed=schedule[1], event_gap=schedule[2], checkpoint=store,
+        )
+        key = schedule_run_key("HDFS-Xorbas", config, sizes, *schedule)
+        assert sorted(path.name for path in tmp_path.glob("*.pkl")) == [
+            f"{key}-e2.pkl", f"{key}-e3.pkl",
+        ]
 
     def test_keys_are_isolated(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        store.write("a", 0, "A")
-        store.write("b", 0, "B")
-        assert store.latest("a") == (0, "A")
-        assert store.latest("b") == (0, "B")
+        store = ResultCache(tmp_path)
+        _write(store, "a", 0, "A")
+        _write(store, "b", 0, "B")
+        assert store.latest("a", max_epoch=0) == (0, "A")
+        assert store.latest("b", max_epoch=0) == (0, "B")
 
 
 # ---------------------------------------------------------------------------
@@ -180,44 +197,11 @@ class TestSimulationCodec:
 
 
 # ---------------------------------------------------------------------------
-# Policy, fault plans, run keys
+# Fault plans
 # ---------------------------------------------------------------------------
 
 
 class TestPolicyAndPlans:
-    def test_policy_validates_knobs(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        with pytest.raises(ValueError):
-            CheckpointPolicy(store=store, interval_epochs=0)
-        with pytest.raises(ValueError):
-            CheckpointPolicy(store=store, keep=0)
-
-    def test_policy_due_follows_interval(self, tmp_path):
-        policy = CheckpointPolicy(CheckpointStore(tmp_path), interval_epochs=3)
-        assert [policy.due(e) for e in range(7)] == [
-            True, False, False, True, False, False, True,
-        ]
-
-    def test_config_carries_and_validates_checkpoint_knobs(self, tmp_path):
-        config = ec2_config().scaled(checkpoint_interval_epochs=2, checkpoint_keep=3)
-        policy = CheckpointPolicy.from_config(tmp_path, config)
-        assert policy.interval_epochs == 2 and policy.keep == 3
-        with pytest.raises(ValueError):
-            ec2_config().scaled(checkpoint_interval_epochs=0)
-        with pytest.raises(ValueError):
-            ec2_config().scaled(checkpoint_keep=0)
-
-    def test_run_key_ignores_checkpoint_knobs(self):
-        base = ec2_config(num_nodes=20)
-        tuned = base.scaled(checkpoint_interval_epochs=4, checkpoint_keep=7)
-        args = ([640e6] * 3, (1, 2), 5, 120.0, 300.0)
-        assert schedule_run_key("s", base, *args) == schedule_run_key(
-            "s", tuned, *args
-        )
-        assert schedule_run_key("s", base, *args) != schedule_run_key(
-            "s", base.scaled(num_nodes=21), *args
-        )
-
     def test_fault_plan_draw_is_deterministic(self):
         first = FaultPlan.draw(7, num_epochs=8, kills=1, corruptions=2)
         second = FaultPlan.draw(7, num_epochs=8, kills=1, corruptions=2)
@@ -230,19 +214,20 @@ class TestPolicyAndPlans:
             FaultPlan.draw(0, num_epochs=2, kills=2, corruptions=1)
 
     def test_kill_fires_exactly_once(self, tmp_path):
-        store = CheckpointStore(tmp_path)
+        store = ResultCache(tmp_path)
         plan = FaultPlan(seed=0, kill_epochs=frozenset({1}))
         assert not plan.should_kill(store, "run", 0)
         assert plan.should_kill(store, "run", 1)
         assert not plan.should_kill(store, "run", 1)  # marker persists
 
     def test_maybe_corrupt_breaks_only_the_checksum(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        store.write("run", 0, {"values": list(range(50))})
+        store = ResultCache(tmp_path)
+        path = _write(store, "run", 0, {"values": list(range(50))})
+        header = path.read_bytes()[:52]  # magic, schema, length, sha256
         plan = FaultPlan(seed=0, corrupt_epochs=frozenset({0}))
         assert plan.maybe_corrupt(store, "run", 0)
-        with pytest.raises(CorruptSnapshotError, match="checksum"):
-            store.read("run", 0)
+        assert path.read_bytes()[:52] == header
+        assert store.get("run-e0") is None
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +258,7 @@ class TestClusterSnapshot:
     ):
         """A checkpoint keyed by another source fingerprint is never
         read: the resume starts from scratch and still matches."""
-        store = CheckpointStore(tmp_path)
+        store = ResultCache(tmp_path)
         config = ec2_config(num_nodes=SMALL["num_nodes"])
         sizes = [640e6] * SMALL["num_files"]
         schedule = (SMALL["pattern"], SMALL["seed"], SMALL["event_gap"], 300.0)
@@ -283,7 +268,7 @@ class TestClusterSnapshot:
         monkeypatch.undo()
         assert stale_key != fresh_key
         # Restoring this would crash the resume: it is not a pickled run.
-        store.write(stale_key, 1, b"written by other code")
+        _write(store, stale_key, 1, b"written by other code")
         run = run_failure_schedule(
             "HDFS-Xorbas",
             xorbas_lrc(),
@@ -292,12 +277,13 @@ class TestClusterSnapshot:
             SMALL["pattern"],
             seed=SMALL["seed"],
             event_gap=SMALL["event_gap"],
-            checkpoint=CheckpointPolicy(store),
+            checkpoint=store,
             resume=True,
         )
         assert_runs_equivalent(spec_summary, run.summary())
-        assert store.epochs(stale_key) == [1]
-        assert store.epochs(fresh_key) == [0, 1]
+        assert store.path_for(checkpoint_key(stale_key, 1)).exists()
+        for epoch in (0, 1):
+            assert store.path_for(checkpoint_key(fresh_key, epoch)).exists()
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +302,6 @@ class TestKillResumeEquivalence:
         """Snapshot writes are observation, not intervention: a run that
         checkpoints every epoch finishes identical to one that never
         does."""
-        policy = CheckpointPolicy(CheckpointStore(tmp_path))
         run = run_failure_schedule(
             "HDFS-Xorbas",
             xorbas_lrc(),
@@ -325,7 +310,7 @@ class TestKillResumeEquivalence:
             SMALL["pattern"],
             seed=SMALL["seed"],
             event_gap=SMALL["event_gap"],
-            checkpoint=policy,
+            checkpoint=ResultCache(tmp_path),
         )
         assert_runs_equivalent(spec_summary, run.summary())
 
@@ -336,7 +321,6 @@ class TestKillResumeEquivalence:
         assert_runs_equivalent(spec_summary, resumed)
 
     def test_injected_crash_reports_epoch(self, tmp_path):
-        policy = CheckpointPolicy(CheckpointStore(tmp_path))
         plan = FaultPlan(seed=0, kill_epochs=frozenset({0}))
         with pytest.raises(InjectedCrash) as info:
             run_failure_schedule(
@@ -347,7 +331,7 @@ class TestKillResumeEquivalence:
                 SMALL["pattern"],
                 seed=SMALL["seed"],
                 event_gap=SMALL["event_gap"],
-                checkpoint=policy,
+                checkpoint=ResultCache(tmp_path),
                 fault_plan=plan,
             )
         assert info.value.epoch == 0
@@ -445,13 +429,13 @@ import ast, pickle, sys
 from repro.cluster import ec2_config
 from repro.codes import xorbas_lrc
 from repro.experiments import runner
-from repro.recovery import CheckpointPolicy, CheckpointStore, FaultPlan, InjectedCrash
+from repro.recovery import FaultPlan, InjectedCrash, ResultCache
 step, root, out, small = sys.argv[1:]
 kw = ast.literal_eval(small)
 run = lambda **extra: runner.run_failure_schedule(
     "HDFS-Xorbas", xorbas_lrc(), ec2_config(num_nodes=kw["num_nodes"]),
     [640e6] * kw["num_files"], kw["pattern"], seed=kw["seed"],
-    event_gap=kw["event_gap"], checkpoint=CheckpointPolicy(CheckpointStore(root)),
+    event_gap=kw["event_gap"], checkpoint=ResultCache(root),
     **extra,
 )
 if step == "kill":

@@ -231,11 +231,13 @@ class TestCacheKeyCompleteness:
         source = CONFIG_TEMPLATE % "    num_nodes: int = 10\n    block_size: float = 1.0\n"
         assert self.codes_for(tmp_path, source) == []
 
-    def test_checkpoint_fields_are_documented_exclusions(self, tmp_path):
+    def test_prefix_filtered_out_of_asdict_fires(self, tmp_path):
+        # A builder that filters a prefix out of asdict leaves those
+        # fields unkeyed; only _* is a documented exclusion.
         source = CONFIG_TEMPLATE % (
             "    num_nodes: int = 10\n    checkpoint_every: int = 5\n"
         )
-        assert self.codes_for(tmp_path, source) == []
+        assert self.codes_for(tmp_path, source) == ["RL011"]
 
     def test_mutation_field_outside_any_builder_fires(self, tmp_path):
         # The acceptance mutation: a new knob lands on the config but no
