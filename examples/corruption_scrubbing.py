@@ -20,9 +20,9 @@ from repro.cluster.blocks import Stripe
 from repro.cluster.integrity import (
     ChecksumRegistry,
     CorruptionInjector,
+    Scrubber,
     pgz_cross_check,
 )
-from repro.cluster.scrubengine import ScrubEngine
 from repro.codes import rs_10_4, xorbas_lrc
 from repro.codes.errors import correct_corruption, locate_corrupt_blocks
 
@@ -46,7 +46,7 @@ def main() -> None:
     stripe = make_stripe(xorbas_lrc())
     registry = ChecksumRegistry()
     registry.record_stripe(stripe)
-    scrubber = ScrubEngine()
+    scrubber = Scrubber()
     scrubber.record_stripe(stripe)
     print(f"Recorded {len(registry)} block checksums for one LRC stripe.")
 
@@ -65,7 +65,7 @@ def main() -> None:
           f"{report.blocks_read_for_heal} blocks (the LRC light plan).")
 
     rs_stripe = make_stripe(rs_10_4(), index=1)
-    rs_scrubber = ScrubEngine()
+    rs_scrubber = Scrubber()
     rs_scrubber.record_stripe(rs_stripe)
     CorruptionInjector(seed=2).corrupt_block(rs_stripe, 6)
     rs_report = rs_scrubber.scrub([rs_stripe])

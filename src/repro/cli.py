@@ -33,6 +33,8 @@ _positive_float = _number(float, "a positive number", lambda v: v > 0)
 _nonnegative_int = _number(int, "a non-negative integer", lambda v: v >= 0)
 _nonnegative_float = _number(float, "a non-negative number", lambda v: v >= 0)
 _amplitude = _number(float, "in [0, 1)", lambda v: 0 <= v < 1)
+_block_target = _number(float, "at least 1", lambda v: v >= 1)
+_trial_count = _number(int, "at least 2", lambda v: v >= 2)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     ec2.add_argument("--files", type=_positive_int, default=20)
     ec2.add_argument(
         "--blocks",
-        type=_positive_float,
+        type=_block_target,
         default=None,
         help=(
             "target total data blocks (overrides --files).  Scale --nodes "
@@ -161,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
         "montecarlo",
         help="batched Gillespie validation of the analytic MTTDL solver",
     )
-    montecarlo.add_argument("--trials", type=_positive_int, default=10_000)
+    montecarlo.add_argument("--trials", type=_trial_count, default=10_000)
     montecarlo.add_argument(
         "--repair-scale",
         type=_positive_float,
@@ -175,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     facebook.add_argument("--files", type=_positive_int, default=200)
     facebook.add_argument(
         "--blocks",
-        type=_positive_float,
+        type=_block_target,
         default=None,
         help="target total data blocks (overrides --files)",
     )

@@ -389,16 +389,10 @@ class BlockIndex:
             readable &= nodes != exclude_node
         return self._pack_bits(readable)
 
-    def readable_bits(
-        self, sids: np.ndarray, n: int, exclude_node: int = -1
-    ) -> np.ndarray:
-        """Readable-position bitmasks for a batch of width-``n`` stripes
-        (optionally excluding ``exclude_node`` — the decommission
-        planner's "never read the retiring node" constraint)."""
-        return self._readable_bits(self._slab(sids, n), exclude_node)
-
     def stripe_readable_bits(self, stripe: Stripe, exclude_node: int = -1) -> int:
-        """One stripe's current readable bitmask (0 when unregistered)."""
+        """One stripe's current readable bitmask (0 when unregistered),
+        optionally excluding ``exclude_node`` — the decommission
+        planner's "never read the retiring node" constraint."""
         rows = self.stripe_rows(stripe)
         if rows is None:
             return 0

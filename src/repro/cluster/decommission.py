@@ -12,17 +12,15 @@ receiving placements immediately, one task per resident block rebuilds
 it elsewhere (light decoder first, always excluding the retiring node as
 a source), and the node is retired once empty.
 
-Planning is one function of ``(stripe, position, readable bitmask)``:
-the bulk planner packs the bitmasks of all the node's blocks in one
-columnar pass, a task whose stripe has changed since asks the NameNode
-for the current one, and both hand it straight to the ``RepairPlanner``.
+Each task plans when it executes, under the stripe's readable pattern
+at that moment (the retiring node excluded), so a block whose stripe
+lost another block after ``start()`` plans under the current pattern.
+The code's ``RepairPlanner`` memoises, so blocks of one shape plan once.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, NamedTuple
-
-import numpy as np
 
 from .blocks import BlockId, Stripe
 from .mapreduce import MapReduceJob, Task
@@ -34,7 +32,6 @@ __all__ = [
     "DecommissionManager",
     "RecreateBlockTask",
     "RecreateDecision",
-    "plan_recreates_vectorized",
 ]
 
 
@@ -43,15 +40,12 @@ class RecreateDecision(NamedTuple):
 
     ``kind`` is "light" (XOR group decode), "heavy" (full RS decode) or
     "copy" (unrepairable without the retiring node: direct copy off
-    it).  ``readable_bits`` is the readable-position bitmask the plan
-    was made under, excluding the retiring node — the execute-time
-    staleness check replans iff the pattern has since changed.
+    it).
     """
 
     block: BlockId
     kind: str
     sources: tuple[int, ...]
-    readable_bits: int
 
 
 def _recreate_decision(
@@ -69,86 +63,27 @@ def _recreate_decision(
         block=BlockId(stripe.file_name, stripe.index, position),
         kind=decision.kind if decision.feasible else "copy",
         sources=decision.sources,
-        readable_bits=readable_bits,
     )
-
-
-def plan_recreates_vectorized(
-    cluster: "HadoopCluster", node_id: str
-) -> list[RecreateDecision]:
-    """The engine: one columnar pass over the retiring node's rows.
-
-    Readable patterns are computed as bitmasks on width-grouped slabs of
-    the BlockIndex and handed to the planner as they are, once per
-    *distinct* (code, position, pattern) key, not per block — a
-    decommissioning node at production scale holds tens of thousands of
-    blocks drawn from a handful of patterns.
-    """
-    index = cluster.namenode.index
-    node_idx = index.node_index[node_id]
-    rows = index.sort_rows(index.rows_on_node(node_idx))
-    decisions: list[RecreateDecision | None] = [None] * rows.size
-    if rows.size == 0:
-        return []
-    sids_all = index.sid[rows]
-    widths = index.stripe_n[sids_all]
-    stripes = index.stripes
-    # Loop-local hoist: blocks sharing (code, padding, position, pattern)
-    # share a plan and differ only in their block id.
-    memo: dict[tuple, RecreateDecision] = {}
-    for n in np.unique(widths):
-        group = np.flatnonzero(widths == n)
-        grp_sids = sids_all[group]
-        rbits = index.readable_bits(grp_sids, int(n), exclude_node=node_idx)
-        for i, sid, pos, rb in zip(
-            group.tolist(),
-            grp_sids.tolist(),
-            index.pos[rows[group]].tolist(),
-            rbits.tolist(),
-        ):
-            stripe = stripes[sid]
-            key = (id(stripe.code), stripe.data_blocks, pos, rb)
-            planned = memo.get(key)
-            if planned is None:
-                planned = memo[key] = _recreate_decision(stripe, pos, rb)
-            decisions[i] = RecreateDecision(
-                BlockId(stripe.file_name, stripe.index, pos),
-                planned.kind,
-                planned.sources,
-                rb,
-            )
-    return decisions  # type: ignore[return-value]
 
 
 class RecreateBlockTask(Task):
     """Rebuild one block somewhere else without reading the retiring node."""
 
-    def __init__(
-        self,
-        manager: "DecommissionManager",
-        stripe: Stripe,
-        position: int,
-        planned: RecreateDecision | None = None,
-    ):
+    def __init__(self, manager: "DecommissionManager", stripe: Stripe, position: int):
         super().__init__()
         self.manager = manager
         self.stripe = stripe
         self.position = position
-        self.planned = planned
 
     def describe(self) -> str:
         return f"recreate {self.stripe.block_id(self.position)}"
 
     def _decide(self, cluster: "HadoopCluster") -> RecreateDecision:
-        """The bulk-planned decision if the erasure pattern is unchanged
-        since planning time, else a fresh plan under the current one."""
-        current = cluster.namenode.readable_bits(
+        """Plan under the stripe's current readable pattern."""
+        readable = cluster.namenode.readable_bits(
             self.stripe, exclude_node=self.manager.node_id
         )
-        planned = self.planned
-        if planned is not None and planned.readable_bits == current:
-            return planned
-        return _recreate_decision(self.stripe, self.position, current)
+        return _recreate_decision(self.stripe, self.position, readable)
 
     def execute(self, cluster: "HadoopCluster", node_id: str, finish: Callable[[bool], None]) -> None:
         stripe, position = self.stripe, self.position
@@ -203,9 +138,6 @@ class RecreateBlockTask(Task):
 class DecommissionManager:
     """Orchestrates one node's retirement."""
 
-    #: Bulk planner for the retiring node's resident blocks.
-    plan_recreates = staticmethod(plan_recreates_vectorized)
-
     def __init__(self, cluster: "HadoopCluster", node_id: str):
         self.cluster = cluster
         self.node_id = node_id
@@ -225,16 +157,11 @@ class DecommissionManager:
         self.bytes_read_from_node_before = self.cluster.metrics.disk_read_by_node.get(
             self.node_id, 0.0
         )
-        decisions = self.plan_recreates(self.cluster, self.node_id)
-        self.blocks_total = len(decisions)
-        tasks: list[Task] = []
-        for decision in decisions:
-            stripe = namenode.stripe_of(decision.block)
-            tasks.append(
-                RecreateBlockTask(
-                    self, stripe, decision.block.position, planned=decision
-                )
-            )
+        tasks: list[Task] = [
+            RecreateBlockTask(self, namenode.stripe_of(block), block.position)
+            for block in namenode.blocks_on_node(self.node_id)
+        ]
+        self.blocks_total = len(tasks)
 
         def done(job: MapReduceJob) -> None:
             self._retire()

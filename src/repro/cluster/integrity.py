@@ -12,10 +12,9 @@ layer to the simulated cluster:
 * :class:`CorruptionInjector` — flips payload bytes at block
   granularity, modelling bit rot / torn writes;
 * :func:`heal_stripe` — heals reported mismatches in place through the
-  code's repair machinery, counting the block reads each heal consumed
-  (the scan-and-heal loop over it is
-  :class:`~repro.cluster.scrubengine.ScrubEngine`; its per-block CRC
-  oracle is :class:`repro.spec.scrubber.Scrubber`).
+  code's repair machinery, counting the block reads each heal consumed;
+* :class:`Scrubber` — the scan-and-heal loop: per-block CRC32
+  verification against its registry, then :func:`heal_stripe`.
 
 For Reed-Solomon stripes the scrubber can also run *checksum-free*
 detection via the PGZ syndrome locator (:mod:`repro.codes.errors`),
@@ -40,6 +39,7 @@ __all__ = [
     "ChecksumRegistry",
     "CorruptionInjector",
     "ScrubReport",
+    "Scrubber",
     "heal_stripe",
 ]
 
@@ -133,11 +133,11 @@ def heal_stripe(
 ) -> None:
     """Heal already-detected corrupt positions of one stripe in place.
 
-    The shared heal loop behind both scrubber implementations (the CRC
-    spec and the snapshot engine): a corrupted block is healed exactly
-    like a lost one (Section 3.1.2) — the light decoder's read set when
-    a plan survives, a heavy decode otherwise — so scrub accounting
-    follows the same 2x RS-vs-LRC economics as the repair benchmarks.
+    The heal loop behind :class:`Scrubber`: a corrupted block is healed
+    exactly like a lost one (Section 3.1.2) — the light decoder's read
+    set when a plan survives, a heavy decode otherwise — so scrub
+    accounting follows the same 2x RS-vs-LRC economics as the repair
+    benchmarks.
     ``refresh(stripe, position)`` re-records the caller's integrity
     state after each rewrite.
     """
@@ -175,6 +175,34 @@ def heal_stripe(
         healthy[position] = rebuilt
         refresh(stripe, position)
         report.healed_blocks.append(stripe.block_id(position))
+
+
+class Scrubber:
+    """Scan payload-carrying stripes and heal corrupted blocks in place.
+
+    Detection is per-block CRC32 verification against its own
+    :class:`ChecksumRegistry`; healing is :func:`heal_stripe`.
+    """
+
+    def __init__(self) -> None:
+        self.registry = ChecksumRegistry()
+
+    def record_stripe(self, stripe: Stripe) -> int:
+        """Checksum every stored position of a payload-carrying stripe."""
+        return self.registry.record_stripe(stripe)
+
+    def scrub_stripe(self, stripe: Stripe, report: ScrubReport) -> None:
+        report.stripes_scanned += 1
+        corrupt = self.registry.scan_stripe(stripe)
+        if corrupt:
+            heal_stripe(stripe, corrupt, report, self.registry.refresh)
+
+    def scrub(self, stripes: list[Stripe]) -> ScrubReport:
+        report = ScrubReport()
+        for stripe in stripes:
+            if stripe.payload is not None:
+                self.scrub_stripe(stripe, report)
+        return report
 
 
 def pgz_cross_check(stripe: Stripe) -> list[int]:

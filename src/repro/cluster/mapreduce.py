@@ -8,15 +8,13 @@ sharing the cluster's task slots under Hadoop's FairScheduler.
 The model: every node offers ``map_slots_per_node`` slots; the tracker
 assigns pending tasks at heartbeat granularity; the FairScheduler picks
 the job whose running-task count is furthest below its fair share
-(weighted, ties to earliest submission).
+(weighted, ties to earliest submission, then to the lower job id).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from typing import TYPE_CHECKING, Callable
-
-from .fairscheduler import SchedulerState, plan_pass_vectorized
 
 if TYPE_CHECKING:
     from .hdfs import HadoopCluster
@@ -132,9 +130,6 @@ class MapReduceJob:
 class JobTracker:
     """Slot accounting + FairScheduler assignment at heartbeat cadence."""
 
-    #: Which job wins each free slot of one assignment pass.
-    plan_pass = staticmethod(plan_pass_vectorized)
-
     def __init__(self, cluster: "HadoopCluster"):
         self.cluster = cluster
         config = cluster.config
@@ -191,23 +186,19 @@ class JobTracker:
             if free > 0 and namenode.nodes[node_id].alive
         ]
         candidates = self._schedulable_jobs()
-        if slots and candidates:
-            total_slots = sum(free for _, free in slots)
-            state = SchedulerState.from_jobs(candidates, total_slots)
-            picks = self.plan_pass(state)
-            # Which job wins a slot is node-independent, so the planned
-            # sequence maps one-to-one onto the flattened slot order;
-            # locality still decides which task the job hands the node.
-            nodes_for_slots = (
-                node_id for node_id, free in slots for _ in range(free)
+        # Each free slot, in node order, goes to the job furthest below its
+        # fair share; locality only decides which task the job hands the node.
+        for node_id in (node_id for node_id, free in slots for _ in range(free)):
+            if not candidates:
+                break
+            job = min(
+                candidates,
+                key=lambda j: (len(j.running) / j.weight, j.submit_time, j.job_id),
             )
-            for job_index, node_id in zip(picks, nodes_for_slots):
-                job = candidates[job_index]
-                task = job.take_task(node_id)
-                if task is None:
-                    continue
-                self._launch(job, task, node_id)
-                assigned_any = True
+            self._launch(job, job.take_task(node_id), node_id)
+            assigned_any = True
+            if not job.has_pending:
+                candidates.remove(job)
         if assigned_any or self._schedulable_jobs():
             self._request_pass()
 

@@ -14,7 +14,6 @@ from typing import TYPE_CHECKING, Callable
 
 from .blocks import Stripe, StoredFile, encode_stripe_payloads
 from .mapreduce import MapReduceJob, Task
-from .raidscan import RaidScanIndex
 
 if TYPE_CHECKING:
     from .hdfs import HadoopCluster
@@ -81,9 +80,6 @@ class EncodeStripeTask(Task):
 class RaidNode:
     """Periodic scanner that RAIDs files matching the policy."""
 
-    #: Finds the un-RAIDed candidate files of each scan.
-    scan_index_cls = RaidScanIndex
-
     def __init__(
         self,
         cluster: "HadoopCluster",
@@ -95,7 +91,6 @@ class RaidNode:
             interval if interval is not None else cluster.config.raidnode_interval
         )
         self.should_raid = should_raid or (lambda stored: True)
-        self.scan_index = self.scan_index_cls()
         self.in_flight: set[str] = set()
         self._running = False
 
@@ -116,9 +111,13 @@ class RaidNode:
 
     def scan(self) -> MapReduceJob | None:
         """Find un-RAIDed files and dispatch one encode job for them."""
-        candidates = self.scan_index.candidates(
-            self.cluster.files, self.in_flight, self.should_raid
-        )
+        candidates = [
+            stored
+            for name, stored in sorted(self.cluster.files.items())
+            if not stored.raided
+            and name not in self.in_flight
+            and self.should_raid(stored)
+        ]
         if not candidates:
             return None
         # Batch-encode the candidates' verification payloads up front:
@@ -140,7 +139,6 @@ class RaidNode:
             for stored in candidates:
                 if all(stripe.parities_stored for stripe in stored.stripes):
                     stored.raided = True
-                    self.scan_index.mark_raided(stored.name)
                 self.in_flight.discard(stored.name)
 
         job = MapReduceJob(name="raid-encode", tasks=tasks, on_complete=done)

@@ -4,8 +4,8 @@ Production HDFS runs a background *block scanner* on every DataNode
 that re-reads stored blocks and verifies their checksums on a rolling
 schedule; hits are reported and repaired like lost blocks.  This daemon
 brings that loop into the simulated cluster: on a fixed period it scans
-every payload-carrying stripe through the
-:class:`~repro.cluster.scrubengine.ScrubEngine`, heals in place, and charges
+every payload-carrying stripe through the per-block CRC
+:class:`~repro.cluster.integrity.Scrubber`, heals in place, and charges
 the heal's block reads to the cluster metrics at the stripe's block
 size — so scrub traffic shows up in the same Figure 5-style accounting
 as repair traffic, with the same RS-vs-LRC economics.
@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .integrity import ScrubReport
-from .scrubengine import ScrubEngine
+from .integrity import ScrubReport, Scrubber
 
 if TYPE_CHECKING:
     from .hdfs import HadoopCluster
@@ -37,15 +36,12 @@ class ScrubberDaemon:
         scanners take weeks per full pass; experiments shrink this).
     """
 
-    #: The scan-and-heal implementation (``with_specs("scrubber")`` rebinds it).
-    make_scanner = ScrubEngine
-
     def __init__(self, cluster: "HadoopCluster", scan_interval: float = 3600.0):
         if scan_interval <= 0:
             raise ValueError("scan_interval must be positive")
         self.cluster = cluster
         self.scan_interval = scan_interval
-        self._scanner = self.make_scanner()
+        self._scanner = Scrubber()
         self.reports: list[ScrubReport] = []
         self._started = False
 

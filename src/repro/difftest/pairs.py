@@ -1,4 +1,4 @@
-"""The twelve spec/engine pairs, declared in one place.
+"""The eight spec/engine pairs, declared in one place.
 
 :func:`engine_matrix` is the single source of truth for the README
 "Spec/engine pairs" table and reprolint's RL003.
@@ -47,21 +47,6 @@ PAIRS = (
         engine="repro.cluster.readservice.ReadServiceEngine",
     ),
     EnginePair(
-        "scrubber",
-        spec="repro.spec.scrubber.Scrubber",
-        engine="repro.cluster.scrubengine.ScrubEngine",
-    ),
-    EnginePair(
-        "decommission",
-        spec="repro.spec.daemons.plan_recreates_seed",
-        engine="repro.cluster.decommission.plan_recreates_vectorized",
-    ),
-    EnginePair(
-        "mapreduce",
-        spec="repro.spec.daemons.plan_pass_seed",
-        engine="repro.cluster.fairscheduler.plan_pass_vectorized",
-    ),
-    EnginePair(
         "recovery",
         spec="repro.recovery.equivalence.run_uninterrupted",
         engine="repro.recovery.equivalence.run_with_kill_resume",
@@ -70,11 +55,6 @@ PAIRS = (
         "placement",
         spec="repro.spec.placement.place_positions_seed",
         engine="repro.cluster.hdfs.HadoopCluster._place_positions",
-    ),
-    EnginePair(
-        "raidnode",
-        spec="repro.spec.daemons.scan_candidates_seed",
-        engine="repro.cluster.raidscan.RaidScanIndex",
     ),
 )
 

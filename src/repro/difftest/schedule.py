@@ -32,7 +32,6 @@ __all__ = [
     "Schedule",
     "require_nonnegative",
     "require_sorted",
-    "require_within",
     "spawn_streams",
 ]
 
@@ -104,20 +103,3 @@ def require_nonnegative(values: np.ndarray, what: str) -> None:
     values = np.asarray(values)
     if values.size and not float(np.min(values)) >= 0:
         raise ValueError(f"{what} must be non-negative")
-
-
-def require_within(
-    values: np.ndarray,
-    high: float,
-    what: str,
-    low: float | None = 0.0,
-) -> None:
-    """Half-open bounds check: ``low <= values < high`` (``low=None``
-    skips the lower bound)."""
-    values = np.asarray(values)
-    if not values.size:
-        return
-    if low is not None and float(np.min(values)) < low:
-        raise ValueError(f"{what} must be >= {low}")
-    if float(np.max(values)) >= high:
-        raise ValueError(f"{what} must stay below {high}")

@@ -118,6 +118,10 @@ class TestFailFast:
             (["degraded", "--racks", "60"], "--racks"),
             # ~1e26 expected transitions per trajectory, over MAX_STEPS.
             (["montecarlo", "--repair-scale", "5"], "--repair-scale"),
+            # Below one block / two trials: no file to run, no std error.
+            (["ec2", "--blocks", "0.5"], "--blocks"),
+            (["facebook", "--blocks", "0.4"], "--blocks"),
+            (["montecarlo", "--trials", "1"], "--trials"),
         ],
     )
     def test_bad_counts_exit_2_at_the_parser(self, argv, flag, capsys):

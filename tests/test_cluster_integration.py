@@ -69,6 +69,37 @@ class TestRaiding:
         raidnode.stop()
         assert not cluster.files["f0"].raided
 
+    def test_raidnode_scan_picks_candidates_in_name_order(self):
+        cluster = HadoopCluster(xorbas_lrc(), small_config(), seed=1)
+        for name in ("f3", "f0", "f4", "f1", "f2", "f5"):
+            cluster.create_file(name, 640e6)
+        cluster.raid_file_instant("f4")
+        raidnode = RaidNode(cluster, should_raid=lambda stored: stored.name != "f1")
+        raidnode.in_flight.add("f2")
+        job = raidnode.scan()
+        # Not f4 (RAIDed), f2 (in flight) or f1 (policy); sorted by name.
+        assert [task.stripe.file_name for task in job.tasks] == ["f0", "f3", "f5"]
+        assert raidnode.in_flight == {"f0", "f2", "f3", "f5"}
+        assert raidnode.scan() is None  # everything left is excluded
+
+    def test_raidnode_never_dispatches_files_raided_out_of_band(self):
+        cluster = HadoopCluster(xorbas_lrc(), small_config(), seed=1)
+        cluster.create_file("f0", 640e6)
+        cluster.create_file("f1", 640e6)
+        cluster.raid_all_instant()
+        cluster.create_file("f2", 640e6)
+        raidnode = RaidNode(cluster)
+        raidnode.start()
+        cluster.run(until=3600)
+        raidnode.stop()
+        encoded = [
+            task.stripe.file_name
+            for job in cluster.jobtracker.jobs
+            for task in job.tasks
+        ]
+        assert encoded == ["f2"]
+        assert all(stored.raided for stored in cluster.files.values())
+
     def test_encode_accounts_reads_and_writes(self):
         cluster = HadoopCluster(xorbas_lrc(), small_config(), seed=1)
         cluster.create_file("f0", 640e6)

@@ -133,6 +133,74 @@ class TestJobMechanics:
         assert job_ids() == job_ids() == [1, 2, 3]
 
 
+class TestFairSharePicks:
+    """One JobTracker assignment pass on hand-built jobs: each free slot
+    goes to the job with the least ``running / weight``, ties to the
+    earlier ``submit_time``, then the smaller ``job_id``."""
+
+    @staticmethod
+    def run_pass(jobs, free):
+        """``jobs``: (name, running, pending, weight, submit_time, job_id);
+        ``free``: free slots per node, in node order.  Returns the
+        (job name, node) of every launch, in launch order."""
+        cluster = HadoopCluster(xorbas_lrc(), ec2_config(num_nodes=len(free)), seed=0)
+        tracker = cluster.jobtracker
+        for node_id, slots in zip(sorted(tracker.slots_free), free):
+            tracker.slots_free[node_id] = slots
+        for name, running, pending, weight, submit_time, job_id in jobs:
+            job = MapReduceJob(name, [Task() for _ in range(pending)], weight=weight)
+            job.running = {Task() for _ in range(running)}
+            job.job_id, job.submit_time, job.ready_time = job_id, submit_time, 0.0
+            tracker.jobs.append(job)
+        launches = []
+        launch = tracker._launch
+
+        def record(job, task, node_id):
+            launches.append((job.name, node_id))
+            launch(job, task, node_id)
+
+        tracker._launch = record
+        tracker._assignment_pass()  # the tasks start only once the sim runs
+        return launches
+
+    def test_lower_running_per_weight_first(self):
+        jobs = [
+            ("A", 2, 9, 1.0, 0.0, 1),
+            ("B", 0, 9, 1.0, 1.0, 2),
+            ("C", 1, 9, 1.0, 2.0, 3),
+        ]
+        # Keys A=2, B=0, C=1: B to 1 ties C and wins on submit_time,
+        # then C, then all three tie at 2 and A submitted first.
+        picks = self.run_pass(jobs, [4])
+        assert [name for name, _ in picks] == ["B", "B", "C", "A"]
+
+    def test_submit_time_then_job_id_break_ties(self):
+        jobs = [
+            ("X", 0, 9, 1.0, 5.0, 2),
+            ("Y", 0, 9, 1.0, 5.0, 1),
+            ("Z", 0, 9, 1.0, 3.0, 3),
+        ]
+        picks = self.run_pass(jobs, [2, 2])
+        assert [name for name, _ in picks] == ["Z", "Y", "X", "Z"]
+
+    def test_fractional_weights(self):
+        # Keys J1: 1.0, 1.33, 1.67, 2.0; J2: 1.43, 2.86; J3: 1.6, 2.0:
+        # 6 / 3.0 and 5 / 2.5 are both exactly 2.0, and J1 was first.
+        jobs = [
+            ("J1", 3, 9, 3.0, 5.0, 1),
+            ("J2", 1, 9, 0.7, 1.0, 2),
+            ("J3", 4, 9, 2.5, 9.0, 3),
+        ]
+        picks = self.run_pass(jobs, [7])
+        assert [name for name, _ in picks] == ["J1", "J1", "J2", "J3", "J1", "J1", "J3"]
+
+    def test_fewer_pending_tasks_than_slots(self):
+        jobs = [("P", 0, 1, 1.0, 0.0, 1), ("Q", 0, 2, 1.0, 0.0, 2)]
+        # Slots are taken in node order, a node's free slots back to back.
+        picks = self.run_pass(jobs, [2, 0, 3])
+        assert picks == [("P", "node000"), ("Q", "node000"), ("Q", "node002")]
+
+
 class TestRepairPlanValidation:
     def test_mismatched_coefficients_rejected(self):
         from repro.codes import RepairPlan

@@ -71,6 +71,31 @@ class TestDecommission:
         assert cluster.metrics.hdfs_bytes_read == pytest.approx(expected)
         assert manager.bytes_read_from_retiring_node == 0.0
 
+    def test_task_plans_under_the_pattern_at_execute_time(self):
+        """A stripe that loses another block after ``start()`` is read
+        under its current pattern: the lost source is planned around."""
+        cluster = loaded_cluster(xorbas_lrc())
+        victim = pick_loaded_node(cluster)
+        manager = DecommissionManager(cluster, victim)
+        task = manager.start().tasks[0]
+        lost = task._decide(cluster).sources[0]
+        cluster.fail_node(cluster.namenode.locate(task.stripe.block_id(lost)))
+        replanned = task._decide(cluster)
+        assert lost not in replanned.sources
+        reads = []
+        read_blocks = cluster.read_blocks
+
+        def spy(executor, stripe, positions, **callbacks):
+            reads.append((stripe, list(positions)))
+            return read_blocks(executor, stripe, positions, **callbacks)
+
+        cluster.read_blocks = spy
+        cluster.run(until=24 * 3600)
+        assert manager.retired
+        read = [positions for stripe, positions in reads if stripe is task.stripe]
+        assert read == [list(replanned.sources)]
+        assert manager.bytes_read_from_retiring_node == 0.0
+
     def test_lrc_decommission_cheaper_than_rs(self):
         readings = {}
         for name, code in (("lrc", xorbas_lrc()), ("rs", rs_10_4())):

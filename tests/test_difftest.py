@@ -31,7 +31,6 @@ from repro.difftest import (
     engine_matrix,
     require_nonnegative,
     require_sorted,
-    require_within,
     spawn_streams,
     timed,
 )
@@ -118,9 +117,6 @@ class TestScheduleProtocol:
         for bad in (-1.0, np.nan):
             with pytest.raises(ValueError, match="non-negative"):
                 require_nonnegative(np.array([1.0, bad]), "starts")
-        require_within(np.array([0, 4]), 5, "indices")
-        with pytest.raises(ValueError, match="below"):
-            require_within(np.array([5]), 5, "indices")
 
     def test_spawn_streams_stable_and_independent(self):
         a = spawn_streams(42, 3)
@@ -137,7 +133,7 @@ class TestScheduleProtocol:
 
 
 class TestRegistry:
-    def test_all_twelve_pairs_registered(self):
+    def test_all_eight_pairs_registered(self):
         subsystems = {pair.subsystem for pair in engine_matrix()}
         assert subsystems == {
             "montecarlo",
@@ -146,10 +142,6 @@ class TestRegistry:
             "blockindex",
             "network",
             "readservice",
-            "scrubber",
-            "decommission",
-            "mapreduce",
-            "raidnode",
             "placement",
             "recovery",
         }
@@ -205,18 +197,27 @@ class TestSpecBoundary:
         ]
         assert elsewhere == []
 
+    def test_with_specs_swaps_only_the_cluster_bindings(self):
+        """The control-plane daemons run their seed code alone: only the
+        fabric, the metadata plane and placement have a spec to swap."""
+        from repro.spec import _SPEC_BINDINGS, with_specs
+
+        assert set(_SPEC_BINDINGS) == {"network", "namenode", "placement"}
+        for name in ("mapreduce", "raidnode", "scrubber", "decommission"):
+            with pytest.raises(ValueError, match="no swappable spec"):
+                with with_specs(name):
+                    pass
+
     def test_one_pattern_representation_no_bridges(self):
-        """An erasure pattern is an int bitmask end to end: the scalar
-        per-block decommission plan is an oracle, not a production
-        fallback, and the set-interning bridges and the planner's
-        cache-size knob are gone."""
+        """An erasure pattern is an int bitmask end to end: decommission
+        plans from bitmasks (no set-based ``_plan_one``), and the
+        set-interning bridges and the planner's cache-size knob are
+        gone."""
         import repro.cluster.decommission as decommission
-        import repro.spec.daemons as spec_daemons
         from repro.cluster import BlockIndex, HadoopCluster
         from repro.codes import RepairPlanner
 
         assert not hasattr(decommission, "_plan_one")
-        assert hasattr(spec_daemons, "_plan_one")
         for name in ("interned_positions", "_queue_wide"):
             assert not hasattr(BlockIndex, name)
         assert not hasattr(HadoopCluster, "usable_positions")
@@ -301,14 +302,13 @@ class TestCompareSpeed:
         assert recorded == []
 
     def test_pair_benches_assert_no_wall_clock_floor(self):
-        """The twelve spec/engine benches record their ratio and assert
+        """The eight spec/engine benches record their ratio and assert
         nothing about it.  (The paper-figure benches assert *simulated*
         ratios — claims about the paper — and are not in this list.)"""
         bench_dir = Path(__file__).resolve().parents[1] / "benchmarks"
         stems = (
             "blockindex", "codec_engine", "xor_kernels", "network",
-            "readservice", "montecarlo_engine", "scrubber", "decommission",
-            "fairscheduler", "raidnode", "placement", "recovery",
+            "readservice", "montecarlo_engine", "placement", "recovery",
         )
         floors = []
         for stem in stems:

@@ -7,10 +7,10 @@ from repro.cluster.blocks import Stripe
 from repro.cluster.integrity import (
     ChecksumRegistry,
     CorruptionInjector,
+    Scrubber,
     pgz_cross_check,
 )
 from repro.codes import rs_10_4, xorbas_lrc
-from repro.spec import Scrubber
 
 PAYLOAD = 64
 

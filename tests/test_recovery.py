@@ -369,16 +369,6 @@ class TestKillResumeEquivalence:
         assert_runs_equivalent(spec_summary, resumed)
 
     @pytest.mark.slow
-    def test_seed_engines_equivalent_too(self, tmp_path, spec_summary):
-        """The scalar FairScheduler spec resumes identically — and
-        identically to the engine run."""
-        with with_specs("mapreduce"):
-            spec = run_uninterrupted(**SMALL)
-            resumed = run_with_kill_resume(tmp_path, **SMALL, kill_epoch=1)
-        assert_runs_equivalent(spec, resumed)
-        assert_runs_equivalent(spec_summary, resumed)
-
-    @pytest.mark.slow
     def test_rs_scheme_equivalent_too(self, tmp_path):
         spec = run_uninterrupted(**SMALL, scheme="HDFS-RS")
         resumed = run_with_kill_resume(
@@ -480,13 +470,13 @@ def _sweep_spec(specs: tuple):
 @settings(max_examples=8, deadline=None)
 @given(
     kill_epoch=st.integers(min_value=0, max_value=len(_SWEEP_PATTERN) - 1),
-    specs=st.sampled_from([(), ("mapreduce",), ("network",), ("namenode",)]),
+    specs=st.sampled_from([(), ("network",), ("namenode",)]),
 )
 def test_kill_resume_equivalent_at_every_kill_point(
     tmp_path_factory, kill_epoch, specs
 ):
     """Hypothesis-swept kill points x (engines, or the scalar spec of
-    the scheduler, the fabric or the metadata plane): equivalence holds
+    the fabric or the metadata plane): equivalence holds
     wherever the crash lands."""
     scratch = tmp_path_factory.mktemp(f"kill{kill_epoch}-{'-'.join(specs)}")
     with with_specs(*specs):
