@@ -205,10 +205,6 @@ class BlockIndex:
             return -1
         return self._base_list[sid] + block.position
 
-    def block_of(self, row: int) -> BlockId:
-        stripe = self.stripes[self.sid[row]]
-        return BlockId(stripe.file_name, stripe.index, int(self.pos[row]))
-
     # -- ordering -------------------------------------------------------------
 
     def _ranks(self) -> np.ndarray:

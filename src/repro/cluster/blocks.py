@@ -201,11 +201,6 @@ class Stripe:
         self._payload = coded
         self._payload_data = None
 
-    def payload_block(self, position: int) -> np.ndarray:
-        if self.payload is None:
-            raise RuntimeError("stripe carries no verification payload")
-        return self.payload[position]
-
     def verify_rebuilt(self, position: int, rebuilt: np.ndarray) -> bool:
         return self.payload is None or bool(
             np.array_equal(self.payload[position], rebuilt)
@@ -244,19 +239,3 @@ class StoredFile:
     size_bytes: float
     stripes: list[Stripe] = field(default_factory=list)
     raided: bool = False
-
-    @property
-    def num_blocks(self) -> int:
-        return sum(len(s.stored_positions()) for s in self.stripes)
-
-    @property
-    def data_block_count(self) -> int:
-        return sum(s.data_blocks for s in self.stripes)
-
-    def data_block_ids(self) -> list[BlockId]:
-        ids = []
-        for stripe in self.stripes:
-            ids.extend(
-                stripe.block_id(p) for p in range(stripe.data_blocks)
-            )
-        return ids

@@ -16,11 +16,8 @@ layer to the simulated cluster:
 * :class:`Scrubber` — the scan-and-heal loop: per-block CRC32
   verification against its registry, then :func:`heal_stripe`.
 
-For Reed-Solomon stripes the scrubber can also run *checksum-free*
-detection via the PGZ syndrome locator (:mod:`repro.codes.errors`),
-which finds up to ``floor((n-k)/2)`` corrupt blocks from parity
-structure alone — the cross-check used by the tests to validate the
-checksum path.
+Detection is by checksum only, as in HDFS: the tests' oracle for a
+corrupt position is the injection record, not a second locator.
 """
 
 from __future__ import annotations
@@ -31,8 +28,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..codes.base import mask_of
-from ..codes.errors import locate_corrupt_blocks
-from ..codes.reed_solomon import ReedSolomonCode
 from .blocks import BlockId, Stripe
 
 __all__ = [
@@ -203,20 +198,3 @@ class Scrubber:
             if stripe.payload is not None:
                 self.scrub_stripe(stripe, report)
         return report
-
-
-def pgz_cross_check(stripe: Stripe) -> list[int]:
-    """Checksum-free corruption location for RS-precoded stripes.
-
-    Runs the PGZ syndrome locator on the stripe payload.  Only the RS
-    positions participate (local parities are outside the RS parity
-    check), so this applies to plain ReedSolomonCode stripes and to the
-    RS prefix of an LRC stripe.
-    """
-    code = stripe.code
-    if isinstance(code, ReedSolomonCode):
-        return locate_corrupt_blocks(code, stripe.payload)
-    precode = getattr(code, "precode", None)
-    if not isinstance(precode, ReedSolomonCode):
-        raise TypeError("PGZ cross-check needs a Reed-Solomon (pre)code")
-    return locate_corrupt_blocks(precode, stripe.payload[: precode.n])

@@ -247,16 +247,3 @@ class JobTracker:
         """Remove the node's slots; its running tasks fail via their own
         transfer-failure callbacks (the network aborts their flows)."""
         self.slots_free[node_id] = 0
-
-    def utilization(self) -> float:
-        total = self.cluster.config.map_slots_per_node * sum(
-            1 for n in self.cluster.namenode.nodes.values() if n.alive
-        )
-        if total == 0:
-            return 0.0
-        free = sum(
-            free
-            for node_id, free in self.slots_free.items()
-            if self.cluster.namenode.nodes[node_id].alive
-        )
-        return 1.0 - free / total

@@ -155,21 +155,17 @@ class MetricsCollector:
         self.disk_series = TimeSeries(bucket_width)
         self.cpu_busy_series = TimeSeries(bucket_width)
         self.events: list[FailureEventRecord] = []
-        self._active_event: FailureEventRecord | None = None
+        self._current_event: FailureEventRecord | None = None
 
     # -- failure-event scoping ---------------------------------------------
 
     def begin_event(self, record: FailureEventRecord) -> FailureEventRecord:
         self.events.append(record)
-        self._active_event = record
+        self._current_event = record
         return record
 
     def end_event(self) -> None:
-        self._active_event = None
-
-    @property
-    def active_event(self) -> FailureEventRecord | None:
-        return self._active_event
+        self._current_event = None
 
     # -- attribution hooks (called by network / tasks) ------------------------
 
@@ -181,8 +177,8 @@ class MetricsCollector:
         self.hdfs_bytes_read += nbytes
         self.disk_read_by_node[node_id] += nbytes
         self.disk_series.add_interval(start, end, nbytes)
-        if self._active_event is not None:
-            self._active_event.hdfs_bytes_read += nbytes
+        if self._current_event is not None:
+            self._current_event.hdfs_bytes_read += nbytes
 
     def record_network_out(
         self, node_id: str, nbytes: float, start: float, end: float
@@ -191,8 +187,8 @@ class MetricsCollector:
         self.network_in_bytes += nbytes  # internal traffic: in == out
         self.network_out_by_node[node_id] += nbytes
         self.network_series.add_interval(start, end, nbytes)
-        if self._active_event is not None:
-            self._active_event.network_out_bytes += nbytes
+        if self._current_event is not None:
+            self._current_event.network_out_bytes += nbytes
 
     # -- batched attribution (one call per network settle) ---------------------
 
@@ -212,8 +208,8 @@ class MetricsCollector:
         for node_id, nbytes in node_totals:
             self.disk_read_by_node[node_id] += nbytes
         self.disk_series.add_interval(start, end, total)
-        if self._active_event is not None:
-            self._active_event.hdfs_bytes_read += total
+        if self._current_event is not None:
+            self._current_event.hdfs_bytes_read += total
 
     def record_network_out_batch(
         self,
@@ -228,8 +224,8 @@ class MetricsCollector:
         for node_id, nbytes in node_totals:
             self.network_out_by_node[node_id] += nbytes
         self.network_series.add_interval(start, end, total)
-        if self._active_event is not None:
-            self._active_event.network_out_bytes += total
+        if self._current_event is not None:
+            self._current_event.network_out_bytes += total
 
     def record_write(self, nbytes: float) -> None:
         self.bytes_written += nbytes
@@ -239,21 +235,21 @@ class MetricsCollector:
         self.cpu_busy_series.add_interval(start, end, load * (end - start))
 
     def record_repair_job(self, start: float, end: float) -> None:
-        if self._active_event is None:
+        if self._current_event is None:
             return
-        event = self._active_event
+        event = self._current_event
         if event.repair_start is None or start < event.repair_start:
             event.repair_start = start
         if event.repair_end is None or end > event.repair_end:
             event.repair_end = end
 
     def record_repair_kind(self, light: bool) -> None:
-        if self._active_event is None:
+        if self._current_event is None:
             return
         if light:
-            self._active_event.light_repairs += 1
+            self._current_event.light_repairs += 1
         else:
-            self._active_event.heavy_repairs += 1
+            self._current_event.heavy_repairs += 1
 
     def cpu_utilization_series(
         self, num_nodes: int, slots_per_node: int, until: float | None = None

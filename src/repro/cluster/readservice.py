@@ -151,10 +151,6 @@ class ReadSchedule(ArraySchedule):
     def num_reads(self) -> int:
         return int(self.read_time.size)
 
-    @property
-    def num_outages(self) -> int:
-        return int(self.outage_start.size)
-
     def check(self, config: DegradedReadConfig, code: ErasureCode) -> None:
         """Cheap shape/bounds validation against a config and code."""
         # Misaligned columns would be truncated by the spec's zip but

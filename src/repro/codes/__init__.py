@@ -40,12 +40,6 @@ from .cauchy import (
     element_to_bitmatrix,
     xor_count,
 )
-from .errors import (
-    correct_corruption,
-    locate_corrupt_blocks,
-    max_correctable_corruptions,
-    pgz_locate_column,
-)
 from .construction import (
     deterministic_lrc,
     find_alignment_coefficients,
@@ -100,10 +94,6 @@ __all__ = [
     "build_parity_bitmatrix",
     "element_to_bitmatrix",
     "xor_count",
-    "correct_corruption",
-    "locate_corrupt_blocks",
-    "max_correctable_corruptions",
-    "pgz_locate_column",
     "deterministic_lrc",
     "find_alignment_coefficients",
     "nonzero_nullspace_vector",

@@ -125,10 +125,6 @@ class CodeParameters:
         """Extra storage per byte of data, e.g. 0.4 for RS(10,4)."""
         return (self.n - self.k) / self.k
 
-    @property
-    def parity_blocks(self) -> int:
-        return self.n - self.k
-
     def __str__(self) -> str:
         label = self.name or f"({self.k},{self.n - self.k})"
         return (

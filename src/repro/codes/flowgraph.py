@@ -26,8 +26,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .bounds import locality_distance_bound
-
 if TYPE_CHECKING:
     import networkx as nx
 
@@ -162,8 +160,3 @@ def max_feasible_distance(
         else:
             break
     return best
-
-
-def theoretical_max_distance(k: int, n: int, r: int) -> int:
-    """Convenience re-export of the Theorem 2 bound for comparisons."""
-    return locality_distance_bound(n, k, r)

@@ -22,6 +22,7 @@ from ..galois import (
     gf_matmul,
     gf_null_space,
     gf_rank,
+    gf_rank_batch,
     gf_rref,
 )
 from .base import CodeParameters, ErasureCode, RepairPlan
@@ -174,23 +175,24 @@ class LinearCode(ErasureCode):
     def block_locality(self, index: int, max_r: int | None = None) -> int:
         """Exact locality of one block: the smallest r such that its
         generator column lies in the span of r other columns
-        (Definition 2).  Searches subsets of increasing size.
+        (Definition 2).  Searches subsets of increasing size; each size
+        is one batched elimination over every subset ``S``, comparing
+        the ranks of ``[G[:, S] | 0]`` and ``[G[:, S] | g_index]``.
         """
+        (index,) = self._positions([index])
         if max_r is None:
             max_r = self.k
-        column = self.generator[:, index]
         others = [j for j in range(self.n) if j != index]
-        for r in range(1, max_r + 1):
-            for subset in combinations(others, r):
-                if self._in_span(column, subset):
-                    return r
+        for r in range(1, min(max_r, len(others)) + 1):
+            subsets = np.array(list(combinations(others, r)))
+            stack = np.zeros((2, len(subsets), self.k, r + 1), self.field.dtype)
+            stack[:, :, :, :r] = self.generator[:, subsets].transpose(1, 0, 2)
+            stack[1, :, :, r] = self.generator[:, index]
+            ranks = gf_rank_batch(self.field, stack.reshape(-1, self.k, r + 1))
+            without, with_target = ranks.reshape(2, -1)
+            if np.any(without == with_target):
+                return r
         return max_r + 1  # locality exceeds the search bound
-
-    def _in_span(self, column: np.ndarray, subset: Sequence[int]) -> bool:
-        basis = self.generator[:, list(subset)]
-        rank_without = gf_rank(self.field, basis)
-        augmented = np.concatenate([basis, column.reshape(-1, 1)], axis=1)
-        return gf_rank(self.field, augmented) == rank_without
 
     def solve_repair_coefficients(
         self, lost: int, sources: Sequence[int]
@@ -201,6 +203,7 @@ class LinearCode(ErasureCode):
         span.  Used to turn a discovered repair group into an executable
         :class:`RepairPlan`.
         """
+        self._positions([lost, *sources])
         basis = self.generator[:, list(sources)]
         target = self.generator[:, lost].reshape(-1, 1)
         augmented = np.concatenate([basis, target], axis=1)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..galois import GF, gf_rank
+from ..galois import GF
 from .base import CodeParameters, RepairPlan
 from .linear import LinearCode
 from .reed_solomon import ReedSolomonCode
@@ -130,13 +130,6 @@ class LocallyRepairableCode(LinearCode):
             worst = max(worst, min(plan.num_reads for plan in plans))
         return worst
 
-    def group_of(self, block: int) -> LocalGroup:
-        """The primary repair group of a block (first registered)."""
-        groups = self._groups_by_block.get(block)
-        if not groups:
-            raise KeyError(f"block {block} belongs to no local group")
-        return groups[0]
-
     def parameters(self) -> CodeParameters:
         return CodeParameters(
             k=self.k,
@@ -235,15 +228,3 @@ def xorbas_lrc(field: GF | None = None) -> LocallyRepairableCode:
     S3 = S1 + S2 = P1+P2+P3+P4 never hits disk.
     """
     return make_lrc(10, 4, 5, field=field, name="LRC(10,6,5)")
-
-
-def certify_group_structure(code: LocallyRepairableCode) -> bool:
-    """Re-verify every group identity and overall generator rank.
-
-    Exposed for tests and for user-built LRCs; returns True or raises.
-    """
-    for group in code.groups:
-        code._validate_group(group)
-    if gf_rank(code.field, code.generator) != code.k:
-        raise ValueError("generator lost full rank")
-    return True

@@ -23,6 +23,7 @@ from .linalg import (
     gf_matmul_batch,
     gf_null_space,
     gf_rank,
+    gf_rank_batch,
     gf_rref,
     gf_solve,
     gf_vandermonde,
@@ -55,6 +56,7 @@ __all__ = [
     "gf_matmul_batch",
     "gf_null_space",
     "gf_rank",
+    "gf_rank_batch",
     "gf_rref",
     "gf_solve",
     "gf_vandermonde",

@@ -26,6 +26,7 @@ __all__ = [
     "gf_independent_columns",
     "gf_rref",
     "gf_rank",
+    "gf_rank_batch",
     "gf_inv",
     "gf_solve",
     "gf_null_space",
@@ -173,6 +174,36 @@ def gf_rank(field: GF, a) -> int:
     """Rank of a matrix over GF(2^m)."""
     _, pivots = gf_rref(field, a)
     return len(pivots)
+
+
+def gf_rank_batch(field: GF, stack) -> np.ndarray:
+    """Ranks of a ``(batch, rows, cols)`` stack of matrices, as an int array.
+
+    One column-by-column elimination runs across the whole batch: at
+    column c every matrix that still has a non-zero entry at or below its
+    current rank row swaps it up, normalises it and clears the column
+    below it.  The Python loop is over the columns only.
+    """
+    mat = np.array(stack, dtype=field.dtype)
+    if mat.ndim != 3:
+        raise ValueError(f"expected a (batch, rows, cols) stack, got {mat.shape}")
+    batch, rows, cols = mat.shape
+    rank = np.zeros(batch, dtype=np.intp)
+    row_ids = np.arange(rows)
+    for c in range(cols):
+        eligible = (mat[:, :, c] != 0) & (row_ids >= rank[:, None])
+        b = eligible.any(axis=1).nonzero()[0]  # matrices with a pivot here
+        if not b.size:
+            continue
+        r, p = rank[b], eligible[b].argmax(axis=1)
+        pivot = mat[b, p]
+        mat[b, p] = mat[b, r]
+        pivot = field.mul(pivot, field.inv(pivot[:, c])[:, None])
+        mat[b, r] = pivot
+        factors = np.where(row_ids > r[:, None], mat[b, :, c], 0)
+        mat[b] ^= field.mul(factors[:, :, None], pivot[:, None, :])
+        rank[b] += 1
+    return rank
 
 
 def gf_independent_columns(

@@ -19,7 +19,6 @@ import numpy as np
 from repro.codes.base import CodeParameters, DecodingError, RepairPlan
 from repro.codes.engine import CodecEngine
 from repro.galois import GF, GF256, gf_inv, gf_matmul, gf_rank
-from repro.galois.polynomial import lagrange_interpolate
 
 __all__ = [
     "GatherCodecEngine",
@@ -76,6 +75,46 @@ class GatherCodecEngine(CodecEngine):
         return None
 
 
+def _from_roots(field: GF, roots) -> np.ndarray:
+    """Coefficients (low degree first) of the monic ``prod (x - root)``."""
+    coeffs = np.ones(1, dtype=field.dtype)
+    for root in roots:
+        shifted = np.zeros(len(coeffs) + 1, dtype=field.dtype)
+        shifted[1:] = coeffs  # x * p
+        shifted[:-1] ^= field.scale(root, coeffs)  # - root * p == + root * p
+        coeffs = shifted
+    return coeffs
+
+
+def _evaluate(field: GF, coeffs: np.ndarray, x):
+    """Horner's rule: the polynomial ``coeffs`` at one point or an array."""
+    x = np.asarray(x, dtype=field.dtype)
+    result = np.zeros(x.shape, dtype=field.dtype)
+    for coeff in coeffs[::-1]:
+        result = field.mul(result, x) ^ field.dtype.type(coeff)
+    return result
+
+
+def _lagrange_interpolate(field: GF, points, values) -> np.ndarray:
+    """Coefficients of the unique polynomial of degree < len(points)
+    through the samples: the heavy decoder of the polynomial RS view.
+    Points must be distinct; a repeated point raises ValueError."""
+    if len(points) != len(values):
+        raise ValueError("points and values must have equal length")
+    if len(set(int(p) for p in points)) != len(points):
+        raise ValueError("interpolation points must be distinct")
+    result = np.zeros(len(points), dtype=field.dtype)
+    for i, (xi, yi) in enumerate(zip(points, values)):
+        if int(yi) == 0:
+            continue
+        # L_i = prod_{j != i} (x - x_j) / (x_i - x_j); the denominator is
+        # the numerator evaluated at x_i.
+        basis = _from_roots(field, [p for j, p in enumerate(points) if j != i])
+        denom = _evaluate(field, basis, xi)
+        result ^= field.scale(field.mul(int(yi), field.inv(denom)), basis)
+    return result
+
+
 class PolynomialRSCode:
     """Systematic evaluation-style Reed-Solomon code over GF(2^m).
 
@@ -113,12 +152,8 @@ class PolynomialRSCode:
         data_points = self.points[: self.k]
         parity_points = self.points[self.k :]
         for col in range(data.shape[1]):
-            message = lagrange_interpolate(
-                self.field, data_points, data[:, col].tolist()
-            )
-            coded[self.k :, col] = message(
-                np.asarray(parity_points, dtype=self.field.dtype)
-            )
+            message = _lagrange_interpolate(self.field, data_points, data[:, col])
+            coded[self.k :, col] = _evaluate(self.field, message, parity_points)
         return coded
 
     def decode(self, available: Mapping[int, np.ndarray]) -> np.ndarray:
@@ -134,16 +169,14 @@ class PolynomialRSCode:
             [np.asarray(available[i], dtype=self.field.dtype) for i in chosen]
         )
         data = np.zeros((self.k, stacked.shape[1]), dtype=self.field.dtype)
-        data_points = np.asarray(self.points[: self.k], dtype=self.field.dtype)
+        data_points = self.points[: self.k]
         for col in range(stacked.shape[1]):
-            message = lagrange_interpolate(
-                self.field, chosen_points, stacked[:, col].tolist()
-            )
-            if message.degree >= self.k:
+            message = _lagrange_interpolate(self.field, chosen_points, stacked[:, col])
+            if message[self.k :].any():
                 raise DecodingError(
                     "survivors are inconsistent with a degree-<k message"
                 )
-            data[:, col] = message(data_points)
+            data[:, col] = _evaluate(self.field, message, data_points)
         return data
 
     def repair(self, lost: int, available: Mapping[int, np.ndarray]) -> np.ndarray:

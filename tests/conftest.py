@@ -8,7 +8,7 @@ defaults unless the variable is set.
 ``xorbas_certification`` runs the exhaustive distance and locality
 certification of the (10,6,5) code once per session; the LRC tests
 assert on its verdicts and the CLI test replays them through
-``repro certify``, so tier-1 pays for the ~30 s enumeration once.
+``repro certify``, so tier-1 pays for the ~1 s enumeration once.
 """
 
 from __future__ import annotations

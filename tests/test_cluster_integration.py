@@ -282,7 +282,3 @@ class TestJobTracker:
         cluster.jobtracker.submit(job)
         cluster.run(until=60)
         assert finished == [job]
-
-    def test_utilization_bounds(self):
-        cluster = loaded_cluster(xorbas_lrc(), files=1)
-        assert cluster.jobtracker.utilization() == 0.0

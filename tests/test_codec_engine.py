@@ -33,7 +33,7 @@ from repro.codes import (
     xorbas_lrc,
 )
 from repro.codes.base import mask_of, positions_of
-from repro.galois import GF16, GF256, gf_independent_columns, gf_rank
+from repro.galois import GF16, GF256, gf_independent_columns, gf_rank_batch
 from repro.spec.codec import seed_columns, seed_decode, seed_encode
 
 WIDTH = 9
@@ -297,6 +297,24 @@ class TestIsDecodable:
                 code.is_decodable(bad)
 
     @pytest.mark.parametrize(
+        "method, args",
+        [
+            ("block_locality", (-1, 1)),
+            ("block_locality", (16,)),
+            ("solve_repair_coefficients", (0, [-16, 1])),
+            ("solve_repair_coefficients", (-1, [0, 1])),
+            ("solve_repair_coefficients", (16, [1, 2])),
+        ],
+    )
+    def test_locality_helpers_reject_positions_outside_the_stripe(
+        self, method, args
+    ):
+        """Block -1 must not alias column 15, which then "repairs itself"
+        at locality 1, and a plan must never read block -16."""
+        with pytest.raises(ValueError, match="outside"):
+            getattr(xorbas_lrc(), method)(*args)
+
+    @pytest.mark.parametrize(
         "code, erasures",
         [(xorbas_lrc(), (5,)), (PyramidCode(4, 2, 2, field=GF16), range(8))],
         ids=["lrc-five-erasures", "pyramid-every-pattern"],
@@ -304,14 +322,19 @@ class TestIsDecodable:
     def test_parity_check_criterion_matches_generator_rank(self, code, erasures):
         """The definition as oracle: survivors decode iff their generator
         columns have rank k.  Five erasures is where the fatal patterns
-        of a d = 5 code live."""
+        of a d = 5 code live; one batched rank covers each erasure count."""
         fatal = 0
         for count in erasures:
-            for erased in combinations(range(code.n), count):
-                survivors = sorted(set(range(code.n)) - set(erased))
-                expected = gf_rank(code.field, code.generator[:, survivors]) == code.k
-                assert code.is_decodable(survivors) == expected, erased
-                fatal += not expected
+            patterns = list(combinations(range(code.n), count))
+            survivors = np.array(
+                [[p for p in range(code.n) if p not in erased] for erased in patterns],
+                dtype=int,
+            )
+            stack = code.generator[:, survivors].transpose(1, 0, 2)
+            ranks = gf_rank_batch(code.field, stack)
+            for erased, alive, rank in zip(patterns, survivors, ranks):
+                assert code.is_decodable(alive) == (rank == code.k), erased
+            fatal += int(np.sum(ranks < code.k))
         assert fatal > 0
 
 

@@ -14,6 +14,7 @@ from repro.galois import (
     gf_matmul,
     gf_null_space,
     gf_rank,
+    gf_rank_batch,
     gf_rref,
     gf_solve,
     gf_vandermonde,
@@ -176,3 +177,31 @@ class TestLinalgProperties:
     def test_rank_transpose_invariant(self, rows, cols, seed):
         a = random_matrix(GF16, rows, cols, seed)
         assert gf_rank(GF16, a) == gf_rank(GF16, a.T)
+
+
+class TestRankBatch:
+    @given(
+        st.sampled_from([GF16, GF256]),
+        st.integers(min_value=0, max_value=12),
+        st.integers(min_value=1, max_value=7),
+        st.integers(min_value=1, max_value=7),
+        st.floats(min_value=0.0, max_value=0.95),
+        st.booleans(),
+        st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_gf_rank(self, field, batch, rows, cols, zeros, repeat, seed):
+        """Zero-heavy, rank-deficient, tall, wide and empty stacks alike."""
+        rng = np.random.default_rng(seed)
+        stack = field.random_elements(rng, (batch, rows, cols))
+        stack[rng.random(stack.shape) < zeros] = 0
+        if repeat:
+            stack[:, :, -1] = stack[:, :, 0]  # a repeated column
+        ranks = gf_rank_batch(field, stack)
+        assert ranks.shape == (batch,)
+        assert list(ranks) == [gf_rank(field, m) for m in stack]
+
+    def test_empty_batch_and_shape_check(self):
+        assert gf_rank_batch(GF256, np.zeros((0, 3, 4))).shape == (0,)
+        with pytest.raises(ValueError):
+            gf_rank_batch(GF256, np.zeros((3, 4)))

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.blocks import Stripe
-from repro.cluster.integrity import (
-    ChecksumRegistry,
-    CorruptionInjector,
-    Scrubber,
-    pgz_cross_check,
-)
+from repro.cluster.integrity import ChecksumRegistry, CorruptionInjector, Scrubber
 from repro.codes import rs_10_4, xorbas_lrc
 
 PAYLOAD = 64
@@ -160,26 +155,3 @@ class TestScrubber:
         assert report.stripes_scanned == 5
         assert len(report.healed_blocks) == 1
         assert report.healed_blocks[0].file_name == "f"
-
-
-class TestPgzCrossCheck:
-    def test_agrees_with_checksums_on_rs(self):
-        stripe = make_stripe(rs_10_4())
-        registry = ChecksumRegistry()
-        registry.record_stripe(stripe)
-        CorruptionInjector(seed=8).corrupt_block(stripe, 9)
-        assert pgz_cross_check(stripe) == registry.scan_stripe(stripe) == [9]
-
-    def test_lrc_stripe_checks_rs_prefix(self, lrc_stripe, registry):
-        CorruptionInjector(seed=9).corrupt_block(lrc_stripe, 12)
-        assert pgz_cross_check(lrc_stripe) == [12]
-
-    def test_clean_stripe_is_silent(self, lrc_stripe):
-        assert pgz_cross_check(lrc_stripe) == []
-
-    def test_non_rs_code_rejected(self):
-        from repro.codes import three_replication
-
-        stripe = Stripe("r", 0, three_replication(), 1, 64e6, payload_bytes=8)
-        with pytest.raises(TypeError):
-            pgz_cross_check(stripe)

@@ -13,6 +13,7 @@ from repro.codes import (
     DecodingError,
     LocalGroup,
     LocallyRepairableCode,
+    certify_locality,
     locality_distance_bound,
     make_lrc,
     overlapping_groups_distance_bound,
@@ -101,6 +102,12 @@ class TestTheorem5:
     def test_locality_certified_exhaustively(self, lrc, xorbas_certification):
         assert np.array_equal(xorbas_certification.code.generator, lrc.generator)
         assert xorbas_certification.locality
+
+    @pytest.mark.parametrize("claim, message", [(4, "locality > 4"), (6, "loose")])
+    def test_certify_locality_rejects_a_wrong_claim(self, lrc, claim, message):
+        """Every block needs 5 reads: 4 is too few, and 6 is loose."""
+        with pytest.raises(AssertionError, match=message):
+            certify_locality(lrc, claim)
 
     def test_distance_is_exactly_5(self, lrc, xorbas_certification):
         assert xorbas_certification.distance

@@ -127,7 +127,7 @@ def test_engine_places_like_the_spec(code_name, num_nodes, num_racks, seed, ops)
                     for c, s in zip((engine, spec), stripes)
                 ]
                 assert targets[0] == targets[1]
-                if isinstance(targets[0], str) and missing:
+                if targets[0] in node_ids and missing:
                     for c, s in zip((engine, spec), stripes):
                         c.namenode.add_block(s.block_id(position), targets[0])
             elif missing:

@@ -108,6 +108,28 @@ class TestEncodeDecode:
         coded[3] ^= 1
         assert np.any(rs.syndromes(coded))
 
+    def test_data_block_corruption_invisible_to_systematic_reads(self, rs):
+        """A data block overwritten with noise still 'reads fine' without
+        checksums: only the parity equations expose it."""
+        coded = rs.encode(random_data(10, length=64, seed=7))
+        rng = np.random.default_rng(7)
+        received = coded.copy()
+        noise = rng.integers(1, 256, size=coded.shape[1], dtype=np.uint8)
+        received[3] ^= noise  # xor with non-zero => every byte moves
+        # The corrupted block is a plausible byte array...
+        assert received[3].shape == coded[3].shape
+        assert np.all(received[3] != coded[3])
+        # ...but the syndromes are loud.
+        assert np.any(rs.syndromes(received))
+
+    def test_syndromes_linear_in_error(self, rs):
+        coded = rs.encode(random_data(10, seed=6))
+        error = np.zeros_like(coded)
+        error[5, :] = 0x11
+        np.testing.assert_array_equal(
+            rs.syndromes(coded ^ error), rs.syndromes(error)
+        )
+
 
 class TestMdsProperty:
     def test_small_rs_is_exactly_mds(self):
