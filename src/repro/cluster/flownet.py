@@ -33,14 +33,28 @@ array operations:
   the reference engine pays on every flow start/finish/abort.  When the
   sentinel fires it completes exactly *one* due flow and re-arms, which
   reproduces the reference engine's event interleaving (completions
-  there are also processed one event at a time).
+  there are also processed one event at a time).  Flows tied at one
+  instant — a repair storm's equal flows at an equal share — cost one
+  refill per instant, not one per completion: the instant's first
+  firing queues every flow the current rates leave due, later firings
+  pop that queue, and the refill after a removal is skipped when it
+  provably changes no completion time or order — the removed flow was
+  local (no network rate moves), or the last fill was one round at a
+  bottleneck that stays below every other resource's ratio (every flow
+  then runs at one share, which only rose) and the least remaining
+  untied flow stays undue at it.  Any other removal, the instant's
+  last, an admission and an abort refill as before.
 
 Admissions at one timestamp are **coalesced**: ``start_transfer`` only
 appends a row and arms a same-time flush event, so a BlockFixer scan
 that launches a thousand transfers at one instant triggers one
 reallocation, not a thousand.  This is exact, not an approximation — the
 reference engine's intermediate reallocations live for zero simulated
-time and move zero bytes.
+time and move zero bytes.  The flush arms the sentinel in the event
+queue position the burst's last admission reserved
+(:meth:`~repro.cluster.sim.Simulation.reserve_seq`), where the reference
+queues its completions: an outside event scheduled after the admission
+for the completion instant runs after the completion in both engines.
 
 Determinism contract (enforced by ``tests/test_flownet.py`` and
 ``benchmarks/bench_network.py``): flow *dynamics* — rates, remaining
@@ -153,8 +167,16 @@ class FlowTable:
         self._last_time = 0.0
         self._dirty = False
         self._flush_event: Event | None = None
+        self._flush_seq = 0  # queue position of the burst's last admission
         self._sentinel: Event | None = None
         self._abort_depth = 0
+
+        # -- the instant's tied completions (see _on_sentinel) ----------------
+        self._fill_b = -1  # the last fill's one-round bottleneck, else -1
+        self._tied = np.zeros(0, dtype=np.int64)  # rows due now, next last
+        self._tied_left = 0  # how many of them are still queued
+        self._tied_floor = np.inf  # lowest capacity/count off _fill_b
+        self._tied_min_rem = np.inf  # least remaining of untied network rows
 
         # -- observability -------------------------------------------------
         self.reallocations = 0
@@ -200,9 +222,14 @@ class FlowTable:
             # relative to anything else this callback schedules; the
             # deferred flush would push it behind them.
             self._reallocate()
+            return handle
         else:
             self._dirty = True
             self._flush_event = self.sim.schedule(0.0, self._flush)
+        # The flush arms the sentinel in this queue position: where the
+        # reference engine's reallocation here queues its completions,
+        # ahead of anything scheduled after this admission.
+        self._flush_seq = self.sim.reserve_seq()
         return handle
 
     def abort_node(self, node_id: str) -> None:
@@ -241,7 +268,9 @@ class FlowTable:
     def current_flows(self) -> list[tuple[str, str, float, float, bool]]:
         """(src, dst, remaining, rate, local) per active flow, in start
         order.  Rates are only meaningful once the pending same-time
-        flush has run (i.e. after the next event is processed)."""
+        flush has run (i.e. after the next event is processed), and are
+        exact only once the instant's last completion has refilled:
+        completions tied at one instant skip the refills in between."""
         rows = np.flatnonzero(self._active[: self._n])
         return [
             (
@@ -341,6 +370,7 @@ class FlowTable:
         self._active[m : self._n] = False
         self._n = m
         self._rows = self._csr = None
+        self._tied_left = 0
         index: dict[int, list[int]] = {}
         # Rebuilding the node->rows index after compaction is O(F) on a
         # ragged dict-of-lists; it runs once per compaction (not per
@@ -373,6 +403,7 @@ class FlowTable:
         row = self._n
         self._n += 1
         self._rows = self._csr = None
+        self._tied_left = 0
         src_i = self._intern_node(src)
         dst_i = self._intern_node(dst)
         local = src == dst
@@ -506,7 +537,7 @@ class FlowTable:
         if not self._dirty:
             return
         self._dirty = False
-        self._reallocate()
+        self._reallocate(self._flush_seq)
 
     def _active_rows(self) -> np.ndarray:
         """Active table rows in start order, memoised until the active
@@ -516,11 +547,14 @@ class FlowTable:
             self._rows = np.flatnonzero(self._active[: self._n])
         return self._rows
 
-    def _reallocate(self) -> None:
-        """Vectorized progressive water-filling + sentinel re-arm."""
+    def _reallocate(self, seq: int | None = None) -> None:
+        """Vectorized progressive water-filling + sentinel re-arm (in the
+        queue position ``seq`` reserved by an admission, else now)."""
         if self._sentinel is not None:
             self._sentinel.cancel()
             self._sentinel = None
+        self._tied_left = 0
+        self._fill_b = -1
         rows = self._active_rows()
         if rows.size == 0:
             self._rows = self._csr = None  # drained: nothing derived survives
@@ -540,9 +574,13 @@ class FlowTable:
             raise RuntimeError("flow allocated zero bandwidth")
         tdone = self.sim.now + self._remaining[rows] / rates
         self._tdone[rows] = tdone
-        self._sentinel = self.sim.schedule_at(
-            float(tdone.min()), self._on_sentinel
-        )
+        first = float(tdone.min())
+        if seq is None:
+            self._sentinel = self.sim.schedule_at(first, self._on_sentinel)
+        else:
+            self._sentinel = self.sim.schedule_reserved(
+                seq, first, self._on_sentinel
+            )
 
     def _slots(self, rows: np.ndarray | slice) -> np.ndarray:
         """(len(rows), 5) resource ids of ``rows``; padding maps to an
@@ -604,6 +642,9 @@ class FlowTable:
           then.
         * The round that freezes the last flow returns before ``freed``,
           ``remaining`` and ``count`` are updated: nothing reads them.
+
+        A fill whose first round holds every flow records its bottleneck
+        in ``_fill_b`` for :meth:`_refill_is_idle`.
         """
         G = self._num_resources
         count = self._res_count[:G]
@@ -626,7 +667,11 @@ class FlowTable:
                 b = ties[0]
             share = remaining[b] / count[b]
             if count[b] == left:
-                members = net_rows if frozen is None else net_rows[~frozen[net_rows]]
+                if frozen is None:  # round one holds every network flow
+                    members = net_rows
+                    self._fill_b = int(b)
+                else:
+                    members = net_rows[~frozen[net_rows]]
             else:
                 if frozen is None:
                     frozen = ~self._active[: self._n]
@@ -666,6 +711,15 @@ class FlowTable:
         interleaving: each completion there is its own event whose
         handler reallocates (pushing tied completions behind any events
         scheduled in between) before running the user callback.
+
+        The first firing of an instant picks the due row by ``_tdone``
+        and queues the other rows still due (:meth:`_queue_ties`); the
+        instant's later firings pop that queue.  After a removal that
+        leaves the queue non-empty, a refill that provably changes no
+        completion time or order (:meth:`_refill_is_idle`) is skipped:
+        the sentinel re-arms at now, in the queue position the
+        reference's reallocation would take.  Any other removal, the
+        instant's last one included, reallocates.
         """
         self._sentinel = None
         if self._dirty:
@@ -676,17 +730,94 @@ class FlowTable:
             self._reallocate()
             return
         self._settle()
-        rows = self._active_rows()
-        due = rows[self._tdone[rows] == self.sim.now]
-        if due.size == 0:
-            return
-        row = int(due[np.argmin(self._order[due])])
+        rows = None
+        if self._tied_left:
+            self._tied_left -= 1
+            row = int(self._tied[self._tied_left])
+        else:
+            rows = self._active_rows()
+            due = rows[self._tdone[rows] == self.sim.now]
+            if due.size == 0:
+                return
+            row = int(due[np.argmin(self._order[due])])
         residue = float(self._remaining[row])
         if residue > 0:
             self._attribute_residual(row, residue)
             self._remaining[row] = 0.0
         on_complete = self._on_complete[row]
+        local = bool(self._local[row])
         self._remove_row(row)
-        self._reallocate()
+        if rows is not None and (local or self._fill_b >= 0):
+            self._queue_ties(rows, row)
+        if self._tied_left and self._refill_is_idle(local):
+            self._sentinel = self.sim.schedule_at(self.sim.now, self._on_sentinel)
+        else:
+            self._reallocate()
         if on_complete is not None:
             on_complete()
+
+    def _queue_ties(self, rows: np.ndarray, done: int) -> None:
+        """Queue the rows of ``rows`` other than ``done`` that the
+        current rates leave due now, in completion order.
+
+        Due means ``now + remaining / rate == now`` — what a refill with
+        unchanged rates computes — not ``_tdone == now``: a flow whose
+        completion was computed before now can carry a residue that
+        puts it one ulp past now once refilled.  With a one-round fill
+        at ``_fill_b`` it also keeps two bounds for the whole instant:
+        the lowest ``capacity / count`` of every other resource (counts
+        only fall until the next reallocation, so ratios only rise), and
+        the least remaining of the network rows not queued.
+        """
+        now = self.sim.now
+        remaining = self._remaining[rows]
+        tied = now + remaining / self._rate[rows] == now
+        at = np.searchsorted(rows, done)
+        tied[at] = False
+        queued = rows[tied]
+        self._tied = queued[np.argsort(self._order[queued])[::-1]]
+        self._tied_left = queued.size
+        b = self._fill_b
+        if b < 0 or not queued.size:
+            return
+        G = self._num_resources
+        count = self._res_count[:G]
+        ratio = np.where(
+            count > 0, self._res_capacity[:G] / np.maximum(count, 1), np.inf
+        )
+        ratio[b] = np.inf
+        self._tied_floor = ratio.min()
+        untied = ~(tied | self._local[rows])
+        untied[at] = False
+        self._tied_min_rem = remaining[untied].min() if untied.any() else np.inf
+
+    def _refill_is_idle(self, local: bool) -> bool:
+        """Whether refilling after removing one row (``local`` or not)
+        would leave every queued row due now, in queue order, and make
+        no other row due now.
+
+        * A local row holds no resource: no network rate moves, and the
+          tie order only shifts the other rows' numbers down by one.
+        * Otherwise the last fill was one round at ``b = _fill_b`` over
+          every network flow, the removed row among them.  If
+          ``share = capacity[b] / count[b]`` is below every other
+          resource's ratio (``_tied_floor`` bounds them from below), the
+          refill is again one round at ``b``: every network flow runs
+          at ``share``, which only rose, so queued rows stay due and
+          keep their order (locals first, then row order), and no other
+          network row becomes due unless the least remaining one does.
+          With ``count[b] == 0`` no network flow is left.
+        """
+        if local:
+            return True
+        b = self._fill_b
+        if b < 0:
+            return False
+        count = self._res_count[b]
+        if count == 0:
+            return True
+        share = self._res_capacity[b] / count
+        now = self.sim.now
+        return bool(
+            share < self._tied_floor and now + self._tied_min_rem / share != now
+        )

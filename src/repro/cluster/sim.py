@@ -82,6 +82,27 @@ class Simulation:
         heapq.heappush(self._queue, event)
         return event
 
+    def reserve_seq(self) -> int:
+        """A sequence number for one event scheduled later through
+        :meth:`schedule_reserved`."""
+        seq = self._seq
+        self._seq += 1
+        return seq
+
+    def schedule_reserved(
+        self, seq: int, time: float, callback: Callable[[], None]
+    ) -> Event:
+        """Schedule ``callback`` at ``time`` in the queue position of the
+        reserved ``seq``: among same-time events it runs as if it had
+        been scheduled when ``seq`` was reserved.  Use each reserved
+        number once."""
+        resume = self._seq
+        self._seq = seq
+        try:
+            return self.schedule_at(time, callback)
+        finally:
+            self._seq = resume
+
     def peek_time(self) -> float | None:
         """Time of the next pending event, skipping cancelled ones."""
         while self._queue and self._queue[0].cancelled:

@@ -3,7 +3,9 @@
 Registers a ``ci`` hypothesis profile (no deadline, derandomized) so
 property tests cannot flake on shared-runner timing jitter; CI selects
 it by exporting ``HYPOTHESIS_PROFILE=ci``.  Local runs keep hypothesis
-defaults unless the variable is set.
+defaults unless the variable is set.  The ``nightly`` profile is a wide
+randomized sweep (400 examples per property, the flow-engine storms
+included), with the reproduction blob printed on failure.
 
 ``xorbas_certification`` runs the exhaustive distance and locality
 certification of the (10,6,5) code once per session; the LRC tests
@@ -25,6 +27,9 @@ except ImportError:  # hypothesis is optional outside the property tests
 
 if settings is not None:
     settings.register_profile("ci", deadline=None, derandomize=True)
+    settings.register_profile(
+        "nightly", deadline=None, max_examples=400, print_blob=True
+    )
     profile = os.environ.get("HYPOTHESIS_PROFILE")
     if profile:
         settings.load_profile(profile)

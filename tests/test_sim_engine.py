@@ -44,6 +44,17 @@ class TestScheduling:
         sim.run()
         assert seen == [1.0, 3.0]
 
+    def test_reserved_position_sorts_where_it_was_reserved(self):
+        sim = Simulation()
+        order = []
+        sim.schedule(1.0, lambda: order.append("before"))
+        seq = sim.reserve_seq()
+        sim.schedule(1.0, lambda: order.append("after"))
+        sim.schedule_reserved(seq, 1.0, lambda: order.append("reserved"))
+        sim.schedule(1.0, lambda: order.append("last"))
+        sim.run()
+        assert order == ["before", "reserved", "after", "last"]
+
     def test_negative_delay_rejected(self):
         sim = Simulation()
         with pytest.raises(ValueError):
