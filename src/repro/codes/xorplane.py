@@ -22,8 +22,13 @@ output row of ``A``:
   to admit;
 * **bit program** — remaining rows expand through the GF(2) bitmatrix
   homomorphism (:func:`~repro.galois.bitplane.gf_matrix_to_bitmatrix`)
-  into XORs of packed *bit planes* (1/8 slab each), with the referenced
-  blocks sliced in and out via the word-parallel bit transpose.
+  into XORs of packed *bit planes* (1/8 slab each).  The referenced
+  input blocks are packed once per call by the lane-parallel transpose;
+  the program then runs :data:`CHUNK_SYMBOLS` symbols per block at a
+  time over one chunk-sized workspace, and each chunk's output planes
+  are unpacked in one call.  Plane byte g of block-length N holds the
+  symbols ``t * N/8 + g``, so a chunk of every plane is a self-contained
+  slice of the XOR program.
 
 Both XOR sub-programs share intermediate sums via greedy pairwise
 common-subexpression elimination (:func:`cse_rows`, the Plank-style
@@ -31,8 +36,8 @@ schedule optimisation): the most frequent co-occurring source pair is
 repeatedly hoisted into a fresh node until no pair repeats.
 
 Compilation also prices the schedule against the gather kernel with the
-measured pass-unit model (:data:`GATHER_PASS_COST` etc.).  Bit-plane
-slicing costs ~18 full-slab pass units per converted block, so dense
+pass-unit model (:data:`GATHER_PASS_COST` etc.).  Bit-plane slicing is
+priced at 18 full-slab pass units per converted block, so dense
 multiplicative matrices (e.g. a Pyramid light repair's non-unit
 coefficients over few sources) can *lose* to the gather kernel — the
 engine consults :attr:`XorSchedule.use_plane` and keeps the GF path for
@@ -65,14 +70,27 @@ __all__ = [
 ]
 
 # Cost model, in units of one full-slab np.bitwise_xor pass (~13 GB/s
-# measured).  A table gather runs ~0.75 GB/s (~18 units); slicing one
-# block to/from bit planes costs ~18 units (delta-swap transpose plus
-# the plane copies); one bit-plane XOR touches 1/8 slab twice.
+# measured).  A table gather runs ~0.75 GB/s (~18 units); one bit-plane
+# XOR touches 1/8 slab twice.  SLICE_BLOCK_COST = 18 prices the old
+# pack (a word-wise 8 x 8 transpose plus a byte de-interleave); the
+# lane-parallel pack measures ~5 units (1.3 ms per 2 MB block against a
+# 0.28 ms XOR pass on the 2-core reference box).  The constant is
+# kept so that no matrix changes route: at ~5, RS(10,4) single-block
+# heavy repair would move to the plane, which wins 3x on 2 MB blocks but
+# loses 8x on 64 B simulator payloads (per-call overhead), and a model
+# that does not know the slab size cannot price both with one constant.
 GATHER_PASS_COST = 18.0
 SLICE_BLOCK_COST = 18.0
 WORD_OP_COST = 1.0
 COPY_COST = 1.0
 BIT_OP_COST = 1.0 / 4.0
+
+#: Symbols per block that one pass of the bit program covers: the
+#: workspace holds one chunk of every non-leaf node.  Measured on RS(10,4)
+#: encode and two-erasure rebuild of 2 MB blocks (2-core box): 2^17-2^19
+#: are within noise of each other, 2^16 pays more ufunc calls per byte,
+#: and 2^20 and up lose 15-50 % once the workspace falls out of cache.
+CHUNK_SYMBOLS = 1 << 19
 
 
 def _row_pairs(members: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -287,25 +305,52 @@ class XorSchedule:
                         np.bitwise_xor(dst, node(nid), out=dst)
 
         if self.sliced_outputs:
-            m = self.field.m
-            slab_len = stripes * width
-            plane_len = (slab_len + 7) // 8
-            workspace = np.zeros((self.bit_nodes, plane_len), dtype=np.uint8)
-            for si, block in enumerate(self.sliced_inputs):
-                slab = np.ascontiguousarray(batch[:, block]).reshape(-1)
-                workspace[si * m : (si + 1) * m] = pack_bitplanes(slab, m)
+            self._apply_bit_program(batch, out)
+        return out
+
+    def _apply_bit_program(self, batch: np.ndarray, out: np.ndarray) -> None:
+        """Slice, run ``bit_ops`` one chunk of the planes at a time, unslice.
+
+        Each sliced input is packed once; the program then runs over
+        :data:`CHUNK_SYMBOLS` symbols per block at a time, its non-leaf
+        nodes in one chunk-sized workspace reused for every chunk (each
+        node is written before it is read, so it is never cleared), and
+        each chunk's output planes unpack in one call.
+        """
+        stripes, _, width = batch.shape
+        m = self.field.m
+        packed = pack_bitplanes([batch[:, block] for block in self.sliced_inputs])
+        plane_width = packed.shape[2]
+        leaves = [planes[bit] for planes in packed for bit in range(m)]
+        chunk = CHUNK_SYMBOLS // 8
+        widest = min(chunk, plane_width)
+        workspace = np.empty((self.bit_nodes - len(leaves), widest), dtype=np.uint8)
+        outputs = len(self.sliced_outputs)
+        # Output planes without a node (all-zero rows, bits >= m) stay zero.
+        staged = np.zeros((outputs, 8, widest), dtype=np.uint8)
+        staging = [
+            (oi, bit, nid)
+            for oi in range(outputs)
+            for bit, nid in enumerate(self.bit_row_node[oi * m : (oi + 1) * m])
+            if nid >= 0
+        ]
+        unpacked = np.empty((outputs, 8, plane_width), dtype=np.uint8)
+        for start in range(0, plane_width, chunk):
+            span = min(chunk, plane_width - start)
+            nodes = [leaf[start : start + span] for leaf in leaves]
+            nodes.extend(workspace[:, :span])
             for dst, a, b in self.bit_ops:
                 if b < 0:
-                    np.bitwise_xor(workspace[dst], workspace[a], out=workspace[dst])
+                    np.bitwise_xor(nodes[dst], nodes[a], out=nodes[dst])
                 else:
-                    np.bitwise_xor(workspace[a], workspace[b], out=workspace[dst])
-            for oi, row in enumerate(self.sliced_outputs):
-                ids = np.asarray(self.bit_row_node[oi * m : (oi + 1) * m])
-                planes = workspace[np.where(ids >= 0, ids, 0)]
-                planes[ids < 0] = 0
-                symbols = unpack_bitplanes(planes, slab_len)
-                out[:, row] = symbols.reshape(stripes, width)
-        return out
+                    np.bitwise_xor(nodes[a], nodes[b], out=nodes[dst])
+            for oi, bit, nid in staging:
+                staged[oi, bit, :span] = nodes[nid]
+            symbols = unpack_bitplanes(staged[:, :, :span], 8 * span)
+            unpacked[:, :, start : start + span] = symbols.reshape(outputs, 8, span)
+        slab_len = stripes * width
+        for oi, row in enumerate(self.sliced_outputs):
+            out[:, row] = unpacked[oi].reshape(-1)[:slab_len].reshape(stripes, width)
 
 
 def compile_xor_schedule(field: GF, matrix) -> XorSchedule:

@@ -7,7 +7,6 @@ on (Section 3), implemented from scratch with numpy-vectorised kernels.
 """
 
 from .bitplane import (
-    bit_transpose8,
     gf_element_bitmatrix,
     gf_matrix_to_bitmatrix,
     pack_bitplanes,
@@ -43,7 +42,6 @@ __all__ = [
     "default_primitive_poly",
     "find_primitive_poly",
     "is_primitive",
-    "bit_transpose8",
     "gf_element_bitmatrix",
     "gf_matrix_to_bitmatrix",
     "pack_bitplanes",

@@ -10,10 +10,14 @@ This module supplies the two primitives that rewrite needs:
   matrix-wise (the generalisation of the Cauchy-RS construction in
   :mod:`repro.codes.cauchy` to *any* coefficient matrix);
 * :func:`pack_bitplanes` / :func:`unpack_bitplanes` — the transposition
-  between symbol order and bit-plane order, built on a word-parallel
-  8 x 8 bit transpose (:func:`bit_transpose8`, the delta-swap network of
-  Hacker's Delight 7-3) so slicing runs at memory speed rather than one
-  Python-level shift per bit.
+  between symbol order and bit-plane order for a batch of blocks.  A
+  block of N symbols (zero-padded to a multiple of 64) is viewed as 8
+  rows of N/8 bytes, and a *lane-parallel* transpose — three delta-swap
+  stages between row pairs (Hacker's Delight 7-3, across rows rather
+  than within a word) — turns each byte lane's 8 x 8 bit matrix over,
+  so that row s afterwards *is* plane s.  There is no byte shuffle:
+  every stage is a handful of uint64 ufuncs over whole rows, and the
+  transform is its own inverse, so unpacking is the same call.
 
 Bit planes are 1/8 the slab size, so a schedule op over planes touches
 8x less memory than a symbol-wide pass — that ratio is what makes
@@ -29,17 +33,23 @@ from .field import GF
 __all__ = [
     "gf_element_bitmatrix",
     "gf_matrix_to_bitmatrix",
-    "bit_transpose8",
     "pack_bitplanes",
     "unpack_bitplanes",
 ]
 
-_M1 = np.uint64(0x00AA00AA00AA00AA)
-_M2 = np.uint64(0x0000CCCC0000CCCC)
-_M3 = np.uint64(0x00000000F0F0F0F0)
-_S1 = np.uint64(7)
-_S2 = np.uint64(14)
-_S3 = np.uint64(28)
+#: (row distance, shift, byte mask) of the lane transpose's delta swaps.
+_LANE_STAGES = tuple(
+    (distance, np.uint64(distance), np.uint64(mask))
+    for distance, mask in (
+        (4, 0x0F0F0F0F0F0F0F0F),
+        (2, 0x3333333333333333),
+        (1, 0x5555555555555555),
+    )
+)
+#: Lanes per transpose piece: 16384 x 8 rows x 8 bytes = 1 MB, which
+#: with its half-size scratch stays in a 4 MB L2 through all 18 passes
+#: (a 10-block batch of 2 MB blocks packs 2.5x faster than in one piece).
+_PIECE_LANES = 1 << 14
 
 
 def gf_element_bitmatrix(field: GF, element: int) -> np.ndarray:
@@ -112,51 +122,82 @@ def gf_matrix_to_bitmatrix(field: GF, matrix) -> np.ndarray:
     return bits
 
 
-def bit_transpose8(words: np.ndarray) -> np.ndarray:
-    """Transpose each uint64 word as an 8 x 8 bit matrix (an involution).
+def _lane_transpose(words: np.ndarray) -> None:
+    """Transpose every byte lane's 8 x 8 bit matrix, in place (an involution).
 
-    Viewing a word's byte g, bit s: the result's byte s, bit g holds the
-    input's byte g, bit s.  Three delta-swap rounds (Hacker's Delight
-    7-3), all ufuncs writing into preallocated buffers.
+    ``words`` is a contiguous ``(blocks, 8, lanes)`` uint64 array: 8 rows
+    per block.  Byte ``g`` of the 8 rows forms an 8 x 8 bit matrix (row
+    ``t``, bit ``s``); afterwards row ``s``, byte ``g``, bit ``t`` holds
+    the input's row ``t``, byte ``g``, bit ``s``.  Lanes are independent,
+    so the work goes in pieces of about :data:`_PIECE_LANES` lanes x 8
+    rows — whole blocks grouped when they are small, a block's lanes
+    split when it is large — which keep the 18 passes in cache.
     """
-    x = np.array(words, dtype=np.uint64, copy=True)
-    t = np.empty_like(x)
-    for shift, mask in ((_S1, _M1), (_S2, _M2), (_S3, _M3)):
-        np.right_shift(x, shift, out=t)
-        np.bitwise_xor(t, x, out=t)
+    blocks, _, lanes = words.shape
+    group = max(1, _PIECE_LANES // max(lanes, 1))
+    for first in range(0, blocks, group):
+        for lane in range(0, lanes, _PIECE_LANES):
+            _delta_swaps(words[first : first + group, :, lane : lane + _PIECE_LANES])
+
+
+def _delta_swaps(words: np.ndarray) -> None:
+    """The lane transpose of one piece: three delta-swap stages between
+    row pairs at distance 4, 2 and 1 (Hacker's Delight 7-3 applied
+    across rows instead of within a word), 18 ufunc calls."""
+    blocks, _, lanes = words.shape
+    scratch = np.empty((blocks, 4, lanes), dtype=np.uint64)
+    for distance, shift, mask in _LANE_STAGES:
+        pairs = words.reshape((blocks, 4 // distance, 2, distance, lanes), copy=False)
+        low, high = pairs[:, :, 0], pairs[:, :, 1]
+        t = scratch.reshape(blocks, 4 // distance, distance, lanes)
+        np.right_shift(low, shift, out=t)
+        np.bitwise_xor(t, high, out=t)
         np.bitwise_and(t, mask, out=t)
-        np.bitwise_xor(x, t, out=x)
+        np.bitwise_xor(high, t, out=high)
         np.left_shift(t, shift, out=t)
-        np.bitwise_xor(x, t, out=x)
-    return x
+        np.bitwise_xor(low, t, out=low)
 
 
-def pack_bitplanes(symbols: np.ndarray, m: int) -> np.ndarray:
-    """Slice a uint8 symbol slab into ``m`` packed bit planes.
+def pack_bitplanes(symbols) -> np.ndarray:
+    """Slice a batch of uint8 symbol blocks into bit planes.
 
-    Returns ``(m, ceil(len/8))`` uint8 where plane ``b``, byte ``g``,
-    bit ``s`` is bit ``b`` of symbol ``8g + s``.  The slab is padded
-    with zero symbols to a multiple of 8, which is safe everywhere the
+    ``symbols`` is a ``(blocks, ...)`` array, or a sequence of equally
+    sized arrays (strided views are fine: each is copied once into the
+    padded buffer).  Each block of N symbols is zero-padded to a
+    multiple of 64 and viewed as 8 rows of ``N/8`` bytes; the lane
+    transpose turns row ``s`` into plane ``s``.  Returns ``(blocks, 8,
+    N/8)`` uint8 where plane ``s``, byte ``g``, bit ``t`` is bit ``s``
+    of symbol ``t * N/8 + g``.  The zero pad is safe everywhere the
     planes are used: the codes are linear, so zero inputs contribute
-    nothing, and :func:`unpack_bitplanes` truncates the pad back off.
+    nothing, and :func:`unpack_bitplanes` truncates it back off.
+    Planes beyond a field's ``m`` come out zero.
     """
-    sym = np.ascontiguousarray(symbols, dtype=np.uint8).reshape(-1)
-    pad = (-sym.size) % 8
-    if pad:
-        sym = np.concatenate([sym, np.zeros(pad, dtype=np.uint8)])
-    transposed = bit_transpose8(sym.view(np.uint64))
-    return np.ascontiguousarray(transposed.view(np.uint8).reshape(-1, 8).T[:m])
+    count = len(symbols)
+    length = np.size(symbols[0])
+    padded = -(-length // 64) * 64
+    buf = np.empty((count, padded), dtype=np.uint8)
+    buf[:, length:] = 0
+    for row, block in zip(buf, symbols):
+        np.copyto(row[:length].reshape(np.shape(block)), block)
+    _lane_transpose(buf.view(np.uint64).reshape(count, 8, padded // 64))
+    return buf.reshape(count, 8, padded // 8)
 
 
 def unpack_bitplanes(planes: np.ndarray, length: int) -> np.ndarray:
-    """Inverse of :func:`pack_bitplanes`: planes back to ``length`` symbols.
+    """Inverse of :func:`pack_bitplanes`: ``(blocks, rows, width)`` planes
+    back to ``(blocks, length)`` symbols.
 
-    Bit planes beyond the first ``m`` are taken as zero, matching symbol
-    values below ``2^m``.
+    The same lane transpose, on a copy: planes beyond the given ``rows``
+    (at most 8) are taken as zero, matching symbol values below ``2^m``.
+    ``width`` must be a multiple of 8.  A plane slice ``[g0, g1)`` of
+    every plane unpacks to the symbols ``t * N/8 + g`` for ``g`` in the
+    slice, row ``t`` after row — which is how the XOR plane unpacks one
+    chunk at a time.
     """
     planes = np.asarray(planes, dtype=np.uint8)
-    m, groups = planes.shape
-    interleaved = np.zeros((groups, 8), dtype=np.uint8)
-    interleaved[:, :m] = planes.T
-    words = bit_transpose8(interleaved.reshape(-1).view(np.uint64))
-    return words.view(np.uint8)[:length]
+    count, rows, width = planes.shape
+    buf = np.empty((count, 8, width), dtype=np.uint8)
+    buf[:, :rows] = planes
+    buf[:, rows:] = 0
+    _lane_transpose(buf.view(np.uint64))
+    return buf.reshape(count, 8 * width)[:, :length]

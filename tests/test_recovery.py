@@ -175,7 +175,7 @@ class TestSimulationCodec:
         sim, recorder = Simulation(), _Recorder()
         sim.schedule_at(5.0, recorder.first, name="tick")
         sim, recorder = pickle.loads(snapshot((sim, recorder)))
-        assert [event.name for event in sim._queue] == ["tick"]
+        assert [event.name for _, _, event in sim._queue] == ["tick"]
         sim.run()
         assert sim.now == 5.0 and recorder.order == ["first"]
 

@@ -6,8 +6,10 @@ exactly ``A @ in`` over GF(2^w) — byte-identical to the gather kernel
 CSE factored the program.  These tests hold that contract against
 randomized matrices (w=4 and w=8), against the naive bit-matrix
 multiply of the Cauchy-RS spec, and over every decodable erasure
-pattern of the GF16 small codes; plus the :class:`ScheduleCache`
-LRU bookkeeping and the planner's pure-XOR stream marking.
+pattern of the GF16 small codes, and across the bit program's chunk
+boundaries; plus the lane-parallel bit-plane layout, the
+:class:`ScheduleCache` LRU bookkeeping and the planner's pure-XOR
+stream marking.
 """
 
 from itertools import combinations
@@ -27,12 +29,17 @@ from repro.codes import (
     xorbas_lrc,
 )
 from repro.codes.base import mask_of
-from repro.codes.xorplane import GATHER_PASS_COST, WORD_OP_COST, XorSchedule
+from repro.codes.xorplane import (
+    CHUNK_SYMBOLS,
+    GATHER_PASS_COST,
+    WORD_OP_COST,
+    XorSchedule,
+)
+from repro.galois.bitplane import _lane_transpose
 from repro.spec import GatherCodecEngine, xor_encode
 from repro.galois import (
     GF16,
     GF256,
-    bit_transpose8,
     gf_element_bitmatrix,
     gf_matmul_batch,
     gf_matrix_to_bitmatrix,
@@ -61,26 +68,38 @@ def decodable_patterns(code):
 
 
 class TestBitplaneKernels:
-    def test_bit_transpose8_is_an_involution(self):
+    def test_lane_transpose_is_an_involution(self):
         rng = np.random.default_rng(3)
-        words = rng.integers(0, 2**64, size=64, dtype=np.uint64)
-        assert np.array_equal(bit_transpose8(bit_transpose8(words)), words)
+        words = rng.integers(0, 2**64, size=(3, 8, 40), dtype=np.uint64)
+        once = words.copy()
+        _lane_transpose(once)
+        assert not np.array_equal(once, words)
+        _lane_transpose(once)
+        assert np.array_equal(once, words)
 
-    @pytest.mark.parametrize("length", [1, 7, 8, 9, 64, 1000])
+    @pytest.mark.parametrize("length", [1, 7, 8, 9, 63, 64, 65, 1000])
     @pytest.mark.parametrize("m", [4, 8])
     def test_pack_unpack_roundtrip(self, length, m):
         rng = np.random.default_rng(length * 31 + m)
-        symbols = rng.integers(0, 1 << m, size=length, dtype=np.uint8)
-        planes = pack_bitplanes(symbols, m)
-        assert planes.shape[0] == m
-        assert np.array_equal(unpack_bitplanes(planes, length), symbols)
+        for blocks in (1, 3):
+            symbols = rng.integers(0, 1 << m, size=(blocks, length), dtype=np.uint8)
+            planes = pack_bitplanes(symbols)
+            assert planes.shape == (blocks, 8, -(-length // 64) * 8)
+            assert not planes[:, m:].any()  # symbols below 2^m: upper planes zero
+            assert np.array_equal(unpack_bitplanes(planes[:, :m], length), symbols)
 
     def test_planes_hold_the_right_bits(self):
-        symbols = np.arange(16, dtype=np.uint8)
-        planes = pack_bitplanes(symbols, 4)
-        for bit in range(4):
-            unpacked = np.unpackbits(planes[bit], bitorder="little")[:16]
-            assert np.array_equal(unpacked, (symbols >> bit) & 1), bit
+        """Plane s, byte g, bit t is bit s of symbol t * N/8 + g."""
+        rng = np.random.default_rng(5)
+        symbols = rng.integers(0, 256, size=(2, 100), dtype=np.uint8)
+        planes = pack_bitplanes(symbols)
+        padded = np.zeros((2, 128), dtype=np.uint8)  # N = 100 padded to 128
+        padded[:, :100] = symbols
+        rows = padded.reshape(2, 8, 16)  # row t holds symbols t * 16 + g
+        for bit in range(8):
+            unpacked = np.unpackbits(planes[:, bit], axis=1, bitorder="little")
+            by_lane = unpacked.reshape(2, 16, 8).transpose(0, 2, 1)  # [block, t, g]
+            assert np.array_equal(by_lane, (rows >> bit) & 1), bit
 
     @pytest.mark.parametrize("field", [GF16, GF256], ids=lambda f: f"GF{f.order}")
     def test_bitmatrix_is_the_multiplication_map(self, field):
@@ -352,6 +371,36 @@ class TestEngineDispatchByteIdentical:
         rebuilt = code.repair_stripes(2, available)
         assert rebuilt.shape == (1, 48)  # 1-D promotes to one stripe
         assert np.array_equal(rebuilt[0], coded[2])
+
+
+class TestChunkBoundaries:
+    """The bit program runs CHUNK_SYMBOLS symbols per block at a time;
+    slabs just under, at and over one chunk, and one crossing two chunk
+    boundaries with a length that is no multiple of 64, stay
+    byte-identical to the gather kernel."""
+
+    @pytest.mark.parametrize(
+        "stripes, width",
+        [
+            (1, CHUNK_SYMBOLS - 1),
+            (1, CHUNK_SYMBOLS),
+            (1, CHUNK_SYMBOLS + 1),
+            (3, 2 * CHUNK_SYMBOLS // 3 + 5),
+        ],
+    )
+    def test_rs_encode_and_two_erasure_rebuild(self, stripes, width):
+        code = ReedSolomonCode(10, 4)
+        rng = np.random.default_rng(width)
+        data3d = code.field.random_elements(rng, (stripes, code.k, width))
+        fast = CodecEngine(code)
+        slow = GatherCodecEngine(code)
+        coded = fast.encode_stripes(data3d)
+        assert np.array_equal(coded, slow.encode_stripes(data3d))
+        erased = (2, 11)
+        payloads = {p: coded[:, p, :] for p in range(code.n) if p not in erased}
+        rebuilt = fast.reconstruct(erased, payloads)
+        assert np.array_equal(rebuilt, slow.reconstruct(erased, payloads))
+        assert fast.xor_plane_calls == 2  # both ran through the bit program
 
 
 class TestXorStreamMarking:
