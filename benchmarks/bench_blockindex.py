@@ -12,7 +12,10 @@ through the columnar :class:`~repro.cluster.blockindex.BlockIndex` must
 return answers *identical* to the dict reference
 (:class:`~repro.spec.namenode.DictNameNode`, the seed implementation
 kept as the executable specification): same lost-block lists, same
-repair-queue entries, same fsck.  The phase times and their ratio
+repair-queue entries, same fsck.  Each queue claims its blocks, as a
+BlockFixer scan does, so later events queue only newly lost blocks;
+releasing half the claims and claiming again must then return exactly
+the released blocks on both backends.  The phase times and their ratio
 (``blockindex_speedup``) are recorded, not gated.
 """
 
@@ -67,7 +70,7 @@ def load(namenode, stripes, placement):
 
 
 def failure_cycle(namenode, victim):
-    """One failure event: kill, detect (heartbeat expiry), build queue.
+    """One failure event: kill, detect (heartbeat expiry), claim queue.
 
     The kill is the injected fault itself and is timed separately; the
     compared phases are *failure detection* — the NameNode declaring the
@@ -82,7 +85,7 @@ def failure_cycle(namenode, victim):
     detect_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    queue = namenode.repair_queue(set())
+    queue = namenode.repair_queue()
     queue_seconds = time.perf_counter() - start
     return lost, detected, queue, kill_seconds, detect_seconds, queue_seconds
 
@@ -145,6 +148,19 @@ def test_columnar_blockindex_10x_faster_and_identical():
         assert queue_signature(col_queue) == queue_signature(ref_queue)
         blocks_lost += len(ref_lost)
         queue_entries = len(ref_queue)
+
+    # Claim -> release half -> claim: the released blocks, and only
+    # they, come back, in identical entries.
+    claimed = sorted(reference.in_repair)
+    released = claimed[::2]
+    for namenode in (reference, columnar):
+        for block in released:
+            namenode.release(block)
+    ref_requeue = reference.repair_queue()
+    col_requeue = columnar.repair_queue()
+    assert queue_signature(col_requeue) == queue_signature(ref_requeue)
+    assert [b for e in ref_requeue for b in e.blocks] == released
+    assert columnar.in_repair_count == reference.in_repair_count == len(claimed)
     gc.enable()
     gc.unfreeze()
     assert columnar.fsck() == reference.fsck()

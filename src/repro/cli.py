@@ -36,6 +36,9 @@ _amplitude = _number(float, "in [0, 1)", lambda v: 0 <= v < 1)
 _block_target = _number(float, "at least 1", lambda v: v >= 1)
 _trial_count = _number(int, "at least 2", lambda v: v >= 2)
 
+#: Quoted by the ``--blocks`` help and by the quiesce error of ``repro ec2``.
+_EC2_SCALE = "--blocks 1e5 needs about --nodes 400"
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -70,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "target total data blocks (overrides --files).  Scale --nodes "
             "with it or repairs cannot quiesce in the simulated budget: "
-            "--blocks 1e5 needs about --nodes 400, not the default 50"
+            f"{_EC2_SCALE}, not the default 50"
         ),
     )
     ec2.add_argument("--nodes", type=_positive_int, default=50)
@@ -320,7 +323,8 @@ def _cmd_ec2(args: argparse.Namespace) -> int:
     from .cluster import EC2_FAILURE_PATTERN
     from .experiments import ResultCache, format_table, run_ec2_experiment_parallel
     from .experiments.ec2 import DEFAULT_PAYLOAD_BYTES, ec2_files_for_blocks
-    from .experiments.parallel import default_jobs
+    from .experiments.parallel import WorkerError, default_jobs
+    from .experiments.runner import QuiesceTimeout
 
     _require_survivors(args, "EC2_FAILURE_PATTERN", EC2_FAILURE_PATTERN)
     if args.resume and not args.checkpoint_dir:
@@ -361,19 +365,29 @@ def _cmd_ec2(args: argparse.Namespace) -> int:
             resume=args.resume,
         )
 
-    if args.profile:
-        import cProfile
-        import io
-        import pstats
+    try:
+        if args.profile:
+            import cProfile
+            import io
+            import pstats
 
-        profiler = cProfile.Profile()
-        result = profiler.runcall(execute)
-        stream = io.StringIO()
-        stats = pstats.Stats(profiler, stream=stream)
-        stats.strip_dirs().sort_stats("cumulative").print_stats(25)
-        print(stream.getvalue())
-    else:
-        result = execute()
+            profiler = cProfile.Profile()
+            result = profiler.runcall(execute)
+            stream = io.StringIO()
+            stats = pstats.Stats(profiler, stream=stream)
+            stats.strip_dirs().sort_stats("cumulative").print_stats(25)
+            print(stream.getvalue())
+        else:
+            result = execute()
+    except WorkerError as exc:  # deterministic: say how to size the run
+        if not exc.cause_repr.startswith(f"{QuiesceTimeout.__name__}("):
+            raise
+        print(
+            f"repro ec2: error: repairs did not quiesce with --nodes "
+            f"{args.nodes}; scale --nodes with the data ({_EC2_SCALE})",
+            file=sys.stderr,
+        )
+        return 2
     if cache is not None:
         print(f"cache: {cache.hits} hit(s), {cache.misses} miss(es) in {cache.root}")
     rows = []

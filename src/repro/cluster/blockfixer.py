@@ -1,7 +1,8 @@
 """The BlockFixer daemon and its repair tasks (Section 3.1.2).
 
 Periodically scans for missing blocks and dispatches repair MapReduce
-jobs.  Two decoding paths, exactly as in HDFS-Xorbas:
+jobs for the ones not already under repair (the NameNode's queue claims
+them; the tasks release them).  Two decoding paths, exactly as in HDFS-Xorbas:
 
 * **Light decoder** — for codes with local repair groups: one map task
   per missing block, opening parallel streams to the (at most r) blocks
@@ -183,14 +184,11 @@ class LightRepairTask(Task):
         self.batch = batch
         self._counted = False  # repair-metric accounting: once per block
 
-    def describe(self) -> str:
-        return f"repair {self.stripe.block_id(self.position)}"
-
     def execute(self, cluster: "HadoopCluster", node_id: str, finish: Callable[[bool], None]) -> None:
         stripe, position = self.stripe, self.position
         block = stripe.block_id(position)
         if block not in cluster.namenode.missing_blocks:
-            self.fixer.release(block)
+            cluster.namenode.release(block)
             finish(True)
             return
         readable = cluster.namenode.readable_bits(stripe)
@@ -225,8 +223,7 @@ class LightRepairTask(Task):
             )
 
         def complete() -> None:
-            cluster.namenode.missing_blocks.discard(block)
-            self.fixer.release(block)
+            cluster.namenode.resolve(block)
             # Exactly-once accounting: a write surviving a failed
             # attempt and the retry's own write both land here, but the
             # block was rebuilt once.
@@ -283,15 +280,12 @@ class StripeRepairTask(Task):
         # attempts, not once per completed write.
         self._counted: set[int] = set()
 
-    def describe(self) -> str:
-        return f"repair stripe {self.stripe.file_name}/s{self.stripe.index}"
-
     def execute(self, cluster: "HadoopCluster", node_id: str, finish: Callable[[bool], None]) -> None:
         stripe = self.stripe
         missing = cluster.namenode.missing_positions(stripe)
         if not missing:
             for block in self.blocks:
-                self.fixer.release(block)
+                cluster.namenode.release(block)
             finish(True)
             return
         readable = cluster.namenode.readable_bits(stripe)
@@ -303,7 +297,7 @@ class StripeRepairTask(Task):
             for position in missing:
                 self.fixer.record_data_loss(cluster, stripe.block_id(position))
             for block in self.blocks:
-                self.fixer.release(block)
+                cluster.namenode.release(block)
             finish(True)
             return
         sources = list(decision.sources)
@@ -319,8 +313,7 @@ class StripeRepairTask(Task):
             state = {"remaining": len(missing), "failed": False}
 
             def one_written(position: int) -> None:
-                cluster.namenode.missing_blocks.discard(stripe.block_id(position))
-                self.fixer.release(stripe.block_id(position))
+                cluster.namenode.resolve(stripe.block_id(position))
                 if position not in self._counted:
                     self._counted.add(position)
                     cluster.metrics.record_repair_kind(light=False)
@@ -380,9 +373,7 @@ class BlockFixer:
         self.interval = (
             interval if interval is not None else cluster.config.blockfixer_interval
         )
-        self.in_repair: set[BlockId] = set()
         self.jobs_dispatched = 0
-        self.data_loss_blocks: list[BlockId] = []
         self.payload_batch_groups = 0
         self.payload_batch_stripes = 0
         self._running = False
@@ -414,13 +405,12 @@ class BlockFixer:
         """One scan pass: build and submit a repair job if needed.
 
         The repair queue — dirty stripes with their missing and
-        decoder-usable pattern bitmasks — is built in one columnar pass over
-        the NameNode's BlockIndex, and all payload rebuilds for the pass
+        decoder-usable pattern bitmasks — is claimed in one columnar pass
+        over the NameNode's BlockIndex, and all payload rebuilds for the pass
         are precomputed in batched codec-engine calls: one
         reconstruction per erasure pattern, not per stripe.
         """
-        namenode = self.cluster.namenode
-        queue = namenode.repair_queue(self.in_repair)
+        queue = self.cluster.namenode.repair_queue()
         if not queue:
             return None
         batch = PayloadRepairBatch()
@@ -434,7 +424,6 @@ class BlockFixer:
                     tasks.append(LightRepairTask(self, stripe, block.position, batch))
             else:
                 tasks.append(StripeRepairTask(self, stripe, list(entry.blocks), batch))
-            self.in_repair.update(entry.blocks)
         batch.schedule(entries)
         self.payload_batch_groups += batch.groups
         self.payload_batch_stripes += batch.stripes
@@ -454,16 +443,12 @@ class BlockFixer:
 
     # -- bookkeeping ----------------------------------------------------------------
 
-    def release(self, block: BlockId) -> None:
-        self.in_repair.discard(block)
-
     def record_data_loss(self, cluster: "HadoopCluster", block: BlockId) -> None:
         """The stripe cannot be decoded: permanent loss (absorbing state)."""
-        cluster.namenode.missing_blocks.discard(block)
+        cluster.namenode.resolve(block)
         cluster.data_loss_events.append(block)
-        self.data_loss_blocks.append(block)
-        self.release(block)
 
     @property
     def idle(self) -> bool:
-        return not self.in_repair and not self.cluster.namenode.missing_blocks
+        namenode = self.cluster.namenode
+        return not namenode.in_repair_count and not namenode.missing_blocks

@@ -12,11 +12,13 @@ columnar struct-of-arrays layout is the right representation for them.
 contiguous slab of ``n`` rows when the stripe registers, so
 ``row = slab_base + position``.  Columns:
 
-* ``node``     — index of the DataNode holding the block, or -1
-* ``missing``  — the NameNode has declared the block missing
-* ``sid``      — stripe id (index into the registration-ordered table)
-* ``pos``      — position within the stripe
-* ``kind``     — data / global parity / local parity
+* ``node``      — index of the DataNode holding the block, or -1
+* ``missing``   — the NameNode has declared the block missing
+* ``in_repair`` — claimed by :meth:`BlockIndex.build_repair_queue`
+  until :meth:`BlockIndex.release`: a block is dispatched once
+* ``sid``       — stripe id (index into the registration-ordered table)
+* ``pos``       — position within the stripe
+* ``kind``      — data / global parity / local parity
 
 Node liveness/decommission flags and per-node block counters are
 columnar too, so ``kill_node``/``detect_failures``/``fsck`` and the
@@ -58,7 +60,7 @@ class RepairQueueEntry(NamedTuple):
     """One dirty stripe of a BlockFixer scan, fully resolved.
 
     ``blocks`` are the missing blocks *not* already under repair (what
-    the scan dispatches, sorted by position); ``missing`` is the bitmask
+    the scan claims, sorted by position); ``missing`` is the bitmask
     of every missing position of the stripe; ``usable`` is the decoder's
     view as a bitmask: readable positions plus known-zero padding.
     """
@@ -87,6 +89,7 @@ class BlockIndex:
         capacity = max(int(initial_rows), 16)
         self.node = np.full(capacity, -1, dtype=np.int32)
         self.missing = np.zeros(capacity, dtype=bool)
+        self.in_repair = np.zeros(capacity, dtype=bool)
         self.sid = np.zeros(capacity, dtype=np.int32)
         self.pos = np.zeros(capacity, dtype=np.int16)
         self.kind = np.zeros(capacity, dtype=np.int8)
@@ -113,6 +116,7 @@ class BlockIndex:
 
         self.stored_count = 0
         self.missing_count = 0
+        self.in_repair_count = 0
 
     # -- growth ---------------------------------------------------------------
 
@@ -123,7 +127,7 @@ class BlockIndex:
         new_capacity = capacity
         while new_capacity < rows:
             new_capacity *= 2
-        for name in ("node", "missing", "sid", "pos", "kind"):
+        for name in ("node", "missing", "in_repair", "sid", "pos", "kind"):
             old = getattr(self, name)
             grown = np.full(
                 new_capacity, -1 if name == "node" else 0, dtype=old.dtype
@@ -167,6 +171,7 @@ class BlockIndex:
         rows = slice(base, base + n)
         self.node[rows] = -1
         self.missing[rows] = False
+        self.in_repair[rows] = False
         self.sid[rows] = sid
         self.pos[rows] = np.arange(n, dtype=np.int16)
         self.kind[rows] = self._kinds_for(stripe)
@@ -302,6 +307,12 @@ class BlockIndex:
             self.missing[row] = flag
             self.missing_count += 1 if flag else -1
 
+    def release(self, row: int) -> None:
+        """Drop a row's in-repair claim (a no-op for an unclaimed row)."""
+        if self.in_repair[row]:
+            self.in_repair[row] = False
+            self.in_repair_count -= 1
+
     # -- node-level scans -----------------------------------------------------
 
     def rows_on_node(self, node_idx: int) -> np.ndarray:
@@ -319,9 +330,6 @@ class BlockIndex:
                 self.missing[newly] = True
                 self.missing_count += newly.size
         return rows
-
-    def missing_rows(self) -> np.ndarray:
-        return np.flatnonzero(self.missing[: self.rows_used])
 
     # -- stripe-level views ---------------------------------------------------
 
@@ -408,24 +416,18 @@ class BlockIndex:
 
     # -- the bulk repair-queue builder ---------------------------------------
 
-    def build_repair_queue(
-        self, exclude_rows: np.ndarray | None = None
-    ) -> list[RepairQueueEntry]:
-        """All stripes with missing blocks eligible for repair, resolved.
+    def build_repair_queue(self) -> list[RepairQueueEntry]:
+        """Claim every missing block not already in repair, resolved.
 
         One pass over the columns builds, for every dirty stripe (in
-        BlockId order): the pending blocks (missing minus ``exclude_rows``,
-        the fixer's in-repair set), every missing position, and the
-        decoder-usable pattern (readable + virtual zero padding).  The
-        patterns are computed as bitmasks on the stacked slabs and the
-        entries carry them as they are.
+        BlockId order): the pending blocks (``missing & ~in_repair``),
+        every missing position, and the decoder-usable pattern (readable
+        + virtual zero padding).  The patterns are computed as bitmasks
+        on the stacked slabs and the entries carry them as they are.
+        Then the pending rows are flagged ``in_repair``.
         """
-        pending = self.missing_rows()
-        excluding = exclude_rows is not None and exclude_rows.size > 0
-        if excluding:
-            pending = pending[
-                ~np.isin(pending, exclude_rows, assume_unique=False)
-            ]
+        used = self.rows_used
+        pending = np.flatnonzero(self.missing[:used] & ~self.in_repair[:used])
         if pending.size == 0:
             return []
         dirty_sids = np.unique(self.sid[pending])
@@ -436,31 +438,21 @@ class BlockIndex:
         widths = np.unique(self.stripe_n[dirty_sids])
         for group_n in widths:
             sids = dirty_sids[self.stripe_n[dirty_sids] == group_n]
-            entries.extend(
-                self._queue_for_width(
-                    sids, int(group_n), pending if excluding else None
-                )
-            )
+            entries.extend(self._queue_for_width(sids, int(group_n)))
         if len(entries) > 1 and widths.size > 1:
             entries.sort(
                 key=lambda e: (e.stripe.file_name, e.stripe.index)
             )
+        self.in_repair[pending] = True
+        self.in_repair_count += pending.size
         return entries
 
-    def _queue_for_width(
-        self, sids: np.ndarray, n: int, pending: np.ndarray | None
-    ) -> list[RepairQueueEntry]:
-        """``pending is None`` means nothing is excluded: every missing
-        block is dispatchable, so the dispatch plane is the missing one."""
+    def _queue_for_width(self, sids: np.ndarray, n: int) -> list[RepairQueueEntry]:
         slab = self._slab(sids, n)
         readable_bits = self._readable_bits(slab, -1).tolist()
-        missing_bits = self._pack_bits(self.missing[slab]).tolist()
-        if pending is None:
-            dispatch_bits = missing_bits
-        else:
-            pending_mask = np.zeros(self.rows_used, dtype=bool)
-            pending_mask[pending] = True
-            dispatch_bits = self._pack_bits(pending_mask[slab]).tolist()
+        missing = self.missing[slab]
+        missing_bits = self._pack_bits(missing).tolist()
+        dispatch_bits = self._pack_bits(missing & ~self.in_repair[slab]).tolist()
 
         entries: list[RepairQueueEntry] = []
         append = entries.append
@@ -475,8 +467,6 @@ class BlockIndex:
         for sid, dbits, mbits, rbits in zip(
             sids.tolist(), dispatch_bits, missing_bits, readable_bits
         ):
-            if not dbits:
-                continue
             file_name, index = files[sid], indices[sid]
             if dbits & (dbits - 1):
                 blocks = tuple(

@@ -75,9 +75,6 @@ class RecreateBlockTask(Task):
         self.stripe = stripe
         self.position = position
 
-    def describe(self) -> str:
-        return f"recreate {self.stripe.block_id(self.position)}"
-
     def _decide(self, cluster: "HadoopCluster") -> RecreateDecision:
         """Plan under the stripe's current readable pattern."""
         readable = cluster.namenode.readable_bits(

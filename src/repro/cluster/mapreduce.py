@@ -41,9 +41,6 @@ class Task:
         """Run on ``node_id``; call ``finish(success)`` exactly once."""
         raise NotImplementedError
 
-    def describe(self) -> str:
-        return type(self).__name__
-
 
 class MapReduceJob:
     """A bag of tasks plus completion bookkeeping."""

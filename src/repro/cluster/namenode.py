@@ -16,7 +16,8 @@ per-block dict/set bookkeeping lives on as the test-only oracle
 
 ``missing_blocks`` and ``block_locations`` remain set-like and
 dict-like (views over the index), so callers are agnostic to the
-backing store.
+backing store.  ``repair_queue`` claims the blocks it returns; a repair
+task lets go with ``release``, or ``resolve`` once the block is rebuilt.
 """
 
 from __future__ import annotations
@@ -111,9 +112,6 @@ class NameNodeAPI:
 
     # -- liveness ----------------------------------------------------------------
 
-    def is_available(self, block: BlockId) -> bool:
-        return self.locate(block) is not None
-
     def readable_bits(self, stripe: Stripe, exclude_node: str | None = None) -> int:
         """The stripe's readable positions as a pattern bitmask: stored
         on an alive node other than ``exclude_node`` (the decommission
@@ -191,19 +189,11 @@ class MissingBlockView:
     def __init__(self, index: BlockIndex):
         self._index = index
 
-    def _row(self, block: BlockId) -> int:
+    def add(self, block: BlockId) -> None:
         row = self._index.row_of(block)
         if row < 0:
             raise KeyError(f"{block} belongs to no registered stripe")
-        return row
-
-    def add(self, block: BlockId) -> None:
-        self._index.set_missing(self._row(block), True)
-
-    def discard(self, block: BlockId) -> None:
-        row = self._index.row_of(block)
-        if row >= 0:
-            self._index.set_missing(row, False)
+        self._index.set_missing(row, True)
 
     def __contains__(self, block: object) -> bool:
         if not isinstance(block, BlockId):
@@ -219,10 +209,8 @@ class MissingBlockView:
 
     def __iter__(self) -> Iterator[BlockId]:
         index = self._index
-        return iter(index.blocks_of_rows(index.sort_rows(index.missing_rows())))
-
-    def __sub__(self, other) -> set[BlockId]:
-        return set(self) - set(other)
+        rows = np.flatnonzero(index.missing[: index.rows_used])
+        return iter(index.blocks_of_rows(index.sort_rows(rows)))
 
 
 class BlockLocationView:
@@ -428,15 +416,27 @@ class NameNode(NameNodeAPI):
         """Nodes already holding any placed block of the stripe."""
         return self.index.stripe_node_set(stripe)
 
-    def repair_queue(self, in_repair: set[BlockId]) -> list[RepairQueueEntry]:
-        """Bulk repair-queue construction for a BlockFixer scan pass."""
-        exclude = None
-        if in_repair:
-            rows = [self.index.row_of(b) for b in in_repair]
-            exclude = np.asarray(
-                [r for r in rows if r >= 0], dtype=np.int64
-            )
-        return self.index.build_repair_queue(exclude)
+    def repair_queue(self) -> list[RepairQueueEntry]:
+        """A BlockFixer scan pass: claim and resolve every missing block
+        not already under repair, in one columnar pass."""
+        return self.index.build_repair_queue()
+
+    def release(self, block: BlockId) -> None:
+        """The block's repair task lets go; ``missing`` is untouched."""
+        row = self.index.row_of(block)
+        if row >= 0:
+            self.index.release(row)
+
+    def resolve(self, block: BlockId) -> None:
+        """Rebuilt or written off: neither missing nor under repair."""
+        row = self.index.row_of(block)
+        if row >= 0:
+            self.index.set_missing(row, False)
+            self.index.release(row)
+
+    @property
+    def in_repair_count(self) -> int:
+        return self.index.in_repair_count
 
     def fsck(self) -> dict[str, int]:
         """Cluster health summary: stored, missing, dead-node counts."""

@@ -28,9 +28,6 @@ class EncodeStripeTask(Task):
         super().__init__()
         self.stripe = stripe
 
-    def describe(self) -> str:
-        return f"encode {self.stripe.file_name}/s{self.stripe.index}"
-
     def execute(self, cluster: "HadoopCluster", node_id: str, finish: Callable[[bool], None]) -> None:
         stripe = self.stripe
         if stripe.parities_stored:

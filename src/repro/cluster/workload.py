@@ -46,9 +46,6 @@ class WordCountTask(Task):
         self.position = position
         self.stats = stats
 
-    def describe(self) -> str:
-        return f"wordcount {self.stripe.block_id(self.position)}"
-
     def execute(self, cluster: "HadoopCluster", node_id: str, finish: Callable[[bool], None]) -> None:
         stripe, position = self.stripe, self.position
         block = stripe.block_id(position)

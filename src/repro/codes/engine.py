@@ -12,8 +12,8 @@ hot path:
 * every stripe was encoded/decoded one matrix product at a time, paying
   Python call overhead per stripe.
 
-This module removes both.  :class:`DecoderCache` memoises, per frozen
-erasure pattern, the chosen survivor columns and the precomputed
+This module removes both.  :class:`DecoderCache` memoises, per survival
+bitmask, the chosen survivor columns and the precomputed
 reconstruction matrix; :class:`CodecEngine` applies those matrices to
 whole batches of stripes through the gather-based
 :func:`~repro.galois.linalg.gf_matmul_batch` kernel; and
@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Mapping, Sequenc
 import numpy as np
 
 from ..galois import gf_inv, gf_matmul, gf_matmul_batch
-from .base import DecodingError, RepairPlan, positions_of
+from .base import DecodingError, RepairPlan, mask_of, positions_of
 from .xorplane import XorSchedule, compile_xor_schedule
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -77,8 +77,8 @@ def stack_stripes(field, available: Mapping[int, np.ndarray], positions) -> np.n
 class DecoderCache:
     """LRU cache of per-erasure-pattern decoding artefacts.
 
-    Keys are frozen erasure patterns (plus a tag for what is being
-    cached); values are whatever the builder produced — chosen survivor
+    Keys are survival bitmasks (plus a tag for what is being cached);
+    values are whatever the builder produced — chosen survivor
     columns with their reconstruction matrix, or a compiled XOR
     schedule.  Bounded LRU so adversarial pattern streams cannot grow
     memory without limit (the values are matrices and programs).
@@ -134,9 +134,9 @@ class DecoderCache:
 class ScheduleCache(DecoderCache):
     """LRU of compiled XOR schedules, living alongside :class:`DecoderCache`.
 
-    Keyed by the same interned erasure-pattern keys as the decode-matrix
-    cache (``("encode",)``, ``("decode", pattern)``, ``("reconstruct",
-    lost, pattern)``, ``("plan", plan)``), so a node failure that plans
+    Keyed by the same survival-bitmask keys as the decode-matrix cache
+    (``("encode",)``, ``("decode", mask)``, ``("reconstruct", lost,
+    mask)``, ``("plan", plan)``), so a node failure that plans
     once also compiles its XOR program once.  Values are
     :class:`~repro.codes.xorplane.XorSchedule` objects, kept even when
     their cost model rejected the plane — remembering "the GF path wins
@@ -254,17 +254,18 @@ class CodecEngine:
 
     # -- cached decode/reconstruction matrices ------------------------------
 
-    def decode_matrix(self, available: Iterable[int]) -> tuple[tuple[int, ...], np.ndarray]:
+    def decode_matrix(self, survivors: int) -> tuple[tuple[int, ...], np.ndarray]:
         """Survivor columns + the matrix recovering the data from them.
 
         Returns ``(chosen, M)`` with ``chosen`` the greedily selected
         independent survivor positions (same selection as the seed
         decoder: sorted order, accept any rank-increasing column) and
         ``M = (G[:, chosen]^T)^-1`` so that ``data = M @ stacked``.
-        Cached per frozen survivor set.
+        Cached per ``survivors``, a survival bitmask (``mask_of``).
         """
-        pattern = frozenset(int(p) for p in available)
-        return self.cache.lookup(("decode", pattern), lambda: self._build_decode(pattern))
+        return self.cache.lookup(
+            ("decode", survivors), lambda: self._build_decode(survivors)
+        )
 
     def _require_positions(self, positions: Iterable[int]) -> None:
         """A negative position would alias a generator column from the end."""
@@ -272,10 +273,15 @@ class CodecEngine:
             if not 0 <= p < self.code.n:
                 raise ValueError(f"block position {p} out of range [0, {self.code.n})")
 
-    def _build_decode(self, pattern: frozenset) -> tuple[tuple[int, ...], np.ndarray]:
+    def _survivors(self, available: Iterable[int]) -> int:
+        """The survival bitmask the caches key on, of in-range positions."""
+        available = tuple(available)
+        self._require_positions(available)
+        return mask_of(available)
+
+    def _build_decode(self, survivors: int) -> tuple[tuple[int, ...], np.ndarray]:
         code = self.code
-        indices = sorted(pattern)
-        self._require_positions(indices)
+        indices = list(positions_of(survivors))
         if len(indices) < code.k:
             raise DecodingError(
                 f"{len(indices)} blocks available, at least {code.k} required"
@@ -289,38 +295,35 @@ class CodecEngine:
         return tuple(chosen), matrix
 
     def reconstruction_matrix(
-        self, lost: Sequence[int], available: Iterable[int]
+        self, lost: tuple[int, ...], survivors: int
     ) -> tuple[tuple[int, ...], np.ndarray]:
         """Survivor columns + the matrix rebuilding ``lost`` from them.
 
         ``R = G[:, lost]^T @ M`` maps stacked survivors straight to the
         lost blocks, folding decode and re-encode into one product.
-        Cached per frozen ``(lost, survivors)`` pattern.
+        Cached per ``(lost, survivors)``.
         """
-        lost_key = tuple(int(p) for p in lost)
-        pattern = frozenset(int(p) for p in available)
 
         def build() -> tuple[tuple[int, ...], np.ndarray]:
-            self._require_positions(lost_key)
-            chosen, decode = self.decode_matrix(pattern)
+            self._require_positions(lost)
+            chosen, decode = self.decode_matrix(survivors)
             rebuild = gf_matmul(
-                self.field, self.code.generator[:, list(lost_key)].T, decode
+                self.field, self.code.generator[:, list(lost)].T, decode
             )
             return chosen, rebuild
 
-        return self.cache.lookup(("reconstruct", lost_key, pattern), build)
+        return self.cache.lookup(("reconstruct", lost, survivors), build)
 
     # -- batched decode / repair --------------------------------------------
 
     def decode_stripes(self, available: Mapping[int, np.ndarray]) -> np.ndarray:
         """Recover the data blocks of a whole batch: ``(stripes, k, width)``."""
-        chosen, matrix = self.decode_matrix(available.keys())
+        survivors = self._survivors(available.keys())
+        chosen, matrix = self.decode_matrix(survivors)
         stacked = stack_stripes(self.field, available, chosen)
         self.reconstruct_calls += 1
         self.stripes_reconstructed += stacked.shape[0]
-        schedule = self._schedule(
-            ("decode", frozenset(int(p) for p in available.keys())), lambda: matrix
-        )
+        schedule = self._schedule(("decode", survivors), lambda: matrix)
         if schedule is not None:
             return self._apply_plane(schedule, stacked)
         return gf_matmul_batch(self.field, matrix, stacked)
@@ -336,14 +339,12 @@ class CodecEngine:
         re-encoding each stripe with the seed codec.
         """
         lost = tuple(int(p) for p in lost)
-        chosen, rebuild = self.reconstruction_matrix(lost, available.keys())
+        survivors = self._survivors(available.keys())
+        chosen, rebuild = self.reconstruction_matrix(lost, survivors)
         stacked = stack_stripes(self.field, available, chosen)
         self.reconstruct_calls += 1
         self.stripes_reconstructed += stacked.shape[0]
-        schedule = self._schedule(
-            ("reconstruct", lost, frozenset(int(p) for p in available.keys())),
-            lambda: rebuild,
-        )
+        schedule = self._schedule(("reconstruct", lost, survivors), lambda: rebuild)
         if schedule is not None:
             return self._apply_plane(schedule, stacked)
         return gf_matmul_batch(self.field, rebuild, stacked)

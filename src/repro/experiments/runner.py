@@ -33,6 +33,7 @@ from ..recovery import (
 from .parallel import config_hash
 
 __all__ = [
+    "QuiesceTimeout",
     "SchemeRun",
     "SchemeRunSummary",
     "build_loaded_cluster",
@@ -141,6 +142,10 @@ def make_schedule_injector(cluster: HadoopCluster, seed: int) -> FailureInjector
     return FailureInjector(cluster, rng=np.random.default_rng(seed + 99))
 
 
+class QuiesceTimeout(RuntimeError):
+    """Repairs outlasted the simulated budget (too few nodes, or stuck)."""
+
+
 def _quiescent(cluster: HadoopCluster, fixer: BlockFixer) -> bool:
     # Dead-but-undetected nodes still hold blocks the NameNode will soon
     # declare missing — the failure event is not over until they are
@@ -164,12 +169,12 @@ def run_until_quiescent(
     The BlockFixer re-arms its scan timer forever, so the queue never
     drains; we stop on the repair-completion condition instead.  The
     timeout guards against unrepairable states (it raises, because a
-    stuck repair pipeline is a bug, not a result).
+    stuck repair pipeline is not a result).
     """
     deadline = cluster.sim.now + timeout
     while not _quiescent(cluster, fixer):
         if cluster.sim.now > deadline:
-            raise RuntimeError(
+            raise QuiesceTimeout(
                 f"repairs did not quiesce within {timeout}s; "
                 f"fsck={cluster.fsck()}"
             )

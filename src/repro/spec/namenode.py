@@ -54,6 +54,7 @@ class DictNameNode(NameNodeAPI):
         self.block_locations: dict[BlockId, str] = {}
         self.stripes: dict[tuple[str, int], Stripe] = {}
         self.missing_blocks: set[BlockId] = set()
+        self.in_repair: set[BlockId] = set()
         self.undetected_dead: set[str] = set()
 
     # -- placement ----------------------------------------------------------------
@@ -145,9 +146,9 @@ class DictNameNode(NameNodeAPI):
                 used.add(node_id)
         return used
 
-    def repair_queue(self, in_repair: set[BlockId]) -> list[RepairQueueEntry]:
-        """The seed scan algorithm: sort-then-group over Python sets."""
-        pending = sorted(self.missing_blocks - in_repair)
+    def repair_queue(self) -> list[RepairQueueEntry]:
+        """The seed scan algorithm over Python sets, claiming in a set."""
+        pending = sorted(self.missing_blocks - self.in_repair)
         by_stripe: dict[tuple[str, int], list[BlockId]] = {}
         for block in pending:
             by_stripe.setdefault(
@@ -168,7 +169,19 @@ class DictNameNode(NameNodeAPI):
                     usable=mask_of(usable),
                 )
             )
+        self.in_repair.update(pending)
         return entries
+
+    def release(self, block: BlockId) -> None:
+        self.in_repair.discard(block)
+
+    def resolve(self, block: BlockId) -> None:
+        self.missing_blocks.discard(block)
+        self.in_repair.discard(block)
+
+    @property
+    def in_repair_count(self) -> int:
+        return len(self.in_repair)
 
     def fsck(self) -> dict[str, int]:
         return {

@@ -3,10 +3,11 @@
 The columnar :class:`~repro.cluster.namenode.NameNode` must be
 *indistinguishable* from the seed's per-block dict implementation
 (:class:`~repro.spec.namenode.DictNameNode`): randomized
-kill/heal/decommission/remove sequences drive both side by side and
-every query — locate, availability, missing positions, repair queue,
-fsck, block counts — must agree at every step.  A full-simulation
-equivalence test then proves the migration is invisible end to end.
+kill/heal/decommission/remove/claim/release sequences drive both side
+by side and every query — locate, missing positions, repair-queue
+claims, in-repair counts, fsck, block counts — must agree at every
+step.  A full-simulation equivalence test then proves the migration is
+invisible end to end.
 """
 
 import math
@@ -43,8 +44,24 @@ def make_pair(seed):
     )
 
 
+def queue_key(queue):
+    return [
+        (e.stripe.file_name, e.stripe.index, e.blocks, e.missing, e.usable)
+        for e in queue
+    ]
+
+
+def assert_same_claim(columnar: NameNode, reference: DictNameNode):
+    """Claim on both implementations: identical queues, identical counts."""
+    queue = queue_key(columnar.repair_queue())
+    assert queue == queue_key(reference.repair_queue())
+    assert columnar.in_repair_count == reference.in_repair_count
+    return queue
+
+
 def assert_equivalent(columnar: NameNode, reference: DictNameNode):
     assert columnar.fsck() == reference.fsck()
+    assert columnar.in_repair_count == reference.in_repair_count
     assert sorted(columnar.missing_blocks) == sorted(reference.missing_blocks)
     assert columnar.undetected_dead == reference.undetected_dead
     assert columnar.node_block_counts() == reference.node_block_counts()
@@ -67,16 +84,6 @@ def assert_equivalent(columnar: NameNode, reference: DictNameNode):
         for position in stripe.stored_positions():
             block = stripe.block_id(position)
             assert columnar.locate(block) == reference.locate(block)
-            assert columnar.is_available(block) == reference.is_available(block)
-    queue_a = columnar.repair_queue(set())
-    queue_b = reference.repair_queue(set())
-    assert [
-        (e.stripe.file_name, e.stripe.index, e.blocks, e.missing, e.usable)
-        for e in queue_a
-    ] == [
-        (e.stripe.file_name, e.stripe.index, e.blocks, e.missing, e.usable)
-        for e in queue_b
-    ]
 
 
 class TestDifferentialProperty:
@@ -98,7 +105,8 @@ class TestDifferentialProperty:
 
         for step in range(150):
             op = ops_rng.choice(
-                ["stripe", "kill", "detect", "remove", "missing", "readd", "decom"]
+                ["stripe", "kill", "detect", "remove", "missing", "readd",
+                 "decom", "claim", "release", "resolve"]
             )
             if op == "stripe" or not stripes:
                 stripe = Stripe(
@@ -158,42 +166,113 @@ class TestDifferentialProperty:
                 flag = bool(ops_rng.random() < 0.5)
                 columnar.nodes[node_id].decommissioning = flag
                 reference.nodes[node_id].decommissioning = flag
+            elif op == "claim":
+                assert_same_claim(columnar, reference)
+            elif op in ("release", "resolve"):
+                # Mostly a claimed block, which a "readd" may have made
+                # no longer missing; otherwise one that was never claimed.
+                claimed = sorted(reference.in_repair)
+                if claimed and ops_rng.random() < 0.8:
+                    block = claimed[ops_rng.integers(len(claimed))]
+                else:
+                    stripe, position = random_block()
+                    block = stripe.block_id(position)
+                getattr(columnar, op)(block)
+                getattr(reference, op)(block)
             if step % 10 == 0 or step > 140:
                 assert_equivalent(columnar, reference)
         assert_equivalent(columnar, reference)
+        assert_same_claim(columnar, reference)
 
-    def test_repair_queue_respects_in_repair_exclusions(self):
+    @staticmethod
+    def placed_pair(seed, stripes_count):
         code = xorbas_lrc()
-        columnar, reference = make_pair(7)
+        columnar, reference = make_pair(seed)
         stripes = []
-        for i in range(6):
+        for i in range(stripes_count):
             stripe = Stripe(
-                file_name=f"f{i}", index=0, code=code, data_blocks=code.k,
+                file_name=f"f{i:03d}", index=0, code=code, data_blocks=code.k,
                 block_size=64e6,
             )
             stripe.parities_stored = True
-            columnar.place_stripe(stripe)
-            reference.place_stripe(stripe)
+            for nn in (columnar, reference):
+                nn.place_stripe(stripe)
             stripes.append(stripe)
-        victims = {reference.locate(stripes[0].block_id(0))}
-        victims.add(reference.locate(stripes[3].block_id(5)))
-        for victim in victims:
-            columnar.kill_node(victim)
-            reference.kill_node(victim)
-            columnar.detect_failures(victim)
-            reference.detect_failures(victim)
-        missing = sorted(reference.missing_blocks)
-        assert missing
-        # Exclude half the pending blocks, as the BlockFixer does for
-        # blocks already under repair.
-        in_repair = set(missing[::2])
-        queue_a = columnar.repair_queue(in_repair)
-        queue_b = reference.repair_queue(in_repair)
-        assert [(e.blocks, e.missing, e.usable) for e in queue_a] == [
-            (e.blocks, e.missing, e.usable) for e in queue_b
-        ]
-        dispatched = {b for e in queue_a for b in e.blocks}
-        assert dispatched == set(missing) - in_repair
+        return columnar, reference, stripes
+
+    @staticmethod
+    def fail(victim, *namenodes):
+        for nn in namenodes:
+            nn.kill_node(victim)
+            nn.detect_failures(victim)
+
+    def test_repair_queue_respects_in_repair_exclusions(self):
+        columnar, reference, stripes = self.placed_pair(7, 6)
+        self.fail(reference.locate(stripes[0].block_id(0)), columnar, reference)
+        first = sorted(reference.missing_blocks)
+        assert len(first) > 1
+        dispatched = [b for e in assert_same_claim(columnar, reference) for b in e[2]]
+        assert dispatched == first
+        assert columnar.in_repair_count == len(first)
+        # Everything missing is claimed: a second scan dispatches nothing.
+        assert assert_same_claim(columnar, reference) == []
+
+        # A second failure: the next claim returns only the new blocks.
+        self.fail(reference.locate(stripes[3].block_id(5)), columnar, reference)
+        second = sorted(reference.missing_blocks - set(first))
+        assert second
+        dispatched = [b for e in assert_same_claim(columnar, reference) for b in e[2]]
+        assert dispatched == second
+
+        # A released block that is still missing is dispatched again; one
+        # that was re-placed meanwhile is not, and its release still counts.
+        retry, healed = first[0], first[-1]
+        target = next(
+            n for n in reference.node_ids
+            if reference.nodes[n].alive and n not in reference.stripe_node_set(
+                reference.stripe_of(healed)
+            )
+        )
+        for nn in (columnar, reference):
+            nn.add_block(healed, target)
+            nn.release(retry)
+            nn.release(healed)
+        assert columnar.in_repair_count == len(first) + len(second) - 2
+        dispatched = [b for e in assert_same_claim(columnar, reference) for b in e[2]]
+        assert dispatched == [retry]
+        # resolve clears both flags; releasing twice is a no-op.
+        for nn in (columnar, reference):
+            nn.resolve(retry)
+            nn.release(retry)
+        assert retry not in columnar.missing_blocks
+        assert columnar.in_repair_count == len(first) + len(second) - 2
+        assert_equivalent(columnar, reference)
+
+    def test_claims_survive_index_growth(self):
+        columnar, reference, stripes = self.placed_pair(3, 4)
+        self.fail(reference.locate(stripes[1].block_id(2)), columnar, reference)
+        claimed = [b for e in assert_same_claim(columnar, reference) for b in e[2]]
+        assert claimed
+        index = columnar.index
+        capacity = len(index.in_repair)
+        code = stripes[0].code
+        grown = 0
+        while len(index.in_repair) == capacity:  # force _ensure_capacity
+            stripe = Stripe(
+                file_name=f"g{grown:04d}", index=0, code=code,
+                data_blocks=code.k, block_size=64e6,
+            )
+            stripe.parities_stored = True
+            for nn in (columnar, reference):
+                nn.place_stripe(stripe)
+            grown += 1
+        assert all(index.in_repair[index.row_of(b)] for b in claimed)
+        assert index.in_repair_count == len(claimed)
+        assert int(index.in_repair.sum()) == len(claimed)
+        assert assert_same_claim(columnar, reference) == []
+        columnar.release(claimed[0])
+        reference.release(claimed[0])
+        assert assert_same_claim(columnar, reference)[0][2] == (claimed[0],)
 
     def test_zero_padded_stripes_expose_virtual_positions_as_usable(self):
         code = xorbas_lrc()
@@ -208,8 +287,8 @@ class TestDifferentialProperty:
         for nn in (columnar, reference):
             nn.kill_node(victim)
             nn.detect_failures(victim)
-        queue_a = columnar.repair_queue(set())
-        queue_b = reference.repair_queue(set())
+        queue_a = columnar.repair_queue()
+        queue_b = reference.repair_queue()
         assert queue_a[0].usable == queue_b[0].usable
         # Zero padding [data_blocks, k) is usable by every decoder.
         padding = mask_of(range(3, code.k))
@@ -243,7 +322,7 @@ class TestStripeWidthLimit:
                 namenode.kill_node(victim)
                 namenode.detect_failures(victim)
                 queues.append(
-                    [(e.blocks, e.missing, e.usable) for e in namenode.repair_queue(set())]
+                    [(e.blocks, e.missing, e.usable) for e in namenode.repair_queue()]
                 )
         assert queues[0] == queues[1]
         ((blocks, missing, usable),) = queues[0]

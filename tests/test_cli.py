@@ -151,6 +151,27 @@ class TestFailFast:
         assert captured.out == ""
 
 
+    def test_ec2_that_cannot_quiesce_exits_2(self, monkeypatch, capsys):
+        """A cluster too small for its data outlasts the simulated repair
+        budget on every attempt: one line naming ``--nodes`` and the
+        advertised scale, exit 2, no worker traceback."""
+        from repro.experiments import runner
+
+        quiesce = runner.run_until_quiescent
+        monkeypatch.setattr(  # a budget no repair fits in
+            runner,
+            "run_until_quiescent",
+            lambda cluster, fixer: quiesce(cluster, fixer, timeout=1.0),
+        )
+        assert main(["ec2", "--files", "2", "--nodes", "25", "--jobs", "1"]) == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err + captured.out
+        (line,) = captured.err.splitlines()
+        assert line.startswith("repro ec2: error: repairs did not quiesce")
+        assert "--nodes 25" in line
+        assert "--blocks 1e5 needs about --nodes 400" in line
+
+
 class TestCommands:
     @pytest.mark.slow  # exhaustive distance certification over all patterns
     def test_certify(self, capsys, monkeypatch, xorbas_certification):

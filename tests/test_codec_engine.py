@@ -183,7 +183,7 @@ class TestDecoderCache:
         code = ReedSolomonCode(4, 2, field=GF16)
         engine = CodecEngine(code)
         with pytest.raises(DecodingError):
-            engine.decode_matrix({0, 1, 2})  # only 3 of k=4 survivors
+            engine.decode_matrix(0b0111)  # only 3 of k=4 survivors
         assert len(engine.cache) == 0
 
 

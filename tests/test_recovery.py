@@ -248,7 +248,7 @@ class TestClusterSnapshot:
         injector = make_schedule_injector(cluster, 5)
         snapshot((cluster, fixer, injector, []))  # quiescent: pickles
         injector.kill(2)
-        while not fixer.in_repair:
+        while not cluster.namenode.in_repair_count:
             assert cluster.sim.step()
         with pytest.raises(SnapshotError, match="local object.*quiescent"):
             snapshot((cluster, fixer, injector, []))

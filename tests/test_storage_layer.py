@@ -104,7 +104,7 @@ class TestNameNode:
         lost = nn.kill_node(victim)
         assert stripe.block_id(0) in lost
         # Not yet detected: unavailable but not missing.
-        assert not nn.is_available(stripe.block_id(0))
+        assert nn.locate(stripe.block_id(0)) is None
         assert stripe.block_id(0) not in nn.missing_blocks
         detected = nn.detect_failures(victim)
         assert stripe.block_id(0) in detected
