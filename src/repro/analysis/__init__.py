@@ -5,10 +5,10 @@ only in reviewer memory — every random draw derives from a config seed
 via spawned streams, every vectorized engine keeps its scalar spec with
 a differential test, and every config knob is validated and reaches
 the cache key.
-reprolint mechanizes those contracts: per-file rules dispatched from a
-single ``ast.parse`` walk, and whole-program rules that query the
-project fact graph (:mod:`repro.analysis.graph`, built from the same
-parse) through an interprocedural taint lattice
+reprolint mechanizes those contracts: each file is parsed once into the
+project fact graph (:mod:`repro.analysis.graph`), and every rule is a
+``check(graph)`` over it — RL001/RL006 walk the ``src/repro`` trees it
+keeps, RL009 resolves seeds through an interprocedural taint lattice
 (:mod:`repro.analysis.dataflow`).  Each rule has caught a real bug
 (DESIGN.md "Enforced invariants").
 
@@ -31,36 +31,21 @@ RL011     cache-key completeness: every ClusterConfig/DegradedReadConfig
 ========  =============================================================
 """
 
-from .core import LintContext, RuleViolation, lint_source
-from .graph import ProjectGraph, analyze_paths
-from .project import run_project_rules_ex
-from .registry import PROJECT_RULE_CODES, RULE_DESCRIPTIONS, explain
-from .report import render_github, render_human, render_json
-from .rules import FILE_RULES
+from .cli import analyze_repo
+from .core import RuleViolation
+from .graph import ProjectGraph
+from .report import render_github, render_human
+from .rules import RULE_DESCRIPTIONS, RULES, explain, lint_source, run_rules
 
 __all__ = [
-    "FILE_RULES",
-    "LintContext",
-    "PROJECT_RULE_CODES",
     "ProjectGraph",
+    "RULES",
     "RULE_DESCRIPTIONS",
     "RuleViolation",
-    "analyze_paths",
+    "analyze_repo",
     "explain",
-    "lint_repo",
     "lint_source",
     "render_github",
     "render_human",
-    "render_json",
-    "run_project_rules_ex",
+    "run_rules",
 ]
-
-
-def lint_repo(root=None, rules=None):
-    """Lint the repository as ``repro lint`` does (see
-    :func:`repro.analysis.cli.analyze_repo`); returns the sorted
-    violation list.  Used by the self-application test."""
-    from .cli import analyze_repo, resolve_root
-
-    _, violations, _ = analyze_repo(resolve_root(root), rules)
-    return violations

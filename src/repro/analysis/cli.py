@@ -2,14 +2,14 @@
 
 Exit codes follow linter convention: 0 clean, 1 violations found,
 2 usage/environment error (e.g. no repository root).  ``--format``
-selects human lines (default), JSON, or GitHub workflow commands; the
-github format also appends a markdown table to ``$GITHUB_STEP_SUMMARY``
-when CI exports it.
+selects human lines (default) or GitHub workflow commands; the github
+format also appends a markdown table to ``$GITHUB_STEP_SUMMARY`` when
+CI exports it.
 
-Every run goes through :func:`analyze_repo`: the per-file rules, the
-fact graph and the whole-program rules over the repository, computed
-fresh each time.  Explicit paths only filter that run's report to
-findings under them, so a file gets the same verdict either way.
+Every run goes through :func:`analyze_repo`: the fact graph over the
+repository and every rule over it, computed fresh each time.  Explicit
+paths only filter that run's report to findings under them, so a file
+gets the same verdict either way.
 ``--changed[=REF]`` scopes the report to files touched versus a git ref
 plus their reverse import dependencies — the pre-commit mode.
 ``--explain RL0xx`` prints a rule's contract, a violating and a clean
@@ -25,10 +25,9 @@ from pathlib import Path
 from typing import Sequence
 
 from .core import RuleViolation
-from .graph import ProjectGraph, analyze_paths
-from .project import run_project_rules_ex
-from .registry import PROJECT_RULE_CODES, RULE_DESCRIPTIONS, explain
-from .report import render_github, render_human, render_json, step_summary_table
+from .graph import ProjectGraph, build_graph
+from .report import render_github, render_human, step_summary_table
+from .rules import RULE_DESCRIPTIONS, explain, run_rules
 
 __all__ = [
     "add_lint_arguments",
@@ -37,12 +36,6 @@ __all__ = [
     "resolve_root",
     "run_lint",
 ]
-
-#: Directories a run analyzes.  Every rule checks ``src/repro``;
-#: ``tests/`` only supplies RL003's differential-test evidence (no
-#: per-file rule runs there — fixture files deliberately violate rules).
-TARGET_NAMES = ("src", "tests")
-
 
 def resolve_root(root: str | os.PathLike | None = None) -> Path:
     """The repository root: explicit, else nearest ancestor of the cwd
@@ -59,18 +52,12 @@ def resolve_root(root: str | os.PathLike | None = None) -> Path:
     )
 
 
-def analyze_repo(
-    root: Path, rules: set[str] | None = None
-) -> tuple[ProjectGraph, list[RuleViolation], int]:
-    """The one lint run: per-file rules and the fact graph over
-    :data:`TARGET_NAMES`, then the whole-program rules.  Returns (graph,
-    sorted violations, pragma-suppressed count)."""
-    targets = [root / name for name in TARGET_NAMES if (root / name).exists()]
-    graph, violations, suppressed = analyze_paths(targets, root=root, rules=rules)
-    if rules is None or rules & PROJECT_RULE_CODES:
-        project_violations, project_suppressed = run_project_rules_ex(graph, rules)
-        violations = sorted(violations + project_violations)
-        suppressed += project_suppressed
+def analyze_repo(root: Path) -> tuple[ProjectGraph, list[RuleViolation], int]:
+    """The one lint run: the fact graph over ``src/`` and ``tests/``,
+    then every rule.  Returns (graph, sorted violations,
+    pragma-suppressed count)."""
+    graph = build_graph(root)
+    violations, suppressed = run_rules(graph)
     return graph, violations, suppressed
 
 
@@ -115,16 +102,10 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--format",
-        choices=("human", "json", "github"),
+        choices=("human", "github"),
         default="human",
         help="output format (github emits ::error annotations and a "
         "$GITHUB_STEP_SUMMARY table)",
-    )
-    parser.add_argument(
-        "--rules",
-        default=None,
-        help="comma-separated rule codes to run (default: all), "
-        f"e.g. --rules=RL001,RL006; known: {','.join(sorted(RULE_DESCRIPTIONS))}",
     )
     parser.add_argument(
         "--changed",
@@ -144,7 +125,7 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def run_lint(args: argparse.Namespace) -> int:
-    if getattr(args, "explain", None):
+    if args.explain:
         text = explain(args.explain)
         if text is None:
             print(
@@ -159,22 +140,12 @@ def run_lint(args: argparse.Namespace) -> int:
     except FileNotFoundError as exc:
         print(f"reprolint: error: {exc}")
         return 2
-    rules: set[str] | None = None
-    if args.rules:
-        rules = {code.strip().upper() for code in args.rules.split(",") if code.strip()}
-        unknown = rules - set(RULE_DESCRIPTIONS)
-        if unknown:
-            print(
-                f"reprolint: error: unknown rule(s) {sorted(unknown)}; "
-                f"known: {sorted(RULE_DESCRIPTIONS)}"
-            )
-            return 2
     targets = [(root / p).resolve() for p in args.paths]
     missing = [str(p) for p in targets if not p.exists()]
     if missing:
         print(f"reprolint: error: no such path(s): {', '.join(missing)}")
         return 2
-    graph, violations, suppressed = analyze_repo(root, rules)
+    graph, violations, suppressed = analyze_repo(root)
     if targets:
         violations = [v for v in violations if _under(root / v.path, targets)]
     if args.changed is not None:
@@ -187,27 +158,12 @@ def run_lint(args: argparse.Namespace) -> int:
             return 2
         frontier = graph.reverse_closure(scoped)
         violations = [v for v in violations if v.path in frontier]
-    renderer = {
-        "human": render_human,
-        "json": render_json,
-        "github": render_github,
-    }[args.format]
-    print(renderer(violations, suppressed=suppressed))
-    if args.format == "github":
+    if args.format == "human":
+        print(render_human(violations, suppressed=suppressed))
+    else:
+        print(render_github(violations, suppressed=suppressed))
         summary_path = os.environ.get("GITHUB_STEP_SUMMARY")
         if summary_path:
             with open(summary_path, "a", encoding="utf-8") as fh:
                 fh.write(step_summary_table(violations))
     return 1 if violations else 0
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro-lint", description="run the reprolint invariant analyzer"
-    )
-    add_lint_arguments(parser)
-    return run_lint(parser.parse_args(argv))
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

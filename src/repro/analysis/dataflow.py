@@ -46,7 +46,6 @@ __all__ = [
     "SEEDED",
     "UNKNOWN",
     "CallTaint",
-    "FunctionSummary",
     "Join",
     "Param",
     "TaintEvaluator",
@@ -180,16 +179,6 @@ def join(*parts: Taint) -> Taint:
     return Join(tuple(symbolic))
 
 
-@dataclass(frozen=True)
-class FunctionSummary:
-    """What a function contributes to interprocedural seed provenance:
-    its parameter names (for call-site matching) and the joined taint of
-    every ``return`` expression, with :class:`Param` leaves symbolic."""
-
-    params: tuple[str, ...]
-    returns: object  # Taint
-
-
 # ---------------------------------------------------------------------------
 # Intraprocedural evaluation
 # ---------------------------------------------------------------------------
@@ -199,37 +188,30 @@ class TaintEvaluator:
     """Forward reaching-definitions walk over one function (or module)
     scope, producing an environment rules can query expression taint in.
 
-    ``symbolic_params=True`` binds parameters to :class:`Param` leaves
-    (summary mode); otherwise seed-like parameters bind to SEEDED and
-    the rest to UNKNOWN (call-site mode).  ``call_hook(node, taints)``
-    fires for every evaluated call with its argument taints — fact
-    extraction uses it to record ``default_rng``/``spawn_streams``
-    sites with the env as of that program point.
+    Parameters bind to symbolic :class:`Param` leaves, so the scope's
+    :meth:`summary` can be applied at any call site.
+    ``call_hook(node, taints)`` fires for every evaluated call with its
+    argument taints — fact extraction uses it to record
+    ``default_rng``/``spawn_streams`` sites with the env as of that
+    program point.
     """
 
     def __init__(
         self,
         scope: ast.AST,
         *,
-        symbolic_params: bool = False,
         outer_env: Mapping[str, Taint] | None = None,
         call_hook: Callable[[ast.Call, list], None] | None = None,
     ):
         self.env: dict[str, Taint] = dict(outer_env or {})
-        self.params: tuple[str, ...] = ()
         self._returns: list[Taint] = []
         self._call_hook = call_hook
         args = getattr(scope, "args", None)
         if args is not None:
             names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
-            self.params = tuple(names)
             for index, name in enumerate(names):
-                if name in ("self", "cls"):
-                    self.env[name] = UNKNOWN
-                elif symbolic_params:
-                    self.env[name] = Param(index, name)
-                else:
-                    self.env[name] = SEEDED if is_seed_name(name) else UNKNOWN
+                self_like = name in ("self", "cls")
+                self.env[name] = UNKNOWN if self_like else Param(index, name)
         self._walk(getattr(scope, "body", []))
 
     # -- statement walk ----------------------------------------------------
@@ -400,9 +382,10 @@ class TaintEvaluator:
             return SEEDED
         return UNKNOWN
 
-    def summary(self) -> FunctionSummary:
-        returns = join(*self._returns) if self._returns else CONST
-        return FunctionSummary(params=self.params, returns=returns)
+    def summary(self) -> Taint:
+        """The scope's interprocedural summary: the joined taint of every
+        ``return`` expression, with :class:`Param` leaves symbolic."""
+        return join(*self._returns) if self._returns else CONST
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +401,7 @@ _MAX_DEPTH = 4
 def resolve_taint(taint: Taint, lookup, depth: int = _MAX_DEPTH) -> Taint:
     """Collapse a taint tree to an atom using function summaries.
 
-    ``lookup(callee)`` returns the :class:`FunctionSummary` for a
+    ``lookup(callee)`` returns the summary (return taint) of a
     qualified project function (None when external/unresolvable).
     Unresolvable calls fall back to the join of their argument taints —
     an external transformation of a seeded value stays seeded, while an
@@ -450,7 +433,7 @@ def resolve_taint(taint: Taint, lookup, depth: int = _MAX_DEPTH) -> Taint:
     return UNKNOWN
 
 
-def _apply_summary(summary: FunctionSummary, args: tuple) -> Taint:
+def _apply_summary(summary: Taint, args: tuple) -> Taint:
     """Substitute call-site argument taints into a summary's return."""
 
     def substitute(taint: Taint) -> Taint:
@@ -469,4 +452,4 @@ def _apply_summary(summary: FunctionSummary, args: tuple) -> Taint:
             return join(*(substitute(p) for p in taint.parts))
         return taint
 
-    return substitute(summary.returns)
+    return substitute(summary)

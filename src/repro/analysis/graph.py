@@ -1,21 +1,19 @@
-"""Whole-program facts and the ProjectGraph behind reprolint.
+"""Per-file facts and the ProjectGraph every reprolint rule checks.
 
-The whole-program rules (RL003 spec/engine conformance, RL009 seed
-provenance, RL011 cache-key completeness) all need cross-file
-visibility.  Rather than hand each rule the raw ASTs of every file,
-extraction reduces each file — in the same single parse the per-file
-rules use — to a plain-data :class:`FileFacts` record: imports,
-function taint summaries, seed call sites, config dataclass fields,
-cache-key-builder evidence, and (for ``tests/``) the identifier
-evidence RL003 consumes.
+Each file is parsed once and reduced to a :class:`FileFacts` record:
+imports, function taint summaries, seed call sites, config dataclass
+fields, cache-key-builder evidence, the ``disable=`` pragmas, and (for
+``tests/``) the identifier evidence RL003 consumes.  A ``src/repro``
+file also keeps its parsed tree, which RL001 and RL006 walk.
 
 A :class:`ProjectGraph` is the indexed union of those records: a
 project-wide symbol table (``module:function`` -> taint summary) and the
 import graph (with the reverse closure ``repro lint --changed`` needs),
 plus the input RL003 checks against — the ``EnginePair`` declarations
 with their ``pairs.py`` lines.
-Facts live in memory for one run only; every input is plain data, so
-tests build synthetic graphs directly instead of faking a repository.
+Facts live in memory for one run only; every input but the tree is
+plain data, so tests build synthetic graphs directly instead of faking
+a repository.
 """
 
 from __future__ import annotations
@@ -26,18 +24,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .core import (
-    RuleViolation,
-    iter_python_files,
-    lint_context,
-    module_name_for,
-    parse_pragmas,
-    scope_for,
-)
+from .core import RuleViolation, parse_pragmas
 from .dataflow import (
     CONST,
     CallTaint,
-    FunctionSummary,
     Join,
     TaintEvaluator,
     dotted_name,
@@ -54,12 +44,19 @@ __all__ = [
     "PAIRS_PATH",
     "ProjectGraph",
     "SeedSite",
-    "analyze_paths",
+    "TARGET_NAMES",
+    "build_graph",
     "extract_facts",
+    "is_dataclass_def",
     "mentioned_identifiers",
 ]
 
 PAIRS_PATH = "src/repro/difftest/pairs.py"
+
+#: Directories a run analyzes, each file's scope.  Every rule checks
+#: ``src/repro``; ``tests/`` only supplies RL003's differential-test
+#: evidence (fixture files there deliberately violate rules).
+TARGET_NAMES = ("src", "tests")
 
 #: Call names whose argument provenance RL009 audits.
 SEED_SINKS = frozenset({"default_rng", "spawn_streams"})
@@ -101,14 +98,15 @@ class KeyBuilderFacts:
 
 @dataclass
 class FileFacts:
-    """Everything the whole-program rules need to know about one file."""
+    """Everything the rules need to know about one file."""
 
     path: str
     module: str
     scope: str
     is_package: bool = False
+    tree: ast.Module | None = None  # src/repro files that parse
     imports: dict[str, str] = field(default_factory=dict)
-    summaries: dict[str, FunctionSummary] = field(default_factory=dict)
+    summaries: dict[str, object] = field(default_factory=dict)  # -> return taint
     seed_sites: list[SeedSite] = field(default_factory=list)
     config_classes: list[ConfigClassFacts] = field(default_factory=list)
     key_builders: list[KeyBuilderFacts] = field(default_factory=list)
@@ -125,7 +123,7 @@ class FileFacts:
 
 
 # ---------------------------------------------------------------------------
-# Fact extraction (one pass per file, sharing the lint parse)
+# Fact extraction (one parse per file)
 # ---------------------------------------------------------------------------
 
 
@@ -203,7 +201,7 @@ def _module_constants(tree: ast.Module) -> dict[str, object]:
     return env
 
 
-def _is_dataclass_def(node: ast.ClassDef) -> bool:
+def is_dataclass_def(node: ast.ClassDef) -> bool:
     for decorator in node.decorator_list:
         target = decorator.func if isinstance(decorator, ast.Call) else decorator
         if dotted_name(target).rsplit(".", 1)[-1] == "dataclass":
@@ -212,7 +210,7 @@ def _is_dataclass_def(node: ast.ClassDef) -> bool:
 
 
 def _config_class_facts(node: ast.ClassDef) -> ConfigClassFacts | None:
-    if not node.name.endswith("Config") or not _is_dataclass_def(node):
+    if not node.name.endswith("Config") or not is_dataclass_def(node):
         return None
     fields: list[tuple[str, int]] = []
     for stmt in node.body:
@@ -299,7 +297,7 @@ def mentioned_identifiers(tree: ast.Module) -> frozenset[str]:
 
 def _collect_seed_sites(
     scope: ast.AST, owner: str, outer_env: Mapping[str, object]
-) -> tuple[list[SeedSite], "FunctionSummary"]:
+) -> tuple[list[SeedSite], object]:
     """Run the taint evaluator over one scope, recording sink calls."""
     sites: dict[tuple[int, int], SeedSite] = {}
 
@@ -320,35 +318,37 @@ def _collect_seed_sites(
             taint=taint,
         )
 
-    evaluator = TaintEvaluator(
-        scope, symbolic_params=True, outer_env=outer_env, call_hook=hook
-    )
+    evaluator = TaintEvaluator(scope, outer_env=outer_env, call_hook=hook)
     return list(sites.values()), evaluator.summary()
 
 
 def extract_facts(
-    tree: ast.Module,
     source: str,
+    errors: list[RuleViolation],
     *,
     path: str,
     module: str,
     scope: str,
     is_package: bool = False,
 ) -> FileFacts:
-    """Reduce one parsed file to its whole-program facts."""
-    facts = FileFacts(
-        path=path,
-        module=module,
-        scope=scope,
-        is_package=is_package,
-        pragmas=parse_pragmas(source),
-    )
+    """Parse one file and reduce it to its facts; a file that does not
+    parse adds an RL000 finding to ``errors`` and yields no facts."""
+    facts = FileFacts(path=path, module=module, scope=scope, is_package=is_package)
+    try:
+        tree = ast.parse(source, filename=path)
+    except SyntaxError as exc:
+        errors.append(
+            RuleViolation(path, exc.lineno or 1, "RL000", f"syntax error: {exc.msg}")
+        )
+        return facts
+    facts.pragmas = parse_pragmas(source)
     if scope == "tests":
         facts.test_identifiers = mentioned_identifiers(tree)
         return facts
-    if scope != "src" or not module.startswith("repro"):
+    if scope != "src" or not (module == "repro" or module.startswith("repro.")):
         return facts
 
+    facts.tree = tree
     facts.imports = _import_table(tree, module, is_package)
     consts = _module_constants(tree)
 
@@ -371,9 +371,7 @@ def extract_facts(
             sites, summary = _collect_seed_sites(node, node.name, consts)
             facts.seed_sites.extend(sites)
             if node.name in local_functions and node in tree.body:
-                facts.summaries[node.name] = FunctionSummary(
-                    params=summary.params, returns=qualify(summary.returns)
-                )
+                facts.summaries[node.name] = qualify(summary)
             builder = _key_builder_facts(node)
             if builder is not None:
                 facts.key_builders.append(builder)
@@ -406,7 +404,8 @@ def extract_facts(
 class ProjectGraph:
     """Indexed union of every file's facts — project-wide symbol table
     and import graph (with reverse closure) — plus the registry
-    declarations RL003 checks the facts against."""
+    declarations RL003 checks the facts against and the RL000 findings
+    met while building it."""
 
     def __init__(
         self,
@@ -422,13 +421,17 @@ class ProjectGraph:
         }
         #: (declaration, line of its ``EnginePair(...)`` call in PAIRS_PATH)
         self.pairs = tuple(pairs)
-        #: RL000 findings from loading the declarations above
+        #: RL000 findings: files that do not parse, an unloadable registry
         self.errors = list(errors)
+
+    def package_files(self) -> list[FileFacts]:
+        """The ``src/repro`` files that parsed: the trees RL001/RL006 walk."""
+        return [facts for facts in self.files.values() if facts.tree is not None]
 
     # -- symbol table --------------------------------------------------
 
-    def lookup_summary(self, qualified: str, _depth: int = 8) -> FunctionSummary | None:
-        """Resolve ``module:symbol`` to a taint summary, following one
+    def lookup_summary(self, qualified: str, _depth: int = 8) -> object | None:
+        """Resolve ``module:symbol`` to its summary (return taint), following one
         re-export hop per level (``repro.difftest:spawn_streams`` ->
         ``repro.difftest.schedule:spawn_streams``)."""
         if _depth <= 0 or ":" not in qualified:
@@ -503,11 +506,11 @@ class ProjectGraph:
 
 
 def _load_pairs(
-    root: Path, errors: list[RuleViolation]
+    files: Mapping[str, FileFacts], errors: list[RuleViolation]
 ) -> tuple[tuple[EnginePair, int], ...]:
     """The registered pairs, each with its declaration line in pairs.py."""
-    path = root / PAIRS_PATH
-    if not path.exists():
+    declared = files.get(PAIRS_PATH)
+    if declared is None:
         return ()  # a root without the registry has no pairs to conform to
     try:
         from repro.difftest import engine_matrix
@@ -519,8 +522,7 @@ def _load_pairs(
         )
         return ()
     lines: dict[str, int] = {}
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    for node in ast.walk(tree):
+    for node in ast.walk(declared.tree) if declared.tree else ():
         if (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name)
@@ -532,54 +534,34 @@ def _load_pairs(
     return tuple((pair, lines.get(pair.subsystem, 1)) for pair in engine_matrix())
 
 
-def analyze_file(
-    path: Path, root: Path, rules=None
-) -> tuple[FileFacts, list[RuleViolation], int]:
-    """Parse + lint + extract facts for one file (single parse):
-    (facts, per-file violations, pragma-suppressed count)."""
-    source = path.read_text(encoding="utf-8")
-    display = str(path.relative_to(root)) if path.is_relative_to(root) else str(path)
-    module = module_name_for(path, root)
-    scope = scope_for(path, root)
-    result = lint_context(
-        source, path=display, module=module, scope=scope, rules=rules
-    )
-    if isinstance(result, list):  # syntax error: no tree, no facts
-        return FileFacts(path=display, module=module, scope=scope), result, 0
-    facts = extract_facts(
-        result.tree,
-        source,
-        path=display,
-        module=module,
-        scope=scope,
-        is_package=path.name == "__init__.py",
-    )
-    return facts, result.violations, result.suppressed
+def _module_name(relative: Path) -> str:
+    """Dotted module of a repo-relative path under ``src/`` ("" elsewhere)."""
+    parts = list(relative.with_suffix("").parts)
+    if parts[:1] != ["src"]:
+        return ""
+    del parts[0]
+    if parts and parts[-1] == "__init__":
+        parts.pop()
+    return ".".join(parts)
 
 
-def analyze_paths(
-    targets: Iterable[Path],
-    root: Path,
-    rules=None,
-) -> tuple[ProjectGraph, list[RuleViolation], int]:
-    """Analyze every ``.py`` under the targets: per-file violations plus
-    the :class:`ProjectGraph` the whole-program rules run over (with the
-    difftest registry read from ``root``)."""
-    from .rules import FILE_RULES
-
-    root = Path(root)
-    active = None
-    if rules is not None:
-        wanted = set(rules)
-        active = [rule for rule in FILE_RULES() if rule.code in wanted]
+def build_graph(root: Path) -> ProjectGraph:
+    """Parse every ``.py`` under :data:`TARGET_NAMES` of ``root`` into the
+    :class:`ProjectGraph` (the difftest registry is read from ``root``)."""
     files: dict[str, FileFacts] = {}
-    violations: list[RuleViolation] = []
-    suppressed = 0
-    for path in iter_python_files(list(targets)):
-        facts, found, silenced = analyze_file(path, root, rules=active)
-        files[facts.path] = facts
-        violations.extend(found)
-        suppressed += silenced
     errors: list[RuleViolation] = []
-    graph = ProjectGraph(files, pairs=_load_pairs(root, errors), errors=errors)
-    return graph, sorted(violations), suppressed
+    for scope in TARGET_NAMES:
+        for path in sorted((root / scope).rglob("*.py")):
+            if "__pycache__" in path.parts:
+                continue
+            relative = path.relative_to(root)
+            facts = extract_facts(
+                path.read_text(encoding="utf-8"),
+                errors,
+                path=str(relative),
+                module=_module_name(relative),
+                scope=scope,
+                is_package=path.name == "__init__.py",
+            )
+            files[facts.path] = facts
+    return ProjectGraph(files, pairs=_load_pairs(files, errors), errors=errors)

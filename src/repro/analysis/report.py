@@ -1,4 +1,4 @@
-"""Violation renderers: human terminal lines, machine JSON, and GitHub
+"""Violation renderers: human terminal lines and GitHub
 workflow-command output with a step-summary markdown table (the same
 ``$GITHUB_STEP_SUMMARY`` convention ``benchmarks/conftest.py`` uses).
 
@@ -9,7 +9,6 @@ visible in the output rather than vanishing.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from typing import Sequence
 
@@ -18,7 +17,6 @@ from .core import RuleViolation
 __all__ = [
     "render_github",
     "render_human",
-    "render_json",
     "step_summary_table",
 ]
 
@@ -46,32 +44,12 @@ def render_human(violations: Sequence[RuleViolation], suppressed: int = 0) -> st
     return "\n".join(lines)
 
 
-def render_json(violations: Sequence[RuleViolation], suppressed: int = 0) -> str:
-    payload = {
-        "clean": not violations,
-        "count": len(violations),
-        "suppressed": suppressed,
-        "by_rule": dict(sorted(Counter(v.rule for v in violations).items())),
-        "violations": [
-            {
-                "path": v.path,
-                "line": v.line,
-                "rule": v.rule,
-                "message": v.message,
-            }
-            for v in violations
-        ],
-    }
-    return json.dumps(payload, indent=2)
-
-
 def render_github(violations: Sequence[RuleViolation], suppressed: int = 0) -> str:
     """``::error`` workflow commands — one annotation per violation, so
-    findings surface inline on the PR diff."""
+    findings surface inline on the PR diff.  A clean run reads as in
+    :func:`render_human`."""
     if not violations:
-        if suppressed:
-            return f"reprolint: clean ({_suppressed_note(suppressed)})"
-        return "reprolint: clean"
+        return render_human(violations, suppressed)
     return "\n".join(
         f"::error file={v.path},line={v.line},title=reprolint {v.rule}::{v.message}"
         for v in violations

@@ -5,25 +5,28 @@ and — the point of the exercise — the repository itself lints clean.
 
 from __future__ import annotations
 
-import json
+import inspect
 from pathlib import Path
 
+import pytest
+
 from repro.analysis import (
-    FILE_RULES,
     RULE_DESCRIPTIONS,
-    lint_repo,
+    RULES,
+    analyze_repo,
+    explain,
     lint_source,
+    run_rules,
 )
-from repro.analysis.cli import main as lint_main
-from repro.analysis.graph import FileFacts, ProjectGraph, analyze_paths
-from repro.analysis.project import run_project_rules_ex
-from repro.analysis.report import (
-    render_github,
-    render_human,
-    render_json,
-    step_summary_table,
+from repro.analysis.graph import FileFacts, ProjectGraph
+from repro.analysis.report import render_github, render_human, step_summary_table
+from repro.analysis.rules import (
+    ConfigValidationRule,
+    ConformanceRule,
+    RngDisciplineRule,
+    SeedProvenanceRule,
 )
-from repro.analysis.rules import ConfigValidationRule, RngDisciplineRule
+from repro.cli import main as repro_main
 from repro.difftest.registry import EnginePair
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -169,7 +172,7 @@ def make_project(
 
 
 def project_findings(graph, rules=None):
-    return run_project_rules_ex(graph, rules)[0]
+    return run_rules(graph, rules)[0]
 
 
 class TestProjectRules:
@@ -185,8 +188,8 @@ class TestProjectRules:
 
     def test_rule_filter(self):
         project = make_project(tests={})
-        assert codes(project_findings(project, rules={"RL003"})) == ["RL003"]
-        assert project_findings(project, rules={"RL009"}) == []
+        assert codes(project_findings(project, [ConformanceRule()])) == ["RL003"]
+        assert project_findings(project, [SeedProvenanceRule()]) == []
 
 
 # ---------------------------------------------------------------------------
@@ -194,15 +197,21 @@ class TestProjectRules:
 # ---------------------------------------------------------------------------
 
 
+@pytest.fixture(scope="module")
+def repo_run():
+    """One whole-repository lint run: (graph, violations, suppressed)."""
+    return analyze_repo(ROOT)
+
+
 class TestSelfApplication:
-    def test_repo_is_clean(self):
-        violations = lint_repo(root=ROOT)
+    def test_repo_is_clean(self, repo_run):
+        _, violations, _ = repo_run
         assert violations == [], "\n".join(
             f"{v.location()}: {v.rule} {v.message}" for v in violations
         )
 
-    def test_rl003_covers_all_eight_pairs(self):
-        project, _, _ = analyze_paths([ROOT / "tests"], ROOT)
+    def test_rl003_covers_all_eight_pairs(self, repo_run):
+        project, _, _ = repo_run
         assert len(project.pairs) == 8
         subsystems = {pair.subsystem for pair, _ in project.pairs}
         assert subsystems == {
@@ -211,49 +220,26 @@ class TestSelfApplication:
         }
         for pair, line in project.pairs:
             assert line > 1, pair  # anchored to its registration
-        assert project_findings(project) == []
+        assert project_findings(project, [ConformanceRule()]) == []
 
     def test_every_rule_documented(self):
         assert set(RULE_DESCRIPTIONS) == {
             "RL001", "RL003", "RL006", "RL009", "RL011",
         }
-        file_rule_codes = {rule.code for rule in FILE_RULES()}
-        assert file_rule_codes == {"RL001", "RL006"}
 
     def test_registry_is_single_source_of_truth(self):
-        # RULE_DESCRIPTIONS, the file/project split, --explain, and the
-        # DESIGN.md invariant list all derive from one class registry;
-        # this pins the derivations to each other so they cannot drift.
-        from repro.analysis.registry import (
-            ALL_RULE_CLASSES,
-            FILE_RULE_CODES,
-            PROJECT_RULE_CODES,
-            explain,
-            rule_class,
-        )
-        from repro.analysis.project import PROJECT_RULE_CLASSES
-        from repro.analysis.rules import FILE_RULE_CLASSES
-
-        assert [cls.code for cls in ALL_RULE_CLASSES] == sorted(
-            cls.code for cls in ALL_RULE_CLASSES
-        )
-        assert set(ALL_RULE_CLASSES) == set(FILE_RULE_CLASSES) | set(
-            PROJECT_RULE_CLASSES
-        )
-        assert FILE_RULE_CODES | PROJECT_RULE_CODES == set(RULE_DESCRIPTIONS)
-        assert FILE_RULE_CODES.isdisjoint(PROJECT_RULE_CODES)
-        for cls in ALL_RULE_CLASSES:
+        # RULE_DESCRIPTIONS, --explain and the DESIGN.md invariant list
+        # all derive from the one RULES tuple; this pins the derivations
+        # to each other so they cannot drift.
+        assert [cls.code for cls in RULES] == sorted(RULE_DESCRIPTIONS)
+        for cls in RULES:
             assert RULE_DESCRIPTIONS[cls.code] == cls.description
-            assert rule_class(cls.code) is cls
-            # Every rule carries the full explain contract.
-            text = explain(cls.code)
-            assert cls.code in text
-            assert "Contract:" in text
-            assert "Escape hatch:" in text
-            assert cls.contract, cls.code
-            assert cls.example_bad, cls.code
-            assert cls.example_good, cls.code
-            assert cls.escape, cls.code
+            # Every rule carries the full explain record, and its
+            # docstring is the contract.
+            text = explain(cls.code.lower())
+            contract = text.split("Contract:\n")[1].split("\n\nViolates:")[0]
+            assert contract.replace("\n  ", "\n").strip() == inspect.getdoc(cls)
+            assert cls.example_bad and cls.example_good and cls.escape, cls.code
         assert explain("RL999") is None
 
     def test_design_doc_lists_every_rule(self):
@@ -273,52 +259,60 @@ class TestSelfApplication:
 # ---------------------------------------------------------------------------
 
 
+def lint(*args: str) -> int:
+    return repro_main(["lint", *args])
+
+
+def make_repo(root: Path, files: dict[str, str]) -> Path:
+    """A synthetic repository: pyproject marker + the given files."""
+    (root / "pyproject.toml").write_text("[project]\nname='x'\n")
+    for relative, source in files.items():
+        target = root / relative
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(source)
+    return root
+
+
 class TestCliAndRendering:
+    """``repro lint`` end to end: exit codes, formats, paths, modes."""
+
     def test_clean_repo_exits_zero(self, capsys):
-        assert lint_main(["--root", str(ROOT)]) == 0
-        assert "reprolint: clean" in capsys.readouterr().out
+        assert lint("--root", str(ROOT)) == 0
+        assert capsys.readouterr().out == "reprolint: clean\n"
 
     def test_violation_exits_one_with_location(self, tmp_path, capsys):
-        bad = tmp_path / "src" / "repro" / "bad.py"
-        bad.parent.mkdir(parents=True)
-        bad.write_text("import random\nx = random.random()\n")
-        (tmp_path / "pyproject.toml").write_text("[project]\nname='x'\n")
-        assert lint_main([str(bad), "--root", str(tmp_path)]) == 1
-        out = capsys.readouterr().out
-        assert "bad.py:2: RL001" in out
-
-    def test_unknown_rule_exits_two(self, capsys):
-        assert lint_main(["--root", str(ROOT), "--rules", "RL999"]) == 2
-        assert "unknown rule" in capsys.readouterr().out
-        # A retired code is unknown, not silently accepted (codes are
-        # case-insensitive, so the lower-case spelling names it too).
-        assert lint_main(["--root", str(ROOT), "--rules", "rl012"]) == 2
-        assert "unknown rule" in capsys.readouterr().out
+        bad = "import random\nx = random.random()\n"
+        make_repo(tmp_path, {"src/repro/bad.py": bad})
+        assert lint(str(tmp_path / "src/repro/bad.py"), "--root", str(tmp_path)) == 1
+        assert "bad.py:2: RL001" in capsys.readouterr().out
 
     def test_missing_path_exits_two(self, capsys):
-        assert lint_main(["no/such/dir", "--root", str(ROOT)]) == 2
+        assert lint("no/such/dir", "--root", str(ROOT)) == 2
         assert "no such path" in capsys.readouterr().out
 
-    def test_json_format(self, tmp_path, capsys):
-        bad = tmp_path / "src" / "repro" / "bad.py"
-        bad.parent.mkdir(parents=True)
-        bad.write_text("import random\nrandom.seed(1)\n")
-        (tmp_path / "pyproject.toml").write_text("[project]\nname='x'\n")
-        assert lint_main([str(bad), "--root", str(tmp_path), "--format", "json"]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["clean"] is False
-        assert payload["by_rule"] == {"RL001": 1}
-        assert payload["violations"][0]["line"] == 2
+    def test_explain_known_rule(self, capsys):
+        for code in RULE_DESCRIPTIONS:
+            assert lint("--explain", code) == 0
+            out = capsys.readouterr().out
+            for section in ("Contract:", "Violates:", "Clean:", "Escape hatch:"):
+                assert section in out, (code, section)
+
+    def test_explain_unknown_rule(self, capsys):
+        assert lint("--explain", "RL999") == 2
+        assert "unknown rule" in capsys.readouterr().out
+
+    def test_removed_options_are_gone(self):
+        for args in (["--no-cache"], ["--rules", "RL001"], ["--format", "json"]):
+            with pytest.raises(SystemExit) as exc:
+                lint("--root", str(ROOT), *args)
+            assert exc.value.code == 2, args
 
     def test_github_format_and_step_summary(self, tmp_path, capsys, monkeypatch):
-        bad = tmp_path / "src" / "repro" / "bad.py"
-        bad.parent.mkdir(parents=True)
-        bad.write_text("import random\nrandom.seed(7)\n")
-        (tmp_path / "pyproject.toml").write_text("[project]\nname='x'\n")
+        make_repo(tmp_path, {"src/repro/bad.py": "import random\nrandom.seed(7)\n"})
         summary = tmp_path / "summary.md"
         monkeypatch.setenv("GITHUB_STEP_SUMMARY", str(summary))
-        code = lint_main([str(bad), "--root", str(tmp_path), "--format", "github"])
-        assert code == 1
+        args = ("src/repro/bad.py", "--root", str(tmp_path), "--format", "github")
+        assert lint(*args) == 1
         out = capsys.readouterr().out
         assert "::error file=" in out and "RL001" in out
         table = summary.read_text()
@@ -326,34 +320,118 @@ class TestCliAndRendering:
 
     def test_renderers_on_empty(self):
         assert render_human([]) == "reprolint: clean"
-        assert json.loads(render_json([]))["clean"] is True
         assert render_github([]) == "reprolint: clean"
         assert "No violations" in step_summary_table([])
-
-    def test_rules_filter_scopes_run(self, tmp_path, capsys):
-        bad = tmp_path / "src" / "repro" / "bad.py"
-        bad.parent.mkdir(parents=True)
-        bad.write_text("import random\nx = random.random()\n")
-        (tmp_path / "pyproject.toml").write_text("[project]\nname='x'\n")
-        args = [str(bad), "--root", str(tmp_path), "--rules", "RL006"]
-        assert lint_main(args) == 0
 
     def test_explicit_path_gets_whole_program_rules(self, tmp_path, capsys):
         # A path only filters the whole-repo run: the file gets the same
         # verdict as from `repro lint`, whole-program rules included.
-        bad = tmp_path / "src" / "repro" / "bad.py"
-        bad.parent.mkdir(parents=True)
-        bad.write_text("import numpy as np\nrng = np.random.default_rng(1234)\n")
-        (tmp_path / "pyproject.toml").write_text("[project]\nname='x'\n")
-        (bad.parent / "good.py").write_text("x = 1\n")
-        for extra in ([], ["--rules", "RL009"]):
-            assert lint_main([str(bad), "--root", str(tmp_path), *extra]) == 1
-            assert "bad.py:2: RL009" in capsys.readouterr().out
-        for paths in ([], ["src"]):
-            assert lint_main([*paths, "--root", str(tmp_path)]) == 1
+        bad = "import numpy as np\nrng = np.random.default_rng(1234)\n"
+        make_repo(tmp_path, {"src/repro/bad.py": bad, "src/repro/good.py": "x = 1\n"})
+        for paths in ([], ["src"], ["src/repro/bad.py"]):
+            assert lint(*paths, "--root", str(tmp_path)) == 1
             assert "bad.py:2: RL009" in capsys.readouterr().out
         # ...and a path keeps none of the findings outside it.
-        assert lint_main(["src/repro/good.py", "--root", str(tmp_path)]) == 0
+        assert lint("src/repro/good.py", "--root", str(tmp_path)) == 0
+
+    def test_changed_against_head_is_clean(self, capsys):
+        assert lint("--root", str(ROOT), "--changed", "HEAD") == 0
+        assert "reprolint" in capsys.readouterr().out
+
+    def test_changed_outside_git_exits_two(self, tmp_path, capsys):
+        make_repo(tmp_path, {"src/repro/a.py": "x = 1\n"})
+        assert lint("--root", str(tmp_path), "--changed", "HEAD") == 2
+        assert "git" in capsys.readouterr().out.lower()
+
+    def test_lint_leaves_no_file_behind(self, tmp_path):
+        # Facts are in-memory only: a whole-repo run writes nothing.
+        root = make_repo(tmp_path, {"src/repro/a.py": "x = 1\n"})
+        before = sorted(root.rglob("*"))
+        assert lint("--root", str(root)) == 0
+        assert sorted(root.rglob("*")) == before
+
+    def test_planted_findings_golden(self, tmp_path, capsys):
+        # One finding per rule, one pragma-suppressed finding and one
+        # syntax error: the exact github lines, the human tally and the
+        # exit code of the whole run.
+        root = make_repo(tmp_path, PLANTED_FILES)
+        assert lint("--root", str(root), "--format=github") == 1
+        assert capsys.readouterr().out == "\n".join(PLANTED_GITHUB) + "\n"
+        assert lint("--root", str(root)) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "reprolint: 6 violations (RL000=1, RL001=1, RL003=1, RL006=1, "
+            "RL009=1, RL011=1); 1 finding suppressed by pragmas"
+        )
+
+
+#: Test symbols of every registered pair except ``recovery``.
+_COVERED_PAIR_SYMBOLS = (
+    "simulate_time_to_absorption, simulate_times_to_absorption, "
+    "seed_decode, CodecEngine, xor_encode, XorSchedule, DictNameNode, "
+    "NameNode, Network, FlowTable, DegradedReadSimulation, "
+    "ReadServiceEngine, place_positions_seed, _place_positions\n"
+)
+
+PLANTED_FILES = {
+    "src/repro/broken.py": "def broken(:\n",
+    "src/repro/rng.py": (
+        "import random\n"
+        "x = random.random()\n"
+        "y = random.random()  # reprolint: disable=RL001\n"
+    ),
+    "src/repro/difftest/pairs.py": (
+        '"""Pairs."""\n'
+        "EnginePair('recovery', spec='a.run_uninterrupted', engine='a.b')\n"
+    ),
+    "tests/test_pairs.py": _COVERED_PAIR_SYMBOLS,
+    "src/repro/knobs.py": (
+        "from dataclasses import dataclass\n"
+        "@dataclass\n"
+        "class FakeConfig:\n"
+        "    scan_rate: float = 1.0\n"
+        "    def validate(self):\n"
+        "        return self\n"
+    ),
+    "src/repro/helper.py": "def derive(n):\n    return 99 + n\n",
+    "src/repro/thing.py": (
+        "import numpy as np\n"
+        "from repro.helper import derive\n"
+        "def make():\n"
+        "    return np.random.default_rng(derive(7))\n"
+    ),
+    "src/repro/cfg.py": (
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class ClusterConfig:\n"
+        "    num_nodes: int = 10\n"
+        "    new_knob: float = 1.0\n"
+        "def run_key(config) -> str:\n"
+        "    return config_hash({'num_nodes': config.num_nodes})\n"
+    ),
+}
+
+PLANTED_GITHUB = (
+    "::error file=src/repro/broken.py,line=1,title=reprolint RL000::"
+    "syntax error: invalid syntax",
+    "::error file=src/repro/cfg.py,line=5,title=reprolint RL011::"
+    "ClusterConfig.new_knob never reaches a cache-key builder "
+    "(config_hash/schedule_run_key/...) and is not on the documented "
+    "exclusion list (_*): two different experiments would share one "
+    "cached result",
+    "::error file=src/repro/difftest/pairs.py,line=2,title=reprolint RL003::"
+    "engine pair 'recovery' has no differential test: no tests/ file "
+    "references both 'run_uninterrupted' and 'run_with_kill_resume'",
+    "::error file=src/repro/knobs.py,line=4,title=reprolint RL006::"
+    "FakeConfig.scan_rate is never referenced in validate(): degenerate "
+    "values (0, negatives) reach the simulation unchecked",
+    "::error file=src/repro/rng.py,line=2,title=reprolint RL001::"
+    "stdlib random.random() uses hidden global RNG state; use a seeded "
+    "np.random.Generator instead",
+    "::error file=src/repro/thing.py,line=4,title=reprolint RL009::"
+    "constant seed reaches default_rng() in make: a fixed stream defeats "
+    "config-derived reproducibility no matter how the literal is "
+    "laundered; thread a seed parameter or config seed field",
+)
 
 
 class TestPragmas:
@@ -372,6 +450,19 @@ class TestPragmas:
             ")  # reprolint: disable=RL001\n"
         )
         assert lint_source(source, module="repro.fake") == []
+
+    def test_first_line_pragma_does_not_reach_inner_call(self):
+        # A pragma covers a finding's own first or last line only: one on
+        # the statement's first line leaves a call on a later line
+        # reported.
+        source = (
+            "import random\n"
+            "x = max(  # reprolint: disable=RL001\n"
+            "    random.random(),\n"
+            ")\n"
+        )
+        found = lint_source(source, module="repro.fake")
+        assert [(v.rule, v.line) for v in found] == [("RL001", 3)]
 
     def test_pragma_for_other_rule_does_not_suppress(self):
         source = (

@@ -1,23 +1,19 @@
-"""Whole-program reprolint: dataflow, project graph, RL009 and RL011.
+"""reprolint's dataflow, project graph, RL009 and RL011.
 
 Each rule gets a seeded-mutation test: a synthetic mini-repo that is
 clean, plus the one-line mutation the rule exists to catch (add an
-unhashed config field, launder a constant seed through a helper) — proving the rule actually fires, not just that the
-real repo is quiet.
+unhashed config field, launder a constant seed through a helper) —
+proving the rule actually fires, not just that the real repo is quiet.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-import pytest
-
-from repro.analysis.cli import main as lint_main
-from repro.analysis.dataflow import CONST, SEEDED, TaintEvaluator, resolve_taint
-from repro.analysis.graph import analyze_paths
-from repro.analysis.project import run_project_rules_ex
-
-ROOT = Path(__file__).resolve().parent.parent
+from repro.analysis import analyze_repo, run_rules
+from repro.cli import main as repro_main
+from repro.analysis.dataflow import CONST, SEEDED, Param, TaintEvaluator, resolve_taint
+from repro.analysis.rules import CacheKeyCompletenessRule, SeedProvenanceRule
 
 
 def make_repo(tmp_path: Path, files: dict[str, str]) -> Path:
@@ -31,11 +27,11 @@ def make_repo(tmp_path: Path, files: dict[str, str]) -> Path:
 
 
 def analyze(root: Path):
-    return analyze_paths([root / "src"], root)
+    return analyze_repo(root)
 
 
-def project_codes(graph, rules):
-    found, _ = run_project_rules_ex(graph, rules)
+def project_codes(graph, rule):
+    found, _ = run_rules(graph, [rule])
     return [v.rule for v in found]
 
 
@@ -116,9 +112,7 @@ class TestProjectGraph:
             },
         )
         graph, _, _ = analyze(root)
-        summary = graph.lookup_summary("repro:derive")
-        assert summary is not None
-        assert summary.params == ("seed",)
+        assert graph.lookup_summary("repro:derive") == Param(0, "seed")
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +133,7 @@ class TestSeedProvenance:
         if helper:
             files["src/repro/helper.py"] = helper
         graph, _, _ = analyze(make_repo(tmp_path, files))
-        return project_codes(graph, {"RL009"})
+        return project_codes(graph, SeedProvenanceRule())
 
     def test_clean_threaded_seed(self, tmp_path):
         assert self.codes_for(tmp_path, CLEAN_SEEDED) == []
@@ -199,7 +193,7 @@ class TestSeedProvenance:
             "    return np.random.default_rng(7)  # reprolint: disable=RL009\n"
         )
         graph, _, _ = analyze(make_repo(tmp_path, {"src/repro/thing.py": bad}))
-        found, suppressed = run_project_rules_ex(graph, {"RL009"})
+        found, suppressed = run_rules(graph, [SeedProvenanceRule()])
         assert found == []
         assert suppressed == 1
 
@@ -225,7 +219,7 @@ CONFIG_TEMPLATE = (
 class TestCacheKeyCompleteness:
     def codes_for(self, tmp_path, source):
         graph, _, _ = analyze(make_repo(tmp_path, {"src/repro/cfg.py": source}))
-        return project_codes(graph, {"RL011"})
+        return project_codes(graph, CacheKeyCompletenessRule())
 
     def test_clean_asdict_covers_all_fields(self, tmp_path):
         source = CONFIG_TEMPLATE % "    num_nodes: int = 10\n    block_size: float = 1.0\n"
@@ -256,7 +250,7 @@ class TestCacheKeyCompleteness:
         graph, _, _ = analyze(
             make_repo(tmp_path, {"src/repro/cfg.py": source})
         )
-        found, _ = run_project_rules_ex(graph, {"RL011"})
+        found, _ = run_rules(graph, [CacheKeyCompletenessRule()])
         assert [v.rule for v in found] == ["RL011"]
         assert "new_knob" in found[0].message
 
@@ -283,30 +277,11 @@ class TestCacheKeyCompleteness:
 
 
 # ---------------------------------------------------------------------------
-# CLI: --changed and --explain
+# CLI modes
 # ---------------------------------------------------------------------------
 
 
 class TestCliModes:
-    def test_explain_known_rule(self, capsys):
-        assert lint_main(["--explain", "RL011"]) == 0
-        out = capsys.readouterr().out
-        assert "RL011" in out and "Contract:" in out and "Escape hatch:" in out
-
-    def test_explain_unknown_rule(self, capsys):
-        assert lint_main(["--explain", "RL999"]) == 2
-        assert "unknown rule" in capsys.readouterr().out
-
-    def test_changed_against_head_is_clean(self, capsys):
-        assert lint_main(["--root", str(ROOT), "--changed", "HEAD"]) == 0
-        assert "reprolint" in capsys.readouterr().out
-
-    def test_changed_outside_git_exits_two(self, tmp_path, capsys):
-        make_repo(tmp_path, {"src/repro/a.py": "x = 1\n"})
-        code = lint_main(["--root", str(tmp_path), "--changed", "HEAD"])
-        assert code == 2
-        assert "git" in capsys.readouterr().out.lower()
-
     def test_whole_repo_lint_runs_project_rules(self, tmp_path, capsys):
         # A whole-repo run must include the whole-program rules.
         root = make_repo(
@@ -320,17 +295,5 @@ class TestCliModes:
                 ),
             },
         )
-        assert lint_main(["--root", str(root)]) == 1
+        assert repro_main(["lint", "--root", str(root)]) == 1
         assert "RL009" in capsys.readouterr().out
-
-    def test_lint_leaves_no_file_behind(self, tmp_path):
-        # Facts are in-memory only: a whole-repo run writes nothing.
-        root = make_repo(tmp_path, {"src/repro/a.py": "x = 1\n"})
-        before = sorted(root.rglob("*"))
-        assert lint_main(["--root", str(root)]) == 0
-        assert sorted(root.rglob("*")) == before
-
-    def test_no_cache_flag_is_gone(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            lint_main(["--root", str(ROOT), "--no-cache"])
-        assert exc.value.code == 2
