@@ -38,9 +38,12 @@ __all__ = [
 ]
 
 def resolve_root(root: str | os.PathLike | None = None) -> Path:
-    """The repository root: explicit, else nearest ancestor of the cwd
-    (then of this file) containing ``pyproject.toml``."""
+    """The repository root: explicit (it must be a directory), else the
+    nearest ancestor of the cwd (then of this file) containing
+    ``pyproject.toml``."""
     if root is not None:
+        if not Path(root).is_dir():
+            raise FileNotFoundError(f"--root {str(root)!r} is not a directory")
         return Path(root).resolve()
     for start in (Path.cwd(), Path(__file__).resolve()):
         for candidate in (start, *start.parents):

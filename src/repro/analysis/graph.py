@@ -508,30 +508,47 @@ class ProjectGraph:
 def _load_pairs(
     files: Mapping[str, FileFacts], errors: list[RuleViolation]
 ) -> tuple[tuple[EnginePair, int], ...]:
-    """The registered pairs, each with its declaration line in pairs.py."""
+    """The ``EnginePair(subsystem, spec=..., engine=...)`` literals of the
+    checkout's pairs.py, sorted by subsystem, each with its line.
+
+    Read from the parsed tree, never imported: linting another checkout
+    checks the pairs that checkout declares.  A declaration whose three
+    fields are not string literals cannot be checked and is an RL000
+    finding.
+    """
     declared = files.get(PAIRS_PATH)
-    if declared is None:
+    if declared is None or declared.tree is None:
         return ()  # a root without the registry has no pairs to conform to
-    try:
-        from repro.difftest import engine_matrix
-    except Exception as exc:  # registry must import for RL003 to run
-        errors.append(
-            RuleViolation(
-                PAIRS_PATH, 1, "RL000", f"cannot import difftest registry: {exc}"
-            )
-        )
-        return ()
-    lines: dict[str, int] = {}
-    for node in ast.walk(declared.tree) if declared.tree else ():
-        if (
+    from repro.difftest.registry import EnginePair
+
+    pairs: list[tuple[EnginePair, int]] = []
+    for node in ast.walk(declared.tree):
+        if not (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name)
             and node.func.id == "EnginePair"
-            and node.args
-            and isinstance(node.args[0], ast.Constant)
         ):
-            lines[str(node.args[0].value)] = node.lineno
-    return tuple((pair, lines.get(pair.subsystem, 1)) for pair in engine_matrix())
+            continue
+        fields = dict(zip(("subsystem", "spec", "engine"), node.args))
+        fields.update((keyword.arg, keyword.value) for keyword in node.keywords)
+        values = {
+            name: value.value
+            for name, value in fields.items()
+            if isinstance(value, ast.Constant) and isinstance(value.value, str)
+        }
+        if set(values) == {"subsystem", "spec", "engine"}:
+            pairs.append((EnginePair(**values), node.lineno))
+        else:
+            errors.append(
+                RuleViolation(
+                    PAIRS_PATH,
+                    node.lineno,
+                    "RL000",
+                    "EnginePair declaration is not three string literals "
+                    "(subsystem, spec=..., engine=...)",
+                )
+            )
+    return tuple(sorted(pairs, key=lambda item: item[0].subsystem))
 
 
 def _module_name(relative: Path) -> str:

@@ -8,6 +8,7 @@ run scaled-down versions of the paper's cluster experiments.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Sequence
 
@@ -517,7 +518,7 @@ def _cmd_codec(args: argparse.Namespace) -> int:
                 "verified",
             ],
             rows,
-            title="Codec engine throughput, DecoderCache and ScheduleCache statistics",
+            title="Codec engine throughput, decoder and schedule DecoderCache statistics",
         )
     )
     return 0 if all_verified else 1
@@ -742,7 +743,16 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        status = args.handler(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (``repro ... | head``).  As the Python docs
+        # advise, point stdout at devnull so the interpreter's exit flush
+        # cannot raise again, and exit quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

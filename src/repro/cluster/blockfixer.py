@@ -15,7 +15,12 @@ them; the tasks release them).  Two decoding paths, exactly as in HDFS-Xorbas:
 
 Light-vs-heavy selection is delegated to the code's
 :class:`~repro.codes.engine.RepairPlanner` — the tasks only execute the
-decision.  Repairs run on the stripes' miniature real payloads, so every
+decision.  Both task kinds run one body (plan, read, compute, verify,
+write each position, resolve, count each position once); a kind only
+says which positions it repairs, how it plans them (``plan_block`` or
+``plan_stripe``) and how it rebuilds a block whose precomputed rebuild
+went stale (``repair_stripes`` or ``reconstruct``).  Repairs run on the
+stripes' miniature real payloads, so every
 rebuilt block is verified bit-for-bit against ground truth; a scan pass
 precomputes those payload rebuilds for *all* of its stripes in batched
 codec-engine calls (grouped by erasure pattern), so a node failure
@@ -35,6 +40,7 @@ from .blocks import BlockId, Stripe, encode_stripe_payloads
 from .mapreduce import MapReduceJob, Task
 
 if TYPE_CHECKING:
+    from ..codes.engine import RepairDecision
     from .hdfs import HadoopCluster
 
 __all__ = [
@@ -49,19 +55,14 @@ class RepairVerificationError(Exception):
     """A rebuilt block did not match the stripe's ground-truth payload."""
 
 
-def _payload_map(stripe: Stripe, usable: int):
-    if stripe.payload is None:
-        return None
-    return {p: stripe.payload[p] for p in positions_of(usable)}
-
-
 class PayloadRepairBatch:
     """Precomputed payload rebuilds for one BlockFixer scan pass.
 
     At scan time every dirty stripe is registered with its missing and
-    usable pattern bitmasks; stripes sharing a pattern are stacked and
-    rebuilt through the codec engine in one call (cached reconstruction
-    matrix + one batched product, or one batched XOR per light plan).
+    usable pattern bitmasks; stripes sharing a pattern are stacked once
+    and rebuilt through the codec engine, which reads each survivor as a
+    column view of that stack (one cached reconstruction matrix and one
+    batched product, or one batched XOR per light plan).
     Repair tasks then fetch their block's precomputed rebuild at verify
     time — rebuilding through the same batched API, as a batch of one,
     if the erasure pattern *or the survivor bytes themselves* changed
@@ -107,44 +108,30 @@ class PayloadRepairBatch:
         self, members: list[Stripe], missing: int, usable: int
     ) -> None:
         code = members[0].code
-        planner = code.planner
-        available = {
-            p: np.stack([stripe.payload[p] for stripe in members])
-            for p in positions_of(usable)
-        }
+        payloads = np.stack([stripe.payload for stripe in members])  # (S, n, w)
+        available = {p: payloads[:, p] for p in positions_of(usable)}
         fingerprints = [
-            self._fingerprint({p: plane[s] for p, plane in available.items()})
+            self._fingerprint({p: slab[s] for p, slab in available.items()})
             for s in range(len(members))
         ]
+        rebuilt: dict[int, np.ndarray] = {}
         heavy: list[int] = []
         for position in positions_of(missing):
-            decision = planner.plan_block(position, usable)
+            decision = code.planner.plan_block(position, usable)
             if decision.light:
-                rebuilt = code.repair_stripes(position, available)
-                self._store(members, fingerprints, position, usable, rebuilt)
+                rebuilt[position] = code.repair_stripes(position, available)
             elif decision.feasible:
                 heavy.append(position)
             # undecodable positions are left to the task's data-loss path
         if heavy:
-            rebuilt = code.reconstruct(heavy, available)
-            for j, position in enumerate(heavy):
-                self._store(members, fingerprints, position, usable, rebuilt[:, j, :])
+            blocks = code.reconstruct(heavy, available).transpose(1, 0, 2)
+            rebuilt.update(zip(heavy, blocks))
+        for position, blocks in rebuilt.items():
+            for stripe, fingerprint, block in zip(members, fingerprints, blocks):
+                key = self._key(stripe, position, usable)
+                self._rebuilt[key] = (fingerprint, block)
         self.groups += 1
         self.stripes += len(members)
-
-    def _store(
-        self,
-        members: list[Stripe],
-        fingerprints: list[int],
-        position: int,
-        usable: int,
-        rebuilt: np.ndarray,
-    ) -> None:
-        for index, stripe in enumerate(members):
-            self._rebuilt[self._key(stripe, position, usable)] = (
-                fingerprints[index],
-                rebuilt[index],
-            )
 
     def rebuilt_block(
         self,
@@ -167,98 +154,14 @@ class PayloadRepairBatch:
         return rebuilt
 
 
-class LightRepairTask(Task):
-    """Repair one missing block, light decoder first (HDFS-Xorbas)."""
+class _RepairTask(Task):
+    """The one repair body both decoders share.
 
-    def __init__(
-        self,
-        fixer: "BlockFixer",
-        stripe: Stripe,
-        position: int,
-        batch: PayloadRepairBatch | None = None,
-    ):
-        super().__init__()
-        self.fixer = fixer
-        self.stripe = stripe
-        self.position = position
-        self.batch = batch
-        self._counted = False  # repair-metric accounting: once per block
-
-    def execute(self, cluster: "HadoopCluster", node_id: str, finish: Callable[[bool], None]) -> None:
-        stripe, position = self.stripe, self.position
-        block = stripe.block_id(position)
-        if block not in cluster.namenode.missing_blocks:
-            cluster.namenode.release(block)
-            finish(True)
-            return
-        readable = cluster.namenode.readable_bits(stripe)
-        usable = readable | stripe.virtual_bits
-        decision = stripe.code.planner.plan_block(position, usable, readable)
-        if not decision.feasible:
-            self.fixer.record_data_loss(cluster, block)
-            finish(True)
-            return
-        sources = list(decision.sources)
-        light = decision.light
-        rate = (
-            cluster.config.xor_decode_rate
-            if light
-            else cluster.config.rs_decode_rate
-        )
-        read_start = cluster.sim.now
-
-        def after_read() -> None:
-            cluster.transfer_cpu_load(read_start, cluster.sim.now)
-            nbytes = len(sources) * stripe.block_size
-            cluster.compute(node_id, nbytes, rate, after_compute)
-
-        def after_compute() -> None:
-            self._verify(cluster, usable)
-            cluster.write_block(
-                executor=node_id,
-                stripe=stripe,
-                position=position,
-                on_done=complete,
-                on_fail=lambda: finish(False),
-            )
-
-        def complete() -> None:
-            cluster.namenode.resolve(block)
-            # Exactly-once accounting: a write surviving a failed
-            # attempt and the retry's own write both land here, but the
-            # block was rebuilt once.
-            if not self._counted:
-                self._counted = True
-                cluster.metrics.record_repair_kind(light)
-            finish(True)
-
-        cluster.read_blocks(
-            node_id, stripe, sources, on_done=after_read, on_fail=lambda: finish(False)
-        )
-
-    def _verify(self, cluster: "HadoopCluster", usable: int) -> None:
-        payloads = _payload_map(self.stripe, usable)
-        if payloads is None:
-            return
-        rebuilt = None
-        if self.batch is not None:
-            rebuilt = self.batch.rebuilt_block(
-                self.stripe, self.position, usable, payloads
-            )
-        if rebuilt is None:  # pattern/bytes changed mid-flight: a batch of one
-            rebuilt = self.stripe.code.repair_stripes(self.position, payloads)[0]
-        if not self.stripe.verify_rebuilt(self.position, rebuilt):
-            raise RepairVerificationError(
-                f"rebuilt {self.stripe.block_id(self.position)} does not match"
-            )
-
-
-class StripeRepairTask(Task):
-    """Rebuild all missing blocks of a stripe in one pass (HDFS-RS).
-
-    The deployed BlockFixer opens streams to every surviving block "even
-    when a single block is corrupt" (Section 3.1.2), which is why RS
-    repairs read ~13 blocks for one lost block in Figure 6(a).
+    ``execute`` plans under the stripe's current pattern, reads the
+    decision's sources, charges the decode, verifies every rebuilt byte,
+    writes each repaired position and resolves it.  A subclass supplies
+    the positions it repairs, how it plans them and how it rebuilds
+    blocks whose precomputed rebuild went stale.
     """
 
     def __init__(
@@ -271,52 +174,64 @@ class StripeRepairTask(Task):
         super().__init__()
         self.fixer = fixer
         self.stripe = stripe
-        self.blocks = blocks
+        self.blocks = blocks  # the claims this task releases
         self.batch = batch
         # Positions already counted in the repair metrics.  A task whose
-        # batch of writes partially failed is retried while the
-        # successful writes of the first attempt may still be landing;
-        # each rebuilt block must be counted exactly once across all
-        # attempts, not once per completed write.
+        # writes partly failed is retried while the first attempt's
+        # successful writes may still be landing; each rebuilt block
+        # counts once across all attempts, not once per completed write.
         self._counted: set[int] = set()
+
+    def _positions(self, cluster: "HadoopCluster") -> list[int]:
+        raise NotImplementedError
+
+    def _plan(self, positions: list[int], usable: int, readable: int) -> RepairDecision:
+        raise NotImplementedError
+
+    def _rebuild(self, positions: list[int], payloads: dict) -> np.ndarray:
+        """``(len(positions), width)`` rebuilt from the current survivors."""
+        raise NotImplementedError
+
+    def _release(self, cluster: "HadoopCluster") -> None:
+        for block in self.blocks:
+            cluster.namenode.release(block)
 
     def execute(self, cluster: "HadoopCluster", node_id: str, finish: Callable[[bool], None]) -> None:
         stripe = self.stripe
-        missing = cluster.namenode.missing_positions(stripe)
-        if not missing:
-            for block in self.blocks:
-                cluster.namenode.release(block)
+        positions = self._positions(cluster)
+        if not positions:
+            self._release(cluster)
             finish(True)
             return
         readable = cluster.namenode.readable_bits(stripe)
         usable = readable | stripe.virtual_bits
-        decision = stripe.code.planner.plan_stripe(
-            mask_of(missing), usable, readable
-        )
+        decision = self._plan(positions, usable, readable)
         if not decision.feasible:
-            for position in missing:
+            for position in positions:
                 self.fixer.record_data_loss(cluster, stripe.block_id(position))
-            for block in self.blocks:
-                cluster.namenode.release(block)
+            self._release(cluster)
             finish(True)
             return
         sources = list(decision.sources)
+        light = decision.light
+        config = cluster.config
+        rate = config.xor_decode_rate if light else config.rs_decode_rate
         read_start = cluster.sim.now
 
         def after_read() -> None:
             cluster.transfer_cpu_load(read_start, cluster.sim.now)
             nbytes = len(sources) * stripe.block_size
-            cluster.compute(node_id, nbytes, cluster.config.rs_decode_rate, after_compute)
+            cluster.compute(node_id, nbytes, rate, after_compute)
 
         def after_compute() -> None:
-            self._verify(cluster, usable, missing)
-            state = {"remaining": len(missing), "failed": False}
+            self._verify(usable, positions)
+            state = {"remaining": len(positions), "failed": False}
 
             def one_written(position: int) -> None:
                 cluster.namenode.resolve(stripe.block_id(position))
                 if position not in self._counted:
                     self._counted.add(position)
-                    cluster.metrics.record_repair_kind(light=False)
+                    cluster.metrics.record_repair_kind(light)
                 state["remaining"] -= 1
                 if state["remaining"] == 0 and not state["failed"]:
                     finish(True)
@@ -326,7 +241,7 @@ class StripeRepairTask(Task):
                     state["failed"] = True
                     finish(False)
 
-            for position in missing:
+            for position in positions:
                 cluster.write_block(
                     executor=node_id,
                     stripe=stripe,
@@ -339,12 +254,13 @@ class StripeRepairTask(Task):
             node_id, stripe, sources, on_done=after_read, on_fail=lambda: finish(False)
         )
 
-    def _verify(self, cluster: "HadoopCluster", usable: int, missing: list[int]) -> None:
-        payloads = _payload_map(self.stripe, usable)
-        if payloads is None:
+    def _verify(self, usable: int, positions: list[int]) -> None:
+        if self.stripe.payload is None:
             return
+        payloads = {p: self.stripe.payload[p] for p in positions_of(usable)}
+        checked: list[tuple[int, np.ndarray]] = []
         stale: list[int] = []
-        for position in missing:
+        for position in positions:
             rebuilt = None
             if self.batch is not None:
                 rebuilt = self.batch.rebuilt_block(
@@ -352,17 +268,50 @@ class StripeRepairTask(Task):
                 )
             if rebuilt is None:
                 stale.append(position)
-            elif not self.stripe.verify_rebuilt(position, rebuilt):
+            else:
+                checked.append((position, rebuilt))
+        if stale:  # pattern or bytes changed mid-flight: one engine call
+            checked.extend(zip(stale, self._rebuild(stale, payloads)))
+        for position, rebuilt in checked:
+            if not self.stripe.verify_rebuilt(position, rebuilt):
                 raise RepairVerificationError(
                     f"rebuilt {self.stripe.block_id(position)} does not match"
                 )
-        if stale:  # pattern changed mid-flight: one engine call, not per-block
-            rebuilt = self.stripe.code.reconstruct(stale, payloads)
-            for j, position in enumerate(stale):
-                if not self.stripe.verify_rebuilt(position, rebuilt[0, j]):
-                    raise RepairVerificationError(
-                        f"rebuilt {self.stripe.block_id(position)} does not match"
-                    )
+
+
+class LightRepairTask(_RepairTask):
+    """Repair one missing block, light decoder first (HDFS-Xorbas)."""
+
+    def _positions(self, cluster: "HadoopCluster") -> list[int]:
+        (block,) = self.blocks
+        missing = block in cluster.namenode.missing_blocks
+        return [block.position] if missing else []
+
+    def _plan(self, positions: list[int], usable: int, readable: int) -> RepairDecision:
+        return self.stripe.code.planner.plan_block(positions[0], usable, readable)
+
+    def _rebuild(self, positions: list[int], payloads: dict) -> np.ndarray:
+        # One stripe, one position: the batch's single row is the block.
+        return self.stripe.code.repair_stripes(positions[0], payloads)
+
+
+class StripeRepairTask(_RepairTask):
+    """Rebuild all missing blocks of a stripe in one pass (HDFS-RS).
+
+    The deployed BlockFixer opens streams to every surviving block "even
+    when a single block is corrupt" (Section 3.1.2), which is why RS
+    repairs read ~13 blocks for one lost block in Figure 6(a).
+    """
+
+    def _positions(self, cluster: "HadoopCluster") -> list[int]:
+        return cluster.namenode.missing_positions(self.stripe)
+
+    def _plan(self, positions: list[int], usable: int, readable: int) -> RepairDecision:
+        planner = self.stripe.code.planner
+        return planner.plan_stripe(mask_of(positions), usable, readable)
+
+    def _rebuild(self, positions: list[int], payloads: dict) -> np.ndarray:
+        return self.stripe.code.reconstruct(positions, payloads)[0]
 
 
 class BlockFixer:
@@ -421,7 +370,7 @@ class BlockFixer:
             entries.append((stripe, entry.missing, entry.usable))
             if self.light_capable:
                 for block in entry.blocks:
-                    tasks.append(LightRepairTask(self, stripe, block.position, batch))
+                    tasks.append(LightRepairTask(self, stripe, [block], batch))
             else:
                 tasks.append(StripeRepairTask(self, stripe, list(entry.blocks), batch))
         batch.schedule(entries)

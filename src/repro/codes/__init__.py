@@ -20,7 +20,6 @@ from .engine import (
     EngineStats,
     RepairDecision,
     RepairPlanner,
-    ScheduleCache,
 )
 from .xorplane import XorSchedule, compile_xor_schedule, cse_rows
 from .bounds import (
@@ -70,7 +69,6 @@ __all__ = [
     "RepairDecision",
     "RepairPlan",
     "RepairPlanner",
-    "ScheduleCache",
     "XorSchedule",
     "compile_xor_schedule",
     "cse_rows",

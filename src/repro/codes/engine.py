@@ -14,9 +14,12 @@ hot path:
 
 This module removes both.  :class:`DecoderCache` memoises, per survival
 bitmask, the chosen survivor columns and the precomputed
-reconstruction matrix; :class:`CodecEngine` applies those matrices to
-whole batches of stripes through the gather-based
-:func:`~repro.galois.linalg.gf_matmul_batch` kernel; and
+reconstruction matrix (a second one holds the compiled XOR schedules);
+:class:`CodecEngine` applies those matrices to whole batches of
+stripes through one dispatch — the compiled XOR plane where its cost
+model wins, else the gather kernel
+:func:`~repro.galois.linalg.gf_matmul_batch` — reading each survivor
+slab where it lies, never stacking the inputs; and
 :class:`RepairPlanner` is the single light-vs-heavy planning contract
 every scheme exposes to the cluster layer (the selection logic that used
 to live inside the BlockFixer tasks), keyed on the int pattern bitmasks
@@ -42,36 +45,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "DEFAULT_CACHE_SIZE",
     "DecoderCache",
-    "ScheduleCache",
     "CodecEngine",
     "EngineStats",
     "RepairDecision",
     "RepairPlanner",
-    "stack_stripes",
 ]
 
 DEFAULT_CACHE_SIZE = 256
-
-
-def stack_stripes(field, available: Mapping[int, np.ndarray], positions) -> np.ndarray:
-    """Stack per-position batches into the (stripes, k, width) layout.
-
-    Each ``available[p]`` is either one block payload ``(width,)`` or a
-    batch of the same block across stripes ``(stripes, width)``; 1-D
-    payloads are promoted to a single-stripe batch.
-    """
-    planes = []
-    for position in positions:
-        plane = np.asarray(available[position], dtype=field.dtype)
-        if plane.ndim == 1:
-            plane = plane[None, :]
-        if plane.ndim != 2:
-            raise ValueError(
-                f"block {position}: expected (width,) or (stripes, width), "
-                f"got shape {plane.shape}"
-            )
-        planes.append(plane)
-    return np.stack(planes, axis=1)
 
 
 class DecoderCache:
@@ -118,9 +98,6 @@ class DecoderCache:
             self.evictions += 1
         return value
 
-    def clear(self) -> None:
-        self._entries.clear()
-
     def stats(self) -> dict[str, int]:
         return {
             "size": len(self._entries),
@@ -129,21 +106,6 @@ class DecoderCache:
             "misses": self.misses,
             "evictions": self.evictions,
         }
-
-
-class ScheduleCache(DecoderCache):
-    """LRU of compiled XOR schedules, living alongside :class:`DecoderCache`.
-
-    Keyed by the same survival-bitmask keys as the decode-matrix cache
-    (``("encode",)``, ``("decode", mask)``, ``("reconstruct", lost,
-    mask)``, ``("plan", plan)``), so a node failure that plans
-    once also compiles its XOR program once.  Values are
-    :class:`~repro.codes.xorplane.XorSchedule` objects, kept even when
-    their cost model rejected the plane — remembering "the GF path wins
-    here" is as valuable as remembering the program.
-    """
-
-    __slots__ = ()
 
 
 @dataclass(frozen=True)
@@ -183,13 +145,16 @@ class CodecEngine:
     The engine owns the code's :class:`DecoderCache` and turns the three
     per-stripe hot-path operations into batch operations:
 
-    * ``encode_stripes`` — one ``gf_matmul_batch`` for any number of
+    * ``encode_stripes`` — one batched product for any number of
       stripes;
     * ``reconstruct`` — rebuild a set of lost blocks for a whole batch of
       stripes with one cached ``(lost, survivors)`` reconstruction matrix
       and one batched product;
     * ``repair_stripes`` — light-decoder-first single-block repair across
       a batch, falling back to ``reconstruct``.
+
+    Each product goes through :meth:`_run`, the one plane-or-gather
+    dispatch.
 
     All arithmetic is the exact field algebra of the seed scalar codec,
     so the outputs are byte-identical to :mod:`repro.spec.codec`.
@@ -199,7 +164,9 @@ class CodecEngine:
         self.code = code
         self.field = code.field
         self.cache = DecoderCache(cache_size)
-        self.schedules = ScheduleCache(cache_size)
+        # Compiled XOR schedules, keyed like ``cache`` so a node failure
+        # that plans once also compiles once.
+        self.schedules = DecoderCache(cache_size)
         self.encode_calls = 0
         self.stripes_encoded = 0
         self.reconstruct_calls = 0
@@ -207,7 +174,7 @@ class CodecEngine:
         self.xor_plane_calls = 0
         self.xor_plane_stripes = 0
 
-    # -- the compiled XOR plane ---------------------------------------------
+    # -- the one dispatch ----------------------------------------------------
 
     def _schedule(self, key, build_matrix: Callable[[], np.ndarray]) -> XorSchedule | None:
         """The compiled schedule for ``key`` if the plane should run it.
@@ -221,10 +188,26 @@ class CodecEngine:
         )
         return schedule if schedule.use_plane else None
 
-    def _apply_plane(self, schedule: XorSchedule, batch: np.ndarray) -> np.ndarray:
+    def _run(self, key, build_matrix: Callable[[], np.ndarray], slabs) -> np.ndarray:
+        """``build_matrix() @ slabs`` for a whole batch, on the plane or gather route.
+
+        Every engine call lands here with its cache key, the builder of its
+        coefficient matrix and one survivor slab per matrix column, read
+        where it lies (see :func:`~repro.galois.linalg.gf_slabs`).
+        """
+        schedule = self._schedule(key, build_matrix)
+        if schedule is None:
+            return gf_matmul_batch(self.field, build_matrix(), slabs)
+        out = schedule.apply(slabs)
         self.xor_plane_calls += 1
-        self.xor_plane_stripes += batch.shape[0]
-        return schedule.apply(batch)
+        self.xor_plane_stripes += out.shape[0]
+        return out
+
+    def _rebuilt(self, out: np.ndarray) -> np.ndarray:
+        """Count one decode/rebuild call over ``out``'s stripes."""
+        self.reconstruct_calls += 1
+        self.stripes_reconstructed += out.shape[0]
+        return out
 
     def encode_schedule(self) -> XorSchedule:
         """The compiled encode program (for introspection; always compiled)."""
@@ -245,12 +228,9 @@ class CodecEngine:
             )
         self.encode_calls += 1
         self.stripes_encoded += data3d.shape[0]
-        schedule = self._schedule(
-            ("encode",), lambda: self.code.generator.T
+        return self._run(
+            ("encode",), lambda: self.code.generator.T, data3d.transpose(1, 0, 2)
         )
-        if schedule is not None:
-            return self._apply_plane(schedule, data3d)
-        return gf_matmul_batch(self.field, self.code.generator.T, data3d)
 
     # -- cached decode/reconstruction matrices ------------------------------
 
@@ -320,13 +300,9 @@ class CodecEngine:
         """Recover the data blocks of a whole batch: ``(stripes, k, width)``."""
         survivors = self._survivors(available.keys())
         chosen, matrix = self.decode_matrix(survivors)
-        stacked = stack_stripes(self.field, available, chosen)
-        self.reconstruct_calls += 1
-        self.stripes_reconstructed += stacked.shape[0]
-        schedule = self._schedule(("decode", survivors), lambda: matrix)
-        if schedule is not None:
-            return self._apply_plane(schedule, stacked)
-        return gf_matmul_batch(self.field, matrix, stacked)
+        return self._rebuilt(self._run(
+            ("decode", survivors), lambda: matrix, [available[p] for p in chosen]
+        ))
 
     def reconstruct(
         self, lost: Sequence[int], available: Mapping[int, np.ndarray]
@@ -334,28 +310,26 @@ class CodecEngine:
         """Rebuild the ``lost`` blocks for every stripe in the batch.
 
         ``available`` maps survivor position to a ``(stripes, width)``
-        batch (or a single ``(width,)`` payload).  Returns
+        slab (or a single ``(width,)`` payload).  Returns
         ``(stripes, len(lost), width)``, byte-identical to decoding and
         re-encoding each stripe with the seed codec.
         """
         lost = tuple(int(p) for p in lost)
         survivors = self._survivors(available.keys())
         chosen, rebuild = self.reconstruction_matrix(lost, survivors)
-        stacked = stack_stripes(self.field, available, chosen)
-        self.reconstruct_calls += 1
-        self.stripes_reconstructed += stacked.shape[0]
-        schedule = self._schedule(("reconstruct", lost, survivors), lambda: rebuild)
-        if schedule is not None:
-            return self._apply_plane(schedule, stacked)
-        return gf_matmul_batch(self.field, rebuild, stacked)
+        return self._rebuilt(self._run(
+            ("reconstruct", lost, survivors),
+            lambda: rebuild,
+            [available[p] for p in chosen],
+        ))
 
     def repair_stripes(
         self, lost: int, available: Mapping[int, np.ndarray]
     ) -> np.ndarray:
         """Light-first single-block repair across a batch: ``(stripes, width)``.
 
-        Uses the cheapest feasible light plan (batched XOR/axpy over the
-        stripe axis) and falls back to the cached heavy reconstruction.
+        Uses the cheapest feasible light plan and falls back to the
+        cached heavy reconstruction.
         """
         plan = self.code.best_repair_plan(lost, available.keys())
         if plan is None:
@@ -367,40 +341,17 @@ class CodecEngine:
     ) -> np.ndarray:
         """Apply one repair plan to every stripe of a batch at once.
 
-        XOR-only plans (LRC local groups) compile to a single-pass XOR
-        stream over the source slabs — streamed straight from the
-        per-position arrays, skipping the ``stack_stripes`` copy that
-        the matrix paths need.  Plans with field coefficients keep the
-        axpy loop when the cost model prefers it (a Pyramid light repair
-        multiplies few sources — bit slicing would cost more than it
-        saves).
+        A plan is the 1-row matrix of its coefficients over its sources,
+        so it takes the one dispatch too: an LRC local group (all
+        coefficients 1) compiles to a single word row of the XOR plane, a
+        Pyramid light plan's field coefficients stay on the gather kernel
+        when the cost model says slicing would cost more than it saves.
         """
-        self.reconstruct_calls += 1
-        schedule = self._schedule(
+        return self._rebuilt(self._run(
             ("plan", plan),
             lambda: np.asarray([plan.coefficients], dtype=self.field.dtype),
-        )
-        if schedule is not None and schedule.pure_xor and len(schedule.word_rows) == 1:
-            columns = []
-            for position in plan.sources:
-                column = np.asarray(available[position], dtype=self.field.dtype)
-                columns.append(column[None, :] if column.ndim == 1 else column)
-            self.stripes_reconstructed += columns[0].shape[0]
-            self.xor_plane_calls += 1
-            self.xor_plane_stripes += columns[0].shape[0]
-            nodes = schedule.word_rows[0][1]  # a 1-row matrix has one word row
-            out = np.bitwise_xor(columns[nodes[0]], columns[nodes[1]])
-            for node in nodes[2:]:
-                np.bitwise_xor(out, columns[node], out=out)
-            return out
-        stacked = stack_stripes(self.field, available, plan.sources)
-        self.stripes_reconstructed += stacked.shape[0]
-        if schedule is not None:
-            return self._apply_plane(schedule, stacked)[:, 0, :]
-        out = np.zeros((stacked.shape[0], stacked.shape[2]), dtype=self.field.dtype)
-        for index, coeff in enumerate(plan.coefficients):
-            self.field.addmul(out, coeff, stacked[:, index, :])
-        return out
+            [available[p] for p in plan.sources],
+        ))[:, 0, :]
 
     # -- introspection ------------------------------------------------------
 
@@ -438,10 +389,10 @@ class RepairDecision:
     the repair streams in — light plans keep plan order, heavy repairs
     read every readable survivor in sorted order.  ``xor_stream`` marks
     light plans whose coefficients are all 1 (LRC local groups, the
-    paper's ``c_i = 1`` construction): the engine executes those as a
-    single-pass XOR stream over the source slabs, no field
-    multiplications at all.  Pyramid light repairs carry RS coefficients
-    and stay on the multiplicative path.
+    paper's ``c_i = 1`` construction): the engine compiles those to one
+    XOR chain over the source slabs, no field multiplications at all.
+    Pyramid light repairs carry RS coefficients and stay on the
+    multiplicative path.
     """
 
     kind: str

@@ -11,7 +11,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ..galois import GF, GF256
+from ..galois import GF, GF256, gf_slabs
 from .base import CodeParameters, DecodingError, ErasureCode, RepairPlan
 
 __all__ = ["ReplicationCode", "three_replication"]
@@ -39,13 +39,10 @@ class ReplicationCode(ErasureCode):
         return np.repeat(data3d, self.n, axis=1)
 
     def reconstruct(self, lost, available: Mapping[int, np.ndarray]) -> np.ndarray:
-        from .engine import stack_stripes
-
         if not available:
             raise DecodingError("no replicas available")
-        source = min(int(p) for p in available)
-        stacked = stack_stripes(self.field, available, [source])  # (S, 1, w)
-        return np.repeat(stacked, len(tuple(lost)), axis=1)
+        (slab,), _, _ = gf_slabs(self.field, [available[min(available)]])
+        return np.repeat(slab[:, None, :], len(tuple(lost)), axis=1)
 
     def decode_stripes(self, available: Mapping[int, np.ndarray]) -> np.ndarray:
         return self.reconstruct((0,), available)

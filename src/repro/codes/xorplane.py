@@ -56,7 +56,13 @@ from typing import Sequence
 
 import numpy as np
 
-from ..galois import GF, gf_matrix_to_bitmatrix, pack_bitplanes, unpack_bitplanes
+from ..galois import (
+    GF,
+    gf_matrix_to_bitmatrix,
+    gf_slabs,
+    pack_bitplanes,
+    unpack_bitplanes,
+)
 
 __all__ = [
     "XorSchedule",
@@ -214,9 +220,9 @@ def _chain_ops(
 class XorSchedule:
     """One compiled XOR program for ``out = matrix @ in`` over a batch.
 
-    Built by :func:`compile_xor_schedule`; apply with :meth:`apply` on a
-    ``(stripes, in_blocks, width)`` batch to get ``(stripes, out_blocks,
-    width)``, byte-identical to ``gf_matmul_batch``.
+    Built by :func:`compile_xor_schedule`; :meth:`apply` takes the
+    ``in_blocks`` input slabs and returns ``(stripes, out_blocks,
+    width)``, byte-identical to ``gf_matmul_batch`` on the same slabs.
     """
 
     field: GF
@@ -270,45 +276,40 @@ class XorSchedule:
         bit_m = self.field.m if self.sliced_outputs else 8
         return (self.word_xor_passes + self.bit_xor_ops / bit_m) / self.out_blocks
 
-    def apply(self, batch: np.ndarray) -> np.ndarray:
-        """Run the program: ``(stripes, in, width)`` -> ``(stripes, out, width)``."""
-        batch = np.asarray(batch, dtype=self.field.dtype)
-        if batch.ndim != 3 or batch.shape[1] != self.in_blocks:
-            raise ValueError(
-                f"expected a (stripes, {self.in_blocks}, width) batch, "
-                f"got shape {batch.shape}"
-            )
+    def apply(self, slabs) -> np.ndarray:
+        """Run the program: ``in_blocks`` slabs -> ``(stripes, out, width)``.
+
+        ``slabs`` holds one ``(stripes, width)`` slab per input block, read
+        where it lies (:func:`~repro.galois.linalg.gf_slabs`: a ``(width,)``
+        payload is one stripe, a ``(stripes, in, width)`` batch passes as
+        its ``transpose(1, 0, 2)`` view).
+        """
+        slabs, stripes, width = gf_slabs(self.field, slabs)
+        if len(slabs) != self.in_blocks:
+            raise ValueError(f"expected {self.in_blocks} slabs, got {len(slabs)}")
         if not self.supported:
             raise ValueError("schedule unsupported for this field; use the GF path")
-        stripes, _, width = batch.shape
         out = np.empty((stripes, self.out_blocks, width), dtype=self.field.dtype)
         for row in self.zero_rows:
             out[:, row] = 0
         for row, src in self.copies:
-            out[:, row] = batch[:, src]
-
-        if self.word_rows:
-            nodes: dict[int, np.ndarray] = {}
-
-            def node(nid: int) -> np.ndarray:
-                return batch[:, nid] if nid < self.in_blocks else nodes[nid]
-
-            for i, (a, b) in enumerate(self.word_defs):
-                nodes[self.in_blocks + i] = np.bitwise_xor(node(a), node(b))
-            for row, nds in self.word_rows:
-                dst = out[:, row]
-                if len(nds) == 1:
-                    np.copyto(dst, node(nds[0]))
-                else:
-                    np.bitwise_xor(node(nds[0]), node(nds[1]), out=dst)
-                    for nid in nds[2:]:
-                        np.bitwise_xor(dst, node(nid), out=dst)
-
+            out[:, row] = slabs[src]
+        nodes = list(slabs)  # word nodes in_blocks + i follow the inputs
+        for a, b in self.word_defs:
+            nodes.append(np.bitwise_xor(nodes[a], nodes[b]))
+        for row, nds in self.word_rows:
+            dst = out[:, row]
+            if len(nds) == 1:
+                np.copyto(dst, nodes[nds[0]])
+            else:
+                np.bitwise_xor(nodes[nds[0]], nodes[nds[1]], out=dst)
+                for nid in nds[2:]:
+                    np.bitwise_xor(dst, nodes[nid], out=dst)
         if self.sliced_outputs:
-            self._apply_bit_program(batch, out)
+            self._apply_bit_program(slabs, out)
         return out
 
-    def _apply_bit_program(self, batch: np.ndarray, out: np.ndarray) -> None:
+    def _apply_bit_program(self, slabs: list[np.ndarray], out: np.ndarray) -> None:
         """Slice, run ``bit_ops`` one chunk of the planes at a time, unslice.
 
         Each sliced input is packed once; the program then runs over
@@ -317,9 +318,9 @@ class XorSchedule:
         node is written before it is read, so it is never cleared), and
         each chunk's output planes unpack in one call.
         """
-        stripes, _, width = batch.shape
+        stripes, _, width = out.shape
         m = self.field.m
-        packed = pack_bitplanes([batch[:, block] for block in self.sliced_inputs])
+        packed = pack_bitplanes([slabs[block] for block in self.sliced_inputs])
         plane_width = packed.shape[2]
         leaves = [planes[bit] for planes in packed for bit in range(m)]
         chunk = CHUNK_SYMBOLS // 8
@@ -360,8 +361,8 @@ def compile_xor_schedule(field: GF, matrix) -> XorSchedule:
     matrix.  Rows are classified into copy / word / bit sub-programs,
     both XOR programs are CSE-factored, and the result is priced against
     the gather kernel (see module docstring).  A multiplicative row over
-    a field wider than a byte returns an empty ``supported=False``
-    schedule straight after classification.
+    a field wider than a byte makes a ``supported=False`` schedule with
+    no bit program.
     """
     mat = np.asarray(matrix)
     if mat.ndim != 2:
@@ -389,43 +390,24 @@ def compile_xor_schedule(field: GF, matrix) -> XorSchedule:
         else:
             bit_rows.append(row)
 
-    if bit_rows and m > 8:
-        # Bit planes assume byte-sized symbols, so the engine keeps the
-        # GF path: compile no program it would never run (a wide RS
-        # generator's bit-matrix CSE alone takes seconds).
-        return XorSchedule(
-            field=field,
-            in_blocks=in_blocks,
-            out_blocks=out_blocks,
-            copies=copies,
-            zero_rows=zero_rows,
-            word_defs=[],
-            word_rows=[],
-            sliced_inputs=(),
-            sliced_outputs=tuple(bit_rows),
-            bit_ops=[],
-            bit_row_node=[],
-            bit_nodes=0,
-            supported=False,
-            xor_cost=float("inf"),
-            gf_cost=gf_cost,
-        )
-
+    # Bit planes assume byte-sized symbols: a multiplicative row over a
+    # wider field keeps the engine on the GF path, so no bit program is
+    # compiled that it would never run (a wide RS generator's bit-matrix
+    # CSE alone takes seconds).
+    supported = not (bit_rows and m > 8)
     word_defs, word_row_nodes = cse_rows([srcs for _, srcs in word_sources], in_blocks)
     word_rows = [
         (row, nodes) for (row, _), nodes in zip(word_sources, word_row_nodes)
     ]
 
     sliced_inputs: tuple[int, ...] = ()
-    sliced_outputs: tuple[int, ...] = ()
     bit_ops: list[tuple[int, int, int]] = []
     bit_row_node: list[int] = []
     bit_nodes = 0
-    if bit_rows:
+    if bit_rows and supported:
         sliced_inputs = tuple(
             int(c) for c in np.nonzero(mat[bit_rows].any(axis=0))[0]
         )
-        sliced_outputs = tuple(bit_rows)
         bits = gf_matrix_to_bitmatrix(field, mat[np.ix_(bit_rows, list(sliced_inputs))])
         leaf_count = len(sliced_inputs) * m
         rows = [[int(c) for c in np.nonzero(bits[r])[0]] for r in range(bits.shape[0])]
@@ -441,18 +423,19 @@ def compile_xor_schedule(field: GF, matrix) -> XorSchedule:
         word_defs=word_defs,
         word_rows=word_rows,
         sliced_inputs=sliced_inputs,
-        sliced_outputs=sliced_outputs,
+        sliced_outputs=tuple(bit_rows),
         bit_ops=bit_ops,
         bit_row_node=bit_row_node,
         bit_nodes=bit_nodes,
-        supported=True,
-        xor_cost=0.0,
+        supported=supported,
+        xor_cost=float("inf"),
         gf_cost=gf_cost,
     )
-    schedule.xor_cost = (
-        len(copies) * COPY_COST
-        + schedule.word_xor_passes * WORD_OP_COST
-        + (len(sliced_inputs) + len(sliced_outputs)) * SLICE_BLOCK_COST
-        + len(bit_ops) * BIT_OP_COST
-    )
+    if supported:
+        schedule.xor_cost = (
+            len(copies) * COPY_COST
+            + schedule.word_xor_passes * WORD_OP_COST
+            + (len(sliced_inputs) + len(bit_rows)) * SLICE_BLOCK_COST
+            + len(bit_ops) * BIT_OP_COST
+        )
     return schedule

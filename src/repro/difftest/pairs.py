@@ -1,7 +1,8 @@
 """The eight spec/engine pairs, declared in one place.
 
-:func:`engine_matrix` is the single source of truth for the README
-"Spec/engine pairs" table and reprolint's RL003.
+:func:`engine_matrix` feeds the README "Spec/engine pairs" table;
+reprolint's RL003 parses the same ``EnginePair(...)`` literals from
+this file's source, so each must stay three string literals.
 
 Declarations are metadata only (dotted names).  The
 specs under ``repro.spec`` are reachable from tests, ``benchmarks/`` and

@@ -24,6 +24,7 @@ from .linalg import (
     gf_rank,
     gf_rank_batch,
     gf_rref,
+    gf_slabs,
     gf_solve,
     gf_vandermonde,
 )
@@ -56,6 +57,7 @@ __all__ = [
     "gf_rank",
     "gf_rank_batch",
     "gf_rref",
+    "gf_slabs",
     "gf_solve",
     "gf_vandermonde",
 ]

@@ -22,6 +22,7 @@ __all__ = [
     "gf_matmul",
     "gf_matmul_batch",
     "gf_mat_vec",
+    "gf_slabs",
     "gf_identity",
     "gf_independent_columns",
     "gf_rref",
@@ -68,42 +69,61 @@ def gf_matmul(field: GF, a, b) -> np.ndarray:
     return out
 
 
-def gf_matmul_batch(field: GF, a, batch) -> np.ndarray:
+def gf_slabs(field: GF, slabs) -> tuple[list[np.ndarray], int, int]:
+    """The input blocks of a batched product, as ``(stripes, width)`` slabs.
+
+    ``slabs`` is a sequence with one array per input block: a
+    ``(stripes, width)`` slab, or one ``(width,)`` payload, promoted to a
+    single stripe.  A ``(stripes, k, width)`` batch passes as its
+    ``transpose(1, 0, 2)`` view.  Slabs are read where they lie (strided
+    views included); only a dtype conversion copies.  Returns ``(slabs,
+    stripes, width)``; a slab of another ndim, or whose shape differs from
+    the first's, raises ValueError.
+    """
+    out: list[np.ndarray] = []
+    for index, slab in enumerate(slabs):
+        slab = np.asarray(slab, dtype=field.dtype)
+        if slab.ndim == 1:
+            slab = slab[None, :]
+        if slab.ndim != 2:
+            raise ValueError(
+                f"block {index}: expected (width,) or (stripes, width), "
+                f"got shape {slab.shape}"
+            )
+        if out and slab.shape != out[0].shape:
+            raise ValueError(
+                f"block {index}: shape {slab.shape} differs from {out[0].shape}"
+            )
+        out.append(slab)
+    stripes, width = out[0].shape if out else (0, 0)
+    return out, stripes, width
+
+
+def gf_matmul_batch(field: GF, a, slabs) -> np.ndarray:
     """Multiply one matrix against a whole batch of stripes at once.
 
-    ``a`` is ``(r, k)``; ``batch`` is ``(stripes, k, width)`` — one
-    ``(k, width)`` payload per stripe.  Returns ``(stripes, r, width)``
-    with ``out[s] = a @ batch[s]`` over the field.
+    ``a`` is ``(r, k)``; ``slabs`` holds the k input blocks, one
+    ``(stripes, width)`` slab each (see :func:`gf_slabs`).  Returns
+    ``(stripes, r, width)`` with ``out[s] = a @ [slab[s] for slab in
+    slabs]`` over the field.
 
     The contraction loops only over the k inner coefficients; each step
-    is a single table gather across every stripe and byte simultaneously
+    is a single table gather across every stripe and byte of one slab
     (full product table for m <= 8, split log/antilog tables above), so
     the per-stripe Python overhead of repeated :func:`gf_matmul` calls
-    disappears.  This is the kernel under the codec engine's
-    ``encode_stripes``/``reconstruct`` batched APIs.
+    disappears.  This is the kernel under the codec engine's gather
+    route.
     """
     a = _as_matrix(field, a)
-    batch = np.asarray(batch, dtype=field.dtype)
-    if batch.ndim != 3:
-        raise ValueError(f"expected a (stripes, k, width) batch, got {batch.shape}")
-    stripes, k, width = batch.shape
-    if a.shape[1] != k:
-        raise ValueError(f"shape mismatch: {a.shape} x {batch.shape}")
-    rows = a.shape[0]
-    if 0 in (stripes, rows, width, k):
-        return np.zeros((stripes, rows, width), dtype=field.dtype)
-    # Work on flattened (stripes * width) symbol planes: 1-D contiguous
-    # gathers are the fastest thing numpy's fancy indexing does, and the
-    # intp index conversion is paid once per input plane, not once per
-    # (row, plane) product.
-    flat = np.ascontiguousarray(batch.transpose(1, 0, 2)).reshape(k, -1)
-    out = np.zeros((rows, stripes * width), dtype=field.dtype)
+    slabs, stripes, width = gf_slabs(field, slabs)
+    rows, k = a.shape
+    if len(slabs) != k:
+        raise ValueError(f"shape mismatch: {a.shape} x {len(slabs)} slabs")
+    out = np.zeros((rows, stripes, width), dtype=field.dtype)
     table = field.mul_table
     # (k, rows) are code dimensions; every operation below acts on a
-    # whole (stripes * width) symbol plane at once.
-    for j in range(k):
-        plane = flat[j]
-        column = a[:, j]
+    # whole (stripes, width) slab at once.
+    for plane, column in zip(slabs, a.T):
         index = None  # computed lazily, shared by every row needing it
         log_plane = None
         zero_mask = None
@@ -124,9 +144,7 @@ def gf_matmul_batch(field: GF, a, batch) -> np.ndarray:
                 scaled = field._exp[log_plane + field._log[coeff]]
                 scaled[zero_mask] = 0
                 out[i] ^= scaled
-    return np.ascontiguousarray(
-        out.reshape(rows, stripes, width).transpose(1, 0, 2)
-    )
+    return np.ascontiguousarray(out.transpose(1, 0, 2))
 
 
 def gf_mat_vec(field: GF, a, v) -> np.ndarray:

@@ -155,3 +155,61 @@ def test_encode_stripe_payloads_groups_by_width():
     for stripe in stripes:
         assert stripe.payload is not None
         assert stripe.payload.shape[0] == stripe.n
+
+
+@pytest.mark.parametrize(
+    "make_code, expected",
+    [
+        (rs_10_4, dict(light=0, heavy=56, bytes_read=46973281138.79003, stored=336)),
+        (xorbas_lrc, dict(light=38, heavy=9, bytes_read=21782500000.0, stored=384)),
+    ],
+    ids=["rs", "lrc"],
+)
+def test_second_kill_mid_storm_rebuilds_stale_blocks(monkeypatch, make_code, expected):
+    """A second node dies while the first storm's repair tasks are in
+    flight: tasks whose erasure pattern changed since the scan miss the
+    precomputed rebuild and rebuild it themselves (the stale path).  The
+    repair outcome, the light/heavy split and the bytes read are pinned."""
+    from repro.cluster.blockfixer import PayloadRepairBatch
+    from repro.cluster.metrics import FailureEventRecord
+
+    stale = []
+    lookup = PayloadRepairBatch.rebuilt_block
+
+    def counting_lookup(self, *args):
+        rebuilt = lookup(self, *args)
+        stale.append(rebuilt is None)
+        return rebuilt
+
+    monkeypatch.setattr(PayloadRepairBatch, "rebuilt_block", counting_lookup)
+    cluster = loaded_cluster(make_code())
+    fixer = BlockFixer(cluster)
+    fixer.start()
+    cluster.run(until=60.0)
+    nodes = cluster.namenode.nodes
+    first, second = sorted(nodes, key=lambda n: (-len(nodes[n].blocks), n))[:2]
+    record = cluster.metrics.begin_event(
+        FailureEventRecord(label="two kills", nodes_killed=2, time=cluster.sim.now)
+    )
+    cluster.fail_node(first)
+    cluster.run(until=110.0)  # detected, scanned, tasks reading
+    assert fixer.jobs_dispatched == 1
+    cluster.fail_node(second)
+    run_until_quiescent(cluster, fixer)
+    fixer.stop()
+    cluster.metrics.end_event()
+
+    assert any(stale)  # the stale-rebuild path ran
+    assert cluster.fsck() == {
+        "stored_blocks": expected["stored"],
+        "missing_blocks": 0,
+        "dead_nodes": 2,
+        "alive_nodes": 18,
+    }
+    assert cluster.data_loss_events == []
+    assert (record.light_repairs, record.heavy_repairs) == (
+        expected["light"], expected["heavy"]
+    )
+    assert cluster.metrics.hdfs_bytes_read == pytest.approx(
+        expected["bytes_read"], rel=1e-12
+    )

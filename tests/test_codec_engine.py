@@ -29,11 +29,13 @@ from repro.codes import (
     ErasureCode,
     LinearCode,
     RepairPlanner,
+    pyramid_10_4,
     rs_10_4,
     xorbas_lrc,
 )
 from repro.codes.base import mask_of, positions_of
 from repro.galois import GF16, GF256, gf_independent_columns, gf_rank_batch
+from repro.spec import GatherCodecEngine
 from repro.spec.codec import seed_columns, seed_decode, seed_encode
 
 WIDTH = 9
@@ -403,3 +405,158 @@ class TestBatchedContract:
             with pytest.raises(ValueError, match=rf"position {bad} out of range"):
                 code.reconstruct((bad,), valid)
         assert len(code.engine.cache) == before
+
+
+def _slab_layouts(coded):
+    """One batch ``(stripes, n, width)`` as three survivor layouts.
+
+    Yields ``(name, payload_of, expected)``: 1-D ``(width,)`` payloads of
+    stripe 0, contiguous ``(stripes, width)`` slabs, and strided column
+    views (``coded[:, p]`` of an array whose symbols sit two bytes
+    apart), each with the batch the engine must answer for.
+    """
+    doubled = np.repeat(coded, 2, axis=2)
+    yield "1d", (lambda p: np.ascontiguousarray(coded[0, p])), coded[:1]
+    yield "contiguous", (lambda p: np.ascontiguousarray(coded[:, p])), coded
+    yield "strided", (lambda p: doubled[:, p, ::2]), coded
+
+
+def _repetition():
+    """Three-way replication as a linear code: the scalar spec's view."""
+    return LinearCode(GF256, np.ones((1, 3), dtype=np.uint8))
+
+
+class TestSurvivorSlabLayouts:
+    """Every batched entry point reads its survivors where they lie: 1-D
+    payloads, contiguous slabs and strided column views give the bytes
+    of the gather-only engine and of the scalar spec."""
+
+    @pytest.mark.parametrize(
+        "make_code",
+        [rs_10_4, xorbas_lrc, pyramid_10_4, three_replication],
+        ids=["rs", "lrc", "pyramid", "replication"],
+    )
+    def test_layouts_agree_with_gather_engine_and_spec(self, make_code):
+        code = make_code()
+        replication = code.k == 1
+        spec = _repetition() if replication else code
+        gather = None if replication else GatherCodecEngine(code)
+        rng = np.random.default_rng(59)
+        data3d = code.field.random_elements(rng, (3, code.k, 24))
+        coded = code.encode_stripes(data3d)
+        erasure_sets = [(p,) for p in range(code.n)]
+        erasure_sets += [(0, code.n - 1), (1, code.k)] if not replication else []
+        for layout, payload_of, expected in _slab_layouts(coded):
+            for erased in erasure_sets:
+                available = {
+                    p: payload_of(p) for p in range(code.n) if p not in erased
+                }
+                where = (layout, erased)
+                if len(erased) == 1:
+                    repaired = code.repair_stripes(erased[0], available)
+                    assert np.array_equal(repaired, expected[:, erased[0]]), where
+                    if gather is not None:
+                        assert np.array_equal(
+                            repaired, gather.repair_stripes(erased[0], available)
+                        ), where
+                rebuilt = code.reconstruct(erased, available)
+                assert np.array_equal(rebuilt, expected[:, list(erased)]), where
+                decoded = code.decode_stripes(available)
+                for s in range(expected.shape[0]):
+                    reference = seed_decode(
+                        spec, {p: np.atleast_2d(a)[s] for p, a in available.items()}
+                    )
+                    assert np.array_equal(decoded[s], reference), where
+                if gather is not None:
+                    assert np.array_equal(
+                        rebuilt, gather.reconstruct(erased, available)
+                    ), where
+                    assert np.array_equal(
+                        decoded, gather.decode_stripes(available)
+                    ), where
+
+    @pytest.mark.parametrize("make_engine", [CodecEngine, GatherCodecEngine],
+                             ids=["plane", "gather"])
+    @pytest.mark.parametrize("make_code", [rs_10_4, xorbas_lrc], ids=["rs", "lrc"])
+    @pytest.mark.parametrize("bad", ["ndim", "width"])
+    @pytest.mark.parametrize("call", ["decode_stripes", "reconstruct", "repair_stripes"])
+    def test_malformed_slab_raises_value_error(self, make_engine, make_code, bad, call):
+        """A survivor slab with the wrong ndim, or a width unlike the
+        others, raises ValueError whichever route the pattern takes."""
+        code = make_code()
+        engine = make_engine(code)
+        rng = np.random.default_rng(61)
+        coded = engine.encode_stripes(code.field.random_elements(rng, (3, code.k, 16)))
+        erased = (0, 2) if call == "reconstruct" else (0,)
+        available = {
+            p: coded[:, p] for p in range(code.n) if p not in erased
+        }
+
+        def run(payloads):
+            if call == "decode_stripes":
+                return engine.decode_stripes(payloads)
+            if call == "reconstruct":
+                return engine.reconstruct(erased, payloads)
+            return engine.repair_stripes(0, payloads)
+
+        run(available)  # well formed: the route is compiled and warm
+        available[1] = (
+            np.zeros((3, 2, 16), dtype=np.uint8) if bad == "ndim"
+            else np.zeros((3, 17), dtype=np.uint8)
+        )
+        with pytest.raises(ValueError):
+            run(available)
+
+
+class TestEngineStatsScript:
+    """A fixed call script pins the engine's counters: how many patterns
+    compiled, how many calls the XOR plane ran and how the decoder cache
+    answered."""
+
+    @pytest.mark.parametrize(
+        "make_code, expected",
+        [
+            (rs_10_4, dict(schedule_misses=9, schedule_hits=9, xor_plane_calls=8,
+                  xor_plane_stripes=32, cache_hits=10, cache_misses=12,
+                  reconstruct_calls=16, stripes_reconstructed=64,
+                  encode_calls=2, stripes_encoded=8)),
+            (xorbas_lrc, dict(schedule_misses=9, schedule_hits=9, xor_plane_calls=16,
+                  xor_plane_stripes=64, cache_hits=6, cache_misses=4,
+                  reconstruct_calls=16, stripes_reconstructed=64,
+                  encode_calls=2, stripes_encoded=8)),
+            (pyramid_10_4, dict(schedule_misses=9, schedule_hits=9, xor_plane_calls=8,
+                  xor_plane_stripes=32, cache_hits=7, cache_misses=6,
+                  reconstruct_calls=16, stripes_reconstructed=64,
+                  encode_calls=2, stripes_encoded=8)),
+        ],
+        ids=["rs", "lrc", "pyramid"],
+    )
+    def test_counts_after_fixed_script(self, make_code, expected):
+        code = make_code()
+        engine = CodecEngine(code)
+        rng = np.random.default_rng(67)
+        data3d = code.field.random_elements(rng, (4, code.k, 32))
+        coded = engine.encode_stripes(data3d)
+        engine.encode_stripes(data3d)
+        for _ in range(2):
+            for lost in (0, 5, code.k, code.n - 1):
+                available = {p: coded[:, p] for p in range(code.n) if p != lost}
+                engine.repair_stripes(lost, available)
+            for erased in ((0, 1), (2, code.k)):
+                available = {p: coded[:, p] for p in range(code.n) if p not in erased}
+                engine.reconstruct(erased, available)
+                engine.decode_stripes(available)
+        stats = engine.stats()
+        counts = {
+            "schedule_misses": stats.schedule_misses,
+            "schedule_hits": stats.schedule_hits,
+            "xor_plane_calls": stats.xor_plane_calls,
+            "xor_plane_stripes": stats.xor_plane_stripes,
+            "cache_hits": stats.cache_hits,
+            "cache_misses": stats.cache_misses,
+            "reconstruct_calls": stats.reconstruct_calls,
+            "stripes_reconstructed": stats.stripes_reconstructed,
+            "encode_calls": stats.encode_calls,
+            "stripes_encoded": stats.stripes_encoded,
+        }
+        assert counts == expected

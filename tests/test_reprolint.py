@@ -6,6 +6,9 @@ and — the point of the exercise — the repository itself lints clean.
 from __future__ import annotations
 
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -280,6 +283,56 @@ class TestCliAndRendering:
         assert lint("--root", str(ROOT)) == 0
         assert capsys.readouterr().out == "reprolint: clean\n"
 
+    def test_missing_root_exits_two(self, tmp_path, capsys):
+        # A mistyped --root is a usage error, not an empty clean tree.
+        assert lint("--root", str(tmp_path / "no" / "such" / "dir")) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("reprolint: error: ") and "clean" not in out
+
+    def test_pairs_come_from_the_linted_checkout(self, tmp_path, capsys):
+        # RL003 checks the pairs the checkout under --root declares, not
+        # the registry of the interpreter running the linter.
+        root = make_repo(tmp_path, {
+            "src/repro/difftest/pairs.py": (
+                '"""Pairs."""\n'
+                "PAIRS = (\n"
+                "    EnginePair('widget', spec='a.slow_widget', engine='b.Widget'),\n"
+                ")\n"
+            ),
+            "tests/test_widget.py": "slow_widget\n",
+        })
+        graph, violations, _ = analyze_repo(root)
+        assert graph.pairs == (
+            (EnginePair("widget", spec="a.slow_widget", engine="b.Widget"), 3),
+        )
+        assert [(v.rule, v.line) for v in violations] == [("RL003", 3)]
+        assert "'slow_widget' and 'Widget'" in violations[0].message
+        (root / "tests/test_widget.py").write_text("slow_widget, Widget\n")
+        assert lint("--root", str(root)) == 0
+        assert capsys.readouterr().out == "reprolint: clean\n"
+
+    def test_non_literal_pair_declaration_is_rl000(self, tmp_path):
+        root = make_repo(tmp_path, {
+            "src/repro/difftest/pairs.py": "EnginePair('w', spec=NAME, engine='b.W')\n",
+        })
+        graph, violations, _ = analyze_repo(root)
+        assert graph.pairs == ()
+        assert [(v.rule, v.line) for v in violations] == [("RL000", 1)]
+
+    def test_closed_pipe_exits_without_traceback(self):
+        # The reader is gone before the first write: the output hits a
+        # closed pipe (what `repro lint --explain RL011 | head -1` meets
+        # when head exits first), which must not print a traceback.
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "lint", "--explain", "RL011"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+        assert b"Traceback" not in stderr and b"BrokenPipe" not in stderr
+
     def test_violation_exits_one_with_location(self, tmp_path, capsys):
         bad = "import random\nx = random.random()\n"
         make_repo(tmp_path, {"src/repro/bad.py": bad})
@@ -381,7 +434,8 @@ PLANTED_FILES = {
     ),
     "src/repro/difftest/pairs.py": (
         '"""Pairs."""\n'
-        "EnginePair('recovery', spec='a.run_uninterrupted', engine='a.b')\n"
+        "EnginePair('recovery', spec='a.run_uninterrupted', "
+        "engine='a.run_with_kill_resume')\n"
     ),
     "tests/test_pairs.py": _COVERED_PAIR_SYMBOLS,
     "src/repro/knobs.py": (

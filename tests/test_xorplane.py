@@ -8,7 +8,7 @@ randomized matrices (w=4 and w=8), against the naive bit-matrix
 multiply of the Cauchy-RS spec, and over every decodable erasure
 pattern of the GF16 small codes, and across the bit program's chunk
 boundaries; plus the lane-parallel bit-plane layout, the
-:class:`ScheduleCache` LRU bookkeeping and the planner's pure-XOR
+schedule cache's LRU bookkeeping and the planner's pure-XOR
 stream marking.
 """
 
@@ -21,8 +21,8 @@ from repro.codes import (
     CauchyRSCode,
     CodecEngine,
     PyramidCode,
+    DecoderCache,
     ReedSolomonCode,
-    ScheduleCache,
     compile_xor_schedule,
     cse_rows,
     make_lrc,
@@ -196,8 +196,9 @@ class TestScheduleMatchesGatherKernel:
             batch = field.random_elements(rng, (3, in_blocks, WIDTH))
             schedule = compile_xor_schedule(field, matrix)
             assert schedule.supported
+            slabs = batch.transpose(1, 0, 2)  # one strided slab per block
             assert np.array_equal(
-                schedule.apply(batch), gf_matmul_batch(field, matrix, batch)
+                schedule.apply(slabs), gf_matmul_batch(field, matrix, slabs)
             ), trial
 
     def test_mixed_row_kinds_in_one_schedule(self):
@@ -219,8 +220,9 @@ class TestScheduleMatchesGatherKernel:
         assert [row for row, _ in schedule.word_rows] == [2]
         assert schedule.sliced_outputs == (3,)
         assert not schedule.pure_xor
+        slabs = batch.transpose(1, 0, 2)
         assert np.array_equal(
-            schedule.apply(batch), gf_matmul_batch(field, matrix, batch)
+            schedule.apply(slabs), gf_matmul_batch(field, matrix, slabs)
         )
 
     def test_cauchy_xor_encode_spec_agrees_with_plane(self):
@@ -230,7 +232,7 @@ class TestScheduleMatchesGatherKernel:
         data3d = code.field.random_elements(rng, (5, code.k, WIDTH))
         schedule = compile_xor_schedule(code.field, code.generator.T)
         assert isinstance(schedule, XorSchedule)
-        coded = schedule.apply(data3d)
+        coded = schedule.apply(data3d.transpose(1, 0, 2))
         for s in range(data3d.shape[0]):
             assert np.array_equal(coded[s], xor_encode(code, data3d[s])), s
 
@@ -245,6 +247,51 @@ class TestScheduleMatchesGatherKernel:
         xor_only = np.array([[1, 1]], dtype=field.dtype)
         schedule = compile_xor_schedule(field, xor_only)
         assert schedule.supported and schedule.pure_xor
+
+
+class TestSlabInputs:
+    """Both routes take one ``(stripes, width)`` slab per input block."""
+
+    MATRICES = {
+        "plane": np.array([[1, 1, 0], [3, 7, 9]], dtype=np.uint8),
+        "word": np.array([[1, 1, 1]], dtype=np.uint8),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(MATRICES))
+    def test_mixed_layouts_match_stacked_batch(self, kind):
+        """A contiguous slab, a strided column view and a 1-D payload
+        (one stripe) give the product of the stacked batch."""
+        field, matrix = GF256, self.MATRICES[kind]
+        rng = np.random.default_rng(71)
+        batch = field.random_elements(rng, (1, 3, WIDTH))
+        wide = np.repeat(batch, 2, axis=2)
+        slabs = [np.ascontiguousarray(batch[:, 0]), wide[:, 1, ::2], batch[0, 2]]
+        expected = gf_matmul_batch(field, matrix, batch.transpose(1, 0, 2))
+        assert np.array_equal(gf_matmul_batch(field, matrix, slabs), expected)
+        schedule = compile_xor_schedule(field, matrix)
+        assert np.array_equal(schedule.apply(slabs), expected)
+
+    @pytest.mark.parametrize("route", ["plane", "gather"])
+    @pytest.mark.parametrize(
+        "slabs, message",
+        [
+            ([np.zeros((2, 4), np.uint8)] * 2 + [np.zeros((2, 1, 4), np.uint8)],
+             "expected \\(width,\\) or \\(stripes, width\\)"),
+            ([np.zeros((2, 4), np.uint8)] * 2 + [np.zeros((2, 5), np.uint8)],
+             "differs from"),
+            ([np.zeros((2, 4), np.uint8)] * 2 + [np.zeros((3, 4), np.uint8)],
+             "differs from"),
+            ([np.zeros((2, 4), np.uint8)] * 2, "slabs"),
+        ],
+        ids=["ndim", "width", "stripes", "count"],
+    )
+    def test_malformed_slabs_raise(self, route, slabs, message):
+        matrix = self.MATRICES["plane"]
+        with pytest.raises(ValueError, match=message):
+            if route == "plane":
+                compile_xor_schedule(GF256, matrix).apply(slabs)
+            else:
+                gf_matmul_batch(GF256, matrix, slabs)
 
 
 class TestCostModel:
@@ -279,7 +326,8 @@ class TestScheduleCache:
     def test_eviction_and_reentry_identical_bytes(self):
         code = ReedSolomonCode(4, 2, field=GF16)
         engine = CodecEngine(code, cache_size=2)
-        assert isinstance(engine.schedules, ScheduleCache)
+        assert isinstance(engine.schedules, DecoderCache)
+        assert engine.schedules.maxsize == 2
         rng = np.random.default_rng(31)
         data3d = code.field.random_elements(rng, (6, code.k, WIDTH))
         coded = engine.encode_stripes(data3d)
