@@ -11,11 +11,13 @@ The comparison: at one million stored blocks, one node-failure cycle —
 through the columnar :class:`~repro.cluster.blockindex.BlockIndex` must
 return answers *identical* to the dict reference
 (:class:`~repro.spec.namenode.DictNameNode`, the seed implementation
-kept as the executable specification): same lost-block lists, same
-repair-queue entries, same fsck.  Each queue claims its blocks, as a
-BlockFixer scan does, so later events queue only newly lost blocks;
-releasing half the claims and claiming again must then return exactly
-the released blocks on both backends.  The phase times and their ratio
+kept as the executable specification): the same blocks on the victim
+before the kill, the same kill and detection counts, the same sorted
+missing-block listing after detection, the same repair-queue entries,
+the same fsck.  Each queue claims its blocks, as a BlockFixer scan
+does, so later events queue only newly lost blocks; releasing half the
+claims and claiming again must then return exactly the released blocks
+on both backends.  The phase times and their ratio
 (``blockindex_speedup``) are recorded, not gated.
 """
 
@@ -26,7 +28,9 @@ import numpy as np
 
 from repro.cluster import NameNode
 from repro.cluster.blocks import Stripe
+from repro.cluster import BlockId
 from repro.codes import rs_10_4
+from repro.codes.base import positions_of
 from repro.spec import DictNameNode
 
 from conftest import record_metric, write_report
@@ -64,9 +68,7 @@ def load(namenode, stripes, placement):
         namenode.register_stripe(stripe)
         row = placement[s]
         for position in range(stripe.n):
-            namenode.add_block(
-                stripe.block_id(position), node_ids[int(row[position])]
-            )
+            namenode.add_block(stripe, position, node_ids[int(row[position])])
 
 
 def failure_cycle(namenode, victim):
@@ -74,8 +76,11 @@ def failure_cycle(namenode, victim):
 
     The kill is the injected fault itself and is timed separately; the
     compared phases are *failure detection* — the NameNode declaring the
-    dead node's blocks missing — and repair-queue construction.
+    dead node's blocks missing — and repair-queue construction.  The
+    victim's blocks before the kill and the missing listing after
+    detection are read outside the timed phases.
     """
+    held = namenode.blocks_on_node(victim)
     start = time.perf_counter()
     lost = namenode.kill_node(victim)
     kill_seconds = time.perf_counter() - start
@@ -83,17 +88,27 @@ def failure_cycle(namenode, victim):
     start = time.perf_counter()
     detected = namenode.detect_failures(victim)
     detect_seconds = time.perf_counter() - start
+    missing = namenode.missing_block_ids()
 
     start = time.perf_counter()
     queue = namenode.repair_queue()
     queue_seconds = time.perf_counter() - start
-    return lost, detected, queue, kill_seconds, detect_seconds, queue_seconds
+    answers = (held, lost, detected, missing, queue_signature(queue))
+    return answers, kill_seconds, detect_seconds, queue_seconds
 
 
 def queue_signature(queue):
     return [
-        (e.stripe.file_name, e.stripe.index, e.blocks, e.missing, e.usable)
+        (e.stripe.file_name, e.stripe.index, e.claimed, e.missing, e.usable)
         for e in queue
+    ]
+
+
+def claimed_blocks(signature):
+    return [
+        BlockId(file_name, index, p)
+        for file_name, index, claimed, _, _ in signature
+        for p in positions_of(claimed)
     ]
 
 
@@ -121,45 +136,42 @@ def test_columnar_blockindex_10x_faster_and_identical():
     # One warm-up failure event (an experiment's first event), then three
     # measured steady-state events — the paper's schedules fire event
     # after event while earlier repairs are still pending.
-    warm_ref = failure_cycle(reference, victims[0])
-    warm_col = failure_cycle(columnar, victims[0])
-    assert warm_col[:3] == warm_ref[:3]
+    warm_ref = failure_cycle(reference, victims[0])[0]
+    warm_col = failure_cycle(columnar, victims[0])[0]
+    assert warm_col == warm_ref
+    claimed = claimed_blocks(warm_ref[-1])
 
     ref_kill_s = ref_detect_s = ref_queue_s = 0.0
     col_kill_s = col_detect_s = col_queue_s = 0.0
     blocks_lost = 0
     queue_entries = 0
     for victim in victims[1:]:
-        ref_lost, ref_detected, ref_queue, kill_s, detect_s, queue_s = failure_cycle(
-            reference, victim
-        )
+        ref_answers, kill_s, detect_s, queue_s = failure_cycle(reference, victim)
         ref_kill_s += kill_s
         ref_detect_s += detect_s
         ref_queue_s += queue_s
-        col_lost, col_detected, col_queue, kill_s, detect_s, queue_s = failure_cycle(
-            columnar, victim
-        )
+        col_answers, kill_s, detect_s, queue_s = failure_cycle(columnar, victim)
         col_kill_s += kill_s
         col_detect_s += detect_s
         col_queue_s += queue_s
         # Identical answers, element for element.
-        assert col_lost == ref_lost
-        assert col_detected == ref_detected
-        assert queue_signature(col_queue) == queue_signature(ref_queue)
-        blocks_lost += len(ref_lost)
-        queue_entries = len(ref_queue)
+        assert col_answers == ref_answers
+        held, lost, detected, _, signature = ref_answers
+        assert lost == detected == len(held)
+        blocks_lost += lost
+        queue_entries = len(signature)
+        claimed += claimed_blocks(signature)
 
     # Claim -> release half -> claim: the released blocks, and only
     # they, come back, in identical entries.
-    claimed = sorted(reference.in_repair)
-    released = claimed[::2]
+    released = sorted(claimed)[::2]
     for namenode in (reference, columnar):
         for block in released:
-            namenode.release(block)
-    ref_requeue = reference.repair_queue()
-    col_requeue = columnar.repair_queue()
-    assert queue_signature(col_requeue) == queue_signature(ref_requeue)
-    assert [b for e in ref_requeue for b in e.blocks] == released
+            namenode.release(namenode.stripe_of(block), block.position)
+    ref_requeue = queue_signature(reference.repair_queue())
+    col_requeue = queue_signature(columnar.repair_queue())
+    assert col_requeue == ref_requeue
+    assert claimed_blocks(ref_requeue) == released
     assert columnar.in_repair_count == reference.in_repair_count == len(claimed)
     gc.enable()
     gc.unfreeze()

@@ -2,7 +2,10 @@
 
 Periodically scans for missing blocks and dispatches repair MapReduce
 jobs for the ones not already under repair (the NameNode's queue claims
-them; the tasks release them).  Two decoding paths, exactly as in HDFS-Xorbas:
+them; the tasks release them).  A task carries its stripe and the
+positions it claimed, as one bitmask, and repairs exactly those of them
+that are still missing: a block lost after the scan is another task's
+claim.  Two decoding paths, exactly as in HDFS-Xorbas:
 
 * **Light decoder** — for codes with local repair groups: one map task
   per missing block, opening parallel streams to the (at most r) blocks
@@ -17,9 +20,9 @@ Light-vs-heavy selection is delegated to the code's
 :class:`~repro.codes.engine.RepairPlanner` — the tasks only execute the
 decision.  Both task kinds run one body (plan, read, compute, verify,
 write each position, resolve, count each position once); a kind only
-says which positions it repairs, how it plans them (``plan_block`` or
-``plan_stripe``) and how it rebuilds a block whose precomputed rebuild
-went stale (``repair_stripes`` or ``reconstruct``).  Repairs run on the
+says how it plans its positions (``plan_block`` or ``plan_stripe``) and
+how it rebuilds a block whose precomputed rebuild went stale
+(``repair_stripes`` or ``reconstruct``).  Repairs run on the
 stripes' miniature real payloads, so every
 rebuilt block is verified bit-for-bit against ground truth; a scan pass
 precomputes those payload rebuilds for *all* of its stripes in batched
@@ -36,7 +39,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from ..codes.base import mask_of, positions_of
-from .blocks import BlockId, Stripe, encode_stripe_payloads
+from .blocks import Stripe, encode_stripe_payloads
 from .mapreduce import MapReduceJob, Task
 
 if TYPE_CHECKING:
@@ -157,33 +160,31 @@ class PayloadRepairBatch:
 class _RepairTask(Task):
     """The one repair body both decoders share.
 
-    ``execute`` plans under the stripe's current pattern, reads the
-    decision's sources, charges the decode, verifies every rebuilt byte,
-    writes each repaired position and resolves it.  A subclass supplies
-    the positions it repairs, how it plans them and how it rebuilds
-    blocks whose precomputed rebuild went stale.
+    ``execute`` takes the claimed positions that are still missing,
+    plans them under the stripe's current pattern, reads the decision's
+    sources, charges the decode, verifies every rebuilt byte, writes
+    each repaired position and resolves it.  A subclass supplies how it
+    plans the positions and how it rebuilds blocks whose precomputed
+    rebuild went stale.
     """
 
     def __init__(
         self,
         fixer: "BlockFixer",
         stripe: Stripe,
-        blocks: list[BlockId],
+        claimed: int,
         batch: PayloadRepairBatch | None = None,
     ):
         super().__init__()
         self.fixer = fixer
         self.stripe = stripe
-        self.blocks = blocks  # the claims this task releases
+        self.claimed = claimed  # position bitmask: the claims this task releases
         self.batch = batch
         # Positions already counted in the repair metrics.  A task whose
         # writes partly failed is retried while the first attempt's
         # successful writes may still be landing; each rebuilt block
         # counts once across all attempts, not once per completed write.
         self._counted: set[int] = set()
-
-    def _positions(self, cluster: "HadoopCluster") -> list[int]:
-        raise NotImplementedError
 
     def _plan(self, positions: list[int], usable: int, readable: int) -> RepairDecision:
         raise NotImplementedError
@@ -193,22 +194,25 @@ class _RepairTask(Task):
         raise NotImplementedError
 
     def _release(self, cluster: "HadoopCluster") -> None:
-        for block in self.blocks:
-            cluster.namenode.release(block)
+        for position in positions_of(self.claimed):
+            cluster.namenode.release(self.stripe, position)
 
     def execute(self, cluster: "HadoopCluster", node_id: str, finish: Callable[[bool], None]) -> None:
         stripe = self.stripe
-        positions = self._positions(cluster)
+        namenode = cluster.namenode
+        positions = [
+            p for p in positions_of(self.claimed) if namenode.is_missing(stripe, p)
+        ]
         if not positions:
             self._release(cluster)
             finish(True)
             return
-        readable = cluster.namenode.readable_bits(stripe)
+        readable = namenode.readable_bits(stripe)
         usable = readable | stripe.virtual_bits
         decision = self._plan(positions, usable, readable)
         if not decision.feasible:
             for position in positions:
-                self.fixer.record_data_loss(cluster, stripe.block_id(position))
+                self.fixer.record_data_loss(cluster, stripe, position)
             self._release(cluster)
             finish(True)
             return
@@ -228,7 +232,7 @@ class _RepairTask(Task):
             state = {"remaining": len(positions), "failed": False}
 
             def one_written(position: int) -> None:
-                cluster.namenode.resolve(stripe.block_id(position))
+                namenode.resolve(stripe, position)
                 if position not in self._counted:
                     self._counted.add(position)
                     cluster.metrics.record_repair_kind(light)
@@ -282,11 +286,6 @@ class _RepairTask(Task):
 class LightRepairTask(_RepairTask):
     """Repair one missing block, light decoder first (HDFS-Xorbas)."""
 
-    def _positions(self, cluster: "HadoopCluster") -> list[int]:
-        (block,) = self.blocks
-        missing = block in cluster.namenode.missing_blocks
-        return [block.position] if missing else []
-
     def _plan(self, positions: list[int], usable: int, readable: int) -> RepairDecision:
         return self.stripe.code.planner.plan_block(positions[0], usable, readable)
 
@@ -302,9 +301,6 @@ class StripeRepairTask(_RepairTask):
     when a single block is corrupt" (Section 3.1.2), which is why RS
     repairs read ~13 blocks for one lost block in Figure 6(a).
     """
-
-    def _positions(self, cluster: "HadoopCluster") -> list[int]:
-        return cluster.namenode.missing_positions(self.stripe)
 
     def _plan(self, positions: list[int], usable: int, readable: int) -> RepairDecision:
         planner = self.stripe.code.planner
@@ -369,10 +365,10 @@ class BlockFixer:
             stripe = entry.stripe
             entries.append((stripe, entry.missing, entry.usable))
             if self.light_capable:
-                for block in entry.blocks:
-                    tasks.append(LightRepairTask(self, stripe, [block], batch))
+                for position in positions_of(entry.claimed):
+                    tasks.append(LightRepairTask(self, stripe, 1 << position, batch))
             else:
-                tasks.append(StripeRepairTask(self, stripe, list(entry.blocks), batch))
+                tasks.append(StripeRepairTask(self, stripe, entry.claimed, batch))
         batch.schedule(entries)
         self.payload_batch_groups += batch.groups
         self.payload_batch_stripes += batch.stripes
@@ -392,12 +388,14 @@ class BlockFixer:
 
     # -- bookkeeping ----------------------------------------------------------------
 
-    def record_data_loss(self, cluster: "HadoopCluster", block: BlockId) -> None:
+    def record_data_loss(
+        self, cluster: "HadoopCluster", stripe: Stripe, position: int
+    ) -> None:
         """The stripe cannot be decoded: permanent loss (absorbing state)."""
-        cluster.namenode.resolve(block)
-        cluster.data_loss_events.append(block)
+        cluster.namenode.resolve(stripe, position)
+        cluster.data_loss_events.append(stripe.block_id(position))
 
     @property
     def idle(self) -> bool:
         namenode = self.cluster.namenode
-        return not namenode.in_repair_count and not namenode.missing_blocks
+        return not namenode.in_repair_count and not namenode.missing_count

@@ -10,7 +10,8 @@ columnar struct-of-arrays layout is the right representation for them.
 
 ``BlockIndex`` stores one row per stripe position, allocated as a
 contiguous slab of ``n`` rows when the stripe registers, so
-``row = slab_base + position``.  Columns:
+``row = slab_base + position``: the NameNode names a block by
+``(stripe, position)`` and finds its row from ``stripe_rows``.  Columns:
 
 * ``node``      — index of the DataNode holding the block, or -1
 * ``missing``   — the NameNode has declared the block missing
@@ -31,19 +32,17 @@ stored/available masks exclude them for free.
 Erasure patterns leave this module as int bitmasks (bit ``p`` set iff
 position ``p``; :func:`repro.codes.base.mask_of`), the form the
 :class:`~repro.codes.engine.RepairPlanner` keys on: repair-queue entries
-carry their missing/usable masks as packed.  The packing is vectorised
-int64, which is why ``register_stripe`` rejects stripes wider than 62
-blocks (the paper's codes have n ≤ 16).
+carry their claimed/missing/usable masks as packed.  The packing is
+vectorised int64, which is why ``register_stripe`` rejects stripes wider
+than 62 blocks (the paper's codes have n ≤ 16).
 """
 
 from __future__ import annotations
 
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
-from ..codes.base import positions_of
 from .blocks import BlockId, Stripe, block_kind
 
 __all__ = ["BlockIndex", "RepairQueueEntry"]
@@ -59,14 +58,14 @@ _MAX_STRIPE_WIDTH = 62
 class RepairQueueEntry(NamedTuple):
     """One dirty stripe of a BlockFixer scan, fully resolved.
 
-    ``blocks`` are the missing blocks *not* already under repair (what
-    the scan claims, sorted by position); ``missing`` is the bitmask
-    of every missing position of the stripe; ``usable`` is the decoder's
+    ``claimed`` is the bitmask of the missing positions *not* already
+    under repair (what the scan claims); ``missing`` is the bitmask of
+    every missing position of the stripe; ``usable`` is the decoder's
     view as a bitmask: readable positions plus known-zero padding.
     """
 
     stripe: Stripe
-    blocks: tuple[BlockId, ...]
+    claimed: int
     missing: int
     usable: int
 
@@ -201,15 +200,6 @@ class BlockIndex:
             self._n_array = np.asarray(self._n_list, dtype=np.int64)
         return self._n_array
 
-    def row_of(self, block: BlockId) -> int:
-        """The row holding a block, or -1 for unregistered stripes."""
-        sid = self._sid_by_key.get((block.file_name, block.stripe_index))
-        if sid is None:
-            return -1
-        if not 0 <= block.position < self._n_list[sid]:
-            return -1
-        return self._base_list[sid] + block.position
-
     # -- ordering -------------------------------------------------------------
 
     def _ranks(self) -> np.ndarray:
@@ -239,26 +229,14 @@ class BlockIndex:
         return rows[order]
 
     def blocks_of_rows(self, rows: np.ndarray) -> list[BlockId]:
-        """Materialize BlockIds for rows (already in the desired order).
-
-        Built entirely from C-level iteration (``map`` over list
-        ``__getitem__`` + ``tuple.__new__``): failure events materialize
-        tens of thousands of these per kill.
-        """
-        files = self._stripe_files
-        indices = self._stripe_indices
-        sids = self.sid[rows].tolist()
-        positions = self.pos[rows].tolist()
-        return list(
-            map(
-                partial(tuple.__new__, BlockId),
-                zip(
-                    map(files.__getitem__, sids),
-                    map(indices.__getitem__, sids),
-                    positions,
-                ),
-            )
-        )
+        """Materialize BlockIds for rows (already in the desired order),
+        for the listings at the API edges."""
+        files, indices = self._stripe_files, self._stripe_indices
+        sids, positions = self.sid[rows].tolist(), self.pos[rows].tolist()
+        return [
+            BlockId(files[sid], indices[sid], position)
+            for sid, position in zip(sids, positions)
+        ]
 
     # -- placement ------------------------------------------------------------
 
@@ -420,11 +398,11 @@ class BlockIndex:
         """Claim every missing block not already in repair, resolved.
 
         One pass over the columns builds, for every dirty stripe (in
-        BlockId order): the pending blocks (``missing & ~in_repair``),
+        BlockId order): the claimed positions (``missing & ~in_repair``),
         every missing position, and the decoder-usable pattern (readable
         + virtual zero padding).  The patterns are computed as bitmasks
         on the stacked slabs and the entries carry them as they are.
-        Then the pending rows are flagged ``in_repair``.
+        Then the claimed rows are flagged ``in_repair``.
         """
         used = self.rows_used
         pending = np.flatnonzero(self.missing[:used] & ~self.in_repair[:used])
@@ -452,37 +430,11 @@ class BlockIndex:
         readable_bits = self._readable_bits(slab, -1).tolist()
         missing = self.missing[slab]
         missing_bits = self._pack_bits(missing).tolist()
-        dispatch_bits = self._pack_bits(missing & ~self.in_repair[slab]).tolist()
-
-        entries: list[RepairQueueEntry] = []
-        append = entries.append
-        stripes, files, indices = self.stripes, self._stripe_files, self._stripe_indices
-        virtuals = self._virtual_bits
-        # tuple.__new__ is the C-level constructor both NamedTuples wrap;
-        # calling it directly skips the generated __new__ in this
-        # per-dirty-stripe loop (the only O(dirty stripes) Python left).
-        tuple_new = tuple.__new__
-        entry_cls = RepairQueueEntry
-        block_cls = BlockId
-        for sid, dbits, mbits, rbits in zip(
-            sids.tolist(), dispatch_bits, missing_bits, readable_bits
-        ):
-            file_name, index = files[sid], indices[sid]
-            if dbits & (dbits - 1):
-                blocks = tuple(
-                    tuple_new(block_cls, (file_name, index, p))
-                    for p in positions_of(dbits)
-                )
-            else:  # the common one-lost-block stripe: a single set bit
-                blocks = (
-                    tuple_new(
-                        block_cls, (file_name, index, dbits.bit_length() - 1)
-                    ),
-                )
-            append(
-                tuple_new(
-                    entry_cls,
-                    (stripes[sid], blocks, mbits, rbits | virtuals[sid]),
-                )
+        claimed_bits = self._pack_bits(missing & ~self.in_repair[slab]).tolist()
+        stripes, virtuals = self.stripes, self._virtual_bits
+        return [
+            RepairQueueEntry(stripes[sid], claimed, mbits, rbits | virtuals[sid])
+            for sid, claimed, mbits, rbits in zip(
+                sids.tolist(), claimed_bits, missing_bits, readable_bits
             )
-        return entries
+        ]

@@ -3,8 +3,16 @@
 Two presets mirror the paper's test environments: the 51-instance Amazon
 EC2 clusters (Section 5.2) and Facebook's 35-node test cluster
 (Section 5.3).  Bandwidth and rate constants are calibrated so absolute
-repair durations land in the paper's reported ranges; byte counts never
-depend on them (they follow from the codes' read sets alone).
+repair durations land in the paper's reported ranges.  They set when
+repairs finish, not what one repair reads: the first failure event's
+bytes per lost block follow from the codes' read sets alone.  Later
+events can differ, because rebuilt blocks draw their targets from the
+placement stream in completion order, so the layout a later failure
+hits depends on the rates (RS(10,4), 30 nodes, events 1, 2, 1, 3,
+seed 3: node NIC x1.37 moves the fourth event from 45 lost blocks to 48,
+core x1.37 to 52).  Time itself scales exactly: dividing every time
+constant by a power of two and multiplying every rate by it replays the
+same run with scaled times (``tests/test_time_scaling.py``).
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ class ClusterConfig:
     # m1.small instances had ~100 Mb/s NICs and the 2012-era EC2 fabric
     # throttled aggregate cross-instance traffic hard; these values put
     # single-node-event repair durations in the paper's 15-30 minute range
-    # (Fig 4c) while leaving byte counts untouched.
+    # (Fig 4c); see the module docstring for what they change besides.
     node_bandwidth: float = 12 * MB  # per-NIC, each direction
     core_bandwidth: float = 60 * MB  # shared top-level switch, each direction
 

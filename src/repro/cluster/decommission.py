@@ -85,8 +85,7 @@ class RecreateBlockTask(Task):
     def execute(self, cluster: "HadoopCluster", node_id: str, finish: Callable[[bool], None]) -> None:
         stripe, position = self.stripe, self.position
         retiring = self.manager.node_id
-        block = stripe.block_id(position)
-        if cluster.namenode.block_locations.get(block) != retiring:
+        if cluster.namenode.placement_of(stripe, position) != retiring:
             finish(True)  # already moved (or lost and repaired elsewhere)
             return
         decision = self._decide(cluster)
@@ -103,7 +102,7 @@ class RecreateBlockTask(Task):
             rate = None
 
         def relocate() -> None:
-            cluster.namenode.remove_block(block)
+            cluster.namenode.remove_block(stripe, position)
             cluster.write_block(
                 executor=node_id,
                 stripe=stripe,

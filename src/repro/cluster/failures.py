@@ -80,7 +80,7 @@ class FailureInjector:
         node_ids = self.pick_nodes(count)
         blocks_lost = 0
         for node_id in node_ids:
-            blocks_lost += len(self.cluster.fail_node(node_id))
+            blocks_lost += self.cluster.fail_node(node_id)
             self.killed.append(node_id)
         return node_ids, blocks_lost
 

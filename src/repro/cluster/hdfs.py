@@ -210,8 +210,9 @@ class HadoopCluster:
 
     # ---------------------------------------------------------------- failures
 
-    def fail_node(self, node_id: str) -> list[BlockId]:
-        """Terminate a DataNode (the paper's failure events).
+    def fail_node(self, node_id: str) -> int:
+        """Terminate a DataNode (the paper's failure events); returns how
+        many blocks it held.
 
         Blocks become *missing* only after the detection delay; in-flight
         transfers touching the node abort immediately.
@@ -242,7 +243,7 @@ class HadoopCluster:
         physical = [p for p in positions if not stripe.is_virtual(p)]
         sources = []
         for position in physical:
-            node_id = self.namenode.locate(stripe.block_id(position))
+            node_id = self.namenode.locate(stripe, position)
             if node_id is None:
                 if on_fail is not None:
                     self.sim.schedule(0.0, on_fail)
@@ -310,12 +311,11 @@ class HadoopCluster:
     ) -> None:
         """Write a (re)built block to a placement-policy target node."""
         target = self.choose_repair_target(stripe, position)
-        block = stripe.block_id(position)
 
         def register() -> None:
             self.metrics.record_write(stripe.block_size)
             if self.namenode.nodes[target].alive:
-                self.namenode.add_block(block, target)
+                self.namenode.add_block(stripe, position, target)
                 on_done()
             elif on_fail is not None:
                 on_fail()

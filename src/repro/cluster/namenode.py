@@ -14,15 +14,17 @@ which is what lets simulations carry millions of blocks.  The original
 per-block dict/set bookkeeping lives on as the test-only oracle
 ``repro.spec.namenode.DictNameNode``; both honour :class:`NameNodeAPI`.
 
-``missing_blocks`` and ``block_locations`` remain set-like and
-dict-like (views over the index), so callers are agnostic to the
-backing store.  ``repair_queue`` claims the blocks it returns; a repair
-task lets go with ``release``, or ``resolve`` once the block is rebuilt.
+Every per-block call names the block by ``(stripe, position)``; the
+columnar NameNode turns that into a row, and ``BlockId`` is built only
+for the listings at the edges (``blocks_on_node``,
+``missing_block_ids``, fsck and data-loss reports).  ``repair_queue``
+claims the blocks it returns; a repair task lets go with ``release``,
+or ``resolve`` once the block is rebuilt.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -99,7 +101,7 @@ class NameNodeAPI:
         node is dead."""
         node_ids = self.node_ids
         for position, node in zip(positions, nodes.tolist()):
-            self.add_block(stripe.block_id(position), node_ids[node])
+            self.add_block(stripe, position, node_ids[node])
 
     def stripe_nodes(self, stripe: Stripe) -> np.ndarray:
         """Indices of the nodes holding a placed block of the stripe;
@@ -181,73 +183,6 @@ class DataNode:
         )
 
 
-class MissingBlockView:
-    """Set-like facade over the index's ``missing`` column."""
-
-    __slots__ = ("_index",)
-
-    def __init__(self, index: BlockIndex):
-        self._index = index
-
-    def add(self, block: BlockId) -> None:
-        row = self._index.row_of(block)
-        if row < 0:
-            raise KeyError(f"{block} belongs to no registered stripe")
-        self._index.set_missing(row, True)
-
-    def __contains__(self, block: object) -> bool:
-        if not isinstance(block, BlockId):
-            return False
-        row = self._index.row_of(block)
-        return row >= 0 and bool(self._index.missing[row])
-
-    def __len__(self) -> int:
-        return int(self._index.missing_count)
-
-    def __bool__(self) -> bool:
-        return self._index.missing_count > 0
-
-    def __iter__(self) -> Iterator[BlockId]:
-        index = self._index
-        rows = np.flatnonzero(index.missing[: index.rows_used])
-        return iter(index.blocks_of_rows(index.sort_rows(rows)))
-
-
-class BlockLocationView:
-    """Read-only dict-like facade over the index's ``node`` column."""
-
-    __slots__ = ("_index",)
-
-    def __init__(self, index: BlockIndex):
-        self._index = index
-
-    def get(self, block: BlockId, default=None):
-        row = self._index.row_of(block)
-        if row < 0:
-            return default
-        node_idx = self._index.node[row]
-        if node_idx < 0:
-            return default
-        return self._index.node_ids[node_idx]
-
-    def __getitem__(self, block: BlockId) -> str:
-        node_id = self.get(block)
-        if node_id is None:
-            raise KeyError(block)
-        return node_id
-
-    def __contains__(self, block: object) -> bool:
-        return isinstance(block, BlockId) and self.get(block) is not None
-
-    def __len__(self) -> int:
-        return int(self._index.stored_count)
-
-    def __iter__(self) -> Iterator[BlockId]:
-        index = self._index
-        rows = np.flatnonzero(index.node[: index.rows_used] >= 0)
-        return iter(index.blocks_of_rows(index.sort_rows(rows)))
-
-
 class NameNode(NameNodeAPI):
     """Block map + placement + failure bookkeeping, columnar backend."""
 
@@ -268,13 +203,7 @@ class NameNode(NameNodeAPI):
         self.rack_of = rack_of or {}
         self.rng = rng
         self.stripes: dict[tuple[str, int], Stripe] = {}
-        self.missing_blocks = MissingBlockView(self.index)
-        self.block_locations = BlockLocationView(self.index)
         self.undetected_dead: set[str] = set()
-        # kill_node -> detect_failures block-list reuse: dead nodes
-        # cannot gain blocks, so an unchanged count means an unchanged
-        # block set and detection skips re-materializing 10^4 BlockIds.
-        self._kill_cache: dict[str, tuple[int, list[BlockId]]] = {}
 
     # -- placement ----------------------------------------------------------------
 
@@ -282,16 +211,24 @@ class NameNode(NameNodeAPI):
         self.index.register_stripe(stripe)  # rejects stripes it cannot index
         super().register_stripe(stripe)
 
-    def add_block(self, block: BlockId, node_id: str) -> None:
+    def _row(self, stripe: Stripe, position: int) -> int:
+        """The index row of a stripe position."""
+        rows = self.index.stripe_rows(stripe)
+        if rows is None or not 0 <= position < rows.stop - rows.start:
+            raise KeyError(
+                f"{BlockId(stripe.file_name, stripe.index, position)} belongs "
+                "to no registered stripe; register it first"
+            )
+        return rows.start + position
+
+    def add_block(self, stripe: Stripe, position: int, node_id: str) -> None:
         node_idx = self.index.node_index[node_id]
         if not self.index.node_alive[node_idx]:
-            raise PlacementError(f"cannot place {block} on dead node {node_id}")
-        row = self.index.row_of(block)
-        if row < 0:
-            raise KeyError(
-                f"{block} belongs to no registered stripe; register it first"
+            raise PlacementError(
+                f"cannot place {BlockId(stripe.file_name, stripe.index, position)} "
+                f"on dead node {node_id}"
             )
-        self.index.place(row, node_idx)
+        self.index.place(self._row(stripe, position), node_idx)
 
     def placement_candidates(self) -> np.ndarray:
         # The flatnonzero of a 1-D mask, minus its ravel wrapper: this
@@ -331,52 +268,45 @@ class NameNode(NameNodeAPI):
             return np.empty(0, dtype=np.int32)
         return self.index.node[rows]
 
-    def remove_block(self, block: BlockId) -> None:
-        row = self.index.row_of(block)
-        if row >= 0:
-            self.index.unplace(row)
+    def remove_block(self, stripe: Stripe, position: int) -> None:
+        self.index.unplace(self._row(stripe, position))
 
     # -- liveness ----------------------------------------------------------------
 
-    def locate(self, block: BlockId) -> str | None:
+    def placement_of(self, stripe: Stripe, position: int) -> str | None:
+        """Node the block is placed on, alive or not (None if unplaced)."""
+        node_idx = self.index.node[self._row(stripe, position)]
+        return self.node_ids[node_idx] if node_idx >= 0 else None
+
+    def locate(self, stripe: Stripe, position: int) -> str | None:
         """Node currently serving a block, or None if unavailable.
 
         A block on a dead-but-undetected node is already unavailable to
         readers even though the NameNode hasn't flagged it missing yet.
         """
-        row = self.index.row_of(block)
-        if row < 0:
-            return None
-        node_idx = self.index.node[row]
+        node_idx = self.index.node[self._row(stripe, position)]
         if node_idx < 0 or not self.index.node_alive[node_idx]:
             return None
-        return self.index.node_ids[node_idx]
+        return self.node_ids[node_idx]
 
-    def kill_node(self, node_id: str) -> list[BlockId]:
-        """Mark a node dead (blocks not yet missing until detection)."""
+    def kill_node(self, node_id: str) -> int:
+        """Mark a node dead (blocks not yet missing until detection);
+        returns how many blocks it held."""
         node_idx = self.index.node_index[node_id]
         if not self.index.node_alive[node_idx]:
-            return []
+            return 0
         self.index.node_alive[node_idx] = False
         self.undetected_dead.add(node_id)
-        rows = self.index.sort_rows(self.index.rows_on_node(node_idx))
-        blocks = self.index.blocks_of_rows(rows)
-        self._kill_cache[node_id] = (len(blocks), blocks)
-        return blocks
+        return int(self.index.node_block_count[node_idx])
 
-    def detect_failures(self, node_id: str) -> list[BlockId]:
-        """Heartbeat expiry: the node's blocks become officially missing."""
+    def detect_failures(self, node_id: str) -> int:
+        """Heartbeat expiry: the node's blocks become officially missing;
+        returns how many."""
         if node_id not in self.undetected_dead:
-            return []
+            return 0
         self.undetected_dead.discard(node_id)
         node_idx = self.index.node_index[node_id]
-        cached = self._kill_cache.pop(node_id, None)
-        rows = self.index.drop_node_rows(node_idx, mark_missing=True)
-        if cached is not None and cached[0] == rows.size:
-            # No block left the dead node since the kill (removals are
-            # the only possible change), so the kill-time list stands.
-            return cached[1]
-        return self.index.blocks_of_rows(self.index.sort_rows(rows))
+        return int(self.index.drop_node_rows(node_idx, mark_missing=True).size)
 
     def detection_pending(self) -> bool:
         """Dead-but-undetected nodes still holding blocks (O(#dead))."""
@@ -412,6 +342,18 @@ class NameNode(NameNodeAPI):
     def missing_positions(self, stripe: Stripe) -> list[int]:
         return self.index.missing_positions(stripe)
 
+    def is_missing(self, stripe: Stripe, position: int) -> bool:
+        return bool(self.index.missing[self._row(stripe, position)])
+
+    def mark_missing(self, stripe: Stripe, position: int) -> None:
+        self.index.set_missing(self._row(stripe, position), True)
+
+    def missing_block_ids(self) -> list[BlockId]:
+        """Every missing block, in BlockId order."""
+        index = self.index
+        rows = np.flatnonzero(index.missing[: index.rows_used])
+        return index.blocks_of_rows(index.sort_rows(rows))
+
     def stripe_node_set(self, stripe: Stripe) -> set[str]:
         """Nodes already holding any placed block of the stripe."""
         return self.index.stripe_node_set(stripe)
@@ -421,22 +363,23 @@ class NameNode(NameNodeAPI):
         not already under repair, in one columnar pass."""
         return self.index.build_repair_queue()
 
-    def release(self, block: BlockId) -> None:
+    def release(self, stripe: Stripe, position: int) -> None:
         """The block's repair task lets go; ``missing`` is untouched."""
-        row = self.index.row_of(block)
-        if row >= 0:
-            self.index.release(row)
+        self.index.release(self._row(stripe, position))
 
-    def resolve(self, block: BlockId) -> None:
+    def resolve(self, stripe: Stripe, position: int) -> None:
         """Rebuilt or written off: neither missing nor under repair."""
-        row = self.index.row_of(block)
-        if row >= 0:
-            self.index.set_missing(row, False)
-            self.index.release(row)
+        row = self._row(stripe, position)
+        self.index.set_missing(row, False)
+        self.index.release(row)
 
     @property
     def in_repair_count(self) -> int:
         return self.index.in_repair_count
+
+    @property
+    def missing_count(self) -> int:
+        return self.index.missing_count
 
     def fsck(self) -> dict[str, int]:
         """Cluster health summary: stored, missing, dead-node counts."""

@@ -48,8 +48,7 @@ class WordCountTask(Task):
 
     def execute(self, cluster: "HadoopCluster", node_id: str, finish: Callable[[bool], None]) -> None:
         stripe, position = self.stripe, self.position
-        block = stripe.block_id(position)
-        location = cluster.namenode.locate(block)
+        location = cluster.namenode.locate(stripe, position)
 
         def run_wordcount() -> None:
             self.stats.blocks_processed += 1
@@ -115,7 +114,7 @@ def make_wordcount_job(
     tasks: list[Task] = []
     for stripe in stored.stripes:
         for position in range(stripe.data_blocks):
-            location = cluster.namenode.locate(stripe.block_id(position))
+            location = cluster.namenode.locate(stripe, position)
             tasks.append(WordCountTask(stripe, position, location, stats))
     return MapReduceJob(
         name=name or f"wordcount-{stored.name}",

@@ -99,9 +99,8 @@ def _make_missing(cluster: HadoopCluster, fraction: float, seed: int) -> int:
                 break
             positions.append(int(rng.integers(lo, hi)))
         for position in positions:
-            block = stripe.block_id(position)
-            namenode.remove_block(block)
-            namenode.missing_blocks.add(block)
+            namenode.remove_block(stripe, position)
+            namenode.mark_missing(stripe, position)
             missing_data += 1
     return missing_data
 

@@ -35,7 +35,11 @@ class DictDataNode:
 
 
 class DictNameNode(NameNodeAPI):
-    """The original per-block dict/set NameNode (reference behaviour)."""
+    """The original per-block dict/set NameNode (reference behaviour).
+
+    It keys its maps by the ``BlockId`` it builds from each
+    ``(stripe, position)`` call.
+    """
 
     def __init__(
         self,
@@ -51,60 +55,63 @@ class DictNameNode(NameNodeAPI):
         self.node_ids = list(node_ids)
         self.rack_of = rack_of or {}
         self.rng = rng
-        self.block_locations: dict[BlockId, str] = {}
         self.stripes: dict[tuple[str, int], Stripe] = {}
-        self.missing_blocks: set[BlockId] = set()
-        self.in_repair: set[BlockId] = set()
+        self._locations: dict[BlockId, str] = {}
+        self._missing: set[BlockId] = set()
+        self._in_repair: set[BlockId] = set()
         self.undetected_dead: set[str] = set()
 
     # -- placement ----------------------------------------------------------------
 
-    def add_block(self, block: BlockId, node_id: str) -> None:
+    def add_block(self, stripe: Stripe, position: int, node_id: str) -> None:
+        block = stripe.block_id(position)
         node = self.nodes[node_id]
         if not node.alive:
             raise PlacementError(f"cannot place {block} on dead node {node_id}")
-        previous = self.block_locations.get(block)
+        previous = self._locations.get(block)
         if previous is not None and previous != node_id:
             # A block lives on exactly one node: a racing duplicate
             # repair write relocates it rather than leaking a stale
             # entry in the old node's set.
             self.nodes[previous].blocks.discard(block)
         node.blocks.add(block)
-        self.block_locations[block] = node_id
-        self.missing_blocks.discard(block)
+        self._locations[block] = node_id
+        self._missing.discard(block)
 
-    def remove_block(self, block: BlockId) -> None:
-        node_id = self.block_locations.pop(block, None)
+    def remove_block(self, stripe: Stripe, position: int) -> None:
+        block = stripe.block_id(position)
+        node_id = self._locations.pop(block, None)
         if node_id is not None:
             self.nodes[node_id].blocks.discard(block)
 
     # -- liveness ----------------------------------------------------------------
 
-    def locate(self, block: BlockId) -> str | None:
-        node_id = self.block_locations.get(block)
-        if node_id is None:
-            return None
-        if not self.nodes[node_id].alive:
+    def placement_of(self, stripe: Stripe, position: int) -> str | None:
+        return self._locations.get(stripe.block_id(position))
+
+    def locate(self, stripe: Stripe, position: int) -> str | None:
+        node_id = self.placement_of(stripe, position)
+        if node_id is None or not self.nodes[node_id].alive:
             return None
         return node_id
 
-    def kill_node(self, node_id: str) -> list[BlockId]:
+    def kill_node(self, node_id: str) -> int:
         node = self.nodes[node_id]
         if not node.alive:
-            return []
+            return 0
         node.alive = False
         self.undetected_dead.add(node_id)
-        return sorted(node.blocks)
+        return len(node.blocks)
 
-    def detect_failures(self, node_id: str) -> list[BlockId]:
+    def detect_failures(self, node_id: str) -> int:
         if node_id not in self.undetected_dead:
-            return []
+            return 0
         self.undetected_dead.discard(node_id)
         node = self.nodes[node_id]
-        lost = sorted(node.blocks)
-        for block in lost:
-            self.block_locations.pop(block, None)
-            self.missing_blocks.add(block)
+        for block in node.blocks:
+            self._locations.pop(block, None)
+        self._missing.update(node.blocks)
+        lost = len(node.blocks)
         node.blocks.clear()
         return lost
 
@@ -124,7 +131,7 @@ class DictNameNode(NameNodeAPI):
     def available_positions(self, stripe: Stripe) -> dict[int, str]:
         out = {}
         for position in stripe.stored_positions():
-            node_id = self.locate(stripe.block_id(position))
+            node_id = self.locate(stripe, position)
             if node_id is not None:
                 out[position] = node_id
         return out
@@ -133,27 +140,36 @@ class DictNameNode(NameNodeAPI):
         return [
             position
             for position in stripe.stored_positions()
-            if stripe.block_id(position) in self.missing_blocks
+            if self.is_missing(stripe, position)
         ]
+
+    def is_missing(self, stripe: Stripe, position: int) -> bool:
+        return stripe.block_id(position) in self._missing
+
+    def mark_missing(self, stripe: Stripe, position: int) -> None:
+        self._missing.add(stripe.block_id(position))
+
+    def missing_block_ids(self) -> list[BlockId]:
+        return sorted(self._missing)
 
     def stripe_node_set(self, stripe: Stripe) -> set[str]:
         used = set()
         for position in range(stripe.n):
             if stripe.is_virtual(position):
                 continue
-            node_id = self.block_locations.get(stripe.block_id(position))
+            node_id = self.placement_of(stripe, position)
             if node_id is not None:
                 used.add(node_id)
         return used
 
     def repair_queue(self) -> list[RepairQueueEntry]:
         """The seed scan algorithm over Python sets, claiming in a set."""
-        pending = sorted(self.missing_blocks - self.in_repair)
-        by_stripe: dict[tuple[str, int], list[BlockId]] = {}
+        pending = sorted(self._missing - self._in_repair)
+        by_stripe: dict[tuple[str, int], list[int]] = {}
         for block in pending:
             by_stripe.setdefault(
                 (block.file_name, block.stripe_index), []
-            ).append(block)
+            ).append(block.position)
         entries = []
         for key in sorted(by_stripe):
             stripe = self.stripes[key]
@@ -164,29 +180,34 @@ class DictNameNode(NameNodeAPI):
             entries.append(
                 RepairQueueEntry(
                     stripe=stripe,
-                    blocks=tuple(by_stripe[key]),
+                    claimed=mask_of(by_stripe[key]),
                     missing=mask_of(self.missing_positions(stripe)),
                     usable=mask_of(usable),
                 )
             )
-        self.in_repair.update(pending)
+        self._in_repair.update(pending)
         return entries
 
-    def release(self, block: BlockId) -> None:
-        self.in_repair.discard(block)
+    def release(self, stripe: Stripe, position: int) -> None:
+        self._in_repair.discard(stripe.block_id(position))
 
-    def resolve(self, block: BlockId) -> None:
-        self.missing_blocks.discard(block)
-        self.in_repair.discard(block)
+    def resolve(self, stripe: Stripe, position: int) -> None:
+        block = stripe.block_id(position)
+        self._missing.discard(block)
+        self._in_repair.discard(block)
 
     @property
     def in_repair_count(self) -> int:
-        return len(self.in_repair)
+        return len(self._in_repair)
+
+    @property
+    def missing_count(self) -> int:
+        return len(self._missing)
 
     def fsck(self) -> dict[str, int]:
         return {
-            "stored_blocks": len(self.block_locations),
-            "missing_blocks": len(self.missing_blocks),
+            "stored_blocks": len(self._locations),
+            "missing_blocks": len(self._missing),
             "dead_nodes": sum(1 for n in self.nodes.values() if not n.alive),
             "alive_nodes": sum(1 for n in self.nodes.values() if n.alive),
         }

@@ -66,7 +66,7 @@ def place_positions_seed(cluster, stripe: Stripe, positions: Sequence[int]) -> N
         raise PlacementError("no alive DataNodes to place blocks on")
     ordered = rack_spread_order_seed(cluster, candidates, stripe)
     for position, node in zip(to_place, cycle(ordered)):
-        cluster.namenode.add_block(stripe.block_id(position), node.node_id)
+        cluster.namenode.add_block(stripe, position, node.node_id)
 
 
 def choose_repair_target_seed(cluster, stripe: Stripe, position: int) -> str:

@@ -4,10 +4,10 @@ The columnar :class:`~repro.cluster.namenode.NameNode` must be
 *indistinguishable* from the seed's per-block dict implementation
 (:class:`~repro.spec.namenode.DictNameNode`): randomized
 kill/heal/decommission/remove/claim/release sequences drive both side
-by side and every query — locate, missing positions, repair-queue
-claims, in-repair counts, fsck, block counts — must agree at every
-step.  A full-simulation equivalence test then proves the migration is
-invisible end to end.
+by side and every query — locate, placement, missing flags and
+listings, repair-queue claims, in-repair counts, fsck, block counts —
+must agree at every step.  A full-simulation equivalence test then
+proves the migration is invisible end to end.
 """
 
 import math
@@ -28,7 +28,7 @@ from repro.cluster import (
 from repro.cluster.metrics import percentile, summary_stats
 from repro.cluster.failures import trace_summary
 from repro.codes import ReedSolomonCode, rs_10_4, xorbas_lrc
-from repro.codes.base import mask_of
+from repro.codes.base import mask_of, positions_of
 from repro.experiments.runner import run_until_quiescent
 from repro.experiments.workload import WorkloadResult
 from repro.spec import DictNameNode, with_specs
@@ -46,8 +46,17 @@ def make_pair(seed):
 
 def queue_key(queue):
     return [
-        (e.stripe.file_name, e.stripe.index, e.blocks, e.missing, e.usable)
+        (e.stripe.file_name, e.stripe.index, e.claimed, e.missing, e.usable)
         for e in queue
+    ]
+
+
+def claimed_blocks(key):
+    """The blocks a claimed queue (as :func:`queue_key`) dispatched."""
+    return [
+        BlockId(file_name, index, p)
+        for file_name, index, claimed, _, _ in key
+        for p in positions_of(claimed)
     ]
 
 
@@ -62,7 +71,8 @@ def assert_same_claim(columnar: NameNode, reference: DictNameNode):
 def assert_equivalent(columnar: NameNode, reference: DictNameNode):
     assert columnar.fsck() == reference.fsck()
     assert columnar.in_repair_count == reference.in_repair_count
-    assert sorted(columnar.missing_blocks) == sorted(reference.missing_blocks)
+    assert columnar.missing_block_ids() == reference.missing_block_ids()
+    assert columnar.missing_count == reference.missing_count
     assert columnar.undetected_dead == reference.undetected_dead
     assert columnar.node_block_counts() == reference.node_block_counts()
     assert columnar.detection_pending() == reference.detection_pending()
@@ -82,8 +92,10 @@ def assert_equivalent(columnar: NameNode, reference: DictNameNode):
         ), key
         assert columnar.stripe_node_set(stripe) == reference.stripe_node_set(stripe)
         for position in stripe.stored_positions():
-            block = stripe.block_id(position)
-            assert columnar.locate(block) == reference.locate(block)
+            for query in ("locate", "placement_of", "is_missing"):
+                assert getattr(columnar, query)(stripe, position) == getattr(
+                    reference, query
+                )(stripe, position)
 
 
 class TestDifferentialProperty:
@@ -96,6 +108,7 @@ class TestDifferentialProperty:
         columnar, reference = make_pair(seed)
         ops_rng = np.random.default_rng(1000 + seed)
         stripes: list[Stripe] = []
+        claimed: set[BlockId] = set()
         next_file = 0
 
         def random_block():
@@ -123,32 +136,32 @@ class TestDifferentialProperty:
                 columnar.place_stripe(stripe)
                 reference.place_stripe(stripe)
                 stripes.append(stripe)
-            elif op == "kill":
-                node_id = f"n{ops_rng.integers(NUM_NODES):02d}"
-                assert columnar.kill_node(node_id) == reference.kill_node(node_id)
-            elif op == "detect":
-                pool = sorted(reference.undetected_dead) or [
-                    f"n{ops_rng.integers(NUM_NODES):02d}"
-                ]
-                node_id = pool[ops_rng.integers(len(pool))]
-                assert columnar.detect_failures(node_id) == reference.detect_failures(
-                    node_id
-                )
-            elif op == "remove":
+            elif op in ("kill", "detect"):
+                if op == "kill":
+                    node_id = f"n{ops_rng.integers(NUM_NODES):02d}"
+                else:
+                    pool = sorted(reference.undetected_dead) or [
+                        f"n{ops_rng.integers(NUM_NODES):02d}"
+                    ]
+                    node_id = pool[ops_rng.integers(len(pool))]
+                # The node's blocks before the event, then the count each
+                # NameNode returns for it (0 for a repeated event).
+                held = reference.blocks_on_node(node_id)
+                assert columnar.blocks_on_node(node_id) == held
+                call = "kill_node" if op == "kill" else "detect_failures"
+                count = getattr(reference, call)(node_id)
+                assert getattr(columnar, call)(node_id) == count
+                assert count in (0, len(held))
+                assert columnar.missing_block_ids() == reference.missing_block_ids()
+            elif op in ("remove", "missing"):
                 stripe, position = random_block()
-                block = stripe.block_id(position)
-                columnar.remove_block(block)
-                reference.remove_block(block)
-            elif op == "missing":
-                # The workload harness's transient-loss injection.
-                stripe, position = random_block()
-                block = stripe.block_id(position)
-                columnar.remove_block(block)
-                reference.remove_block(block)
-                columnar.missing_blocks.add(block)
-                reference.missing_blocks.add(block)
+                for nn in (columnar, reference):
+                    nn.remove_block(stripe, position)
+                    if op == "missing":
+                        # The workload harness's transient-loss injection.
+                        nn.mark_missing(stripe, position)
             elif op == "readd":
-                missing = sorted(reference.missing_blocks)
+                missing = reference.missing_block_ids()
                 candidates = reference.placement_candidates()
                 np.testing.assert_array_equal(
                     columnar.placement_candidates(), candidates
@@ -159,26 +172,27 @@ class TestDifferentialProperty:
                 target = reference.node_ids[
                     candidates[ops_rng.integers(len(candidates))]
                 ]
-                columnar.add_block(block, target)
-                reference.add_block(block, target)
+                for nn in (columnar, reference):
+                    nn.add_block(reference.stripe_of(block), block.position, target)
             elif op == "decom":
                 node_id = f"n{ops_rng.integers(NUM_NODES):02d}"
                 flag = bool(ops_rng.random() < 0.5)
                 columnar.nodes[node_id].decommissioning = flag
                 reference.nodes[node_id].decommissioning = flag
             elif op == "claim":
-                assert_same_claim(columnar, reference)
+                claimed.update(claimed_blocks(assert_same_claim(columnar, reference)))
             elif op in ("release", "resolve"):
                 # Mostly a claimed block, which a "readd" may have made
                 # no longer missing; otherwise one that was never claimed.
-                claimed = sorted(reference.in_repair)
                 if claimed and ops_rng.random() < 0.8:
-                    block = claimed[ops_rng.integers(len(claimed))]
+                    block = sorted(claimed)[ops_rng.integers(len(claimed))]
+                    stripe, position = reference.stripe_of(block), block.position
                 else:
                     stripe, position = random_block()
-                    block = stripe.block_id(position)
-                getattr(columnar, op)(block)
-                getattr(reference, op)(block)
+                claimed.discard(stripe.block_id(position))
+                getattr(columnar, op)(stripe, position)
+                getattr(reference, op)(stripe, position)
+            assert columnar.in_repair_count == len(claimed)
             if step % 10 == 0 or step > 140:
                 assert_equivalent(columnar, reference)
         assert_equivalent(columnar, reference)
@@ -208,50 +222,48 @@ class TestDifferentialProperty:
 
     def test_repair_queue_respects_in_repair_exclusions(self):
         columnar, reference, stripes = self.placed_pair(7, 6)
-        self.fail(reference.locate(stripes[0].block_id(0)), columnar, reference)
-        first = sorted(reference.missing_blocks)
+        self.fail(reference.locate(stripes[0], 0), columnar, reference)
+        first = reference.missing_block_ids()
         assert len(first) > 1
-        dispatched = [b for e in assert_same_claim(columnar, reference) for b in e[2]]
-        assert dispatched == first
+        assert claimed_blocks(assert_same_claim(columnar, reference)) == first
         assert columnar.in_repair_count == len(first)
         # Everything missing is claimed: a second scan dispatches nothing.
         assert assert_same_claim(columnar, reference) == []
 
         # A second failure: the next claim returns only the new blocks.
-        self.fail(reference.locate(stripes[3].block_id(5)), columnar, reference)
-        second = sorted(reference.missing_blocks - set(first))
+        self.fail(reference.locate(stripes[3], 5), columnar, reference)
+        second = sorted(set(reference.missing_block_ids()) - set(first))
         assert second
-        dispatched = [b for e in assert_same_claim(columnar, reference) for b in e[2]]
-        assert dispatched == second
+        assert claimed_blocks(assert_same_claim(columnar, reference)) == second
 
         # A released block that is still missing is dispatched again; one
         # that was re-placed meanwhile is not, and its release still counts.
         retry, healed = first[0], first[-1]
+        retry_at = (reference.stripe_of(retry), retry.position)
+        healed_at = (reference.stripe_of(healed), healed.position)
         target = next(
             n for n in reference.node_ids
-            if reference.nodes[n].alive and n not in reference.stripe_node_set(
-                reference.stripe_of(healed)
-            )
+            if reference.nodes[n].alive
+            and n not in reference.stripe_node_set(healed_at[0])
         )
         for nn in (columnar, reference):
-            nn.add_block(healed, target)
-            nn.release(retry)
-            nn.release(healed)
+            nn.add_block(*healed_at, target)
+            nn.release(*retry_at)
+            nn.release(*healed_at)
         assert columnar.in_repair_count == len(first) + len(second) - 2
-        dispatched = [b for e in assert_same_claim(columnar, reference) for b in e[2]]
-        assert dispatched == [retry]
+        assert claimed_blocks(assert_same_claim(columnar, reference)) == [retry]
         # resolve clears both flags; releasing twice is a no-op.
         for nn in (columnar, reference):
-            nn.resolve(retry)
-            nn.release(retry)
-        assert retry not in columnar.missing_blocks
+            nn.resolve(*retry_at)
+            nn.release(*retry_at)
+        assert not columnar.is_missing(*retry_at)
         assert columnar.in_repair_count == len(first) + len(second) - 2
         assert_equivalent(columnar, reference)
 
     def test_claims_survive_index_growth(self):
         columnar, reference, stripes = self.placed_pair(3, 4)
-        self.fail(reference.locate(stripes[1].block_id(2)), columnar, reference)
-        claimed = [b for e in assert_same_claim(columnar, reference) for b in e[2]]
+        self.fail(reference.locate(stripes[1], 2), columnar, reference)
+        claimed = claimed_blocks(assert_same_claim(columnar, reference))
         assert claimed
         index = columnar.index
         capacity = len(index.in_repair)
@@ -266,13 +278,16 @@ class TestDifferentialProperty:
             for nn in (columnar, reference):
                 nn.place_stripe(stripe)
             grown += 1
-        assert all(index.in_repair[index.row_of(b)] for b in claimed)
+        assert all(
+            index.in_repair[index.stripe_rows(columnar.stripe_of(b)).start + b.position]
+            for b in claimed
+        )
         assert index.in_repair_count == len(claimed)
         assert int(index.in_repair.sum()) == len(claimed)
         assert assert_same_claim(columnar, reference) == []
-        columnar.release(claimed[0])
-        reference.release(claimed[0])
-        assert assert_same_claim(columnar, reference)[0][2] == (claimed[0],)
+        for nn in (columnar, reference):
+            nn.release(nn.stripe_of(claimed[0]), claimed[0].position)
+        assert claimed_blocks(assert_same_claim(columnar, reference)) == claimed[:1]
 
     def test_zero_padded_stripes_expose_virtual_positions_as_usable(self):
         code = xorbas_lrc()
@@ -283,7 +298,7 @@ class TestDifferentialProperty:
         stripe.parities_stored = True
         columnar.place_stripe(stripe)
         reference.place_stripe(stripe)
-        victim = reference.locate(stripe.block_id(0))
+        victim = reference.locate(stripe, 0)
         for nn in (columnar, reference):
             nn.kill_node(victim)
             nn.detect_failures(victim)
@@ -318,15 +333,14 @@ class TestStripeWidthLimit:
                 namenode = cluster.namenode
                 (stripe,) = cluster.all_stripes()
                 # Losing the last position exercises the top mask bit.
-                victim = namenode.locate(stripe.block_id(61))
+                victim = namenode.locate(stripe, 61)
                 namenode.kill_node(victim)
                 namenode.detect_failures(victim)
-                queues.append(
-                    [(e.blocks, e.missing, e.usable) for e in namenode.repair_queue()]
-                )
+                queues.append(queue_key(namenode.repair_queue()))
         assert queues[0] == queues[1]
-        ((blocks, missing, usable),) = queues[0]
-        assert blocks == (BlockId("wide", 0, 61),)
+        assert claimed_blocks(queues[0]) == [BlockId("wide", 0, 61)]
+        ((_, _, claimed, missing, usable),) = queues[0]
+        assert claimed == 1 << 61
         assert missing == 1 << 61
         assert usable == (1 << 61) - 1
 
@@ -460,8 +474,8 @@ class TestRepairAccounting:
         cluster.raid_all_instant()
         stripe = cluster.files["f0"].stripes[0]
         victims = {
-            cluster.namenode.locate(stripe.block_id(0)),
-            cluster.namenode.locate(stripe.block_id(1)),
+            cluster.namenode.locate(stripe, 0),
+            cluster.namenode.locate(stripe, 1),
         }
         for victim in victims:
             cluster.fail_node(victim)
@@ -495,7 +509,7 @@ class TestRepairAccounting:
         cluster.run(until=cluster.sim.now + 4000.0)
         cluster.metrics.end_event()
         assert calls["n"] >= 3  # the retry actually happened
-        assert not cluster.namenode.missing_blocks
+        assert cluster.namenode.missing_count == 0
         assert record.heavy_repairs == 2  # not 3: no double-counted block
         assert cluster.fsck()["stored_blocks"] == stripe.n
 

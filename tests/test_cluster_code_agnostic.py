@@ -64,7 +64,7 @@ def pyramid_mixed_run():
         (n for n in cluster.namenode.nodes.values() if mixes_heavy_and_local(n)),
         key=lambda n: n.node_id,
     )
-    blocks_lost = len(cluster.fail_node(target.node_id))
+    blocks_lost = cluster.fail_node(target.node_id)
     cluster.run(until=RUN_SECONDS)
     return cluster, blocks_lost
 
@@ -72,7 +72,7 @@ def pyramid_mixed_run():
 class TestRepairCompletes:
     def test_no_missing_blocks_after_repair(self, runs):
         for name, (cluster, _) in runs.items():
-            assert not cluster.namenode.missing_blocks, f"{name} left holes"
+            assert not cluster.namenode.missing_block_ids(), f"{name} left holes"
 
     def test_bytes_read_accounted(self, runs):
         for cluster, blocks_lost in runs.values():

@@ -207,7 +207,7 @@ class TestRepairPipeline:
         fixer.start()
         stripe = cluster.all_stripes()[0]
         victims = {
-            cluster.namenode.locate(stripe.block_id(p)) for p in range(5)
+            cluster.namenode.locate(stripe, p) for p in range(5)
         }
         for node_id in victims:
             cluster.fail_node(node_id)
@@ -222,7 +222,7 @@ class TestRepairPipeline:
         fixer = BlockFixer(cluster)
         fixer.start()
         stripe = cluster.all_stripes()[0]
-        victim = cluster.namenode.locate(stripe.block_id(0))
+        victim = cluster.namenode.locate(stripe, 0)
         cluster.fail_node(victim)
         run_until_quiescent(cluster, fixer)
         # Light repair of X1 reads X2, X3 and S1 only (X4, X5 are virtual).
@@ -233,9 +233,8 @@ class TestDegradedReads:
     def test_wordcount_with_missing_blocks(self):
         cluster = loaded_cluster(xorbas_lrc(), files=2)
         stripe = cluster.all_stripes()[0]
-        block = stripe.block_id(2)
-        cluster.namenode.remove_block(block)
-        cluster.namenode.missing_blocks.add(block)
+        cluster.namenode.remove_block(stripe, 2)
+        cluster.namenode.mark_missing(stripe, 2)
         stats = DegradedReadStats()
         job = make_wordcount_job(cluster, cluster.files["f0"], stats)
         cluster.jobtracker.submit(job)
@@ -247,16 +246,15 @@ class TestDegradedReads:
     def test_degraded_read_does_not_write_back(self):
         cluster = loaded_cluster(xorbas_lrc(), files=1)
         stripe = cluster.all_stripes()[0]
-        block = stripe.block_id(0)
-        cluster.namenode.remove_block(block)
-        cluster.namenode.missing_blocks.add(block)
+        cluster.namenode.remove_block(stripe, 0)
+        cluster.namenode.mark_missing(stripe, 0)
         stats = DegradedReadStats()
         job = make_wordcount_job(cluster, cluster.files["f0"], stats)
         cluster.jobtracker.submit(job)
         cluster.run(until=48 * 3600)
         assert job.is_finished
         # The block is still missing: degraded reads never store blocks.
-        assert block in cluster.namenode.missing_blocks
+        assert cluster.namenode.is_missing(stripe, 0)
         assert cluster.metrics.bytes_written == 0.0
 
 

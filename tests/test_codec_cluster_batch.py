@@ -160,16 +160,19 @@ def test_encode_stripe_payloads_groups_by_width():
 @pytest.mark.parametrize(
     "make_code, expected",
     [
-        (rs_10_4, dict(light=0, heavy=56, bytes_read=46973281138.79003, stored=336)),
+        (rs_10_4, dict(light=0, heavy=43, bytes_read=46973281138.79003, stored=336)),
         (xorbas_lrc, dict(light=38, heavy=9, bytes_read=21782500000.0, stored=384)),
+        (pyramid_10_4, dict(light=24, heavy=20, bytes_read=31387831325.301197, stored=360)),
     ],
-    ids=["rs", "lrc"],
+    ids=["rs", "lrc", "pyramid"],
 )
 def test_second_kill_mid_storm_rebuilds_stale_blocks(monkeypatch, make_code, expected):
     """A second node dies while the first storm's repair tasks are in
     flight: tasks whose erasure pattern changed since the scan miss the
-    precomputed rebuild and rebuild it themselves (the stale path).  The
-    repair outcome, the light/heavy split and the bytes read are pinned."""
+    precomputed rebuild and rebuild it themselves (the stale path).
+    Every lost block is written exactly once — a stripe task repairs the
+    positions it claimed, not the ones a later scan claimed for another
+    task — and the light/heavy split and the bytes read are pinned."""
     from repro.cluster.blockfixer import PayloadRepairBatch
     from repro.cluster.metrics import FailureEventRecord
 
@@ -181,19 +184,30 @@ def test_second_kill_mid_storm_rebuilds_stale_blocks(monkeypatch, make_code, exp
         stale.append(rebuilt is None)
         return rebuilt
 
+    writes = []
+    write_block = HadoopCluster.write_block
+
+    def counting_write(self, executor, stripe, position, on_done, on_fail=None):
+        writes.append(stripe.block_id(position))
+        write_block(self, executor, stripe, position, on_done, on_fail)
+
     monkeypatch.setattr(PayloadRepairBatch, "rebuilt_block", counting_lookup)
+    monkeypatch.setattr(HadoopCluster, "write_block", counting_write)
     cluster = loaded_cluster(make_code())
     fixer = BlockFixer(cluster)
     fixer.start()
     cluster.run(until=60.0)
-    nodes = cluster.namenode.nodes
+    namenode = cluster.namenode
+    nodes = namenode.nodes
     first, second = sorted(nodes, key=lambda n: (-len(nodes[n].blocks), n))[:2]
     record = cluster.metrics.begin_event(
         FailureEventRecord(label="two kills", nodes_killed=2, time=cluster.sim.now)
     )
-    cluster.fail_node(first)
+    lost = namenode.blocks_on_node(first)
+    assert cluster.fail_node(first) == len(lost)
     cluster.run(until=110.0)  # detected, scanned, tasks reading
     assert fixer.jobs_dispatched == 1
+    lost += namenode.blocks_on_node(second)
     cluster.fail_node(second)
     run_until_quiescent(cluster, fixer)
     fixer.stop()
@@ -207,6 +221,8 @@ def test_second_kill_mid_storm_rebuilds_stale_blocks(monkeypatch, make_code, exp
         "alive_nodes": 18,
     }
     assert cluster.data_loss_events == []
+    assert sorted(writes) == sorted(lost)  # each loss written exactly once
+    assert record.light_repairs + record.heavy_repairs == len(lost)
     assert (record.light_repairs, record.heavy_repairs) == (
         expected["light"], expected["heavy"]
     )

@@ -79,7 +79,7 @@ class TestDecommission:
         manager = DecommissionManager(cluster, victim)
         task = manager.start().tasks[0]
         lost = task._decide(cluster).sources[0]
-        cluster.fail_node(cluster.namenode.locate(task.stripe.block_id(lost)))
+        cluster.fail_node(cluster.namenode.locate(task.stripe, lost))
         replanned = task._decide(cluster)
         assert lost not in replanned.sources
         reads = []
@@ -115,7 +115,7 @@ class TestDecommission:
         cluster.raid_file_instant("extra")
         for stripe in cluster.files["extra"].stripes:
             for position in stripe.stored_positions():
-                assert cluster.namenode.locate(stripe.block_id(position)) != victim
+                assert cluster.namenode.locate(stripe, position) != victim
 
     def test_cannot_decommission_dead_node(self):
         cluster = loaded_cluster(xorbas_lrc())

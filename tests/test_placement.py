@@ -145,7 +145,7 @@ def test_wide_stripe_cycles_through_the_rack_spread_order():
     stripe = cluster.all_stripes()[0]
     rack_of = cluster.namenode.rack_of
     racks = [
-        rack_of[cluster.namenode.locate(stripe.block_id(p))]
+        rack_of[cluster.namenode.locate(stripe, p)]
         for p in stripe.stored_positions()
     ]
     # 14 blocks over 4 racks of 3 nodes: the first 12 blocks use every
@@ -163,7 +163,7 @@ def test_stripe_wider_than_the_cluster_places_every_block(make_code):
     assert cluster.fsck()["stored_blocks"] == expected
     for stripe in cluster.all_stripes():
         for position in stripe.stored_positions():
-            assert cluster.namenode.locate(stripe.block_id(position)) is not None
+            assert cluster.namenode.locate(stripe, position) is not None
 
 
 def test_with_specs_placement_loads_identically():

@@ -43,7 +43,7 @@ class TestRackPlacement:
         rack_of = cluster.namenode.rack_of
         for stripe in cluster.all_stripes():
             racks_used = {
-                rack_of[cluster.namenode.locate(stripe.block_id(p))]
+                rack_of[cluster.namenode.locate(stripe, p)]
                 for p in stripe.stored_positions()
             }
             assert len(racks_used) == 4  # every rack carries stripe blocks
@@ -55,7 +55,7 @@ class TestRackPlacement:
         for stripe in cluster.all_stripes():
             counts = {}
             for p in stripe.stored_positions():
-                rack = rack_of[cluster.namenode.locate(stripe.block_id(p))]
+                rack = rack_of[cluster.namenode.locate(stripe, p)]
                 counts[rack] = counts.get(rack, 0) + 1
             assert max(counts.values()) - min(counts.values()) <= 1
 

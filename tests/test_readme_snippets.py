@@ -39,4 +39,4 @@ def test_cluster_snippet_runs(snippets, capsys):
     out = capsys.readouterr().out
     assert "blocks read for repair" in out
     cluster = namespace["cluster"]
-    assert not cluster.namenode.missing_blocks
+    assert cluster.namenode.missing_count == 0

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.cluster import BlockId, NameNode, PlacementError, Stripe
+from repro.cluster import NameNode, PlacementError, Stripe
 from repro.cluster.metrics import FailureEventRecord, MetricsCollector, TimeSeries
 from repro.codes import xorbas_lrc
 
@@ -84,7 +84,7 @@ class TestNameNode:
         stripe = make_stripe()
         stripe.parities_stored = True
         nn.place_stripe(stripe)
-        locations = [nn.locate(stripe.block_id(p)) for p in range(16)]
+        locations = [nn.locate(stripe, p) for p in range(16)]
         assert None not in locations
         assert len(set(locations)) == 16
 
@@ -93,48 +93,58 @@ class TestNameNode:
         stripe = make_stripe()
         stripe.parities_stored = True
         nn.place_stripe(stripe)
-        assert all(nn.locate(stripe.block_id(p)) for p in range(16))
+        assert all(nn.locate(stripe, p) for p in range(16))
 
     def test_kill_then_detect(self):
         nn = self.make()
         stripe = make_stripe()
         stripe.parities_stored = True
         nn.place_stripe(stripe)
-        victim = nn.locate(stripe.block_id(0))
-        lost = nn.kill_node(victim)
-        assert stripe.block_id(0) in lost
+        victim = nn.locate(stripe, 0)
+        held = nn.blocks_on_node(victim)
+        assert stripe.block_id(0) in held
+        assert nn.kill_node(victim) == len(held)
         # Not yet detected: unavailable but not missing.
-        assert nn.locate(stripe.block_id(0)) is None
-        assert stripe.block_id(0) not in nn.missing_blocks
-        detected = nn.detect_failures(victim)
-        assert stripe.block_id(0) in detected
-        assert stripe.block_id(0) in nn.missing_blocks
+        assert nn.locate(stripe, 0) is None
+        assert nn.placement_of(stripe, 0) == victim
+        assert not nn.is_missing(stripe, 0)
+        assert nn.detect_failures(victim) == len(held)
+        assert nn.is_missing(stripe, 0)
+        assert nn.missing_block_ids() == held
+        assert nn.missing_count == len(held)
 
     def test_double_kill_is_noop(self):
         nn = self.make()
         stripe = make_stripe()
         nn.place_stripe(stripe)
-        victim = nn.locate(stripe.block_id(0))
+        victim = nn.locate(stripe, 0)
         first = nn.kill_node(victim)
-        assert nn.kill_node(victim) == []
+        assert nn.kill_node(victim) == 0
         assert first
 
     def test_detect_without_kill_is_noop(self):
         nn = self.make()
-        assert nn.detect_failures("n0") == []
+        assert nn.detect_failures("n0") == 0
 
     def test_cannot_place_on_dead_node(self):
         nn = self.make()
+        stripe = make_stripe()
+        nn.register_stripe(stripe)
         nn.kill_node("n0")
         with pytest.raises(PlacementError):
-            nn.add_block(BlockId("f", 0, 0), "n0")
+            nn.add_block(stripe, 0, "n0")
+
+    def test_unregistered_stripe_is_a_key_error(self):
+        nn = self.make()
+        with pytest.raises(KeyError, match="register it first"):
+            nn.locate(make_stripe(), 0)
 
     def test_missing_positions(self):
         nn = self.make()
         stripe = make_stripe()
         stripe.parities_stored = True
         nn.place_stripe(stripe)
-        victim = nn.locate(stripe.block_id(3))
+        victim = nn.locate(stripe, 3)
         nn.kill_node(victim)
         nn.detect_failures(victim)
         assert nn.missing_positions(stripe) == [3]
