@@ -57,7 +57,7 @@ def test_xor_plane_light_repair_10x_over_gather_and_identical():
     coded = code.encode_stripes(data3d)
 
     decision = code.planner.plan_block(lost, mask_of(range(code.n)))
-    assert decision.light and decision.xor_stream
+    assert decision.light and decision.plan.is_xor_only()
     light_available = {
         p: np.ascontiguousarray(coded[:, p, :]) for p in decision.sources
     }

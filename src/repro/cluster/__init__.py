@@ -9,7 +9,7 @@ collection at the paper's 5-minute monitoring resolution.
 """
 
 from .blockindex import BlockIndex, RepairQueueEntry
-from .blocks import BlockId, StoredFile, Stripe, encode_stripe_payloads
+from .blocks import BlockId, StoredFile, Stripe
 from .blockfixer import BlockFixer, LightRepairTask, StripeRepairTask
 from .config import ClusterConfig, ec2_config, facebook_config
 from .decommission import DecommissionManager, RecreateBlockTask
@@ -46,7 +46,6 @@ __all__ = [
     "BlockId",
     "StoredFile",
     "Stripe",
-    "encode_stripe_payloads",
     "BlockFixer",
     "LightRepairTask",
     "StripeRepairTask",

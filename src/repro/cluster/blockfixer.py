@@ -25,10 +25,11 @@ how it rebuilds a block whose precomputed rebuild went stale
 (``repair_stripes`` or ``reconstruct``).  Repairs run on the
 stripes' miniature real payloads, so every
 rebuilt block is verified bit-for-bit against ground truth; a scan pass
-precomputes those payload rebuilds for *all* of its stripes in batched
-codec-engine calls (grouped by erasure pattern), so a node failure
-hitting thousands of stripes costs a handful of cached-matrix batch
-products instead of one Gaussian elimination per stripe.
+gathers the payload rows of *all* of its stripes from the cluster's
+payload store and precomputes their rebuilds in batched codec-engine
+calls (grouped by erasure pattern), so a node failure hitting thousands
+of stripes costs a handful of cached-matrix batch products instead of
+one Gaussian elimination per stripe.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from ..codes.base import mask_of, positions_of
-from .blocks import Stripe, encode_stripe_payloads
+from .blocks import PayloadStore, Stripe
 from .mapreduce import MapReduceJob, Task
 
 if TYPE_CHECKING:
@@ -58,13 +59,20 @@ class RepairVerificationError(Exception):
     """A rebuilt block did not match the stripe's ground-truth payload."""
 
 
+def _survivor_crc(rows: np.ndarray) -> int:
+    """CRC of one stripe's survivor payload rows, ``(survivors, width)``
+    in ascending position order."""
+    return zlib.crc32(np.ascontiguousarray(rows))
+
+
 class PayloadRepairBatch:
     """Precomputed payload rebuilds for one BlockFixer scan pass.
 
     At scan time every dirty stripe is registered with its missing and
-    usable pattern bitmasks; stripes sharing a pattern are stacked once
+    usable pattern bitmasks; the payload rows of stripes sharing a store
+    and a pattern are gathered once (one index into the store's array)
     and rebuilt through the codec engine, which reads each survivor as a
-    column view of that stack (one cached reconstruction matrix and one
+    column view of that gather (one cached reconstruction matrix and one
     batched product, or one batched XOR per light plan).
     Repair tasks then fetch their block's precomputed rebuild at verify
     time — rebuilding through the same batched API, as a batch of one,
@@ -83,40 +91,24 @@ class PayloadRepairBatch:
     def _key(stripe: Stripe, position: int, usable: int) -> tuple:
         return (stripe.file_name, stripe.index, position, usable)
 
-    @staticmethod
-    def _fingerprint(payloads: dict[int, np.ndarray]) -> int:
-        """CRC over the survivor bytes, in sorted position order."""
-        crc = 0
-        for position in sorted(payloads):
-            crc = zlib.crc32(
-                np.ascontiguousarray(payloads[position]).tobytes(), crc
-            )
-        return crc
-
     def schedule(self, entries: list[tuple[Stripe, int, int]]) -> None:
         """Register and batch-rebuild ``(stripe, missing, usable)`` entries."""
-        # Stripes whose payload encode was deferred get it here in one
-        # batched call, not one lazy scalar encode each below.
-        encode_stripe_payloads(stripe for stripe, _, _ in entries)
         groups: dict[tuple, list[Stripe]] = {}
         for stripe, missing, usable in entries:
-            if stripe.payload is None:
-                continue
-            key = (id(stripe.code), missing, usable, stripe.payload.shape[1])
-            groups.setdefault(key, []).append(stripe)
-        for (_, missing, usable, _), members in groups.items():
-            self._rebuild_group(members, missing, usable)
+            if stripe.store is not None:
+                key = (stripe.store, missing, usable)
+                groups.setdefault(key, []).append(stripe)
+        for (store, missing, usable), members in groups.items():
+            self._rebuild_group(store, members, missing, usable)
 
     def _rebuild_group(
-        self, members: list[Stripe], missing: int, usable: int
+        self, store: PayloadStore, members: list[Stripe], missing: int, usable: int
     ) -> None:
-        code = members[0].code
-        payloads = np.stack([stripe.payload for stripe in members])  # (S, n, w)
-        available = {p: payloads[:, p] for p in positions_of(usable)}
-        fingerprints = [
-            self._fingerprint({p: slab[s] for p, slab in available.items()})
-            for s in range(len(members))
-        ]
+        code = store.code
+        payloads = store.array()[[stripe.slot for stripe in members]]  # (S, n, w)
+        survivors = positions_of(usable)
+        available = {p: payloads[:, p] for p in survivors}
+        fingerprints = [_survivor_crc(rows) for rows in payloads[:, survivors]]
         rebuilt: dict[int, np.ndarray] = {}
         heavy: list[int] = []
         for position in positions_of(missing):
@@ -137,22 +129,18 @@ class PayloadRepairBatch:
         self.stripes += len(members)
 
     def rebuilt_block(
-        self,
-        stripe: Stripe,
-        position: int,
-        usable: int,
-        payloads: dict[int, np.ndarray],
+        self, stripe: Stripe, position: int, usable: int
     ) -> np.ndarray | None:
         """The precomputed rebuild, or None if anything changed.
 
-        ``payloads`` are the survivor bytes as seen at verify time; a
-        CRC mismatch against the scan-time bytes invalidates the entry.
+        A CRC of the stripe's survivor bytes as they are now that does
+        not match the scan-time CRC invalidates the entry.
         """
         entry = self._rebuilt.get(self._key(stripe, position, usable))
         if entry is None:
             return None
         fingerprint, rebuilt = entry
-        if fingerprint != self._fingerprint(payloads):
+        if fingerprint != _survivor_crc(stripe.payload[list(positions_of(usable))]):
             return None
         return rebuilt
 
@@ -259,17 +247,16 @@ class _RepairTask(Task):
         )
 
     def _verify(self, usable: int, positions: list[int]) -> None:
-        if self.stripe.payload is None:
+        payload = self.stripe.payload
+        if payload is None:
             return
-        payloads = {p: self.stripe.payload[p] for p in positions_of(usable)}
+        payloads = {p: payload[p] for p in positions_of(usable)}
         checked: list[tuple[int, np.ndarray]] = []
         stale: list[int] = []
         for position in positions:
             rebuilt = None
             if self.batch is not None:
-                rebuilt = self.batch.rebuilt_block(
-                    self.stripe, position, usable, payloads
-                )
+                rebuilt = self.batch.rebuilt_block(self.stripe, position, usable)
             if rebuilt is None:
                 stale.append(position)
             else:

@@ -341,12 +341,6 @@ class BlockIndex:
         node_ids = self.node_ids
         return {node_ids[i] for i in np.unique(nodes[nodes >= 0]).tolist()}
 
-    def missing_positions(self, stripe: Stripe) -> list[int]:
-        rows = self.stripe_rows(stripe)
-        if rows is None:
-            return []
-        return [int(p) for p in np.flatnonzero(self.missing[rows])]
-
     # -- pattern bitmasks ----------------------------------------------------
 
     def _slab(self, sids: np.ndarray, n: int) -> np.ndarray:

@@ -10,14 +10,16 @@ Facebook experiment (Table 3).
 Every stripe optionally carries a miniature *real* payload (a few bytes
 per block) encoded with the actual code object, so the simulator's
 repairs run the true decoders end-to-end and verify the rebuilt bytes —
-block *sizes* are simulated, block *math* is real.
+block *sizes* are simulated, block *math* is real.  A cluster's payloads
+are the slots of one :class:`PayloadStore`, which encodes every stripe
+created since its last read in one batched ``encode_stripes`` call.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -26,10 +28,10 @@ if TYPE_CHECKING:
 
 __all__ = [
     "BlockId",
+    "PayloadStore",
     "Stripe",
     "StoredFile",
     "block_kind",
-    "encode_stripe_payloads",
 ]
 
 
@@ -87,11 +89,62 @@ def _content_elements(
     )
 
 
+class PayloadStore:
+    """The verification payloads of one code and width, as one array.
+
+    ``coded`` is ``(capacity, n, width)`` in the code's field dtype; a
+    stripe owns one slot of it.  A new slot holds the stripe's data in
+    its first ``data_blocks`` rows and zeros elsewhere.  Any read
+    (:meth:`array`) first encodes every pending slot,
+    ``coded[encoded:used]``, in one ``encode_stripes`` call: loading a
+    cluster costs one batched encode however many files it creates, and
+    since stripes encode independently, when the encode runs never
+    changes the bytes.
+
+    The capacity doubles when full, which reallocates ``coded``: a view
+    of it (such as :attr:`Stripe.payload`) is valid only until the next
+    stripe is created in the store.  Writes through a live view
+    (corruption injection, scrubber heals) are intentional and stick.
+    """
+
+    def __init__(self, code: "ErasureCode", width: int):
+        self.code = code
+        self.width = width
+        self.coded = np.zeros((0, code.n, width), dtype=code.field.dtype)
+        self.used = 0
+        self.encoded = 0
+
+    def add(self) -> int:
+        """Claim the next slot (all zeros) and return its index."""
+        if self.used == len(self.coded):
+            grown = np.zeros(
+                (max(1, 2 * self.used), *self.coded.shape[1:]), self.coded.dtype
+            )
+            grown[: self.used] = self.coded
+            self.coded = grown
+        self.used += 1
+        return self.used - 1
+
+    def array(self) -> np.ndarray:
+        """``coded``, with every slot encoded."""
+        if self.encoded < self.used:
+            pending = self.coded[self.encoded : self.used]
+            pending[:] = self.code.encode_stripes(pending[:, : self.code.k])
+            self.encoded = self.used
+        return self.coded
+
+    def __getstate__(self) -> dict:
+        # Spare capacity is zeros: a checkpoint carries the used slots only.
+        return {**self.__dict__, "coded": self.coded[: self.used]}
+
+
 class Stripe:
     """One erasure-coded stripe: ``n`` positions, some possibly virtual.
 
     ``data_blocks`` is the number of *real* data blocks; positions in
     ``[data_blocks, k)`` are zero-padding and are neither stored nor read.
+    The stripe's payload is one slot of ``store``; a stripe given no
+    store but ``payload_bytes`` gets a store of its own.
     """
 
     def __init__(
@@ -103,6 +156,7 @@ class Stripe:
         block_size: float,
         payload_bytes: int = 0,
         rng: np.random.Generator | None = None,
+        store: PayloadStore | None = None,
     ):
         if not 1 <= data_blocks <= code.k:
             raise ValueError(
@@ -114,10 +168,15 @@ class Stripe:
         self.data_blocks = data_blocks
         self.block_size = block_size
         self.parities_stored = False  # False until the RaidNode encodes us
-        self._payload: np.ndarray | None = None
-        self._payload_data: np.ndarray | None = None
-        if payload_bytes:
-            data = np.zeros((code.k, payload_bytes), dtype=code.field.dtype)
+        if store is None and payload_bytes:
+            store = PayloadStore(code, payload_bytes)
+        self.store = store
+        self.slot = -1
+        if store is not None:
+            if store.code is not code:
+                raise ValueError("a payload store holds stripes of one code")
+            self.slot = store.add()
+            shape = (data_blocks, store.width)
             if rng is None:
                 # Content identity, not experiment entropy: derive the
                 # verification bytes from the block's name so they are
@@ -125,17 +184,10 @@ class Stripe:
                 # here was PYTHONHASHSEED-randomized — payloads differed
                 # between runs, breaking cross-process checkpoint
                 # equivalence.)
-                data[:data_blocks] = _content_elements(
-                    file_name, index, code.field, (data_blocks, payload_bytes)
-                )
+                data = _content_elements(file_name, index, code.field, shape)
             else:
-                data[:data_blocks] = code.field.random_elements(
-                    rng, (data_blocks, payload_bytes)
-                )
-            # Encoding is deferred: the storage layer batches whole groups
-            # of stripes through the codec engine (one kernel call), and
-            # any stray access encodes lazily via the property below.
-            self._payload_data = data
+                data = code.field.random_elements(rng, shape)
+            store.coded[self.slot, :data_blocks] = data
 
     # -- structure ---------------------------------------------------------
 
@@ -175,60 +227,16 @@ class Stripe:
 
     @property
     def payload(self) -> np.ndarray | None:
-        """The encoded verification payload, or None when not carried.
-
-        Encodes lazily on first access if the stripe was not already
-        batch-encoded via :func:`encode_stripe_payloads`.  The returned
-        array is the stripe's single live payload: in-place mutation
-        (corruption injection, scrubber heals) is intentional and sticks.
-        """
-        if self._payload is None and self._payload_data is not None:
-            self.attach_payload(self.code.encode_stripes(self._payload_data[None])[0])
-        return self._payload
-
-    @property
-    def payload_pending(self) -> bool:
-        """True while the payload data exists but has not been encoded."""
-        return self._payload is None and self._payload_data is not None
-
-    def attach_payload(self, coded: np.ndarray) -> None:
-        """Install a (batch-)encoded payload and drop the raw data."""
-        coded = np.asarray(coded, dtype=self.code.field.dtype)
-        if coded.shape[0] != self.n:
-            raise ValueError(
-                f"payload must cover all {self.n} positions, got {coded.shape}"
-            )
-        self._payload = coded
-        self._payload_data = None
+        """The encoded ``(n, width)`` payload, a view of the store's slot,
+        or None when the stripe carries none."""
+        if self.store is None:
+            return None
+        return self.store.array()[self.slot]
 
     def verify_rebuilt(self, position: int, rebuilt: np.ndarray) -> bool:
         return self.payload is None or bool(
             np.array_equal(self.payload[position], rebuilt)
         )
-
-
-def encode_stripe_payloads(stripes: Iterable[Stripe]) -> int:
-    """Batch-encode every pending verification payload.
-
-    Groups the pending stripes by (code, payload width) and runs one
-    ``encode_stripes`` kernel per group — this is how loading a cluster
-    encodes thousands of stripes without a per-stripe matrix product.
-    Returns the number of stripes encoded.
-    """
-    groups: dict[tuple[int, int], list[Stripe]] = {}
-    for stripe in stripes:
-        if stripe.payload_pending:
-            key = (id(stripe.code), stripe._payload_data.shape[1])
-            groups.setdefault(key, []).append(stripe)
-    encoded = 0
-    for members in groups.values():
-        code = members[0].code
-        data3d = np.stack([s._payload_data for s in members])
-        coded = code.encode_stripes(data3d)
-        for index, stripe in enumerate(members):
-            stripe.attach_payload(coded[index])
-        encoded += len(members)
-    return encoded
 
 
 @dataclass

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..codes.base import ErasureCode
-from .blocks import BlockId, Stripe, StoredFile, encode_stripe_payloads
+from .blocks import BlockId, PayloadStore, Stripe, StoredFile
 from .config import ClusterConfig
 from .flownet import FlowTable
 from .mapreduce import JobTracker
@@ -88,6 +88,10 @@ class HadoopCluster:
         self.jobtracker = JobTracker(self)
         self.files: dict[str, StoredFile] = {}
         self.data_loss_events: list[BlockId] = []
+        # Every stripe's verification payload is a slot of this one store.
+        self.payloads = (
+            PayloadStore(code, config.payload_bytes) if config.payload_bytes else None
+        )
 
     # ------------------------------------------------------------------ files
 
@@ -109,8 +113,8 @@ class HadoopCluster:
                 code=self.code,
                 data_blocks=data_blocks,
                 block_size=block_size,
-                payload_bytes=self.config.payload_bytes,
                 rng=self.rng,
+                store=self.payloads,
             )
             self.namenode.register_stripe(stripe)
             self._place_positions(stripe, list(range(data_blocks)))
@@ -126,7 +130,6 @@ class HadoopCluster:
         were RAIDed, ... failure events were triggered").
         """
         stored = self.files[name]
-        encode_stripe_payloads(stored.stripes)
         for stripe in stored.stripes:
             if stripe.parities_stored:
                 continue
@@ -135,9 +138,6 @@ class HadoopCluster:
         stored.raided = True
 
     def raid_all_instant(self) -> None:
-        # One batched codec-engine call encodes every pending verification
-        # payload before the per-file placement loop.
-        encode_stripe_payloads(self.all_stripes())
         for name in self.files:
             self.raid_file_instant(name)
 

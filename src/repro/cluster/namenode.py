@@ -339,9 +339,6 @@ class NameNode(NameNodeAPI):
             -1 if exclude_node is None else self.index.node_index[exclude_node],
         )
 
-    def missing_positions(self, stripe: Stripe) -> list[int]:
-        return self.index.missing_positions(stripe)
-
     def is_missing(self, stripe: Stripe, position: int) -> bool:
         return bool(self.index.missing[self._row(stripe, position)])
 

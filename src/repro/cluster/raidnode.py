@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
 
-from .blocks import Stripe, StoredFile, encode_stripe_payloads
+from .blocks import Stripe, StoredFile
 from .mapreduce import MapReduceJob, Task
 
 if TYPE_CHECKING:
@@ -117,12 +117,6 @@ class RaidNode:
         ]
         if not candidates:
             return None
-        # Batch-encode the candidates' verification payloads up front:
-        # one codec-engine call per (code, width) group instead of one
-        # matrix product per stripe when the encode tasks run.
-        encode_stripe_payloads(
-            stripe for stored in candidates for stripe in stored.stripes
-        )
         tasks: list[Task] = []
         for stored in candidates:
             self.in_flight.add(stored.name)

@@ -387,19 +387,13 @@ class RepairDecision:
     ``"heavy"`` (full decode over the survivors) or ``"loss"`` (the
     pattern is undecodable).  ``sources`` lists the *readable* positions
     the repair streams in — light plans keep plan order, heavy repairs
-    read every readable survivor in sorted order.  ``xor_stream`` marks
-    light plans whose coefficients are all 1 (LRC local groups, the
-    paper's ``c_i = 1`` construction): the engine compiles those to one
-    XOR chain over the source slabs, no field multiplications at all.
-    Pyramid light repairs carry RS coefficients and stay on the
-    multiplicative path.
+    read every readable survivor in sorted order.
     """
 
     kind: str
     lost: tuple[int, ...]
     sources: tuple[int, ...]
     plan: RepairPlan | None = None
-    xor_stream: bool = False
 
     @property
     def feasible(self) -> bool:
@@ -465,7 +459,6 @@ class RepairPlanner:
             lost=(lost,),
             sources=tuple(p for p in plan.sources if readable >> p & 1),
             plan=plan,
-            xor_stream=plan.is_xor_only(),
         )
 
     def _decide_heavy(

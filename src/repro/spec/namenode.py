@@ -136,7 +136,7 @@ class DictNameNode(NameNodeAPI):
                 out[position] = node_id
         return out
 
-    def missing_positions(self, stripe: Stripe) -> list[int]:
+    def _missing_positions(self, stripe: Stripe) -> list[int]:
         return [
             position
             for position in stripe.stored_positions()
@@ -181,7 +181,7 @@ class DictNameNode(NameNodeAPI):
                 RepairQueueEntry(
                     stripe=stripe,
                     claimed=mask_of(by_stripe[key]),
-                    missing=mask_of(self.missing_positions(stripe)),
+                    missing=mask_of(self._missing_positions(stripe)),
                     usable=mask_of(usable),
                 )
             )

@@ -7,11 +7,13 @@ bit-for-bit against ground truth — for the light-decoder scheme (LRC),
 the heavy-decoder scheme (RS) and the mixed scheme (Pyramid).
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.cluster import BlockFixer, HadoopCluster, ec2_config
-from repro.cluster.blocks import encode_stripe_payloads
+from repro.cluster.blocks import PayloadStore, Stripe
 from repro.codes import PyramidCode, pyramid_10_4, rs_10_4, xorbas_lrc
 from repro.codes.base import mask_of, positions_of
 from repro.experiments.runner import run_until_quiescent
@@ -79,40 +81,93 @@ def test_node_loss_repairs_stripes_in_batches(make_code):
         assert np.array_equal(seed_encode(stripe.code, decoded), stripe.payload)
 
 
-def test_deferred_payloads_encode_in_one_batch():
-    """Loading a cluster defers payload encoding; raid_all_instant runs
-    one batched engine call for all stripes of all files."""
-    code = xorbas_lrc()
+def assert_codeword(stripe):
+    """The stripe's payload is a valid codeword of its own code."""
+    payload = stripe.payload
+    assert payload.shape == (stripe.n, stripe.store.width)
+    decoded = seed_decode(stripe.code, {p: payload[p] for p in range(stripe.n)})
+    assert np.array_equal(seed_encode(stripe.code, decoded), payload)
+
+
+@pytest.mark.parametrize("make_code", [xorbas_lrc, rs_10_4], ids=["lrc", "rs"])
+def test_first_payload_read_encodes_every_stripe_in_one_call(make_code):
+    """Loading and RAIDing a cluster encodes nothing; the first payload
+    read runs one batched engine call covering every stripe of every
+    file, and later reads encode nothing more."""
+    code = make_code()
     cluster = HadoopCluster(code, small_config(), seed=3)
     for i in range(4):
-        cluster.create_file(f"f{i}", 640e6)
-    assert all(s.payload_pending for s in cluster.all_stripes())
-    calls_before = code.engine.encode_calls
+        cluster.create_file(f"f{i}", 1280e6)
     cluster.raid_all_instant()
-    assert code.engine.encode_calls == calls_before + 1
-    assert code.engine.stripes_encoded >= 4
-    assert all(not s.payload_pending for s in cluster.all_stripes())
-    # The batch-encoded payload is a valid codeword of the code.
-    stripe = cluster.all_stripes()[0]
-    decoded = seed_decode(stripe.code, {p: stripe.payload[p] for p in range(stripe.n)})
-    assert np.array_equal(seed_encode(stripe.code, decoded), stripe.payload)
+    stripes = cluster.all_stripes()
+    assert len(stripes) == 8
+    assert all(stripe.store is cluster.payloads for stripe in stripes)
+    assert code.engine.encode_calls == 0
+    stripes[-1].payload
+    assert code.engine.encode_calls == 1
+    assert code.engine.stripes_encoded == len(stripes)
+    for stripe in stripes:
+        assert_codeword(stripe)
+    assert code.engine.encode_calls == 1
 
 
 def test_batched_encode_dispatches_to_xor_plane():
-    """The cluster's deferred batch encode runs through the compiled XOR
+    """The payload store's batch encode runs through the compiled XOR
     plane transparently — no cluster-layer code opts in — and the plane's
     output is still a valid codeword."""
     code = xorbas_lrc()
     cluster = HadoopCluster(code, small_config(), seed=5)
     for i in range(3):
         cluster.create_file(f"f{i}", 640e6)
-    assert code.engine.xor_plane_calls == 0
     cluster.raid_all_instant()
+    assert code.engine.xor_plane_calls == 0
+    stripe = cluster.all_stripes()[0]
+    assert_codeword(stripe)
     assert code.engine.xor_plane_calls > 0
     assert code.engine.stats().schedule_misses >= 1
-    stripe = cluster.all_stripes()[0]
-    decoded = seed_decode(stripe.code, {p: stripe.payload[p] for p in range(stripe.n)})
-    assert np.array_equal(seed_encode(stripe.code, decoded), stripe.payload)
+
+
+def test_store_growth_keeps_earlier_payloads():
+    """Stripes created past the store's capacity (reads in between, so
+    every growth copies encoded slots) keep their bytes: each equals
+    the payload of the same stripe in a store of its own."""
+    code = xorbas_lrc()
+    store = PayloadStore(code, 16)
+    stripes, snapshots = [], []
+    for i in range(40):
+        stripes.append(Stripe("a", i, code, 1 + i % 10, 1e6, store=store))
+        snapshots.append(stripes[-1].payload.copy())
+    assert len(store.coded) == 64 and store.used == 40
+    for stripe, snapshot in zip(stripes, snapshots):
+        alone = Stripe("a", stripe.index, code, stripe.data_blocks, 1e6, 16)
+        assert np.array_equal(stripe.payload, snapshot)
+        assert np.array_equal(alone.payload, snapshot)
+        assert not np.any(snapshot[stripe.data_blocks : code.k])
+
+
+def test_pickled_cluster_keeps_payloads_in_one_store():
+    """A checkpoint round trip keeps every payload byte (an unread store
+    encodes after loading, to the same bytes), and the loaded cluster's
+    stripes still share one store."""
+    code = rs_10_4()
+    cluster = HadoopCluster(code, small_config(), seed=7)
+    for i in range(3):
+        cluster.create_file(f"f{i}", 1280e6)
+    cluster.raid_all_instant()
+    pending = pickle.loads(pickle.dumps(cluster))
+    expected = [stripe.payload.copy() for stripe in cluster.all_stripes()]
+    loaded = pickle.loads(pickle.dumps(cluster))
+    for other in (pending, loaded):
+        stripes = other.all_stripes()
+        assert all(stripe.store is other.payloads for stripe in stripes)
+        assert len(other.payloads.coded) == len(stripes)  # spare slots dropped
+        for stripe, payload in zip(stripes, expected):
+            assert np.array_equal(stripe.payload, payload)
+    loaded.create_file("g", 640e6)  # the loaded store grows again
+    assert all(
+        np.array_equal(stripe.payload, payload)
+        for stripe, payload in zip(loaded.all_stripes(), expected)
+    )
 
 
 def test_stale_batch_entry_invalidated_by_corruption():
@@ -120,7 +175,6 @@ def test_stale_batch_entry_invalidated_by_corruption():
     the precomputed rebuild (CRC mismatch), forcing the scalar fallback
     that sees the current bytes."""
     from repro.cluster.blockfixer import PayloadRepairBatch
-    from repro.cluster.blocks import Stripe
 
     code = rs_10_4()
     stripe = Stripe("a", 0, code, data_blocks=10, block_size=1e6, payload_bytes=16)
@@ -128,21 +182,17 @@ def test_stale_batch_entry_invalidated_by_corruption():
     usable = mask_of(range(1, code.n))
     batch = PayloadRepairBatch()
     batch.schedule([(stripe, missing, usable)])
-    payloads = {p: stripe.payload[p] for p in positions_of(usable)}
-    hit = batch.rebuilt_block(stripe, 0, usable, payloads)
+    hit = batch.rebuilt_block(stripe, 0, usable)
     assert hit is not None
     assert np.array_equal(hit, stripe.payload[0])
     stripe.payload[1] ^= 7  # in-place corruption of a survivor
-    payloads = {p: stripe.payload[p] for p in positions_of(usable)}
-    assert batch.rebuilt_block(stripe, 0, usable, payloads) is None
+    assert batch.rebuilt_block(stripe, 0, usable) is None
 
 
-def test_encode_stripe_payloads_groups_by_width():
-    """Stripes of different codes/widths batch independently but all get
-    encoded."""
+def test_stripes_of_two_codes_and_widths_read_their_own_codewords():
+    """Stripes of different codes and payload widths live in separate
+    stores, and each reads back a codeword of its own code."""
     lrc, pyramid = xorbas_lrc(), PyramidCode(10, 4, 5)
-    from repro.cluster.blocks import Stripe
-
     stripes = [
         Stripe("a", i, lrc, data_blocks=10, block_size=1e6, payload_bytes=16)
         for i in range(3)
@@ -150,11 +200,10 @@ def test_encode_stripe_payloads_groups_by_width():
         Stripe("b", i, pyramid, data_blocks=10, block_size=1e6, payload_bytes=24)
         for i in range(2)
     ]
-    assert encode_stripe_payloads(stripes) == 5
-    assert encode_stripe_payloads(stripes) == 0  # idempotent
     for stripe in stripes:
-        assert stripe.payload is not None
-        assert stripe.payload.shape[0] == stripe.n
+        assert_codeword(stripe)
+    with pytest.raises(ValueError, match="one code"):
+        Stripe("c", 0, pyramid, 10, 1e6, store=stripes[0].store)
 
 
 @pytest.mark.parametrize(

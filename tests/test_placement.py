@@ -119,7 +119,11 @@ def test_engine_places_like_the_spec(code_name, num_nodes, num_racks, seed, ops)
             name = names[a % len(names)]
             index = b % len(engine.files[name].stripes)
             stripes = [c.files[name].stripes[index] for c in (engine, spec)]
-            missing = engine.namenode.missing_positions(stripes[0])
+            missing = [
+                p
+                for p in stripes[0].stored_positions()
+                if engine.namenode.is_missing(stripes[0], p)
+            ]
             if op == "repair":
                 position = (missing or stripes[0].stored_positions())[0]
                 targets = [
@@ -129,7 +133,7 @@ def test_engine_places_like_the_spec(code_name, num_nodes, num_racks, seed, ops)
                 assert targets[0] == targets[1]
                 if targets[0] in node_ids and missing:
                     for c, s in zip((engine, spec), stripes):
-                        c.namenode.add_block(s.block_id(position), targets[0])
+                        c.namenode.add_block(s, position, targets[0])
             elif missing:
                 assert _outcome(
                     lambda: engine._place_positions(stripes[0], missing)

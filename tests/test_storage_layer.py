@@ -139,7 +139,7 @@ class TestNameNode:
         with pytest.raises(KeyError, match="register it first"):
             nn.locate(make_stripe(), 0)
 
-    def test_missing_positions(self):
+    def test_missing_flags_after_detection(self):
         nn = self.make()
         stripe = make_stripe()
         stripe.parities_stored = True
@@ -147,7 +147,8 @@ class TestNameNode:
         victim = nn.locate(stripe, 3)
         nn.kill_node(victim)
         nn.detect_failures(victim)
-        assert nn.missing_positions(stripe) == [3]
+        assert nn.missing_block_ids() == [stripe.block_id(3)]
+        assert nn.is_missing(stripe, 3) and not nn.is_missing(stripe, 4)
         available = nn.available_positions(stripe)
         assert 3 not in available
         assert len(available) == 15

@@ -295,7 +295,7 @@ class TestSlabInputs:
 
 
 class TestCostModel:
-    def test_pure_xor_stream_prices_below_gather(self):
+    def test_pure_xor_plan_prices_below_gather(self):
         code = xorbas_lrc()
         plan = next(
             p for p in code.repair_plans(0) if p.is_xor_only()
@@ -451,19 +451,19 @@ class TestChunkBoundaries:
         assert fast.xor_plane_calls == 2  # both ran through the bit program
 
 
-class TestXorStreamMarking:
-    def test_lrc_light_repair_is_an_xor_stream(self):
+class TestXorOnlyLightPlans:
+    def test_lrc_light_repair_is_xor_only(self):
         code = xorbas_lrc()
         decision = code.planner.plan_block(0, mask_of(range(1, code.n)))
-        assert decision.light and decision.xor_stream
+        assert decision.light and decision.plan.is_xor_only()
         assert all(c == 1 for c in decision.plan.coefficients)
 
     def test_pyramid_light_repair_is_not(self):
         code = PyramidCode(4, 2, 2, field=GF16)
         decision = code.planner.plan_block(0, mask_of(range(1, code.n)))
-        assert decision.light and not decision.xor_stream
+        assert decision.light and not decision.plan.is_xor_only()
 
-    def test_heavy_repair_never_marked(self):
+    def test_heavy_repair_has_no_plan(self):
         code = ReedSolomonCode(4, 2, field=GF16)
         decision = code.planner.plan_block(0, mask_of(range(1, code.n)))
-        assert decision.kind == "heavy" and not decision.xor_stream
+        assert decision.kind == "heavy" and decision.plan is None
