@@ -14,14 +14,18 @@ never gated — ``e2ebench`` decides whether the codec got slower):
   ratio and the stream's absolute throughput are recorded
   (``xor_lrc_light_repair_gb_per_s`` — the plane sustains >= 1 GB/s on a
   quiet machine);
-* plane-dispatched encode and the plane-routed two-erasure RS rebuild
-  must be byte-identical to their gather counterparts; their absolute
-  throughputs are recorded (``xor_encode_mb_per_s``, beside
-  ``codec_encode_mb_per_s``, and ``xor_reconstruct2_mb_per_s``);
-* byte-identity of the plane against the scalar GF path over decodable
-  erasure patterns for RS(10,4), Xorbas LRC(10,6,5), Pyramid and SRC —
-  every pattern up to n - k erasures in the nightly sweep, the
-  two-erasure prefix in the smoke lane.
+* plane-dispatched encode, the plane-routed two-erasure RS rebuild and
+  the RS(10,4) single-block heavy repair of 256 x 8 KB stripes (which
+  the cost model moved onto the plane) must be byte-identical to their
+  gather counterparts; their absolute throughputs are recorded
+  (``xor_encode_mb_per_s``, beside ``codec_encode_mb_per_s``,
+  ``xor_reconstruct2_mb_per_s`` and ``xor_heavy_repair_mb_per_s``, with
+  ``xor_heavy_repair_speedup`` over the gather kernel);
+* byte-identity of every pattern's compiled bit program against the
+  gather kernel over decodable erasure patterns for RS(10,4), Xorbas
+  LRC(10,6,5) and Pyramid, and of SRC's engine decode against the
+  gather-only engine — every pattern up to n - k erasures in the
+  nightly sweep, the two-erasure prefix in the smoke lane.
 """
 
 import gc
@@ -39,7 +43,9 @@ from repro.codes import (
     xorbas_lrc,
 )
 from repro.codes.base import mask_of
+from repro.codes.xorplane import compile_xor_schedule
 from repro.difftest import compare_speed, timed
+from repro.galois import gf_matmul_batch
 from repro.spec import GatherCodecEngine
 
 from conftest import record_metric, write_report
@@ -142,10 +148,10 @@ def test_xor_encode_throughput_and_identical():
         gc.enable()
         gc.unfreeze()
     np.testing.assert_array_equal(gather_coded, plane_coded)
+    assert plane_engine.xor_plane_calls == 3  # every timed encode ran on the plane
     mb = data3d.nbytes / 1e6
     record_metric("xor_encode_mb_per_s", mb / plane_seconds)
     schedule = code.encode_schedule()
-    assert schedule.use_plane
     record_metric("xor_encode_xors_per_byte", schedule.xor_bytes_per_output_byte)
     print(
         f"\nencode {mb:.0f} MB: plane {mb / plane_seconds:.0f} MB/s "
@@ -196,30 +202,83 @@ def test_xor_reconstruct2_throughput_and_identical():
     )
 
 
+def test_xor_heavy_repair_throughput_and_identical():
+    """RS(10,4) single-block heavy repair of 256 x 8 KB stripes (one
+    lost block rebuilt from ten survivors, the shape of
+    ``codec_stripe_bytes``'s heavy sweep), which the cost model routes
+    to the plane: byte-identical to the gather kernel, with the plane's
+    rebuilt bytes per second and its ratio over gather recorded."""
+    code = rs_10_4()
+    rng = np.random.default_rng(17)
+    data3d = code.field.random_elements(rng, (256, code.k, 8_192))
+    coded = code.encode_stripes(data3d)
+    lost = 0
+    available = {p: coded[:, p, :] for p in range(code.n) if p != lost}
+    plane_engine = CodecEngine(code)
+    gf_engine = GatherCodecEngine(code)
+
+    gc.collect()
+    gc.freeze()
+    gc.disable()
+    try:
+        repair_gather = lambda: gf_engine.repair_stripes(lost, available)
+        repair_plane = lambda: plane_engine.repair_stripes(lost, available)
+        gather_rebuilt, gather_seconds = timed(repair_gather)
+        plane_rebuilt, plane_seconds = timed(repair_plane)
+        for _ in range(2):  # best of three, alternating
+            gather_seconds = min(gather_seconds, timed(repair_gather)[1])
+            plane_seconds = min(plane_seconds, timed(repair_plane)[1])
+    finally:
+        gc.enable()
+        gc.unfreeze()
+    np.testing.assert_array_equal(gather_rebuilt, plane_rebuilt)
+    np.testing.assert_array_equal(plane_rebuilt, coded[:, lost, :])
+    assert plane_engine.xor_plane_calls == 3 and plane_engine.gather_calls == 0
+    mb = plane_rebuilt.nbytes / 1e6
+    record_metric("xor_heavy_repair_mb_per_s", mb / plane_seconds)
+    record_metric("xor_heavy_repair_speedup", gather_seconds / plane_seconds)
+    print(
+        f"\nheavy repair of block {lost} ({mb:.0f} MB rebuilt): plane "
+        f"{mb / plane_seconds:.0f} MB/s vs gather {mb / gather_seconds:.0f} MB/s "
+        f"({gather_seconds / plane_seconds:.2f}x)"
+    )
+
+
 # -- byte-identity sweeps ----------------------------------------------------
 
 
 def _sweep_linear_code(code, max_erasures):
-    """Plane vs GF path over every decodable pattern up to ``max_erasures``."""
-    fast = CodecEngine(code)
-    slow = GatherCodecEngine(code)
+    """Every decodable pattern up to ``max_erasures``: the pattern's
+    rebuild matrix through its compiled bit program equals the gather
+    kernel, and the engine rebuilds the erased blocks.  (At 16 B slabs
+    the engine itself takes the gather route.)"""
+    engine = CodecEngine(code)
+    field = code.field
     rng = np.random.default_rng(code.n)
-    data3d = code.field.random_elements(rng, (2, code.k, 16))
-    coded = fast.encode_stripes(data3d)
-    np.testing.assert_array_equal(coded, slow.encode_stripes(data3d))
+    data3d = field.random_elements(rng, (2, code.k, 16))
+    coded = engine.encode_stripes(data3d)
+    generator = compile_xor_schedule(field, code.generator.T)
+    np.testing.assert_array_equal(coded, generator.apply(data3d.transpose(1, 0, 2)))
     patterns = 0
     for erasures in range(1, max_erasures + 1):
         for erased in combinations(range(code.n), erasures):
             available = set(range(code.n)) - set(erased)
             if not code.is_decodable(available):
                 continue
+            chosen, rebuild = engine.reconstruction_matrix(erased, mask_of(available))
+            slabs = [coded[:, p, :] for p in chosen]
+            plane_rebuilt = compile_xor_schedule(field, rebuild).apply(slabs)
+            assert np.array_equal(
+                plane_rebuilt, gf_matmul_batch(field, rebuild, slabs)
+            ), erased
             payloads = {p: coded[:, p, :] for p in available}
-            fast_rebuilt = fast.reconstruct(erased, payloads)
-            slow_rebuilt = slow.reconstruct(erased, payloads)
-            assert np.array_equal(fast_rebuilt, slow_rebuilt), erased
+            engine_rebuilt = engine.reconstruct(erased, payloads)
             for j, position in enumerate(erased):
                 assert np.array_equal(
-                    fast_rebuilt[:, j, :], coded[:, position, :]
+                    engine_rebuilt[:, j, :], coded[:, position, :]
+                ), (erased, position)
+                assert np.array_equal(
+                    plane_rebuilt[:, j, :], coded[:, position, :]
                 ), (erased, position)
             patterns += 1
     assert patterns > 0
@@ -227,7 +286,10 @@ def _sweep_linear_code(code, max_erasures):
 
 
 def _sweep_src(max_losses):
-    """SRC node-loss sweep: both halves decode through the plane."""
+    """SRC node-loss sweep: both halves decode through the precode's
+    engine, byte-identical to a gather-only precode and to the data.
+    (The halves' RS(10,4) decode runs on the gather route at 16 B; its
+    bit programs are the RS sweep's.)"""
     src_fast = SimpleRegeneratingCode(14, 10)
     src_slow = SimpleRegeneratingCode(14, 10)
     # The halves decode through the precode's engine; pin the reference

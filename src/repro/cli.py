@@ -499,7 +499,7 @@ def _cmd_codec(args: argparse.Namespace) -> int:
                 stats.cache_hits,
                 stats.cache_misses,
                 f"{stats.schedule_hits}/{stats.schedule_misses}",
-                stats.xor_plane_calls,
+                f"{stats.xor_plane_calls}/{stats.gather_calls}",
                 f"{schedule.xor_bytes_per_output_byte:.2f}",
                 "yes" if verified else "NO",
             )
@@ -513,7 +513,7 @@ def _cmd_codec(args: argparse.Namespace) -> int:
                 "cache hits",
                 "misses",
                 "sched h/m",
-                "XOR calls",
+                "plane/gather",
                 "XOR/byte",
                 "verified",
             ],

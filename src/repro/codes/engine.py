@@ -2,22 +2,14 @@
 
 The paper's evaluation is about *which blocks* a repair reads, but a
 simulator that verifies every rebuilt byte also cares how fast the field
-arithmetic runs.  The seed implementation paid two hidden taxes on that
-hot path:
-
-* every decode re-ran greedy survivor selection (one Gaussian
-  elimination per candidate column) and a fresh matrix inversion, even
-  though a cluster losing a node presents the *same* erasure pattern for
-  thousands of stripes; and
-* every stripe was encoded/decoded one matrix product at a time, paying
-  Python call overhead per stripe.
-
-This module removes both.  :class:`DecoderCache` memoises, per survival
-bitmask, the chosen survivor columns and the precomputed
-reconstruction matrix (a second one holds the compiled XOR schedules);
-:class:`CodecEngine` applies those matrices to whole batches of
-stripes through one dispatch — the compiled XOR plane where its cost
-model wins, else the gather kernel
+arithmetic runs: a cluster losing a node presents the *same* erasure
+pattern for thousands of stripes.  :class:`DecoderCache` memoises, per
+survival bitmask, the chosen survivor columns and the precomputed
+reconstruction matrix (a second one holds each pattern's row
+classification and, once the plane wins a call, its compiled XOR
+schedule); :class:`CodecEngine` applies those matrices to whole batches
+of stripes through one dispatch, priced per call by its slab size — the
+compiled XOR plane where it wins, else the gather kernel
 :func:`~repro.galois.linalg.gf_matmul_batch` — reading each survivor
 slab where it lies, never stacking the inputs; and
 :class:`RepairPlanner` is the single light-vs-heavy planning contract
@@ -36,7 +28,7 @@ import numpy as np
 
 from ..galois import gf_inv, gf_matmul, gf_matmul_batch
 from .base import DecodingError, RepairPlan, mask_of, positions_of
-from .xorplane import XorSchedule, compile_xor_schedule
+from .xorplane import RowClasses, XorSchedule, classify_rows
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .base import ErasureCode
@@ -59,9 +51,10 @@ class DecoderCache:
 
     Keys are survival bitmasks (plus a tag for what is being cached);
     values are whatever the builder produced — chosen survivor
-    columns with their reconstruction matrix, or a compiled XOR
-    schedule.  Bounded LRU so adversarial pattern streams cannot grow
-    memory without limit (the values are matrices and programs).
+    columns with their reconstruction matrix, or a row classification
+    with its compiled XOR schedule.  Bounded LRU so adversarial pattern
+    streams cannot grow memory without limit (the values are matrices
+    and programs).
     """
 
     __slots__ = ("maxsize", "hits", "misses", "evictions", "_entries")
@@ -126,6 +119,8 @@ class EngineStats:
     schedule_size: int = 0
     xor_plane_calls: int = 0
     xor_plane_stripes: int = 0
+    gather_calls: int = 0
+    gather_stripes: int = 0
 
     def __str__(self) -> str:
         return (
@@ -135,7 +130,8 @@ class EngineStats:
             f"cache: {self.cache_hits} hits, {self.cache_misses} misses, "
             f"{self.cache_evictions} evictions; "
             f"schedules: {self.schedule_hits} hits, {self.schedule_misses} misses, "
-            f"{self.xor_plane_calls} XOR-plane calls"
+            f"{self.xor_plane_calls} XOR-plane calls / {self.xor_plane_stripes} "
+            f"stripes, {self.gather_calls} gather calls / {self.gather_stripes} stripes"
         )
 
 
@@ -154,7 +150,7 @@ class CodecEngine:
       a batch, falling back to ``reconstruct``.
 
     Each product goes through :meth:`_run`, the one plane-or-gather
-    dispatch.
+    dispatch, which prices every call by its slab size.
 
     All arithmetic is the exact field algebra of the seed scalar codec,
     so the outputs are byte-identical to :mod:`repro.spec.codec`.
@@ -164,8 +160,8 @@ class CodecEngine:
         self.code = code
         self.field = code.field
         self.cache = DecoderCache(cache_size)
-        # Compiled XOR schedules, keyed like ``cache`` so a node failure
-        # that plans once also compiles once.
+        # Row classifications (and compiled XOR schedules), keyed like
+        # ``cache`` so a node failure that plans once also compiles once.
         self.schedules = DecoderCache(cache_size)
         self.encode_calls = 0
         self.stripes_encoded = 0
@@ -173,20 +169,19 @@ class CodecEngine:
         self.stripes_reconstructed = 0
         self.xor_plane_calls = 0
         self.xor_plane_stripes = 0
+        self.gather_calls = 0
+        self.gather_stripes = 0
 
     # -- the one dispatch ----------------------------------------------------
 
-    def _schedule(self, key, build_matrix: Callable[[], np.ndarray]) -> XorSchedule | None:
-        """The compiled schedule for ``key`` if the plane should run it.
+    def _rows(self, key, build_matrix: Callable[[], np.ndarray]) -> RowClasses:
+        """The pattern's row classification, built on first sight."""
+        return self.schedules.lookup(key, lambda: classify_rows(self.field, build_matrix()))
 
-        Compiles (and caches) on first sight of the pattern; returns
-        ``None`` when the schedule's cost model says the gather kernel
-        wins, in which case callers keep the GF path.
-        """
-        schedule = self.schedules.lookup(
-            key, lambda: compile_xor_schedule(self.field, build_matrix())
-        )
-        return schedule if schedule.use_plane else None
+    def _schedule(self, key, build_matrix, symbols: int) -> XorSchedule | None:
+        """The schedule if the plane wins a call over ``symbols`` symbols per
+        input slab, else ``None`` (:meth:`~repro.codes.xorplane.RowClasses.route`)."""
+        return self._rows(key, build_matrix).route(symbols)
 
     def _run(self, key, build_matrix: Callable[[], np.ndarray], slabs) -> np.ndarray:
         """``build_matrix() @ slabs`` for a whole batch, on the plane or gather route.
@@ -195,9 +190,12 @@ class CodecEngine:
         coefficient matrix and one survivor slab per matrix column, read
         where it lies (see :func:`~repro.galois.linalg.gf_slabs`).
         """
-        schedule = self._schedule(key, build_matrix)
+        schedule = self._schedule(key, build_matrix, len(slabs) and np.size(slabs[0]))
         if schedule is None:
-            return gf_matmul_batch(self.field, build_matrix(), slabs)
+            out = gf_matmul_batch(self.field, build_matrix(), slabs)
+            self.gather_calls += 1
+            self.gather_stripes += out.shape[0]
+            return out
         out = schedule.apply(slabs)
         self.xor_plane_calls += 1
         self.xor_plane_stripes += out.shape[0]
@@ -210,11 +208,8 @@ class CodecEngine:
         return out
 
     def encode_schedule(self) -> XorSchedule:
-        """The compiled encode program (for introspection; always compiled)."""
-        return self.schedules.lookup(
-            ("encode",),
-            lambda: compile_xor_schedule(self.field, self.code.generator.T),
-        )
+        """The compiled encode program (for introspection; compiled on first use)."""
+        return self._rows(("encode",), lambda: self.code.generator.T).compiled()
 
     # -- encoding -----------------------------------------------------------
 
@@ -345,7 +340,7 @@ class CodecEngine:
         so it takes the one dispatch too: an LRC local group (all
         coefficients 1) compiles to a single word row of the XOR plane, a
         Pyramid light plan's field coefficients stay on the gather kernel
-        when the cost model says slicing would cost more than it saves.
+        until the slabs are large enough to pay for slicing.
         """
         return self._rebuilt(self._run(
             ("plan", plan),
@@ -373,6 +368,8 @@ class CodecEngine:
             schedule_size=schedules["size"],
             xor_plane_calls=self.xor_plane_calls,
             xor_plane_stripes=self.xor_plane_stripes,
+            gather_calls=self.gather_calls,
+            gather_stripes=self.gather_stripes,
         )
 
     def __repr__(self) -> str:

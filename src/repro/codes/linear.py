@@ -74,22 +74,13 @@ class LinearCode(ErasureCode):
         return self._engine
 
     def encode_stripes(self, data3d: np.ndarray) -> np.ndarray:
-        """Batched encode through the engine: one kernel for all stripes.
-
-        When the compiled XOR plane prices below the gather kernel for
-        this generator (it does for every systematic code: the data rows
-        are copies and pure-XOR parities skip bit slicing entirely), the
-        engine dispatches there; outputs are byte-identical either way.
-        """
+        """Batched encode through the engine: one kernel for all stripes,
+        the XOR plane or the gather kernel as the slab size prices them."""
         return self.engine.encode_stripes(data3d)
 
     def encode_schedule(self):
-        """The compiled XOR program for this code's encode (introspection).
-
-        Returns the cached :class:`~repro.codes.xorplane.XorSchedule`
-        the engine would dispatch encodes to — the CLI reports its
-        XOR-ops-per-byte density, tests assert its determinism contract.
-        """
+        """The compiled XOR program for this code's encode (introspection,
+        compiled on first use): the CLI reports its XOR-ops-per-byte density."""
         return self.engine.encode_schedule()
 
     def decode_stripes(self, available: Mapping[int, np.ndarray]) -> np.ndarray:

@@ -1,47 +1,33 @@
 """Compiled XOR schedules: the GB/s execution plane for linear codes.
 
-Every batched codec operation is ultimately ``out = A @ in`` for some
-small GF(2^w) matrix ``A`` (generator transpose, decode matrix, rebuild
-matrix, repair-plan row) applied across a wide byte slab.  The gather
-kernel :func:`~repro.galois.linalg.gf_matmul_batch` pays one
-table-gather pass per non-unit coefficient, and on this hardware a
-fancy-index gather streams ~0.75 GB/s while a plain ``np.bitwise_xor``
-pass streams ~13 GB/s.  This module closes that gap by *compiling* ``A``
-into a flat XOR program once per cached erasure pattern and replaying it
-as wide XOR passes.
+Every batched codec operation is ``out = A @ in`` for a small GF(2^w)
+matrix ``A`` (generator transpose, decode matrix, rebuild matrix,
+repair-plan row) over a wide byte slab.  The gather kernel
+:func:`~repro.galois.linalg.gf_matmul_batch` pays one table gather per
+non-unit coefficient, about 20 plain ``np.bitwise_xor`` passes.  This
+module compiles ``A`` into a flat XOR program instead.
+:func:`classify_rows` sorts its output rows into
 
-A compiled :class:`XorSchedule` has three sub-programs, chosen per
-output row of ``A``:
-
-* **copies** — rows with a single unit coefficient (the systematic
-  prefix of a generator) become one memcpy;
-* **word program** — rows whose coefficients are all 1 (LRC local
-  parities, light-repair plans, the implied-parity equation) become
-  XORs of whole symbol slabs, no bit slicing at all — the pure-XOR
-  stream the paper's Section 2.1 ``c_i = 1`` construction is designed
-  to admit;
-* **bit program** — remaining rows expand through the GF(2) bitmatrix
+* **copies** — a single unit coefficient (a generator's systematic
+  prefix): one memcpy;
+* **word rows** — all coefficients 1 (LRC local parities, light-repair
+  plans, the implied parity): XORs of whole symbol slabs, the pure-XOR
+  stream the paper's Section 2.1 ``c_i = 1`` construction admits;
+* **bit rows** — the rest: expanded through the GF(2) bitmatrix
   homomorphism (:func:`~repro.galois.bitplane.gf_matrix_to_bitmatrix`)
-  into XORs of packed *bit planes* (1/8 slab each).  The referenced
-  input blocks are packed once per call by the lane-parallel transpose;
-  the program then runs :data:`CHUNK_SYMBOLS` symbols per block at a
-  time over one chunk-sized workspace, and each chunk's output planes
-  are unpacked in one call.  Plane byte g of block-length N holds the
-  symbols ``t * N/8 + g``, so a chunk of every plane is a self-contained
-  slice of the XOR program.
+  into XORs of packed *bit planes* (1/8 slab each), run
+  :data:`CHUNK_SYMBOLS` symbols per block at a time between one pack of
+  the inputs and one unpack per chunk of the outputs.
 
-Both XOR sub-programs share intermediate sums via greedy pairwise
-common-subexpression elimination (:func:`cse_rows`, the Plank-style
-schedule optimisation): the most frequent co-occurring source pair is
-repeatedly hoisted into a fresh node until no pair repeats.
-
-Compilation also prices the schedule against the gather kernel with the
-pass-unit model (:data:`GATHER_PASS_COST` etc.).  Bit-plane slicing is
-priced at 18 full-slab pass units per converted block, so dense
-multiplicative matrices (e.g. a Pyramid light repair's non-unit
-coefficients over few sources) can *lose* to the gather kernel — the
-engine consults :attr:`XorSchedule.use_plane` and keeps the GF path for
-those, while pure-XOR streams win by the full gather/XOR ratio.
+That pass is cheap and prices both routes of a call over ``symbols``
+symbols per input slab as ``fixed + per_symbol * symbols``: the gather
+kernel exactly, the plane by a lower bound plus the price of compiling.
+:func:`compile_xor_schedule` factors both XOR programs by greedy
+pairwise common-subexpression elimination (:func:`cse_rows`, Plank's
+schedule optimisation) and prices the plane exactly.  The codec engine
+compiles a pattern on the first call whose saving pays for the
+program, so the simulator's 64 B payloads never build one, and runs
+the plane where the exact price wins.
 
 Determinism contract: a schedule computes exactly ``A @ in`` over
 GF(2^w) — XOR is associative and exact, so outputs are byte-identical
@@ -65,31 +51,34 @@ from ..galois import (
 )
 
 __all__ = [
+    "RowClasses",
     "XorSchedule",
+    "classify_rows",
     "compile_xor_schedule",
     "cse_rows",
-    "GATHER_PASS_COST",
-    "SLICE_BLOCK_COST",
-    "WORD_OP_COST",
-    "COPY_COST",
-    "BIT_OP_COST",
 ]
 
-# Cost model, in units of one full-slab np.bitwise_xor pass (~13 GB/s
-# measured).  A table gather runs ~0.75 GB/s (~18 units); one bit-plane
-# XOR touches 1/8 slab twice.  SLICE_BLOCK_COST = 18 prices the old
-# pack (a word-wise 8 x 8 transpose plus a byte de-interleave); the
-# lane-parallel pack measures ~5 units (1.3 ms per 2 MB block against a
-# 0.28 ms XOR pass on the 2-core reference box).  The constant is
-# kept so that no matrix changes route: at ~5, RS(10,4) single-block
-# heavy repair would move to the plane, which wins 3x on 2 MB blocks but
-# loses 8x on 64 B simulator payloads (per-call overhead), and a model
-# that does not know the slab size cannot price both with one constant.
-GATHER_PASS_COST = 18.0
-SLICE_BLOCK_COST = 18.0
+# The cost model: a route's price is ``fixed + per_symbol * symbols`` in
+# np.bitwise_xor passes over one symbol (~15 GB/s), fitted to both routes'
+# times over 25 matrices at 64 B to 2 MB per slab (2-core reference box).
+# Per symbol: a table gather beside its XOR, widening a slab to intp,
+# packing an input or unpacking an output block, and a bit-plane XOR
+# (1/8 slab, but a large program's workspace spills out of cache).
+GATHER_PASS_COST = 19.0
+INDEX_COST = 3.2
+SLICE_BLOCK_COST = 7.4
 WORD_OP_COST = 1.0
 COPY_COST = 1.0
-BIT_OP_COST = 1.0 / 4.0
+BIT_OP_COST = 0.4
+# Fixed terms count numpy calls of ~0.7 us, an XOR pass over CALL_SYMBOLS.
+# A pack plus an unpack costs ~100 us however small the block; compiling
+# ~0.14 ms plus ~0.13 ms per bit row and sliced input (RS(10,4) encode 5.5 ms).
+CALL_SYMBOLS = 11_000.0
+GATHER_CALLS = 5.0
+PLANE_CALLS = 5.0
+SLICE_CALLS = 140.0
+COMPILE_CALLS = 200.0
+COMPILE_BIT_CALLS = 180.0
 
 #: Symbols per block that one pass of the bit program covers: the
 #: workspace holds one chunk of every non-leaf node.  Measured on RS(10,4)
@@ -216,43 +205,74 @@ def _chain_ops(
     return ops, row_node, next_node
 
 
-@dataclass
-class XorSchedule:
-    """One compiled XOR program for ``out = matrix @ in`` over a batch.
+def _plane_price(
+    m: int, copies: int, word_passes: int, sliced: int, bit_rows: int, bit_ops: int
+) -> tuple[float, float]:
+    """``(fixed, per_symbol)`` of one plane call (see the cost model)."""
+    calls = PLANE_CALLS + copies + word_passes
+    passes = COPY_COST * copies + WORD_OP_COST * word_passes
+    if bit_rows:
+        # A bit op per call, a staging copy per output plane, one write-back.
+        calls += SLICE_CALLS + bit_ops + (m + 1) * bit_rows
+        passes += SLICE_BLOCK_COST * (sliced + bit_rows) + BIT_OP_COST * bit_ops
+    return calls * CALL_SYMBOLS, passes
 
-    Built by :func:`compile_xor_schedule`; :meth:`apply` takes the
-    ``in_blocks`` input slabs and returns ``(stripes, out_blocks,
-    width)``, byte-identical to ``gf_matmul_batch`` on the same slabs.
-    """
+
+@dataclass
+class RowClasses:
+    """``out = matrix @ in`` classified by :func:`classify_rows`, both
+    routes priced ``(fixed, per_symbol)``; the codec engine caches one per
+    erasure pattern.  Until :meth:`compiled` builds the
+    :class:`XorSchedule`, ``plane`` is a lower bound plus the price of
+    compiling (the first call to take the plane pays for the program),
+    then the schedule's exact price."""
 
     field: GF
-    in_blocks: int
-    out_blocks: int
-    # word sub-program (whole-symbol slabs)
+    matrix: np.ndarray
     copies: list[tuple[int, int]]  # (out_row, in_block)
     zero_rows: list[int]
+    word_sources: list[tuple[int, list[int]]]  # (out_row, in_blocks)
+    sliced_outputs: tuple[int, ...]  # the bit rows
+    sliced_inputs: tuple[int, ...]
+    supported: bool  # bit planes assume byte-sized symbols (m <= 8)
+    gather: tuple[float, float]
+    plane: tuple[float, float]
+    schedule = None  # the compiled XorSchedule (not a dataclass field)
+
+    def compiled(self) -> XorSchedule:
+        """The compiled schedule, built on first use."""
+        if self.schedule is None:
+            self.schedule = compile_xor_schedule(self.field, self.matrix)
+            self.plane = self.schedule.plane
+        return self.schedule
+
+    def plane_wins(self, symbols: int) -> bool:
+        """Whether the plane prices below the gather kernel at this size."""
+        (plane_fixed, plane_rate), (gather_fixed, gather_rate) = self.plane, self.gather
+        return plane_fixed + plane_rate * symbols < gather_fixed + gather_rate * symbols
+
+    def route(self, symbols: int) -> XorSchedule | None:
+        """The schedule to run a call over ``symbols`` symbols per input
+        slab on, or None for the gather kernel.  Compiles on the first
+        call the plane wins, then decides on the exact price."""
+        if not self.plane_wins(symbols):
+            return None
+        schedule = self.compiled()
+        return schedule if self.plane_wins(symbols) else None
+
+
+@dataclass
+class XorSchedule(RowClasses):
+    """One compiled XOR program for ``out = matrix @ in`` over a batch,
+    built by :func:`compile_xor_schedule` with ``plane`` its exact price.
+    :meth:`apply` is byte-identical to ``gf_matmul_batch`` on the same
+    slabs."""
+
     word_defs: list[tuple[int, int]]  # node in_blocks+i := a ^ b
     word_rows: list[tuple[int, tuple[int, ...]]]  # (out_row, node ids)
-    # bit sub-program (packed bit planes of the referenced blocks)
-    sliced_inputs: tuple[int, ...]
-    sliced_outputs: tuple[int, ...]
     bit_ops: list[tuple[int, int, int]]
     bit_row_node: list[int]  # per sliced output x bit: node id or -1
     bit_nodes: int
-    # pricing & feature support
-    supported: bool  # bit program requires byte-sized symbols (m <= 8)
-    xor_cost: float
-    gf_cost: float
-
-    @property
-    def use_plane(self) -> bool:
-        """Whether the engine should dispatch here instead of the GF path."""
-        return self.supported and self.xor_cost < self.gf_cost
-
-    @property
-    def pure_xor(self) -> bool:
-        """True when no bit slicing is needed: copies + word XORs only."""
-        return not self.sliced_outputs
 
     @property
     def word_xor_passes(self) -> int:
@@ -261,23 +281,20 @@ class XorSchedule:
         )
 
     @property
-    def bit_xor_ops(self) -> int:
-        return len(self.bit_ops)
-
-    @property
     def xor_bytes_per_output_byte(self) -> float:
         """Bytes XOR-written per byte of output (copies and packing excluded).
 
         The density metric the CLI reports: word passes write a full
         block slab each, bit ops write one plane (1/8 slab).
         """
-        if self.out_blocks == 0:
+        out_blocks = self.matrix.shape[0]
+        if out_blocks == 0:
             return 0.0
         bit_m = self.field.m if self.sliced_outputs else 8
-        return (self.word_xor_passes + self.bit_xor_ops / bit_m) / self.out_blocks
+        return (self.word_xor_passes + len(self.bit_ops) / bit_m) / out_blocks
 
     def apply(self, slabs) -> np.ndarray:
-        """Run the program: ``in_blocks`` slabs -> ``(stripes, out, width)``.
+        """Run the program: one slab per input -> ``(stripes, out, width)``.
 
         ``slabs`` holds one ``(stripes, width)`` slab per input block, read
         where it lies (:func:`~repro.galois.linalg.gf_slabs`: a ``(width,)``
@@ -285,16 +302,15 @@ class XorSchedule:
         its ``transpose(1, 0, 2)`` view).
         """
         slabs, stripes, width = gf_slabs(self.field, slabs)
-        if len(slabs) != self.in_blocks:
-            raise ValueError(f"expected {self.in_blocks} slabs, got {len(slabs)}")
-        if not self.supported:
-            raise ValueError("schedule unsupported for this field; use the GF path")
-        out = np.empty((stripes, self.out_blocks, width), dtype=self.field.dtype)
+        out_blocks, in_blocks = self.matrix.shape
+        if len(slabs) != in_blocks:
+            raise ValueError(f"expected {in_blocks} slabs, got {len(slabs)}")
+        out = np.empty((stripes, out_blocks, width), dtype=self.field.dtype)
         for row in self.zero_rows:
             out[:, row] = 0
         for row, src in self.copies:
             out[:, row] = slabs[src]
-        nodes = list(slabs)  # word nodes in_blocks + i follow the inputs
+        nodes = list(slabs)  # word node in_blocks + i follows the inputs
         for a, b in self.word_defs:
             nodes.append(np.bitwise_xor(nodes[a], nodes[b]))
         for row, nds in self.word_rows:
@@ -354,88 +370,81 @@ class XorSchedule:
             out[:, row] = unpacked[oi].reshape(-1)[:slab_len].reshape(stripes, width)
 
 
-def compile_xor_schedule(field: GF, matrix) -> XorSchedule:
-    """Compile ``out = matrix @ in`` into an :class:`XorSchedule`.
+def classify_rows(field: GF, matrix) -> RowClasses:
+    """Classify the rows of ``out = matrix @ in`` and price both routes.
 
     ``matrix`` is an ``(out_blocks, in_blocks)`` GF(2^m) coefficient
-    matrix.  Rows are classified into copy / word / bit sub-programs,
-    both XOR programs are CSE-factored, and the result is priced against
-    the gather kernel (see module docstring).  A multiplicative row over
-    a field wider than a byte makes a ``supported=False`` schedule with
-    no bit program.
+    matrix.  One pass over its rows, no bit-matrix expansion and no CSE.
+    The plane's lower bound counts one pass per word row and the fewest
+    bit ops that read every needed input plane; a multiplicative row over
+    a field wider than a byte prices the plane at infinity.
     """
     mat = np.asarray(matrix)
     if mat.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {mat.shape}")
-    out_blocks, in_blocks = mat.shape
-    m = field.m
-
-    copies: list[tuple[int, int]] = []
-    zero_rows: list[int] = []
-    word_sources: list[tuple[int, list[int]]] = []
-    bit_rows: list[int] = []
-    gf_cost = 0.0
-    # Compile-time classification over the coefficient matrix's rows
-    # (<= n); the compiled schedule is cached, never per-payload work.
-    for row in range(out_blocks):
-        sources = np.nonzero(mat[row])[0]
-        coeffs = mat[row, sources]
-        gf_cost += sum(WORD_OP_COST if int(c) == 1 else GATHER_PASS_COST for c in coeffs)
-        if len(sources) == 0:
+    copies, zero_rows, word_sources, bit_rows = [], [], [], []  # see RowClasses
+    for row, coeffs in enumerate(mat.tolist()):
+        sources = [col for col, coeff in enumerate(coeffs) if coeff]
+        if not sources:
             zero_rows.append(row)
-        elif len(sources) == 1 and int(coeffs[0]) == 1:
-            copies.append((row, int(sources[0])))
-        elif all(int(c) == 1 for c in coeffs):
-            word_sources.append((row, [int(s) for s in sources]))
-        else:
+        elif any(coeffs[col] != 1 for col in sources):
             bit_rows.append(row)
-
-    # Bit planes assume byte-sized symbols: a multiplicative row over a
-    # wider field keeps the engine on the GF path, so no bit program is
-    # compiled that it would never run (a wide RS generator's bit-matrix
-    # CSE alone takes seconds).
-    supported = not (bit_rows and m > 8)
-    word_defs, word_row_nodes = cse_rows([srcs for _, srcs in word_sources], in_blocks)
-    word_rows = [
-        (row, nodes) for (row, _), nodes in zip(word_sources, word_row_nodes)
-    ]
-
-    sliced_inputs: tuple[int, ...] = ()
-    bit_ops: list[tuple[int, int, int]] = []
-    bit_row_node: list[int] = []
-    bit_nodes = 0
-    if bit_rows and supported:
-        sliced_inputs = tuple(
-            int(c) for c in np.nonzero(mat[bit_rows].any(axis=0))[0]
-        )
-        bits = gf_matrix_to_bitmatrix(field, mat[np.ix_(bit_rows, list(sliced_inputs))])
-        leaf_count = len(sliced_inputs) * m
-        rows = [[int(c) for c in np.nonzero(bits[r])[0]] for r in range(bits.shape[0])]
-        defs, row_nodes = cse_rows(rows, leaf_count)
-        bit_ops, bit_row_node, bit_nodes = _chain_ops(defs, row_nodes, leaf_count)
-
-    schedule = XorSchedule(
-        field=field,
-        in_blocks=in_blocks,
-        out_blocks=out_blocks,
-        copies=copies,
-        zero_rows=zero_rows,
-        word_defs=word_defs,
-        word_rows=word_rows,
-        sliced_inputs=sliced_inputs,
-        sliced_outputs=tuple(bit_rows),
-        bit_ops=bit_ops,
-        bit_row_node=bit_row_node,
-        bit_nodes=bit_nodes,
-        supported=supported,
-        xor_cost=float("inf"),
-        gf_cost=gf_cost,
+        elif len(sources) == 1:
+            copies.append((row, sources[0]))
+        else:
+            word_sources.append((row, sources))
+    bit_coeffs = mat[bit_rows]
+    sliced = tuple(int(c) for c in np.nonzero(bit_coeffs.any(axis=0))[0])
+    # Each bit plane of an input to a row of two or more sources is an
+    # operand of some bit op: at least one op per two such planes.
+    multi = bit_coeffs[np.count_nonzero(bit_coeffs, axis=1) > 1].any(axis=0)
+    scaled = mat > 1
+    nonzero, gathers = np.count_nonzero(mat), scaled.sum()
+    indexed = scaled.any(axis=0).sum()  # slabs widened to intp, once each
+    gather = (
+        (GATHER_CALLS + nonzero + gathers + indexed) * CALL_SYMBOLS,
+        WORD_OP_COST * nonzero + GATHER_PASS_COST * gathers + INDEX_COST * indexed,
     )
-    if supported:
-        schedule.xor_cost = (
-            len(copies) * COPY_COST
-            + schedule.word_xor_passes * WORD_OP_COST
-            + (len(sliced_inputs) + len(bit_rows)) * SLICE_BLOCK_COST
-            + len(bit_ops) * BIT_OP_COST
-        )
+    fixed, per_symbol = _plane_price(
+        field.m, len(copies), len(word_sources), len(sliced), len(bit_rows),
+        -(-field.m * int(multi.sum()) // 2),
+    )
+    compile_calls = COMPILE_CALLS + COMPILE_BIT_CALLS * len(bit_rows) * len(sliced)
+    plane = (fixed + compile_calls * CALL_SYMBOLS, per_symbol)
+    supported = not (bit_rows and field.m > 8)
+    return RowClasses(
+        field, mat, copies, zero_rows, word_sources, tuple(bit_rows), sliced,
+        supported, gather, plane if supported else (np.inf, np.inf),
+    )
+
+
+def compile_xor_schedule(field: GF, matrix) -> XorSchedule:
+    """Compile ``out = matrix @ in`` into an :class:`XorSchedule`.
+
+    The rows are classified by :func:`classify_rows` and both XOR
+    programs are CSE-factored.  A multiplicative row over a field wider
+    than a byte raises ValueError: bit planes assume byte-sized symbols.
+    """
+    rows = classify_rows(field, matrix)
+    if not rows.supported:
+        raise ValueError(f"no bit program over GF(2^{field.m}); use the gather kernel")
+    in_blocks = rows.matrix.shape[1]
+    word_defs, word_nodes = cse_rows([srcs for _, srcs in rows.word_sources], in_blocks)
+    word_rows = [(row, nodes) for (row, _), nodes in zip(rows.word_sources, word_nodes)]
+    bit_ops, bit_row_node, bit_nodes = [], [], 0  # see XorSchedule
+    if rows.sliced_outputs:
+        sub = rows.matrix[np.ix_(rows.sliced_outputs, rows.sliced_inputs)]
+        bits = gf_matrix_to_bitmatrix(field, sub)
+        leaf_count = len(rows.sliced_inputs) * field.m
+        bit_sources = [[int(c) for c in np.nonzero(bit_row)[0]] for bit_row in bits]
+        defs, row_nodes = cse_rows(bit_sources, leaf_count)
+        bit_ops, bit_row_node, bit_nodes = _chain_ops(defs, row_nodes, leaf_count)
+    schedule = XorSchedule(
+        **vars(rows), word_defs=word_defs, word_rows=word_rows, bit_ops=bit_ops,
+        bit_row_node=bit_row_node, bit_nodes=bit_nodes,
+    )
+    schedule.plane = _plane_price(
+        field.m, len(schedule.copies), schedule.word_xor_passes,
+        len(schedule.sliced_inputs), len(schedule.sliced_outputs), len(bit_ops),
+    )
     return schedule

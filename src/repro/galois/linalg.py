@@ -119,32 +119,34 @@ def gf_matmul_batch(field: GF, a, slabs) -> np.ndarray:
     rows, k = a.shape
     if len(slabs) != k:
         raise ValueError(f"shape mismatch: {a.shape} x {len(slabs)} slabs")
-    out = np.zeros((rows, stripes, width), dtype=field.dtype)
+    out = np.zeros((stripes, rows, width), dtype=field.dtype)
+    targets = [out[:, i] for i in range(rows)]
     table = field.mul_table
     # (k, rows) are code dimensions; every operation below acts on a
     # whole (stripes, width) slab at once.
-    for plane, column in zip(slabs, a.T):
+    for plane, column in zip(slabs, a.T.tolist()):
         index = None  # computed lazily, shared by every row needing it
         log_plane = None
         zero_mask = None
-        for i in range(rows):
-            coeff = int(column[i])
+        for target, coeff in zip(targets, column):
             if coeff == 0:
                 continue
             if coeff == 1:  # identity columns and XOR parities: plain xor
-                out[i] ^= plane
+                target ^= plane
             elif table is not None:
+                # Widened once per slab: indexing with the uint8 slab itself
+                # makes numpy widen it again for every row (2x slower).
                 if index is None:
                     index = plane.astype(np.intp)
-                out[i] ^= table[coeff][index]
+                target ^= table[coeff][index]
             else:  # m > 8: no full product table, use the split tables
                 if log_plane is None:
                     log_plane = field._log[plane]
                     zero_mask = plane == 0
                 scaled = field._exp[log_plane + field._log[coeff]]
                 scaled[zero_mask] = 0
-                out[i] ^= scaled
-    return np.ascontiguousarray(out.transpose(1, 0, 2))
+                target ^= scaled
+    return out
 
 
 def gf_mat_vec(field: GF, a, v) -> np.ndarray:

@@ -71,7 +71,7 @@ class GatherCodecEngine(CodecEngine):
     """A ``CodecEngine`` that never dispatches to the compiled XOR plane:
     the GF gather kernels the plane must match byte for byte."""
 
-    def _schedule(self, key, build_matrix):
+    def _schedule(self, key, build_matrix, symbols):
         return None
 
 

@@ -113,18 +113,34 @@ def test_first_payload_read_encodes_every_stripe_in_one_call(make_code):
 
 def test_batched_encode_dispatches_to_xor_plane():
     """The payload store's batch encode runs through the compiled XOR
-    plane transparently — no cluster-layer code opts in — and the plane's
+    plane transparently once its slabs pay for the compile (three 64 KB
+    payloads here) — no cluster-layer code opts in — and the plane's
     output is still a valid codeword."""
     code = xorbas_lrc()
-    cluster = HadoopCluster(code, small_config(), seed=5)
+    cluster = HadoopCluster(code, small_config(payload_bytes=1 << 16), seed=5)
     for i in range(3):
         cluster.create_file(f"f{i}", 640e6)
     cluster.raid_all_instant()
     assert code.engine.xor_plane_calls == 0
     stripe = cluster.all_stripes()[0]
     assert_codeword(stripe)
-    assert code.engine.xor_plane_calls > 0
-    assert code.engine.stats().schedule_misses >= 1
+    assert code.engine.xor_plane_calls == 1
+    assert code.engine.stats().schedule_misses == 1
+
+
+def test_small_payload_encode_takes_gather_route():
+    """At the simulator's payload sizes the same batch encode runs on the
+    gather kernel and compiles nothing: the pattern is classified, its
+    schedule never built."""
+    code = xorbas_lrc()
+    cluster = HadoopCluster(code, small_config(), seed=5)
+    for i in range(3):
+        cluster.create_file(f"f{i}", 640e6)
+    cluster.raid_all_instant()
+    assert_codeword(cluster.all_stripes()[0])
+    stats = code.engine.stats()
+    assert (stats.xor_plane_calls, stats.gather_calls) == (0, 1)
+    assert code.engine.schedules.lookup(("encode",), None).schedule is None
 
 
 def test_store_growth_keeps_earlier_payloads():

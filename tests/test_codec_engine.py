@@ -510,32 +510,41 @@ class TestSurvivorSlabLayouts:
 
 class TestEngineStatsScript:
     """A fixed call script pins the engine's counters: how many patterns
-    compiled, how many calls the XOR plane ran and how the decoder cache
-    answered."""
+    were classified, how many calls each route ran and how the decoder
+    cache answered.  At 32 B slabs every call takes the gather kernel; at
+    4 x 64 KB every multiplicative call takes the plane, and an LRC light
+    repair (four XOR passes against the gather's five) does not save
+    enough to pay for its compile."""
+
+    DISPATCHES = 18  # 2 encodes + 8 repairs + 4 reconstructs + 4 decodes
 
     @pytest.mark.parametrize(
-        "make_code, expected",
+        "make_code, width, expected",
         [
-            (rs_10_4, dict(schedule_misses=9, schedule_hits=9, xor_plane_calls=8,
-                  xor_plane_stripes=32, cache_hits=10, cache_misses=12,
-                  reconstruct_calls=16, stripes_reconstructed=64,
-                  encode_calls=2, stripes_encoded=8)),
-            (xorbas_lrc, dict(schedule_misses=9, schedule_hits=9, xor_plane_calls=16,
-                  xor_plane_stripes=64, cache_hits=6, cache_misses=4,
-                  reconstruct_calls=16, stripes_reconstructed=64,
-                  encode_calls=2, stripes_encoded=8)),
-            (pyramid_10_4, dict(schedule_misses=9, schedule_hits=9, xor_plane_calls=8,
-                  xor_plane_stripes=32, cache_hits=7, cache_misses=6,
-                  reconstruct_calls=16, stripes_reconstructed=64,
-                  encode_calls=2, stripes_encoded=8)),
+            (rs_10_4, 32, dict(schedule_misses=9, schedule_hits=9, xor_plane_calls=0,
+                  xor_plane_stripes=0, cache_hits=10, cache_misses=12)),
+            (rs_10_4, 1 << 16, dict(schedule_misses=9, schedule_hits=9,
+                  xor_plane_calls=18, xor_plane_stripes=72, cache_hits=10,
+                  cache_misses=12)),
+            (xorbas_lrc, 32, dict(schedule_misses=9, schedule_hits=9, xor_plane_calls=0,
+                  xor_plane_stripes=0, cache_hits=6, cache_misses=4)),
+            (xorbas_lrc, 1 << 16, dict(schedule_misses=9, schedule_hits=9,
+                  xor_plane_calls=10, xor_plane_stripes=40, cache_hits=6,
+                  cache_misses=4)),
+            (pyramid_10_4, 32, dict(schedule_misses=9, schedule_hits=9,
+                  xor_plane_calls=0, xor_plane_stripes=0, cache_hits=7,
+                  cache_misses=6)),
+            (pyramid_10_4, 1 << 16, dict(schedule_misses=9, schedule_hits=9,
+                  xor_plane_calls=18, xor_plane_stripes=72, cache_hits=7,
+                  cache_misses=6)),
         ],
-        ids=["rs", "lrc", "pyramid"],
+        ids=["rs-32B", "rs-64KB", "lrc-32B", "lrc-64KB", "pyramid-32B", "pyramid-64KB"],
     )
-    def test_counts_after_fixed_script(self, make_code, expected):
+    def test_counts_after_fixed_script(self, make_code, width, expected):
         code = make_code()
         engine = CodecEngine(code)
         rng = np.random.default_rng(67)
-        data3d = code.field.random_elements(rng, (4, code.k, 32))
+        data3d = code.field.random_elements(rng, (4, code.k, width))
         coded = engine.encode_stripes(data3d)
         engine.encode_stripes(data3d)
         for _ in range(2):
@@ -554,9 +563,10 @@ class TestEngineStatsScript:
             "xor_plane_stripes": stats.xor_plane_stripes,
             "cache_hits": stats.cache_hits,
             "cache_misses": stats.cache_misses,
-            "reconstruct_calls": stats.reconstruct_calls,
-            "stripes_reconstructed": stats.stripes_reconstructed,
-            "encode_calls": stats.encode_calls,
-            "stripes_encoded": stats.stripes_encoded,
         }
         assert counts == expected
+        assert (stats.encode_calls, stats.stripes_encoded) == (2, 8)
+        assert (stats.reconstruct_calls, stats.stripes_reconstructed) == (16, 64)
+        # Every dispatch took exactly one route.
+        assert stats.xor_plane_calls + stats.gather_calls == self.DISPATCHES
+        assert stats.xor_plane_stripes + stats.gather_stripes == 4 * self.DISPATCHES

@@ -7,9 +7,9 @@ CSE factored the program.  These tests hold that contract against
 randomized matrices (w=4 and w=8), against the naive bit-matrix
 multiply of the Cauchy-RS spec, and over every decodable erasure
 pattern of the GF16 small codes, and across the bit program's chunk
-boundaries; plus the lane-parallel bit-plane layout, the
-schedule cache's LRU bookkeeping and the planner's pure-XOR
-stream marking.
+boundaries; plus the lane-parallel bit-plane layout, the cost model
+that routes each call by its slab size, the schedule cache's LRU
+bookkeeping and the planner's pure-XOR stream marking.
 """
 
 from itertools import combinations
@@ -26,14 +26,18 @@ from repro.codes import (
     compile_xor_schedule,
     cse_rows,
     make_lrc,
+    rs_10_4,
     xorbas_lrc,
 )
+from repro.codes import xorplane
 from repro.codes.base import mask_of
 from repro.codes.xorplane import (
     CHUNK_SYMBOLS,
     GATHER_PASS_COST,
+    INDEX_COST,
     WORD_OP_COST,
     XorSchedule,
+    classify_rows,
 )
 from repro.galois.bitplane import _lane_transpose
 from repro.spec import GatherCodecEngine, xor_encode
@@ -219,7 +223,7 @@ class TestScheduleMatchesGatherKernel:
         assert schedule.copies == [(1, 1)]
         assert [row for row, _ in schedule.word_rows] == [2]
         assert schedule.sliced_outputs == (3,)
-        assert not schedule.pure_xor
+        assert schedule.sliced_outputs
         slabs = batch.transpose(1, 0, 2)
         assert np.array_equal(
             schedule.apply(slabs), gf_matmul_batch(field, matrix, slabs)
@@ -240,13 +244,16 @@ class TestScheduleMatchesGatherKernel:
         from repro.galois import GF
         field = GF(16)  # 16-bit symbols: bit planes assume m <= 8
         multiplicative = np.array([[2, 3]], dtype=field.dtype)
-        unsupported = compile_xor_schedule(field, multiplicative)
-        assert not unsupported.supported and not unsupported.use_plane
-        # Nothing is compiled for a schedule the engine never runs.
-        assert unsupported.bit_ops == [] and unsupported.bit_nodes == 0
+        # The plane is priced out, so the engine never compiles it ...
+        rows = classify_rows(field, multiplicative)
+        assert not rows.supported and rows.plane == (np.inf, np.inf)
+        assert rows.route(1 << 30) is None and rows.schedule is None
+        # ... and compiling it directly is refused.
+        with pytest.raises(ValueError, match="no bit program"):
+            compile_xor_schedule(field, multiplicative)
         xor_only = np.array([[1, 1]], dtype=field.dtype)
         schedule = compile_xor_schedule(field, xor_only)
-        assert schedule.supported and schedule.pure_xor
+        assert schedule.supported and not schedule.sliced_outputs
 
 
 class TestSlabInputs:
@@ -295,31 +302,49 @@ class TestSlabInputs:
 
 
 class TestCostModel:
+    """Both routes are priced ``fixed + per_symbol * symbols``; a pattern
+    compiles on the first call whose size lets the plane pay for its
+    program, and keeps the gather kernel below that."""
+
+    SMALL = 64  # one simulator payload
+    LARGE = 1 << 21  # one 2 MB block
+
     def test_pure_xor_plan_prices_below_gather(self):
         code = xorbas_lrc()
         plan = next(
             p for p in code.repair_plans(0) if p.is_xor_only()
         )
         matrix = np.asarray([plan.coefficients], dtype=code.field.dtype)
+        rows = classify_rows(code.field, matrix)
+        assert rows.gather[1] == len(plan.sources) * WORD_OP_COST
+        # Compiled, the pure-XOR stream is cheaper at every size ...
         schedule = compile_xor_schedule(code.field, matrix)
-        assert schedule.pure_xor and schedule.use_plane
-        assert schedule.xor_cost < schedule.gf_cost
-        assert schedule.gf_cost == len(plan.sources) * WORD_OP_COST
+        assert not schedule.sliced_outputs  # pure XOR: no bit slicing
+        assert all(p < g for p, g in zip(schedule.plane, rows.gather))
+        # ... but a 64 B call saves too little to pay for compiling it.
+        assert rows.route(self.SMALL) is None and rows.schedule is None
+        assert rows.route(self.LARGE) is rows.schedule is not None
 
-    def test_dense_multiplicative_single_row_keeps_gf_path(self):
-        """A lone multiplicative row pays slicing > gather: plane declines."""
+    @pytest.mark.parametrize("symbols, plane", [(SMALL, False), (LARGE, True)])
+    def test_dense_multiplicative_single_row_keeps_gf_path(self, symbols, plane):
+        """A lone multiplicative row keeps the gather path on small slabs
+        (slicing's fixed cost and the compile outweigh two gathers) and
+        takes the plane once the slab pays for both."""
         field = GF256
-        matrix = np.array([[3, 7]], dtype=field.dtype)
-        schedule = compile_xor_schedule(field, matrix)
-        assert schedule.supported and not schedule.use_plane
-        assert schedule.gf_cost == 2 * GATHER_PASS_COST
+        rows = classify_rows(field, np.array([[3, 7]], dtype=field.dtype))
+        assert rows.gather[1] == 2 * (WORD_OP_COST + GATHER_PASS_COST + INDEX_COST)
+        assert (rows.route(symbols) is not None) == plane
+        assert (rows.schedule is not None) == plane  # gather compiles nothing
 
-    def test_systematic_encode_uses_plane(self):
+    def test_systematic_encode_uses_plane_on_large_slabs(self):
         for code in (ReedSolomonCode(4, 2, field=GF16), xorbas_lrc()):
-            schedule = code.encode_schedule()
-            assert schedule.use_plane, code.name
+            rows = classify_rows(code.field, code.generator.T)
+            assert rows.route(self.SMALL) is None, code.name
+            schedule = rows.route(self.LARGE)
+            assert schedule is not None, code.name
             assert len(schedule.copies) == code.k
             assert schedule.xor_bytes_per_output_byte > 0
+            assert code.encode_schedule().copies == schedule.copies
 
 
 class TestScheduleCache:
@@ -339,7 +364,7 @@ class TestScheduleCache:
             }
             first_pass[erased] = engine.reconstruct(erased, available)
         assert engine.schedules.evictions > 0  # the LRU actually cycled
-        for erased in patterns:  # re-entry recompiles to identical bytes
+        for erased in patterns:  # re-entry reclassifies to identical bytes
             available = {
                 p: coded[:, p, :] for p in range(code.n) if p not in erased
             }
@@ -359,8 +384,10 @@ class TestScheduleCache:
         assert engine.schedules.misses == misses
         stats = engine.stats()
         assert stats.schedule_hits == engine.schedules.hits
-        assert stats.xor_plane_calls >= 2
-        assert "XOR-plane" in str(stats)
+        # 16 B slabs: both encodes took the gather kernel.
+        assert (stats.xor_plane_calls, stats.gather_calls) == (0, 2)
+        assert "0 XOR-plane calls" in str(stats)
+        assert "2 gather calls / 4 stripes" in str(stats)
 
     def test_disabling_the_plane_bypasses_cache_and_matches(self):
         code = xorbas_lrc()
@@ -377,16 +404,31 @@ class TestScheduleCache:
 class TestEngineDispatchByteIdentical:
     @pytest.mark.parametrize("code", small_codes(), ids=lambda c: c.name)
     def test_every_decodable_pattern_plane_vs_gf(self, code):
-        """Acceptance sweep at GF16 scale: plane == GF path everywhere."""
+        """Acceptance sweep at GF16 scale: every pattern's decode and
+        rebuild matrix runs through its compiled bit program, byte-identical
+        to the gather kernel, and the engine matches the gather-only one."""
+        field = code.field
         rng = np.random.default_rng(43)
-        data3d = code.field.random_elements(rng, (3, code.k, WIDTH))
+        data3d = field.random_elements(rng, (3, code.k, WIDTH))
         fast = CodecEngine(code)
         slow = GatherCodecEngine(code)
+
+        def plane_matches_gather(matrix, slabs):
+            schedule = compile_xor_schedule(field, matrix)
+            assert np.array_equal(
+                schedule.apply(slabs), gf_matmul_batch(field, matrix, slabs)
+            )
+
+        plane_matches_gather(code.generator.T, data3d.transpose(1, 0, 2))
         coded = fast.encode_stripes(data3d)
         assert np.array_equal(coded, slow.encode_stripes(data3d))
         patterns = 0
         for erased, available in decodable_patterns(code):
             payloads = {p: coded[:, p, :] for p in available}
+            chosen, decode = fast.decode_matrix(mask_of(available))
+            plane_matches_gather(decode, [payloads[p] for p in chosen])
+            chosen, rebuild = fast.reconstruction_matrix(erased, mask_of(available))
+            plane_matches_gather(rebuild, [payloads[p] for p in chosen])
             assert np.array_equal(
                 fast.decode_stripes(payloads), slow.decode_stripes(payloads)
             ), erased
@@ -419,6 +461,51 @@ class TestEngineDispatchByteIdentical:
         rebuilt = code.repair_stripes(2, available)
         assert rebuilt.shape == (1, 48)  # 1-D promotes to one stripe
         assert np.array_equal(rebuilt[0], coded[2])
+
+
+class TestPricedRouting:
+    """Each call takes the route the cost model prices.  At the
+    simulator's 64 B payloads, one stripe or a 500-stripe batch, every
+    encode, repair and rebuild runs on the gather kernel and no pattern
+    compiles; on 256 x 8 KB slabs every one runs on the plane.  Either
+    way the bytes are the gather-only engine's."""
+
+    @pytest.mark.parametrize(
+        "stripes, width, plane",
+        [(1, 64, False), (500, 64, False), (256, 8192, True)],
+        ids=["1x64B", "500x64B", "256x8KB"],
+    )
+    @pytest.mark.parametrize("make_code", [rs_10_4, xorbas_lrc], ids=["rs", "lrc"])
+    def test_calls_take_the_priced_route(
+        self, make_code, stripes, width, plane, monkeypatch
+    ):
+        compiles = []
+        compile_schedule = xorplane.compile_xor_schedule
+        monkeypatch.setattr(
+            xorplane, "compile_xor_schedule",
+            lambda *args: compiles.append(args) or compile_schedule(*args),
+        )
+        code = make_code()
+        engine, gather = CodecEngine(code), GatherCodecEngine(code)
+        rng = np.random.default_rng(stripes)
+        data3d = code.field.random_elements(rng, (stripes, code.k, width))
+        coded = gather.encode_stripes(data3d)
+
+        def survivors(*erased):
+            return {p: coded[:, p] for p in range(code.n) if p not in erased}
+
+        calls = [  # RS repairs are heavy, LRC repairs light XOR plans
+            lambda e: e.encode_stripes(data3d),
+            lambda e: e.repair_stripes(0, survivors(0)),
+            lambda e: e.repair_stripes(code.n - 1, survivors(code.n - 1)),
+            lambda e: e.reconstruct((2, code.k + 1), survivors(2, code.k + 1)),
+        ]
+        for index, call in enumerate(calls):
+            before = engine.xor_plane_calls, engine.gather_calls
+            assert np.array_equal(call(engine), call(gather)), index
+            took = engine.xor_plane_calls - before[0], engine.gather_calls - before[1]
+            assert took == ((1, 0) if plane else (0, 1)), index
+        assert len(compiles) == (len(calls) if plane else 0)
 
 
 class TestChunkBoundaries:
