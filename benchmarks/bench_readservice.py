@@ -6,8 +6,8 @@ the simulator: one Python callback per client read caps it around tens
 of thousands of reads.  The vectorized
 :class:`~repro.cluster.readservice.ReadServiceEngine` replays the whole
 schedule as array passes — searchsorted availability checks over merged
-per-node outage windows, one planner call per distinct erasure-pattern
-bitmask, batched latency accounting.
+per-node outage windows, one batched ``plan_reads`` call per cell over
+the distinct erasure-pattern bitmasks, batched latency accounting.
 
 The comparison: one million client reads over a six-hour horizon (the
 paper's (10,6,5) LRC under the default transient-outage process) run

@@ -32,8 +32,9 @@ The decomposition:
   availability gather for every read's target block, a stripe-pattern
   matrix for the (rare) degraded subset packed into one
   ``(position << n) | pattern-bitmask`` key per read — ``np.unique``
-  over the keys means ``plan_block`` is called once per *distinct*
-  erasure pattern, with the key's two halves handed over as they are —
+  over the keys leaves each *distinct* erasure pattern once, and one
+  batched ``RepairPlanner.plan_reads`` call per cell plans them all,
+  the keys' two halves handed over as arrays —
   and batched latency/timeout accounting through
   ``ReadServiceStats.from_arrays``, the accounting path the spec shares.
 
@@ -91,7 +92,9 @@ def _poisson_arrivals(
 
     Exponential gaps are drawn in blocks and cumulatively summed per
     stream until every stream crosses the horizon; returns ``(stream,
-    time)`` arrays sorted by (stream, time).
+    time)`` arrays sorted by (stream, time).  Each stream's times rise
+    chunk by chunk, so one stream needs no sort and several need only a
+    stable sort by stream.
     """
     scale = 1.0 / rate
     block = max(int(rate * horizon * 1.5) + 8, 8)
@@ -110,7 +113,9 @@ def _poisson_arrivals(
         active = active[times[:, -1] < horizon]
     streams_out = np.concatenate(stream_chunks)
     times_out = np.concatenate(time_chunks)
-    order = np.lexsort((times_out, streams_out))
+    if streams == 1:
+        return streams_out, times_out
+    order = np.argsort(streams_out, kind="stable")
     return streams_out[order], times_out[order]
 
 
@@ -440,20 +445,10 @@ class ReadServiceEngine:
                 schedule.read_position[degraded_idx].astype(np.int64) << code.n
             ) | pattern_bits
             unique_keys, inverse = np.unique(keys, return_inverse=True)
-            reads_per_key = np.empty(unique_keys.size, dtype=np.int64)
-            pattern_mask = (1 << code.n) - 1
-            for i, key in enumerate(unique_keys.tolist()):
-                decision = code.planner.plan_block(
-                    key >> code.n, key & pattern_mask
-                )
-                if decision.light:
-                    reads_per_key[i] = decision.num_reads
-                elif decision.feasible:
-                    reads_per_key[i] = code.k
-                else:
-                    reads_per_key[i] = -1
             self.distinct_patterns = int(unique_keys.size)
-            reads = reads_per_key[inverse]
+            reads = code.planner.plan_reads(
+                unique_keys >> code.n, unique_keys & ((1 << code.n) - 1)
+            )[inverse]
             feasible = reads >= 0
             served[degraded_idx[~feasible]] = False
             served_degraded = degraded_idx[feasible]

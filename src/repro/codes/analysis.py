@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .base import ErasureCode
+from .base import ErasureCode, mask_of, positions_of, survival_masks
 from .bounds import locality_distance_bound, singleton_bound
 from .linear import LinearCode
 
@@ -31,21 +31,22 @@ def certify_distance(code: LinearCode, expected: int) -> bool:
     """Exhaustively verify that ``code`` has minimum distance ``expected``.
 
     Checks both directions: every (expected-1)-erasure pattern is
-    decodable, and at least one ``expected``-erasure pattern is fatal.
+    decodable, and at least one ``expected``-erasure pattern is fatal —
+    one :meth:`~repro.codes.base.ErasureCode.decodable` call per size.
     Raises AssertionError with a counterexample on failure.
     """
-    all_blocks = set(range(code.n))
-    for erased in combinations(range(code.n), expected - 1):
-        if not code.is_decodable(all_blocks - set(erased)):
-            raise AssertionError(
-                f"{code.name}: erasure pattern {erased} of size "
-                f"{expected - 1} already breaks decoding; d < {expected}"
-            )
+    survivors = survival_masks(code.n, expected - 1)
+    decodable = code.decodable(survivors)
+    if not decodable.all():
+        lost = ((1 << code.n) - 1) ^ survivors[int(decodable.argmin())]
+        raise AssertionError(
+            f"{code.name}: erasure pattern {positions_of(lost)} of size "
+            f"{expected - 1} already breaks decoding; d < {expected}"
+        )
     if expected == code.n + 1:
         return True  # repetition-style corner: no fatal pattern exists
-    for erased in combinations(range(code.n), expected):
-        if not code.is_decodable(all_blocks - set(erased)):
-            return True
+    if not code.decodable(survival_masks(code.n, expected)).all():
+        return True
     raise AssertionError(
         f"{code.name}: no fatal erasure pattern of size {expected}; d > {expected}"
     )
@@ -148,19 +149,19 @@ def _repair_cost(
     total_reads = 0.0
     light_hits = 0
     count = 0
-    everything = frozenset(range(code.n))
+    everything = (1 << code.n) - 1
     for pattern in patterns:
-        survivors = everything - frozenset(pattern)
+        survivors = everything ^ mask_of(pattern)
         best_cost = None
         best_is_light = False
         for block in pattern if cheapest else pattern[:1]:
-            plan = code.best_repair_plan(block, survivors)
+            plan = code.light_plan(block, survivors)
             if plan is not None:
                 cost, is_light = plan.num_reads, True
             elif heavy_reads is not None:
                 cost, is_light = heavy_reads, False
             else:
-                cost, is_light = code.heavy_read_count(survivors), False
+                cost, is_light = code.heavy_read_count(positions_of(survivors)), False
             if best_cost is None or cost < best_cost:
                 best_cost, best_is_light = cost, is_light
         total_reads += best_cost

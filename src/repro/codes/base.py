@@ -16,6 +16,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -32,6 +33,7 @@ __all__ = [
     "DecodingError",
     "mask_of",
     "positions_of",
+    "survival_masks",
 ]
 
 
@@ -57,6 +59,13 @@ def positions_of(mask: int) -> tuple[int, ...]:
         positions.append(low.bit_length() - 1)
         mask ^= low
     return tuple(positions)
+
+
+def survival_masks(n: int, erasures: int) -> list[int]:
+    """The survival bitmask of every way to erase ``erasures`` of ``n``
+    positions, in :func:`itertools.combinations` order."""
+    full = (1 << n) - 1
+    return [full ^ mask_of(erased) for erased in combinations(range(n), erasures)]
 
 
 class DecodingError(Exception):
@@ -210,28 +219,43 @@ class ErasureCode(ABC):
         are ordered by preference.
         """
 
-    def best_repair_plan(
-        self, lost: int, available: Sequence[int] | frozenset[int]
-    ) -> RepairPlan | None:
+    @cached_property
+    def light_plans(self) -> tuple[tuple[tuple[int, RepairPlan], ...], ...]:
+        """Each position's light plans with their source bitmasks.
+
+        ``light_plans[lost]`` pairs every plan of :meth:`repair_plans`
+        (same order) with ``mask_of(plan.sources)``: the one precomputed
+        form the light-plan rule tests, scalar and batched alike.
+        """
+        return tuple(
+            tuple((mask_of(plan.sources), plan) for plan in self.repair_plans(lost))
+            for lost in range(self.n)
+        )
+
+    def light_plan(self, lost: int, usable: int) -> RepairPlan | None:
+        """The cheapest light plan whose sources all lie in the ``usable``
+        bitmask; ties go to the first in :meth:`repair_plans` order."""
+        if not 0 <= lost < self.n:
+            raise ValueError(f"block index {lost} out of range [0, {self.n})")
+        best = None
+        for sources, plan in self.light_plans[lost]:
+            if not sources & ~usable and (best is None or plan.num_reads < best.num_reads):
+                best = plan
+        return best
+
+    def best_repair_plan(self, lost: int, available: Iterable[int]) -> RepairPlan | None:
         """The cheapest light plan whose sources are all available."""
-        available_set = frozenset(available)
-        feasible = [
-            plan
-            for plan in self.repair_plans(lost)
-            if available_set.issuperset(plan.sources)
-        ]
-        if not feasible:
-            return None
-        return min(feasible, key=lambda plan: plan.num_reads)
+        return self.light_plan(lost, mask_of(self._positions(available)))
 
     # -- introspection -------------------------------------------------------
 
     def _positions(self, indices: Iterable[int]) -> set[int]:
         """The distinct stripe positions in ``indices``, range-checked.
 
-        The shared guard of every ``is_decodable``: a position outside
-        ``[0, n)`` names no block, so it raises instead of aliasing a
-        column (``-1``) or silently counting toward ``k``.
+        The shared guard of ``is_decodable``, ``best_repair_plan`` and the
+        locality helpers: a position outside ``[0, n)`` names no block, so
+        it raises instead of aliasing a column (``-1``), silently counting
+        toward ``k`` or shifting a mask by a negative count.
         """
         positions = {int(i) for i in indices}
         if positions:
@@ -240,6 +264,28 @@ class ErasureCode(ABC):
                 bad = low if low < 0 else high
                 raise ValueError(f"position {bad} outside [0, {self.n})")
         return positions
+
+    def survivor_bits(self, masks) -> np.ndarray:
+        """``(batch, n)`` bools: bit ``p`` of each survival bitmask.
+
+        Masks are an int64 array for stripes of up to 63 blocks and Python
+        ints (an object array) beyond, so any width converts.
+        """
+        dtype = np.int64 if self.n < 64 else object
+        masks = np.asarray(masks, dtype=dtype).reshape(-1, 1)
+        return (masks >> np.arange(self.n).astype(dtype) & 1).astype(bool)
+
+    @abstractmethod
+    def decodable(self, masks) -> np.ndarray:
+        """Whether each survival bitmask determines the file, as a bool array.
+
+        The one decodability implementation of each code family; ``masks``
+        is a sequence or array of :func:`mask_of` bitmasks.
+        """
+
+    def is_decodable(self, indices: Iterable[int]) -> bool:
+        """Whether a set of surviving block indices determines the file."""
+        return bool(self.decodable([mask_of(self._positions(indices))])[0])
 
     def heavy_read_count(self, available: Sequence[int]) -> int:
         """Blocks a heavy (full-stripe) decode reads.

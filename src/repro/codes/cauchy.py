@@ -100,8 +100,9 @@ class CauchyRSCode(LinearCode):
             self._distance_cache = self.n - self.k + 1
         return self._distance_cache
 
-    def is_decodable(self, indices) -> bool:
-        return len(self._positions(indices)) >= self.k
+    def decodable(self, masks) -> np.ndarray:
+        """Any k survivors decode an MDS code: a popcount per mask."""
+        return self.survivor_bits(masks).sum(axis=1) >= self.k
 
     def parameters(self) -> CodeParameters:
         return CodeParameters(

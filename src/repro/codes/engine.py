@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -326,7 +327,7 @@ class CodecEngine:
         Uses the cheapest feasible light plan and falls back to the
         cached heavy reconstruction.
         """
-        plan = self.code.best_repair_plan(lost, available.keys())
+        plan = self.code.light_plan(lost, self._survivors(available.keys()))
         if plan is None:
             return self.reconstruct((lost,), available)[:, 0, :]
         return self.execute_plan_stripes(plan, available)
@@ -414,9 +415,11 @@ class RepairPlanner:
     (:func:`~repro.codes.base.mask_of`): given the *usable* mask
     (readable blocks plus known-zero padding) and the *readable* mask
     (what physically exists on live nodes), decide light plan / heavy
-    decode / data loss.  Decisions are memoised in a plain dict keyed
-    ``(lost, usable, readable)``, so a node failure hitting thousands of
-    same-shaped stripes plans once; ``hits``/``misses`` count lookups.
+    decode / data loss.  The cluster's scalar decisions are memoised in a
+    plain dict keyed ``(lost, usable, readable)``, so a node failure
+    hitting thousands of same-shaped stripes plans once; ``hits``/``misses``
+    count lookups.  :meth:`plan_reads` decides a whole array of patterns
+    in one call, by the same rule and without the memo.
     """
 
     def __init__(self, code: "ErasureCode"):
@@ -447,8 +450,43 @@ class RepairPlanner:
             lambda: self._decide_block(lost, usable, readable),
         )
 
+    def plan_reads(self, lost, usable) -> np.ndarray:
+        """Blocks read to serve each ``lost`` position under each ``usable``
+        mask, as an int64 array: the cheapest light plan's ``num_reads``,
+        ``code.k`` for a heavy decode, ``-1`` for data loss.
+
+        The batched form of :meth:`plan_block`'s outcome for int64 arrays
+        of positions and survival bitmasks (stripes of up to 63 blocks):
+        every plan's source mask is tested against every usable mask at
+        once, and the patterns no light plan fits go through one
+        :meth:`~repro.codes.base.ErasureCode.decodable` call.
+        """
+        lost = np.asarray(lost, dtype=np.int64)
+        usable = np.asarray(usable, dtype=np.int64) & ~(np.int64(1) << lost)
+        sources, reads = self._plan_arrays
+        fits = (sources[lost] & ~usable[:, None]) == 0
+        out = np.where(fits, reads[lost], self.code.n).min(axis=1, initial=self.code.n)
+        heavy = ~fits.any(axis=1)
+        out[heavy] = np.where(self.code.decodable(usable[heavy]), self.code.k, -1)
+        return out
+
+    @cached_property
+    def _plan_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The code's light plans as ``(n, plans)`` int64 arrays of source
+        masks and read counts; a ``-1`` mask pads a short row (no usable
+        mask holds every bit)."""
+        plans = self.code.light_plans
+        width = max(map(len, plans))
+        sources = np.full((self.code.n, width), -1, dtype=np.int64)
+        reads = np.zeros((self.code.n, width), dtype=np.int64)
+        for lost, row in enumerate(plans):
+            for j, (mask, plan) in enumerate(row):
+                sources[lost, j] = mask
+                reads[lost, j] = plan.num_reads
+        return sources, reads
+
     def _decide_block(self, lost: int, usable: int, readable: int) -> RepairDecision:
-        plan = self.code.best_repair_plan(lost, positions_of(usable))
+        plan = self.code.light_plan(lost, usable)
         if plan is None:
             return self._decide_heavy((lost,), usable, readable)
         return RepairDecision(
@@ -461,7 +499,7 @@ class RepairPlanner:
     def _decide_heavy(
         self, lost: tuple[int, ...], usable: int, readable: int
     ) -> RepairDecision:
-        if self.code.is_decodable(positions_of(usable)):
+        if self.code.decodable([usable])[0]:
             return RepairDecision(
                 kind="heavy", lost=lost, sources=positions_of(readable)
             )

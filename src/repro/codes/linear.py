@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from ..galois import (
     gf_rank_batch,
     gf_rref,
 )
-from .base import CodeParameters, ErasureCode, RepairPlan
+from .base import CodeParameters, ErasureCode, RepairPlan, survival_masks
 from .engine import CodecEngine
 
 __all__ = ["LinearCode", "systematize"]
@@ -117,22 +117,31 @@ class LinearCode(ErasureCode):
         """An ``(n - k) x n`` parity-check matrix ``H``: ``G Hᵀ = 0``."""
         return gf_null_space(self.field, self.generator)
 
-    def is_decodable(self, indices: Iterable[int]) -> bool:
-        """Whether a set of surviving block indices determines the file.
+    def decodable(self, masks) -> np.ndarray:
+        """Whether each survival bitmask determines the file, as a bool array.
 
-        Parity-check criterion: survivors ``S`` decode iff no non-zero
-        codeword is supported on the erased positions ``E``, i.e. iff
-        the columns of :attr:`parity_check` at ``E`` are linearly
-        independent.  More than ``n - k`` erasures fail by counting, so
-        the elimination runs over at most ``n - k`` erased columns
-        instead of up to ``n`` survivor columns of the generator.
+        Parity-check criterion: survivors decode iff no non-zero codeword
+        is supported on the erased positions ``E``, i.e. iff the columns
+        of :attr:`parity_check` at ``E`` are linearly independent.  More
+        than ``n - k`` erasures fail by counting; every other pattern
+        gathers its erased columns into one matrix of the batch's widest
+        erasure count (zero columns pad the rest), and one
+        :func:`gf_rank_batch` over the stack compares each rank with its
+        erasure count.
         """
-        survivors = self._positions(indices)
-        erased = [p for p in range(self.n) if p not in survivors]
-        if len(erased) > self.n - self.k:
-            return False
-        chosen = gf_independent_columns(self.field, self.parity_check, erased)
-        return len(chosen) == len(erased)
+        erased = ~self.survivor_bits(masks)
+        counts = erased.sum(axis=1)
+        result = counts <= self.n - self.k
+        rows = np.flatnonzero(result & (counts > 0))
+        if rows.size:
+            counts = counts[rows]
+            width = counts.max()
+            # A stable sort puts each row's erased positions first, ascending.
+            columns = np.argsort(~erased[rows], axis=1, kind="stable")[:, :width]
+            stack = self.parity_check[:, columns].transpose(1, 0, 2)
+            stack *= (np.arange(width) < counts[:, None])[:, None, :]
+            result[rows] = gf_rank_batch(self.field, stack) == counts
+        return result
 
     # -- repair ---------------------------------------------------------------
 
@@ -156,11 +165,10 @@ class LinearCode(ErasureCode):
         return self._distance_cache
 
     def _compute_distance(self) -> int:
-        all_indices = set(range(self.n))
+        """One :meth:`decodable` call per erasure count, smallest first."""
         for erasures in range(1, self.n - self.k + 2):
-            for erased in combinations(range(self.n), erasures):
-                if not self.is_decodable(all_indices - set(erased)):
-                    return erasures
+            if not self.decodable(survival_masks(self.n, erasures)).all():
+                return erasures
         return self.n - self.k + 1  # MDS: unreachable fallthrough guard
 
     def block_locality(self, index: int, max_r: int | None = None) -> int:

@@ -64,9 +64,9 @@ class ReedSolomonCode(LinearCode):
             self._distance_cache = self.n - self.k + 1
         return self._distance_cache
 
-    def is_decodable(self, indices) -> bool:
-        """Any k distinct blocks decode an MDS code."""
-        return len(self._positions(indices)) >= self.k
+    def decodable(self, masks) -> np.ndarray:
+        """Any k survivors decode an MDS code: a popcount per mask."""
+        return self.survivor_bits(masks).sum(axis=1) >= self.k
 
     def syndromes(self, coded: np.ndarray) -> np.ndarray:
         """Parity-check syndromes H @ y; all-zero for valid codewords."""

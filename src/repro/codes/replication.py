@@ -62,9 +62,9 @@ class ReplicationCode(ErasureCode):
     def heavy_read_count(self, available) -> int:
         return 1  # copying any single surviving replica suffices
 
-    def is_decodable(self, indices) -> bool:
+    def decodable(self, masks) -> np.ndarray:
         """Any surviving replica recovers the block."""
-        return bool(self._positions(indices))
+        return self.survivor_bits(masks).any(axis=1)
 
     def minimum_distance(self) -> int:
         return self.n

@@ -340,6 +340,53 @@ class TestIsDecodable:
         assert fatal > 0
 
 
+class TestBatchedPlanning:
+    """``decodable`` and ``RepairPlanner.plan_reads`` decide whole arrays of
+    survival masks; the scalar ``is_decodable`` and ``plan_block`` are
+    the same rule on a batch of one."""
+
+    @pytest.mark.parametrize("code", [rs_10_4(), xorbas_lrc()], ids=lambda c: c.name)
+    def test_every_mask_matches_generator_rank(self, code):
+        """The definition as oracle, independent of the parity-check
+        criterion ``decodable`` runs: a mask decodes iff its survivors'
+        generator columns have rank k.  Masks with fewer than k survivors
+        fail by counting; the rest are ranked as ``n x k`` stacks of the
+        generator's rows with the erased ones zeroed."""
+        masks = np.arange(1 << code.n, dtype=np.int64)
+        bits = (masks[:, None] >> np.arange(code.n) & 1).astype(bool)
+        expected = np.zeros(masks.size, dtype=bool)
+        ranked = np.flatnonzero(bits.sum(axis=1) >= code.k)
+        stack = code.generator.T[None] * bits[ranked, :, None]
+        expected[ranked] = gf_rank_batch(code.field, stack) == code.k
+        np.testing.assert_array_equal(code.decodable(masks), expected)
+        assert 0 < expected.sum() < masks.size
+
+    @pytest.mark.parametrize(
+        "code", [rs_10_4(), xorbas_lrc(), three_replication()], ids=lambda c: c.name
+    )
+    def test_plan_reads_matches_plan_block(self, code):
+        """Every ``(lost, mask)`` with the lost bit clear and at most four
+        other erasures: the batched read count is the scalar decision's
+        (light reads, k for a heavy decode, -1 for loss)."""
+        lost, usable, expected = [], [], []
+        full = (1 << code.n) - 1
+        for position in range(code.n):
+            others = [p for p in range(code.n) if p != position]
+            for erasures in range(min(4, len(others)) + 1):
+                for erased in combinations(others, erasures):
+                    mask = full ^ mask_of((position, *erased))
+                    decision = code.planner.plan_block(position, mask)
+                    lost.append(position)
+                    usable.append(mask)
+                    expected.append(
+                        decision.num_reads if decision.light
+                        else code.k if decision.feasible else -1
+                    )
+        reads = code.planner.plan_reads(np.array(lost), np.array(usable))
+        np.testing.assert_array_equal(reads, expected)
+        assert reads.dtype == np.int64
+
+
 class TestPatternMasks:
     """``mask_of`` / ``positions_of``: the only two conversions between
     position collections and the int bitmask every layer passes."""
@@ -356,7 +403,8 @@ class TestPatternMasks:
 class TestBatchedContract:
     def test_no_code_redefines_the_scalar_calls(self):
         """Every code is its batched API: ``encode`` / ``decode`` /
-        ``repair`` are defined once, on the base, as one-stripe calls, and
+        ``repair`` are defined once, on the base, as one-stripe calls,
+        ``is_decodable`` once as a batch of one through ``decodable``, and
         the scalar ``execute_plan`` kernel is gone."""
         import repro.codes as codes
 
@@ -374,9 +422,9 @@ class TestBatchedContract:
         }
         assert exported - {ErasureCode} <= seen and len(seen) >= 6
         for cls in seen:
-            assert not {"encode", "decode", "repair", "execute_plan"} & set(
-                vars(cls)
-            ), cls
+            assert not {
+                "encode", "decode", "repair", "is_decodable", "execute_plan"
+            } & set(vars(cls)), cls
         assert not hasattr(ErasureCode, "execute_plan")
 
     @pytest.mark.parametrize("make_code", [rs_10_4, xorbas_lrc])

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.galois import (
+    GF,
     GF16,
     GF256,
     gf_identity,
@@ -19,6 +20,7 @@ from repro.galois import (
     gf_solve,
     gf_vandermonde,
 )
+from repro.galois import linalg
 
 
 def random_matrix(field, rows, cols, seed):
@@ -181,7 +183,7 @@ class TestLinalgProperties:
 
 class TestRankBatch:
     @given(
-        st.sampled_from([GF16, GF256]),
+        st.sampled_from([GF(1), GF16, GF256, GF(10)]),
         st.integers(min_value=0, max_value=12),
         st.integers(min_value=1, max_value=7),
         st.integers(min_value=1, max_value=7),
@@ -191,15 +193,19 @@ class TestRankBatch:
     )
     @settings(max_examples=80, deadline=None)
     def test_matches_gf_rank(self, field, batch, rows, cols, zeros, repeat, seed):
-        """Zero-heavy, rank-deficient, tall, wide and empty stacks alike."""
+        """Zero-heavy, rank-deficient, tall, wide and empty stacks alike,
+        through the dispatch and through each of its two kernels (the
+        stacked elimination and the per-matrix one on Python ints)."""
         rng = np.random.default_rng(seed)
         stack = field.random_elements(rng, (batch, rows, cols))
         stack[rng.random(stack.shape) < zeros] = 0
         if repeat:
             stack[:, :, -1] = stack[:, :, 0]  # a repeated column
-        ranks = gf_rank_batch(field, stack)
-        assert ranks.shape == (batch,)
-        assert list(ranks) == [gf_rank(field, m) for m in stack]
+        expected = [gf_rank(field, m) for m in stack]
+        for rank in (gf_rank_batch, linalg._rank_each, linalg._rank_stacked):
+            ranks = rank(field, stack.copy())
+            assert ranks.shape == (batch,)
+            assert list(ranks) == expected
 
     def test_empty_batch_and_shape_check(self):
         assert gf_rank_batch(GF256, np.zeros((0, 3, 4))).shape == (0,)

@@ -78,6 +78,7 @@ class TestWideCodes:
         erased = {0, 100, 200, 299}
         survivors = {i: coded[i] for i in range(300) if i not in erased}
         np.testing.assert_array_equal(code.decode(survivors), data)
+        assert code.is_decodable(survivors) and not code.is_decodable(range(295))
 
     def test_blocklength_limit_enforced_per_field(self):
         with pytest.raises(ValueError):
@@ -92,6 +93,16 @@ class TestWideCodes:
         lost = int(rng.integers(code.n))
         plans = code.repair_plans(lost)
         assert plans and min(p.num_reads for p in plans) <= 5
+
+    def test_masks_past_63_blocks_stay_python_ints(self):
+        """A 77-block stripe's survival masks do not fit int64: decodability
+        runs on Python ints, the rank check included."""
+        code = make_lrc(60, 4, 5, field=GF1024)
+        assert code.n == 77
+        full = (1 << code.n) - 1
+        decodable = code.decodable([full, full ^ (1 << 76), full ^ ((1 << 17) - 1)])
+        assert list(decodable) == [True, True, False]
+        assert code.is_decodable(set(range(code.n)) - {0, 59, 76})
 
     def test_giant_lrc_light_repair_executes(self):
         code = make_lrc(60, 4, 5, field=GF1024)

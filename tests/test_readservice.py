@@ -384,14 +384,24 @@ class TestReadServiceEngine:
         engine = ReadServiceEngine(xorbas_lrc(), config=FAST, seed=13)
         assert np.array_equal(spec.placement, engine.placement)
 
-    def test_patterns_are_interned_once(self):
+    def test_patterns_are_interned_once(self, monkeypatch):
         code = xorbas_lrc()
+        planner = code.planner
+        batches = []
+
+        def recording(lost, usable, plan_reads=planner.plan_reads):
+            batches.append(len(lost))
+            return plan_reads(lost, usable)
+
+        monkeypatch.setattr(planner, "plan_reads", recording)
         engine = ReadServiceEngine(code, config=FAST, seed=3)
         stats = engine.run()
         assert stats.degraded_reads > 0
         assert 0 < engine.distinct_patterns <= stats.degraded_reads
-        # plan_block ran once per distinct (position, pattern) key.
-        assert code.planner.misses == engine.distinct_patterns
+        # One batched call planned every distinct (position, pattern)
+        # key; the scalar memo was never consulted.
+        assert batches == [engine.distinct_patterns]
+        assert planner.hits == planner.misses == len(planner._memo) == 0
 
     def test_compare_vectorized_upholds_pairing(self):
         (rows,) = run_degraded_scenarios(
